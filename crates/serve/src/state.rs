@@ -58,6 +58,12 @@ pub const CATALOGUE_MODES: [&str; 3] = ["classic", "semantic", "ranked"];
 /// makes `s` findable by `mode=ranked`, deleting the triple removes it.
 pub const SEARCH_TEXT_IRI: &str = "http://extremeearth.eu/ont/eo#searchText";
 
+/// Most prepared plans the plan cache holds. Commits clear it, but a
+/// read-only server can see unique query texts without end; at the cap a
+/// new plan evicts an arbitrary cached one, counted as
+/// `ee_serve_invalidated_total{kind="plans"}`.
+const PLAN_CACHE_CAPACITY: usize = 1024;
+
 /// Sizing knobs for the engines behind the routes.
 #[derive(Debug, Clone)]
 pub struct DataConfig {
@@ -187,8 +193,8 @@ pub struct AppState {
     catalogue_mode_requests: [AtomicU64; CATALOGUE_MODES.len()],
     /// Handler latency per `/catalogue/search` mode, same indexing.
     catalogue_mode_latency: [Histogram; CATALOGUE_MODES.len()],
-    /// Prepared plans dropped by commits
-    /// (`ee_serve_invalidated_total{kind="plans"}`).
+    /// Prepared plans dropped by commits or evicted at
+    /// [`PLAN_CACHE_CAPACITY`] (`ee_serve_invalidated_total{kind="plans"}`).
     invalidated_plans: AtomicU64,
     /// Cached responses dropped by commits (counted by the server,
     /// which owns the response cache; rendered here next to the plans).
@@ -666,7 +672,7 @@ impl AppState {
             self.store_reads()
         ));
         out.push_str(&format!(
-            "# HELP ee_serve_invalidated_total Cache entries invalidated by store commits\n\
+            "# HELP ee_serve_invalidated_total Cache entries invalidated by store commits (plans: also capacity evictions)\n\
              # TYPE ee_serve_invalidated_total counter\n\
              ee_serve_invalidated_total{{kind=\"plans\"}} {}\n\
              ee_serve_invalidated_total{{kind=\"responses\"}} {}\n",
@@ -720,10 +726,17 @@ impl AppState {
                 let q = ee_rdf::parser::parse_query(sparql)?;
                 let p = Arc::new(ee_rdf::plan::plan(store, &q)?);
                 self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                self.plans
-                    .lock()
-                    .expect("plan cache lock")
-                    .insert(key, p.clone());
+                let mut plans = self.plans.lock().expect("plan cache lock");
+                if plans.len() >= PLAN_CACHE_CAPACITY && !plans.contains_key(&key) {
+                    let victim = plans
+                        .keys()
+                        .next()
+                        .cloned()
+                        .expect("a full cache has a key");
+                    plans.remove(&victim);
+                    self.invalidated_plans.fetch_add(1, Ordering::Relaxed);
+                }
+                plans.insert(key, p.clone());
                 Ok(p)
             }
         }
@@ -956,6 +969,32 @@ mod tests {
         assert!(section.contains("ee_rdf_generation 1"));
         assert!(section.contains("ee_serve_invalidated_total{kind=\"plans\"} 1"));
         assert!(section.contains("ee_serve_update_commit_us_count{op=\"commit\"} 2"));
+    }
+
+    #[test]
+    fn plan_cache_is_bounded_and_still_answers_correctly() {
+        let state = AppState::build(DataConfig::tiny());
+        let n = PLAN_CACHE_CAPACITY + 100;
+        let q = |i: usize| selection_sparql(i as f64 * 0.08, 20.0, 10.0);
+        for i in 0..n {
+            state.prepared_query(&q(i)).expect("query");
+        }
+        let (_, misses, entries) = state.plan_cache_stats();
+        assert_eq!(misses, n as u64, "every query text is unique");
+        assert!(entries <= PLAN_CACHE_CAPACITY, "{entries} plans cached");
+        assert!(state
+            .render_prometheus_section()
+            .contains("ee_serve_invalidated_total{kind=\"plans\"} 100"));
+        // Evicted and still-cached plans alike answer as a fresh
+        // parse + plan + execute does.
+        for i in [0, n / 2, n - 1] {
+            let want = ee_rdf::exec::query(&state.store(), &q(i)).expect("reference");
+            assert_eq!(
+                state.prepared_query(&q(i)).expect("query"),
+                want,
+                "query {i}"
+            );
+        }
     }
 
     #[test]

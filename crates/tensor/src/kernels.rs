@@ -244,8 +244,8 @@ fn col2im_ref(
 }
 
 /// Clamp a requested worker count to the useful parallelism of a conv
-/// problem: at least ~4M multiply-adds per worker (below that, scoped
-/// thread spawn/join costs more than the work it buys), and never more
+/// problem: at least ~4M multiply-adds per worker (below that, handing
+/// bands to pool helpers costs more than the work it buys), and never more
 /// workers than samples. Results are bit-identical at any worker count,
 /// so this only changes scheduling.
 fn conv_workers(requested: usize, n: usize, madds: usize) -> usize {

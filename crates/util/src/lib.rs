@@ -15,8 +15,9 @@
 //! * [`bytes`] — human-readable byte-size formatting for reports.
 //! * [`timeline`] — virtual-time primitives shared by the discrete-event
 //!   simulators.
-//! * [`par`] — the workspace's single threading idiom: chunked scoped
-//!   fan-out with deterministic fixed-order reduction.
+//! * [`par`] — the workspace's single threading idiom: chunked fan-out
+//!   over a persistent helper pool with deterministic fixed-order
+//!   reduction.
 //! * [`json`] — a small JSON value tree, emitter and parser (no external
 //!   serialisation crates).
 //! * [`poll`] — `poll(2)` / wake-pipe / rlimit wrappers for the

@@ -1,26 +1,47 @@
-//! Dependency-free parallel runtime: chunked scoped fan-out on
-//! [`std::thread::scope`].
+//! Dependency-free parallel runtime: chunked fan-out over one
+//! process-wide pool of parked helper threads.
 //!
 //! This module is the single threading idiom of the workspace. Every
-//! parallel hot path (tiled matmul row bands, batch-parallel conv2d,
+//! parallel hot path (SPARQL join and filter chunks, top-k decoration,
+//! tiled matmul row bands, batch-parallel conv2d, the tile pyramid,
 //! data-parallel gradient workers, hyper-parameter trials, interlinking
-//! shards, HopsFS load clients) goes through the primitives below, and all
-//! of them share two guarantees:
+//! shards) goes through the primitives below, and all of them share two
+//! guarantees:
 //!
 //! * **Deterministic fixed-order reduction.** Workers own disjoint,
 //!   contiguous slices of the input (or output), and the caller receives
 //!   their results in input order regardless of which thread finished
-//!   first. Combined with kernels that fix their own floating-point
-//!   accumulation order, every parallel computation in the repository is
-//!   bit-identical to its serial reference — determinism is a stated
-//!   design invariant (see DESIGN.md).
-//! * **No runtime, no channels.** Threads are scoped, borrow their inputs,
-//!   and join before the call returns. `threads == 1` runs inline on the
-//!   caller's stack without spawning.
+//!   first. Chunk boundaries are a pure function of the input length and
+//!   the thread count, never of which thread ran a chunk. Combined with
+//!   kernels that fix their own floating-point accumulation order, every
+//!   parallel computation in the repository is bit-identical to its
+//!   serial reference — determinism is a stated design invariant (see
+//!   DESIGN.md).
+//! * **No thread spawns per call.** A call with `threads = t` publishes
+//!   its chunk-claim loop as a job, wakes up to `t − 1` parked helpers,
+//!   and drains the job itself. When no unclaimed chunk is left, the
+//!   caller retracts the job and waits only for the helpers already
+//!   inside it, so the call returns after every chunk has run, and a
+//!   chunk may itself call into this module (a training shard worker
+//!   calling matmul) without deadlock: a caller never waits on work
+//!   nobody has started. Helpers are spawned on first use; the pool grows
+//!   to the largest `t − 1` any caller has asked for and never shrinks,
+//!   so a lone `threads = t` call still runs on `t` threads. A panic in a
+//!   chunk is re-raised on the caller and leaves the pool usable.
+//!   `threads == 1` runs inline on the caller's stack.
+//!
+//! [`fan_out`] is the exception: it runs each worker on its own scoped
+//! thread, for callers whose workers block for their whole life.
 //!
 //! Worker count defaults to [`available_threads`], which honours the
 //! `EE_THREADS` environment variable so experiments can sweep 1/2/4/8
 //! workers on any machine.
+
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Number of worker threads to use by default.
 ///
@@ -45,6 +66,12 @@ pub fn available_threads() -> usize {
 
 /// Run `f(worker_index)` on `workers` scoped threads and collect the
 /// results in worker order.
+///
+/// Unlike the chunked primitives below, this spawns one fresh OS thread
+/// per worker and never uses the helper pool: its callers (load-generator
+/// clients, metadata load clients) block on sockets or locks for their
+/// whole life and each needs a thread of its own, which pool helpers
+/// shared with compute chunks cannot promise.
 ///
 /// `workers == 1` calls `f(0)` inline. Panics in a worker propagate to the
 /// caller.
@@ -75,43 +102,15 @@ where
 /// by at most one), run `f(start_index, chunk)` per chunk in parallel, and
 /// return the per-chunk results in input order.
 ///
-/// Empty input returns an empty vector without spawning.
+/// This is [`map_chunks_guided`] with `oversubscribe == 1`. Empty input
+/// returns an empty vector.
 pub fn map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    let t = threads.min(items.len()).max(1);
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let base = items.len() / t;
-    let rem = items.len() % t;
-    let mut bounds = Vec::with_capacity(t);
-    let mut start = 0usize;
-    for c in 0..t {
-        let len = base + usize::from(c < rem);
-        bounds.push((start, &items[start..start + len]));
-        start += len;
-    }
-    if t == 1 {
-        let (s, chunk) = bounds[0];
-        return vec![f(s, chunk)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .into_iter()
-            .map(|(s, chunk)| {
-                let f = &f;
-                scope.spawn(move || f(s, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ee-util par worker panicked"))
-            .collect()
-    })
+    map_chunks_guided(items, threads, 1, f)
 }
 
 /// Like [`map_chunks`], but with **guided scheduling** for skewed
@@ -145,7 +144,7 @@ where
     let chunks = (t * oversubscribe.max(1)).min(items.len()).max(1);
     // Chunk boundaries are computed once, deterministically: maximal-even
     // split (sizes differ by at most one, earlier chunks take the
-    // remainder) — identical to map_chunks with `chunks` workers.
+    // remainder).
     let base = items.len() / chunks;
     let rem = items.len() % chunks;
     let mut bounds = Vec::with_capacity(chunks);
@@ -155,43 +154,7 @@ where
         bounds.push((start, &items[start..start + len]));
         start += len;
     }
-    if t == 1 {
-        return bounds.into_iter().map(|(s, chunk)| f(s, chunk)).collect();
-    }
-    // Work-stealing dispatch: each worker claims the next chunk index from
-    // a shared counter and writes its result into that chunk's slot.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..chunks).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        for _ in 0..t {
-            let f = &f;
-            let next = &next;
-            let slots = &slots;
-            let bounds = &bounds;
-            handles.push(scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= bounds.len() {
-                    return;
-                }
-                let (s, chunk) = bounds[i];
-                let r = f(s, chunk);
-                *slots[i].lock().expect("guided slot poisoned") = Some(r);
-            }));
-        }
-        for h in handles {
-            h.join().expect("ee-util par worker panicked");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("guided slot poisoned")
-                .expect("every chunk claimed exactly once")
-        })
-        .collect()
+    run_each(bounds, t, |(s, chunk)| f(s, chunk))
 }
 
 /// Map `f(index, item)` over `items` on up to `threads` workers,
@@ -242,29 +205,235 @@ where
     );
     let rows = data.len() / row_len;
     let t = threads.min(rows).max(1);
-    if t == 1 {
-        return vec![f(0, data)];
-    }
     let base = rows / t;
     let rem = rows % t;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        let mut rest = data;
-        let mut row0 = 0usize;
-        for band in 0..t {
-            let nrows = base + usize::from(band < rem);
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(nrows * row_len);
-            rest = tail;
-            let f = &f;
-            let r0 = row0;
-            handles.push(scope.spawn(move || f(r0, head)));
-            row0 += nrows;
+    let mut bands = Vec::with_capacity(t);
+    let mut rest = data;
+    let mut row0 = 0usize;
+    for band in 0..t {
+        let nrows = base + usize::from(band < rem);
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(nrows * row_len);
+        rest = tail;
+        bands.push((row0, head));
+        row0 += nrows;
+    }
+    run_each(bands, t, |(r0, band)| f(r0, band))
+}
+
+/// Run `f` on every input on up to `threads` threads (the caller plus
+/// pool helpers) and return the outputs in input order. One thread, or
+/// one input, runs inline without touching the pool.
+fn run_each<I, R, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let threads = threads.min(inputs.len());
+    if threads <= 1 {
+        return inputs.into_iter().map(f).collect();
+    }
+    // Slot i holds input i until a thread claims it, then output i.
+    let slots: Vec<Mutex<(Option<I>, Option<R>)>> = inputs
+        .into_iter()
+        .map(|x| Mutex::new((Some(x), None)))
+        .collect();
+    POOL.run(slots.len(), threads, &|i| {
+        let input = lock(&slots[i])
+            .0
+            .take()
+            .expect("each input is claimed once");
+        let out = f(input);
+        lock(&slots[i]).1 = Some(out);
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .1
+                .expect("every input ran before the pool call returned")
+        })
+        .collect()
+}
+
+/// Lock a mutex of this module, recovering the guard if a panic poisoned
+/// it: every critical section here leaves its data valid at each step
+/// (counter updates, queue pushes and pops, slot swaps), and [`Pool::run`]
+/// must reach its wait for active helpers even after a panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The process-wide helper pool behind every chunked primitive.
+static POOL: Pool = Pool::new();
+
+/// Parked helper threads plus the queue of jobs they may join.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Helpers park here while the queue is empty.
+    work: Condvar,
+}
+
+struct Queue {
+    /// Published jobs, oldest first, each with the helper seats it has
+    /// left (a `threads = t` call offers `t − 1`).
+    jobs: VecDeque<(Arc<Job>, usize)>,
+    /// Helpers spawned so far; they are never joined and park for the
+    /// life of the process.
+    helpers: usize,
+    /// Helpers parked on [`Pool::work`].
+    parked: usize,
+}
+
+/// One parallel call: indices `0..tasks` claimed off `next` by the caller
+/// and the helpers that joined.
+struct Job {
+    /// The caller's per-index body, lifetime-erased by [`Pool::run`]:
+    /// valid only while that call has not returned.
+    task: &'static (dyn Fn(usize) + Sync),
+    tasks: usize,
+    /// Next unclaimed index. `Relaxed` suffices: it publishes no data —
+    /// results travel through the slot mutexes and completion through
+    /// [`Job::state`].
+    next: AtomicUsize,
+    state: Mutex<JobState>,
+    /// Signalled when the last active helper leaves the job.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct JobState {
+    /// Helpers inside the job; incremented under the queue lock when a
+    /// helper takes a seat.
+    active: usize,
+    /// The first panic a helper caught while running the job.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Job {
+    /// Run unclaimed indices until none is left.
+    fn drain(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.tasks {
+                return;
+            }
+            (self.task)(i);
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ee-util par worker panicked"))
-            .collect()
-    })
+    }
+}
+
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                helpers: 0,
+                parked: 0,
+            }),
+            work: Condvar::new(),
+        }
+    }
+
+    /// Run `task(i)` for every `i < tasks` on the caller plus up to
+    /// `threads − 1` helpers, returning once every index has run. The
+    /// first panic — the caller's own, else a helper's — is re-raised
+    /// here after all helpers have left the job. `threads` must be at
+    /// least 2 ([`run_each`] runs one thread inline).
+    fn run(&'static self, tasks: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: the `'static` lifetime is a lie that this function keeps
+        // unobservable. Helpers call `task` only inside `Job::drain`, which
+        // they enter after taking a seat — done under the queue lock,
+        // together with bumping `active` — and leave before dropping
+        // `active` again. Below, the caller's own drain cannot unwind past
+        // this function (`catch_unwind`), the job is then removed from the
+        // queue so no helper can take a new seat, and the function returns
+        // or unwinds only after `active` reads 0, with poison-tolerant locks
+        // so that nothing in between can panic. So every use of `task` ends
+        // before the borrow it came from does; a helper's `Arc<Job>` may
+        // outlive this call but never touches `task` again.
+        let task: &'static (dyn Fn(usize) + Sync) = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
+        };
+        let job = Arc::new(Job {
+            task,
+            tasks,
+            next: AtomicUsize::new(0),
+            state: Mutex::new(JobState::default()),
+            done: Condvar::new(),
+        });
+        self.publish(&job, threads - 1);
+        let own = panic::catch_unwind(AssertUnwindSafe(|| job.drain()));
+        lock(&self.queue)
+            .jobs
+            .retain(|(j, _)| !Arc::ptr_eq(j, &job));
+        let mut state = lock(&job.state);
+        while state.active > 0 {
+            state = job.done.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        let helper_panic = state.panic.take();
+        drop(state);
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = helper_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// Queue `job` with `seats` helper seats, growing the pool to at
+    /// least `seats` helpers, and wake as many parked helpers.
+    fn publish(&'static self, job: &Arc<Job>, seats: usize) {
+        let mut q = lock(&self.queue);
+        while q.helpers < seats {
+            let spawned = std::thread::Builder::new()
+                .name(format!("ee-par-{}", q.helpers))
+                .spawn(move || self.help());
+            if spawned.is_err() {
+                // Out of threads: the caller drains whatever no helper takes.
+                break;
+            }
+            q.helpers += 1;
+        }
+        q.jobs.push_back((Arc::clone(job), seats));
+        for _ in 0..seats.min(q.parked) {
+            self.work.notify_one();
+        }
+    }
+
+    /// A helper's life: take a seat on the oldest queued job, drain it,
+    /// leave, repeat; park while the queue is empty.
+    fn help(&self) {
+        loop {
+            let job = {
+                let mut q = lock(&self.queue);
+                loop {
+                    if let Some((job, seats)) = q.jobs.front_mut() {
+                        let job = Arc::clone(job);
+                        *seats -= 1;
+                        if *seats == 0 {
+                            q.jobs.pop_front();
+                        }
+                        lock(&job.state).active += 1;
+                        break job;
+                    }
+                    q.parked += 1;
+                    q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+                    q.parked -= 1;
+                }
+            };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| job.drain()));
+            let mut state = lock(&job.state);
+            if let Err(payload) = result {
+                state.panic.get_or_insert(payload);
+            }
+            state.active -= 1;
+            if state.active == 0 {
+                job.done.notify_one();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -423,5 +592,109 @@ mod tests {
         assert_eq!(reduce(4).to_bits(), reduce(4).to_bits());
         let partials = map_chunks(&xs, 4, |_, c| c.iter().sum::<f32>());
         assert_eq!(partials.len(), 4);
+    }
+
+    #[test]
+    fn nested_calls_three_levels_deep_complete() {
+        // Every level asks for 8 threads; inner callers are often pool
+        // helpers, which must drain their own jobs rather than wait on
+        // helpers that are themselves busy one level up.
+        let items: Vec<u64> = (0..4096).collect();
+        let got = map_chunks_guided(&items, 8, 4, |_, outer| {
+            map_chunks_guided(outer, 8, 4, |_, mid| {
+                map_chunks_guided(mid, 8, 4, |_, inner| inner.iter().sum::<u64>())
+                    .into_iter()
+                    .sum::<u64>()
+            })
+            .into_iter()
+            .sum::<u64>()
+        });
+        assert_eq!(got.len(), 32);
+        assert_eq!(got.into_iter().sum::<u64>(), items.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn concurrent_callers_match_serial_bit_for_bit() {
+        let xs: Vec<f32> = (0..3000).map(|i| i as f32 * 0.37).collect();
+        let g = |x: &f32| (x.sin() * 1.5 + x.sqrt()).to_bits();
+        let serial: Vec<u32> = xs.iter().map(g).collect();
+        let per_caller = fan_out(8, |caller| {
+            (0..16)
+                .map(|round| {
+                    let threads = 1 + (caller + round) % 8;
+                    map_chunks_guided(&xs, threads, 4, |_, c| {
+                        c.iter().map(g).collect::<Vec<u32>>()
+                    })
+                    .concat()
+                })
+                .collect::<Vec<_>>()
+        });
+        for (caller, outs) in per_caller.iter().enumerate() {
+            for out in outs {
+                assert_eq!(out, &serial, "caller {caller}");
+            }
+        }
+    }
+
+    #[test]
+    fn helper_panic_reaches_caller_and_pool_stays_usable() {
+        let caller = std::thread::current().id();
+        let both_running = std::sync::Barrier::new(2);
+        let two = [0u8; 2];
+        let got = panic::catch_unwind(AssertUnwindSafe(|| {
+            map_chunks_guided(&two, 2, 1, |_, _| {
+                // Neither chunk finishes until the other has started, so
+                // one of them runs on a helper.
+                both_running.wait();
+                if std::thread::current().id() != caller {
+                    panic!("chunk panicked on a helper");
+                }
+            })
+        }));
+        let payload = got.expect_err("the helper's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"chunk panicked on a helper")
+        );
+        let items: Vec<u32> = (0..100).collect();
+        assert_eq!(map_chunks(&items, 2, |_, c| c.to_vec()).concat(), items);
+    }
+
+    #[test]
+    fn a_call_runs_on_at_most_threads_distinct_threads() {
+        let items: Vec<u32> = (0..512).collect();
+        for threads in [1usize, 2, 3, 4, 8] {
+            let ids: std::collections::HashSet<std::thread::ThreadId> =
+                map_chunks_guided(&items, threads, 8, |_, _| std::thread::current().id())
+                    .into_iter()
+                    .collect();
+            assert!(
+                ids.len() <= threads,
+                "threads={threads} ran on {}",
+                ids.len()
+            );
+        }
+    }
+
+    #[test]
+    fn warm_pool_spawns_no_new_threads() {
+        // A private pool, so calls from concurrently running tests cannot
+        // grow it.
+        let pool: &'static Pool = Box::leak(Box::new(Pool::new()));
+        let helpers = || lock(&pool.queue).helpers;
+        let ran = AtomicUsize::new(0);
+        let task = |_: usize| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        pool.run(64, 4, &task);
+        assert_eq!(helpers(), 3);
+        for _ in 0..20 {
+            pool.run(64, 4, &task);
+            pool.run(64, 2, &task);
+        }
+        assert_eq!(helpers(), 3, "a warm pool spawns nothing");
+        assert_eq!(ran.load(Ordering::Relaxed), 64 * 41);
+        pool.run(64, 6, &task);
+        assert_eq!(helpers(), 5, "grows to the largest threads - 1 asked for");
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and test the whole workspace with zero
-# network access, lint with clippy as errors, then smoke-run the
+# network access, lint with clippy as errors, test and smoke-run the
+# ee-serve benchmark suite on both of its workloads, then smoke-run the
 # distributed-training (E4), classification (E5), kernel-throughput
 # (E-k0) and serving-tier (E-s0) experiments, plus the E3 parallel-join
 # sweep at 4 threads, the E-k6 top-k/BM25 sweep, the E-w7 durable
@@ -24,6 +25,22 @@ cargo test -q --offline
 
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
+
+echo "== tier-1: benchmark suite's own tests =="
+# The suite is a package with its own empty [workspace], so the root
+# `cargo test` never reaches its tests. It shares `target` with run.sh.
+CARGO_TARGET_DIR=target cargo test --release --offline \
+    --manifest-path crates/bench/src/bin/suite/Cargo.toml
+
+echo "== smoke: benchmark suite, both workloads (1 s open loop) =="
+# Each run spawns a real ee-serve and checks every answer (browse-hot:
+# byte-identical bodies; ingest-mix: SIGKILL recovery plus answers equal
+# to the recovered store rewound to their commit). Its last stdout line
+# is the result JSON.
+for workload in browse-hot ingest-mix; do
+    bash crates/bench/src/bin/suite/run.sh --workload "$workload" --seconds 1 --trace 0 \
+        | tail -1 | grep -q '"correct":true'
+done
 
 echo "== smoke: harness e4 e5 kernels e-s0 (quick scale) =="
 ./target/release/harness e4 e5 kernels e-s0
