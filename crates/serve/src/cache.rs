@@ -37,6 +37,13 @@ pub struct CachedBody {
     pub body: Vec<u8>,
 }
 
+/// A hit replays the entry's bytes as a [`crate::http::Body::Shared`].
+impl AsRef<[u8]> for CachedBody {
+    fn as_ref(&self) -> &[u8] {
+        &self.body
+    }
+}
+
 /// FNV-1a, used for deterministic shard selection.
 fn fnv1a(key: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -10,12 +10,14 @@
 //! large bodies stream incrementally instead of materialising in one
 //! `Vec<u8>`. No request-side chunked bodies, no trailers, no upgrade.
 //!
-//! A response body is a [`Body`]: either [`Body::Full`] (sized,
-//! `Content-Length`) or [`Body::Streamed`] (a pull-based [`BodyStream`]
-//! producer, chunked framing). The request-side 1 MiB cap stays; there
-//! is no response-side cap — that is the point of streaming.
+//! A response body is a [`Body`]: sized (`Content-Length`; owned
+//! [`Body::Full`] or cache-shared [`Body::Shared`]) or
+//! [`Body::Streamed`] (a pull-based [`BodyStream`] producer, chunked
+//! framing). The request-side 1 MiB cap stays; there is no
+//! response-side cap — that is the point of streaming.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// Largest accepted **request** body. Anything bigger is refused with
 /// 413 rather than buffered — the serving tier fronts read-mostly
@@ -321,6 +323,9 @@ impl BodyStream for ChunkedSlices {
 pub enum Body {
     /// Sized body, written in one piece.
     Full(Vec<u8>),
+    /// Sized body whose bytes stay owned elsewhere (a response-cache
+    /// entry), so replaying it copies nothing into the response.
+    Shared(Arc<dyn AsRef<[u8]> + Send + Sync>),
     /// Incremental body, written chunk by chunk as the producer yields.
     Streamed(Box<dyn BodyStream>),
 }
@@ -336,10 +341,12 @@ impl Body {
         matches!(self, Body::Streamed(_))
     }
 
-    /// The sized bytes of a [`Body::Full`]; `None` for streams.
+    /// The bytes of a sized body ([`Body::Full`] or [`Body::Shared`]);
+    /// `None` for streams.
     pub fn as_full(&self) -> Option<&[u8]> {
         match self {
             Body::Full(b) => Some(b),
+            Body::Shared(b) => Some((**b).as_ref()),
             Body::Streamed(_) => None,
         }
     }
@@ -349,6 +356,7 @@ impl Body {
     pub fn collect(self) -> std::io::Result<Vec<u8>> {
         match self {
             Body::Full(b) => Ok(b),
+            Body::Shared(b) => Ok((*b).as_ref().to_vec()),
             Body::Streamed(mut s) => {
                 let mut out = Vec::new();
                 while let Some(chunk) = s.next_chunk()? {
@@ -364,6 +372,7 @@ impl std::fmt::Debug for Body {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Body::Full(b) => write!(f, "Body::Full({} bytes)", b.len()),
+            Body::Shared(b) => write!(f, "Body::Shared({} bytes)", (**b).as_ref().len()),
             Body::Streamed(_) => write!(f, "Body::Streamed(..)"),
         }
     }
@@ -470,10 +479,6 @@ impl Response {
         let head = self.head_bytes(keep_alive);
         w.write_all(&head)?;
         match &mut self.body {
-            Body::Full(b) => {
-                observe(b);
-                w.write_all(b)?;
-            }
             Body::Streamed(s) => {
                 let mut frame = Vec::new();
                 while let Some(chunk) = s.next_chunk()? {
@@ -493,6 +498,11 @@ impl Response {
                 }
                 w.write_all(CHUNK_TERMINATOR)?;
             }
+            sized => {
+                let b = sized.as_full().expect("non-streamed bodies are sized");
+                observe(b);
+                w.write_all(b)?;
+            }
         }
         w.flush()
     }
@@ -502,26 +512,32 @@ impl Response {
     /// Shared by the blocking writer and the event loop's send buffer so
     /// the two paths are byte-identical by construction.
     pub fn head_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let framing = match &self.body {
-            Body::Full(b) => format!("content-length: {}", b.len()),
-            Body::Streamed(_) => "transfer-encoding: chunked".to_string(),
-        };
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\n{}\r\ncontent-type: {}\r\nconnection: {}\r\n",
-            self.status,
-            reason(self.status),
-            framing,
-            self.content_type,
-            if keep_alive { "keep-alive" } else { "close" },
-        );
-        for (n, v) in &self.headers {
-            head.push_str(n);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
+        let mut head = Vec::new();
+        self.write_head(keep_alive, &mut head);
+        head
+    }
+
+    /// Append [`head_bytes`](Response::head_bytes) to `out` in place.
+    pub(crate) fn write_head(&self, keep_alive: bool, out: &mut Vec<u8>) {
+        const INFALLIBLE: &str = "write into Vec cannot fail";
+        write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).expect(INFALLIBLE);
+        match self.body.as_full() {
+            Some(b) => write!(out, "content-length: {}\r\n", b.len()).expect(INFALLIBLE),
+            None => out.extend_from_slice(b"transfer-encoding: chunked\r\n"),
         }
-        head.push_str("\r\n");
-        head.into_bytes()
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let fixed = [
+            ("content-type", self.content_type.as_str()),
+            ("connection", connection),
+        ];
+        let extra = self.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()));
+        for (n, v) in fixed.into_iter().chain(extra) {
+            out.extend_from_slice(n.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(v.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
     }
 }
 
@@ -660,12 +676,27 @@ impl SendBuf {
 
     /// Queue bytes for transmission.
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily: reclaim the consumed prefix before growing.
+        self.compact();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Queue a response's head, serialised in place, followed by its
+    /// body if sized (copied once); a streamed body's chunks follow
+    /// separately.
+    pub(crate) fn push_response(&mut self, resp: &Response, keep_alive: bool) {
+        self.compact();
+        resp.write_head(keep_alive, &mut self.buf);
+        if let Some(body) = resp.body.as_full() {
+            self.buf.extend_from_slice(body);
+        }
+    }
+
+    /// Compact lazily: reclaim the consumed prefix before growing.
+    fn compact(&mut self) {
         if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
     }
 
     /// Unsent bytes still queued.
@@ -1130,6 +1161,11 @@ mod tests {
         )
         .with_header("etag", "\"abc\"");
         let head = resp.head_bytes(true);
+        assert_eq!(
+            String::from_utf8_lossy(&head),
+            "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\ncontent-type: application/json\r\n\
+             connection: keep-alive\r\netag: \"abc\"\r\n\r\n"
+        );
         let mut wire = Vec::new();
         resp.write_to(&mut wire, true).unwrap();
         assert!(wire.starts_with(&head));
@@ -1139,6 +1175,27 @@ mod tests {
         }
         rebuilt.extend_from_slice(CHUNK_TERMINATOR);
         assert_eq!(rebuilt, wire);
+
+        // Sized bodies, owned or shared: the blocking writer and the send
+        // buffer emit the same, pinned, bytes.
+        let tile = || Response::octets(200, b"tile-bytes".to_vec()).with_header("etag", "\"t\"");
+        let shared = Response {
+            body: Body::Shared(Arc::new(b"tile-bytes".to_vec())),
+            ..tile()
+        };
+        let want =
+            b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\ncontent-type: application/octet-stream\r\n\
+              connection: close\r\netag: \"t\"\r\n\r\ntile-bytes";
+        for mut resp in [tile(), shared] {
+            let mut sb = SendBuf::new();
+            sb.push_response(&resp, false);
+            let mut queued = Vec::new();
+            assert!(sb.write_some(&mut queued).unwrap());
+            assert_eq!(queued, want, "{:?}", resp.body);
+            let mut wire = Vec::new();
+            resp.write_to(&mut wire, false).unwrap();
+            assert_eq!(wire, want, "{:?}", resp.body);
+        }
     }
 
     /// A writer that accepts a fixed quota of bytes per call, then

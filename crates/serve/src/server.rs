@@ -7,26 +7,34 @@
 //!   acceptor ──► shard inboxes ──► N event-loop shards (poll(2))
 //!                                     │  nonblocking sockets, one
 //!                                     │  EventConn state machine each:
-//!                                     │  Reading → Dispatched →
+//!                                     │  Reading → cache lookup ─ hit:
+//!                                     │  answered on the shard → Reading
+//!                                     │  miss: Dispatched →
 //!                                     │  StreamingBody → KeepAliveIdle
 //!                                     ▼
-//!                               job queue ──► M worker threads
-//!                                     ▲            (resolve / pull
+//!                       misses only: job queue ──► M worker threads
+//!                                     ▲            (resolve_miss / pull
 //!                                     └── ready ◄─ body chunks)
 //!                                         queue + wake pipe
 //! ```
 //!
 //! A connection is a small state struct, not a thread: the shard polls
-//! its sockets, feeds bytes to a resumable [`RequestParser`], and hands
-//! complete requests to the worker pool. Heavy route work (plan/execute,
-//! tile encode) runs on workers; streamed bodies are pulled in bounded
-//! batches **only while the socket drains**, so a stalled reader parks
-//! its `BodyStream` in the shard (O(batch) memory) instead of pinning a
+//! its sockets, feeds bytes to a resumable [`RequestParser`], and looks
+//! each complete request up in the response cache itself. A hit is
+//! answered on the spot — head serialised straight into the
+//! connection's [`SendBuf`], body copied once from the cache entry — so
+//! it never pays the two cross-thread handoffs (job queue, then
+//! completion mailbox + wake pipe). Only misses and uncacheable routes
+//! go to the worker pool. Heavy route work (plan/execute, tile encode)
+//! runs on workers; streamed bodies are pulled in bounded batches
+//! **only while the socket drains**, so a stalled reader parks its
+//! `BodyStream` in the shard (O(batch) memory) instead of pinning a
 //! worker. Admission control is layered: a max-connections cap at
-//! accept, the dispatch-queue watermark, and per-route in-flight quotas
-//! — each shedding with a graceful 503 + `Retry-After`. Idle keep-alive
-//! connections and stuck partial request heads (slow loris) are reaped
-//! on timers.
+//! accept, per-route in-flight quotas, and the dispatch-queue watermark,
+//! which guards the worker queue and so sheds only requests bound for
+//! it — each shedding with a graceful 503 + `Retry-After`. Idle
+//! keep-alive connections and stuck partial request heads (slow loris)
+//! are reaped on timers.
 //!
 //! **Thread-per-connection ([`ServerKind::Threaded`])** — the
 //! pre-event-loop architecture, kept as the E-c8 baseline: acceptor →
@@ -34,10 +42,12 @@
 //! connection end-to-end. It saturates at `workers` concurrent
 //! connections by construction.
 //!
-//! Both paths answer requests through the same [`resolve`] function and
-//! serialise with the same [`Response::head_bytes`] / [`frame_chunk`]
-//! helpers, so their wire bytes are identical by construction (and
-//! asserted in `tests/event.rs`).
+//! Both paths answer requests through the same core — [`lookup`] builds
+//! every cache-hit response, [`resolve_miss`] everything else, and
+//! [`resolve`] chains the two for the threaded path — and serialise with
+//! the same [`Response::write_head`] / [`frame_chunk`] helpers, so their
+//! wire bytes are identical by construction (and asserted in
+//! `tests/event.rs`).
 
 use crate::cache::{CachedBody, ShardedLru};
 use crate::http::{
@@ -82,8 +92,9 @@ pub struct ServerConfig {
     /// beyond it are answered 503 and closed.
     pub max_connections: usize,
     /// Admission watermark. Threaded: accepts are 503-rejected while the
-    /// connection queue holds this many. Event: requests are 503-shed
-    /// while this many dispatched jobs await a worker.
+    /// connection queue holds this many. Event: requests bound for the
+    /// worker pool are 503-shed while this many jobs await a worker
+    /// (cache hits never queue, so they are never shed here).
     pub queue_watermark: usize,
     /// Default per-route in-flight request quota (event mode); a route
     /// at its quota sheds further requests with 503 without costing the
@@ -187,11 +198,13 @@ struct StreamCtx {
 
 /// Work for the event-mode worker pool.
 enum Job {
-    /// Resolve a parsed request into response bytes.
-    Resolve {
+    /// Resolve a request the shard's cache lookup did not answer into
+    /// response bytes.
+    Miss {
         shard: usize,
         token: Token,
         req: Box<Request>,
+        route: Route,
         deadline: Instant,
         keep_alive: bool,
     },
@@ -254,11 +267,21 @@ struct Shared {
 
 impl Shared {
     fn push_job(&self, job: Job) {
+        self.try_push_job(job, usize::MAX);
+    }
+
+    /// Enqueue `job` unless `limit` jobs already wait; `false` means the
+    /// queue was full and the job was dropped.
+    fn try_push_job(&self, job: Job, limit: usize) -> bool {
         let mut q = self.jobs.lock().expect("jobs poisoned");
+        if q.len() >= limit {
+            return false;
+        }
         q.push_back(job);
         self.metrics.set_queue_depth(q.len() as u64);
         drop(q);
         self.jobs_cv.notify_one();
+        true
     }
 
     fn route_index(route: Route) -> usize {
@@ -550,8 +573,7 @@ fn serve_connection(shared: &Shared, conn: Conn) {
         let write_res = response.write_to_observed(&mut writer, keep_alive, |chunk| {
             if first_chunk {
                 first_chunk = false;
-                let ttfb_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                shared.metrics.record_ttfb(route, ttfb_us);
+                shared.metrics.record_ttfb(route, elapsed_us(t0));
             }
             shared.metrics.add_bytes_sent(chunk.len() as u64);
             if let Some(tee) = stream_tee.as_mut() {
@@ -592,28 +614,88 @@ struct Resolved {
     stream_tee: Option<StreamTee>,
 }
 
-/// Answer one parsed request: deadline check, `/metrics` special case,
-/// response-cache hit/miss, engine dispatch, post-commit cache sweep,
-/// conditional-request (`If-None-Match`) elision, and per-route latency
-/// accounting. Used verbatim by the threaded path (followed by a
-/// blocking observed write) and by event-mode workers (followed by
-/// serialisation into the connection's send queue).
+/// Answer one parsed request: the response-cache [`lookup`], then
+/// [`resolve_miss`] if it found nothing. The threaded path calls this
+/// (followed by a blocking observed write); event shards run the two
+/// halves apart — the lookup inline, a miss on a worker.
 fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
     let route = classify(&req.path);
     let t0 = Instant::now();
+    match lookup(shared, req, route, deadline, t0) {
+        Some(response) => Resolved {
+            response,
+            route,
+            t0,
+            stream_tee: None,
+        },
+        None => resolve_miss(shared, req, route, deadline, t0),
+    }
+}
 
+/// Answer a request without the engines, if it can be: a replayed
+/// response-cache entry (200 marked `x-cache: HIT`, or a bodiless 304
+/// when `If-None-Match` names its ETag), or the 504 of a deadline that
+/// expired before handling (while queued, or while the previous
+/// exchange ran). Records the route latency when it answers; `None`
+/// means an uncacheable route or a cache miss, for [`resolve_miss`].
+///
+/// The only place hit responses are made, for both server kinds. It
+/// probes the cache at most once per request and shares the entry's
+/// body instead of copying it.
+fn lookup(
+    shared: &Shared,
+    req: &Request,
+    route: Route,
+    deadline: Instant,
+    t0: Instant,
+) -> Option<Response> {
+    let mut response = if Instant::now() >= deadline {
+        deadline_exceeded(shared, "deadline exceeded before handling")
+    } else {
+        // Keys embed the head commit id (store-derived routes) or the
+        // ranked-search index generation (catalogue), so entries cached
+        // before a commit or reindex are unreachable after it.
+        let key = cache_key(
+            req,
+            shared.state.head_commit(),
+            shared.state.search_generation(),
+        )?;
+        let hit = shared.cache.get(&key)?;
+        let mut headers = hit.headers.clone();
+        headers.push(("x-cache".into(), "HIT".into()));
+        Response {
+            status: hit.status,
+            content_type: hit.content_type.clone(),
+            headers,
+            body: Body::Shared(hit),
+        }
+    };
+    elide_if_not_modified(shared, req, &mut response);
+    shared.metrics.record(route, elapsed_us(t0));
+    Some(response)
+}
+
+/// Answer a request [`lookup`] did not: deadline re-check (queue wait
+/// counts), `/metrics`, engine dispatch with a cache insert (full
+/// bodies) or tee (streamed), the post-commit cache sweep, `If-None-Match`
+/// elision, and per-route latency accounting. It never probes the cache:
+/// the insert key is computed here, at execution time, so a commit that
+/// lands while the request queues stamps the entry with the head the
+/// engines actually read.
+fn resolve_miss(
+    shared: &Shared,
+    req: &Request,
+    route: Route,
+    deadline: Instant,
+    t0: Instant,
+) -> Resolved {
     // When a cacheable miss returns a *streamed* body there is nothing
     // to store up front; the write path tees the chunks into this buffer
     // and the entry is inserted only after the body completes.
     let mut stream_tee: Option<StreamTee> = None;
 
     let mut response = if Instant::now() >= deadline {
-        // Expired while queued (or while the previous exchange ran).
-        shared
-            .metrics
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
-        Response::error(504, "deadline exceeded before handling")
+        deadline_exceeded(shared, "deadline exceeded before handling")
     } else if route == Route::Metrics {
         // Served here because it needs the metrics + cache objects.
         Response::text(
@@ -626,9 +708,6 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
             ) + &shared.state.render_prometheus_section(),
         )
     } else {
-        // Keys embed the head commit id (store-derived routes) or the
-        // ranked-search index generation (catalogue), so entries cached
-        // before a commit or reindex are unreachable after it.
         let key = cache_key(
             req,
             shared.state.head_commit(),
@@ -638,64 +717,45 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
         // Versioned (`asOf`) responses are immutable: pin them so the
         // update sweep and TTL expiry leave them alone.
         let pinned = cacheable && crate::router::versioned_read(req);
-        let cached = key.as_ref().and_then(|k| shared.cache.get(k));
-        match cached {
-            Some(hit) => {
-                let mut headers = hit.headers.clone();
-                headers.push(("x-cache".into(), "HIT".into()));
-                Response {
-                    status: hit.status,
-                    content_type: hit.content_type.clone(),
-                    headers,
-                    body: Body::Full(hit.body.clone()),
-                }
-            }
-            None => match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
-                Outcome::DeadlineExceeded => {
-                    shared
-                        .metrics
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    Response::error(504, "deadline exceeded in handler")
-                }
-                Outcome::Ready(mut resp) => {
-                    if resp.status == 200 {
-                        if let Some(k) = key {
-                            // Full bodies can be cached before the
-                            // write; streamed ones are teed during it
-                            // (headers snapshotted *before* the
-                            // x-cache marker so replays re-mark).
-                            if let Some(full) = resp.body.as_full() {
-                                let entry = Arc::new(CachedBody {
-                                    status: resp.status,
-                                    content_type: resp.content_type.clone(),
-                                    headers: resp.headers.clone(),
-                                    body: full.to_vec(),
-                                });
-                                if pinned {
-                                    shared.cache.put_pinned(k, entry);
-                                } else {
-                                    shared.cache.put(k, entry);
-                                }
+        match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
+            Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
+            Outcome::Ready(mut resp) => {
+                if resp.status == 200 {
+                    if let Some(k) = key {
+                        // Full bodies can be cached before the write;
+                        // streamed ones are teed during it (headers
+                        // snapshotted *before* the x-cache marker so
+                        // replays re-mark).
+                        if let Some(full) = resp.body.as_full() {
+                            let entry = Arc::new(CachedBody {
+                                status: resp.status,
+                                content_type: resp.content_type.clone(),
+                                headers: resp.headers.clone(),
+                                body: full.to_vec(),
+                            });
+                            if pinned {
+                                shared.cache.put_pinned(k, entry);
                             } else {
-                                stream_tee = Some(StreamTee {
-                                    key: k,
-                                    status: resp.status,
-                                    content_type: resp.content_type.clone(),
-                                    headers: resp.headers.clone(),
-                                    buf: Vec::new(),
-                                    overflowed: false,
-                                    pinned,
-                                });
+                                shared.cache.put(k, entry);
                             }
+                        } else {
+                            stream_tee = Some(StreamTee {
+                                key: k,
+                                status: resp.status,
+                                content_type: resp.content_type.clone(),
+                                headers: resp.headers.clone(),
+                                buf: Vec::new(),
+                                overflowed: false,
+                                pinned,
+                            });
                         }
                     }
-                    if cacheable {
-                        resp.headers.push(("x-cache".into(), "MISS".into()));
-                    }
-                    resp
                 }
-            },
+                if cacheable {
+                    resp.headers.push(("x-cache".into(), "MISS".into()));
+                }
+                resp
+            }
         }
     };
 
@@ -709,31 +769,12 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
         shared.state.note_invalidated_responses(swept);
     }
 
-    // Conditional requests: when the client's If-None-Match equals
-    // the response's ETag the body is elided with a 304. Applied
-    // after cache resolution so both hits and misses revalidate.
-    if response.status == 200 {
-        if let (Some(inm), Some(tag)) = (
-            req.header("if-none-match"),
-            response
-                .headers
-                .iter()
-                .find(|(n, _)| n == "etag")
-                .map(|(_, v)| v.clone()),
-        ) {
-            if crate::router::if_none_match_matches(inm, &tag) {
-                shared.metrics.not_modified.fetch_add(1, Ordering::Relaxed);
-                response.status = 304;
-                response.body = Body::empty();
-                // The elided stream never produces chunks; don't cache
-                // an empty body under the resource's key.
-                stream_tee = None;
-            }
-        }
+    if elide_if_not_modified(shared, req, &mut response) {
+        // The elided stream never produces chunks; don't cache an empty
+        // body under the resource's key.
+        stream_tee = None;
     }
-
-    let latency_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    shared.metrics.record(route, latency_us);
+    shared.metrics.record(route, elapsed_us(t0));
 
     Resolved {
         response,
@@ -741,6 +782,43 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
         t0,
         stream_tee,
     }
+}
+
+/// Conditional requests: when the client's `If-None-Match` names a 200
+/// response's ETag, elide the body with a 304 (hits and misses alike).
+/// Returns whether it did.
+fn elide_if_not_modified(shared: &Shared, req: &Request, response: &mut Response) -> bool {
+    if response.status != 200 {
+        return false;
+    }
+    let Some(inm) = req.header("if-none-match") else {
+        return false;
+    };
+    let matches = response
+        .headers
+        .iter()
+        .find(|(n, _)| n == "etag")
+        .is_some_and(|(_, tag)| crate::router::if_none_match_matches(inm, tag));
+    if matches {
+        shared.metrics.not_modified.fetch_add(1, Ordering::Relaxed);
+        response.status = 304;
+        response.body = Body::empty();
+    }
+    matches
+}
+
+/// The 504 for a request whose deadline passed, counted.
+fn deadline_exceeded(shared: &Shared, msg: &str) -> Response {
+    shared
+        .metrics
+        .deadline_expired
+        .fetch_add(1, Ordering::Relaxed);
+    Response::error(504, msg)
+}
+
+/// Microseconds since `t0`, saturating.
+fn elapsed_us(t0: Instant) -> u64 {
+    t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Pending cache insert for a streamed cacheable miss: metadata captured
@@ -871,14 +949,15 @@ fn event_worker_loop(shared: &Shared) {
             }
         };
         let (shard, completion) = match job {
-            Job::Resolve {
+            Job::Miss {
                 shard,
                 token,
                 req,
+                route,
                 deadline,
                 keep_alive,
             } => {
-                let done = run_resolve(shared, &req, deadline, keep_alive);
+                let done = run_miss(shared, &req, route, deadline, keep_alive);
                 (shard, Completion { token, done })
             }
             Job::NextChunk { shard, token, ctx } => {
@@ -902,25 +981,24 @@ fn event_worker_loop(shared: &Shared) {
     }
 }
 
-/// Worker-side request handling: resolve, then serialise. Full bodies
+/// Worker-side miss handling: resolve, then serialise. Sized bodies
 /// become one complete byte run; streamed bodies yield their head plus
 /// the first chunk batch, with the context returned for continuation.
-fn run_resolve(shared: &Shared, req: &Request, deadline: Instant, keep_alive: bool) -> Done {
+fn run_miss(
+    shared: &Shared,
+    req: &Request,
+    route: Route,
+    deadline: Instant,
+    keep_alive: bool,
+) -> Done {
     let Resolved {
         response,
         route,
         t0,
         stream_tee,
-    } = resolve(shared, req, deadline);
+    } = resolve_miss(shared, req, route, deadline, Instant::now());
     let mut bytes = response.head_bytes(keep_alive);
     match response.body {
-        Body::Full(b) => {
-            let ttfb_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            shared.metrics.record_ttfb(route, ttfb_us);
-            shared.metrics.add_bytes_sent(b.len() as u64);
-            bytes.extend_from_slice(&b);
-            Done::Full { bytes }
-        }
         Body::Streamed(body) => {
             let ctx = StreamCtx {
                 body,
@@ -933,6 +1011,13 @@ fn run_resolve(shared: &Shared, req: &Request, deadline: Instant, keep_alive: bo
             let (chunks, next) = produce_chunks(shared, ctx);
             bytes.extend_from_slice(&chunks);
             Done::Stream { bytes, next }
+        }
+        sized => {
+            let b = sized.as_full().expect("non-streamed bodies are sized");
+            shared.metrics.record_ttfb(route, elapsed_us(t0));
+            shared.metrics.add_bytes_sent(b.len() as u64);
+            bytes.extend_from_slice(b);
+            Done::Full { bytes }
         }
     }
 }
@@ -967,8 +1052,7 @@ fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) 
                 }
                 if ctx.first_chunk {
                     ctx.first_chunk = false;
-                    let ttfb_us = ctx.t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    shared.metrics.record_ttfb(ctx.route, ttfb_us);
+                    shared.metrics.record_ttfb(ctx.route, elapsed_us(ctx.t0));
                 }
                 shared.metrics.add_bytes_sent(chunk.len() as u64);
                 if let Some(tee) = ctx.tee.as_mut() {
@@ -988,7 +1072,7 @@ enum Phase {
     /// Between requests (or reading one): the shard may dispatch the
     /// next complete request.
     Idle,
-    /// A `Resolve` job is at the workers.
+    /// A `Miss` job is at the workers.
     Busy,
     /// A streamed body is parked here, waiting for the send queue to
     /// drain before the next chunk batch is requested.
@@ -1326,8 +1410,9 @@ impl<'a> Shard<'a> {
     }
 
     /// Parse-and-dispatch loop while the connection is idle: sheds at
-    /// the dispatch watermark and per-route quotas, hands everything
-    /// else to the worker pool, and answers parse errors directly.
+    /// per-route quotas, answers cache hits and parse errors directly,
+    /// and hands the rest to the worker pool unless the dispatch queue
+    /// is at its watermark.
     fn try_dispatch(&mut self, slot: usize) {
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
@@ -1411,24 +1496,6 @@ impl<'a> Shard<'a> {
             let keep_alive = req.wants_keep_alive()
                 && conn.served < self.shared.config.max_requests_per_conn;
 
-            // Dispatch-queue watermark: the event-mode face of the old
-            // accept-queue admission control.
-            let depth = self.shared.jobs.lock().expect("jobs poisoned").len();
-            if depth >= self.shared.config.queue_watermark {
-                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                let bytes = serialize_error(
-                    503,
-                    "admission queue full",
-                    false,
-                    Some(self.shared.config.retry_after_secs),
-                );
-                conn.send.push(&bytes);
-                conn.keep_alive = false;
-                conn.close_after_flush = true;
-                self.flush(slot);
-                return;
-            }
-
             // Per-route quota: shed the request, keep the connection.
             let route = classify(&req.path);
             if !self.shared.acquire_route(route) {
@@ -1448,17 +1515,66 @@ impl<'a> Shard<'a> {
                 continue; // still idle: a pipelined request may follow
             }
 
+            // Cache hits (and requests already past their deadline) are
+            // answered here: no job queue, no worker, no completion
+            // mailbox or wake pipe.
+            let t0 = Instant::now();
+            if let Some(response) = lookup(self.shared, &req, route, deadline, t0) {
+                conn.send.push_response(&response, keep_alive);
+                let body_len = response.body.as_full().map_or(0, <[u8]>::len);
+                self.shared.metrics.record_ttfb(route, elapsed_us(t0));
+                self.shared.metrics.add_bytes_sent(body_len as u64);
+                self.shared.release_route(route);
+                conn.last_activity = Instant::now();
+                if !keep_alive {
+                    conn.keep_alive = false;
+                    conn.close_after_flush = true;
+                }
+                // Parse the next pipelined request only once this
+                // response has left, so a connection queues at most one
+                // response, as with worker completions.
+                let EventConn { stream, send, .. } = &mut *conn;
+                match send.write_some(stream) {
+                    Ok(true) if !conn.close_after_flush => continue,
+                    Ok(false) => return, // POLLOUT → flush → try_dispatch
+                    Ok(true) | Err(_) => {
+                        self.close(slot);
+                        return;
+                    }
+                }
+            }
+
+            // Dispatch-queue watermark: guards the worker queue, so only
+            // requests entering it are shed.
+            let job = Job::Miss {
+                shard: self.id,
+                token: (slot, conn.seq),
+                req: Box::new(req),
+                route,
+                deadline,
+                keep_alive,
+            };
+            if !self
+                .shared
+                .try_push_job(job, self.shared.config.queue_watermark)
+            {
+                self.shared.release_route(route);
+                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                let bytes = serialize_error(
+                    503,
+                    "admission queue full",
+                    false,
+                    Some(self.shared.config.retry_after_secs),
+                );
+                conn.send.push(&bytes);
+                conn.keep_alive = false;
+                conn.close_after_flush = true;
+                self.flush(slot);
+                return;
+            }
             conn.inflight_route = Some(route);
             conn.keep_alive = keep_alive;
             conn.phase = Phase::Busy;
-            let token = (slot, conn.seq);
-            self.shared.push_job(Job::Resolve {
-                shard: self.id,
-                token,
-                req: Box::new(req),
-                deadline,
-                keep_alive,
-            });
             return;
         }
     }

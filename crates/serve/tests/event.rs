@@ -2,7 +2,8 @@
 //! sockets: behaviours the thread-per-connection suites can't exercise
 //! — idle-connection reaping, slow-loris partial heads, per-route
 //! quotas, the max-connections cap, mid-stream client disconnects under
-//! the event loop — plus the byte-identity contract between the two
+//! the event loop, cache hits answered on the shard past a saturated
+//! worker pool — plus the byte-identity contract between the two
 //! architectures and an open-loop fleet smoke.
 
 use ee_serve::http::read_response;
@@ -11,6 +12,7 @@ use ee_serve::metrics::Route;
 use ee_serve::{start, AppState, DataConfig, ServerConfig, ServerKind};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -45,13 +47,33 @@ fn send(
     target: &str,
     keep_alive: bool,
 ) -> ee_serve::http::ClientResponse {
+    send_with(stream, reader, target, keep_alive, "")
+}
+
+/// [`send`] with extra raw header lines (each ending `\r\n`).
+fn send_with(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    target: &str,
+    keep_alive: bool,
+    extra: &str,
+) -> ee_serve::http::ClientResponse {
     let conn = if keep_alive { "keep-alive" } else { "close" };
     let _ = write!(
         stream,
-        "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: {conn}\r\n\r\n"
+        "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: {conn}\r\n{extra}\r\n"
     );
     let _ = stream.flush();
     read_response(reader).expect("response")
+}
+
+/// Poll `cond` every few milliseconds for up to 5 s.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let t0 = Instant::now();
+    while !cond() {
+        assert!(t0.elapsed() < Duration::from_secs(5), "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -269,6 +291,8 @@ fn event_and_threaded_serve_byte_identical_responses() {
 
     let (mut es, mut er) = connect(event.addr);
     let (mut ts, mut tr) = connect(threaded.addr);
+    let mut hits = 0;
+    let mut not_modified = 0;
     for target in targets {
         let a = send(&mut es, &mut er, target, true);
         let b = send(&mut ts, &mut tr, target, true);
@@ -286,9 +310,124 @@ fn event_and_threaded_serve_byte_identical_responses() {
             b.header("transfer-encoding"),
             "{target}: framing"
         );
+
+        // Repeat (a cache HIT, answered on the event shard) and
+        // revalidate (a 304 where the response carries an ETag): both
+        // servers' wire responses must agree header for header.
+        let inm = format!(
+            "if-none-match: {}\r\n",
+            a.header("etag").unwrap_or("\"none\"")
+        );
+        for extra in ["", inm.as_str()] {
+            let a2 = send_with(&mut es, &mut er, target, true, extra);
+            let b2 = send_with(&mut ts, &mut tr, target, true, extra);
+            assert_eq!(a2.status, b2.status, "{target} {extra:?}: status");
+            assert_eq!(a2.body, b2.body, "{target} {extra:?}: body bytes");
+            assert_eq!(a2.headers, b2.headers, "{target} {extra:?}: headers");
+            if a.header("x-cache") == Some("MISS") {
+                assert_eq!(a2.header("x-cache"), Some("HIT"), "{target} {extra:?}");
+                hits += 1;
+            }
+            if a2.status == 304 {
+                assert!(a2.body.is_empty(), "{target}: 304 has no body");
+                not_modified += 1;
+            }
+        }
     }
+    assert!(hits >= 10, "repeats replayed from the cache ({hits})");
+    assert!(not_modified >= 4, "revalidations elided ({not_modified})");
     event.shutdown();
     threaded.shutdown();
+}
+
+#[test]
+fn cache_hits_skip_a_saturated_worker_pool() {
+    let mut config = event_config();
+    config.workers = 1;
+    config.queue_watermark = 1;
+    let server = start(config, state()).expect("start");
+    let metrics = server.metrics();
+    let (mut s, mut r) = connect(server.addr);
+    let warm = send(&mut s, &mut r, "/tiles/0/0/0", true);
+    assert_eq!(warm.header("x-cache"), Some("MISS"));
+    let etag = warm.header("etag").expect("tile etag").to_string();
+
+    // A 1.5 s request on a connection of its own, response unread.
+    let sleep = || {
+        let (mut s, r) = connect(server.addr);
+        s.write_all(b"GET /debug/sleep?ms=1500 HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        (s, r)
+    };
+
+    // Pin the only worker: wait until the sleep has been queued and
+    // taken off the queue again.
+    metrics.queue_peak.store(0, Ordering::SeqCst);
+    let _pinned = sleep();
+    wait_until("worker takes the sleep", || {
+        metrics.queue_peak.load(Ordering::SeqCst) == 1
+            && metrics.queue_depth.load(Ordering::SeqCst) == 0
+    });
+
+    let t0 = Instant::now();
+    let hit = send(&mut s, &mut r, "/tiles/0/0/0", true);
+    assert_eq!(hit.status, 200);
+    assert_eq!(hit.header("x-cache"), Some("HIT"));
+    assert_eq!(hit.body, warm.body);
+    let inm = format!("if-none-match: {etag}\r\n");
+    let revalidated = send_with(&mut s, &mut r, "/tiles/0/0/0", true, &inm);
+    assert_eq!(revalidated.status, 304);
+    assert!(
+        t0.elapsed() < Duration::from_millis(500),
+        "hits waited on the busy worker: {:?}",
+        t0.elapsed()
+    );
+
+    // Fill the queue to its watermark: a hit is still served, while a
+    // request bound for the workers is shed.
+    let _queued = sleep();
+    wait_until("second sleep queued", || {
+        metrics.queue_depth.load(Ordering::SeqCst) == 1
+    });
+    let hit = send(&mut s, &mut r, "/tiles/0/0/0", true);
+    assert_eq!(hit.status, 200);
+    assert_eq!(hit.header("x-cache"), Some("HIT"));
+    let (mut s2, mut r2) = connect(server.addr);
+    let shed = send(&mut s2, &mut r2, "/healthz", false);
+    assert_eq!(shed.status, 503);
+    assert!(std::str::from_utf8(&shed.body)
+        .unwrap()
+        .contains("admission queue"));
+    server.shutdown();
+}
+
+#[test]
+fn each_request_counts_one_cache_lookup() {
+    let server = start(event_config(), state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
+    for i in 0..5 {
+        let resp = send(&mut s, &mut r, "/tiles/1/0/0", true);
+        assert_eq!(resp.status, 200);
+        let want = if i == 0 { "MISS" } else { "HIT" };
+        assert_eq!(resp.header("x-cache"), Some(want), "request {i}");
+    }
+    assert_eq!(server.cache().hits(), 4);
+    assert_eq!(server.cache().misses(), 1);
+    assert_eq!(
+        server.metrics().route_latency(Route::Tiles).count(),
+        5,
+        "hits answered on the shard still record latency"
+    );
+    let text = String::from_utf8(send(&mut s, &mut r, "/metrics", false).body).unwrap();
+    for line in [
+        "ee_serve_cache_hits_total 4",
+        "ee_serve_cache_misses_total 1",
+        "ee_serve_cache_hit_rate 0.8",
+        "ee_serve_latency_us_count{route=\"tiles\"} 5",
+    ] {
+        assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+    }
+    server.shutdown();
 }
 
 #[test]

@@ -1,0 +1,142 @@
+#!/usr/bin/env bash
+# Alternating base/change pairs of the ee-serve benchmark suite.
+#
+# Usage: scripts/bench-pairs.sh --base <rev> --workload W --seeds A-B
+#                               [--seconds S] [--trace 0|1]
+#
+# The change side is the working tree this script lives in, uncommitted
+# edits included; the base side is <rev>, checked out with
+# `git worktree add` under $TMPDIR and removed on exit. Each side builds
+# into its own CARGO_TARGET_DIR (the change side: $CARGO_TARGET_DIR,
+# default `target`; the base side: a fresh one under $TMPDIR, so expect
+# one cold release build). After one discarded 1 s run per side (build +
+# warm-up), every seed A..B runs crates/bench/src/bin/suite/run.sh on
+# both sides with the same seed — base first on even pairs, change
+# first on odd ones — printing one line per run. The summary gives, per
+# metric, each side's median and quartiles, the change's wins over the
+# pairs (ties count for neither; which way is better comes from
+# BENCHMARK.json, default lower), whether the median gap exceeds the
+# base's interquartile range, and the correct/failed totals. Exits 1 if
+# any run failed its correctness verdict.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+root=$PWD
+
+usage() {
+    sed -n '3,4p' "$0" | sed 's/^# //'
+}
+
+base='' workload='' seeds='' seconds=4 trace=0
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --base) base=${2:?}; shift 2 ;;
+        --workload) workload=${2:?}; shift 2 ;;
+        --seeds) seeds=${2:?}; shift 2 ;;
+        --seconds) seconds=${2:?}; shift 2 ;;
+        --trace) trace=${2:?}; shift 2 ;;
+        -h | --help) usage; exit 0 ;;
+        *) echo "bench-pairs: unknown argument $1" >&2; usage >&2; exit 2 ;;
+    esac
+done
+if [ -z "$base" ] || [ -z "$workload" ] || [ -z "$seeds" ]; then
+    usage >&2
+    exit 2
+fi
+if ! [[ $seeds =~ ^([0-9]+)-([0-9]+)$ ]] || ((BASH_REMATCH[1] > BASH_REMATCH[2])); then
+    echo "bench-pairs: --seeds wants A-B with A <= B, got $seeds" >&2
+    exit 2
+fi
+first=${BASH_REMATCH[1]} last=${BASH_REMATCH[2]}
+rev=$(git rev-parse --verify "$base^{commit}")
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
+cleanup() {
+    git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add --detach --quiet "$tmp/base" "$rev"
+
+declare -A dir=([base]="$tmp/base" [change]="$root")
+declare -A target=([base]="$tmp/target-base" [change]="${CARGO_TARGET_DIR:-$root/target}")
+
+# run <side> <seed> <seconds>: the run's result JSON line (empty if it
+# printed none); build and progress output goes to $tmp/<side>.log.
+run() {
+    (cd "${dir[$1]}" && CARGO_TARGET_DIR="${target[$1]}" \
+        bash crates/bench/src/bin/suite/run.sh --workload "$workload" --seed "$2" \
+        --seconds "$3" --trace "$trace" 2>>"$tmp/$1.log" | tail -1) || true
+}
+
+for side in base change; do
+    echo "bench-pairs: building and warming $side (${dir[$side]})" >&2
+    if [ -z "$(run "$side" "$first" 1)" ]; then
+        echo "bench-pairs: $side produced no result; log:" >&2
+        tail -20 "$tmp/$side.log" >&2
+        exit 1
+    fi
+done
+
+echo "base $rev, change $root, workload $workload, seeds $seeds, ${seconds}s, trace $trace"
+for ((seed = first; seed <= last; seed++)); do
+    if (((seed - first) % 2 == 0)); then order='base change'; else order='change base'; fi
+    for side in $order; do
+        line=$(run "$side" "$seed" "$seconds")
+        printf '%s\t%s\t%s\n' "$side" "$seed" "$line" >>"$tmp/runs.tsv"
+        printf '%-6s seed=%-4s %s\n' "$side" "$seed" "${line:-<no result>}"
+    done
+done
+
+python3 - "$tmp/runs.tsv" "$root/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+
+runs = {"base": {}, "change": {}}
+for row in open(sys.argv[1]):
+    side, seed, line = row.rstrip("\n").split("\t", 2)
+    try:
+        runs[side][seed] = json.loads(line)
+    except ValueError:
+        runs[side][seed] = None
+
+spec = json.load(open(sys.argv[2]))
+better = {m["name"]: m["better"] for k in ("end_to_end", "per_layer") for m in spec.get(k, [])}
+
+def quartiles(xs):
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+def value(r, name):
+    m = (r or {}).get("metrics", {}).get(name)
+    return m["value"] if m else None
+
+names = sorted({n for side in runs.values() for r in side.values() if r for n in r["metrics"]})
+seeds = sorted(set(runs["base"]) & set(runs["change"]), key=int)
+print()
+print(f"{'metric':<34} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} {'delta':>8} {'wins':>7}  gap>IQR")
+for name in names:
+    b = [value(runs["base"][s], name) for s in seeds]
+    c = [value(runs["change"][s], name) for s in seeds]
+    pairs = [(x, y) for x, y in zip(b, c) if x is not None and y is not None]
+    if not pairs:
+        continue
+    lower = better.get(name, "lower") == "lower"
+    wins = sum((y < x) if lower else (y > x) for x, y in pairs)
+    bq1, bmed, bq3 = quartiles([x for x, _ in pairs])
+    cq1, cmed, cq3 = quartiles([y for _, y in pairs])
+    delta = f"{100 * (cmed - bmed) / bmed:+.1f}%" if bmed else "n/a"
+    gap = "yes" if abs(cmed - bmed) > bq3 - bq1 else "no"
+    print(f"{name:<34} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<30} "
+          f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} {delta:>8} {f'{wins}/{len(pairs)}':>7}  {gap}")
+
+bad = 0
+for side in ("base", "change"):
+    rs = list(runs[side].values())
+    correct = sum(bool(r and r.get("correct")) for r in rs)
+    failed = sum((r or {}).get("failed", 0) for r in rs)
+    attempted = sum((r or {}).get("attempted", 0) for r in rs)
+    bad += len(rs) - correct
+    print(f"{side}: {correct}/{len(rs)} runs correct, {failed} of {attempted} operations failed")
+sys.exit(1 if bad else 0)
+EOF
