@@ -1,11 +1,10 @@
 //! E-c8 — the event-driven serve tier at C10K connection counts.
 //!
-//! The thread-pool baseline (PR 2's architecture) pins one worker per
-//! live connection, so a few thousand mostly-idle keep-alive clients
-//! starve it no matter how cheap each request is. This experiment
-//! measures the poll-driven event tier against that baseline over real
-//! localhost sockets, all inside one process (client fleet and server
-//! share the fd budget — two fds per connection):
+//! A server that pins one thread per live connection is starved by a
+//! few thousand mostly-idle keep-alive clients no matter how cheap each
+//! request is. This experiment measures the poll-driven event tier over
+//! real localhost sockets, all inside one process (client fleet and
+//! server share the fd budget — two fds per connection):
 //!
 //! 1. **Connection sweep** — an open-loop fleet of N keep-alive
 //!    connections at a fixed, modest arrival rate (the fleet is mostly
@@ -13,11 +12,7 @@
 //!    arrival tick and the process-RSS delta per connection. The 10k
 //!    point is capped to what the fd limit allows and the cap is
 //!    reported rather than hidden.
-//! 2. **Thread-pool baseline** — the same fleet against the threaded
-//!    architecture with its worker pool and admission watermark: the
-//!    pool pins onto the first few connections and the rest are shed or
-//!    starved.
-//! 3. **Stalled reader** — a client that opens a large chunked stream,
+//! 2. **Stalled reader** — a client that opens a large chunked stream,
 //!    reads a few KiB and then stops reading mid-stream while an
 //!    open-loop fleet keeps the server busy. The pull-based body
 //!    contract means the server must stop calling `next_chunk` once the
@@ -30,7 +25,7 @@
 use crate::table::Table;
 use crate::Scale;
 use ee_serve::loadgen::{run_open_loop, OpenLoopPlan, OpenLoopReport};
-use ee_serve::{start, AppState, DataConfig, ServerConfig, ServerKind};
+use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use ee_util::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -72,7 +67,6 @@ fn fmt_bytes(b: u64) -> String {
 
 fn event_config(conns: usize) -> ServerConfig {
     ServerConfig {
-        kind: ServerKind::Event,
         workers: 2,
         event_shards: 2,
         max_connections: conns + 64,
@@ -137,48 +131,13 @@ fn sweep(
     out
 }
 
-/// Stage 2: the same fleet against the thread-pool architecture.
-fn baseline(
-    state: &Arc<AppState>,
-    conns: usize,
-    rate_per_sec: f64,
-    duration: Duration,
-) -> (OpenLoopReport, usize) {
-    let workers = 8;
-    let server = start(
-        ServerConfig {
-            kind: ServerKind::Threaded,
-            workers,
-            queue_watermark: 64,
-            max_connections: conns + 64,
-            deadline: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(120),
-            ..ServerConfig::default()
-        },
-        Arc::clone(state),
-    )
-    .expect("start threaded server");
-    let report = run_open_loop(
-        server.addr,
-        &["/healthz".to_string()],
-        &OpenLoopPlan {
-            conns,
-            rate_per_sec,
-            duration,
-            timeout: Duration::from_secs(20),
-        },
-    );
-    server.shutdown();
-    (report, workers)
-}
-
 struct StallResult {
     stream_bytes: u64,
     rss_growth: u64,
     concurrent: OpenLoopReport,
 }
 
-/// Stage 3: a reader that stalls mid-stream while an open-loop fleet
+/// Stage 2: a reader that stalls mid-stream while an open-loop fleet
 /// keeps the server honest. Panics (failing the harness) if the server
 /// buffers the stalled stream instead of applying backpressure.
 fn stalled_reader(state: &Arc<AppState>, scale: Scale) -> StallResult {
@@ -244,24 +203,11 @@ fn stalled_reader(state: &Arc<AppState>, scale: Scale) -> StallResult {
 
 /// Run E-c8 and return the tables plus the `BENCH_PR8.json` value.
 pub fn report(scale: Scale) -> (Vec<Table>, Json) {
-    let (data, wanted, rate, duration, baseline_conns): (_, &[usize], f64, Duration, usize) =
-        match scale {
-            Scale::Quick => (
-                DataConfig::tiny(),
-                &[64, 256],
-                200.0,
-                Duration::from_millis(800),
-                128,
-            ),
-            Scale::Full => (
-                DataConfig::tiny(),
-                &[1_000, 5_000, 10_000],
-                400.0,
-                Duration::from_secs(4),
-                1_000,
-            ),
-        };
-    let state = Arc::new(AppState::build(data));
+    let (wanted, rate, duration): (&[usize], f64, Duration) = match scale {
+        Scale::Quick => (&[64, 256], 200.0, Duration::from_millis(800)),
+        Scale::Full => (&[1_000, 5_000, 10_000], 400.0, Duration::from_secs(4)),
+    };
+    let state = Arc::new(AppState::build(DataConfig::tiny()));
 
     // Two fds per connection (client + server end) in this one process;
     // cap the sweep to the fd budget and say so instead of failing.
@@ -280,7 +226,6 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
 
     let rss_base = rss_bytes();
     let sweep_points = sweep(&state, &points, rate, duration, rss_base);
-    let (base_report, base_workers) = baseline(&state, baseline_conns, rate, duration);
     let stall = stalled_reader(&state, scale);
 
     let mut t1 = Table::new(
@@ -314,37 +259,6 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
     }
 
     let mut t2 = Table::new(
-        "E-c8b — the thread-pool baseline under the same fleet",
-        format!(
-            "{baseline_conns} keep-alive connections against the threaded architecture \
-             ({base_workers} pool workers, watermark 64): the pool pins onto its first \
-             connections, the watermark sheds a batch with 503, and the rest starve — \
-             the C10K failure mode the event tier exists to remove."
-        ),
-        &["arch", "conns", "alive", "ok", "non-2xx", "missed", "p99"],
-    );
-    t2.row(vec![
-        "threaded".into(),
-        baseline_conns.to_string(),
-        base_report.conns_alive.to_string(),
-        base_report.ok.to_string(),
-        base_report.other.to_string(),
-        base_report.missed_ticks.to_string(),
-        fmt_us(base_report.p99_us),
-    ]);
-    if let Some(ev) = sweep_points.iter().find(|p| p.conns >= baseline_conns / 2) {
-        t2.row(vec![
-            "event".into(),
-            ev.conns.to_string(),
-            ev.report.conns_alive.to_string(),
-            ev.report.ok.to_string(),
-            ev.report.other.to_string(),
-            ev.report.missed_ticks.to_string(),
-            fmt_us(ev.report.p99_us),
-        ]);
-    }
-
-    let mut t3 = Table::new(
         "E-c8c — stalled reader mid-stream",
         format!(
             "One client opens a {}-byte chunked stream, reads 4 KiB and stops; a \
@@ -355,7 +269,7 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
         ),
         &["stream bytes", "RSS growth while stalled", "fleet ok", "fleet p99"],
     );
-    t3.row(vec![
+    t2.row(vec![
         stall.stream_bytes.to_string(),
         fmt_bytes(stall.rss_growth),
         stall.concurrent.ok.to_string(),
@@ -407,21 +321,6 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
             Json::Arr(sweep_points.iter().map(point_json).collect()),
         ),
         (
-            "threaded_baseline",
-            Json::obj(vec![
-                ("workers", Json::Num(base_workers as f64)),
-                ("conns", Json::Num(baseline_conns as f64)),
-                ("conns_open", Json::Num(base_report.conns_open as f64)),
-                ("conns_alive", Json::Num(base_report.conns_alive as f64)),
-                ("sent", Json::Num(base_report.sent as f64)),
-                ("ok", Json::Num(base_report.ok as f64)),
-                ("other", Json::Num(base_report.other as f64)),
-                ("errors", Json::Num(base_report.errors as f64)),
-                ("missed_ticks", Json::Num(base_report.missed_ticks as f64)),
-                ("p99_us", Json::Num(base_report.p99_us as f64)),
-            ]),
-        ),
-        (
             "stalled_reader",
             Json::obj(vec![
                 ("stream_bytes", Json::Num(stall.stream_bytes as f64)),
@@ -431,7 +330,7 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
             ]),
         ),
     ]);
-    (vec![t1, t2, t3], json)
+    (vec![t1, t2], json)
 }
 
 /// Run E-c8, discarding the JSON (the `run(id, scale)` registry shape).
@@ -446,7 +345,7 @@ mod tests {
     #[test]
     fn quick_report_holds_the_fleet_and_bounds_memory() {
         let (tables, json) = report(Scale::Quick);
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 2);
         let text = json.emit();
         assert!(text.contains("\"p99_us\""), "{text}");
         assert!(text.contains("\"bytes_per_conn\""), "{text}");
@@ -462,13 +361,6 @@ mod tests {
             assert_eq!(p.get("errors").and_then(Json::as_f64), Some(0.0));
             assert!(p.get("ok").and_then(Json::as_f64).unwrap() > 0.0);
         }
-        // The baseline starves the same fleet the event tier holds.
-        let base = v.get("threaded_baseline").unwrap();
-        let alive = base.get("conns_alive").and_then(Json::as_f64).unwrap();
-        assert!(
-            alive < 128.0,
-            "thread pool should shed/starve most of the fleet: {alive}"
-        );
         let growth = v
             .get("stalled_reader")
             .and_then(|s| s.get("rss_growth_bytes"))

@@ -11,7 +11,7 @@
 //! the durable store's cold-start, write-while-serve latency, and crash
 //! recovery (writes `BENCH_PR7.json`). [`e_c8_event`] (`E-c8`) measures
 //! the event-driven serve tier holding thousands of mostly-idle
-//! keep-alive connections against the thread-pool baseline (writes
+//! keep-alive connections and a stalled streaming reader (writes
 //! `BENCH_PR8.json`). [`e_f9_shard`] (`E-f9`) launches N real `ee-serve`
 //! shard processes behind the scatter-gather router and checks routed
 //! answers byte-for-byte against an unsharded reference (writes

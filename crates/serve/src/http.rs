@@ -1,6 +1,8 @@
-//! A minimal HTTP/1.1 wire implementation: request parsing, response
-//! emission (full or chunked), and the tiny client-side reader the load
-//! generator and the integration tests share.
+//! A minimal HTTP/1.1 wire implementation: the incremental request
+//! parser the event loop feeds, response emission (full or chunked), and
+//! the blocking client-side reader the load generator and the
+//! integration tests share (a thin loop over
+//! [`ee_util::http1::ResponseDecoder`], the one response decoder).
 //!
 //! Deliberately small — exactly the subset the serving tier needs:
 //! request line + headers + `Content-Length` request bodies,
@@ -8,7 +10,8 @@
 //! (HTTP/1.1 persistent by default, `Connection: close` honoured both
 //! ways), and `Transfer-Encoding: chunked` on the **response** side so
 //! large bodies stream incrementally instead of materialising in one
-//! `Vec<u8>`. No request-side chunked bodies, no trailers, no upgrade.
+//! `Vec<u8>`. Requests framed any other way (`Transfer-Encoding`,
+//! conflicting `Content-Length`s) are refused; no trailers, no upgrade.
 //!
 //! A response body is a [`Body`]: sized (`Content-Length`; owned
 //! [`Body::Full`] or cache-shared [`Body::Shared`]) or
@@ -16,8 +19,10 @@
 //! framing). The request-side 1 MiB cap stays; there is no
 //! response-side cap — that is the point of streaming.
 
+use ee_util::http1::ResponseDecoder;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Largest accepted **request** body. Anything bigger is refused with
 /// 413 rather than buffered — the serving tier fronts read-mostly
@@ -27,21 +32,18 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// Largest accepted header section (request line + all headers).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
-/// A parse failure, mapped by the server onto a 4xx response (or a silent
-/// close for `ConnectionClosed`).
+/// A wire failure: a request the server answers with 400 or 413, or a
+/// response [`read_response`] could not read.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Clean EOF before the first byte of a request — the peer hung up
-    /// between keep-alive requests; not an error worth a response.
+    /// Clean EOF before the first byte of a response — the server closed
+    /// the connection between keep-alive exchanges.
     ConnectionClosed,
-    /// Read timed out waiting for the next request on a kept-alive
-    /// connection.
-    IdleTimeout,
-    /// Malformed request (bad request line, header, or length).
+    /// Malformed message (bad request line, header, length or framing).
     Malformed(String),
-    /// Body longer than [`MAX_BODY_BYTES`].
+    /// Request body longer than [`MAX_BODY_BYTES`].
     BodyTooLarge(usize),
-    /// Underlying socket error mid-request.
+    /// Underlying socket error (including read timeouts) mid-response.
     Io(std::io::Error),
 }
 
@@ -49,8 +51,7 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::ConnectionClosed => write!(f, "connection closed"),
-            HttpError::IdleTimeout => write!(f, "idle timeout"),
-            HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
+            HttpError::Malformed(m) => write!(f, "malformed message: {m}"),
             HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes too large"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -112,125 +113,92 @@ impl Request {
     }
 }
 
-/// Read one request from a buffered stream.
+fn malformed(msg: impl Into<String>) -> HttpError {
+    HttpError::Malformed(msg.into())
+}
+
+/// Parse a request head — request line, headers and the blank line
+/// ending them, as located by [`find_head_end`] — into a bodiless
+/// request plus the body length its `Content-Length` declares.
 ///
-/// Blocks until a full request arrives, the peer closes, or the stream's
-/// read timeout fires (surfaced as [`HttpError::IdleTimeout`]).
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
-    let mut line = String::new();
-    read_crlf_line(r, &mut line, true)?;
+/// Lines end in CRLF or a bare LF. A request carrying
+/// `Transfer-Encoding`, or `Content-Length` headers that disagree, is
+/// refused: its body would otherwise be read as the next pipelined
+/// request on the connection.
+fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
+    let mut lines = head.split(|&b| b == b'\n').map(|line| {
+        if line.len() > MAX_HEADER_BYTES {
+            return Err(malformed("line too long"));
+        }
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        std::str::from_utf8(line).map_err(|_| malformed("non-UTF-8 header bytes"))
+    });
+    let line = lines.next().expect("split yields at least one line")?;
     let mut parts = line.split_ascii_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
+        .ok_or_else(|| malformed("empty request line"))?
         .to_ascii_uppercase();
     let target = parts
         .next()
-        .ok_or_else(|| HttpError::Malformed("missing request target".into()))?
-        .to_string();
+        .ok_or_else(|| malformed("missing request target"))?;
     let version = parts.next().unwrap_or("HTTP/1.0");
     if parts.next().is_some() {
-        return Err(HttpError::Malformed("extra tokens in request line".into()));
+        return Err(malformed("extra tokens in request line"));
     }
-    let http11 = version == "HTTP/1.1";
 
     let mut headers = Vec::new();
     let mut header_bytes = line.len();
-    loop {
-        let mut h = String::new();
-        read_crlf_line(r, &mut h, false)?;
+    let mut content_length: Option<&str> = None;
+    for h in lines {
+        let h = h?;
         if h.is_empty() {
             break;
         }
         header_bytes += h.len();
         if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::Malformed("header section too large".into()));
+            return Err(malformed("header section too large"));
         }
         let (name, value) = h
             .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("header without ':': {h:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+            .ok_or_else(|| malformed(format!("header without ':': {h:?}")))?;
+        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+        match name.as_str() {
+            "transfer-encoding" => {
+                return Err(malformed("transfer-encoding on a request is not supported"))
+            }
+            "content-length" if content_length.is_some_and(|first| first != value) => {
+                return Err(malformed("conflicting content-length headers"))
+            }
+            "content-length" => content_length = Some(value),
+            _ => {}
+        }
+        headers.push((name, value.to_string()));
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
+    let content_length = content_length
+        .map(|v| {
             v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))
+                .map_err(|_| malformed(format!("bad content-length {v:?}")))
         })
         .transpose()?
         .unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge(content_length));
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        r.read_exact(&mut body).map_err(HttpError::Io)?;
-    }
-
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
-        None => (target.as_str(), None),
+        None => (target, None),
     };
-    Ok(Request {
+    let req = Request {
         method,
         path: percent_decode(path_raw),
         query: query_raw.map(parse_query).unwrap_or_default(),
         headers,
-        body,
-        http11,
-    })
-}
-
-/// Read a CRLF (or bare-LF) terminated line, stripped of the terminator.
-/// `at_boundary` marks the first read of a request, where clean EOF means
-/// the peer ended the keep-alive session rather than truncated a message.
-fn read_crlf_line<R: BufRead>(
-    r: &mut R,
-    out: &mut String,
-    at_boundary: bool,
-) -> Result<(), HttpError> {
-    let mut buf = Vec::with_capacity(64);
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if at_boundary && buf.is_empty() {
-                    Err(HttpError::ConnectionClosed)
-                } else {
-                    Err(HttpError::Malformed("unexpected EOF in line".into()))
-                };
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_HEADER_BYTES {
-                    return Err(HttpError::Malformed("line too long".into()));
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return if at_boundary && buf.is_empty() {
-                    Err(HttpError::IdleTimeout)
-                } else {
-                    Err(HttpError::Io(e))
-                };
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    *out = String::from_utf8(buf)
-        .map_err(|_| HttpError::Malformed("non-UTF-8 header bytes".into()))?;
-    Ok(())
+        body: Vec::new(),
+        http11: version == "HTTP/1.1",
+    };
+    Ok((req, content_length))
 }
 
 /// Decode `%XX` sequences and `+`-as-space.
@@ -334,11 +302,6 @@ impl Body {
     /// An empty sized body (304s, HEAD-ish replies).
     pub fn empty() -> Body {
         Body::Full(Vec::new())
-    }
-
-    /// True for [`Body::Streamed`].
-    pub fn is_streamed(&self) -> bool {
-        matches!(self, Body::Streamed(_))
     }
 
     /// The bytes of a sized body ([`Body::Full`] or [`Body::Shared`]);
@@ -457,60 +420,25 @@ impl Response {
     /// header; the caller decides whether to actually reuse the socket.
     /// Streamed bodies are pulled to exhaustion (hence `&mut self`).
     pub fn write_to<W: Write>(&mut self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        self.write_to_observed(w, keep_alive, |_| true)
-    }
-
-    /// [`write_to`](Response::write_to) with a per-chunk observer.
-    ///
-    /// `observe` sees every body chunk before it is written (full bodies
-    /// are one chunk) — the server uses it to tee streamed bodies into
-    /// the response cache, count bytes sent, and timestamp the first
-    /// byte. For **streamed** bodies a `false` return aborts the
-    /// response between chunks (the deadline-between-chunks rule: the
-    /// peer sees a truncated chunked body, never a stalled worker); for
-    /// full bodies the return value is ignored — a sized response that
-    /// made it through its handler is always transmitted whole.
-    pub fn write_to_observed<W: Write>(
-        &mut self,
-        w: &mut W,
-        keep_alive: bool,
-        mut observe: impl FnMut(&[u8]) -> bool,
-    ) -> std::io::Result<()> {
-        let head = self.head_bytes(keep_alive);
-        w.write_all(&head)?;
+        w.write_all(&self.head_bytes(keep_alive))?;
         match &mut self.body {
             Body::Streamed(s) => {
                 let mut frame = Vec::new();
                 while let Some(chunk) = s.next_chunk()? {
-                    if chunk.is_empty() {
-                        continue; // an empty chunk would mean "end of body"
-                    }
-                    if !observe(chunk) {
-                        w.flush()?;
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "response aborted between chunks",
-                        ));
-                    }
                     frame.clear();
                     frame_chunk(chunk, &mut frame);
                     w.write_all(&frame)?;
                 }
                 w.write_all(CHUNK_TERMINATOR)?;
             }
-            sized => {
-                let b = sized.as_full().expect("non-streamed bodies are sized");
-                observe(b);
-                w.write_all(b)?;
-            }
+            sized => w.write_all(sized.as_full().expect("non-streamed bodies are sized"))?,
         }
         w.flush()
     }
 
     /// The serialised status line + headers + blank line, exactly as
-    /// [`write_to_observed`](Response::write_to_observed) emits them.
-    /// Shared by the blocking writer and the event loop's send buffer so
-    /// the two paths are byte-identical by construction.
+    /// [`write_to`](Response::write_to) emits them and the event loop
+    /// queues them.
     pub fn head_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut head = Vec::new();
         self.write_head(keep_alive, &mut head);
@@ -546,7 +474,7 @@ pub const CHUNK_TERMINATOR: &[u8] = b"0\r\n\r\n";
 
 /// Append one chunked-framing frame (`{len:x}\r\n{chunk}\r\n`) to `out`.
 /// Empty chunks are skipped — framing one would terminate the body early.
-/// Shared by the blocking writer and the event loop's chunk producer.
+/// Shared by [`Response::write_to`] and the event loop's chunk producer.
 pub fn frame_chunk(chunk: &[u8], out: &mut Vec<u8>) {
     if chunk.is_empty() {
         return;
@@ -558,10 +486,7 @@ pub fn frame_chunk(chunk: &[u8], out: &mut Vec<u8>) {
 }
 
 /// An incremental request parser for nonblocking sockets: feed it bytes
-/// as they arrive, poll it for a complete request. Parsing of a complete
-/// message is delegated to [`read_request`] over the accumulated bytes,
-/// so the event loop accepts and rejects exactly what the blocking path
-/// does.
+/// as they arrive, poll it for a complete request.
 #[derive(Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -580,11 +505,6 @@ impl RequestParser {
         self.buf.is_empty()
     }
 
-    /// Bytes currently buffered (partial request and/or pipelined next).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Append freshly-read socket bytes; follow with
     /// [`poll_request`](RequestParser::poll_request).
     pub fn feed(&mut self, bytes: &[u8]) {
@@ -594,42 +514,31 @@ impl RequestParser {
     /// Try to extract one complete request from the buffer. `Ok(None)`
     /// means "need more bytes". Leftover bytes (pipelined requests) stay
     /// buffered for the next call. Errors are terminal for the
-    /// connection, same as the blocking reader's.
+    /// connection.
     pub fn poll_request(&mut self) -> Result<Option<Request>, HttpError> {
         let Some(head_end) = find_head_end(&self.buf) else {
-            // No blank line yet. Cap the raw accumulation: the blocking
-            // reader bounds the header section at MAX_HEADER_BYTES of
-            // line payload, so 2x raw bytes is unreachable for a legal
-            // head and a slow-loris head must not grow without bound.
+            // No blank line yet. Cap the raw accumulation: a legal head
+            // holds at most MAX_HEADER_BYTES of line payload, so 2x raw
+            // bytes is unreachable for one and a slow-loris head must not
+            // grow without bound.
             if self.buf.len() > 2 * MAX_HEADER_BYTES {
-                return Err(HttpError::Malformed("header section too large".into()));
+                return Err(malformed("header section too large"));
             }
             return Ok(None);
         };
-        let content_length = scan_content_length(&self.buf[..head_end]).unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
-            // Produce the error through the canonical parser so the
-            // variant (and any future behaviour) matches the blocking
-            // path exactly.
-            let mut r = std::io::BufReader::new(&self.buf[..head_end]);
-            return match read_request(&mut r) {
-                Err(e) => Err(e),
-                Ok(_) => Err(HttpError::BodyTooLarge(content_length)),
-            };
-        }
+        let (mut req, content_length) = parse_head(&self.buf[..head_end])?;
         let total = head_end + content_length;
         if self.buf.len() < total {
             return Ok(None);
         }
-        let mut r = std::io::BufReader::new(&self.buf[..total]);
-        let req = read_request(&mut r)?;
+        req.body = self.buf[head_end..total].to_vec();
         self.buf.drain(..total);
         Ok(Some(req))
     }
 }
 
 /// Index one past the blank line ending a request head, if present.
-/// Accepts both CRLF and bare-LF line endings, like [`read_crlf_line`].
+/// Accepts both CRLF and bare-LF line endings, like [`parse_head`].
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {
@@ -641,21 +550,6 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
             }
         }
         i += 1;
-    }
-    None
-}
-
-/// First `Content-Length` value in a raw head, mirroring
-/// [`read_request`]'s first-match selection. `None` for absent or
-/// unparseable values — the canonical parser then reports the error.
-fn scan_content_length(head: &[u8]) -> Option<usize> {
-    for line in head.split(|&b| b == b'\n') {
-        let line = std::str::from_utf8(line).ok()?;
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                return value.trim().parse().ok();
-            }
-        }
     }
     None
 }
@@ -774,128 +668,54 @@ impl ClientResponse {
     }
 }
 
-/// The status line + headers of a response, read before any body bytes.
-/// Splitting head from body lets the load generator timestamp the first
-/// byte (TTFB) separately from total latency.
-#[derive(Debug, Clone)]
-pub struct ResponseHead {
-    /// Status code.
-    pub status: u16,
-    /// Lower-cased header pairs.
-    pub headers: Vec<(String, String)>,
-    /// Whether the server will keep the connection open afterwards.
-    pub keep_alive: bool,
-}
-
-impl ResponseHead {
-    /// First value of a header.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == lower)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Read the status line and headers of one response. Returns once the
-/// blank line is consumed — the body (if any) is still on the wire;
-/// follow with [`read_response_body`].
-pub fn read_response_head<R: BufRead>(r: &mut R) -> Result<ResponseHead, HttpError> {
-    let mut line = String::new();
-    read_crlf_line(r, &mut line, true)?;
-    let mut parts = line.split_ascii_whitespace();
-    let _version = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty status line".into()))?;
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HttpError::Malformed(format!("bad status line {line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        read_crlf_line(r, &mut h, false)?;
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let keep_alive = headers
-        .iter()
-        .find(|(n, _)| n == "connection")
-        .is_none_or(|(_, v)| !v.eq_ignore_ascii_case("close"));
-    Ok(ResponseHead {
-        status,
-        headers,
-        keep_alive,
-    })
-}
-
-/// Read the body that follows `head`: `Content-Length`-sized, or chunked
-/// frames decoded and concatenated when the head carried
-/// `Transfer-Encoding: chunked`. Without either framing header the body
-/// is taken to be empty (this tier never responds with read-to-EOF
-/// bodies).
-pub fn read_response_body<R: BufRead>(
-    r: &mut R,
-    head: &ResponseHead,
-) -> Result<Vec<u8>, HttpError> {
-    let chunked = head
-        .header("transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    if chunked {
-        let mut body = Vec::new();
-        loop {
-            let mut size_line = String::new();
-            read_crlf_line(r, &mut size_line, false)?;
-            // Ignore chunk extensions (";...") per RFC 9112 §7.1.1.
-            let size_hex = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_hex, 16)
-                .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_line:?}")))?;
-            if size == 0 {
-                // Trailer section: we send none, so expect the blank line.
-                let mut trailer = String::new();
-                read_crlf_line(r, &mut trailer, false)?;
-                if !trailer.is_empty() {
-                    return Err(HttpError::Malformed("unexpected trailer".into()));
-                }
-                return Ok(body);
-            }
-            let start = body.len();
-            body.resize(start + size, 0);
-            r.read_exact(&mut body[start..]).map_err(HttpError::Io)?;
-            let mut crlf = [0u8; 2];
-            r.read_exact(&mut crlf).map_err(HttpError::Io)?;
-            if &crlf != b"\r\n" {
-                return Err(HttpError::Malformed("chunk not CRLF-terminated".into()));
-            }
-        }
-    }
-    let content_length = head
-        .header("content-length")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        r.read_exact(&mut body).map_err(HttpError::Io)?;
-    }
-    Ok(body)
-}
-
 /// Read one response from a buffered stream (client side: load generator
-/// and tests). Decodes both `Content-Length` and chunked framing.
+/// and tests), decoding `Content-Length` and chunked framing. Consumes
+/// exactly the message's bytes, so a keep-alive reader is left at the
+/// start of the next response.
 pub fn read_response<R: BufRead>(r: &mut R) -> Result<ClientResponse, HttpError> {
-    let head = read_response_head(r)?;
-    let body = read_response_body(r, &head)?;
-    Ok(ClientResponse {
-        status: head.status,
-        headers: head.headers,
-        body,
-        keep_alive: head.keep_alive,
-    })
+    read_response_timed(r).map(|(resp, _)| resp)
+}
+
+/// [`read_response`], also returning the moment the response head had
+/// been decoded (the load generator's time to first byte).
+pub(crate) fn read_response_timed<R: BufRead>(
+    r: &mut R,
+) -> Result<(ClientResponse, Instant), HttpError> {
+    let mut dec = ResponseDecoder::new();
+    let mut started = false;
+    let mut head_at = None;
+    loop {
+        let avail = match r.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(HttpError::Io(e)),
+        };
+        if avail.is_empty() {
+            return Err(if started {
+                malformed("unexpected EOF in response")
+            } else {
+                HttpError::ConnectionClosed
+            });
+        }
+        started = true;
+        let n = avail.len();
+        let done = dec.feed(avail).map_err(|e| HttpError::Malformed(e.0))?;
+        if dec.has_head() {
+            head_at.get_or_insert_with(Instant::now);
+        }
+        let Some(status) = done else {
+            r.consume(n);
+            continue;
+        };
+        r.consume(n - dec.excess());
+        let resp = ClientResponse {
+            status,
+            headers: dec.headers().to_vec(),
+            body: dec.body(),
+            keep_alive: dec.is_keep_alive(),
+        };
+        return Ok((resp, head_at.expect("a complete response has a head")));
+    }
 }
 
 #[cfg(test)]
@@ -903,10 +723,17 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Parse one complete request through the incremental parser.
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        parser.poll_request().map(|r| r.expect("complete request"))
+    }
+
     #[test]
     fn parses_request_line_headers_and_query() {
         let raw = b"GET /query?x0=1.5&y0=2&mode=a%20b HTTP/1.1\r\nHost: x\r\nX-Trace: 7\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        let req = parse(raw).unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/query");
         assert_eq!(req.param("x0"), Some("1.5"));
@@ -920,41 +747,56 @@ mod tests {
 
     #[test]
     fn connection_close_and_http10_semantics() {
-        let raw = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        let req = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.wants_keep_alive());
-        let raw = b"GET / HTTP/1.0\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        let req = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         assert!(!req.wants_keep_alive());
-        let raw = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        let req = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(req.wants_keep_alive());
     }
 
     #[test]
     fn body_via_content_length() {
-        let raw = b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
+        let req = parse(b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
         assert_eq!(req.body, b"hello");
+        // Repeating the same length is harmless.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi";
+        assert_eq!(parse(raw).unwrap().body, b"hi");
         // Oversized bodies are refused before allocation.
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        match read_request(&mut BufReader::new(raw.as_bytes())) {
+        match parse(raw.as_bytes()) {
             Err(HttpError::BodyTooLarge(_)) => {}
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
     }
 
     #[test]
+    fn bodies_framed_another_way_are_refused() {
+        // Honouring only Content-Length here would dispatch an empty
+        // body and parse the chunk bytes as the next pipelined request.
+        for te in ["chunked", "gzip, chunked", "identity"] {
+            let raw = format!(
+                "POST /query HTTP/1.1\r\nTransfer-Encoding: {te}\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(raw.as_bytes()), Err(HttpError::Malformed(_))),
+                "{te}"
+            );
+        }
+        let raw = b"POST /query HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 30\r\n\r\nabc";
+        assert!(matches!(parse(raw), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
     fn eof_at_boundary_is_connection_closed() {
-        let raw = b"";
-        match read_request(&mut BufReader::new(&raw[..])) {
+        match read_response(&mut &b""[..]) {
             Err(HttpError::ConnectionClosed) => {}
             other => panic!("expected ConnectionClosed, got {other:?}"),
         }
         // EOF mid-message is malformed instead.
-        let raw = b"GET / HTTP/1.1\r\nHost";
+        let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhel";
         assert!(matches!(
-            read_request(&mut BufReader::new(&raw[..])),
+            read_response(&mut &raw[..]),
             Err(HttpError::Malformed(_))
         ));
     }
@@ -1036,6 +878,10 @@ mod tests {
         );
         let mut wire = Vec::new();
         resp.write_to(&mut wire, false).unwrap();
+        // A second, sized response pipelined right behind the first.
+        Response::octets(200, big.clone())
+            .write_to(&mut wire, true)
+            .unwrap();
         let mut reader = BufReader::with_capacity(7, &wire[..]);
         let got = read_response(&mut reader).unwrap();
         let mut want = big.clone();
@@ -1043,6 +889,10 @@ mod tests {
         want.extend_from_slice(&big);
         assert_eq!(got.body, want);
         assert!(!got.keep_alive);
+        let next = read_response(&mut reader).unwrap();
+        assert_eq!(next.body, big);
+        assert!(next.keep_alive);
+        assert!(reader.fill_buf().unwrap().is_empty(), "both read whole");
     }
 
     #[test]
@@ -1053,46 +903,22 @@ mod tests {
     }
 
     #[test]
-    fn observer_false_aborts_stream_between_chunks() {
-        let mut resp = Response::streamed(
-            200,
-            "application/octet-stream",
-            Box::new(ChunkedSlices::new(vec![b"one".to_vec(), b"two".to_vec()])),
-        );
-        let mut wire = Vec::new();
-        let mut seen = 0;
-        let err = resp
-            .write_to_observed(&mut wire, true, |_| {
-                seen += 1;
-                seen < 2
-            })
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-        // First chunk made it out; no terminating 0-chunk followed, so a
-        // client sees the truncation.
-        let text = String::from_utf8_lossy(&wire);
-        assert!(text.contains("one"));
-        assert!(!text.contains("two"));
-        assert!(!wire.ends_with(b"0\r\n\r\n"));
-    }
-
-    #[test]
     fn body_collect_drains_streams() {
         let body = Body::Streamed(Box::new(ChunkedSlices::new(vec![
             b"a".to_vec(),
             b"bc".to_vec(),
         ])));
-        assert!(body.is_streamed());
+        assert!(matches!(body, Body::Streamed(_)));
         assert_eq!(body.collect().unwrap(), b"abc");
         assert_eq!(Body::Full(b"xy".to_vec()).collect().unwrap(), b"xy");
         assert_eq!(Body::empty().as_full(), Some(&b""[..]));
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_reader_byte_at_a_time() {
+    fn incremental_parser_parses_byte_at_a_time() {
         let raw: &[u8] =
             b"POST /query?mode=a%20b HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let want = read_request(&mut BufReader::new(raw)).unwrap();
+        let want = parse(raw).unwrap();
         let mut parser = RequestParser::new();
         let mut got = None;
         for (i, b) in raw.iter().enumerate() {

@@ -19,12 +19,11 @@
 //! | `GET /healthz` | — | liveness + data inventory |
 //! | `GET /metrics` | — | Prometheus text format |
 //!
-//! Module map: [`http`] wire parsing (blocking and resumable
-//! nonblocking forms), [`router`] request→engine dispatch, [`state`]
-//! the engines, [`cache`] a sharded LRU with TTL, [`metrics`] counters
-//! and latency histograms, [`server`] the two connection architectures
-//! — the default poll-driven event loop (C10K tier) and the
-//! thread-per-connection baseline — over one shared resolution core,
+//! Module map: [`http`] wire parsing (the resumable request parser, the
+//! response writer, the client-side reader), [`router`] request→engine
+//! dispatch, [`state`] the engines, [`cache`] a sharded LRU with TTL,
+//! [`metrics`] counters and latency histograms, [`server`] the
+//! poll-driven event-loop shards (C10K tier) over a worker pool,
 //! [`loadgen`] the closed-loop client driving E-s0 and the open-loop
 //! nonblocking fleet driving E-c8, [`shard`] the scale-out router tier
 //! (`--router`): scatter-gather `/query` over N shard processes with
@@ -41,6 +40,6 @@ pub mod server;
 pub mod shard;
 pub mod state;
 
-pub use server::{start, ServerConfig, ServerHandle, ServerKind};
+pub use server::{start, ServerConfig, ServerHandle};
 pub use shard::RouterTier;
 pub use state::{AppState, DataConfig};

@@ -25,7 +25,7 @@
 //! fleet (rate ≪ connections) probing how much memory and tail latency
 //! each parked connection costs the server.
 
-use crate::http::{read_response_body, read_response_head, ClientResponse, HttpError};
+use crate::http::{read_response_timed, ClientResponse, HttpError};
 use ee_util::http1::ResponseDecoder;
 use ee_util::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use std::io::{BufReader, Read, Write};
@@ -132,8 +132,8 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Issue one request and read the response in two stages, returning the
-/// response and the time-to-first-byte (head read) in microseconds.
+/// Issue one request and read its response, returning the response and
+/// the time to first byte (until the head was decoded) in microseconds.
 fn issue(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
@@ -147,18 +147,12 @@ fn issue(
     let t0 = Instant::now();
     stream.write_all(req.as_bytes()).map_err(HttpError::Io)?;
     stream.flush().map_err(HttpError::Io)?;
-    let head = read_response_head(reader)?;
-    let ttfb_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let body = read_response_body(reader, &head)?;
-    Ok((
-        ClientResponse {
-            status: head.status,
-            headers: head.headers,
-            body,
-            keep_alive: head.keep_alive,
-        },
-        ttfb_us,
-    ))
+    let (resp, head_at) = read_response_timed(reader)?;
+    let ttfb_us = head_at
+        .duration_since(t0)
+        .as_micros()
+        .min(u128::from(u64::MAX)) as u64;
+    Ok((resp, ttfb_us))
 }
 
 /// Run the plan against `addr`, each client cycling through `targets`

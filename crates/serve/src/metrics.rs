@@ -67,7 +67,7 @@ impl Histogram {
         }
     }
 
-    /// Approximate quantile `q` in [0,1], as the upper bound of the
+    /// Approximate quantile `q` in `[0, 1]`, as the upper bound of the
     /// bucket where the cumulative count crosses `q·total`. 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
@@ -192,9 +192,9 @@ pub fn render_histogram_family<'a>(
 /// All serving-tier metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections admitted past the accept queue.
+    /// Connections admitted past the max-connections cap.
     pub admitted: AtomicU64,
-    /// Connections rejected with 503 at the watermark.
+    /// 503s from accept-time shedding and the dispatch-queue watermark.
     pub rejected: AtomicU64,
     /// Requests that exceeded their deadline (504).
     pub deadline_expired: AtomicU64,
@@ -207,9 +207,9 @@ pub struct Metrics {
     /// Conditional requests answered 304 Not Modified (`If-None-Match`
     /// matched the response's ETag, so the body was elided).
     pub not_modified: AtomicU64,
-    /// Current accept-queue depth.
+    /// Current dispatch-queue depth (jobs awaiting a worker).
     pub queue_depth: AtomicU64,
-    /// High-water mark of the accept queue.
+    /// High-water mark of the dispatch queue.
     pub queue_peak: AtomicU64,
     /// Body bytes written to peers (chunk framing overhead excluded).
     pub bytes_sent: AtomicU64,
@@ -338,12 +338,12 @@ impl Metrics {
         };
         counter(
             "ee_serve_connections_admitted_total",
-            "Connections admitted past the accept queue",
+            "Connections admitted past the max-connections cap",
             self.admitted.load(Ordering::Relaxed),
         );
         counter(
             "ee_serve_connections_rejected_total",
-            "Connections rejected with 503 at the admission watermark",
+            "503s at accept (connection cap) or at the dispatch-queue watermark",
             self.rejected.load(Ordering::Relaxed),
         );
         counter(
@@ -426,12 +426,12 @@ impl Metrics {
              # TYPE ee_serve_plan_cache_entries gauge\nee_serve_plan_cache_entries {plan_len}\n"
         ));
         out.push_str(&format!(
-            "# HELP ee_serve_queue_depth Accept queue depth\n\
+            "# HELP ee_serve_queue_depth Dispatch queue depth\n\
              # TYPE ee_serve_queue_depth gauge\nee_serve_queue_depth {}\n",
             self.queue_depth.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
-            "# HELP ee_serve_queue_peak Accept queue high-water mark\n\
+            "# HELP ee_serve_queue_peak Dispatch queue high-water mark\n\
              # TYPE ee_serve_queue_peak gauge\nee_serve_queue_peak {}\n",
             self.queue_peak.load(Ordering::Relaxed)
         ));

@@ -822,9 +822,8 @@ impl PipeJson for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::read_request;
+    use crate::http::{Body, RequestParser};
     use crate::state::DataConfig;
-    use std::io::BufReader;
     use std::sync::OnceLock;
 
     fn state() -> &'static Arc<AppState> {
@@ -837,9 +836,15 @@ mod tests {
         resp.body.collect().expect("body drains")
     }
 
+    /// Parse one complete raw request.
+    fn parse(raw: &str) -> Request {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        parser.poll_request().unwrap().expect("complete request")
+    }
+
     fn get(target: &str) -> Request {
-        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        read_request(&mut BufReader::new(raw.as_bytes())).unwrap()
+        parse(&format!("GET {target} HTTP/1.1\r\n\r\n"))
     }
 
     fn far_deadline() -> Instant {
@@ -922,7 +927,7 @@ mod tests {
             "POST {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
         );
-        read_request(&mut BufReader::new(raw.as_bytes())).unwrap()
+        parse(&raw)
     }
 
     #[test]
@@ -1118,7 +1123,7 @@ mod tests {
     fn query_route_returns_solutions() {
         let resp = ready(dispatch(state(), &get("/query?x0=10&y0=10&side=20"), far_deadline(), false));
         assert_eq!(resp.status, 200);
-        assert!(resp.body.is_streamed(), "query bodies stream");
+        assert!(matches!(resp.body, Body::Streamed(_)), "query bodies stream");
         let body = body_of(resp);
         let v = ee_util::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
         assert!(v.get("count").and_then(Json::as_f64).unwrap() >= 1.0);
@@ -1228,7 +1233,7 @@ mod tests {
     fn tile_route_serves_decodable_windows() {
         let resp = ready(dispatch(state(), &get("/tiles/0/0/0"), far_deadline(), false));
         assert_eq!(resp.status, 200);
-        assert!(resp.body.is_streamed(), "tile bodies stream");
+        assert!(matches!(resp.body, Body::Streamed(_)), "tile bodies stream");
         let tile: ee_raster::Raster<f32> = ee_raster::codec::decode(&body_of(resp)).unwrap();
         assert_eq!(tile.shape(), (32, 32));
         // Edge tile is clipped, deep level is small, out of range 404s.
@@ -1299,7 +1304,7 @@ mod tests {
             "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{sparql}",
             sparql.len()
         );
-        let req = read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+        let req = parse(&raw);
         let resp = ready(dispatch(state(), &req, far_deadline(), false));
         assert_eq!(resp.status, 200);
         let body = body_of(resp);
@@ -1307,10 +1312,10 @@ mod tests {
         assert!(v.get("count").and_then(Json::as_f64).unwrap() >= 1.0);
         // Malformed SPARQL and empty bodies are 400, not 500.
         let raw = "POST /query HTTP/1.1\r\ncontent-length: 8\r\n\r\nnonsense";
-        let req = read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+        let req = parse(raw);
         assert_eq!(ready(dispatch(state(), &req, far_deadline(), false)).status, 400);
         let raw = "POST /query HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
-        let req = read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+        let req = parse(raw);
         assert_eq!(ready(dispatch(state(), &req, far_deadline(), false)).status, 400);
     }
 
@@ -1333,7 +1338,7 @@ mod tests {
             "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
         );
-        let req = read_request(&mut BufReader::new(raw.as_bytes())).unwrap();
+        let req = parse(&raw);
         let via_post = ready(dispatch(&s, &req, far_deadline(), false));
         assert_eq!(via_post.status, 200);
         assert_eq!(body_of(via_get), body_of(via_post), "same answer both verbs");

@@ -1,7 +1,5 @@
-//! The server: two interchangeable connection architectures over one
-//! shared request-resolution core.
-//!
-//! **Event-driven (default, [`ServerKind::Event`])** — the C10K tier:
+//! The server: the C10K tier — poll-driven event-loop shards in front of
+//! a worker pool.
 //!
 //! ```text
 //!   acceptor ──► shard inboxes ──► N event-loop shards (poll(2))
@@ -35,81 +33,53 @@
 //! it — each shedding with a graceful 503 + `Retry-After`. Idle
 //! keep-alive connections and stuck partial request heads (slow loris)
 //! are reaped on timers.
-//!
-//! **Thread-per-connection ([`ServerKind::Threaded`])** — the
-//! pre-event-loop architecture, kept as the E-c8 baseline: acceptor →
-//! bounded `VecDeque<Conn>` → fixed workers, each owning a blocking
-//! connection end-to-end. It saturates at `workers` concurrent
-//! connections by construction.
-//!
-//! Both paths answer requests through the same core — [`lookup`] builds
-//! every cache-hit response, [`resolve_miss`] everything else, and
-//! [`resolve`] chains the two for the threaded path — and serialise with
-//! the same [`Response::write_head`] / [`frame_chunk`] helpers, so their
-//! wire bytes are identical by construction (and asserted in
-//! `tests/event.rs`).
 
 use crate::cache::{CachedBody, ShardedLru};
 use crate::http::{
-    frame_chunk, read_request, Body, BodyStream, HttpError, Request, RequestParser, Response,
-    SendBuf, CHUNK_TERMINATOR,
+    frame_chunk, Body, BodyStream, HttpError, Request, RequestParser, Response, SendBuf,
+    CHUNK_TERMINATOR,
 };
 use crate::metrics::{Metrics, Route, ROUTES};
 use crate::router::{cache_key, classify, dispatch, Outcome};
 use crate::state::AppState;
 use ee_util::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use std::collections::VecDeque;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Connection architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerKind {
-    /// Nonblocking sockets on poll-based event-loop shards; connections
-    /// are state machines, heavy work runs on the worker pool.
-    Event,
-    /// Thread-per-connection over the fixed worker pool (the pre-C10K
-    /// architecture, kept as the measured baseline).
-    Threaded,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Connection architecture (event-driven by default).
-    pub kind: ServerKind,
-    /// Worker threads. Event mode: the pool running route work and body
-    /// chunk production. Threaded mode: connection-serving threads.
+    /// Worker threads: the pool running route work and body chunk
+    /// production.
     pub workers: usize,
-    /// Event-loop shards (event mode only), each owning a poll set.
+    /// Event-loop shards, each owning a poll set.
     pub event_shards: usize,
-    /// Hard cap on concurrently open connections (event mode); accepts
-    /// beyond it are answered 503 and closed.
+    /// Hard cap on concurrently open connections; accepts beyond it are
+    /// answered 503 and closed.
     pub max_connections: usize,
-    /// Admission watermark. Threaded: accepts are 503-rejected while the
-    /// connection queue holds this many. Event: requests bound for the
-    /// worker pool are 503-shed while this many jobs await a worker
-    /// (cache hits never queue, so they are never shed here).
+    /// Admission watermark: requests bound for the worker pool are
+    /// 503-shed while this many jobs await a worker (cache hits never
+    /// queue, so they are never shed here).
     pub queue_watermark: usize,
-    /// Default per-route in-flight request quota (event mode); a route
-    /// at its quota sheds further requests with 503 without costing the
-    /// connection.
+    /// Default per-route in-flight request quota; a route at its quota
+    /// sheds further requests with 503 without costing the connection.
     pub route_quota: usize,
     /// Per-route overrides of [`route_quota`](ServerConfig::route_quota).
     pub route_quota_overrides: Vec<(Route, usize)>,
-    /// Per-request deadline (first request: measured from admission, so
-    /// queue wait counts; later keep-alive requests: from read).
+    /// Per-request deadline, counted from when the request's bytes
+    /// start arriving; also the read budget for a partial request.
     pub deadline: Duration,
     /// Idle timeout for keep-alive connections.
     pub idle_timeout: Duration,
     /// Requests served on one connection before it is recycled.
     pub max_requests_per_conn: usize,
-    /// HTTP/1.1 pipelining depth cap (event mode): consecutive requests
+    /// HTTP/1.1 pipelining depth cap: consecutive requests
     /// dispatched while more request bytes sit buffered behind them.
     /// A client streaming requests faster than it drains responses is
     /// answered 503 and closed once it exceeds this depth (counted in
@@ -128,9 +98,6 @@ pub struct ServerConfig {
     pub cache_max_body_bytes: usize,
     /// `Retry-After` seconds advertised on 503.
     pub retry_after_secs: u64,
-    /// Per-write socket timeout (threaded mode; also used for the
-    /// blocking 503 writes at accept time in both modes).
-    pub write_timeout: Duration,
     /// Enable `/debug/*` routes (tests and experiments only).
     pub debug_routes: bool,
 }
@@ -139,7 +106,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            kind: ServerKind::Event,
             workers: ee_util::par::available_threads().min(8),
             event_shards: ee_util::par::available_threads().clamp(1, 4),
             max_connections: 8_192,
@@ -155,14 +121,13 @@ impl Default for ServerConfig {
             cache_ttl: Duration::from_secs(60),
             cache_max_body_bytes: 256 * 1024,
             retry_after_secs: 1,
-            write_timeout: Duration::from_millis(200),
             debug_routes: false,
         }
     }
 }
 
 impl ServerConfig {
-    /// The in-flight quota for `route` (event mode).
+    /// The in-flight quota for `route`.
     pub fn quota_for(&self, route: Route) -> usize {
         self.route_quota_overrides
             .iter()
@@ -170,13 +135,6 @@ impl ServerConfig {
             .map(|(_, q)| *q)
             .unwrap_or(self.route_quota)
     }
-}
-
-/// An admitted connection waiting for (or being served by) a worker
-/// (threaded mode).
-struct Conn {
-    stream: TcpStream,
-    admitted: Instant,
 }
 
 /// A connection's identity across the shard/worker boundary: slab slot
@@ -196,7 +154,7 @@ struct StreamCtx {
     first_chunk: bool,
 }
 
-/// Work for the event-mode worker pool.
+/// Work for the worker pool.
 enum Job {
     /// Resolve a request the shard's cache lookup did not answer into
     /// response bytes.
@@ -254,10 +212,6 @@ struct Shared {
     state: Arc<AppState>,
     metrics: Metrics,
     cache: ShardedLru,
-    // Threaded-mode connection queue.
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
-    // Event-mode job queue and shard mailboxes.
     jobs: Mutex<VecDeque<Job>>,
     jobs_cv: Condvar,
     shards: Vec<ShardHandle>,
@@ -331,7 +285,6 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a dummy connection.
         let _ = TcpStream::connect(self.addr);
-        self.shared.queue_cv.notify_all();
         self.shared.jobs_cv.notify_all();
         for s in &self.shared.shards {
             s.waker.wake();
@@ -339,8 +292,7 @@ impl ServerHandle {
         for t in self.threads {
             let _ = t.join();
         }
-        // Close anything still queued.
-        self.shared.queue.lock().expect("queue poisoned").clear();
+        // Drop anything still queued.
         self.shared.jobs.lock().expect("jobs poisoned").clear();
     }
 }
@@ -349,21 +301,14 @@ impl ServerHandle {
 pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let kind = config.kind;
-    if kind == ServerKind::Event {
-        // Two fds per loopback connection (plus listener, pipes, data
-        // files): make sure the fleet fits.
-        let _ = ee_util::poll::raise_nofile_limit(config.max_connections as u64 * 2 + 512);
-    }
+    // Two fds per loopback connection (plus listener, pipes, data
+    // files): make sure the fleet fits.
+    let _ = ee_util::poll::raise_nofile_limit(config.max_connections as u64 * 2 + 512);
 
     // Shard mailboxes (and their wake pipes) exist before the Shared so
     // workers can address them; the pipes themselves move into the shard
     // threads below.
-    let shard_count = if kind == ServerKind::Event {
-        config.event_shards.max(1)
-    } else {
-        0
-    };
+    let shard_count = config.event_shards.max(1);
     let mut pipes = Vec::with_capacity(shard_count);
     let mut handles = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
@@ -385,8 +330,6 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         ),
         metrics: Metrics::new(),
         state,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
         jobs: Mutex::new(VecDeque::new()),
         jobs_cv: Condvar::new(),
         shards: handles,
@@ -401,10 +344,7 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         threads.push(
             std::thread::Builder::new()
                 .name("ee-serve-accept".into())
-                .spawn(move || match kind {
-                    ServerKind::Event => event_accept_loop(&listener, &shared),
-                    ServerKind::Threaded => accept_loop(&listener, &shared),
-                })?,
+                .spawn(move || accept_loop(&listener, &shared))?,
         );
     }
     for (i, pipe) in pipes.into_iter().enumerate() {
@@ -420,10 +360,7 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ee-serve-worker-{w}"))
-                .spawn(move || match kind {
-                    ServerKind::Event => event_worker_loop(&shared),
-                    ServerKind::Threaded => worker_loop(&shared),
-                })?,
+                .spawn(move || worker_loop(&shared))?,
         );
     }
     Ok(ServerHandle {
@@ -442,11 +379,15 @@ fn accept_backoff(e: &std::io::Error) -> Duration {
     }
 }
 
-/// Answer a just-accepted connection 503 and close it (used by both
-/// architectures for accept-time shedding).
+/// How long the acceptor may block writing an accept-time 503.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// Answer a just-accepted connection 503 and close it (accept-time
+/// shedding; the acceptor writes it blocking, bounded by
+/// [`SHED_WRITE_TIMEOUT`]).
 fn shed_at_accept(shared: &Shared, stream: TcpStream, msg: &str) {
     shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let mut resp = Response::error(503, msg)
         .with_header("retry-after", shared.config.retry_after_secs.to_string());
     let mut s = stream;
@@ -454,182 +395,16 @@ fn shed_at_accept(shared: &Shared, stream: TcpStream, msg: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Threaded architecture (baseline)
+// Request resolution
 // ---------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // fd exhaustion (or a transient error): back off instead
-                // of spinning on a hot failing accept.
-                shared.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(accept_backoff(&e));
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let depth = {
-            let q = shared.queue.lock().expect("queue poisoned");
-            q.len()
-        };
-        if depth >= shared.config.queue_watermark {
-            // Overload: shed in O(1) with an explicit retry hint.
-            shed_at_accept(shared, stream, "admission queue full");
-            continue;
-        }
-        shared.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        let mut q = shared.queue.lock().expect("queue poisoned");
-        q.push_back(Conn {
-            stream,
-            admitted: Instant::now(),
-        });
-        shared.metrics.set_queue_depth(q.len() as u64);
-        drop(q);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(c) = q.pop_front() {
-                    shared.metrics.set_queue_depth(q.len() as u64);
-                    break c;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                q = guard;
-            }
-        };
-        serve_connection(shared, conn);
-    }
-}
-
-/// Serve one admitted connection to completion (close, error, idle
-/// timeout, or request budget).
-fn serve_connection(shared: &Shared, conn: Conn) {
-    let Conn { stream, admitted } = conn;
-    let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // The first request's deadline starts at admission: time spent in the
-    // accept queue counts against it.
-    let mut deadline = admitted + shared.config.deadline;
-    for served in 0..shared.config.max_requests_per_conn {
-        if served > 0 {
-            deadline = Instant::now() + shared.config.deadline;
-        }
-        let req = match read_request(&mut reader) {
-            Ok(r) => r,
-            Err(HttpError::ConnectionClosed) | Err(HttpError::IdleTimeout) => return,
-            Err(HttpError::Io(_)) => return,
-            Err(HttpError::BodyTooLarge(_)) => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = Response::error(413, "body too large").write_to(&mut writer, false);
-                return;
-            }
-            Err(HttpError::Malformed(m)) => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = Response::error(400, &m).write_to(&mut writer, false);
-                return;
-            }
-        };
-        let keep_alive = req.wants_keep_alive() && served + 1 < shared.config.max_requests_per_conn;
-
-        let Resolved {
-            mut response,
-            route,
-            t0,
-            mut stream_tee,
-        } = resolve(shared, &req, deadline);
-
-        // The observer runs once per body chunk *before* it hits the wire:
-        // it records time-to-first-byte and bytes sent, tees cacheable
-        // streamed bodies, and re-checks the deadline between chunks (a
-        // `false` return aborts only streamed bodies — full bodies keep
-        // their pre-dispatch 504 semantics).
-        let streamed = response.body.is_streamed();
-        let max_tee = shared.cache.max_entry_bytes();
-        let mut first_chunk = true;
-        let write_res = response.write_to_observed(&mut writer, keep_alive, |chunk| {
-            if first_chunk {
-                first_chunk = false;
-                shared.metrics.record_ttfb(route, elapsed_us(t0));
-            }
-            shared.metrics.add_bytes_sent(chunk.len() as u64);
-            if let Some(tee) = stream_tee.as_mut() {
-                tee.absorb(chunk, max_tee, &shared.metrics);
-            }
-            !streamed || Instant::now() < deadline
-        });
-        if write_res.is_err() {
-            if streamed && Instant::now() >= deadline {
-                shared
-                    .metrics
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // A truncated chunked body poisons the connection; close it.
-            return;
-        }
-        if let Some(tee) = stream_tee.take() {
-            tee.insert_if_complete(&shared.cache);
-        }
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared request resolution
-// ---------------------------------------------------------------------
-
-/// Everything both architectures need to transmit a resolved request:
-/// the response itself, its route and start time (TTFB accounting), and
-/// the pending cache tee for cacheable streamed misses.
+/// A resolved miss: the response itself, its route and start time (TTFB
+/// accounting), and the pending cache tee for cacheable streamed misses.
 struct Resolved {
     response: Response,
     route: Route,
     t0: Instant,
     stream_tee: Option<StreamTee>,
-}
-
-/// Answer one parsed request: the response-cache [`lookup`], then
-/// [`resolve_miss`] if it found nothing. The threaded path calls this
-/// (followed by a blocking observed write); event shards run the two
-/// halves apart — the lookup inline, a miss on a worker.
-fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
-    let route = classify(&req.path);
-    let t0 = Instant::now();
-    match lookup(shared, req, route, deadline, t0) {
-        Some(response) => Resolved {
-            response,
-            route,
-            t0,
-            stream_tee: None,
-        },
-        None => resolve_miss(shared, req, route, deadline, t0),
-    }
 }
 
 /// Answer a request without the engines, if it can be: a replayed
@@ -639,9 +414,8 @@ fn resolve(shared: &Shared, req: &Request, deadline: Instant) -> Resolved {
 /// exchange ran). Records the route latency when it answers; `None`
 /// means an uncacheable route or a cache miss, for [`resolve_miss`].
 ///
-/// The only place hit responses are made, for both server kinds. It
-/// probes the cache at most once per request and shares the entry's
-/// body instead of copying it.
+/// The only place hit responses are made. It probes the cache at most
+/// once per request and shares the entry's body instead of copying it.
 fn lookup(
     shared: &Shared,
     req: &Request,
@@ -690,8 +464,8 @@ fn resolve_miss(
     t0: Instant,
 ) -> Resolved {
     // When a cacheable miss returns a *streamed* body there is nothing
-    // to store up front; the write path tees the chunks into this buffer
-    // and the entry is inserted only after the body completes.
+    // to store up front; the chunk producer tees the chunks into this
+    // buffer and the entry is inserted only after the body completes.
     let mut stream_tee: Option<StreamTee> = None;
 
     let mut response = if Instant::now() >= deadline {
@@ -723,7 +497,7 @@ fn resolve_miss(
                 if resp.status == 200 {
                     if let Some(k) = key {
                         // Full bodies can be cached before the write;
-                        // streamed ones are teed during it (headers
+                        // streamed ones are teed as produced (headers
                         // snapshotted *before* the x-cache marker so
                         // replays re-mark).
                         if let Some(full) = resp.body.as_full() {
@@ -822,7 +596,7 @@ fn elapsed_us(t0: Instant) -> u64 {
 }
 
 /// Pending cache insert for a streamed cacheable miss: metadata captured
-/// at dispatch time plus the chunk bytes accumulated during the write.
+/// at dispatch time plus the chunk bytes accumulated as they are produced.
 /// `overflowed` flips once the body exceeds the cache's per-entry cap;
 /// the buffer is dropped and the entry never inserted.
 struct StreamTee {
@@ -873,7 +647,7 @@ impl StreamTee {
 }
 
 // ---------------------------------------------------------------------
-// Event-driven architecture
+// Event loop
 // ---------------------------------------------------------------------
 
 /// Target size of one framed chunk batch a worker produces per
@@ -891,7 +665,7 @@ const READ_QUANTUM: usize = 64 * 1024;
 /// How often the shard sweeps for idle / stuck-head connections.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
-fn event_accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     let mut next_shard = 0usize;
     loop {
         let stream = match listener.accept() {
@@ -929,7 +703,7 @@ fn event_accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-fn event_worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut q = shared.jobs.lock().expect("jobs poisoned");
@@ -1023,9 +797,9 @@ fn run_miss(
 }
 
 /// Pull body chunks until the batch budget fills, the stream ends, or
-/// the deadline expires — the event-mode equivalent of the threaded
-/// path's per-chunk write observer (TTFB, bytes-sent, cache tee, and
-/// deadline-between-chunks abort semantics are identical).
+/// the deadline expires. Records TTFB and bytes sent, tees cacheable
+/// bodies, and aborts between chunks once the deadline passes (the peer
+/// sees a truncated chunked body, never a stalled worker).
 fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) {
     let mut out = Vec::new();
     let max_tee = shared.cache.max_entry_bytes();
@@ -1438,10 +1212,10 @@ impl<'a> Shard<'a> {
                     let (status, msg) = match e {
                         HttpError::BodyTooLarge(_) => (413, "body too large".to_string()),
                         HttpError::Malformed(m) => (400, m),
-                        // The incremental parser never reports these.
-                        HttpError::ConnectionClosed
-                        | HttpError::IdleTimeout
-                        | HttpError::Io(_) => (400, "bad request".to_string()),
+                        // The request parser never reports these.
+                        HttpError::ConnectionClosed | HttpError::Io(_) => {
+                            (400, "bad request".to_string())
+                        }
                     };
                     let bytes = serialize_error(status, &msg, false, None);
                     conn.send.push(&bytes);
@@ -1650,8 +1424,8 @@ fn raw_fd(stream: &TcpStream) -> i32 {
 #[cfg(test)]
 mod tests {
     // The server is exercised end-to-end over real sockets in
-    // `tests/server.rs` (both kinds) and `tests/event.rs` (event-loop
-    // specifics); unit tests here stay within module seams.
+    // `tests/server.rs` and `tests/event.rs`; unit tests here stay
+    // within module seams.
     use super::*;
 
     #[test]
@@ -1661,7 +1435,6 @@ mod tests {
         assert!(c.queue_watermark > 0);
         assert!(c.deadline > Duration::ZERO);
         assert!(c.cache_shards > 0);
-        assert_eq!(c.kind, ServerKind::Event);
         assert!(c.event_shards >= 1);
         assert!(c.max_connections > 0);
         assert!(c.route_quota > 0);

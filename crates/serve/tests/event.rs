@@ -1,15 +1,16 @@
 //! End-to-end tests of the event-driven serve tier over real localhost
-//! sockets: behaviours the thread-per-connection suites can't exercise
-//! — idle-connection reaping, slow-loris partial heads, per-route
-//! quotas, the max-connections cap, mid-stream client disconnects under
-//! the event loop, cache hits answered on the shard past a saturated
-//! worker pool — plus the byte-identity contract between the two
-//! architectures and an open-loop fleet smoke.
+//! sockets: idle-connection reaping, slow-loris partial heads, refused
+//! request framings, per-route quotas, the max-connections cap,
+//! mid-stream client disconnects under the event loop, cache hits
+//! answered on the shard past a saturated worker pool — plus wire
+//! responses checked against the router's own answers and an open-loop
+//! fleet smoke.
 
-use ee_serve::http::read_response;
+use ee_serve::http::{read_response, ClientResponse, RequestParser};
 use ee_serve::loadgen::{run_open_loop, OpenLoopPlan};
 use ee_serve::metrics::Route;
-use ee_serve::{start, AppState, DataConfig, ServerConfig, ServerKind};
+use ee_serve::router::{cache_key, dispatch, Outcome};
+use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
@@ -23,7 +24,6 @@ fn state() -> Arc<AppState> {
 
 fn event_config() -> ServerConfig {
     ServerConfig {
-        kind: ServerKind::Event,
         workers: 2,
         event_shards: 2,
         queue_watermark: 16,
@@ -46,7 +46,7 @@ fn send(
     reader: &mut BufReader<TcpStream>,
     target: &str,
     keep_alive: bool,
-) -> ee_serve::http::ClientResponse {
+) -> ClientResponse {
     send_with(stream, reader, target, keep_alive, "")
 }
 
@@ -57,7 +57,7 @@ fn send_with(
     target: &str,
     keep_alive: bool,
     extra: &str,
-) -> ee_serve::http::ClientResponse {
+) -> ClientResponse {
     let conn = if keep_alive { "keep-alive" } else { "close" };
     let _ = write!(
         stream,
@@ -124,6 +124,27 @@ fn slow_loris_partial_heads_get_408_and_close() {
     // The connection is closed after the 408.
     let mut probe = [0u8; 16];
     assert_eq!(s.read(&mut probe).unwrap_or(0), 0);
+    server.shutdown();
+}
+
+#[test]
+fn chunked_request_bodies_get_one_400_and_close() {
+    let server = start(event_config(), state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
+    // Were Transfer-Encoding ignored, this would dispatch with an empty
+    // body and parse the chunk bytes as a second, pipelined request.
+    s.write_all(
+        b"POST /query HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\n\r\n\
+          22\r\nGET /healthz HTTP/1.1\r\nhost: t\r\n\r\n\r\n0\r\n\r\n",
+    )
+    .unwrap();
+    s.flush().unwrap();
+    let resp = read_response(&mut r).expect("400 response");
+    assert_eq!(resp.status, 400);
+    assert!(!resp.keep_alive);
+    let mut rest = Vec::new();
+    r.read_to_end(&mut rest).expect("clean EOF");
+    assert!(rest.is_empty(), "no second response: {rest:?}");
     server.shutdown();
 }
 
@@ -266,8 +287,28 @@ fn max_connections_cap_sheds_at_accept() {
     server.shutdown();
 }
 
+/// What the server should send for `target` on a cache miss: the
+/// router's own response on the same state, marked `x-cache: MISS` when
+/// the route is cacheable, written to the wire and read back.
+fn oracle(target: &str) -> ClientResponse {
+    let state = state();
+    let mut parser = RequestParser::new();
+    parser.feed(format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes());
+    let req = parser.poll_request().unwrap().expect("complete request");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let Outcome::Ready(mut resp) = dispatch(&state, &req, deadline, true) else {
+        panic!("{target}: oracle missed its deadline");
+    };
+    if cache_key(&req, state.head_commit(), state.search_generation()).is_some() {
+        resp.headers.push(("x-cache".into(), "MISS".into()));
+    }
+    let mut wire = Vec::new();
+    resp.write_to(&mut wire, true).unwrap();
+    read_response(&mut wire.as_slice()).expect("oracle response")
+}
+
 #[test]
-fn event_and_threaded_serve_byte_identical_responses() {
+fn event_server_answers_match_the_dispatch_oracle() {
     // /healthz is excluded: its body embeds a live uptime value.
     let targets = [
         "/query?x=12&y=34",
@@ -279,65 +320,55 @@ fn event_and_threaded_serve_byte_identical_responses() {
         // Streamed chunked bodies, including a deterministic debug one.
         "/debug/stream?chunks=9&bytes=1000&ms=0",
     ];
-    let event = start(event_config(), state()).expect("start event");
-    let threaded = start(
-        ServerConfig {
-            kind: ServerKind::Threaded,
-            ..event_config()
-        },
-        state(),
-    )
-    .expect("start threaded");
-
-    let (mut es, mut er) = connect(event.addr);
-    let (mut ts, mut tr) = connect(threaded.addr);
+    let server = start(event_config(), state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
     let mut hits = 0;
     let mut not_modified = 0;
     for target in targets {
-        let a = send(&mut es, &mut er, target, true);
-        let b = send(&mut ts, &mut tr, target, true);
-        assert_eq!(a.status, b.status, "{target}: status");
-        assert_eq!(a.body, b.body, "{target}: body bytes");
-        // Headers agree apart from cache markers (each server has its
-        // own cache; both should be MISS here, but don't couple to it).
-        assert_eq!(
-            a.header("content-type"),
-            b.header("content-type"),
-            "{target}: content type"
-        );
-        assert_eq!(
-            a.header("transfer-encoding"),
-            b.header("transfer-encoding"),
-            "{target}: framing"
-        );
+        let want = oracle(target);
+        let miss = send(&mut s, &mut r, target, true);
+        assert_eq!(miss.status, want.status, "{target}: status");
+        assert_eq!(miss.headers, want.headers, "{target}: headers");
+        assert_eq!(miss.body, want.body, "{target}: body bytes");
 
-        // Repeat (a cache HIT, answered on the event shard) and
-        // revalidate (a 304 where the response carries an ETag): both
-        // servers' wire responses must agree header for header.
-        let inm = format!(
-            "if-none-match: {}\r\n",
-            a.header("etag").unwrap_or("\"none\"")
-        );
-        for extra in ["", inm.as_str()] {
-            let a2 = send_with(&mut es, &mut er, target, true, extra);
-            let b2 = send_with(&mut ts, &mut tr, target, true, extra);
-            assert_eq!(a2.status, b2.status, "{target} {extra:?}: status");
-            assert_eq!(a2.body, b2.body, "{target} {extra:?}: body bytes");
-            assert_eq!(a2.headers, b2.headers, "{target} {extra:?}: headers");
-            if a.header("x-cache") == Some("MISS") {
-                assert_eq!(a2.header("x-cache"), Some("HIT"), "{target} {extra:?}");
-                hits += 1;
-            }
-            if a2.status == 304 {
-                assert!(a2.body.is_empty(), "{target}: 304 has no body");
-                not_modified += 1;
-            }
+        // The repeat replays the cache entry on the shard: the miss's
+        // headers with the marker flipped, and sized framing in place of
+        // chunked. An uncacheable route answers the same miss again.
+        let cached = miss.header("x-cache") == Some("MISS");
+        let want_repeat: Vec<(String, String)> = miss
+            .headers
+            .iter()
+            .map(|(n, v)| match n.as_str() {
+                "x-cache" => (n.clone(), "HIT".to_string()),
+                "transfer-encoding" if cached => {
+                    ("content-length".to_string(), miss.body.len().to_string())
+                }
+                _ => (n.clone(), v.clone()),
+            })
+            .collect();
+        let repeat = send(&mut s, &mut r, target, true);
+        assert_eq!(repeat.status, miss.status, "{target}: repeat status");
+        assert_eq!(repeat.headers, want_repeat, "{target}: repeat headers");
+        assert_eq!(repeat.body, miss.body, "{target}: repeat body");
+        hits += usize::from(cached);
+
+        // Revalidating the ETag elides the body.
+        if let Some(etag) = miss.header("etag") {
+            let inm = format!("if-none-match: {etag}\r\n");
+            let revalidated = send_with(&mut s, &mut r, target, true, &inm);
+            assert_eq!(revalidated.status, 304, "{target}: revalidated");
+            assert!(revalidated.body.is_empty(), "{target}: 304 has no body");
+            assert_eq!(
+                revalidated.header("x-cache"),
+                miss.header("x-cache").map(|_| "HIT")
+            );
+            hits += usize::from(cached);
+            not_modified += 1;
         }
     }
     assert!(hits >= 10, "repeats replayed from the cache ({hits})");
     assert!(not_modified >= 4, "revalidations elided ({not_modified})");
-    event.shutdown();
-    threaded.shutdown();
+    server.shutdown();
 }
 
 #[test]

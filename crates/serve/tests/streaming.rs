@@ -201,7 +201,6 @@ fn all_features_target() -> String {
 #[test]
 fn slow_reader_draining_bytes_at_a_time_gets_identical_rows() {
     let mut config = test_config();
-    config.write_timeout = Duration::from_secs(30);
     config.deadline = Duration::from_secs(30);
     let server = start(config, many_rows_state()).expect("start");
 

@@ -1,17 +1,19 @@
-//! An incremental HTTP/1.1 **response** decoder for nonblocking client
-//! sockets.
+//! An incremental HTTP/1.1 **response** decoder — the workspace's only
+//! one.
 //!
-//! Grown out of the open-loop loadgen's private decoder and promoted
-//! here so the serve tier's router can reuse it: the scatter-gather
-//! shard-client pool drives many upstream sockets from one poll loop and
-//! needs exactly this shape — feed bytes as they arrive, learn when a
-//! full message (content-length or chunked framing) is present, then
-//! extract the de-chunked body.
+//! Nonblocking clients (the open-loop loadgen, the serve tier's
+//! scatter-gather shard pool, the federation client) feed it bytes as
+//! they arrive and learn when a full message (content-length or chunked
+//! framing) is present, then extract the de-chunked body;
+//! `ee_serve::http::read_response` drives the same decoder from a
+//! blocking reader.
 //!
-//! The decoder accumulates the raw wire bytes and walks the chunk
-//! framing from the head on each poll; bodies on the paths that use it
-//! are small (JSON results, tiles), so the rescan is noise compared to
-//! the syscalls around it.
+//! Each [`feed`](ResponseDecoder::feed) resumes where the previous one
+//! stopped — the head search a few bytes before the new data, the chunk
+//! walk at the first chunk not yet walked — so decoding a message costs
+//! time linear in its size however it is split.
+
+use std::ops::Range;
 
 /// A malformed response: bad status line, unparsable framing headers, or
 /// broken chunk framing.
@@ -28,94 +30,126 @@ impl std::error::Error for BadResponse {}
 
 /// Incremental HTTP/1.1 response decoder: feed bytes as they arrive,
 /// get `Some(status)` once the full message is present.
+#[derive(Default)]
 pub struct ResponseDecoder {
     buf: Vec<u8>,
+    /// One past the blank line ending the head; 0 until it arrives.
     head_end: usize,
     status: u16,
     chunked: bool,
     content_length: usize,
     headers: Vec<(String, String)>,
-    complete: bool,
+    /// Chunked framing: where the next unwalked chunk-size line starts.
+    walk: usize,
+    /// Chunked framing: the data of every chunk walked so far.
+    chunks: Vec<Range<usize>>,
+    /// One past the message's last byte; 0 until it is complete.
+    end: usize,
+}
+
+/// Offset of the first `needle` in `hay`.
+fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len()).position(|w| w == needle)
 }
 
 impl ResponseDecoder {
     /// A decoder at the start of a message.
     pub fn new() -> ResponseDecoder {
-        ResponseDecoder {
-            buf: Vec::new(),
-            head_end: 0,
-            status: 0,
-            chunked: false,
-            content_length: 0,
-            headers: Vec::new(),
-            complete: false,
-        }
+        ResponseDecoder::default()
     }
 
     /// Append bytes; `Ok(Some(status))` when the response is complete,
-    /// `Err` on malformed framing.
+    /// `Err` on malformed framing. Bytes fed past the end of the message
+    /// are kept aside (see [`excess`](Self::excess)), never decoded.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Option<u16>, BadResponse> {
+        let searched = self.buf.len();
         self.buf.extend_from_slice(bytes);
+        if self.end > 0 {
+            return Ok(Some(self.status));
+        }
         if self.head_end == 0 {
-            let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+            // The blank line may straddle the previous feed.
+            let from = searched.saturating_sub(3);
+            let Some(pos) = find(&self.buf[from..], b"\r\n\r\n") else {
                 return Ok(None);
             };
-            self.head_end = pos + 4;
-            let head = std::str::from_utf8(&self.buf[..pos])
-                .map_err(|_| BadResponse("head is not UTF-8".into()))?;
-            let mut lines = head.split("\r\n");
-            let status_line = lines.next().ok_or_else(|| BadResponse("empty head".into()))?;
-            self.status = status_line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| BadResponse(format!("bad status line {status_line:?}")))?;
-            for line in lines {
-                let Some((name, value)) = line.split_once(':') else {
-                    continue;
-                };
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim();
-                if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                    self.chunked = true;
-                } else if name == "content-length" {
-                    self.content_length = value
-                        .parse()
-                        .map_err(|_| BadResponse(format!("bad content-length {value:?}")))?;
-                }
-                self.headers.push((name, value.to_string()));
-            }
+            self.parse_head(from + pos)?;
         }
-        if !self.chunked {
-            if self.buf.len() >= self.head_end + self.content_length {
-                self.complete = true;
-                return Ok(Some(self.status));
-            }
-            return Ok(None);
+        if self.chunked {
+            self.walk_chunks()?;
+        } else if self.buf.len() >= self.head_end + self.content_length {
+            self.end = self.head_end + self.content_length;
         }
-        // Walk the chunk framing from the head each time; bodies on the
-        // paths that use this decoder are small, so the rescan is noise.
-        let mut at = self.head_end;
+        Ok((self.end > 0).then_some(self.status))
+    }
+
+    /// Parse the status line and headers in `buf[..pos]`.
+    fn parse_head(&mut self, pos: usize) -> Result<(), BadResponse> {
+        let head = std::str::from_utf8(&self.buf[..pos])
+            .map_err(|_| BadResponse("head is not UTF-8".into()))?;
+        let mut lines = head.split("\r\n");
+        let status_line = lines.next().unwrap_or_default();
+        self.status = status_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| BadResponse(format!("bad status line {status_line:?}")))?;
+        for line in lines {
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            let name = name.trim().to_ascii_lowercase();
+            let value = value.trim();
+            if name == "transfer-encoding" && value.to_ascii_lowercase().contains("chunked") {
+                self.chunked = true;
+            } else if name == "content-length" {
+                self.content_length = value
+                    .parse()
+                    .map_err(|_| BadResponse(format!("bad content-length {value:?}")))?;
+            }
+            self.headers.push((name, value.to_string()));
+        }
+        self.head_end = pos + 4;
+        self.walk = self.head_end;
+        Ok(())
+    }
+
+    /// Walk every chunk that has fully arrived since the last call,
+    /// setting `end` at the last chunk.
+    fn walk_chunks(&mut self) -> Result<(), BadResponse> {
         loop {
-            let Some(nl) = self.buf[at..].windows(2).position(|w| w == b"\r\n") else {
-                return Ok(None);
+            let Some(nl) = find(&self.buf[self.walk..], b"\r\n") else {
+                return Ok(());
             };
-            let size_line = std::str::from_utf8(&self.buf[at..at + nl])
+            let size_line = std::str::from_utf8(&self.buf[self.walk..self.walk + nl])
                 .map_err(|_| BadResponse("chunk size is not UTF-8".into()))?;
             // Ignore chunk extensions (";…") per RFC 9112 §7.1.1.
             let size_hex = size_line.split(';').next().unwrap_or("").trim();
             let size = usize::from_str_radix(size_hex, 16)
                 .map_err(|_| BadResponse(format!("bad chunk size {size_line:?}")))?;
-            let data_start = at + nl + 2;
-            let data_end = data_start + size + 2; // chunk bytes + CRLF
-            if self.buf.len() < data_end {
-                return Ok(None);
+            let data = self.walk + nl + 2;
+            // Chunk data ends in CRLF; so does the last chunk's trailer
+            // section, which must be empty (this tier sends none).
+            let Some(crlf) = data
+                .checked_add(size)
+                .and_then(|at| self.buf.get(at..)?.get(..2))
+            else {
+                return Ok(());
+            };
+            if crlf != b"\r\n" {
+                let what = if size == 0 {
+                    "unexpected trailer"
+                } else {
+                    "chunk not CRLF-terminated"
+                };
+                return Err(BadResponse(what.into()));
             }
             if size == 0 {
-                self.complete = true;
-                return Ok(Some(self.status));
+                self.end = data + 2;
+                return Ok(());
             }
-            at = data_end;
+            self.chunks.push(data..data + size);
+            self.walk = data + size + 2;
         }
     }
 
@@ -124,9 +158,24 @@ impl ResponseDecoder {
         self.status
     }
 
+    /// True once the status line and headers have been parsed.
+    pub fn has_head(&self) -> bool {
+        self.head_end > 0
+    }
+
     /// True once [`feed`](Self::feed) has seen the whole message.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.end > 0
+    }
+
+    /// Bytes fed after the end of a complete message — the start of
+    /// whatever follows it on the connection; `0` while incomplete.
+    pub fn excess(&self) -> usize {
+        if self.end == 0 {
+            0
+        } else {
+            self.buf.len() - self.end
+        }
     }
 
     /// True when any body byte (anything past the head) has arrived —
@@ -162,33 +211,15 @@ impl ResponseDecoder {
     /// bytes with all transfer framing removed; panics if the message is
     /// not complete yet (a state error in the caller, not a wire error).
     pub fn body(&self) -> Vec<u8> {
-        assert!(self.complete, "body() before the response completed");
+        assert!(self.is_complete(), "body() before the response completed");
         if !self.chunked {
-            return self.buf[self.head_end..self.head_end + self.content_length].to_vec();
+            return self.buf[self.head_end..self.end].to_vec();
         }
-        let mut body = Vec::new();
-        let mut at = self.head_end;
-        loop {
-            let nl = self.buf[at..]
-                .windows(2)
-                .position(|w| w == b"\r\n")
-                .expect("complete message walks cleanly");
-            let size_line = std::str::from_utf8(&self.buf[at..at + nl]).expect("checked in feed");
-            let size_hex = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_hex, 16).expect("checked in feed");
-            if size == 0 {
-                return body;
-            }
-            let data_start = at + nl + 2;
-            body.extend_from_slice(&self.buf[data_start..data_start + size]);
-            at = data_start + size + 2;
+        let mut body = Vec::with_capacity(self.chunks.iter().map(Range::len).sum());
+        for chunk in &self.chunks {
+            body.extend_from_slice(&self.buf[chunk.clone()]);
         }
-    }
-}
-
-impl Default for ResponseDecoder {
-    fn default() -> Self {
-        Self::new()
+        body
     }
 }
 
@@ -231,6 +262,24 @@ mod tests {
         let mut dec = ResponseDecoder::new();
         assert_eq!(dec.feed(ext).unwrap(), Some(200));
         assert_eq!(dec.body(), b"hello");
+        // Chunked as the last of several codings is still chunked.
+        let coded =
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: gzip, chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let mut dec = ResponseDecoder::new();
+        assert_eq!(dec.feed(coded).unwrap(), Some(200));
+        assert_eq!(dec.body(), b"abc");
+        // Byte at a time: the walk resumes, and bytes past the message
+        // are left over, not decoded.
+        let mut dec = ResponseDecoder::new();
+        for (i, b) in wire.iter().enumerate() {
+            let done = dec.feed(std::slice::from_ref(b)).unwrap();
+            assert_eq!(done.is_some(), i == wire.len() - 1, "byte {i}");
+        }
+        assert_eq!(dec.body(), b"hellowor");
+        assert_eq!(dec.excess(), 0);
+        assert_eq!(dec.feed(b"HTTP/1.1").unwrap(), Some(200));
+        assert_eq!(dec.excess(), 8);
+        assert_eq!(dec.body(), b"hellowor");
     }
 
     #[test]
@@ -244,6 +293,15 @@ mod tests {
         let mut dec = ResponseDecoder::new();
         assert!(dec
             .feed(b"HTTP/1.1 200 OK\r\ncontent-length: pony\r\n\r\n")
+            .is_err());
+        // Chunk data must end in CRLF, and the trailer section be empty.
+        let mut dec = ResponseDecoder::new();
+        assert!(dec
+            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhelloXX0\r\n\r\n")
+            .is_err());
+        let mut dec = ResponseDecoder::new();
+        assert!(dec
+            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\nx-trailer: 1\r\n\r\n")
             .is_err());
     }
 

@@ -26,6 +26,9 @@ cargo test -q --offline
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "== lint: rustdoc (warnings are errors, e.g. dangling intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p ee-serve -p ee-util
+
 echo "== tier-1: benchmark suite's own tests =="
 # The suite is a package with its own empty [workspace], so the root
 # `cargo test` never reaches its tests. It shares `target` with run.sh.
@@ -83,10 +86,9 @@ grep -q '"bulk_load_triples_per_sec"' BENCH_PR7.json
 grep -q '"with_writer_p99_us"' BENCH_PR7.json
 
 echo "== smoke: harness e-c8 --quick (event-driven C10K serve tier) =="
-# Open-loop keep-alive fleets against the poll-driven event server plus
-# the thread-pool baseline; the in-bench stalled-reader check panics
-# (non-zero exit) if the server buffers a stream instead of applying
-# backpressure.
+# Open-loop keep-alive fleets against the poll-driven event server; the
+# in-bench stalled-reader check panics (non-zero exit) if the server
+# buffers a stream instead of applying backpressure.
 ./target/release/harness e-c8 --quick
 test -s BENCH_PR8.json
 grep -q 'p99' BENCH_PR8.json
