@@ -5,7 +5,7 @@
 //!
 //! * **Cold start** (`E-w7a`): one synthetic triple set loaded three
 //!   ways — [`ee_rdf::storage::Store::bulk_load`] (build plus spatial
-//!   index plus snapshot write, no per-triple WAL records), a cold
+//!   index plus snapshot write, no per-triple commit records), a cold
 //!   N-Triples rebuild (export → parse → re-index, no snapshot), and
 //!   [`ee_rdf::storage::Store::open`] over the snapshot just written.
 //!   Snapshot open skips tokenising and re-sorting, so it should beat
@@ -19,8 +19,8 @@
 //!   commit p50/p99, quantifying what a live write load costs the
 //!   read path (each commit also drops the prepared-plan cache, so the
 //!   contended numbers include replanning).
-//! * **Recovery check**: a seeded commit sequence whose WAL is torn
-//!   mid-final-record and reopened; the recovered triple set must be
+//! * **Recovery check**: a seeded commit sequence whose commit log is
+//!   torn mid-final-record and reopened; the recovered triple set must be
 //!   bit-identical to the last fully-committed generation. A mismatch
 //!   panics (failing the harness run); success is recorded as
 //!   `"recovery_identical": true`, which `scripts/verify.sh` greps.
@@ -196,8 +196,9 @@ fn write_while_serve(scale: Scale) -> WriteWhileServe {
     }
 }
 
-/// In-bench crash-recovery check: commit, tear the final WAL record in
-/// half, reopen, demand the last fully-committed state bit-identical.
+/// In-bench crash-recovery check: commit, tear the final commit-log
+/// record in half, reopen, demand the last fully-committed state
+/// bit-identical.
 /// Panics (→ non-zero harness exit) on any divergence; returning means
 /// the `recovery_identical` flag in the JSON is machine-checked truth.
 fn recovery_check(durability: Durability) -> bool {
@@ -214,18 +215,18 @@ fn recovery_check(durability: Durability) -> bool {
     }
     let committed_gen = store.generation();
     let committed: Vec<(Term, Term, Term)> = triple_set(&store);
-    let wal_keep = store.wal_len();
+    let log_keep = store.log_len();
     store
         .commit(&parse_update("INSERT DATA { <http://e/final> <http://e/p> <http://e/o> }").unwrap())
         .expect("final commit");
-    let wal_full = store.wal_len();
+    let log_full = store.log_len();
     drop(store);
 
     // Tear the final record in half and reopen.
-    let wal_path = dir.join(ee_rdf::storage::wal::WAL_FILE);
-    let bytes = std::fs::read(&wal_path).expect("wal readable");
-    let cut = wal_keep as usize + (wal_full - wal_keep) as usize / 2;
-    std::fs::write(&wal_path, &bytes[..cut]).expect("truncate");
+    let log_path = dir.join(ee_rdf::storage::commitlog::COMMITS_FILE);
+    let bytes = std::fs::read(&log_path).expect("commit log readable");
+    let cut = log_keep as usize + (log_full - log_keep) as usize / 2;
+    std::fs::write(&log_path, &bytes[..cut]).expect("truncate");
     let reopened = Store::open_with(&dir, durability).expect("reopen");
     assert_eq!(
         reopened.generation(),
@@ -265,7 +266,7 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
         "E-w7a — cold start: snapshot open vs N-Triples rebuild",
         format!(
             "{} triples (⅓ WKT geometries). Bulk load = build + spatial index + \
-             snapshot write, no per-triple WAL records. Rebuild = parse the \
+             snapshot write, no per-triple commit records. Rebuild = parse the \
              N-Triples export and re-index (the no-snapshot baseline); snapshot \
              open = decode dictionary blocks + delta-coded triple segments with \
              positional ids, skipping tokenising and re-interning.",

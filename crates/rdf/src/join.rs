@@ -8,7 +8,7 @@
 //! operator stack: each stage pulls bounded chunks of probe rows from the
 //! stage above it ([`PIPELINE_CHUNK_ROWS`] at a time), extends/filters
 //! them, and buffers only the overflow. The first pattern is a
-//! [`SeedScan`] — a resumable index cursor or an incremental slice of the
+//! `SeedScan` — a resumable index cursor or an incremental slice of the
 //! R-tree candidate set — so producing the first n result rows touches
 //! O(n) probe rows, not the whole result set. Build sides (hash tables)
 //! may still materialise; probe sides never do. OPTIONAL groups and

@@ -39,11 +39,11 @@
 //!   aggregation / ordering / materialisation together;
 //! * [`update`] — SPARQL UPDATE evaluation (`INSERT DATA` / `DELETE
 //!   DATA` / `DELETE WHERE`), split into a read-only evaluate step and
-//!   an apply step so the durable store can WAL the delta in between;
+//!   an apply step so the durable store can log the delta in between;
 //! * [`storage`] — durability: a compact checksummed binary snapshot
-//!   format (dictionary blocks + sorted triple segments), a write-ahead
-//!   log with torn-tail recovery, and the [`storage::Store`] wrapper
-//!   that ties them to a monotonic generation counter. A
+//!   format (dictionary blocks + sorted triple segments), a hash-chained
+//!   commit log that is also the write-ahead log (torn-tail recovery),
+//!   and the [`storage::Store`] wrapper that ties them together. A
 //!   [`storage::ShardSpec`] filters bulk loads to one subject-hash
 //!   shard of a partitioned dataset;
 //! * [`merge`] — merge-aware combination of per-shard query results for

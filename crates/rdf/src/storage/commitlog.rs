@@ -1,34 +1,44 @@
-//! The versioned commit log: an immutable, hash-chained history of every
-//! commit the store has ever applied.
+//! The commit log: the store's write-ahead log and its immutable,
+//! hash-chained history of every commit it has ever applied.
 //!
-//! `commits.log` sits beside `wal.log` and reuses the same record framing
-//! ([`super::encode::write_record`]). Each record's payload is
+//! `commits.log` is a sequence of framed records
+//! ([`super::encode::write_record`]), one per commit:
 //!
 //! ```text
-//! [u64 LE parent commit id][WAL commit payload (generation, delete, insert)]
+//! record payload := [u64 LE parent commit id][commit payload]
+//! commit payload := uvarint generation
+//!                   uvarint n_delete, n_delete × (term term term)
+//!                   uvarint n_insert, n_insert × (term term term)
 //! ```
 //!
-//! and a record's **commit id** is `fnv1a(payload)` — the same value the
+//! Commits log **terms, not dictionary ids**: replay re-interns against
+//! whatever dictionary the snapshot produced, so a record written before
+//! a compaction stays meaningful. Deltas are stored delete-first,
+//! matching application order.
+//!
+//! A record's **commit id** is `fnv1a(payload)` — the same value the
 //! framing already stores as the record checksum. Because the parent id is
 //! folded into the payload, ids form a hash chain rooted at
 //! [`ROOT_COMMIT_ID`] (the FNV offset basis, i.e. `fnv1a("")`): a commit id
 //! names not just one delta but the entire history that produced it, which
 //! is what makes it safe to use as an ETag and a cache key upstream.
 //!
-//! Unlike the WAL, the commit log is **never reset by compaction** — the
-//! WAL holds only the deltas since the last snapshot fold, while the
-//! commit log holds the whole history so `AS OF` reads can rewind past
-//! compaction points. Recovery exploits the write order (WAL append →
-//! commit-log append → apply): a torn commit-log tail is truncated and the
-//! missing records are re-derived from the WAL's replayed commits, which
-//! reproduces them bit-identically because the chain hash is
-//! deterministic.
+//! Recovery contract: the store appends (and, with [`Durability::Sync`],
+//! fdatasyncs) a record *before* applying it, and `CommitLog::open`
+//! keeps every complete record that extends the chain — parent id and
+//! generation both one step on — and **truncates** a torn or
+//! chain-breaking tail in place. A crash mid-append therefore leaves the
+//! whole record or nothing. Compaction never touches the log, so
+//! `AS OF` reads can rewind past any snapshot.
 
-use super::encode::{bad_data, fnv1a, write_record, RecordOutcome, RecordReader};
-use super::wal::{decode_commit, encode_commit, Durability, WalCommit};
+use super::encode::{
+    bad_data, fnv1a, get_term, get_uvarint, put_term, put_uvarint, write_record, RecordOutcome,
+    RecordReader,
+};
+use crate::update::GroundTriple;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the commit log inside a store directory.
 pub const COMMITS_FILE: &str = "commits.log";
@@ -37,6 +47,82 @@ pub const COMMITS_FILE: &str = "commits.log";
 /// before any commit. Equal to `fnv1a(&[])`, the FNV-1a offset basis.
 pub const ROOT_COMMIT_ID: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Whether appends fsync before a commit is acknowledged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Durability {
+    /// `fdatasync` every commit record (the default).
+    Sync,
+    /// Skip fsync — test/bench only; a torn tail is still recovered,
+    /// but acknowledged commits may be lost on power failure.
+    NoSync,
+}
+
+impl Durability {
+    /// Resolve the default from `EE_WAL_NO_SYNC` (test-only escape
+    /// hatch; anything non-empty and not `0` disables fsync).
+    pub fn from_env() -> Self {
+        match std::env::var("EE_WAL_NO_SYNC") {
+            Ok(v) if !v.is_empty() && v != "0" => Durability::NoSync,
+            _ => Durability::Sync,
+        }
+    }
+}
+
+/// One logged commit's delta.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalCommit {
+    /// Generation this commit produced.
+    pub generation: u64,
+    /// Triples removed (applied first).
+    pub delete: Vec<GroundTriple>,
+    /// Triples added.
+    pub insert: Vec<GroundTriple>,
+}
+
+fn encode_commit(c: &WalCommit) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    put_uvarint(&mut out, c.generation);
+    put_uvarint(&mut out, c.delete.len() as u64);
+    for (s, p, o) in &c.delete {
+        put_term(&mut out, s);
+        put_term(&mut out, p);
+        put_term(&mut out, o);
+    }
+    put_uvarint(&mut out, c.insert.len() as u64);
+    for (s, p, o) in &c.insert {
+        put_term(&mut out, s);
+        put_term(&mut out, p);
+        put_term(&mut out, o);
+    }
+    out
+}
+
+fn decode_commit(payload: &[u8]) -> io::Result<WalCommit> {
+    let mut pos = 0;
+    let generation = get_uvarint(payload, &mut pos)?;
+    let read_triples = |pos: &mut usize| -> io::Result<Vec<GroundTriple>> {
+        let n = get_uvarint(payload, pos)? as usize;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let s = get_term(payload, pos)?;
+            let p = get_term(payload, pos)?;
+            let o = get_term(payload, pos)?;
+            out.push((s, p, o));
+        }
+        Ok(out)
+    };
+    let delete = read_triples(&mut pos)?;
+    let insert = read_triples(&mut pos)?;
+    if pos != payload.len() {
+        return Err(bad_data("trailing bytes in commit payload"));
+    }
+    Ok(WalCommit {
+        generation,
+        delete,
+        insert,
+    })
+}
+
 /// One immutable entry in the commit history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitRecord {
@@ -44,7 +130,7 @@ pub struct CommitRecord {
     pub id: u64,
     /// The id of the preceding commit ([`ROOT_COMMIT_ID`] for the first).
     pub parent: u64,
-    /// The delta, in the same shape the WAL stores it.
+    /// The delta this commit applied.
     pub commit: WalCommit,
 }
 
@@ -77,153 +163,159 @@ fn decode_record(payload: &[u8]) -> io::Result<CommitRecord> {
 }
 
 /// Derive the commit record a given delta produces on top of `parent`.
-/// Pure and deterministic: the live commit path and crash recovery both
-/// call this, which is why a re-derived record is bit-identical to the
-/// one lost in a torn tail.
-pub fn derive_record(parent: u64, commit: &WalCommit) -> CommitRecord {
-    let payload = encode_record(parent, commit);
+/// Pure and deterministic: durable and ephemeral stores that apply the
+/// same deltas build the same chain of ids.
+pub fn derive_record(parent: u64, commit: WalCommit) -> CommitRecord {
+    let payload = encode_record(parent, &commit);
     CommitRecord {
         id: fnv1a(&payload),
         parent,
-        commit: commit.clone(),
+        commit,
     }
 }
 
 /// An open commit log.
-pub struct CommitLog {
+pub(crate) struct CommitLog {
     file: File,
-    path: PathBuf,
     durability: Durability,
     /// Bytes of clean records currently in the file.
     len: u64,
+    /// Set when a failed append could not be rolled back: the file may
+    /// end in a partial record, so nothing more may be appended to it.
+    poisoned: bool,
+    /// Test-only fault: the next append writes this many bytes of its
+    /// record and then fails (`true` also fails the rollback).
+    #[cfg(test)]
+    pub(crate) fault: Option<(usize, bool)>,
 }
 
 impl CommitLog {
-    /// Open (creating if absent) the commit log in `dir` and reconcile it
-    /// against the WAL-recovered state of the store:
-    ///
-    /// 1. torn or chain-breaking tail records are truncated away;
-    /// 2. records whose generation exceeds `head_generation` (written
-    ///    ahead of a WAL tail that itself tore) are dropped;
-    /// 3. records missing relative to the WAL (crash between WAL append
-    ///    and commit-log append, or a torn commit-log tail) are
-    ///    re-derived from `wal_commits` and appended.
-    ///
-    /// Returns the log handle plus the full reconciled history in commit
-    /// order. If the history has a gap the WAL cannot fill (a missing or
-    /// externally-truncated file on a store that already compacted), the
-    /// stale prefix is discarded and the chain restarts at the earliest
-    /// state the WAL can still reach: time travel then only goes back
-    /// that far, but the store always opens.
+    /// Open (creating if absent) the commit log in `dir`. Returns the log
+    /// handle plus every record in commit order, each with the byte
+    /// offset where it ends. Reading stops at the first torn record or
+    /// the first record that does not extend the chain (wrong parent id,
+    /// or a generation other than its predecessor's + 1); that tail is
+    /// truncated away so appends resume on a clean record boundary.
     pub fn open(
         dir: &Path,
         durability: Durability,
-        wal_commits: &[WalCommit],
-        head_generation: u64,
-    ) -> io::Result<(CommitLog, Vec<CommitRecord>)> {
-        let path = dir.join(COMMITS_FILE);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut records: Vec<CommitRecord> = Vec::new();
-        // End offset of each clean record, so dropping a logical tail
-        // maps back to a byte length.
-        let mut ends: Vec<u64> = Vec::new();
+    ) -> io::Result<(CommitLog, Vec<(CommitRecord, u64)>)> {
+        let file = Self::open_file(dir, false)?;
+        let mut records: Vec<(CommitRecord, u64)> = Vec::new();
         let mut reader = RecordReader::new(BufReader::new(&file));
-        let mut valid_len = loop {
+        let valid_len = loop {
+            let clean = reader.valid_len();
             match reader.next_record()? {
                 RecordOutcome::Record(payload) => {
                     let rec = decode_record(&payload)?;
-                    let expect = records.last().map_or(ROOT_COMMIT_ID, |r| r.id);
-                    if rec.parent != expect {
+                    let (parent, generation) = records
+                        .last()
+                        .map_or((ROOT_COMMIT_ID, 0), |(r, _)| (r.id, r.generation()));
+                    if rec.parent != parent || rec.generation() != generation + 1 {
                         // A record that does not extend the chain is as
                         // good as torn: keep the clean prefix.
-                        break *ends.last().unwrap_or(&0);
+                        break clean;
                     }
-                    records.push(rec);
-                    ends.push(reader.valid_len());
+                    records.push((rec, reader.valid_len()));
                 }
-                RecordOutcome::Eof => break reader.valid_len(),
+                RecordOutcome::Eof => break clean,
                 RecordOutcome::Torn { valid_len } => break valid_len,
             }
         };
-        while records
-            .last()
-            .is_some_and(|r| r.generation() > head_generation)
-        {
-            records.pop();
-            ends.pop();
-            valid_len = *ends.last().unwrap_or(&0);
-        }
-        let mut log = CommitLog {
-            file,
-            path,
-            durability,
-            len: valid_len,
-        };
-        let disk_len = log.file.metadata()?.len();
-        if disk_len != valid_len {
+        let mut log = Self::new(file, durability, valid_len);
+        if log.file.metadata()?.len() != valid_len {
             log.file.set_len(valid_len)?;
             log.file.sync_all()?;
         }
         log.file.seek(SeekFrom::Start(valid_len))?;
-
-        // Re-derive whatever the tail lost from the WAL's commits.
-        let logged_gen = records.last().map_or(0, |r| r.generation());
-        let mut missing: Vec<&WalCommit> = wal_commits
-            .iter()
-            .filter(|c| c.generation > logged_gen && c.generation <= head_generation)
-            .collect();
-        let gap = match missing.first() {
-            Some(first) => first.generation != logged_gen + 1,
-            None => logged_gen < head_generation,
-        };
-        if gap {
-            // The log lost records older than the WAL's coverage (it was
-            // deleted or truncated externally — the write order never
-            // produces this). A chain with a hole is useless for as-of
-            // rewinding, so restart it at the earliest state the WAL can
-            // still reconstruct; commits before that are no longer
-            // addressable, but the store opens.
-            records.clear();
-            ends.clear();
-            log.file.set_len(0)?;
-            log.file.sync_all()?;
-            log.file.seek(SeekFrom::Start(0))?;
-            log.len = 0;
-            missing = wal_commits
-                .iter()
-                .filter(|c| c.generation <= head_generation)
-                .collect();
-        }
-        for c in missing {
-            let parent = records.last().map_or(ROOT_COMMIT_ID, |r| r.id);
-            let rec = derive_record(parent, c);
-            log.append(&rec)?;
-            records.push(rec);
-        }
         Ok((log, records))
     }
 
+    /// Create an empty commit log in `dir`, discarding any previous one.
+    pub fn create(dir: &Path, durability: Durability) -> io::Result<CommitLog> {
+        let file = Self::open_file(dir, true)?;
+        file.sync_all()?;
+        Ok(Self::new(file, durability, 0))
+    }
+
+    fn open_file(dir: &Path, truncate: bool) -> io::Result<File> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(truncate)
+            .open(dir.join(COMMITS_FILE))?;
+        // Persist a freshly created file's directory entry, or a power
+        // loss could drop the whole log with its fsync'd records.
+        File::open(dir)?.sync_all()?;
+        Ok(file)
+    }
+
+    fn new(file: File, durability: Durability, len: u64) -> CommitLog {
+        CommitLog {
+            file,
+            durability,
+            len,
+            poisoned: false,
+            #[cfg(test)]
+            fault: None,
+        }
+    }
+
     /// Append one commit record; returns its on-disk size in bytes.
+    /// With [`Durability::Sync`] the record is fdatasync'd before
+    /// returning — the commit is durable once this call succeeds.
+    ///
+    /// On failure the file is cut back to its clean length, so a partial
+    /// record never sits in front of the next acknowledged one. If even
+    /// that fails, every later append is refused until the store is
+    /// reopened (whose recovery truncates the torn tail).
     pub fn append(&mut self, rec: &CommitRecord) -> io::Result<u64> {
-        let payload = encode_record(rec.parent, &rec.commit);
-        let mut framed = Vec::with_capacity(payload.len() + 12);
-        write_record(&mut framed, &payload)?;
-        self.file.write_all(&framed)?;
-        if self.durability == Durability::Sync {
-            self.file.sync_data()?;
+        if self.poisoned {
+            return Err(io::Error::other(
+                "commit log has a partial record a failed rollback left behind; reopen the store",
+            ));
+        }
+        let mut framed = Vec::new();
+        write_record(&mut framed, &encode_record(rec.parent, &rec.commit))?;
+        if let Err(e) = self.write_durably(&framed) {
+            if self.roll_back().is_err() {
+                self.poisoned = true;
+            }
+            return Err(e);
         }
         self.len += framed.len() as u64;
         Ok(framed.len() as u64)
     }
 
-    /// Force the log to disk. Compaction calls this before resetting the
-    /// WAL: once the WAL is empty, a lost commit-log tail could no longer
-    /// be re-derived, so it must be durable first.
+    fn write_durably(&mut self, framed: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some((prefix, _)) = self.fault {
+            self.file.write_all(&framed[..prefix.min(framed.len())])?;
+            return Err(io::Error::other("injected append failure"));
+        }
+        self.file.write_all(framed)?;
+        if self.durability == Durability::Sync {
+            self.file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Cut the file back to the last clean record boundary.
+    fn roll_back(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some((_, rollback_fails)) = self.fault.take() {
+            if rollback_fails {
+                return Err(io::Error::other("injected rollback failure"));
+            }
+        }
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::Start(self.len))?;
+        Ok(())
+    }
+
+    /// Force the log to disk. Compaction calls this before publishing a
+    /// snapshot, so a snapshot is never ahead of the durable log.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
@@ -231,15 +323,5 @@ impl CommitLog {
     /// Current clean length in bytes.
     pub fn len(&self) -> u64 {
         self.len
-    }
-
-    /// True when no commits are logged.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }

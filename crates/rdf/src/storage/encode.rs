@@ -1,4 +1,4 @@
-//! Low-level wire format shared by snapshots and the WAL.
+//! Low-level wire format shared by snapshots and the commit log.
 //!
 //! Everything on disk is a sequence of **records**:
 //!
@@ -11,7 +11,7 @@
 //! The framing lets a reader distinguish three outcomes: a complete
 //! record, a clean end-of-file, and a torn tail (truncated or
 //! checksum-corrupt trailing bytes from a crashed writer) — the last of
-//! which is reported with the byte offset of the clean prefix so WAL
+//! which is reported with the byte offset of the clean prefix so log
 //! recovery can truncate it away.
 
 use crate::term::Term;

@@ -1,27 +1,26 @@
-//! Durable storage for the triple store: WAL + snapshot + commit-log
+//! Durable storage for the triple store: snapshot + commit-log
 //! lifecycle.
 //!
-//! A store directory holds at most three files:
+//! A store directory holds exactly two files:
 //!
 //! * `snapshot.bin` — a complete, immutable image of the store at some
 //!   generation ([`snapshot`]: dictionary blocks + sorted triple
 //!   segments, every record length-prefixed and FNV-1a-checksummed);
-//! * `wal.log` — one checksummed record per commit since that snapshot
-//!   ([`wal`]);
-//! * `commits.log` — the hash-chained record of **every** commit since
-//!   the store was created, never reset by compaction ([`commitlog`]).
+//! * `commits.log` — the write-ahead log: one hash-chained, checksummed
+//!   record for **every** commit since the store was created, never
+//!   reset by compaction ([`commitlog`]).
 //!
-//! [`Store::open`] replays the snapshot, then the WAL tail (dropping a
-//! torn final record), and arrives at exactly the last fully-committed
-//! generation. [`Store::commit`] evaluates a SPARQL UPDATE read-only,
-//! appends the resulting delta to the WAL (fsync'd by default), appends
-//! the hash-chained commit record, applies the delta to the in-memory
-//! indexes, and bumps the monotonic **generation**. The serving tier
+//! [`Store::open`] loads the snapshot, then replays the log's records
+//! past the snapshot's generation (a torn final record is truncated
+//! away), and arrives at exactly the last fully-committed generation.
+//! [`Store::commit`] evaluates a SPARQL UPDATE read-only, appends the
+//! resulting commit record to the log (fsync'd by default), and only
+//! then applies the delta to the in-memory indexes. The serving tier
 //! keys ETags and caches on the **head commit id**
 //! ([`Store::head_commit`]) — unlike a bare counter, the id names the
 //! exact history that produced the state, and [`Store::as_of`] can
-//! rewind reads to any id in that history. [`Store::compact`] folds the
-//! WAL into a fresh snapshot (write-tmp, fsync, rename).
+//! rewind reads to any id in that history. [`Store::compact`] writes a
+//! fresh snapshot (write-tmp, fsync, rename) so reopening replays less.
 //!
 //! The wrapper derefs to [`TripleStore`], so every read path — pattern
 //! matching, planning, execution, streaming — works unchanged.
@@ -30,20 +29,17 @@ pub mod commitlog;
 pub mod encode;
 pub mod segment;
 pub mod snapshot;
-pub mod wal;
 
 use crate::store::{IdTriple, IndexMode, Novelty, TripleStore};
 use crate::term::{Term, XSD_STRING};
 use crate::update::{apply_delta, evaluate_update, Delta, GroundTriple};
 use crate::RdfError;
-pub use commitlog::{CommitRecord, ROOT_COMMIT_ID};
-use commitlog::{derive_record, CommitLog};
+use commitlog::{derive_record, CommitLog, WalCommit};
+pub use commitlog::{CommitRecord, Durability, ROOT_COMMIT_ID};
 use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_FILE};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-pub use wal::Durability;
-use wal::{Wal, WalCommit};
 
 /// Errors from the storage layer: either the SPARQL side of an update
 /// or the filesystem side of durability.
@@ -87,7 +83,8 @@ pub struct CommitStats {
     pub inserted: usize,
     /// Triples actually removed.
     pub deleted: usize,
-    /// Bytes appended to the WAL (0 for no-ops and ephemeral stores).
+    /// Bytes appended to `commits.log` (0 for no-ops and ephemeral
+    /// stores).
     pub wal_bytes: u64,
 }
 
@@ -152,14 +149,15 @@ impl ShardSpec {
     }
 }
 
-/// When a durable store folds its WAL into a fresh snapshot on its own.
-/// Both triggers are optional; either one firing after a commit runs
-/// [`Store::compact`] inline (the caller's `commit` pays the snapshot
-/// write — bounded by the triggers themselves, since a small WAL folds
-/// fast). Ephemeral stores ignore the policy entirely.
+/// When a durable store writes a fresh snapshot on its own, bounding the
+/// log tail that reopening has to replay. Both triggers are optional;
+/// either one firing after a commit runs [`Store::compact`] inline (the
+/// caller's `commit` pays the snapshot write). Ephemeral stores ignore
+/// the policy entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactionPolicy {
-    /// Compact once the WAL holds more than this many bytes.
+    /// Compact once more than this many bytes were appended to the
+    /// commit log since the last snapshot.
     pub max_wal_bytes: Option<u64>,
     /// Compact once this many effective commits landed since the last
     /// snapshot.
@@ -185,32 +183,30 @@ impl CompactionPolicy {
         }
     }
 
-    /// True when either trigger fires for the given WAL state.
-    pub fn should_compact(&self, wal_bytes: u64, commits_since_snapshot: u64) -> bool {
-        self.max_wal_bytes.is_some_and(|b| wal_bytes > b)
+    /// True when either trigger fires for the log tail past the snapshot.
+    pub fn should_compact(&self, log_bytes: u64, commits_since_snapshot: u64) -> bool {
+        self.max_wal_bytes.is_some_and(|b| log_bytes > b)
             || self.max_commits.is_some_and(|c| commits_since_snapshot >= c)
     }
 }
 
-/// A mutable, optionally durable triple store with a monotonic
-/// generation counter. Derefs to [`TripleStore`] for all reads.
+/// A mutable, optionally durable, versioned triple store. Derefs to
+/// [`TripleStore`] for all reads.
 pub struct Store {
     inner: TripleStore,
-    generation: u64,
-    /// `None` for ephemeral (memory-only) stores.
-    wal: Option<Wal>,
     /// `None` for ephemeral stores (which still keep `history` in
     /// memory, so versioned reads work without a disk).
     commits: Option<CommitLog>,
     /// Every commit applied since the store was created, oldest first,
-    /// with consecutive generations (normally starting at 1; later if a
-    /// lost commit log forced the chain to restart mid-history).
+    /// with consecutive generations starting at 1.
     history: Vec<CommitRecord>,
     dir: Option<PathBuf>,
     policy: CompactionPolicy,
     /// Effective commits since the snapshot on disk was written (seeded
-    /// from the WAL tail on open).
+    /// from the replayed log tail on open).
     commits_since_snapshot: u64,
+    /// Commit-log length when the snapshot on disk was written.
+    log_len_at_snapshot: u64,
     compactions: u64,
 }
 
@@ -229,21 +225,25 @@ impl Store {
     pub fn ephemeral(inner: TripleStore) -> Self {
         Store {
             inner,
-            generation: 0,
-            wal: None,
             commits: None,
             history: Vec::new(),
             dir: None,
             policy: CompactionPolicy::disabled(),
             commits_since_snapshot: 0,
+            log_len_at_snapshot: 0,
             compactions: 0,
         }
     }
 
-    /// Open (or initialise) a durable store in `dir`: replay the
-    /// snapshot if one exists, then the WAL tail — a torn final record
-    /// is dropped, never partially applied. Durability of future
-    /// commits comes from `EE_WAL_NO_SYNC` (see [`Durability`]).
+    /// Open (or initialise) a durable store in `dir`: load the snapshot
+    /// if one exists, then replay the commit log's records past the
+    /// snapshot's generation — a torn final record is dropped, never
+    /// partially applied. Durability of future commits comes from
+    /// `EE_WAL_NO_SYNC` (see [`Durability`]).
+    ///
+    /// A log that ends *before* the snapshot's generation was damaged
+    /// outside the store; like a corrupt snapshot, that is an
+    /// [`io::ErrorKind::InvalidData`] error.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_with(dir, Durability::from_env())
     }
@@ -253,7 +253,7 @@ impl Store {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let snap_path = dir.join(SNAPSHOT_FILE);
-        let (mut inner, mut generation) = if snap_path.exists() {
+        let (mut inner, snapshot_generation) = if snap_path.exists() {
             let data = read_snapshot(&snap_path)?;
             let mut st = TripleStore::new(data.mode);
             for t in &data.terms {
@@ -268,42 +268,43 @@ impl Store {
         } else {
             (TripleStore::new(IndexMode::Full), 0)
         };
-        let (wal, commits) = Wal::open(dir, durability)?;
-        let mut replayed = 0u64;
-        for c in &commits {
-            if c.generation <= generation {
-                // Already folded into the snapshot by a compaction that
-                // crashed before resetting the WAL; deltas are
-                // idempotent either way, skipping is just cheaper.
-                continue;
-            }
-            for (s, p, o) in &c.delete {
+        let (log, records) = CommitLog::open(dir, durability)?;
+        let logged_generation = records.last().map_or(0, |(r, _)| r.generation());
+        if logged_generation < snapshot_generation {
+            return Err(StoreError::Io(encode::bad_data(&format!(
+                "{} ends at generation {logged_generation}, before the snapshot's {snapshot_generation}",
+                commitlog::COMMITS_FILE
+            ))));
+        }
+        // Generations are contiguous from 1, so the snapshot's generation
+        // is also the number of records it already folded in.
+        let folded = snapshot_generation as usize;
+        let log_len_at_snapshot = folded.checked_sub(1).map_or(0, |i| records[i].1);
+        let history: Vec<CommitRecord> = records.into_iter().map(|(r, _)| r).collect();
+        for rec in &history[folded..] {
+            for (s, p, o) in &rec.commit.delete {
                 inner.remove(s, p, o);
             }
-            for (s, p, o) in &c.insert {
+            for (s, p, o) in &rec.commit.insert {
                 inner.insert(s, p, o);
             }
-            generation = c.generation;
-            replayed += 1;
         }
         inner.build_spatial_index();
-        let (commit_log, history) = CommitLog::open(dir, durability, &commits, generation)?;
         Ok(Store {
             inner,
-            generation,
-            wal: Some(wal),
-            commits: Some(commit_log),
+            commits: Some(log),
+            commits_since_snapshot: (history.len() - folded) as u64,
             history,
             dir: Some(dir.to_path_buf()),
             policy: CompactionPolicy::disabled(),
-            commits_since_snapshot: replayed,
+            log_len_at_snapshot,
             compactions: 0,
         })
     }
 
     /// Initialise a durable store in `dir` from an already-built
     /// [`TripleStore`]: writes a generation-0 snapshot and an empty
-    /// WAL, replacing whatever the directory held.
+    /// commit log, replacing whatever the directory held.
     pub fn create(
         dir: impl AsRef<Path>,
         inner: TripleStore,
@@ -311,30 +312,24 @@ impl Store {
     ) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
+        // Empty the log first, so a crash before the new snapshot lands
+        // can never replay a stale history over the new data.
+        let log = CommitLog::create(dir, durability)?;
         write_snapshot(dir, &inner, 0)?;
-        let (mut wal, _stale) = Wal::open(dir, durability)?;
-        if !wal.is_empty() {
-            wal.reset()?;
-        }
-        // A fresh store starts a fresh history: reconciling against an
-        // empty WAL at generation 0 drops every stale commit record.
-        let (commit_log, history) = CommitLog::open(dir, durability, &[], 0)?;
-        debug_assert!(history.is_empty());
         Ok(Store {
             inner,
-            generation: 0,
-            wal: Some(wal),
-            commits: Some(commit_log),
-            history,
+            commits: Some(log),
+            history: Vec::new(),
             dir: Some(dir.to_path_buf()),
             policy: CompactionPolicy::disabled(),
             commits_since_snapshot: 0,
+            log_len_at_snapshot: 0,
             compactions: 0,
         })
     }
 
     /// Build a store from a triple stream and persist it in one step —
-    /// **without** per-triple WAL records (the snapshot itself is the
+    /// **without** per-triple commit records (the snapshot itself is the
     /// durable copy). Reports load throughput.
     ///
     /// With a [`ShardSpec`], only the triples whose subject the spec
@@ -376,9 +371,10 @@ impl Store {
     }
 
     /// Monotonic change counter: bumps by one per effective commit,
-    /// survives restarts (it is recorded in both snapshot and WAL).
+    /// survives restarts. It is the head commit's generation (0 before
+    /// any commit).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.history.last().map_or(0, CommitRecord::generation)
     }
 
     /// The id of the latest commit — [`ROOT_COMMIT_ID`] before any
@@ -461,11 +457,11 @@ impl Store {
     /// Evaluate and durably apply a SPARQL UPDATE.
     ///
     /// Order of operations is the crash-safety contract: (1) evaluate
-    /// read-only into a [`Delta`], (2) append the delta to the WAL and
-    /// fsync, (3) apply to the in-memory indexes, (4) bump the
-    /// generation. A crash before (2) completes loses the commit
-    /// entirely (torn tail → dropped on reopen); after (2) the commit
-    /// replays on reopen. There is no state in between.
+    /// read-only into a [`Delta`], (2) append the commit record to the
+    /// log and fsync, (3) apply to the in-memory indexes. A crash before
+    /// (2) completes loses the commit entirely (torn tail → dropped on
+    /// reopen); after (2) the commit replays on reopen. There is no
+    /// state in between.
     ///
     /// A commit whose effective delta is empty (inserting only present
     /// triples, deleting only absent ones) does **not** bump the
@@ -477,7 +473,7 @@ impl Store {
 
     /// [`Store::commit`] for a pre-evaluated delta.
     pub fn commit_delta(&mut self, delta: Delta) -> Result<CommitStats, StoreError> {
-        // Reduce to the effective delta so WAL records are minimal and
+        // Reduce to the effective delta so log records are minimal and
         // replay is trivially idempotent.
         let delete: Vec<GroundTriple> = delta
             .delete
@@ -494,40 +490,34 @@ impl Store {
             .collect();
         if insert.is_empty() && delete.is_empty() {
             return Ok(CommitStats {
-                generation: self.generation,
+                generation: self.generation(),
                 inserted: 0,
                 deleted: 0,
                 wal_bytes: 0,
             });
         }
-        let generation = self.generation + 1;
+        let generation = self.generation() + 1;
         let commit = WalCommit {
             generation,
             delete: delete.clone(),
             insert: insert.clone(),
         };
+        let record = derive_record(self.head_commit(), commit);
         let mut wal_bytes = 0;
-        if let Some(wal) = &mut self.wal {
-            wal_bytes = wal.append(&commit)?;
-        }
-        // Commit-log append comes *after* the WAL append: a crash in
-        // between leaves the record re-derivable from the WAL on reopen
-        // (the chain hash is deterministic), never the other way round.
-        let record = derive_record(self.head_commit(), &commit);
         if let Some(log) = &mut self.commits {
-            log.append(&record)?;
+            wal_bytes = log.append(&record)?;
         }
         self.history.push(record);
         let effective = Delta { insert, delete };
         let (inserted, deleted) = apply_delta(&mut self.inner, &effective);
-        self.generation = generation;
         self.commits_since_snapshot += 1;
-        // Threshold-triggered fold: keep the WAL (and therefore restart
-        // replay time) bounded without anyone scheduling maintenance.
-        if self.wal.is_some()
-            && self
-                .policy
-                .should_compact(self.wal_len(), self.commits_since_snapshot)
+        // Threshold-triggered snapshot: keep restart replay time bounded
+        // without anyone scheduling maintenance.
+        if self.commits.is_some()
+            && self.policy.should_compact(
+                self.log_len() - self.log_len_at_snapshot,
+                self.commits_since_snapshot,
+            )
         {
             self.compact()?;
         }
@@ -539,32 +529,27 @@ impl Store {
         })
     }
 
-    /// Fold the WAL into a fresh snapshot at the current generation.
-    /// Crash-safe: the new snapshot is published atomically (tmp +
-    /// fsync + rename) before the WAL is reset, and replay skips WAL
-    /// records at or below the snapshot generation — a crash between
-    /// the two steps recovers to the same state.
+    /// Write a fresh snapshot at the current generation, so reopening
+    /// replays only the log records committed after it. The log is
+    /// synced first and the snapshot published atomically (tmp + fsync
+    /// + rename), so a snapshot is never ahead of the durable log.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let Some(dir) = self.dir.clone() else {
             return Ok(());
         };
-        write_snapshot(&dir, &self.inner, self.generation)?;
         if let Some(log) = &mut self.commits {
-            // Once the WAL is empty, a lost commit-log tail could no
-            // longer be re-derived from it — make the log durable first.
             log.sync()?;
         }
-        if let Some(wal) = &mut self.wal {
-            wal.reset()?;
-        }
+        write_snapshot(&dir, &self.inner, self.generation())?;
         self.commits_since_snapshot = 0;
+        self.log_len_at_snapshot = self.log_len();
         self.compactions += 1;
         Ok(())
     }
 
-    /// Bytes currently in the WAL (0 when ephemeral or just compacted).
-    pub fn wal_len(&self) -> u64 {
-        self.wal.as_ref().map(Wal::len).unwrap_or(0)
+    /// Clean byte length of `commits.log` (0 when ephemeral).
+    pub fn log_len(&self) -> u64 {
+        self.commits.as_ref().map_or(0, CommitLog::len)
     }
 
     /// Install an automatic compaction policy (see [`CompactionPolicy`]).
@@ -759,14 +744,14 @@ mod tests {
         let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
         st.commit(&upd("INSERT DATA { e:a e:p e:b }")).unwrap();
         let before = st.generation();
-        let wal_before = st.wal_len();
+        let log_before = st.log_len();
         // Insert of a present triple + delete of an absent one: no-op.
         let stats = st
             .commit(&upd("INSERT DATA { e:a e:p e:b } ; DELETE DATA { e:x e:p e:y }"))
             .unwrap();
         assert_eq!(stats.generation, before);
         assert_eq!((stats.inserted, stats.deleted), (0, 0));
-        assert_eq!(st.wal_len(), wal_before, "no WAL record for no-ops");
+        assert_eq!(st.log_len(), log_before, "no log record for no-ops");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -788,8 +773,10 @@ mod tests {
             v.sort();
             v
         };
+        let log_len = st.log_len();
         st.compact().unwrap();
-        assert_eq!(st.wal_len(), 0);
+        assert_eq!(st.log_len(), log_len, "compaction never rewrites the log");
+        assert_eq!(st.commits_since_snapshot(), 0);
         // Commits keep working after compaction.
         st.commit(&upd("INSERT DATA { e:post e:p e:o }")).unwrap();
         assert_eq!(st.generation(), gen + 1);
@@ -826,11 +813,10 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(st.compactions(), 0);
-        assert!(st.wal_len() > 0);
+        assert_eq!(st.commits_since_snapshot(), 2);
         st.commit(&upd("INSERT DATA { e:s2 e:p e:o }")).unwrap();
-        // Third effective commit crossed the threshold: the WAL folded.
+        // Third effective commit crossed the threshold: a snapshot landed.
         assert_eq!(st.compactions(), 1);
-        assert_eq!(st.wal_len(), 0);
         assert_eq!(st.commits_since_snapshot(), 0);
         let gen = st.generation();
         drop(st);
@@ -848,19 +834,22 @@ mod tests {
             max_wal_bytes: Some(256),
             max_commits: None,
         });
-        let mut compacted = false;
+        // The trigger compares the log bytes appended since the last
+        // snapshot, so a snapshot lands exactly when that tail passes 256.
+        let (mut tail, mut want) = (0, 0);
         for i in 0..50 {
-            st.commit(&upd(&format!(
-                "INSERT DATA {{ e:subject-{i} e:predicate e:object-{i} }}"
-            )))
-            .unwrap();
-            assert!(
-                st.wal_len() <= 256 + 512,
-                "WAL must stay near the byte cap (one record of slack)"
-            );
-            compacted |= st.compactions() > 0;
+            let stats = st
+                .commit(&upd(&format!(
+                    "INSERT DATA {{ e:subject-{i} e:predicate e:object-{i} }}"
+                )))
+                .unwrap();
+            tail += stats.wal_bytes;
+            if tail > 256 {
+                (tail, want) = (0, want + 1);
+            }
+            assert_eq!(st.compactions(), want, "commit {i}");
         }
-        assert!(compacted, "50 commits must cross a 256-byte WAL cap");
+        assert!(want > 1, "50 commits must cross a 256-byte cap repeatedly");
         drop(st);
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert_eq!(st.len(), 50);
@@ -889,7 +878,7 @@ mod tests {
         assert_eq!(stats.generation, 1);
         assert_eq!(stats.wal_bytes, 0);
         assert!(st.dir().is_none());
-        assert_eq!(st.wal_len(), 0);
+        assert_eq!(st.log_len(), 0);
     }
 
     #[test]
@@ -902,7 +891,7 @@ mod tests {
             Store::bulk_load(&dir, IndexMode::Full, triples, Durability::NoSync, None).unwrap();
         assert_eq!(stats.triples, 5000);
         assert!(stats.triples_per_sec > 0.0);
-        assert_eq!(st.wal_len(), 0, "bulk load must not write per-triple WAL");
+        assert_eq!(st.log_len(), 0, "bulk load must not log per-triple records");
         drop(st);
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert_eq!(st.len(), 5000);
@@ -1086,7 +1075,7 @@ mod tests {
         st.compact().unwrap();
         drop(st);
         // After compaction + reopen the triple is in no snapshot segment
-        // and no WAL record: only the commit log still knows it.
+        // and in no replayed record: only the commit history knows it.
         let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert!(visible(&st, None).is_empty());
         let novelty = st.as_of(before_delete).unwrap();
@@ -1122,22 +1111,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The commit-log sibling of `wal::tests::torn_tail_is_truncated_on_open`,
-    /// extended to the recovery contract: tear `commits.log` at **every**
-    /// byte boundary and the reopened store must re-derive the lost
-    /// records from the WAL bit-identically — same head commit id, same
-    /// history ids, same `as_of` views.
+    /// Tear `commits.log` at **every** byte and the reopened store must
+    /// land on the last complete record: its head id, its history, the
+    /// uncrashed store's `as_of` views, a file cut back to the clean
+    /// prefix, and a next commit with the id an uncrashed store gives it.
     #[test]
     fn torn_commit_log_recovers_bit_identically_at_every_byte() {
+        let updates = [
+            "INSERT DATA { e:a e:p e:b . e:a e:p e:c }",
+            "DELETE DATA { e:a e:p e:b } ; INSERT DATA { e:d e:p e:e }",
+            "INSERT DATA { e:f e:p e:g }",
+        ];
+        let next = "INSERT DATA { e:next e:p e:o }";
         let dir = test_dir("torn-commitlog");
         let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
-        st.commit(&upd("INSERT DATA { e:a e:p e:b . e:a e:p e:c }"))
-            .unwrap();
-        st.commit(&upd("DELETE DATA { e:a e:p e:b } ; INSERT DATA { e:d e:p e:e }"))
-            .unwrap();
-        st.commit(&upd("INSERT DATA { e:f e:p e:g }")).unwrap();
+        let mut ends = Vec::new();
+        for u in &updates {
+            st.commit(&upd(u)).unwrap();
+            ends.push(st.log_len());
+        }
         let ids: Vec<u64> = st.history().iter().map(|r| r.id).collect();
-        let head = st.head_commit();
         let views: Vec<Vec<String>> = ids
             .iter()
             .map(|id| {
@@ -1146,24 +1139,79 @@ mod tests {
             })
             .collect();
         drop(st);
+        // The id `next` gets on an uncrashed store holding k commits.
+        let next_ids: Vec<u64> = (0..=updates.len())
+            .map(|k| {
+                let mut reference = Store::ephemeral(TripleStore::new(IndexMode::Full));
+                for u in &updates[..k] {
+                    reference.commit(&upd(u)).unwrap();
+                }
+                reference.commit(&upd(next)).unwrap();
+                reference.head_commit()
+            })
+            .collect();
         let path = dir.join(commitlog::COMMITS_FILE);
         let full = std::fs::read(&path).unwrap();
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
+            let k = ends.iter().filter(|&&end| end <= cut as u64).count();
             let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
+            let head = k.checked_sub(1).map_or(ROOT_COMMIT_ID, |i| ids[i]);
             assert_eq!(st.head_commit(), head, "cut at {cut}");
+            assert_eq!(st.generation(), k as u64, "cut at {cut}");
             let reopened: Vec<u64> = st.history().iter().map(|r| r.id).collect();
-            assert_eq!(reopened, ids, "cut at {cut}");
-            for (id, want) in ids.iter().zip(&views) {
+            assert_eq!(reopened, ids[..k], "cut at {cut}");
+            for (id, want) in ids[..k].iter().zip(&views) {
                 let n = st.as_of(*id).unwrap();
                 assert_eq!(&visible(&st, Some(&n)), want, "cut at {cut}");
             }
+            let clean = k.checked_sub(1).map_or(0, |i| ends[i]);
             assert_eq!(
-                std::fs::read(&path).unwrap(),
-                full,
-                "recovery must rewrite the exact bytes (cut {cut})"
+                std::fs::metadata(&path).unwrap().len(),
+                clean,
+                "torn tail must be physically truncated (cut {cut})"
             );
+            st.commit(&upd(next)).unwrap();
+            assert_eq!(st.head_commit(), next_ids[k], "cut at {cut}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed append (ENOSPC, EIO, a failed fsync) must leave neither
+    /// an orphan record nor torn bytes in front of the next commit.
+    #[test]
+    fn failed_append_leaves_no_orphan_record() {
+        let dir = test_dir("append-fault");
+        let path = dir.join(commitlog::COMMITS_FILE);
+        let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
+        st.commit(&upd("INSERT DATA { e:a e:p e:b }")).unwrap();
+        let state = |st: &Store| (st.head_commit(), st.generation(), visible(st, None));
+        // Nothing written, a torn prefix, the whole record (fsync failed).
+        for prefix in [0, 5, usize::MAX] {
+            let before = state(&st);
+            st.commits.as_mut().unwrap().fault = Some((prefix, false));
+            assert!(st.commit(&upd("INSERT DATA { e:lost e:p e:o }")).is_err());
+            assert_eq!(state(&st), before, "prefix {prefix}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), st.log_len());
+            st.commit(&upd(&format!("INSERT DATA {{ e:kept{prefix} e:p e:o }}")))
+                .unwrap();
+        }
+        let want = state(&st);
+        assert_eq!(want.1, 4);
+        // A rollback that fails too refuses every later commit...
+        st.commits.as_mut().unwrap().fault = Some((5, true));
+        assert!(st.commit(&upd("INSERT DATA { e:lost e:p e:o }")).is_err());
+        assert!(st.commit(&upd("INSERT DATA { e:later e:p e:o }")).is_err());
+        assert_eq!(state(&st), want);
+        drop(st);
+        // ...until a reopen truncates the torn bytes.
+        let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
+        assert_eq!(state(&st), want);
+        st.commit(&upd("INSERT DATA { e:after e:p e:o }")).unwrap();
+        drop(st);
+        let st = Store::open_with(&dir, Durability::NoSync).unwrap();
+        assert_eq!(st.generation(), 5);
+        assert!(st.contains(&e("after"), &e("p"), &e("o")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

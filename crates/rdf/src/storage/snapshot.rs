@@ -11,7 +11,7 @@
 //! `snapshot.tmp`, fsyncs, then renames over `snapshot.bin` and fsyncs
 //! the directory — a crash mid-write leaves the previous snapshot (or
 //! none) fully intact, never a half-written one. Any torn or corrupt
-//! record while *reading* is therefore a hard error, unlike the WAL
+//! record while *reading* is therefore a hard error, unlike the commit log
 //! where a torn tail is expected after a crash.
 
 use super::encode::{bad_data, get_uvarint, put_uvarint, write_record, RecordOutcome, RecordReader};

@@ -259,7 +259,7 @@ impl TripleStore {
         self.match_pattern_from(s, p, o, &mut cursor, f);
     }
 
-    /// Resumable form of [`match_pattern`]: enumerates matches in the same
+    /// Resumable form of [`Self::match_pattern`]: enumerates matches in the same
     /// order, but a callback returning `false` *pauses* the enumeration
     /// instead of abandoning it — the cursor remembers the pause point and
     /// the next call picks up strictly after the last delivered triple.

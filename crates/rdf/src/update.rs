@@ -2,8 +2,8 @@
 //! [`Delta`] of ground triples, then apply it to a [`TripleStore`].
 //!
 //! Evaluation and application are deliberately split: the durable
-//! [`crate::storage::Store`] evaluates first (read-only), writes the
-//! delta to its WAL, and only then mutates the in-memory indexes — so a
+//! [`crate::storage::Store`] evaluates first (read-only), appends the
+//! delta to its commit log, and only then mutates the in-memory indexes — so a
 //! crash between the two never leaves a half-applied commit.
 //!
 //! `DELETE WHERE` and `INSERT … WHERE` run their WHERE group through

@@ -16,7 +16,7 @@
 //! `--writable` (or `EE_SERVE_WRITABLE=1`) enables `POST /update`;
 //! without it every update is answered 403. `EE_SERVE_DATA_DIR` makes
 //! the point store durable: the first start seeds the directory with a
-//! generation-0 snapshot, later starts reopen snapshot + WAL tail, so
+//! generation-0 snapshot, later starts reopen snapshot + commit-log tail, so
 //! committed updates survive restarts.
 //!
 //! Scale-out flags: `--shard-index I --shard-count N` builds only this

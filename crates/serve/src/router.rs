@@ -220,7 +220,7 @@ fn handle_query_post(state: &Arc<AppState>, req: &Request) -> Response {
 }
 
 /// `POST /update` — the request body is SPARQL UPDATE text, committed
-/// through [`AppState::commit_update`] (evaluate → WAL fsync → apply →
+/// through [`AppState::commit_update`] (evaluate → commit-log fsync → apply →
 /// generation bump). Refused with 403 on read-only servers, 400 on
 /// parse errors. A 200 answer means the commit is durable (when the
 /// store has a data directory) and reports the resulting generation

@@ -199,7 +199,7 @@ pub struct AppState {
     /// Cached responses dropped by commits (counted by the server,
     /// which owns the response cache; rendered here next to the plans).
     invalidated_responses: AtomicU64,
-    /// `POST /update` commit latency (evaluate + WAL + apply).
+    /// `POST /update` commit latency (evaluate + log append + apply).
     update_latency: Histogram,
     /// Router tier, when this process runs `--router`: dispatch sends
     /// `/query`, `/tiles` and `/ice` through it instead of the local
@@ -234,7 +234,7 @@ impl AppState {
     }
 
     /// [`AppState::build`] with a **durable** point store in `dir`: an
-    /// existing snapshot (plus WAL tail) is reopened — preserving every
+    /// existing snapshot (plus commit-log tail) is reopened — preserving every
     /// committed update across restarts — and a fresh directory is
     /// seeded with the deterministic generated point set.
     pub fn build_durable(config: DataConfig, dir: &Path) -> Result<AppState, StoreError> {
@@ -248,7 +248,7 @@ impl AppState {
                 Durability::from_env(),
             )?
         };
-        // Threshold-triggered WAL folding (EE_WAL_COMPACT_BYTES /
+        // Threshold-triggered snapshots (EE_WAL_COMPACT_BYTES /
         // EE_WAL_COMPACT_COMMITS); both unset leaves compaction manual.
         store.set_compaction_policy(CompactionPolicy::from_env());
         Ok(Self::build_with_store(config, store))
@@ -424,7 +424,7 @@ impl AppState {
     }
 
     /// Commit a SPARQL UPDATE: takes the exclusive store lock, runs the
-    /// durable commit (evaluate → WAL fsync → apply), then — if the
+    /// durable commit (evaluate → commit-log fsync → apply), then — if the
     /// generation moved — refreshes the mirror and drops every prepared
     /// plan (plans bake in index statistics that the commit may have
     /// changed). Response-cache entries need no action here: their keys
@@ -1069,7 +1069,7 @@ mod tests {
         .unwrap();
         fresh.commit_update(&u).expect("commit");
         drop(fresh);
-        // Reopen: snapshot + WAL replay restore the committed triple.
+        // Reopen: snapshot + commit-log replay restore the committed triple.
         let reopened = AppState::build_durable(cfg, &dir).expect("reopen");
         assert_eq!(reopened.generation(), 1);
         assert_eq!(reopened.store().len(), seeded + 1);

@@ -27,7 +27,7 @@ echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
 echo "== lint: rustdoc (warnings are errors, e.g. dangling intra-doc links) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p ee-serve -p ee-util
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p ee-serve -p ee-util -p ee-rdf
 
 echo "== tier-1: benchmark suite's own tests =="
 # The suite is a package with its own empty [workspace], so the root
@@ -45,54 +45,62 @@ for workload in browse-hot ingest-mix; do
         | tail -1 | grep -q '"correct":true'
 done
 
+# The harness writes its BENCH_PR*.json artifacts to its cwd. Run it
+# from a scratch dir under target/ so the smoke runs never rewrite the
+# committed full-scale artifacts; e-f9 still finds ee-serve next to the
+# harness binary.
+ART=target/verify-artifacts
+mkdir -p "$ART"
+harness() { (cd "$ART" && ../release/harness "$@"); }
+
 echo "== smoke: harness e4 e5 kernels e-s0 (quick scale) =="
-./target/release/harness e4 e5 kernels e-s0
+harness e4 e5 kernels e-s0
 
 echo "== smoke: e-s0 streaming stage wrote its artifact =="
-grep -q '"ttfb_p50_us"' BENCH_PR4.json
-grep -q '"experiment": "e-s0-streaming"' BENCH_PR4.json
+grep -q '"ttfb_p50_us"' "$ART"/BENCH_PR4.json
+grep -q '"experiment": "e-s0-streaming"' "$ART"/BENCH_PR4.json
 
 echo "== smoke: e-s0 query-streaming TTFB stage wrote its artifact =="
 # The stage itself aborts the harness (non-zero exit above) if the
 # streamed rows ever diverge from the collected rows at t in {1,4};
 # reaching this point with the artifact present means identity held.
-test -s BENCH_PR5.json
-grep -q '"experiment": "e-s0-query-streaming"' BENCH_PR5.json
-grep -q '"rows_touched_first_batch"' BENCH_PR5.json
+test -s "$ART"/BENCH_PR5.json
+grep -q '"experiment": "e-s0-query-streaming"' "$ART"/BENCH_PR5.json
+grep -q '"rows_touched_first_batch"' "$ART"/BENCH_PR5.json
 
 echo "== smoke: harness e3 --threads 4 (serial-vs-parallel identity) =="
-./target/release/harness e3 --threads 4
+harness e3 --threads 4
 
 echo "== smoke: harness e-k6 (top-k heap + BM25 identity) =="
 # Every sweep point asserts heap == full sort == collected API, and
 # BM25 index hits == exhaustive scan hits; divergence aborts non-zero.
-./target/release/harness e-k6
-test -s BENCH_PR6.json
-grep -q '"topk_identical": true' BENCH_PR6.json
-grep -q '"bm25_identical": true' BENCH_PR6.json
-grep -q '"topk_sweep"' BENCH_PR6.json
+harness e-k6
+test -s "$ART"/BENCH_PR6.json
+grep -q '"topk_identical": true' "$ART"/BENCH_PR6.json
+grep -q '"bm25_identical": true' "$ART"/BENCH_PR6.json
+grep -q '"topk_sweep"' "$ART"/BENCH_PR6.json
 
 echo "== smoke: harness e-w7 --quick (durable store + crash recovery) =="
 # EE_WAL_NO_SYNC=1 skips per-commit fsync so CI measures the storage
 # layer, not the CI disk. The run bulk-loads a store, times snapshot
 # open vs a cold N-Triples rebuild, serves queries against a concurrent
-# writer, then tears the WAL mid-record and reopens — any divergence
+# writer, then tears the commit log mid-record and reopens — any divergence
 # from the last fully-committed state panics the harness (non-zero
 # exit); reaching the greps means recovery was bit-identical.
-EE_WAL_NO_SYNC=1 ./target/release/harness e-w7 --quick
-test -s BENCH_PR7.json
-grep -q '"recovery_identical": true' BENCH_PR7.json
-grep -q '"bulk_load_triples_per_sec"' BENCH_PR7.json
-grep -q '"with_writer_p99_us"' BENCH_PR7.json
+EE_WAL_NO_SYNC=1 harness e-w7 --quick
+test -s "$ART"/BENCH_PR7.json
+grep -q '"recovery_identical": true' "$ART"/BENCH_PR7.json
+grep -q '"bulk_load_triples_per_sec"' "$ART"/BENCH_PR7.json
+grep -q '"with_writer_p99_us"' "$ART"/BENCH_PR7.json
 
 echo "== smoke: harness e-c8 --quick (event-driven C10K serve tier) =="
 # Open-loop keep-alive fleets against the poll-driven event server; the
 # in-bench stalled-reader check panics (non-zero exit) if the server
 # buffers a stream instead of applying backpressure.
-./target/release/harness e-c8 --quick
-test -s BENCH_PR8.json
-grep -q 'p99' BENCH_PR8.json
-grep -q '"bytes_per_conn"' BENCH_PR8.json
+harness e-c8 --quick
+test -s "$ART"/BENCH_PR8.json
+grep -q 'p99' "$ART"/BENCH_PR8.json
+grep -q '"bytes_per_conn"' "$ART"/BENCH_PR8.json
 
 echo "== smoke: harness e-f9 --quick (sharded scatter-gather router) =="
 # Launches real ee-serve shard + router processes on localhost. Every
@@ -101,10 +109,10 @@ echo "== smoke: harness e-f9 --quick (sharded scatter-gather router) =="
 # the dataset, and the slow-shard stage asserts hedged requests keep
 # admitted p99 under the per-shard deadline — any violation panics the
 # harness (non-zero exit).
-./target/release/harness e-f9 --quick --shards 2
-test -s BENCH_PR9.json
-grep -q '"sharded_identical": true' BENCH_PR9.json
-grep -q '"hedged_total"' BENCH_PR9.json
+harness e-f9 --quick --shards 2
+test -s "$ART"/BENCH_PR9.json
+grep -q '"sharded_identical": true' "$ART"/BENCH_PR9.json
+grep -q '"hedged_total"' "$ART"/BENCH_PR9.json
 
 echo "== smoke: harness e-t10 --quick (versioned commits + time travel) =="
 # A writable server takes a committed update sequence; every commit's
@@ -114,11 +122,11 @@ echo "== smoke: harness e-t10 --quick (versioned commits + time travel) =="
 # unchanged commit id must 304 with zero store reads, and a ranked
 # catalogue search must see a committed searchText doc immediately —
 # any violation panics the harness (non-zero exit).
-./target/release/harness e-t10 --quick
-test -s BENCH_PR10.json
-grep -q '"asof_identical": true' BENCH_PR10.json
-grep -q '"replayed_head_ids_match": true' BENCH_PR10.json
-grep -q '"store_reads_during_304": 0' BENCH_PR10.json
-grep -q '"catalogue_fresh_after_write": true' BENCH_PR10.json
+harness e-t10 --quick
+test -s "$ART"/BENCH_PR10.json
+grep -q '"asof_identical": true' "$ART"/BENCH_PR10.json
+grep -q '"replayed_head_ids_match": true' "$ART"/BENCH_PR10.json
+grep -q '"store_reads_during_304": 0' "$ART"/BENCH_PR10.json
+grep -q '"catalogue_fresh_after_write": true' "$ART"/BENCH_PR10.json
 
 echo "verify.sh: all green"
