@@ -181,7 +181,10 @@ pub fn measure_join(
     let mut sol = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let s = ee_rdf::exec::query_with_threads(store, &q, threads).expect("join query");
+        let parsed = ee_rdf::parser::parse_query(&q).expect("join query parses");
+        let plan = ee_rdf::plan::plan(store, &parsed).expect("join query plans");
+        let s = ee_rdf::exec::execute_plan_view(store, std::sync::Arc::new(plan), threads)
+            .expect("join query");
         times.push(t0.elapsed().as_secs_f64());
         sol = Some(s);
     }

@@ -4,11 +4,12 @@
 //!
 //! * **Top-k**: `ORDER BY ?v LIMIT k` over a value corpus of `n` rows,
 //!   executed through the bounded-heap fast path
-//!   ([`ee_rdf::exec::execute_plan`], which routes `FastPath::TopK`)
-//!   versus the forced full-sort baseline
-//!   ([`ee_rdf::exec::execute_plan_baseline`]). Every (n, k) point
+//!   ([`ee_rdf::exec::stream_plan_shared`], which routes
+//!   `FastPath::TopK`) versus the forced full-sort oracle
+//!   ([`ee_rdf::exec::stream_plan_baseline`]). Every (n, k) point
 //!   asserts the two row sets **bit-identical** — and identical to a
-//!   third run drained through the streaming API — then records median
+//!   third run through the collect API
+//!   ([`ee_rdf::exec::execute_plan_view`]) — then records median
 //!   latency and the executor's peak-resident-row high-water mark. The
 //!   fast path should win on both axes once k ≪ n: O(n log k)
 //!   comparisons against O(n log n), and O(k) resident rows against
@@ -27,7 +28,7 @@ use crate::table::{fmt_secs, Table};
 use crate::Scale;
 use ee_catalogue::{Bm25Index, ProductGenerator, ScanSearcher};
 use ee_geo::Envelope;
-use ee_rdf::exec::{execute_plan, execute_plan_baseline, stream_plan_opts, Solutions};
+use ee_rdf::exec::{execute_plan_view, stream_plan_baseline, stream_plan_shared, Solutions};
 use ee_rdf::plan::{FastPath, Plan};
 use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
@@ -58,9 +59,9 @@ pub fn topk_query(k: usize) -> String {
     )
 }
 
-/// Execute `plan` with fast paths on (`fast = true`) or forced off,
-/// returning the rows, the executor's peak resident rows, and the
-/// wall-clock seconds of this single run.
+/// Execute `plan` with fast paths on (`fast = true`) or through the
+/// oracle, returning the rows, the executor's peak resident rows, and
+/// the wall-clock seconds of this single run.
 fn run_once(
     store: &TripleStore,
     plan: &Arc<Plan>,
@@ -68,22 +69,16 @@ fn run_once(
     fast: bool,
 ) -> (Solutions, u64, f64) {
     let t0 = Instant::now();
-    let mut core =
-        stream_plan_opts(store, Arc::clone(plan), threads, fast).expect("plan executes");
-    let mut rows = Vec::new();
-    while let Some(batch) = core.next_batch(store) {
-        rows.extend(batch);
+    let plan = Arc::clone(plan);
+    let mut core = if fast {
+        stream_plan_shared(store, plan, threads)
+    } else {
+        stream_plan_baseline(store, plan, threads)
     }
+    .expect("plan executes");
+    let sol = core.collect(store);
     let secs = t0.elapsed().as_secs_f64();
-    let peak = core.peak_resident_rows();
-    (
-        Solutions {
-            vars: core.vars().to_vec(),
-            rows,
-        },
-        peak,
-        secs,
-    )
+    (sol, core.peak_resident_rows(), secs)
 }
 
 /// Median of ≥1 raw timings.
@@ -127,13 +122,11 @@ pub fn measure_topk(
             "top-k heap diverged from full sort at k={k}"
         );
     }
-    // Cross-check against the collect wrappers too: the public API the
+    // Cross-check against the collect API too: the entry point the
     // serving tier calls must agree with the streams drained above.
-    let via_fast = execute_plan(store, &plan, threads).expect("fast collect");
-    let via_slow = execute_plan_baseline(store, &plan, threads).expect("baseline collect");
+    let via_collect = execute_plan_view(store, Arc::clone(&plan), threads).expect("collect");
     let fast = fast_rows.expect("reps >= 1");
-    assert_eq!(via_fast, fast, "execute_plan diverged from drained stream");
-    assert_eq!(via_slow, fast, "execute_plan_baseline diverged");
+    assert_eq!(via_collect, fast, "execute_plan_view diverged from drained stream");
     TopKPoint {
         k,
         rows: fast.len(),

@@ -496,34 +496,36 @@ pub fn query_streaming_report(scale: Scale) -> (Vec<Table>, Json) {
         let sparql = sparql_for(side);
         // Executor-level instrumentation: rows of probe work before the
         // first batch, and the resident-row high-water mark.
-        let q = ee_rdf::parser::parse_query(&sparql).expect("parse");
-        let plan = ee_rdf::plan::plan(&state.store(), &q).expect("plan");
-        let mut core = ee_rdf::exec::stream_plan(&state.store(), &plan, 1).expect("stream");
-        let mut rows = 0usize;
-        let mut touched_first = 0u64;
-        let mut peak_first = 0u64;
-        while let Some(b) = core.next_batch(&state.store()) {
-            if rows == 0 {
-                touched_first = core.rows_touched();
-                peak_first = core.peak_resident_rows();
+        let (rows, touched_first, peak_first) = {
+            let store = state.store();
+            let q = ee_rdf::parser::parse_query(&sparql).expect("parse");
+            let plan = Arc::new(ee_rdf::plan::plan(&store, &q).expect("plan"));
+            let mut core = ee_rdf::exec::stream_plan_shared(&**store, Arc::clone(&plan), 1)
+                .expect("stream");
+            let mut streamed = Vec::new();
+            let mut touched_first = 0u64;
+            let mut peak_first = 0u64;
+            while let Some(b) = core.next_batch(&**store) {
+                if streamed.is_empty() {
+                    touched_first = core.rows_touched();
+                    peak_first = core.peak_resident_rows();
+                }
+                streamed.extend(b);
             }
-            rows += b.len();
-        }
-        // Identity gate: streamed ≡ collected at t ∈ {1, 4}. A mismatch
-        // panics, which fails the harness (and the verify stage).
-        for threads in [1usize, 4] {
-            let collected =
-                ee_rdf::exec::query_with_threads(&state.store(), &sparql, threads)
-                    .expect("collect");
-            let streamed = ee_rdf::exec::SolutionStream::new(&state.store(), &plan, threads)
-                .expect("stream")
-                .collect();
-            assert_eq!(
-                streamed, collected,
-                "streamed vs collected diverged (threads={threads}, side={side})"
-            );
-            assert_eq!(rows, collected.len(), "drain count (threads={threads})");
-        }
+            // Identity gate: streamed ≡ collected at t ∈ {1, 4}. A
+            // mismatch panics, which fails the harness (and the verify
+            // stage).
+            for threads in [1usize, 4] {
+                let collected =
+                    ee_rdf::exec::execute_plan_view(&**store, Arc::clone(&plan), threads)
+                        .expect("collect");
+                assert_eq!(
+                    streamed, collected.rows,
+                    "streamed vs collected diverged (threads={threads}, side={side})"
+                );
+            }
+            (streamed.len(), touched_first, peak_first)
+        };
         // Wire-level TTFB under closed-loop load.
         let target = format!("/query?limit={points}&sparql={}", sparql.replace(' ', "%20"));
         let report = loadgen::run(

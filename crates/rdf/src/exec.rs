@@ -25,14 +25,20 @@
 //! * **Group count** (GROUP BY whose aggregates are all COUNTs): a
 //!   single-pass id-keyed counter table replaces materialise-then-group.
 //!
-//! [`query`] parses + plans + executes at the ambient thread count;
-//! [`query_with_threads`] pins the thread count (the E3 speedup sweep and
-//! the parallel-identity tests); [`execute_plan`] runs a prepared
-//! [`Plan`] directly — the serving tier's plan cache calls this.
-//! [`execute_plan_baseline`] forces the pre-fast-path routes, as the
-//! comparison baseline for benches and equivalence tests.
+//! One way to run a plan, over a head `&TripleStore` and an `AS OF`
+//! [`StoreView`] alike:
+//!
+//! * [`stream_plan_shared`] builds a [`StreamCore`] for a prepared
+//!   [`Plan`], and [`StreamCore::next_batch`] pulls its result batches
+//!   from the same store or view;
+//! * [`execute_plan_view`] collects every batch into [`Solutions`]
+//!   through [`StreamCore::collect`], the one drain loop;
+//! * [`query`] parses, plans and collects at the ambient thread count;
+//! * [`stream_plan_baseline`] is the oracle: the same builder with every
+//!   fast path demoted to the generic route it replaces, for the
+//!   equivalence tests and the E-k6 harness.
 
-use crate::parser::{AggFunc, Query, SelectItem};
+use crate::parser::{AggFunc, SelectItem};
 use crate::plan::{FastPath, Plan};
 use crate::store::{StoreView, TripleStore};
 use crate::term::{Term, Value};
@@ -77,87 +83,30 @@ impl Solutions {
     }
 }
 
-/// Parse and execute a query against a store at the ambient thread count.
+/// Parse, plan and execute a query against a store at the ambient thread
+/// count.
 pub fn query(store: &TripleStore, sparql: &str) -> Result<Solutions, RdfError> {
-    query_with_threads(store, sparql, par::available_threads())
-}
-
-/// Parse and execute a query with an explicit thread count. `threads = 1`
-/// is fully serial; any other count produces bit-identical results.
-pub fn query_with_threads(
-    store: &TripleStore,
-    sparql: &str,
-    threads: usize,
-) -> Result<Solutions, RdfError> {
     let q = crate::parser::parse_query(sparql)?;
     let plan = crate::plan::plan(store, &q)?;
-    execute_plan(store, &plan, threads)
+    execute_plan_view(store, Arc::new(plan), par::available_threads())
 }
 
-/// Execute a parsed query (plans first; kept for API compatibility).
-pub fn execute(store: &TripleStore, q: &Query) -> Result<Solutions, RdfError> {
-    let plan = crate::plan::plan(store, q)?;
-    execute_plan(store, &plan, par::available_threads())
-}
-
-/// Execute a prepared [`Plan`]. The plan may be reused across calls and
-/// shared between threads (the serving tier caches them). A collect
-/// wrapper over [`stream_plan`]: pulls every batch and concatenates, so
-/// results are identical to the incremental path by construction.
-pub fn execute_plan(
-    store: &TripleStore,
-    plan: &Plan,
-    threads: usize,
-) -> Result<Solutions, RdfError> {
-    let core = stream_plan(store, plan, threads)?;
-    Ok(collect_core(store, core))
-}
-
-/// Execute a prepared [`Plan`] with every fast path disabled: ORDER BY
-/// always global-sorts and counts always run the generic
-/// materialise-then-group aggregate. This is the pre-fast-path physical
-/// behaviour, kept callable as the baseline the E-k6 harness and the
-/// fast-path equivalence tests compare against. Results are bit-identical
-/// to [`execute_plan`] — only the work done differs.
-pub fn execute_plan_baseline(
-    store: &TripleStore,
-    plan: &Plan,
-    threads: usize,
-) -> Result<Solutions, RdfError> {
-    let core = stream_plan_opts(store, Arc::new(plan.clone()), threads, false)?;
-    Ok(collect_core(store, core))
-}
-
-/// Execute a prepared [`Plan`] against a [`StoreView`] and collect every
-/// row — the versioned-read (`AS OF`) collect path. The plan must have
-/// been built against the **same view** ([`crate::plan::plan_view`]).
-/// Collecting rather than streaming lets a caller answer a versioned
-/// query under one store guard, i.e. against one immutable snapshot.
-pub fn execute_plan_view(
-    view: StoreView<'_>,
+/// Execute a prepared [`Plan`] and collect every row. `store` is a head
+/// `&TripleStore` or a versioned [`StoreView`]; the plan must have been
+/// built against the same one ([`crate::plan::plan`] /
+/// [`crate::plan::plan_view`]). `threads = 1` is fully serial; any other
+/// count produces bit-identical results. The plan may be reused across
+/// calls and shared between threads (the serving tier caches them).
+/// Collecting under one borrow of the store answers the whole query
+/// against one snapshot; the rows are the concatenation of the
+/// [`stream_plan_shared`] batches by construction.
+pub fn execute_plan_view<'s>(
+    store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
     threads: usize,
 ) -> Result<Solutions, RdfError> {
-    let mut core = stream_plan_view(view, plan, threads)?;
-    let mut rows = Vec::new();
-    while let Some(batch) = core.next_batch_view(view) {
-        rows.extend(batch);
-    }
-    Ok(Solutions {
-        vars: core.take_vars(),
-        rows,
-    })
-}
-
-fn collect_core(store: &TripleStore, mut core: StreamCore) -> Solutions {
-    let mut rows = Vec::new();
-    while let Some(batch) = core.next_batch(store) {
-        rows.extend(batch);
-    }
-    Solutions {
-        vars: core.take_vars(),
-        rows,
-    }
+    let view = store.into();
+    Ok(stream_plan_shared(view, plan, threads)?.collect(view))
 }
 
 /// Rows per batch yielded by [`StreamCore::next_batch`]. Small enough
@@ -191,13 +140,12 @@ enum Phase {
 /// [`next_batch`](StreamCore::next_batch) call runs only enough probe
 /// work to fill one batch, so memory stays O(batch) and a slow consumer
 /// pauses the joins instead of buffering them. Grouping and ORDER BY are
-/// blocking and run eagerly at build time (documented on [`stream_plan`]).
+/// blocking and run eagerly at build time (documented on
+/// [`stream_plan_shared`]).
 ///
 /// Owns no borrows — the store is passed to each `next_batch` call — so
 /// a serving tier can park a `StreamCore` inside a response object next
 /// to an `Arc` of the store without self-referential lifetimes.
-/// Concatenating every batch reproduces [`execute_plan`]'s output
-/// exactly: same operation order, same comparators, same DISTINCT keys.
 pub struct StreamCore {
     vars: Vec<String>,
     projection: Vec<(String, usize)>,
@@ -224,10 +172,6 @@ impl StreamCore {
         &self.vars
     }
 
-    fn take_vars(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.vars)
-    }
-
     /// Probe rows touched so far: raw seed matches scanned plus rows
     /// consumed by every pipeline stage. On the streamed path this grows
     /// with each pulled batch — the acceptance metric for "first batch
@@ -251,15 +195,13 @@ impl StreamCore {
 
     /// Produce the next batch of up to [`STREAM_BATCH_ROWS`] result rows,
     /// or `None` when the stream is exhausted (or LIMIT was reached).
-    /// `store` must be the store the stream was built from.
-    pub fn next_batch(&mut self, store: &TripleStore) -> Option<Vec<Vec<Option<Term>>>> {
-        self.next_batch_view(StoreView::from(store))
-    }
-
-    /// [`StreamCore::next_batch`] against a [`StoreView`] — the
-    /// versioned-read form. The view must be the one the stream was
-    /// planned and built from (same base store, same novelty overlay).
-    pub fn next_batch_view(&mut self, store: StoreView<'_>) -> Option<Vec<Vec<Option<Term>>>> {
+    /// `store` must be the store or view the stream was built from (same
+    /// base store, same novelty overlay).
+    pub fn next_batch<'s>(
+        &mut self,
+        store: impl Into<StoreView<'s>>,
+    ) -> Option<Vec<Vec<Option<Term>>>> {
+        let store = store.into();
         if self.remaining == Some(0) {
             return None;
         }
@@ -326,20 +268,31 @@ impl StreamCore {
             Some(out)
         }
     }
+
+    /// Drain every remaining batch into [`Solutions`] — the one collect
+    /// loop, behind [`execute_plan_view`]. `store` is the store or view
+    /// the stream was built from. Leaves the stream exhausted, with its
+    /// instrumentation ([`rows_touched`](StreamCore::rows_touched),
+    /// [`peak_resident_rows`](StreamCore::peak_resident_rows)) readable.
+    pub fn collect<'s>(&mut self, store: impl Into<StoreView<'s>>) -> Solutions {
+        let store = store.into();
+        let mut rows = Vec::new();
+        while let Some(batch) = self.next_batch(store) {
+            rows.extend(batch);
+        }
+        Solutions {
+            vars: std::mem::take(&mut self.vars),
+            rows,
+        }
+    }
 }
 
-/// Build a [`StreamCore`] for a prepared [`Plan`] (clones the plan into
-/// an `Arc`; callers that already hold one should use
-/// [`stream_plan_shared`] to avoid the copy).
-pub fn stream_plan(
-    store: &TripleStore,
-    plan: &Plan,
-    threads: usize,
-) -> Result<StreamCore, RdfError> {
-    stream_plan_shared(store, Arc::new(plan.clone()), threads)
-}
-
-/// Build a [`StreamCore`] over a shared prepared [`Plan`].
+/// Build a [`StreamCore`] for a shared prepared [`Plan`] over `store`: a
+/// head `&TripleStore` or a versioned [`StoreView`], which must be the one
+/// the plan was built against ([`crate::plan::plan`] /
+/// [`crate::plan::plan_view`] — a view plan's spatial candidate sets
+/// encode its overlay). Pull the batches with [`StreamCore::next_batch`]
+/// from the same store or view.
 ///
 /// Non-aggregate, non-ORDER-BY queries are fully pipelined: **no join
 /// work happens here** — each [`StreamCore::next_batch`] pulls just
@@ -347,110 +300,51 @@ pub fn stream_plan(
 /// Grouping/aggregation and ORDER BY are blocking by nature (every input
 /// row feeds the output), so those paths drain the pipeline eagerly here
 /// and stream only the post-processed rows; this is the documented eager
-/// exception.
-pub fn stream_plan_shared(
-    store: &TripleStore,
+/// exception. The route comes from [`Plan::fast_path`], so the executor
+/// and the serving tier's per-fast-path counter can never disagree about
+/// which route ran.
+pub fn stream_plan_shared<'s>(
+    store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
     threads: usize,
 ) -> Result<StreamCore, RdfError> {
-    stream_plan_opts(store, plan, threads, true)
+    let route = plan.fast_path();
+    build(store.into(), plan, threads, route)
 }
 
-/// Build a [`StreamCore`] over a [`StoreView`] — the versioned-read
-/// entry point. The plan must have been built against the **same view**
-/// ([`crate::plan::plan_view`]): its spatial candidate sets encode the
-/// overlay. Batches must then be pulled with
-/// [`StreamCore::next_batch_view`] using the same view.
-pub fn stream_plan_view(
-    view: StoreView<'_>,
+/// The oracle: [`stream_plan_shared`] with every fast path demoted to the
+/// generic route it replaces — top-k to the global sort, the count
+/// shortcuts to the materialise-then-group aggregate. Results are
+/// bit-identical; only the work differs. The fast-path equivalence tests
+/// and the E-k6 harness compare against it.
+pub fn stream_plan_baseline<'s>(
+    store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
     threads: usize,
 ) -> Result<StreamCore, RdfError> {
-    stream_plan_opts_view(view, plan, threads, true)
+    let route = match plan.fast_path() {
+        FastPath::TopK => FastPath::FullSort,
+        FastPath::FastCount | FastPath::GroupCount => FastPath::Aggregate,
+        other => other,
+    };
+    build(store.into(), plan, threads, route)
 }
 
-/// [`stream_plan_shared`] with the fast paths switchable. `fast_paths =
-/// false` demotes top-k to the global sort and the count shortcuts to the
-/// generic aggregate — the physical routes that predate PR 6 — without
-/// changing any result bit. Routing itself comes from
-/// [`Plan::fast_path`], so the executor and the serving tier's
-/// per-fast-path counter can never disagree about which route ran.
-pub fn stream_plan_opts(
-    store: &TripleStore,
-    plan: Arc<Plan>,
-    threads: usize,
-    fast_paths: bool,
-) -> Result<StreamCore, RdfError> {
-    stream_plan_opts_view(StoreView::from(store), plan, threads, fast_paths)
-}
-
-fn stream_plan_opts_view(
+fn build(
     store: StoreView<'_>,
     plan: Arc<Plan>,
     threads: usize,
-    fast_paths: bool,
+    route: FastPath,
 ) -> Result<StreamCore, RdfError> {
-    let mut route = plan.fast_path();
-    if !fast_paths {
-        route = match route {
-            FastPath::TopK => FastPath::FullSort,
-            FastPath::FastCount | FastPath::GroupCount => FastPath::Aggregate,
-            other => other,
-        };
-    }
-
-    if matches!(
-        route,
-        FastPath::FastCount | FastPath::GroupCount | FastPath::Aggregate
-    ) {
-        // Blocking path: run the pipeline to exhaustion (counting in
-        // place on the fast routes), aggregate, then DISTINCT, then alias
-        // ORDER BY — the exact op order of the historical collect path.
-        // OFFSET and LIMIT stay streaming for uniformity.
-        let (header, mut out_rows, touched, peak) = match route {
-            FastPath::FastCount => fast_count(store, &plan, threads)?,
-            FastPath::GroupCount => group_count(store, &plan, threads)?,
-            _ => {
-                let (raw, touched, peak) = drain_pipeline(store, &plan, threads);
-                let (header, rows) = aggregate(store, &plan, raw)?;
-                (header, rows, touched, peak)
-            }
-        };
-        if plan.distinct {
-            let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
-            out_rows.retain(|row| seen.insert(row.clone()));
+    // Aggregate routes yield finished term rows under their own header;
+    // the id routes project, dedup and skip as they stream.
+    let mut header = None;
+    let (phase, touched, peak) = match route {
+        FastPath::FastCount | FastPath::GroupCount | FastPath::Aggregate => {
+            let (h, rows, touched, peak) = aggregate_rows(store, &plan, threads, route)?;
+            header = Some(h);
+            (Phase::Rows(rows.into_iter()), touched, peak)
         }
-        if let Some((ov, asc)) = plan.order_by_name() {
-            if let Some(ci) = header.iter().position(|h| h == ov) {
-                out_rows.sort_by(|a, b| {
-                    let ord = cmp_terms(&a[ci], &b[ci]);
-                    if asc {
-                        ord
-                    } else {
-                        ord.reverse()
-                    }
-                });
-            }
-        }
-        return Ok(StreamCore {
-            vars: header,
-            projection: Vec::new(),
-            phase: Phase::Rows(out_rows.into_iter()),
-            seen: None, // already applied eagerly above
-            to_skip: plan.offset.unwrap_or(0),
-            remaining: plan.limit,
-            touched_eager: touched,
-            peak_eager: peak,
-        });
-    }
-
-    let vars: Vec<String> = plan.projection.iter().map(|(n, _)| n.clone()).collect();
-    let projection = plan.projection.clone();
-    let seen = plan.distinct.then(HashSet::new);
-    let to_skip = plan.offset.unwrap_or(0);
-    let remaining = plan.limit;
-
-    match route {
         FastPath::TopK => {
             // Bounded-heap ORDER BY + LIMIT: only the k + offset best id
             // rows survive the drain; everything downstream streams.
@@ -460,16 +354,7 @@ fn stream_plan_opts_view(
                 .expect("topk implies LIMIT")
                 .saturating_add(plan.offset.unwrap_or(0));
             let (rows, touched, peak) = topk_rows(store, &plan, threads, oi, asc, n_keep);
-            Ok(StreamCore {
-                vars,
-                projection,
-                phase: Phase::Ids(rows.into_iter()),
-                seen,
-                to_skip,
-                remaining,
-                touched_eager: touched,
-                peak_eager: peak,
-            })
+            (Phase::Ids(rows.into_iter()), touched, peak)
         }
         FastPath::FullSort => {
             // ORDER BY is global: drain and sort the id rows now, with
@@ -478,35 +363,73 @@ fn stream_plan_opts_view(
             let (oi, asc) = plan.order_by.expect("full sort implies ORDER BY");
             let (raw, touched, peak) = drain_pipeline(store, &plan, threads);
             let rows = full_sort_rows(store, raw, threads, oi, asc);
-            Ok(StreamCore {
-                vars,
-                projection,
-                phase: Phase::Ids(rows.into_iter()),
-                seen,
-                to_skip,
-                remaining,
-                touched_eager: touched,
-                peak_eager: peak,
-            })
+            (Phase::Ids(rows.into_iter()), touched, peak)
         }
         _ => {
             // The fully-streamed path: park the un-started pipeline; every
             // next_batch call does O(batch) probe work.
-            Ok(StreamCore {
-                vars,
-                projection,
-                phase: Phase::Stream {
-                    pipe: join::Pipeline::new(store, plan, threads),
-                    buf: Vec::new().into_iter(),
-                },
-                seen,
-                to_skip,
-                remaining,
-                touched_eager: 0,
-                peak_eager: 0,
-            })
+            let pipe = join::Pipeline::new(store, Arc::clone(&plan), threads);
+            let buf = Vec::new().into_iter();
+            (Phase::Stream { pipe, buf }, 0, 0)
+        }
+    };
+    let (vars, projection, seen) = match header {
+        // DISTINCT was already applied to the aggregate rows.
+        Some(header) => (header, Vec::new(), None),
+        None => (
+            plan.projection.iter().map(|(n, _)| n.clone()).collect(),
+            plan.projection.clone(),
+            plan.distinct.then(HashSet::new),
+        ),
+    };
+    Ok(StreamCore {
+        vars,
+        projection,
+        phase,
+        seen,
+        to_skip: plan.offset.unwrap_or(0),
+        remaining: plan.limit,
+        touched_eager: touched,
+        peak_eager: peak,
+    })
+}
+
+/// The blocking aggregate routes: run the pipeline to exhaustion
+/// (counting in place on the fast routes), aggregate, then DISTINCT, then
+/// alias ORDER BY — the op order of the generic route. OFFSET and LIMIT
+/// stay streaming, in [`StreamCore::next_batch`].
+fn aggregate_rows(
+    store: StoreView<'_>,
+    plan: &Arc<Plan>,
+    threads: usize,
+    route: FastPath,
+) -> Result<AggOut, RdfError> {
+    let (header, mut rows, touched, peak) = match route {
+        FastPath::FastCount => fast_count(store, plan, threads)?,
+        FastPath::GroupCount => group_count(store, plan, threads)?,
+        _ => {
+            let (raw, touched, peak) = drain_pipeline(store, plan, threads);
+            let (header, rows) = aggregate(store, plan, raw)?;
+            (header, rows, touched, peak)
+        }
+    };
+    if plan.distinct {
+        let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
+        rows.retain(|row| seen.insert(row.clone()));
+    }
+    if let Some((ov, asc)) = plan.order_by_name() {
+        if let Some(ci) = header.iter().position(|h| h == ov) {
+            rows.sort_by(|a, b| {
+                let ord = cmp_terms(&a[ci], &b[ci]);
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            });
         }
     }
+    Ok((header, rows, touched, peak))
 }
 
 /// Run a plan's pipeline to exhaustion (the blocking aggregate/ORDER
@@ -529,51 +452,6 @@ fn drain_pipeline(
     let touched = pipe.rows_touched();
     let peak = rows.len() as u64;
     (rows, touched, peak)
-}
-
-/// A [`StreamCore`] bundled with its store — the ergonomic form for
-/// callers whose store outlives the stream (tests, library use). The
-/// serving tier uses [`StreamCore`] directly with a shared-ownership
-/// store instead.
-pub struct SolutionStream<'a> {
-    store: &'a TripleStore,
-    core: StreamCore,
-}
-
-impl<'a> SolutionStream<'a> {
-    /// Plan-driver entry point: run the joins, defer the rest.
-    pub fn new(
-        store: &'a TripleStore,
-        plan: &Plan,
-        threads: usize,
-    ) -> Result<SolutionStream<'a>, RdfError> {
-        Ok(SolutionStream {
-            store,
-            core: stream_plan(store, plan, threads)?,
-        })
-    }
-
-    /// Projected variable names, in order.
-    pub fn vars(&self) -> &[String] {
-        self.core.vars()
-    }
-
-    /// Next batch of result rows, or `None` when exhausted.
-    pub fn next_batch(&mut self) -> Option<Vec<Vec<Option<Term>>>> {
-        self.core.next_batch(self.store)
-    }
-
-    /// Drain the remaining batches into a [`Solutions`].
-    pub fn collect(mut self) -> Solutions {
-        let mut rows = Vec::new();
-        while let Some(b) = self.next_batch() {
-            rows.extend(b);
-        }
-        Solutions {
-            vars: self.core.take_vars(),
-            rows,
-        }
-    }
 }
 
 fn numeric_of(store: StoreView<'_>, id: u64) -> Option<f64> {
@@ -1046,10 +924,37 @@ fn agg_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::IndexMode;
+    use crate::store::{IndexMode, Novelty};
 
     fn e(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
+    }
+
+    /// Parse and plan `q_text` against `view`.
+    fn plan_of<'s>(view: impl Into<StoreView<'s>>, q_text: &str) -> Arc<Plan> {
+        let q = crate::parser::parse_query(q_text).unwrap();
+        Arc::new(crate::plan::plan_view(view.into(), &q).unwrap())
+    }
+
+    /// Plan and collect `q_text` at an explicit thread count.
+    fn run(st: &TripleStore, q_text: &str, threads: usize) -> Solutions {
+        execute_plan_view(st, plan_of(st, q_text), threads).unwrap()
+    }
+
+    /// A versioned view's overlay over `st`, the shape `Store::as_of`
+    /// builds: every fifth base triple hidden, and `extra` triples added
+    /// back (removed from the base, so only the overlay holds them).
+    fn overlay(st: &mut TripleStore, extra: &[(Term, Term, Term)]) -> Novelty {
+        let mut add = Vec::new();
+        for (s, p, o) in extra {
+            st.insert(s, p, o);
+            let id = |t: &Term| st.dict.id_of(t).unwrap();
+            let ids = (id(s), id(p), id(o));
+            assert!(st.remove_ids(ids.0, ids.1, ids.2));
+            add.push(ids);
+        }
+        let hide = st.id_triples().iter().copied().step_by(5).collect();
+        Novelty::new(hide, add)
     }
 
     fn sample_store(mode: IndexMode) -> TripleStore {
@@ -1373,10 +1278,10 @@ mod tests {
              FILTER(geof:sfWithin(?g, \"POLYGON ((30 30, 70 30, 70 70, 30 70, 30 30))\"^^geo:wktLiteral)) }",
         ];
         for q_text in corpus {
-            let serial = query_with_threads(&st, q_text, 1).unwrap();
+            let serial = run(&st, q_text, 1);
             assert!(!serial.vars.is_empty());
             for t in [2, 4, 8] {
-                let parallel = query_with_threads(&st, q_text, t).unwrap();
+                let parallel = run(&st, q_text, t);
                 assert_eq!(serial, parallel, "threads={t} diverged on {q_text}");
             }
         }
@@ -1408,14 +1313,13 @@ mod tests {
         ] ;
         for q_text in corpus {
             for t in [1usize, 4] {
-                let collected = query_with_threads(&st, q_text, t).unwrap();
-                let q = crate::parser::parse_query(q_text).unwrap();
-                let plan = crate::plan::plan(&st, &q).unwrap();
-                let mut stream = SolutionStream::new(&st, &plan, t).unwrap();
+                let collected = run(&st, q_text, t);
+                let plan = plan_of(&st, q_text);
+                let mut stream = stream_plan_shared(&st, Arc::clone(&plan), t).unwrap();
                 assert_eq!(stream.vars(), collected.vars.as_slice(), "{q_text}");
                 let mut rows = Vec::new();
                 let mut batches = 0usize;
-                while let Some(b) = stream.next_batch() {
+                while let Some(b) = stream.next_batch(&st) {
                     assert!(!b.is_empty(), "empty batches are never yielded");
                     assert!(b.len() <= STREAM_BATCH_ROWS);
                     rows.extend(b);
@@ -1426,7 +1330,7 @@ mod tests {
                     assert!(batches > 1, "large result must span batches");
                 }
                 // The one-shot collector agrees too.
-                let again = SolutionStream::new(&st, &plan, t).unwrap().collect();
+                let again = stream_plan_shared(&st, plan, t).unwrap().collect(&st);
                 assert_eq!(again, collected, "{q_text}");
             }
         }
@@ -1463,10 +1367,9 @@ mod tests {
         ];
         let bound = (8 * STREAM_BATCH_ROWS) as u64;
         for (q_text, total) in cases {
-            let q = crate::parser::parse_query(q_text).unwrap();
-            let plan = crate::plan::plan(&st, &q).unwrap();
+            let plan = plan_of(&st, q_text);
             for t in [1usize, 4] {
-                let mut core = stream_plan(&st, &plan, t).unwrap();
+                let mut core = stream_plan_shared(&st, Arc::clone(&plan), t).unwrap();
                 assert_eq!(core.rows_touched(), 0, "no join work before the first pull");
                 let first = core.next_batch(&st).unwrap();
                 assert_eq!(first.len(), STREAM_BATCH_ROWS);
@@ -1502,11 +1405,10 @@ mod tests {
         let st = parallel_corpus_store();
         let q_text = "PREFIX e: <http://e/> SELECT DISTINCT ?c WHERE { ?s e:class ?c }";
         for t in [1usize, 4] {
-            let collected = query_with_threads(&st, q_text, t).unwrap();
+            let collected = run(&st, q_text, t);
             assert_eq!(collected.len(), 2, "600 class bindings collapse to 2 classes");
-            let q = crate::parser::parse_query(q_text).unwrap();
-            let plan = crate::plan::plan(&st, &q).unwrap();
-            let streamed = SolutionStream::new(&st, &plan, t).unwrap().collect();
+            let plan = plan_of(&st, q_text);
+            let streamed = stream_plan_shared(&st, plan, t).unwrap().collect(&st);
             assert_eq!(streamed, collected, "t={t}");
         }
     }
@@ -1553,35 +1455,46 @@ mod tests {
     /// the bounded-heap top-k path, the forced full-sort baseline and the
     /// batch-at-a-time streamed drain produce the same rows — across
     /// dup-heavy keys, NaN doubles, mixed literal types, unbound keys,
-    /// OFFSET > 0 and k ≥ n.
+    /// OFFSET > 0 and k ≥ n — on the head store and on an `AS OF` view
+    /// that hides some ordered rows and adds others.
     #[test]
     fn topk_equals_full_sort_equals_streamed() {
-        let st = topk_corpus_store();
+        let mut st = topk_corpus_store();
+        let extra: Vec<(Term, Term, Term)> = (0..20)
+            .flat_map(|i| {
+                let s = e(&format!("x{i}"));
+                [(s.clone(), e("tag"), e("thing")), (s, e("val"), Term::integer(i % 7))]
+            })
+            .collect();
+        let nov = overlay(&mut st, &extra);
         let queries = [
             "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:val ?v } ORDER BY ?v LIMIT {K} OFFSET {O}",
             "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:val ?v } ORDER BY DESC(?v) LIMIT {K} OFFSET {O}",
             // Unbound keys: OPTIONAL rows sort first ascending.
             "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:tag e:thing . OPTIONAL { ?s e:val ?v } } ORDER BY ?v LIMIT {K} OFFSET {O}",
         ];
-        for template in queries {
-            for (k, o) in [(0usize, 0usize), (1, 0), (3, 5), (10, 0), (50, 17), (400, 0), (1000, 3)] {
-                let q_text = template
-                    .replace("{K}", &k.to_string())
-                    .replace("{O}", &o.to_string());
-                let q = crate::parser::parse_query(&q_text).unwrap();
-                let plan = crate::plan::plan(&st, &q).unwrap();
-                assert_eq!(plan.fast_path(), crate::plan::FastPath::TopK, "{q_text}");
-                for t in [1usize, 4] {
-                    let fast = execute_plan(&st, &plan, t).unwrap();
-                    let slow = execute_plan_baseline(&st, &plan, t).unwrap();
-                    assert_eq!(fast, slow, "t={t} k={k} o={o}: heap != full sort: {q_text}");
-                    let mut stream = SolutionStream::new(&st, &plan, t).unwrap();
-                    let mut rows = Vec::new();
-                    while let Some(b) = stream.next_batch() {
-                        rows.extend(b);
+        for view in [StoreView::from(&st), StoreView::with_novelty(&st, &nov)] {
+            for template in queries {
+                for (k, o) in [(0usize, 0usize), (1, 0), (3, 5), (10, 0), (50, 17), (400, 0), (1000, 3)] {
+                    let q_text = template
+                        .replace("{K}", &k.to_string())
+                        .replace("{O}", &o.to_string());
+                    let plan = plan_of(view, &q_text);
+                    assert_eq!(plan.fast_path(), crate::plan::FastPath::TopK, "{q_text}");
+                    for t in [1usize, 4] {
+                        let fast = execute_plan_view(view, Arc::clone(&plan), t).unwrap();
+                        let slow = stream_plan_baseline(view, Arc::clone(&plan), t)
+                            .unwrap()
+                            .collect(view);
+                        assert_eq!(fast, slow, "t={t} k={k} o={o}: heap != full sort: {q_text}");
+                        let mut stream = stream_plan_shared(view, Arc::clone(&plan), t).unwrap();
+                        let mut rows = Vec::new();
+                        while let Some(b) = stream.next_batch(view) {
+                            rows.extend(b);
+                        }
+                        assert_eq!(rows, fast.rows, "t={t} k={k} o={o}: streamed != heap: {q_text}");
+                        assert!(fast.rows.len() <= k, "LIMIT respected");
                     }
-                    assert_eq!(rows, fast.rows, "t={t} k={k} o={o}: streamed != heap: {q_text}");
-                    assert!(fast.rows.len() <= k, "LIMIT respected");
                 }
             }
         }
@@ -1589,10 +1502,26 @@ mod tests {
 
     /// The count fast paths (COUNT without GROUP BY, all-COUNT GROUP BY)
     /// are bit-identical to the generic materialise-then-group aggregate,
-    /// including the zero-input-rows edge (empty result, not a 0 row).
+    /// including the zero-input-rows edge (empty result, not a 0 row) —
+    /// on the head store and on an `AS OF` view.
     #[test]
     fn count_fast_paths_match_generic_aggregate() {
-        let st = parallel_corpus_store();
+        let mut st = parallel_corpus_store();
+        let extra: Vec<(Term, Term, Term)> = (0..30)
+            .flat_map(|i| {
+                let s = e(&format!("g{i}"));
+                let class = e(if i % 2 == 0 { "crop" } else { "forest" });
+                let mut triples = vec![
+                    (s.clone(), e("near"), e(&format!("f{i}"))),
+                    (s.clone(), e("class"), class),
+                ];
+                if i % 3 == 0 {
+                    triples.push((s, e("name"), Term::string(format!("overlay {i}"))));
+                }
+                triples
+            })
+            .collect();
+        let nov = overlay(&mut st, &extra);
         let cases = [
             ("PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:near ?t }", crate::plan::FastPath::FastCount),
             ("PREFIX e: <http://e/> SELECT (COUNT(?n) AS ?c) WHERE { ?s e:class e:crop . OPTIONAL { ?s e:name ?n } }", crate::plan::FastPath::FastCount),
@@ -1604,14 +1533,17 @@ mod tests {
             // Non-count aggregates stay generic and still agree.
             ("PREFIX e: <http://e/> SELECT (SUM(?s) AS ?n) WHERE { ?s e:near ?t }", crate::plan::FastPath::Aggregate),
         ];
-        for (q_text, want_route) in cases {
-            let q = crate::parser::parse_query(q_text).unwrap();
-            let plan = crate::plan::plan(&st, &q).unwrap();
-            assert_eq!(plan.fast_path(), want_route, "{q_text}");
-            for t in [1usize, 4] {
-                let fast = execute_plan(&st, &plan, t).unwrap();
-                let slow = execute_plan_baseline(&st, &plan, t).unwrap();
-                assert_eq!(fast, slow, "t={t}: {q_text}");
+        for view in [StoreView::from(&st), StoreView::with_novelty(&st, &nov)] {
+            for (q_text, want_route) in cases {
+                let plan = plan_of(view, q_text);
+                assert_eq!(plan.fast_path(), want_route, "{q_text}");
+                for t in [1usize, 4] {
+                    let fast = execute_plan_view(view, Arc::clone(&plan), t).unwrap();
+                    let slow = stream_plan_baseline(view, Arc::clone(&plan), t)
+                        .unwrap()
+                        .collect(view);
+                    assert_eq!(fast, slow, "t={t}: {q_text}");
+                }
             }
         }
     }
@@ -1626,14 +1558,13 @@ mod tests {
         for i in 0..10_000u32 {
             st.insert(&e(&format!("s{i}")), &near, &e(&format!("s{}", (i + 1) % 10_000)));
         }
-        let q = crate::parser::parse_query(
+        let plan = plan_of(
+            &st,
             "PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:near ?t }",
-        )
-        .unwrap();
-        let plan = crate::plan::plan(&st, &q).unwrap();
+        );
         let bound = (8 * STREAM_BATCH_ROWS) as u64;
         for t in [1usize, 4] {
-            let mut fast = stream_plan(&st, &plan, t).unwrap();
+            let mut fast = stream_plan_shared(&st, Arc::clone(&plan), t).unwrap();
             let rows = fast.next_batch(&st).unwrap();
             assert_eq!(rows[0][0], Some(Term::integer(10_000)));
             assert!(
@@ -1641,7 +1572,7 @@ mod tests {
                 "t={t}: fast count kept {} rows resident",
                 fast.peak_resident_rows()
             );
-            let mut slow = stream_plan_opts(&st, Arc::new(plan.clone()), t, false).unwrap();
+            let mut slow = stream_plan_baseline(&st, Arc::clone(&plan), t).unwrap();
             let srows = slow.next_batch(&st).unwrap();
             assert_eq!(srows, rows);
             assert_eq!(slow.peak_resident_rows(), 10_000, "generic path drains all");
@@ -1664,25 +1595,20 @@ mod tests {
                 &Term::integer((rng >> 33) as i64 % 1000),
             );
         }
-        let q = crate::parser::parse_query(
+        let plan = plan_of(
+            &st,
             "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:score ?v } ORDER BY DESC(?v) LIMIT 5",
-        )
-        .unwrap();
-        let plan = crate::plan::plan(&st, &q).unwrap();
+        );
         for t in [1usize, 4] {
-            let fast = stream_plan(&st, &plan, t).unwrap();
-            let slow = stream_plan_opts(&st, Arc::new(plan.clone()), t, false).unwrap();
+            let mut fast = stream_plan_shared(&st, Arc::clone(&plan), t).unwrap();
+            let mut slow = stream_plan_baseline(&st, Arc::clone(&plan), t).unwrap();
             assert!(
                 fast.peak_resident_rows() <= (2 * TOPK_PULL_ROWS) as u64,
                 "t={t}: top-k kept {} rows resident",
                 fast.peak_resident_rows()
             );
             assert_eq!(slow.peak_resident_rows(), 10_000, "full sort drains all");
-            assert_eq!(
-                collect_core(&st, fast).rows,
-                collect_core(&st, slow).rows,
-                "t={t}"
-            );
+            assert_eq!(fast.collect(&st).rows, slow.collect(&st).rows, "t={t}");
         }
     }
 
@@ -1690,11 +1616,10 @@ mod tests {
     fn prepared_plan_reuse_matches_one_shot() {
         let st = parallel_corpus_store();
         let q_text = "PREFIX e: <http://e/> SELECT ?s ?t WHERE { ?s e:near ?t . ?s e:class e:crop }";
-        let q = crate::parser::parse_query(q_text).unwrap();
-        let plan = crate::plan::plan(&st, &q).unwrap();
-        let once = query_with_threads(&st, q_text, 4).unwrap();
+        let plan = plan_of(&st, q_text);
+        let once = run(&st, q_text, 4);
         for _ in 0..3 {
-            assert_eq!(execute_plan(&st, &plan, 4).unwrap(), once);
+            assert_eq!(execute_plan_view(&st, Arc::clone(&plan), 4).unwrap(), once);
         }
     }
 }

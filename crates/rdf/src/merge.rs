@@ -31,10 +31,15 @@
 //! the unsharded answer. The serving tier's transport `row_cap`
 //! remains the one shard-order-dependent edge: bit-identity covers
 //! queries whose per-shard row sets fit the cap.
+//!
+//! The `/query` body format lives here too: [`ResultWriter`] is its one
+//! writer (streamed, collected, `?asOf=` and merged bodies alike) and
+//! [`QueryResult::parse`] reads it back.
 
 use crate::parser::{parse_query, AggFunc, PatternTerm, SelectItem};
+use crate::term::Term;
 use crate::RdfError;
-use ee_util::json::Json;
+use ee_util::json::{emit_string, fmt_number, Json};
 
 /// How per-shard results of a query fold into one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,8 +168,96 @@ pub fn strategy_for(sparql: &str) -> Result<MergeStrategy, RdfError> {
     ))
 }
 
+/// The one writer of the `/query` body,
+/// `{"vars":[…],"rows":[…],"count":n}`: incremental, so a streamed
+/// response emits it batch by batch and a collected one in one go, with
+/// the same bytes.
+///
+/// `count` is every row pushed; rows past the `limit` cap are counted but
+/// not written. The head is held back until the first row is written (or
+/// until [`finish`](ResultWriter::finish) when none is), so a streamed
+/// body's first chunk already carries rows. A term is written as its IRI
+/// or literal lexical form (datatype dropped); an unbound cell as `null`.
+#[derive(Debug)]
+pub struct ResultWriter {
+    /// `{"vars":[…],"rows":[` until it has been written.
+    head: Option<String>,
+    limit: usize,
+    written: usize,
+    count: u64,
+}
+
+impl ResultWriter {
+    /// A writer for a body projecting `vars` that writes at most `limit`
+    /// rows.
+    pub fn new(vars: &[String], limit: usize) -> ResultWriter {
+        let mut head = String::from("{\"vars\":[");
+        for (i, v) in vars.iter().enumerate() {
+            if i > 0 {
+                head.push(',');
+            }
+            emit_string(v, &mut head);
+        }
+        head.push_str("],\"rows\":[");
+        ResultWriter {
+            head: Some(head),
+            limit,
+            written: 0,
+            count: 0,
+        }
+    }
+
+    /// Count one result row and append it to `out` if under the cap.
+    pub fn row(&mut self, out: &mut String, row: &[Option<Term>]) {
+        if !self.begin_row(out) {
+            return;
+        }
+        out.push('[');
+        for (i, t) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match t {
+                None => out.push_str("null"),
+                Some(Term::Iri(s) | Term::Literal { lexical: s, .. }) => emit_string(s, out),
+            }
+        }
+        out.push(']');
+    }
+
+    /// Append the tail — and the head, if no row was written — ending the
+    /// body.
+    pub fn finish(mut self, out: &mut String) {
+        self.write_head(out);
+        out.push_str("],\"count\":");
+        out.push_str(&fmt_number(self.count as f64));
+        out.push('}');
+    }
+
+    /// Count a row; when it is under the cap, write what precedes it (the
+    /// head or a separator) and return `true`.
+    fn begin_row(&mut self, out: &mut String) -> bool {
+        self.count += 1;
+        if self.written == self.limit {
+            return false;
+        }
+        self.write_head(out);
+        if self.written > 0 {
+            out.push(',');
+        }
+        self.written += 1;
+        true
+    }
+
+    fn write_head(&mut self, out: &mut String) {
+        if let Some(head) = self.head.take() {
+            out.push_str(&head);
+        }
+    }
+}
+
 /// One parsed `/query` result body: the `{"vars":…,"rows":…,"count":…}`
-/// shape the serving tier emits.
+/// shape [`ResultWriter`] emits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Projected variable names, in emission order.
@@ -203,18 +296,20 @@ impl QueryResult {
         Ok(QueryResult { vars, rows, count })
     }
 
-    /// Serialise back to the canonical body shape — byte-identical to
-    /// what the serving tier's streamed writer emits for the same
+    /// Serialise back to the body shape through [`ResultWriter`], so the
+    /// bytes equal what the serving tier emits for the same
     /// `vars`/`rows`/`count`.
     pub fn emit(&self) -> String {
-        let vars = Json::Arr(self.vars.iter().cloned().map(Json::Str).collect());
-        let rows: Vec<String> = self.rows.iter().map(Json::emit).collect();
-        format!(
-            "{{\"vars\":{},\"rows\":[{}],\"count\":{}}}",
-            vars.emit(),
-            rows.join(","),
-            Json::Num(self.count as f64).emit()
-        )
+        let mut out = String::new();
+        let mut w = ResultWriter::new(&self.vars, usize::MAX);
+        for row in &self.rows {
+            w.begin_row(&mut out);
+            row.emit_into(&mut out);
+        }
+        // The rows carried may be fewer than `count` (a row cap upstream).
+        w.count = self.count;
+        w.finish(&mut out);
+        out
     }
 }
 
@@ -487,5 +582,38 @@ mod tests {
         assert_eq!(parsed.emit(), body);
         assert!(QueryResult::parse("{\"rows\":[]}").is_err());
         assert!(QueryResult::parse("not json").is_err());
+    }
+
+    #[test]
+    fn result_writer_holds_the_head_for_the_first_row_and_caps_rows() {
+        let vars = ["s".to_string(), "o".to_string()];
+        let lit = |l: &str| Some(Term::string(l));
+        let mut w = ResultWriter::new(&vars, 3);
+        let mut chunk = String::new();
+        w.row(&mut chunk, &[]);
+        let mut out = chunk.clone();
+        assert!(chunk.starts_with("{\"vars\":[\"s\",\"o\"],\"rows\":[["), "{chunk}");
+        for row in [
+            vec![Some(Term::iri("http://e/a")), None],
+            vec![lit("q\"uote"), lit("x")],
+            vec![lit("past the cap"), None],
+        ] {
+            chunk.clear();
+            w.row(&mut chunk, &row);
+            out.push_str(&chunk);
+        }
+        assert!(chunk.is_empty(), "a capped row writes nothing");
+        w.finish(&mut out);
+        assert_eq!(
+            out,
+            "{\"vars\":[\"s\",\"o\"],\"rows\":[[],[\"http://e/a\",null],[\"q\\\"uote\",\"x\"]],\"count\":4}",
+            "the fourth row is counted, not written"
+        );
+        let parsed = QueryResult::parse(&out).unwrap();
+        assert_eq!(parsed.emit(), out);
+        // No rows (or a zero cap): the head goes out with the tail.
+        let mut empty = String::new();
+        ResultWriter::new(&vars, 0).finish(&mut empty);
+        assert_eq!(empty, "{\"vars\":[\"s\",\"o\"],\"rows\":[],\"count\":0}");
     }
 }

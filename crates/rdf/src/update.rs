@@ -104,7 +104,8 @@ fn instantiate(
         offset: None,
         as_of: None,
     };
-    let sols = crate::exec::execute(store, &q)?;
+    let plan = std::sync::Arc::new(crate::plan::plan(store, &q)?);
+    let sols = crate::exec::execute_plan_view(store, plan, ee_util::par::available_threads())?;
     let col_of = |name: &str| sols.vars.iter().position(|v| v == name);
     let mut out = Vec::new();
     for row in &sols.rows {

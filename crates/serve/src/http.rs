@@ -32,17 +32,35 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// Largest accepted header section (request line + all headers).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
-/// A wire failure: a request the server answers with 400 or 413, or a
-/// response [`read_response`] could not read.
+/// A request [`RequestParser::poll_request`] refuses; the server answers
+/// it (400 or 413) and closes the connection.
+#[derive(Debug)]
+pub enum RequestError {
+    /// Bad request line, header, length or framing.
+    Malformed(String),
+    /// Declared body longer than [`MAX_BODY_BYTES`].
+    BodyTooLarge(usize),
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::Malformed(m) => write!(f, "malformed request: {m}"),
+            RequestError::BodyTooLarge(n) => write!(f, "body of {n} bytes too large"),
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+/// A response [`read_response`] could not read.
 #[derive(Debug)]
 pub enum HttpError {
     /// Clean EOF before the first byte of a response — the server closed
     /// the connection between keep-alive exchanges.
     ConnectionClosed,
-    /// Malformed message (bad request line, header, length or framing).
+    /// Malformed response (bad status line, header, length or framing).
     Malformed(String),
-    /// Request body longer than [`MAX_BODY_BYTES`].
-    BodyTooLarge(usize),
     /// Underlying socket error (including read timeouts) mid-response.
     Io(std::io::Error),
 }
@@ -52,7 +70,6 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::ConnectionClosed => write!(f, "connection closed"),
             HttpError::Malformed(m) => write!(f, "malformed message: {m}"),
-            HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes too large"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -113,8 +130,8 @@ impl Request {
     }
 }
 
-fn malformed(msg: impl Into<String>) -> HttpError {
-    HttpError::Malformed(msg.into())
+fn malformed(msg: impl Into<String>) -> RequestError {
+    RequestError::Malformed(msg.into())
 }
 
 /// Parse a request head — request line, headers and the blank line
@@ -125,7 +142,7 @@ fn malformed(msg: impl Into<String>) -> HttpError {
 /// `Transfer-Encoding`, or `Content-Length` headers that disagree, is
 /// refused: its body would otherwise be read as the next pipelined
 /// request on the connection.
-fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
+fn parse_head(head: &[u8]) -> Result<(Request, usize), RequestError> {
     let mut lines = head.split(|&b| b == b'\n').map(|line| {
         if line.len() > MAX_HEADER_BYTES {
             return Err(malformed("line too long"));
@@ -184,7 +201,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
         .transpose()?
         .unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::BodyTooLarge(content_length));
+        return Err(RequestError::BodyTooLarge(content_length));
     }
     let (path_raw, query_raw) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
@@ -515,7 +532,7 @@ impl RequestParser {
     /// means "need more bytes". Leftover bytes (pipelined requests) stay
     /// buffered for the next call. Errors are terminal for the
     /// connection.
-    pub fn poll_request(&mut self) -> Result<Option<Request>, HttpError> {
+    pub fn poll_request(&mut self) -> Result<Option<Request>, RequestError> {
         let Some(head_end) = find_head_end(&self.buf) else {
             // No blank line yet. Cap the raw accumulation: a legal head
             // holds at most MAX_HEADER_BYTES of line payload, so 2x raw
@@ -692,7 +709,7 @@ pub(crate) fn read_response_timed<R: BufRead>(
         };
         if avail.is_empty() {
             return Err(if started {
-                malformed("unexpected EOF in response")
+                HttpError::Malformed("unexpected EOF in response".into())
             } else {
                 HttpError::ConnectionClosed
             });
@@ -724,7 +741,7 @@ mod tests {
     use std::io::BufReader;
 
     /// Parse one complete request through the incremental parser.
-    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+    fn parse(raw: &[u8]) -> Result<Request, RequestError> {
         let mut parser = RequestParser::new();
         parser.feed(raw);
         parser.poll_request().map(|r| r.expect("complete request"))
@@ -765,7 +782,7 @@ mod tests {
         // Oversized bodies are refused before allocation.
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         match parse(raw.as_bytes()) {
-            Err(HttpError::BodyTooLarge(_)) => {}
+            Err(RequestError::BodyTooLarge(_)) => {}
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
     }
@@ -779,12 +796,12 @@ mod tests {
                 "POST /query HTTP/1.1\r\nTransfer-Encoding: {te}\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
             );
             assert!(
-                matches!(parse(raw.as_bytes()), Err(HttpError::Malformed(_))),
+                matches!(parse(raw.as_bytes()), Err(RequestError::Malformed(_))),
                 "{te}"
             );
         }
         let raw = b"POST /query HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 30\r\n\r\nabc";
-        assert!(matches!(parse(raw), Err(HttpError::Malformed(_))));
+        assert!(matches!(parse(raw), Err(RequestError::Malformed(_))));
     }
 
     #[test]
@@ -959,7 +976,7 @@ mod tests {
         parser.feed(&filler);
         assert!(matches!(
             parser.poll_request(),
-            Err(HttpError::Malformed(_))
+            Err(RequestError::Malformed(_))
         ));
         // An oversized declared body is refused as soon as the head is
         // complete, without waiting for the body bytes.
@@ -973,7 +990,7 @@ mod tests {
         );
         assert!(matches!(
             parser.poll_request(),
-            Err(HttpError::BodyTooLarge(_))
+            Err(RequestError::BodyTooLarge(_))
         ));
     }
 

@@ -36,11 +36,12 @@
 //! (`/metrics` is answered by the server itself, which owns the metrics
 //! and cache objects.)
 
-use crate::http::{BodyStream, Request, Response};
+use crate::http::{Body, BodyStream, Request, Response};
 use crate::metrics::Route;
 use crate::state::{AppState, ICE_REGIONS};
 use ee_geo::Envelope;
 use ee_polar::pcdss::encode_bundle;
+use ee_rdf::merge::ResultWriter;
 use ee_rdf::term::Term;
 use ee_util::json::Json;
 use std::sync::Arc;
@@ -295,25 +296,21 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
         };
         return match state.versioned_query(sparql, &novelty) {
             Ok(sols) => {
-                let total = sols.rows.len();
-                let rows: Vec<Json> = sols
-                    .rows
-                    .iter()
-                    .take(limit)
-                    .map(|row| Json::Arr(row.iter().map(|t| term_json(t.as_ref())).collect()))
-                    .collect();
-                let body = Json::obj(vec![
-                    (
-                        "vars",
-                        Json::Arr(sols.vars.iter().map(|v| Json::Str(v.clone())).collect()),
-                    ),
-                    ("rows", Json::Arr(rows)),
-                    ("count", Json::Num(total as f64)),
-                ]);
+                let mut body = String::new();
+                let mut writer = ResultWriter::new(&sols.vars, limit);
+                for row in &sols.rows {
+                    writer.row(&mut body, row);
+                }
+                writer.finish(&mut body);
                 let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
-                Response::json(200, &body)
-                    .with_header("etag", etag)
-                    .with_header("x-commit", format!("{commit:016x}"))
+                Response {
+                    status: 200,
+                    content_type: "application/json".into(),
+                    headers: Vec::new(),
+                    body: Body::Full(body.into_bytes()),
+                }
+                .with_header("etag", etag)
+                .with_header("x-commit", format!("{commit:016x}"))
             }
             Err(e) => Response::error(400, &format!("query failed: {e}")),
         };
@@ -327,17 +324,15 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
             // provably stable while the head doesn't move (equal commit
             // ids mean byte-identical stores, via the hash chain).
             let etag = etag_of(format!("query|{canon}|{limit}|c{head:016x}").as_bytes());
+            let writer = Some(ResultWriter::new(core.vars(), limit));
             Response::streamed(
                 200,
                 "application/json",
                 Box::new(QueryStream {
                     state: Arc::clone(state),
                     core,
-                    limit,
-                    emitted: 0,
-                    count: 0,
-                    stage: QueryStage::Head,
-                    buf: Vec::new(),
+                    writer,
+                    buf: String::new(),
                 }),
             )
             .with_header("etag", etag)
@@ -347,90 +342,37 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
     }
 }
 
-/// Where a [`QueryStream`] is in its JSON framing.
-enum QueryStage {
-    /// `{"vars":[...],"rows":[` not yet emitted.
-    Head,
-    /// Emitting row batches.
-    Rows,
-    /// Everything emitted.
-    Done,
-}
-
 /// A [`BodyStream`] serialising query results batch by batch: holds the
 /// state `Arc` (the stream outlives the handler) plus the borrow-free
-/// [`ee_rdf::exec::StreamCore`], and feeds each materialised batch
-/// through the same per-term JSON mapping the collect path used.
+/// [`ee_rdf::exec::StreamCore`], and writes one batch per chunk through
+/// the [`ResultWriter`] every `/query` body goes through. The writer
+/// holds the body's head back until the first row, so the first chunk
+/// carries rows: time to first byte includes the first batch's execution.
 struct QueryStream {
     state: Arc<AppState>,
     core: ee_rdf::exec::StreamCore,
-    limit: usize,
-    emitted: usize,
-    count: usize,
-    stage: QueryStage,
-    buf: Vec<u8>,
+    /// `None` once the body's tail has been written.
+    writer: Option<ResultWriter>,
+    buf: String,
 }
 
 impl BodyStream for QueryStream {
     fn next_chunk(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Ok(None);
+        };
         self.buf.clear();
-        match self.stage {
-            QueryStage::Head => {
-                let vars = Json::Arr(
-                    self.core
-                        .vars()
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                );
-                self.buf
-                    .extend_from_slice(format!("{{\"vars\":{},\"rows\":[", vars.emit()).as_bytes());
-                self.stage = QueryStage::Rows;
-                Ok(Some(&self.buf))
-            }
-            // The read lock is taken per batch, not for the whole
-            // stream: a slow download never starves a writer, and
-            // indexed-mode cursors re-seek past concurrent mutations
-            // (the serve store always runs `IndexMode::Full`).
-            QueryStage::Rows => match self.core.next_batch(&self.state.store()) {
-                Some(batch) => {
-                    let mut out = String::new();
-                    for row in &batch {
-                        self.count += 1;
-                        if self.emitted < self.limit {
-                            if self.emitted > 0 {
-                                out.push(',');
-                            }
-                            let row_json =
-                                Json::Arr(row.iter().map(|t| term_json(t.as_ref())).collect());
-                            out.push_str(&row_json.emit());
-                            self.emitted += 1;
-                        }
-                    }
-                    // May be empty when every row is past `limit` (still
-                    // counting); the chunked writer skips empty chunks.
-                    self.buf.extend_from_slice(out.as_bytes());
-                    Ok(Some(&self.buf))
-                }
-                None => {
-                    self.buf.extend_from_slice(
-                        format!("],\"count\":{}}}", Json::Num(self.count as f64).emit())
-                            .as_bytes(),
-                    );
-                    self.stage = QueryStage::Done;
-                    Ok(Some(&self.buf))
-                }
-            },
-            QueryStage::Done => Ok(None),
+        // The read lock is taken per batch, not for the whole stream: a
+        // slow download never starves a writer, and indexed-mode cursors
+        // re-seek past concurrent mutations (the serve store always runs
+        // `IndexMode::Full`).
+        match self.core.next_batch(&**self.state.store()) {
+            // May write nothing when every row is past `limit` (still
+            // counting); the chunked writer skips empty chunks.
+            Some(batch) => batch.iter().for_each(|row| writer.row(&mut self.buf, row)),
+            None => self.writer.take().expect("checked above").finish(&mut self.buf),
         }
-    }
-}
-
-fn term_json(t: Option<&Term>) -> Json {
-    match t {
-        None => Json::Null,
-        Some(Term::Iri(iri)) => Json::Str(iri.clone()),
-        Some(Term::Literal { lexical, .. }) => Json::Str(lexical.clone()),
+        Ok(Some(self.buf.as_bytes()))
     }
 }
 
@@ -1117,6 +1059,46 @@ mod tests {
         let ice = ready(dispatch(&s, &get(&format!("/ice/fram-strait?asOf={c1:016x}")), far_deadline(), false));
         assert_eq!(ice.status, 200);
         assert_eq!(header(&ice, "x-commit").as_deref(), Some(format!("{c1:016x}").as_str()));
+    }
+
+    /// One body format: a streamed head read, the collected `?asOf=` read
+    /// of the same commit and the router tier's `QueryResult` round trip
+    /// produce the same bytes — for a rows query capped by `limit` with
+    /// an unbound OPTIONAL cell, and for a COUNT.
+    #[test]
+    fn head_as_of_and_merged_query_bodies_are_byte_identical() {
+        let mut s = AppState::build(DataConfig::tiny());
+        s.writable = true;
+        let s = Arc::new(s);
+        let insert = "INSERT DATA { <http://e/a> <http://e/p> \"1\" . <http://e/a> <http://e/q> \"x\" . \
+                      <http://e/b> <http://e/p> \"2\" . <http://e/c> <http://e/p> \"3\" }";
+        assert_eq!(ready(dispatch(&s, &post("/update", insert), far_deadline(), false)).status, 200);
+        let head = s.head_commit();
+        for (sparql, limit, rows, count) in [
+            (
+                "SELECT ?s ?v ?w WHERE { ?s <http://e/p> ?v . OPTIONAL { ?s <http://e/q> ?w } }",
+                2,
+                2,
+                3,
+            ),
+            ("SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://e/p> ?v }", 1000, 1, 1),
+        ] {
+            let target = format!("/query?limit={limit}&sparql={}", sparql.replace(' ', "%20"));
+            let streamed = ready(dispatch(&s, &get(&target), far_deadline(), false));
+            assert!(matches!(streamed.body, Body::Streamed(_)), "head reads stream");
+            let body = String::from_utf8(body_of(streamed)).unwrap();
+            let pinned = ready(dispatch(
+                &s,
+                &get(&format!("{target}&asOf={head:016x}")),
+                far_deadline(),
+                false,
+            ));
+            assert!(matches!(pinned.body, Body::Full(_)), "asOf reads collect");
+            assert_eq!(String::from_utf8(body_of(pinned)).unwrap(), body, "{sparql}");
+            let parsed = ee_rdf::merge::QueryResult::parse(&body).unwrap();
+            assert_eq!((parsed.rows.len(), parsed.count), (rows, count), "{body}");
+            assert_eq!(parsed.emit(), body);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::cache::{CachedBody, ShardedLru};
 use crate::http::{
-    frame_chunk, Body, BodyStream, HttpError, Request, RequestParser, Response, SendBuf,
+    frame_chunk, Body, BodyStream, Request, RequestError, RequestParser, Response, SendBuf,
     CHUNK_TERMINATOR,
 };
 use crate::metrics::{Metrics, Route, ROUTES};
@@ -152,6 +152,14 @@ struct StreamCtx {
     route: Route,
     t0: Instant,
     first_chunk: bool,
+}
+
+impl StreamCtx {
+    /// Record the request's latency once its stream is over: finished,
+    /// aborted (deadline or error), or dropped with its connection.
+    fn record_latency(&self, metrics: &Metrics) {
+        metrics.record(self.route, elapsed_us(self.t0));
+    }
 }
 
 /// Work for the worker pool.
@@ -548,7 +556,11 @@ fn resolve_miss(
         // body under the resource's key.
         stream_tee = None;
     }
-    shared.metrics.record(route, elapsed_us(t0));
+    // A streamed body's latency is recorded when the stream is over
+    // (`StreamCtx::record_latency`), not before its first chunk.
+    if response.body.as_full().is_some() {
+        shared.metrics.record(route, elapsed_us(t0));
+    }
 
     Resolved {
         response,
@@ -797,28 +809,29 @@ fn run_miss(
 }
 
 /// Pull body chunks until the batch budget fills, the stream ends, or
-/// the deadline expires. Records TTFB and bytes sent, tees cacheable
-/// bodies, and aborts between chunks once the deadline passes (the peer
-/// sees a truncated chunked body, never a stalled worker).
+/// the deadline expires. Records TTFB, bytes sent and (once the stream
+/// is over) latency, tees cacheable bodies, and aborts between chunks
+/// once the deadline passes (the peer sees a truncated chunked body,
+/// never a stalled worker).
 fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) {
     let mut out = Vec::new();
     let max_tee = shared.cache.max_entry_bytes();
-    loop {
+    let end = loop {
         if Instant::now() >= ctx.deadline {
             shared
                 .metrics
                 .deadline_expired
                 .fetch_add(1, Ordering::Relaxed);
-            return (out, StreamNext::Abort);
+            break StreamNext::Abort;
         }
         match ctx.body.next_chunk() {
-            Err(_) => return (out, StreamNext::Abort),
+            Err(_) => break StreamNext::Abort,
             Ok(None) => {
                 out.extend_from_slice(CHUNK_TERMINATOR);
                 if let Some(tee) = ctx.tee.take() {
                     tee.insert_if_complete(&shared.cache);
                 }
-                return (out, StreamNext::Finished);
+                break StreamNext::Finished;
             }
             Ok(Some(chunk)) => {
                 if chunk.is_empty() {
@@ -838,7 +851,9 @@ fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) 
                 }
             }
         }
-    }
+    };
+    ctx.record_latency(&shared.metrics);
+    (out, end)
 }
 
 /// Where a connection's state machine stands.
@@ -1029,6 +1044,13 @@ impl<'a> Shard<'a> {
             // The connection died while the job ran; dropping the
             // completion drops any stream context (and its engine
             // cursors) with it. The quota slot was released at close.
+            if let Done::Stream {
+                next: StreamNext::More(ctx),
+                ..
+            } = &completion.done
+            {
+                ctx.record_latency(&self.shared.metrics);
+            }
             return;
         }
         {
@@ -1210,12 +1232,8 @@ impl<'a> Shard<'a> {
                         .bad_requests
                         .fetch_add(1, Ordering::Relaxed);
                     let (status, msg) = match e {
-                        HttpError::BodyTooLarge(_) => (413, "body too large".to_string()),
-                        HttpError::Malformed(m) => (400, m),
-                        // The request parser never reports these.
-                        HttpError::ConnectionClosed | HttpError::Io(_) => {
-                            (400, "bad request".to_string())
-                        }
+                        RequestError::BodyTooLarge(_) => (413, "body too large".to_string()),
+                        RequestError::Malformed(m) => (400, m),
                     };
                     let bytes = serialize_error(status, &msg, false, None);
                     conn.send.push(&bytes);
@@ -1396,6 +1414,9 @@ impl<'a> Shard<'a> {
         if let Some(conn) = self.conns[slot].take() {
             if let Some(route) = conn.inflight_route {
                 self.shared.release_route(route);
+            }
+            if let Phase::StreamWait(ctx) = &conn.phase {
+                ctx.record_latency(&self.shared.metrics);
             }
             self.shared.metrics.conn_closed();
             self.free.push(slot);

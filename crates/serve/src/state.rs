@@ -752,7 +752,7 @@ impl AppState {
         let store = self.store();
         let plan = self.prepared_plan(&store, sparql)?;
         self.note_fastpath(&plan);
-        ee_rdf::exec::execute_plan(&store, &plan, ee_util::par::available_threads())
+        ee_rdf::exec::execute_plan_view(&**store, plan, ee_util::par::available_threads())
     }
 
     /// Evaluate a SPARQL query through the prepared-plan path, returning
@@ -769,7 +769,7 @@ impl AppState {
         let store = self.store();
         let plan = self.prepared_plan(&store, sparql)?;
         self.note_fastpath(&plan);
-        ee_rdf::exec::stream_plan_shared(&store, plan, ee_util::par::available_threads())
+        ee_rdf::exec::stream_plan_shared(&**store, plan, ee_util::par::available_threads())
     }
 
     /// Evaluate a SPARQL query against the historical view `novelty`

@@ -4,10 +4,13 @@
 //! streams bypass the cache, a deadline expiring mid-stream aborts the
 //! chunked body instead of blocking a worker, a client draining the
 //! chunked `/query` body a few bytes at a time (backpressuring the
-//! executor) receives identical rows, and a client disconnecting
-//! mid-stream leaves the server healthy for the next connection.
+//! executor) receives identical rows, a streamed `/query` records its
+//! TTFB at the first row-bearing chunk and its latency when the stream
+//! ends, and a client disconnecting mid-stream leaves the server healthy
+//! for the next connection.
 
 use ee_serve::http::read_response;
+use ee_serve::metrics::Route;
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -246,6 +249,51 @@ fn slow_reader_draining_bytes_at_a_time_gets_identical_rows() {
     let v = ee_util::json::parse(&text).expect("valid JSON");
     let rows = v.get("rows").and_then(ee_util::json::Json::as_arr).unwrap();
     assert_eq!(rows.len(), 8_000, "every feature row arrived");
+    server.shutdown();
+}
+
+/// Streamed `/query` accounting: the body's head leaves in the same
+/// chunk as the first row batch, TTFB is taken at that chunk, and the
+/// request's latency is recorded once, when the stream is over — so it
+/// spans the whole ≥10k-row transfer and exceeds the TTFB.
+#[test]
+fn streamed_query_latency_spans_the_stream_and_ttfb_its_first_rows() {
+    let server = start(test_config(), many_rows_state()).expect("start");
+    let sparql = "SELECT ?s ?o WHERE { ?s ?p ?o }";
+    let target = format!("/query?limit=100000&sparql={}", sparql.replace(' ', "%20"));
+    let mut s = TcpStream::connect(server.addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(s, "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").unwrap();
+    s.flush().unwrap();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).expect("read until close");
+
+    // The chunked body's first frame: `{size:x}\r\n{data}\r\n`.
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 4;
+    let body = &raw[head_end..];
+    let line_end = body.windows(2).position(|w| w == b"\r\n").expect("size line");
+    let size = usize::from_str_radix(std::str::from_utf8(&body[..line_end]).unwrap(), 16)
+        .expect("hex chunk size");
+    let first = String::from_utf8_lossy(&body[line_end + 2..line_end + 2 + size]);
+    assert!(
+        first.starts_with("{\"vars\":") && first.contains("\"rows\":[["),
+        "the first chunk carries the head and rows: {}",
+        &first[..first.len().min(120)]
+    );
+    let resp = read_response(&mut raw.as_slice()).expect("complete chunked response");
+    let v = ee_util::json::parse(std::str::from_utf8(&resp.body).unwrap()).expect("valid JSON");
+    let count = v.get("count").and_then(ee_util::json::Json::as_f64).unwrap();
+    assert!(count >= 10_000.0, "a large streamed answer: {count} rows");
+
+    let latency = server.metrics().route_latency(Route::Query);
+    let ttfb = server.metrics().route_ttfb(Route::Query);
+    assert_eq!((latency.count(), ttfb.count()), (1, 1), "one sample each");
+    assert!(
+        latency.sum_us() > ttfb.sum_us(),
+        "latency {} µs must span the stream past its first chunk ({} µs)",
+        latency.sum_us(),
+        ttfb.sum_us()
+    );
     server.shutdown();
 }
 

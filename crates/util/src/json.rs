@@ -104,7 +104,8 @@ impl Json {
         out
     }
 
-    fn emit_into(&self, out: &mut String) {
+    /// Append compact JSON to `out` (what [`Json::emit`] returns).
+    pub fn emit_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -195,7 +196,9 @@ pub fn fmt_number(v: f64) -> String {
     }
 }
 
-fn emit_string(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted, escaped JSON string — what
+/// [`Json::Str`] emits, without building the value.
+pub fn emit_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
