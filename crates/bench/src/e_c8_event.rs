@@ -8,8 +8,8 @@
 //!
 //! 1. **Connection sweep** — an open-loop fleet of N keep-alive
 //!    connections at a fixed, modest arrival rate (the fleet is mostly
-//!    idle by construction). Reports p50/p99 latency from the scheduled
-//!    arrival tick and the process-RSS delta per connection. The 10k
+//!    idle by construction). Reports p50/p99 latency from each request's
+//!    due time and the process-RSS delta per connection. The 10k
 //!    point is capped to what the fd limit allows and the cap is
 //!    reported rather than hidden.
 //! 2. **Stalled reader** — a client that opens a large chunked stream,
@@ -24,7 +24,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use ee_serve::loadgen::{run_open_loop, OpenLoopPlan, OpenLoopReport};
+use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan, LoadReport};
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use ee_util::json::Json;
 use std::io::{Read, Write};
@@ -83,7 +83,7 @@ fn event_config(conns: usize) -> ServerConfig {
 struct SweepPoint {
     conns: usize,
     capped_from: Option<usize>,
-    report: OpenLoopReport,
+    report: LoadReport,
     rss_delta: u64,
     bytes_per_conn: u64,
 }
@@ -100,14 +100,16 @@ fn sweep(
     let mut out = Vec::new();
     for &(conns, capped_from) in points {
         let server = start(event_config(conns), Arc::clone(state)).expect("start event server");
-        let report = run_open_loop(
+        let report = loadgen::run(
             server.addr,
             &targets,
-            &OpenLoopPlan {
+            &LoadPlan {
                 conns,
-                rate_per_sec,
-                duration,
-                timeout: Duration::from_secs(20),
+                mode: ConnMode::KeepAlive,
+                arrivals: Arrivals::Open {
+                    rate_per_sec,
+                    window: duration,
+                },
             },
         );
         // RSS while the fleet is still at full strength, against the
@@ -134,7 +136,7 @@ fn sweep(
 struct StallResult {
     stream_bytes: u64,
     rss_growth: u64,
-    concurrent: OpenLoopReport,
+    concurrent: LoadReport,
 }
 
 /// Stage 2: a reader that stalls mid-stream while an open-loop fleet
@@ -172,14 +174,16 @@ fn stalled_reader(state: &Arc<AppState>, scale: Scale) -> StallResult {
 
     // The stall window doubles as a health check: the fleet's latency
     // shows whether the stalled stream is costing anyone else anything.
-    let concurrent = run_open_loop(
+    let concurrent = loadgen::run(
         server.addr,
         &["/healthz".to_string()],
-        &OpenLoopPlan {
+        &LoadPlan {
             conns: 32,
-            rate_per_sec: 200.0,
-            duration: Duration::from_millis(700),
-            timeout: Duration::from_secs(10),
+            mode: ConnMode::KeepAlive,
+            arrivals: Arrivals::Open {
+                rate_per_sec: 200.0,
+                window: Duration::from_millis(700),
+            },
         },
     );
     let rss_growth = rss_bytes().saturating_sub(rss0);
@@ -233,11 +237,11 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
         format!(
             "N mostly-idle keep-alive connections, {rate:.0} req/s aggregate arrival \
              rate; 2 event shards, 2 workers, fd limit {fd_limit}. Latency is measured \
-             from the scheduled arrival tick; RSS Δ covers client and server ends of \
+             from each request's due time; RSS Δ covers client and server ends of \
              every connection (one process)."
         ),
         &[
-            "conns", "open", "alive", "ok", "missed", "p50", "p99", "RSS Δ", "bytes/conn",
+            "conns", "open", "reopened", "ok", "p50", "p99", "RSS Δ", "bytes/conn",
         ],
     );
     for p in &sweep_points {
@@ -248,9 +252,8 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
         t1.row(vec![
             conns,
             p.report.conns_open.to_string(),
-            p.report.conns_alive.to_string(),
+            p.report.reopened.to_string(),
             p.report.ok.to_string(),
-            p.report.missed_ticks.to_string(),
             fmt_us(p.report.p50_us),
             fmt_us(p.report.p99_us),
             fmt_bytes(p.rss_delta),
@@ -287,12 +290,11 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
                 },
             ),
             ("conns_open", Json::Num(p.report.conns_open as f64)),
-            ("conns_alive", Json::Num(p.report.conns_alive as f64)),
+            ("reopened", Json::Num(p.report.reopened as f64)),
             ("sent", Json::Num(p.report.sent as f64)),
             ("ok", Json::Num(p.report.ok as f64)),
-            ("other", Json::Num(p.report.other as f64)),
+            ("other", Json::Num((p.report.completed() - p.report.ok) as f64)),
             ("errors", Json::Num(p.report.errors as f64)),
-            ("missed_ticks", Json::Num(p.report.missed_ticks as f64)),
             ("p50_us", Json::Num(p.report.p50_us as f64)),
             ("p95_us", Json::Num(p.report.p95_us as f64)),
             ("p99_us", Json::Num(p.report.p99_us as f64)),
@@ -354,10 +356,10 @@ mod tests {
         assert_eq!(sweep.len(), 2);
         for p in sweep {
             let open = p.get("conns_open").and_then(Json::as_f64).unwrap();
-            let alive = p.get("conns_alive").and_then(Json::as_f64).unwrap();
+            let reopened = p.get("reopened").and_then(Json::as_f64).unwrap();
             let conns = p.get("conns").and_then(Json::as_f64).unwrap();
             assert_eq!(open, conns, "event server admits the whole fleet");
-            assert_eq!(alive, conns, "nothing reaped or dropped: {p:?}");
+            assert_eq!(reopened, 0.0, "nothing reaped or dropped: {p:?}");
             assert_eq!(p.get("errors").and_then(Json::as_f64), Some(0.0));
             assert!(p.get("ok").and_then(Json::as_f64).unwrap() > 0.0);
         }

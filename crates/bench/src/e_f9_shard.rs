@@ -34,7 +34,7 @@
 use crate::table::Table;
 use crate::Scale;
 use ee_serve::http::{read_response, ClientResponse};
-use ee_serve::loadgen::{run_open_loop, OpenLoopPlan, OpenLoopReport};
+use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan, LoadReport};
 use ee_util::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -245,7 +245,7 @@ struct SweepPoint {
     count_identical: bool,
     rows_identical: bool,
     limit_identical: bool,
-    report: OpenLoopReport,
+    report: LoadReport,
 }
 
 /// Stages 1+2 for one N: identity against the reference, then the
@@ -329,14 +329,16 @@ fn run_point(
 
     // Throughput: open-loop fleet over scatter and forward targets.
     let targets = vec![count_target(), "/tiles/0/0/0".to_string()];
-    let report = run_open_loop(
+    let report = loadgen::run(
         router.addr,
         &targets,
-        &OpenLoopPlan {
+        &LoadPlan {
             conns: 16,
-            rate_per_sec: rate,
-            duration,
-            timeout: Duration::from_secs(10),
+            mode: ConnMode::KeepAlive,
+            arrivals: Arrivals::Open {
+                rate_per_sec: rate,
+                window: duration,
+            },
         },
     );
     drop(shards);
@@ -356,7 +358,7 @@ struct SlowResult {
     slow_ms: u64,
     hedged_total: u64,
     partial_total: u64,
-    report: OpenLoopReport,
+    report: LoadReport,
 }
 
 /// Stage 3: shard 0 armed with the fault injector; the hedged retries
@@ -365,14 +367,16 @@ fn slow_shard(bin: &PathBuf, scale: Scale, rate: f64, duration: Duration) -> Slo
     let (slow_every, slow_ms) = (5u64, 800u64);
     let (shards, router) = spawn_fleet(bin, scale, 2, Some((slow_every, slow_ms)));
     let targets = vec![count_target()];
-    let report = run_open_loop(
+    let report = loadgen::run(
         router.addr,
         &targets,
-        &OpenLoopPlan {
+        &LoadPlan {
             conns: 8,
-            rate_per_sec: rate,
-            duration,
-            timeout: Duration::from_secs(10),
+            mode: ConnMode::KeepAlive,
+            arrivals: Arrivals::Open {
+                rate_per_sec: rate,
+                window: duration,
+            },
         },
     );
     let metrics = get(router.addr, "/metrics");

@@ -18,7 +18,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use ee_serve::loadgen::{self, ConnMode, LoadPlan};
+use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use ee_util::json::Json;
 use std::sync::Arc;
@@ -114,20 +114,22 @@ fn cold_warm(state: &Arc<AppState>, per_route: usize) -> Vec<ColdWarm> {
             server.addr,
             &targets,
             &LoadPlan {
-                clients: 1,
-                requests_per_client: targets.len(),
+                conns: 1,
                 mode: ConnMode::KeepAlive,
-                timeout: Duration::from_secs(30),
+                arrivals: Arrivals::Closed {
+                    requests: targets.len(),
+                },
             },
         );
         let warm = loadgen::run(
             server.addr,
             &targets,
             &LoadPlan {
-                clients: 1,
-                requests_per_client: targets.len() * 3,
+                conns: 1,
                 mode: ConnMode::KeepAlive,
-                timeout: Duration::from_secs(30),
+                arrivals: Arrivals::Closed {
+                    requests: targets.len() * 3,
+                },
             },
         );
         let warm_hit_rate = if warm.ok == 0 {
@@ -184,10 +186,11 @@ fn sweep(
             server.addr,
             &targets,
             &LoadPlan {
-                clients,
-                requests_per_client,
+                conns: clients,
                 mode: ConnMode::PerRequest,
-                timeout: Duration::from_secs(30),
+                arrivals: Arrivals::Closed {
+                    requests: clients * requests_per_client,
+                },
             },
         );
         let cache_hit_pct = 100.0 * server.cache().hit_rate();
@@ -366,10 +369,11 @@ pub fn streaming_report(scale: Scale) -> (Vec<Table>, Json) {
         server.addr,
         &["/tiles/0/0/0".to_string()],
         &LoadPlan {
-            clients,
-            requests_per_client,
+            conns: clients,
             mode: ConnMode::KeepAlive,
-            timeout: Duration::from_secs(60),
+            arrivals: Arrivals::Closed {
+                requests: clients * requests_per_client,
+            },
         },
     );
     let uncacheable = server
@@ -532,10 +536,11 @@ pub fn query_streaming_report(scale: Scale) -> (Vec<Table>, Json) {
             server.addr,
             &[target],
             &LoadPlan {
-                clients,
-                requests_per_client,
+                conns: clients,
                 mode: ConnMode::KeepAlive,
-                timeout: Duration::from_secs(60),
+                arrivals: Arrivals::Closed {
+                    requests: clients * requests_per_client,
+                },
             },
         );
         t.row(vec![

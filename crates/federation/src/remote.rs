@@ -4,8 +4,8 @@
 //! this module generalises the source-selection + gather machinery to
 //! *real* `ee-serve` shard processes reached over HTTP/1.1. One
 //! [`ShardPool`] fronts N backends and drives every in-flight exchange
-//! from a single poll loop (the same readiness model as the event
-//! server, applied client-side):
+//! from a single poll loop over [`ee_util::http1::ClientConn`]s (the
+//! same readiness model as the event server, applied client-side):
 //!
 //! * **keep-alive pooling** — completed keep-alive connections return to
 //!   a per-shard idle list and are reused by the next scatter; a reused
@@ -15,7 +15,8 @@
 //! * **per-shard deadlines** — a shard that does not answer inside
 //!   [`ScatterConfig::deadline`] yields `None` for its slot and flips
 //!   [`ScatterReport::incomplete`]; the caller surfaces a partial
-//!   result, never a hang;
+//!   result, never a hang. Connects count against the deadline too, so
+//!   a shard whose accept backlog is full cannot stall the round;
 //! * **hedged requests** — once [`ScatterConfig::hedge_after`] has
 //!   elapsed, each still-pending shard gets one duplicate request on a
 //!   fresh connection; whichever attempt completes first wins and the
@@ -28,14 +29,13 @@
 //! to all of them.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ee_rdf::parser::{parse_query, PatternTerm};
 use ee_rdf::storage::ShardSpec;
-use ee_util::http1::ResponseDecoder;
+use ee_util::http1::{ClientConn, Drive};
 use ee_util::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 
 use crate::FedError;
@@ -127,20 +127,11 @@ pub fn select_shards(sparql: &str, shard_count: usize) -> Result<Vec<usize>, Fed
     Ok(v)
 }
 
-/// Phase of one in-flight attempt.
-enum AttemptState {
-    Sending,
-    Receiving,
-}
-
-/// One connection carrying one request to one shard.
+/// One request to one shard on one connection.
 struct Attempt {
     shard: usize,
     slot: usize,
-    stream: TcpStream,
-    state: AttemptState,
-    sent: usize,
-    decoder: ResponseDecoder,
+    conn: ClientConn,
     /// Connection came from the idle pool (eligible for one retry).
     reused: bool,
     /// This attempt is the hedged duplicate.
@@ -152,7 +143,7 @@ struct Attempt {
 pub struct ShardPool {
     backends: Vec<ShardBackend>,
     config: ScatterConfig,
-    idle: Mutex<Vec<Vec<TcpStream>>>,
+    idle: Mutex<Vec<Vec<ClientConn>>>,
 }
 
 impl ShardPool {
@@ -174,218 +165,183 @@ impl ShardPool {
     /// Send `request` to every shard in `targets` and gather the
     /// responses. Returns one part per target in target order; slots for
     /// shards that failed or missed the deadline are `None` and flip
-    /// `incomplete`. Never blocks past the per-shard deadline.
+    /// `incomplete`. Never blocks past the per-shard deadline: connects
+    /// are bounded by what is left of it, and once it passes, one last
+    /// zero-wait round collects the answers already on the wire.
     pub fn scatter(&self, request: &[u8], targets: &[usize]) -> ScatterReport {
         let t0 = Instant::now();
-        let mut report = ScatterReport {
-            parts: vec![None; targets.len()],
-            ..ScatterReport::default()
+        let hedge_at = t0 + self.config.hedge_after;
+        let mut round = Round {
+            pool: self,
+            request,
+            t0,
+            deadline: t0 + self.config.deadline,
+            report: ScatterReport {
+                parts: vec![None; targets.len()],
+                ..ScatterReport::default()
+            },
+            retried: vec![false; targets.len()],
+            live: Vec::new(),
         };
-        let mut done = vec![false; targets.len()];
-        let mut retried = vec![false; targets.len()];
-        let mut hedge_launched = vec![false; targets.len()];
-        let mut attempts: Vec<Attempt> = Vec::new();
         for (slot, &shard) in targets.iter().enumerate() {
             if shard >= self.backends.len() {
-                done[slot] = true; // part stays None
-                continue;
+                continue; // part stays None
             }
-            match self.checkout(shard, slot) {
-                Some(a) => attempts.push(a),
-                None => done[slot] = true,
+            let pooled = self.idle.lock().expect("idle pool lock")[shard].pop();
+            match pooled {
+                Some(conn) => round.start(Attempt {
+                    shard,
+                    slot,
+                    conn,
+                    reused: true,
+                    hedge: false,
+                }),
+                None => {
+                    round.open(shard, slot, false);
+                }
             }
         }
-        let deadline = t0 + self.config.deadline;
-        let hedge_at = t0 + self.config.hedge_after;
-        while !attempts.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
+        let mut hedged = vec![false; targets.len()];
+        let mut fds: Vec<PollFd> = Vec::new();
+        while !round.live.is_empty() {
+            let last = Instant::now() >= round.deadline;
             // Hedge every still-pending shard once the trigger passes.
-            if now >= hedge_at {
-                let pending: Vec<(usize, usize)> = attempts
+            if !last && Instant::now() >= hedge_at {
+                let pending: Vec<(usize, usize)> = round
+                    .live
                     .iter()
-                    .filter(|a| !done[a.slot] && !hedge_launched[a.slot] && !a.hedge)
+                    .filter(|a| !a.hedge && !hedged[a.slot])
                     .map(|a| (a.shard, a.slot))
                     .collect();
                 for (shard, slot) in pending {
-                    hedge_launched[slot] = true;
-                    if let Some(mut h) = self.fresh(shard, slot) {
-                        h.hedge = true;
-                        report.hedged += 1;
-                        attempts.push(h);
+                    hedged[slot] = true;
+                    if round.open(shard, slot, true) {
+                        round.report.hedged += 1;
                     }
                 }
             }
-            let next_wake = if now < hedge_at { hedge_at } else { deadline };
-            let budget = next_wake.saturating_duration_since(now).as_millis() as i32;
-            let mut fds: Vec<PollFd> = attempts
-                .iter()
-                .map(|a| {
-                    let events = match a.state {
-                        AttemptState::Sending => POLLOUT,
-                        AttemptState::Receiving => POLLIN,
-                    };
-                    PollFd::new(std::os::fd::AsRawFd::as_raw_fd(&a.stream), events)
-                })
-                .collect();
-            if poll_fds(&mut fds, budget.max(1)).is_err() {
+            let now = Instant::now();
+            let wake = if now < hedge_at {
+                hedge_at
+            } else {
+                round.deadline
+            };
+            let budget = if last {
+                0
+            } else {
+                wake.saturating_duration_since(now).as_millis().max(1) as i32
+            };
+            fds.clear();
+            fds.extend(round.live.iter().map(|a| a.conn.poll_fd()));
+            if poll_fds(&mut fds, budget).is_err() {
                 break;
             }
-            let mut i = 0;
-            while i < attempts.len() {
-                if done[attempts[i].slot] {
-                    // A sibling attempt already won this shard.
-                    attempts.swap_remove(i);
-                    continue;
-                }
-                let fd = &fds[i];
-                // fds and attempts are index-aligned only before the first
-                // removal this round; re-derive readiness conservatively.
-                let ready = fd.fd == std::os::fd::AsRawFd::as_raw_fd(&attempts[i].stream)
-                    && (fd.ready(POLLIN | POLLOUT) || fd.failed());
-                if !ready {
-                    i += 1;
-                    continue;
-                }
-                match Self::drive(&mut attempts[i], request) {
-                    Drive::Pending => i += 1,
-                    Drive::Complete => {
-                        let a = attempts.swap_remove(i);
-                        // swap_remove also moved an fd slot out of
-                        // alignment; rebuild alignment by truncating the
-                        // remaining drive pass.
-                        self.finish(a, t0, &mut report, &mut done);
-                        break;
-                    }
-                    Drive::Dead => {
-                        let a = attempts.swap_remove(i);
-                        if a.reused && !a.decoder.started_body() && !retried[a.slot] {
-                            retried[a.slot] = true;
-                            report.retried += 1;
-                            if let Some(fresh) = self.fresh(a.shard, a.slot) {
-                                attempts.push(fresh);
-                            }
-                        } else if !attempts.iter().any(|x| x.slot == a.slot) {
-                            done[a.slot] = true; // part stays None
-                        }
-                        break;
-                    }
+            for (a, fd) in std::mem::take(&mut round.live).into_iter().zip(&fds) {
+                if fd.ready(POLLIN | POLLOUT) || fd.failed() {
+                    round.step(a);
+                } else {
+                    round.live.push(a);
                 }
             }
-            attempts.retain(|a| !done[a.slot]);
+            // A slot is settled once a part lands in it; drop its other
+            // attempts.
+            let parts = &round.report.parts;
+            round.live.retain(|a| parts[a.slot].is_none());
+            if last {
+                break;
+            }
         }
+        let mut report = round.report;
         report.incomplete = report.parts.iter().any(Option::is_none);
         report
     }
 
-    /// Checkout a connection for `shard`: pooled if available, else fresh.
-    fn checkout(&self, shard: usize, slot: usize) -> Option<Attempt> {
-        let pooled = self.idle.lock().unwrap()[shard].pop();
-        match pooled {
-            Some(stream) => Some(Attempt {
-                shard,
-                slot,
-                stream,
-                state: AttemptState::Sending,
-                sent: 0,
-                decoder: ResponseDecoder::new(),
-                reused: true,
-                hedge: false,
-            }),
-            None => self.fresh(shard, slot),
-        }
-    }
-
-    /// A brand-new nonblocking connection to `shard`.
-    fn fresh(&self, shard: usize, slot: usize) -> Option<Attempt> {
-        let stream = TcpStream::connect(self.backends[shard].addr).ok()?;
-        let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true).ok()?;
-        Some(Attempt {
-            shard,
-            slot,
-            stream,
-            state: AttemptState::Sending,
-            sent: 0,
-            decoder: ResponseDecoder::new(),
-            reused: false,
-            hedge: false,
-        })
-    }
-
-    /// Drive one ready attempt: flush request bytes, then read and feed
-    /// the decoder.
-    fn drive(a: &mut Attempt, request: &[u8]) -> Drive {
-        if matches!(a.state, AttemptState::Sending) {
-            while a.sent < request.len() {
-                match a.stream.write(&request[a.sent..]) {
-                    Ok(0) => return Drive::Dead,
-                    Ok(n) => a.sent += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        return Drive::Pending
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => return Drive::Dead,
-                }
-            }
-            a.state = AttemptState::Receiving;
-        }
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match a.stream.read(&mut buf) {
-                Ok(0) => return Drive::Dead,
-                Ok(n) => match a.decoder.feed(&buf[..n]) {
-                    Ok(Some(_)) => return Drive::Complete,
-                    Ok(None) => {}
-                    Err(_) => return Drive::Dead,
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Drive::Pending,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Drive::Dead,
-            }
-        }
-    }
-
     /// Record a completed attempt and pool its connection if reusable.
-    fn finish(
-        &self,
-        a: Attempt,
-        t0: Instant,
-        report: &mut ScatterReport,
-        done: &mut [bool],
-    ) {
-        done[a.slot] = true;
+    fn finish(&self, mut a: Attempt, t0: Instant, report: &mut ScatterReport) {
+        let response = a.conn.take_response();
         report.parts[a.slot] = Some(ShardPart {
             shard: a.shard,
-            status: a.decoder.status(),
-            headers: a.decoder.headers().to_vec(),
-            body: a.decoder.body(),
+            status: response.status(),
+            headers: response.headers().to_vec(),
+            body: response.body(),
             latency: t0.elapsed(),
             hedged: a.hedge,
         });
-        if a.decoder.is_keep_alive() {
-            let mut idle = self.idle.lock().unwrap();
+        if a.conn.is_reusable() {
+            let mut idle = self.idle.lock().expect("idle pool lock");
             // Bound the idle list: a couple of warm conns per shard is
             // plenty for a router worker.
             if idle[a.shard].len() < 4 {
-                idle[a.shard].push(a.stream);
+                idle[a.shard].push(a.conn);
             }
         }
     }
 }
 
-enum Drive {
-    Pending,
-    Complete,
-    Dead,
+/// One scatter round in flight.
+struct Round<'a> {
+    pool: &'a ShardPool,
+    request: &'a [u8],
+    t0: Instant,
+    deadline: Instant,
+    report: ScatterReport,
+    /// Per slot: the one stale-connection retry has been spent.
+    retried: Vec<bool>,
+    /// Attempts still waiting on their socket.
+    live: Vec<Attempt>,
+}
+
+impl Round<'_> {
+    /// Send the request on a new connection to `shard`, connected before
+    /// the deadline or not at all; true if it connected.
+    fn open(&mut self, shard: usize, slot: usize, hedge: bool) -> bool {
+        let budget = self.deadline.saturating_duration_since(Instant::now());
+        let Ok(conn) = ClientConn::connect(self.pool.backends[shard].addr, budget) else {
+            return false;
+        };
+        self.start(Attempt {
+            shard,
+            slot,
+            conn,
+            reused: false,
+            hedge,
+        });
+        true
+    }
+
+    /// Queue the request on `a`'s connection and write it right away.
+    fn start(&mut self, mut a: Attempt) {
+        a.conn.send(self.request);
+        self.step(a);
+    }
+
+    /// Drive `a` once and settle it: pending stays live, complete lands
+    /// its part, and a pooled connection that died before any body byte
+    /// is retried once on a fresh connect (the shard may simply have
+    /// restarted between scatters).
+    fn step(&mut self, mut a: Attempt) {
+        if self.report.parts[a.slot].is_some() {
+            return; // a sibling attempt already won this shard
+        }
+        match a.conn.drive() {
+            Drive::Pending => self.live.push(a),
+            Drive::Complete(_) => self.pool.finish(a, self.t0, &mut self.report),
+            Drive::Dead => {
+                if a.reused && !a.conn.response().started_body() && !self.retried[a.slot] {
+                    self.retried[a.slot] = true;
+                    self.report.retried += 1;
+                    self.open(a.shard, a.slot, false);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn canned_shard(body: &'static str, delay: Duration) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -528,6 +484,41 @@ mod tests {
         assert!(!r2.incomplete, "retry on fresh connect recovered");
         assert_eq!(r2.parts[0].as_ref().unwrap().body, b"v2");
         assert_eq!(r2.retried, 1);
+    }
+
+    #[test]
+    fn connect_to_a_full_accept_backlog_is_bounded_by_the_deadline() {
+        // A shard that never accepts: once its accept backlog is full, a
+        // plain connect blocks for as long as the kernel retries its SYN.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stuck = listener.local_addr().unwrap();
+        let mut held = Vec::new();
+        while let Ok(s) = TcpStream::connect_timeout(&stuck, Duration::from_millis(100)) {
+            held.push(s);
+            assert!(held.len() < 4_096, "the accept backlog never filled");
+        }
+        let up = canned_shard("up", Duration::ZERO);
+        let config = ScatterConfig {
+            deadline: Duration::from_millis(300),
+            hedge_after: Duration::from_millis(100),
+        };
+        let pool = pool_of(&[up, stuck], config);
+        // Scatter on a detached thread, so a round that blocks fails the
+        // timeout below instead of hanging the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let r = pool.scatter(REQ, &[0, 1]);
+            let _ = tx.send((r, t0.elapsed()));
+        });
+        let (r, elapsed) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("scatter blocked on a full accept backlog");
+        assert!(r.parts[0].is_some());
+        assert!(r.parts[1].is_none());
+        assert!(r.incomplete);
+        assert!(elapsed < Duration::from_secs(1), "round took {elapsed:?}");
+        drop(held);
     }
 
     #[test]

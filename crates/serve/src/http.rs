@@ -1,8 +1,9 @@
 //! A minimal HTTP/1.1 wire implementation: the incremental request
 //! parser the event loop feeds, response emission (full or chunked), and
-//! the blocking client-side reader the load generator and the
-//! integration tests share (a thin loop over
-//! [`ee_util::http1::ResponseDecoder`], the one response decoder).
+//! the blocking client-side reader the integration tests and experiment
+//! probes share (a thin loop over [`ee_util::http1::ResponseDecoder`],
+//! the one response decoder; the load generator's nonblocking fleet
+//! drives the same decoder through [`ee_util::http1::ClientConn`]).
 //!
 //! Deliberately small — exactly the subset the serving tier needs:
 //! request line + headers + `Content-Length` request bodies,
@@ -22,7 +23,6 @@
 use ee_util::http1::ResponseDecoder;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Largest accepted **request** body. Anything bigger is refused with
 /// 413 rather than buffered — the serving tier fronts read-mostly
@@ -685,22 +685,13 @@ impl ClientResponse {
     }
 }
 
-/// Read one response from a buffered stream (client side: load generator
-/// and tests), decoding `Content-Length` and chunked framing. Consumes
-/// exactly the message's bytes, so a keep-alive reader is left at the
-/// start of the next response.
+/// Read one response from a buffered stream (client side: tests and
+/// experiment probes), decoding `Content-Length` and chunked framing.
+/// Consumes exactly the message's bytes, so a keep-alive reader is left
+/// at the start of the next response.
 pub fn read_response<R: BufRead>(r: &mut R) -> Result<ClientResponse, HttpError> {
-    read_response_timed(r).map(|(resp, _)| resp)
-}
-
-/// [`read_response`], also returning the moment the response head had
-/// been decoded (the load generator's time to first byte).
-pub(crate) fn read_response_timed<R: BufRead>(
-    r: &mut R,
-) -> Result<(ClientResponse, Instant), HttpError> {
     let mut dec = ResponseDecoder::new();
     let mut started = false;
-    let mut head_at = None;
     loop {
         let avail = match r.fill_buf() {
             Ok(avail) => avail,
@@ -717,21 +708,17 @@ pub(crate) fn read_response_timed<R: BufRead>(
         started = true;
         let n = avail.len();
         let done = dec.feed(avail).map_err(|e| HttpError::Malformed(e.0))?;
-        if dec.has_head() {
-            head_at.get_or_insert_with(Instant::now);
-        }
         let Some(status) = done else {
             r.consume(n);
             continue;
         };
         r.consume(n - dec.excess());
-        let resp = ClientResponse {
+        return Ok(ClientResponse {
             status,
             headers: dec.headers().to_vec(),
             body: dec.body(),
             keep_alive: dec.is_keep_alive(),
-        };
-        return Ok((resp, head_at.expect("a complete response has a head")));
+        });
     }
 }
 

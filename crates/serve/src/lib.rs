@@ -24,8 +24,9 @@
 //! dispatch, [`state`] the engines, [`cache`] a sharded LRU with TTL,
 //! [`metrics`] counters and latency histograms, [`server`] the
 //! poll-driven event-loop shards (C10K tier) over a worker pool,
-//! [`loadgen`] the closed-loop client driving E-s0 and the open-loop
-//! nonblocking fleet driving E-c8, [`shard`] the scale-out router tier
+//! [`loadgen`] the one load generator (a poll-driven fleet of
+//! nonblocking client connections, closed loop for E-s0, open loop for
+//! E-c8 and E-f9), [`shard`] the scale-out router tier
 //! (`--router`): scatter-gather `/query` over N shard processes with
 //! canonical merges, consistent-hash forwarding for `/tiles` and
 //! `/ice`, per-shard deadlines with partial results, and hedged

@@ -1,75 +1,87 @@
-//! Load generators for the serving tier: a closed-loop thread fleet and
-//! an open-loop nonblocking fleet.
+//! The serving tier's load generator: one poll-driven thread over a
+//! fleet of nonblocking [`ClientConn`]s, in open or closed loop.
 //!
-//! **Closed loop** ([`run`]): `N` client threads each drive real
-//! localhost TCP connections against a running server: issue a request,
-//! wait for the full response, record the latency, repeat. Closed-loop
-//! means offered load adapts to service rate — exactly the client model
-//! behind the E-s0 experiment's concurrency sweep.
+//! A [`LoadPlan`] names the fleet size, the [`ConnMode`] and the
+//! [`Arrivals`]:
 //!
-//! Two connection modes:
+//! * **Open loop** ([`Arrivals::Open`]): request *i* is due at
+//!   `t0 + i/rate`, for `rate × window` requests. Offered load does
+//!   *not* adapt to service rate: when every connection is busy, due
+//!   requests wait in a client-side FIFO — nothing is dropped — and
+//!   latency is timed from the due time, so queueing shows up in the
+//!   numbers instead of silently throttling the generator. This is the
+//!   C10K client model behind E-c8 (a mostly idle fleet, rate ≪
+//!   connections) and the E-f9 router sweeps.
+//! * **Closed loop** ([`Arrivals::Closed`]): the same loop, where a
+//!   request is due the moment a reply frees its connection, so offered
+//!   load adapts to service rate — the client model behind E-s0's
+//!   concurrency sweep.
 //!
-//! * [`ConnMode::PerRequest`] — a fresh connection per request. Every
-//!   request passes admission control, so this is the mode that probes
-//!   the 503 watermark under overload.
-//! * [`ConnMode::KeepAlive`] — one persistent connection per client
-//!   reused for all its requests; measures steady-state service latency
-//!   (and warm-cache behaviour) without per-connection setup noise.
-//!
-//! **Open loop** ([`run_open_loop`]): one poll-driven thread holds
-//! thousands of concurrent nonblocking keep-alive connections and issues
-//! requests at a **fixed arrival rate** spread across the fleet —
-//! offered load does *not* adapt to service rate, so queueing delay
-//! shows up in the latency numbers instead of silently throttling the
-//! generator. This is the C10K client model behind E-c8: a mostly-idle
-//! fleet (rate ≪ connections) probing how much memory and tail latency
-//! each parked connection costs the server.
+//! [`ConnMode::KeepAlive`] reuses each connection; [`ConnMode::PerRequest`]
+//! sends `connection: close`, so every request arrives on a new
+//! connection and passes admission control (the mode that probes the
+//! 503 watermark). Either way a connection the server closes or recycles
+//! is reopened before its next request and counted in
+//! [`LoadReport::reopened`]; that is not a failure.
 
-use crate::http::{read_response_timed, ClientResponse, HttpError};
-use ee_util::http1::ResponseDecoder;
-use ee_util::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use ee_util::http1::{ClientConn, Drive};
+use ee_util::poll::{poll_fds, PollFd};
+use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+
+/// How long a connect, or a request from its due time to its whole
+/// response, may take before it counts as a transport error.
+const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How clients manage connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnMode {
-    /// Fresh connection per request: every request faces admission.
+    /// `connection: close` on every request: each one faces admission.
     PerRequest,
-    /// One keep-alive connection per client thread.
+    /// Persistent connections, reused while the server keeps them.
     KeepAlive,
+}
+
+/// When requests become due.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Arrivals {
+    /// `requests` in all, each due as soon as a connection is free.
+    Closed {
+        /// Requests across the whole fleet.
+        requests: usize,
+    },
+    /// A fixed arrival rate: request *i* is due at `i / rate_per_sec`
+    /// while that is inside `window`.
+    Open {
+        /// Aggregate arrivals per second across the fleet.
+        rate_per_sec: f64,
+        /// How long arrivals keep coming; the run then drains.
+        window: Duration,
+    },
 }
 
 /// A load-generation plan.
 #[derive(Debug, Clone)]
 pub struct LoadPlan {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests issued per client.
-    pub requests_per_client: usize,
+    /// Connections in the fleet: at most this many requests in flight.
+    pub conns: usize,
     /// Connection management mode.
     pub mode: ConnMode,
-    /// Client-side socket timeout.
-    pub timeout: Duration,
-}
-
-impl Default for LoadPlan {
-    fn default() -> Self {
-        LoadPlan {
-            clients: 4,
-            requests_per_client: 50,
-            mode: ConnMode::KeepAlive,
-            timeout: Duration::from_secs(10),
-        }
-    }
+    /// Closed or open loop.
+    pub arrivals: Arrivals,
 }
 
 /// Aggregated results of one load run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
+    /// Connections the fleet opened before the first request (fewer than
+    /// planned when connects fail, e.g. at the fd limit).
+    pub conns_open: usize,
+    /// Connections reopened after the server closed or recycled them.
+    pub reopened: u64,
+    /// Requests written to a connection.
+    pub sent: u64,
     /// 2xx responses.
     pub ok: u64,
     /// 503 admission rejections.
@@ -78,13 +90,15 @@ pub struct LoadReport {
     pub expired: u64,
     /// Other HTTP statuses (4xx bugs in the target list, 5xx…).
     pub other: u64,
-    /// Transport-level failures (connect refused, timeout, short read).
+    /// Transport-level failures (connect refused, timeout, close or
+    /// malformed framing mid-response).
     pub errors: u64,
     /// `x-cache: HIT` responses among the 2xx.
     pub cache_hits: u64,
-    /// Wall-clock for the whole run.
+    /// Wall-clock from the first due request until the last answer.
     pub wall: Duration,
-    /// Latency percentiles over **successful (2xx) requests**, µs.
+    /// Latency percentiles over **successful (2xx) requests**, µs, from
+    /// each request's due time.
     pub p50_us: u64,
     /// 95th percentile latency, µs.
     pub p95_us: u64,
@@ -96,7 +110,7 @@ pub struct LoadReport {
     /// criterion under overload.
     pub admitted_p99_us: u64,
     /// Time-to-first-byte percentiles over 2xx requests, µs: the clock
-    /// stops when the response head has been read, before the body
+    /// stops when the response head has been decoded, before the body
     /// drains. For streamed responses this is the number that chunked
     /// transfer improves — the first tile chunk arrives while the rest
     /// is still being encoded.
@@ -132,517 +146,218 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Issue one request and read its response, returning the response and
-/// the time to first byte (until the head was decoded) in microseconds.
-fn issue(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    target: &str,
-    keep_alive: bool,
-) -> Result<(ClientResponse, u64), HttpError> {
-    let conn_header = if keep_alive { "keep-alive" } else { "close" };
-    let req = format!(
-        "GET {target} HTTP/1.1\r\nhost: localhost\r\nconnection: {conn_header}\r\n\r\n"
-    );
-    let t0 = Instant::now();
-    stream.write_all(req.as_bytes()).map_err(HttpError::Io)?;
-    stream.flush().map_err(HttpError::Io)?;
-    let (resp, head_at) = read_response_timed(reader)?;
-    let ttfb_us = head_at
-        .duration_since(t0)
-        .as_micros()
-        .min(u128::from(u64::MAX)) as u64;
-    Ok((resp, ttfb_us))
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Run the plan against `addr`, each client cycling through `targets`
-/// round-robin (offset by client id so clients don't move in lock-step).
-///
-/// Panics if `targets` is empty.
+/// One connection of the fleet.
+struct Slot {
+    /// `None` once the server closed it; reopened before the next request.
+    conn: Option<ClientConn>,
+    /// Due time of the request in flight; `None` while the slot is free.
+    due: Option<Instant>,
+}
+
+/// The run's counters and latency samples.
+#[derive(Default)]
+struct Tally {
+    report: LoadReport,
+    ok_lat: Vec<u64>,
+    admitted_lat: Vec<u64>,
+    ttfb_lat: Vec<u64>,
+}
+
+impl Tally {
+    /// Account for what `outcome` did to `slot`'s request; true when the
+    /// slot is free again.
+    fn settle(&mut self, slot: &mut Slot, outcome: Drive) -> bool {
+        let r = &mut self.report;
+        match outcome {
+            Drive::Pending => false,
+            Drive::Dead => {
+                slot.conn = None;
+                let in_flight = slot.due.take().is_some();
+                r.errors += u64::from(in_flight);
+                in_flight
+            }
+            Drive::Complete(status) => {
+                let conn = slot.conn.as_mut().expect("complete means connected");
+                let due = slot.due.take().expect("a complete request was due");
+                let us = micros(due.elapsed());
+                let response = conn.take_response();
+                match status {
+                    200..=299 => {
+                        r.ok += 1;
+                        if response.header("x-cache") == Some("HIT") {
+                            r.cache_hits += 1;
+                        }
+                        self.ok_lat.push(us);
+                        self.admitted_lat.push(us);
+                        let head = conn.head_at().unwrap_or(due);
+                        self.ttfb_lat.push(micros(head.duration_since(due)));
+                    }
+                    503 => r.rejected += 1,
+                    504 => {
+                        r.expired += 1;
+                        self.admitted_lat.push(us);
+                    }
+                    _ => r.other += 1,
+                }
+                if !conn.is_reusable() {
+                    slot.conn = None;
+                }
+                true
+            }
+        }
+    }
+
+    fn finish(mut self, wall: Duration) -> LoadReport {
+        for v in [&mut self.ok_lat, &mut self.admitted_lat, &mut self.ttfb_lat] {
+            v.sort_unstable();
+        }
+        let (ok, admitted, ttfb) = (&self.ok_lat, &self.admitted_lat, &self.ttfb_lat);
+        LoadReport {
+            wall,
+            p50_us: percentile(ok, 0.50),
+            p95_us: percentile(ok, 0.95),
+            p99_us: percentile(ok, 0.99),
+            mean_us: ok.iter().sum::<u64>() / (ok.len().max(1) as u64),
+            admitted_p99_us: percentile(admitted, 0.99),
+            ttfb_p50_us: percentile(ttfb, 0.50),
+            ttfb_p95_us: percentile(ttfb, 0.95),
+            ttfb_p99_us: percentile(ttfb, 0.99),
+            ..self.report
+        }
+    }
+}
+
+/// Run `plan` against `addr`, requests cycling through `targets`
+/// round-robin, and report once every due request has been answered
+/// (or has failed). Panics if `targets` is empty.
 pub fn run(addr: SocketAddr, targets: &[String], plan: &LoadPlan) -> LoadReport {
     assert!(!targets.is_empty(), "loadgen needs at least one target");
-    let ok = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let expired = AtomicU64::new(0);
-    let other = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
-    let cache_hits = AtomicU64::new(0);
-    let ok_lat: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let admitted_lat: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let ttfb_lat: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let connection = match plan.mode {
+        ConnMode::KeepAlive => "keep-alive",
+        ConnMode::PerRequest => "close",
+    };
+    let requests: Vec<Vec<u8>> = targets
+        .iter()
+        .map(|t| {
+            format!("GET {t} HTTP/1.1\r\nhost: localhost\r\nconnection: {connection}\r\n\r\n")
+                .into_bytes()
+        })
+        .collect();
+    let (total, rate) = match plan.arrivals {
+        Arrivals::Closed { requests } => (requests as u64, None),
+        Arrivals::Open {
+            rate_per_sec,
+            window,
+        } => {
+            assert!(rate_per_sec > 0.0, "an open loop needs a positive rate");
+            let total = (rate_per_sec * window.as_secs_f64()).round() as u64;
+            (total, Some(rate_per_sec))
+        }
+    };
 
+    let mut fleet: Vec<Slot> = (0..plan.conns)
+        .map_while(|_| ClientConn::connect(addr, TIMEOUT).ok())
+        .map(|conn| Slot {
+            conn: Some(conn),
+            due: None,
+        })
+        .collect();
+    let mut tally = Tally::default();
+    tally.report.conns_open = fleet.len();
+    if fleet.is_empty() {
+        tally.report.errors = total;
+        return tally.finish(Duration::ZERO);
+    }
+
+    let mut free: VecDeque<usize> = (0..fleet.len()).collect();
+    let mut queue: VecDeque<Instant> = VecDeque::new();
+    let mut arrived = 0u64;
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut polled: Vec<usize> = Vec::new();
     let t0 = Instant::now();
-    ee_util::par::fan_out(plan.clients.max(1), |client| {
-        let mut local_ok: Vec<u64> = Vec::with_capacity(plan.requests_per_client);
-        let mut local_admitted: Vec<u64> = Vec::with_capacity(plan.requests_per_client);
-        let mut local_ttfb: Vec<u64> = Vec::with_capacity(plan.requests_per_client);
-        let mut conn: Option<(TcpStream, BufReader<TcpStream>)> = None;
-        for i in 0..plan.requests_per_client {
-            let target = &targets[(client + i) % targets.len()];
-            if conn.is_none() {
-                match TcpStream::connect(addr) {
-                    Ok(s) => {
-                        let _ = s.set_read_timeout(Some(plan.timeout));
-                        let _ = s.set_write_timeout(Some(plan.timeout));
-                        let _ = s.set_nodelay(true);
-                        match s.try_clone() {
-                            Ok(r) => conn = Some((s, BufReader::new(r))),
-                            Err(_) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
+    let due_at = |i: u64| rate.map(|r| t0 + Duration::from_secs_f64(i as f64 / r));
+    loop {
+        // Admit every arrival that is due.
+        let now = Instant::now();
+        while arrived < total {
+            let due = match due_at(arrived) {
+                Some(due) if due <= now => due,
+                None if queue.len() < free.len() => now,
+                _ => break,
+            };
+            queue.push_back(due);
+            arrived += 1;
+        }
+        // Hand due requests to free connections, oldest first.
+        while !queue.is_empty() {
+            let Some(i) = free.pop_front() else { break };
+            let due = queue.pop_front().expect("queue is not empty");
+            let slot = &mut fleet[i];
+            if slot.conn.is_none() {
+                match ClientConn::connect(addr, TIMEOUT) {
+                    Ok(conn) => {
+                        slot.conn = Some(conn);
+                        tally.report.reopened += 1;
                     }
                     Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
+                        tally.report.errors += 1;
+                        free.push_back(i);
                         continue;
                     }
                 }
             }
-            let keep_alive = plan.mode == ConnMode::KeepAlive;
-            let (stream, reader) = conn.as_mut().expect("connection just established");
-            let start = Instant::now();
-            let resp = issue(stream, reader, target, keep_alive);
-            let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            match resp {
-                Ok((r, ttfb_us)) => {
-                    match r.status {
-                        200..=299 => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                            if r.header("x-cache").is_some_and(|v| v == "HIT") {
-                                cache_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            local_ok.push(us);
-                            local_admitted.push(us);
-                            local_ttfb.push(ttfb_us);
-                        }
-                        503 => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        504 => {
-                            expired.fetch_add(1, Ordering::Relaxed);
-                            local_admitted.push(us);
-                        }
-                        _ => {
-                            other.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // The server closes after non-keep-alive exchanges and
-                    // after error responses; reconnect next iteration.
-                    if !keep_alive || !r.keep_alive {
-                        conn = None;
-                    }
-                }
-                Err(_) => {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                    conn = None;
-                }
+            let conn = slot.conn.as_mut().expect("connected above");
+            conn.send(&requests[tally.report.sent as usize % requests.len()]);
+            tally.report.sent += 1;
+            slot.due = Some(due);
+            let outcome = conn.drive();
+            if tally.settle(slot, outcome) {
+                free.push_back(i);
             }
         }
-        ok_lat.lock().expect("latency vec poisoned").extend(local_ok);
-        admitted_lat
-            .lock()
-            .expect("latency vec poisoned")
-            .extend(local_admitted);
-        ttfb_lat
-            .lock()
-            .expect("latency vec poisoned")
-            .extend(local_ttfb);
-    });
-    let wall = t0.elapsed();
-
-    let mut ok_lat = ok_lat.into_inner().expect("latency vec poisoned");
-    ok_lat.sort_unstable();
-    let mut admitted_lat = admitted_lat.into_inner().expect("latency vec poisoned");
-    admitted_lat.sort_unstable();
-    let mut ttfb_lat = ttfb_lat.into_inner().expect("latency vec poisoned");
-    ttfb_lat.sort_unstable();
-    let mean_us = if ok_lat.is_empty() {
-        0
-    } else {
-        ok_lat.iter().sum::<u64>() / ok_lat.len() as u64
-    };
-    LoadReport {
-        ok: ok.into_inner(),
-        rejected: rejected.into_inner(),
-        expired: expired.into_inner(),
-        other: other.into_inner(),
-        errors: errors.into_inner(),
-        cache_hits: cache_hits.into_inner(),
-        wall,
-        p50_us: percentile(&ok_lat, 0.50),
-        p95_us: percentile(&ok_lat, 0.95),
-        p99_us: percentile(&ok_lat, 0.99),
-        mean_us,
-        admitted_p99_us: percentile(&admitted_lat, 0.99),
-        ttfb_p50_us: percentile(&ttfb_lat, 0.50),
-        ttfb_p95_us: percentile(&ttfb_lat, 0.95),
-        ttfb_p99_us: percentile(&ttfb_lat, 0.99),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Open-loop nonblocking fleet
-// ---------------------------------------------------------------------
-
-/// Plan for an open-loop run: a fixed fleet of keep-alive connections
-/// plus a fixed aggregate request arrival rate.
-#[derive(Debug, Clone)]
-pub struct OpenLoopPlan {
-    /// Connections to hold open for the whole run.
-    pub conns: usize,
-    /// Aggregate request arrivals per second across the fleet.
-    pub rate_per_sec: f64,
-    /// Measurement window (in-flight requests get a short grace period
-    /// to finish afterwards).
-    pub duration: Duration,
-    /// Connect retry budget while building the fleet.
-    pub timeout: Duration,
-}
-
-impl Default for OpenLoopPlan {
-    fn default() -> Self {
-        OpenLoopPlan {
-            conns: 100,
-            rate_per_sec: 100.0,
-            duration: Duration::from_millis(1_000),
-            timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Results of one open-loop run.
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// Fleet size the plan asked for.
-    pub conns_target: usize,
-    /// Connections actually established (fd limits, refused connects).
-    pub conns_open: usize,
-    /// Connections still alive when the run ended.
-    pub conns_alive: usize,
-    /// Requests issued.
-    pub sent: u64,
-    /// 2xx responses.
-    pub ok: u64,
-    /// Non-2xx responses.
-    pub other: u64,
-    /// Transport failures (close mid-response, malformed framing).
-    pub errors: u64,
-    /// Arrival ticks skipped because every connection was busy — a
-    /// non-zero value means the fleet saturated (closed-loop behaviour
-    /// crept in) and latency numbers understate queueing.
-    pub missed_ticks: u64,
-    /// Latency percentiles over 2xx requests, µs (measured from the
-    /// scheduled arrival tick, so server queueing counts).
-    pub p50_us: u64,
-    /// 95th percentile, µs.
-    pub p95_us: u64,
-    /// 99th percentile, µs.
-    pub p99_us: u64,
-    /// Mean 2xx latency, µs.
-    pub mean_us: u64,
-    /// Wall-clock of the measurement window including the drain grace.
-    pub wall: Duration,
-}
-
-/// What one open-loop connection is doing.
-enum OpenState {
-    /// Parked keep-alive connection, available for the next tick.
-    Idle,
-    /// Writing a request (nonblocking; resumes on POLLOUT).
-    Sending {
-        buf: Vec<u8>,
-        pos: usize,
-        t0: Instant,
-    },
-    /// Reading a response.
-    Receiving { dec: ResponseDecoder, t0: Instant },
-    /// Closed (server reap, transport error); stays dead for the run.
-    Dead,
-}
-
-struct OpenConn {
-    stream: TcpStream,
-    state: OpenState,
-}
-
-fn connect_nonblocking(addr: SocketAddr, budget: Duration) -> Option<TcpStream> {
-    let t0 = Instant::now();
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                if s.set_nonblocking(true).is_err() {
-                    return None;
-                }
-                return Some(s);
-            }
-            Err(_) if t0.elapsed() < budget => {
-                // Accept backlog full while the fleet ramps: back off.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Run an open-loop fleet against `addr`, requests cycling through
-/// `targets`. Single-threaded and poll-driven: the same readiness model
-/// the event server uses, applied client-side, so one thread can hold
-/// a five-digit connection count.
-///
-/// Panics if `targets` is empty.
-pub fn run_open_loop(
-    addr: SocketAddr,
-    targets: &[String],
-    plan: &OpenLoopPlan,
-) -> OpenLoopReport {
-    assert!(!targets.is_empty(), "open loop needs at least one target");
-    let mut conns: Vec<OpenConn> = Vec::with_capacity(plan.conns);
-    for _ in 0..plan.conns {
-        let Some(stream) = connect_nonblocking(addr, plan.timeout) else {
+        if arrived == total && queue.is_empty() && free.len() == fleet.len() {
             break;
-        };
-        conns.push(OpenConn {
-            stream,
-            state: OpenState::Idle,
-        });
-    }
-    let conns_open = conns.len();
-    if conns_open == 0 {
-        return OpenLoopReport {
-            conns_target: plan.conns,
-            conns_open: 0,
-            conns_alive: 0,
-            sent: 0,
-            ok: 0,
-            other: 0,
-            errors: 0,
-            missed_ticks: 0,
-            p50_us: 0,
-            p95_us: 0,
-            p99_us: 0,
-            mean_us: 0,
-            wall: Duration::ZERO,
-        };
-    }
-
-    let interval_s = 1.0 / plan.rate_per_sec.max(1e-6);
-    let mut sent = 0u64;
-    let mut missed = 0u64;
-    let mut ok = 0u64;
-    let mut other = 0u64;
-    let mut errors = 0u64;
-    let mut lat: Vec<u64> = Vec::new();
-    let mut next_idle = 0usize;
-    let mut pollset: Vec<PollFd> = Vec::new();
-    let mut slots: Vec<usize> = Vec::new();
-    let mut target_i = 0usize;
-
-    let t0 = Instant::now();
-    let grace = Duration::from_millis(1_000);
-    loop {
-        let now = Instant::now();
-        let in_window = now.duration_since(t0) < plan.duration;
-        if !in_window {
-            // Drain: stop once nothing is in flight or the grace ends.
-            let in_flight = conns
-                .iter()
-                .any(|c| matches!(c.state, OpenState::Sending { .. } | OpenState::Receiving { .. }));
-            if !in_flight || now.duration_since(t0) >= plan.duration + grace {
-                break;
-            }
         }
 
-        // Fire every arrival tick that is due.
-        while in_window
-            && t0 + Duration::from_secs_f64((sent + missed) as f64 * interval_s) <= Instant::now()
-        {
-            let due = t0 + Duration::from_secs_f64((sent + missed) as f64 * interval_s);
-            // Next idle connection, round-robin from where we stopped.
-            let mut picked = None;
-            for off in 0..conns.len() {
-                let i = (next_idle + off) % conns.len();
-                if matches!(conns[i].state, OpenState::Idle) {
-                    picked = Some(i);
-                    break;
+        // Wait on every open connection: in-flight ones for their
+        // response, parked ones to notice the server closing them.
+        fds.clear();
+        polled.clear();
+        for (i, slot) in fleet.iter().enumerate() {
+            if let Some(conn) = &slot.conn {
+                fds.push(conn.poll_fd());
+                polled.push(i);
+            }
+        }
+        let mut wait = Duration::from_millis(50);
+        if let Some(next) = due_at(arrived).filter(|_| arrived < total) {
+            wait = wait.min(next.saturating_duration_since(Instant::now()));
+        }
+        if poll_fds(&mut fds, wait.as_millis() as i32).unwrap_or(0) > 0 {
+            for (fd, &i) in fds.iter().zip(&polled) {
+                if fd.revents == 0 {
+                    continue;
+                }
+                let slot = &mut fleet[i];
+                let outcome = slot.conn.as_mut().expect("polled").drive();
+                if tally.settle(slot, outcome) {
+                    free.push_back(i);
                 }
             }
-            let Some(i) = picked else {
-                missed += 1;
-                continue;
-            };
-            next_idle = (i + 1) % conns.len();
-            let target = &targets[target_i % targets.len()];
-            target_i += 1;
-            let req = format!(
-                "GET {target} HTTP/1.1\r\nhost: localhost\r\nconnection: keep-alive\r\n\r\n"
-            );
-            conns[i].state = OpenState::Sending {
-                buf: req.into_bytes(),
-                pos: 0,
-                t0: due, // measured from the scheduled arrival
-            };
-            sent += 1;
-            drive_send(&mut conns[i], &mut errors);
         }
-
-        // Poll everything with an interest: writers for POLLOUT, readers
-        // and parked keep-alive conns for POLLIN (parked conns only to
-        // notice server-side closes).
-        pollset.clear();
-        slots.clear();
-        for (i, c) in conns.iter().enumerate() {
-            let events = match c.state {
-                OpenState::Sending { .. } => POLLOUT,
-                OpenState::Receiving { .. } | OpenState::Idle => POLLIN,
-                OpenState::Dead => continue,
-            };
-            use std::os::fd::AsRawFd;
-            pollset.push(PollFd::new(c.stream.as_raw_fd(), events));
-            slots.push(i);
-        }
-        if pollset.is_empty() {
-            break; // whole fleet is dead
-        }
-        let next_due = t0 + Duration::from_secs_f64((sent + missed) as f64 * interval_s);
-        let timeout_ms = if in_window {
-            next_due
-                .saturating_duration_since(Instant::now())
-                .as_millis()
-                .min(50) as i32
-        } else {
-            20
-        };
-        let n = poll_fds(&mut pollset, timeout_ms).unwrap_or(0);
-        if n == 0 {
-            continue;
-        }
-        for (k, pfd) in pollset.iter().enumerate() {
-            if pfd.revents == 0 {
-                continue;
-            }
-            let i = slots[k];
-            match &mut conns[i].state {
-                OpenState::Sending { .. } => drive_send(&mut conns[i], &mut errors),
-                OpenState::Receiving { .. } => {
-                    drive_recv(&mut conns[i], &mut ok, &mut other, &mut errors, &mut lat)
-                }
-                OpenState::Idle => {
-                    // Data or EOF on a parked connection = server closed
-                    // it (idle reap, shutdown).
-                    let mut probe = [0u8; 64];
-                    match conns[i].stream.read(&mut probe) {
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        _ => conns[i].state = OpenState::Dead,
-                    }
-                }
-                OpenState::Dead => {}
+        // A request unanswered for TIMEOUT fails and drops its connection.
+        for (i, slot) in fleet.iter_mut().enumerate() {
+            let stuck = slot.due.is_some_and(|due| due.elapsed() > TIMEOUT);
+            if stuck && tally.settle(slot, Drive::Dead) {
+                free.push_back(i);
             }
         }
     }
-
-    let conns_alive = conns
-        .iter()
-        .filter(|c| !matches!(c.state, OpenState::Dead))
-        .count();
-    lat.sort_unstable();
-    let mean_us = if lat.is_empty() {
-        0
-    } else {
-        lat.iter().sum::<u64>() / lat.len() as u64
-    };
-    OpenLoopReport {
-        conns_target: plan.conns,
-        conns_open,
-        conns_alive,
-        sent,
-        ok,
-        other,
-        errors,
-        missed_ticks: missed,
-        p50_us: percentile(&lat, 0.50),
-        p95_us: percentile(&lat, 0.95),
-        p99_us: percentile(&lat, 0.99),
-        mean_us,
-        wall: t0.elapsed(),
-    }
-}
-
-fn drive_send(conn: &mut OpenConn, errors: &mut u64) {
-    let OpenState::Sending { buf, pos, t0 } = &mut conn.state else {
-        return;
-    };
-    while *pos < buf.len() {
-        match conn.stream.write(&buf[*pos..]) {
-            Ok(0) => {
-                *errors += 1;
-                conn.state = OpenState::Dead;
-                return;
-            }
-            Ok(n) => *pos += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *errors += 1;
-                conn.state = OpenState::Dead;
-                return;
-            }
-        }
-    }
-    let t0 = *t0;
-    conn.state = OpenState::Receiving {
-        dec: ResponseDecoder::new(),
-        t0,
-    };
-}
-
-fn drive_recv(
-    conn: &mut OpenConn,
-    ok: &mut u64,
-    other: &mut u64,
-    errors: &mut u64,
-    lat: &mut Vec<u64>,
-) {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let OpenState::Receiving { dec, t0 } = &mut conn.state else {
-            return;
-        };
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                *errors += 1;
-                conn.state = OpenState::Dead;
-                return;
-            }
-            Ok(n) => match dec.feed(&buf[..n]) {
-                Ok(Some(status)) => {
-                    let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    if (200..300).contains(&status) {
-                        *ok += 1;
-                        lat.push(us);
-                    } else {
-                        *other += 1;
-                    }
-                    conn.state = OpenState::Idle;
-                    return;
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    *errors += 1;
-                    conn.state = OpenState::Dead;
-                    return;
-                }
-            },
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *errors += 1;
-                conn.state = OpenState::Dead;
-                return;
-            }
-        }
-    }
+    tally.finish(t0.elapsed())
 }
 
 #[cfg(test)]
@@ -660,21 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_decoder_still_drives_the_open_loop_shapes() {
-        // The decoder lives in `ee_util::http1` now (the router's shard
-        // pool shares it); this pins the open-loop usage contract.
-        let wire =
-            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n3\r\nwor\r\n0\r\n\r\n";
-        let mut dec = ResponseDecoder::new();
-        assert_eq!(dec.feed(&wire[..40]).unwrap(), None);
-        assert_eq!(dec.feed(&wire[40..]).unwrap(), Some(200));
-        let mut dec = ResponseDecoder::new();
-        assert!(dec
-            .feed(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n")
-            .is_err());
-    }
-
-    #[test]
     fn report_arithmetic() {
         let r = LoadReport {
             ok: 90,
@@ -682,16 +382,8 @@ mod tests {
             expired: 2,
             other: 0,
             errors: 1,
-            cache_hits: 40,
             wall: Duration::from_secs(2),
-            p50_us: 100,
-            p95_us: 200,
-            p99_us: 300,
-            mean_us: 120,
-            admitted_p99_us: 350,
-            ttfb_p50_us: 50,
-            ttfb_p95_us: 90,
-            ttfb_p99_us: 95,
+            ..LoadReport::default()
         };
         assert_eq!(r.completed(), 100);
         assert!((r.throughput() - 45.0).abs() < 1e-9);

@@ -7,7 +7,7 @@
 //! fleet smoke.
 
 use ee_serve::http::{read_response, ClientResponse, RequestParser};
-use ee_serve::loadgen::{run_open_loop, OpenLoopPlan};
+use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};
 use ee_serve::metrics::Route;
 use ee_serve::router::{cache_key, dispatch, Outcome};
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
@@ -467,16 +467,18 @@ fn open_loop_fleet_holds_idle_connections_through_the_event_server() {
     config.max_connections = 4_096;
     config.idle_timeout = Duration::from_secs(30);
     let server = start(config, state()).expect("start");
-    let plan = OpenLoopPlan {
+    let plan = LoadPlan {
         conns: 64,
-        rate_per_sec: 200.0,
-        duration: Duration::from_millis(600),
-        timeout: Duration::from_secs(5),
+        mode: ConnMode::KeepAlive,
+        arrivals: Arrivals::Open {
+            rate_per_sec: 200.0,
+            window: Duration::from_millis(600),
+        },
     };
     let targets = vec!["/healthz".to_string(), "/query?x=12&y=34".to_string()];
-    let report = run_open_loop(server.addr, &targets, &plan);
+    let report = loadgen::run(server.addr, &targets, &plan);
     assert_eq!(report.conns_open, 64, "whole fleet connects");
-    assert_eq!(report.conns_alive, 64, "nothing reaped under the timeout");
+    assert_eq!(report.reopened, 0, "nothing reaped under the timeout");
     assert!(report.ok >= 60, "open loop completes requests: {report:?}");
     assert_eq!(report.errors, 0, "no transport errors: {report:?}");
     assert!(report.p99_us > 0);

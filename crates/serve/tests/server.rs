@@ -4,7 +4,7 @@
 //! functionally here.
 
 use ee_serve::http::read_response;
-use ee_serve::loadgen::{self, ConnMode, LoadPlan};
+use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -237,10 +237,9 @@ fn loadgen_drives_all_routes_and_metrics_report() {
         server.addr,
         &targets,
         &LoadPlan {
-            clients: 4,
-            requests_per_client: 20,
+            conns: 4,
             mode: ConnMode::KeepAlive,
-            timeout: Duration::from_secs(10),
+            arrivals: Arrivals::Closed { requests: 80 },
         },
     );
     assert_eq!(report.ok, 80, "all requests succeed: {report:?}");
@@ -257,6 +256,61 @@ fn loadgen_drives_all_routes_and_metrics_report() {
     assert!(text.contains("ee_serve_requests_total"), "{text}");
     assert!(text.contains("ee_serve_cache_hits_total"));
     assert!(text.contains("route=\"query\""));
+    server.shutdown();
+}
+
+#[test]
+fn open_loop_queues_due_requests_instead_of_dropping_them() {
+    // One connection, 20 ms per request, a request due every 5 ms: most
+    // arrivals find the connection busy. Each waits in the client-side
+    // FIFO and its latency counts the wait.
+    let server = start(test_config(), state()).expect("start");
+    let report = loadgen::run(
+        server.addr,
+        &["/debug/sleep?ms=20".to_string()],
+        &LoadPlan {
+            conns: 1,
+            mode: ConnMode::KeepAlive,
+            arrivals: Arrivals::Open {
+                rate_per_sec: 200.0,
+                window: Duration::from_millis(300),
+            },
+        },
+    );
+    assert_eq!(report.sent, 60, "every due arrival is sent: {report:?}");
+    assert_eq!(report.ok, report.sent, "and answered: {report:?}");
+    assert_eq!(report.errors, 0);
+    assert!(
+        report.p50_us >= 20_000,
+        "p50 includes client-side queueing: {report:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn recycled_connections_are_reopened_not_failed() {
+    let server = start(
+        ServerConfig {
+            max_requests_per_conn: 5,
+            ..test_config()
+        },
+        state(),
+    )
+    .expect("start");
+    let report = loadgen::run(
+        server.addr,
+        &["/healthz".into(), "/query?x0=5&y0=5&side=10".into()],
+        &LoadPlan {
+            conns: 2,
+            mode: ConnMode::KeepAlive,
+            arrivals: Arrivals::Closed { requests: 50 },
+        },
+    );
+    assert_eq!(report.ok, 50, "every request is 2xx: {report:?}");
+    assert_eq!(report.errors, 0, "{report:?}");
+    // Each connection is recycled after its 5th request and reopened
+    // before its next one: 50 requests over 2 connections.
+    assert!(report.reopened >= 8, "{report:?}");
     server.shutdown();
 }
 

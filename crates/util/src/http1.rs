@@ -1,19 +1,30 @@
-//! An incremental HTTP/1.1 **response** decoder — the workspace's only
-//! one.
+//! The workspace's HTTP/1.1 client side: an incremental **response**
+//! decoder and one nonblocking client connection over it.
 //!
-//! Nonblocking clients (the open-loop loadgen, the serve tier's
-//! scatter-gather shard pool, the federation client) feed it bytes as
-//! they arrive and learn when a full message (content-length or chunked
-//! framing) is present, then extract the de-chunked body;
-//! `ee_serve::http::read_response` drives the same decoder from a
-//! blocking reader.
+//! [`ResponseDecoder`] is fed bytes as they arrive and learns when a
+//! full message (content-length or chunked framing) is present, then
+//! extracts the de-chunked body. `ee_serve::http::read_response` drives
+//! it from a blocking reader.
+//!
+//! [`ClientConn`] is the one nonblocking client socket: it connects
+//! under a timeout, queues one request, and [`drive`](ClientConn::drive)s
+//! it on readiness to [`Drive::Complete`] or [`Drive::Dead`] through a
+//! decoder, noting when the response head arrived. Its two users poll
+//! many of them from one thread: the router tier's scatter-gather
+//! `ShardPool` (`ee_federation::remote`) and the serving experiments'
+//! load generator (`ee_serve::loadgen`).
 //!
 //! Each [`feed`](ResponseDecoder::feed) resumes where the previous one
 //! stopped — the head search a few bytes before the new data, the chunk
 //! walk at the first chunk not yet walked — so decoding a message costs
 //! time linear in its size however it is split.
 
+use crate::poll::{PollFd, POLLIN, POLLOUT};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
+use std::os::fd::AsRawFd;
+use std::time::{Duration, Instant};
 
 /// A malformed response: bad status line, unparsable framing headers, or
 /// broken chunk framing.
@@ -223,6 +234,141 @@ impl ResponseDecoder {
     }
 }
 
+/// What one [`ClientConn::drive`] left the exchange in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drive {
+    /// Waiting on the socket: poll [`ClientConn::poll_fd`], drive again.
+    Pending,
+    /// The whole response arrived, with this status.
+    Complete(u16),
+    /// The connection closed or failed, or the response was malformed;
+    /// on a parked connection, any readiness at all. Drop it.
+    Dead,
+}
+
+/// One nonblocking HTTP/1.1 client connection carrying one request at a
+/// time: the request's bytes go out on `POLLOUT`, the response comes
+/// back through a [`ResponseDecoder`] on `POLLIN`.
+pub struct ClientConn {
+    stream: TcpStream,
+    request: Vec<u8>,
+    sent: usize,
+    response: ResponseDecoder,
+    head_at: Option<Instant>,
+    /// A request is queued and its response is not complete yet.
+    busy: bool,
+    /// Idle, and the last response left the connection usable.
+    reusable: bool,
+}
+
+impl ClientConn {
+    /// Connect to `addr`, giving up after `timeout` (a zero timeout fails
+    /// at once). The socket is nodelay and nonblocking.
+    pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<ClientConn> {
+        if timeout.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        Ok(ClientConn {
+            stream,
+            request: Vec::new(),
+            sent: 0,
+            response: ResponseDecoder::new(),
+            head_at: None,
+            busy: false,
+            reusable: true,
+        })
+    }
+
+    /// Queue one request's bytes, forgetting the previous response.
+    pub fn send(&mut self, request: &[u8]) {
+        self.request.clear();
+        self.request.extend_from_slice(request);
+        self.sent = 0;
+        self.response = ResponseDecoder::new();
+        self.head_at = None;
+        self.busy = true;
+        self.reusable = false;
+    }
+
+    /// The `poll(2)` entry to wait on: `POLLOUT` while request bytes
+    /// remain, else `POLLIN` (a parked connection turns readable only
+    /// when the server closes it).
+    pub fn poll_fd(&self) -> PollFd {
+        let events = if self.sent < self.request.len() {
+            POLLOUT
+        } else {
+            POLLIN
+        };
+        PollFd::new(self.stream.as_raw_fd(), events)
+    }
+
+    /// Write what the socket takes of the request, then read and decode
+    /// what has arrived of the response, without blocking.
+    pub fn drive(&mut self) -> Drive {
+        while self.sent < self.request.len() {
+            match self.stream.write(&self.request[self.sent..]) {
+                Ok(0) => return Drive::Dead,
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Drive::Pending,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Drive::Dead,
+            }
+        }
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            let n = match self.stream.read(&mut buf) {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Drive::Pending,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Drive::Dead,
+            };
+            if n == 0 || !self.busy {
+                return Drive::Dead;
+            }
+            let done = self.response.feed(&buf[..n]);
+            if self.response.has_head() {
+                self.head_at.get_or_insert_with(Instant::now);
+            }
+            match done {
+                Ok(Some(status)) => {
+                    self.busy = false;
+                    self.reusable = self.response.is_keep_alive() && self.response.excess() == 0;
+                    return Drive::Complete(status);
+                }
+                Ok(None) => {}
+                Err(_) => return Drive::Dead,
+            }
+        }
+    }
+
+    /// The current request's response so far (complete after
+    /// [`Drive::Complete`]).
+    pub fn response(&self) -> &ResponseDecoder {
+        &self.response
+    }
+
+    /// Move the response out, so a parked connection holds no body.
+    pub fn take_response(&mut self) -> ResponseDecoder {
+        std::mem::take(&mut self.response)
+    }
+
+    /// When the current response's head was decoded: the time to first
+    /// byte, counted from whatever instant the caller started from.
+    pub fn head_at(&self) -> Option<Instant> {
+        self.head_at
+    }
+
+    /// Whether the connection can carry another request: nothing is in
+    /// flight, and the last response (if any) kept the connection open
+    /// (no `connection: close`) with nothing after it.
+    pub fn is_reusable(&self) -> bool {
+        self.reusable
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,5 +474,72 @@ mod tests {
             Some(304)
         );
         assert_eq!(dec.body(), b"");
+    }
+
+    /// Run `server` on one accepted loopback connection and drive a
+    /// `GET /` on a [`ClientConn`] until it is no longer pending.
+    fn exchange(server: impl FnOnce(std::net::TcpStream) + Send + 'static) -> (Drive, ClientConn) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || server(listener.accept().unwrap().0));
+        let mut conn = ClientConn::connect(addr, Duration::from_secs(5)).unwrap();
+        conn.send(b"GET / HTTP/1.1\r\nhost: x\r\n\r\n");
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let mut outcome = conn.drive();
+        while outcome == Drive::Pending && Instant::now() < give_up {
+            crate::poll::poll_fds(&mut [conn.poll_fd()], 100).unwrap();
+            outcome = conn.drive();
+        }
+        peer.join().unwrap();
+        (outcome, conn)
+    }
+
+    /// Read the request's head off the server end.
+    fn read_request(s: &mut std::net::TcpStream) {
+        let mut got = Vec::new();
+        let mut buf = [0u8; 256];
+        while find(&got, b"\r\n\r\n").is_none() {
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "client closed early");
+            got.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    #[test]
+    fn client_conn_completes_a_response_sent_byte_at_a_time() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello";
+        let (outcome, conn) = exchange(move |mut s| {
+            read_request(&mut s);
+            s.set_nodelay(true).unwrap();
+            for b in wire {
+                s.write_all(std::slice::from_ref(b)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(outcome, Drive::Complete(200));
+        assert_eq!(conn.response().body(), b"hello");
+        assert!(conn.head_at().is_some());
+        assert!(conn.is_reusable());
+    }
+
+    #[test]
+    fn client_conn_close_before_the_head_is_dead_without_body() {
+        let (outcome, conn) = exchange(|mut s| read_request(&mut s));
+        assert_eq!(outcome, Drive::Dead);
+        assert!(!conn.response().started_body(), "may be retried");
+        assert!(conn.head_at().is_none());
+    }
+
+    #[test]
+    fn client_conn_close_mid_body_is_dead_with_body_started() {
+        let (outcome, conn) = exchange(|mut s| {
+            read_request(&mut s);
+            s.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhel")
+                .unwrap();
+        });
+        assert_eq!(outcome, Drive::Dead);
+        assert!(conn.response().started_body(), "not retryable");
+        assert!(conn.head_at().is_some());
+        assert!(!conn.is_reusable());
     }
 }

@@ -24,9 +24,9 @@
 //!   event-driven serve tier (declared `extern "C"`, no libc crate).
 //! * [`ring`] — the consistent-hash ring shared by the shard data
 //!   loaders and the scatter-gather router tier.
-//! * [`http1`] — an incremental HTTP/1.1 response decoder for
-//!   nonblocking client sockets (the loadgen fleet and the router's
-//!   shard-client pool).
+//! * [`http1`] — an incremental HTTP/1.1 response decoder and the one
+//!   nonblocking client connection over it (shared by the load
+//!   generator's fleet and the router's shard-client pool).
 
 pub mod bytes;
 pub mod http1;

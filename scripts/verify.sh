@@ -52,7 +52,9 @@ done
 # harness binary.
 ART=target/verify-artifacts
 mkdir -p "$ART"
-harness() { (cd "$ART" && ../release/harness "$@"); }
+# A hung client (E-c8 and E-f9 drive real sockets) fails verify instead
+# of stalling it.
+harness() { (cd "$ART" && timeout 900 ../release/harness "$@"); }
 
 echo "== smoke: harness e4 e5 kernels e-s0 (quick scale) =="
 harness e4 e5 kernels e-s0
