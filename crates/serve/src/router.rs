@@ -673,13 +673,15 @@ fn handle_ice(state: &AppState, req: &Request, region: &str) -> Response {
 /// cached (no [`cache_key`]), so `points` and `generation` always
 /// reflect the live store even immediately after a commit.
 fn handle_healthz(state: &AppState) -> Response {
+    // Generation, commit and point count from one guard: one commit.
+    let store = state.store();
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("uptime_s", Json::Num(state.started.elapsed().as_secs_f64())),
         ("writable", Json::Bool(state.writable)),
-        ("generation", Json::Num(state.generation() as f64)),
-        ("commit", Json::Str(format!("{:016x}", state.head_commit()))),
-        ("points", Json::Num(state.store().len() as f64)),
+        ("generation", Json::Num(store.generation() as f64)),
+        ("commit", Json::Str(format!("{:016x}", store.head_commit()))),
+        ("points", Json::Num(store.len() as f64)),
         ("products", Json::Num(state.classic.len() as f64)),
         ("pyramid_levels", Json::Num(state.pyramid.len() as f64)),
         (
@@ -1376,5 +1378,48 @@ mod tests {
         }
         let ok = ready(dispatch(state(), &get("/debug/sleep?ms=2"), far_deadline(), true));
         assert_eq!(ok.status, 200);
+    }
+
+    #[test]
+    fn healthz_reports_one_commit_under_concurrent_writes() {
+        // One point per commit: `points - generation` stays constant
+        // exactly when all three fields come from the same commit.
+        let state = Arc::new(AppState::build(DataConfig::tiny()));
+        let base = state.store().len() as f64 - state.generation() as f64;
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (answers, mixed) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut i = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let u = ee_rdf::parser::parse_update(&format!(
+                        "INSERT DATA {{ <http://e/h{i}> <http://e/p> \"{i}\" }}"
+                    ))
+                    .unwrap();
+                    state.commit_update(&u).expect("commit");
+                    i += 1;
+                }
+            });
+            let (mut answers, mut mixed) = (0u64, 0u64);
+            let t0 = Instant::now();
+            while t0.elapsed() < std::time::Duration::from_secs(1) {
+                let body = body_of(ready(dispatch(
+                    &state,
+                    &get("/healthz"),
+                    far_deadline(),
+                    false,
+                )));
+                let v = ee_util::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+                let num = |k: &str| v.get(k).and_then(Json::as_f64).expect("numeric field");
+                answers += 1;
+                mixed += u64::from(num("points") - num("generation") != base);
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            writer.join().expect("writer");
+            (answers, mixed)
+        });
+        assert_eq!(
+            mixed, 0,
+            "{mixed} of {answers} /healthz answers mixed two commits"
+        );
     }
 }

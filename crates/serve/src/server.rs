@@ -5,10 +5,10 @@
 //!   acceptor ──► shard inboxes ──► N event-loop shards (poll(2))
 //!                                     │  nonblocking sockets, one
 //!                                     │  EventConn state machine each:
-//!                                     │  Reading → cache lookup ─ hit:
-//!                                     │  answered on the shard → Reading
-//!                                     │  miss: Dispatched →
-//!                                     │  StreamingBody → KeepAliveIdle
+//!                                     │  Idle → parse → admit ─ hit or
+//!                                     │  refusal: answered on the shard
+//!                                     │  miss: Busy ⇄ StreamWait
+//!                                     │  → end_exchange → Idle
 //!                                     ▼
 //!                       misses only: job queue ──► M worker threads
 //!                                     ▲            (resolve_miss / pull
@@ -23,14 +23,19 @@
 //! connection's [`SendBuf`], body copied once from the cache entry — so
 //! it never pays the two cross-thread handoffs (job queue, then
 //! completion mailbox + wake pipe). Only misses and uncacheable routes
-//! go to the worker pool. Heavy route work (plan/execute, tile encode)
-//! runs on workers; streamed bodies are pulled in bounded batches
+//! go to the worker pool, which returns one `Completion` shape for
+//! every job: bytes plus how the response continues (a sized response
+//! is simply finished). Every exchange — hit, refusal or worker
+//! response — ends in one place, `EventConn::end_exchange`, and every
+//! refusal (400/413/408, the 503 sheds) is written by one helper.
+//! Heavy route work (plan/execute, tile encode) runs on workers;
+//! streamed bodies are pulled in bounded batches
 //! **only while the socket drains**, so a stalled reader parks its
 //! `BodyStream` in the shard (O(batch) memory) instead of pinning a
 //! worker. Admission control is layered: a max-connections cap at
 //! accept, per-route in-flight quotas, and the dispatch-queue watermark,
 //! which guards the worker queue and so sheds only requests bound for
-//! it — each shedding with a graceful 503 + `Retry-After`. Idle
+//! it — each shedding with a graceful 503 + `Retry-After: 1`. Idle
 //! keep-alive connections and stuck partial request heads (slow loris)
 //! are reaped on timers.
 
@@ -44,7 +49,7 @@ use crate::router::{cache_key, classify, dispatch, Outcome};
 use crate::state::AppState;
 use ee_util::poll::{poll_fds, PollFd, WakePipe, Waker, POLLIN, POLLOUT};
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,11 +72,9 @@ pub struct ServerConfig {
     /// 503-shed while this many jobs await a worker (cache hits never
     /// queue, so they are never shed here).
     pub queue_watermark: usize,
-    /// Default per-route in-flight request quota; a route at its quota
+    /// In-flight request quota of each route; a route at its quota
     /// sheds further requests with 503 without costing the connection.
     pub route_quota: usize,
-    /// Per-route overrides of [`route_quota`](ServerConfig::route_quota).
-    pub route_quota_overrides: Vec<(Route, usize)>,
     /// Per-request deadline, counted from when the request's bytes
     /// start arriving; also the read budget for a partial request.
     pub deadline: Duration,
@@ -85,19 +88,13 @@ pub struct ServerConfig {
     /// answered 503 and closed once it exceeds this depth (counted in
     /// `ee_serve_pipeline_capped_total`).
     pub max_pipeline_depth: usize,
-    /// Response-cache shards.
-    pub cache_shards: usize,
     /// Response-cache entries per shard.
     pub cache_capacity_per_shard: usize,
-    /// Response-cache TTL.
-    pub cache_ttl: Duration,
     /// Largest response body the cache stores per entry. Streamed bodies
     /// are teed into the cache only up to this size; anything bigger
     /// streams through uncached (counted in
     /// `ee_serve_stream_uncacheable_total`).
     pub cache_max_body_bytes: usize,
-    /// `Retry-After` seconds advertised on 503.
-    pub retry_after_secs: u64,
     /// Enable `/debug/*` routes (tests and experiments only).
     pub debug_routes: bool,
 }
@@ -111,31 +108,22 @@ impl Default for ServerConfig {
             max_connections: 8_192,
             queue_watermark: 64,
             route_quota: 512,
-            route_quota_overrides: Vec::new(),
             deadline: Duration::from_millis(2_000),
             idle_timeout: Duration::from_millis(5_000),
             max_requests_per_conn: 10_000,
             max_pipeline_depth: 64,
-            cache_shards: 8,
             cache_capacity_per_shard: 512,
-            cache_ttl: Duration::from_secs(60),
             cache_max_body_bytes: 256 * 1024,
-            retry_after_secs: 1,
             debug_routes: false,
         }
     }
 }
 
-impl ServerConfig {
-    /// The in-flight quota for `route`.
-    pub fn quota_for(&self, route: Route) -> usize {
-        self.route_quota_overrides
-            .iter()
-            .find(|(r, _)| *r == route)
-            .map(|(_, q)| *q)
-            .unwrap_or(self.route_quota)
-    }
-}
+/// Response-cache shards.
+const CACHE_SHARDS: usize = 8;
+
+/// Response-cache TTL.
+const CACHE_TTL: Duration = Duration::from_secs(60);
 
 /// A connection's identity across the shard/worker boundary: slab slot
 /// plus a per-shard sequence number, so a completion for a connection
@@ -147,7 +135,7 @@ type Token = (usize, u64);
 /// socket is backed up it parks in the shard, holding O(batch) state.
 struct StreamCtx {
     body: Box<dyn BodyStream>,
-    tee: Option<StreamTee>,
+    tee: Option<CacheFill>,
     deadline: Instant,
     route: Route,
     t0: Instant,
@@ -182,29 +170,24 @@ enum Job {
     },
 }
 
-/// How a streamed body continues after a chunk batch.
+/// How a response continues after the bytes a worker produced.
 enum StreamNext {
     /// More chunks remain; the context comes back to the shard.
     More(StreamCtx),
-    /// Clean end: the terminator was emitted (and any tee inserted).
+    /// Clean end: a sized response, or a streamed body whose terminator
+    /// was emitted (and any tee inserted).
     Finished,
     /// Error or deadline expiry: the chunked body is truncated on the
     /// wire and the connection must close.
     Abort,
 }
 
-/// A worker's result, routed back to the owning shard.
-enum Done {
-    /// A complete serialised response (head + sized body).
-    Full { bytes: Vec<u8> },
-    /// Streamed-response bytes (head and/or framed chunks) plus how the
-    /// stream continues.
-    Stream { bytes: Vec<u8>, next: StreamNext },
-}
-
+/// A worker's result, routed back to the owning shard: response bytes
+/// (head and/or body) plus how the response continues.
 struct Completion {
     token: Token,
-    done: Done,
+    bytes: Vec<u8>,
+    next: StreamNext,
 }
 
 /// Per-shard mailboxes: fresh sockets from the acceptor, completions
@@ -228,10 +211,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn push_job(&self, job: Job) {
-        self.try_push_job(job, usize::MAX);
-    }
-
     /// Enqueue `job` unless `limit` jobs already wait; `false` means the
     /// queue was full and the job was dropped.
     fn try_push_job(&self, job: Job, limit: usize) -> bool {
@@ -255,7 +234,7 @@ impl Shared {
     fn acquire_route(&self, route: Route) -> bool {
         let i = Self::route_index(route);
         let prev = self.route_inflight[i].fetch_add(1, Ordering::AcqRel);
-        if prev as usize >= self.config.quota_for(route) {
+        if prev as usize >= self.config.route_quota {
             self.route_inflight[i].fetch_sub(1, Ordering::AcqRel);
             return false;
         }
@@ -331,9 +310,9 @@ pub fn start(config: ServerConfig, state: Arc<AppState>) -> std::io::Result<Serv
 
     let shared = Arc::new(Shared {
         cache: ShardedLru::with_max_entry_bytes(
-            config.cache_shards,
+            CACHE_SHARDS,
             config.cache_capacity_per_shard,
-            config.cache_ttl,
+            CACHE_TTL,
             config.cache_max_body_bytes,
         ),
         metrics: Metrics::new(),
@@ -393,27 +372,15 @@ const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(200);
 /// Answer a just-accepted connection 503 and close it (accept-time
 /// shedding; the acceptor writes it blocking, bounded by
 /// [`SHED_WRITE_TIMEOUT`]).
-fn shed_at_accept(shared: &Shared, stream: TcpStream, msg: &str) {
+fn shed_at_accept(shared: &Shared, mut stream: TcpStream, msg: &str) {
     shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
-    let mut resp = Response::error(503, msg)
-        .with_header("retry-after", shared.config.retry_after_secs.to_string());
-    let mut s = stream;
-    let _ = resp.write_to(&mut s, false);
+    let _ = stream.write_all(&serialize_error(503, msg, false));
 }
 
 // ---------------------------------------------------------------------
 // Request resolution
 // ---------------------------------------------------------------------
-
-/// A resolved miss: the response itself, its route and start time (TTFB
-/// accounting), and the pending cache tee for cacheable streamed misses.
-struct Resolved {
-    response: Response,
-    route: Route,
-    t0: Instant,
-    stream_tee: Option<StreamTee>,
-}
 
 /// Answer a request without the engines, if it can be: a replayed
 /// response-cache entry (200 marked `x-cache: HIT`, or a bodiless 304
@@ -470,11 +437,11 @@ fn resolve_miss(
     route: Route,
     deadline: Instant,
     t0: Instant,
-) -> Resolved {
+) -> (Response, Option<CacheFill>) {
     // When a cacheable miss returns a *streamed* body there is nothing
     // to store up front; the chunk producer tees the chunks into this
-    // buffer and the entry is inserted only after the body completes.
-    let mut stream_tee: Option<StreamTee> = None;
+    // fill and the entry is inserted only after the body completes.
+    let mut stream_tee: Option<CacheFill> = None;
 
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
@@ -502,35 +469,18 @@ fn resolve_miss(
         match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
             Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
             Outcome::Ready(mut resp) => {
-                if resp.status == 200 {
-                    if let Some(k) = key {
-                        // Full bodies can be cached before the write;
-                        // streamed ones are teed as produced (headers
-                        // snapshotted *before* the x-cache marker so
-                        // replays re-mark).
-                        if let Some(full) = resp.body.as_full() {
-                            let entry = Arc::new(CachedBody {
-                                status: resp.status,
-                                content_type: resp.content_type.clone(),
-                                headers: resp.headers.clone(),
-                                body: full.to_vec(),
-                            });
-                            if pinned {
-                                shared.cache.put_pinned(k, entry);
-                            } else {
-                                shared.cache.put(k, entry);
-                            }
-                        } else {
-                            stream_tee = Some(StreamTee {
-                                key: k,
-                                status: resp.status,
-                                content_type: resp.content_type.clone(),
-                                headers: resp.headers.clone(),
-                                buf: Vec::new(),
-                                overflowed: false,
-                                pinned,
-                            });
+                if let Some(k) = key.filter(|_| resp.status == 200) {
+                    // Full bodies can be cached before the write;
+                    // streamed ones are teed as produced (headers
+                    // snapshotted *before* the x-cache marker so
+                    // replays re-mark).
+                    let mut fill = CacheFill::new(k, pinned, &resp);
+                    match resp.body.as_full() {
+                        Some(full) => {
+                            fill.buf = full.to_vec();
+                            fill.insert(&shared.cache);
                         }
+                        None => stream_tee = Some(fill),
                     }
                 }
                 if cacheable {
@@ -562,12 +512,7 @@ fn resolve_miss(
         shared.metrics.record(route, elapsed_us(t0));
     }
 
-    Resolved {
-        response,
-        route,
-        t0,
-        stream_tee,
-    }
+    (response, stream_tee)
 }
 
 /// Conditional requests: when the client's `If-None-Match` names a 200
@@ -607,11 +552,12 @@ fn elapsed_us(t0: Instant) -> u64 {
     t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Pending cache insert for a streamed cacheable miss: metadata captured
-/// at dispatch time plus the chunk bytes accumulated as they are produced.
-/// `overflowed` flips once the body exceeds the cache's per-entry cap;
-/// the buffer is dropped and the entry never inserted.
-struct StreamTee {
+/// Pending cache insert for a cacheable 200 miss: metadata captured at
+/// dispatch time plus the body bytes — all at once for a sized body, as
+/// produced for a streamed one. `overflowed` flips once a streamed body
+/// exceeds the cache's per-entry cap; the buffer is dropped and the entry
+/// never inserted.
+struct CacheFill {
     key: String,
     status: u16,
     content_type: String,
@@ -623,7 +569,19 @@ struct StreamTee {
     pinned: bool,
 }
 
-impl StreamTee {
+impl CacheFill {
+    fn new(key: String, pinned: bool, resp: &Response) -> CacheFill {
+        CacheFill {
+            key,
+            status: resp.status,
+            content_type: resp.content_type.clone(),
+            headers: resp.headers.clone(),
+            buf: Vec::new(),
+            overflowed: false,
+            pinned,
+        }
+    }
+
     /// Accumulate one body chunk, flipping to overflowed (and counting
     /// the stream uncacheable) when the per-entry cap is crossed.
     fn absorb(&mut self, chunk: &[u8], max_tee: usize, metrics: &Metrics) {
@@ -639,21 +597,23 @@ impl StreamTee {
         }
     }
 
-    /// Insert the accumulated entry after a complete body (no-op if it
-    /// overflowed the cap).
-    fn insert_if_complete(self, cache: &ShardedLru) {
-        if !self.overflowed {
-            let entry = Arc::new(CachedBody {
-                status: self.status,
-                content_type: self.content_type,
-                headers: self.headers,
-                body: self.buf,
-            });
-            if self.pinned {
-                cache.put_pinned(self.key, entry);
-            } else {
-                cache.put(self.key, entry);
-            }
+    /// Insert the accumulated entry once the body is complete (no-op if
+    /// it overflowed the cap) — the one place a miss becomes a cache
+    /// entry.
+    fn insert(self, cache: &ShardedLru) {
+        if self.overflowed {
+            return;
+        }
+        let entry = Arc::new(CachedBody {
+            status: self.status,
+            content_type: self.content_type,
+            headers: self.headers,
+            body: self.buf,
+        });
+        if self.pinned {
+            cache.put_pinned(self.key, entry);
+        } else {
+            cache.put(self.key, entry);
         }
     }
 }
@@ -665,10 +625,6 @@ impl StreamTee {
 /// Target size of one framed chunk batch a worker produces per
 /// `NextChunk` job — the unit of memory a stalled client can hold.
 const CHUNK_BATCH_BYTES: usize = 64 * 1024;
-
-/// A stream parked in the shard resumes (next `NextChunk` job) once the
-/// connection's send queue drains to this few bytes.
-const STREAM_RESUME_BYTES: usize = 16 * 1024;
 
 /// Bytes read from one socket per readiness event before yielding to
 /// the next (fairness under pipelined load).
@@ -734,7 +690,7 @@ fn worker_loop(shared: &Shared) {
                 q = guard;
             }
         };
-        let (shard, completion) = match job {
+        let (shard, token, (bytes, next)) = match job {
             Job::Miss {
                 shard,
                 token,
@@ -742,27 +698,19 @@ fn worker_loop(shared: &Shared) {
                 route,
                 deadline,
                 keep_alive,
-            } => {
-                let done = run_miss(shared, &req, route, deadline, keep_alive);
-                (shard, Completion { token, done })
-            }
-            Job::NextChunk { shard, token, ctx } => {
-                let (bytes, next) = produce_chunks(shared, ctx);
-                (
-                    shard,
-                    Completion {
-                        token,
-                        done: Done::Stream { bytes, next },
-                    },
-                )
-            }
+            } => (
+                shard,
+                token,
+                run_miss(shared, &req, route, deadline, keep_alive),
+            ),
+            Job::NextChunk { shard, token, ctx } => (shard, token, produce_chunks(shared, ctx)),
         };
         let mailbox = &shared.shards[shard];
         mailbox
             .completions
             .lock()
             .expect("completions poisoned")
-            .push_back(completion);
+            .push_back(Completion { token, bytes, next });
         mailbox.waker.wake();
     }
 }
@@ -776,13 +724,9 @@ fn run_miss(
     route: Route,
     deadline: Instant,
     keep_alive: bool,
-) -> Done {
-    let Resolved {
-        response,
-        route,
-        t0,
-        stream_tee,
-    } = resolve_miss(shared, req, route, deadline, Instant::now());
+) -> (Vec<u8>, StreamNext) {
+    let t0 = Instant::now();
+    let (response, stream_tee) = resolve_miss(shared, req, route, deadline, t0);
     let mut bytes = response.head_bytes(keep_alive);
     match response.body {
         Body::Streamed(body) => {
@@ -796,14 +740,14 @@ fn run_miss(
             };
             let (chunks, next) = produce_chunks(shared, ctx);
             bytes.extend_from_slice(&chunks);
-            Done::Stream { bytes, next }
+            (bytes, next)
         }
         sized => {
             let b = sized.as_full().expect("non-streamed bodies are sized");
             shared.metrics.record_ttfb(route, elapsed_us(t0));
             shared.metrics.add_bytes_sent(b.len() as u64);
             bytes.extend_from_slice(b);
-            Done::Full { bytes }
+            (bytes, StreamNext::Finished)
         }
     }
 }
@@ -829,7 +773,7 @@ fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) 
             Ok(None) => {
                 out.extend_from_slice(CHUNK_TERMINATOR);
                 if let Some(tee) = ctx.tee.take() {
-                    tee.insert_if_complete(&shared.cache);
+                    tee.insert(&shared.cache);
                 }
                 break StreamNext::Finished;
             }
@@ -861,13 +805,11 @@ enum Phase {
     /// Between requests (or reading one): the shard may dispatch the
     /// next complete request.
     Idle,
-    /// A `Miss` job is at the workers.
+    /// A job (`Miss` or `NextChunk`) is at the workers.
     Busy,
     /// A streamed body is parked here, waiting for the send queue to
     /// drain before the next chunk batch is requested.
     StreamWait(StreamCtx),
-    /// A `NextChunk` job is at the workers.
-    StreamBusy,
 }
 
 /// One nonblocking connection owned by an event-loop shard.
@@ -877,8 +819,6 @@ struct EventConn {
     parser: RequestParser,
     send: SendBuf,
     phase: Phase,
-    /// Keep-alive decision for the response currently in flight.
-    keep_alive: bool,
     /// Route holding one of this connection's in-flight quota slots.
     inflight_route: Option<Route>,
     last_activity: Instant,
@@ -891,8 +831,24 @@ struct EventConn {
     pipeline_depth: usize,
     /// Peer half-closed its write side (EOF on read).
     eof: bool,
-    /// Close once the send queue drains (response bodies flushed).
+    /// Close once the send queue drains (response bodies flushed): set
+    /// when a request that will not keep the connection is dispatched,
+    /// when a refusal closes it, or at the peer's EOF.
     close_after_flush: bool,
+}
+
+impl EventConn {
+    /// End the exchange in flight — a hit or refusal answered on the
+    /// shard, or a worker's last bytes: release its quota slot and go
+    /// back to `Idle`, where [`Shard::flush`] closes the connection if
+    /// it was told to, or dispatches the next request.
+    fn end_exchange(&mut self, shared: &Shared) {
+        if let Some(route) = self.inflight_route.take() {
+            shared.release_route(route);
+        }
+        self.phase = Phase::Idle;
+        self.last_activity = Instant::now();
+    }
 }
 
 struct Shard<'a> {
@@ -963,7 +919,7 @@ impl<'a> Shard<'a> {
                         self.handle_readable(slot);
                     }
                     if self.conns[slot].is_some() && pfd.ready(POLLOUT) {
-                        self.handle_writable(slot);
+                        self.flush(slot);
                     }
                     if let Some(c) = &self.conns[slot] {
                         // Error/hangup with nothing actionable above:
@@ -1009,7 +965,6 @@ impl<'a> Shard<'a> {
                 parser: RequestParser::new(),
                 send: SendBuf::new(),
                 phase: Phase::Idle,
-                keep_alive: true,
                 inflight_route: None,
                 last_activity: now,
                 read_deadline: None,
@@ -1038,62 +993,27 @@ impl<'a> Shard<'a> {
     }
 
     fn apply_completion(&mut self, completion: Completion) {
-        let (slot, seq) = completion.token;
-        let live = matches!(&self.conns[slot], Some(c) if c.seq == seq);
-        if !live {
+        let Completion { token, bytes, next } = completion;
+        let (slot, seq) = token;
+        let Some(conn) = self.conns[slot].as_mut().filter(|c| c.seq == seq) else {
             // The connection died while the job ran; dropping the
             // completion drops any stream context (and its engine
             // cursors) with it. The quota slot was released at close.
-            if let Done::Stream {
-                next: StreamNext::More(ctx),
-                ..
-            } = &completion.done
-            {
+            if let StreamNext::More(ctx) = &next {
                 ctx.record_latency(&self.shared.metrics);
             }
             return;
-        }
-        {
-            let conn = self.conns[slot].as_mut().expect("live checked");
-            conn.last_activity = Instant::now();
-            match completion.done {
-                Done::Full { bytes } => {
-                    conn.send.push(&bytes);
-                    if let Some(route) = conn.inflight_route.take() {
-                        self.shared.release_route(route);
-                    }
-                    conn.phase = Phase::Idle;
-                    if !conn.keep_alive {
-                        conn.close_after_flush = true;
-                    }
-                }
-                Done::Stream { bytes, next } => {
-                    conn.send.push(&bytes);
-                    match next {
-                        StreamNext::More(ctx) => {
-                            conn.phase = Phase::StreamWait(ctx);
-                        }
-                        StreamNext::Finished => {
-                            if let Some(route) = conn.inflight_route.take() {
-                                self.shared.release_route(route);
-                            }
-                            conn.phase = Phase::Idle;
-                            if !conn.keep_alive {
-                                conn.close_after_flush = true;
-                            }
-                        }
-                        StreamNext::Abort => {
-                            // Truncated chunked body: flush what was
-                            // produced, then close — never reuse.
-                            if let Some(route) = conn.inflight_route.take() {
-                                self.shared.release_route(route);
-                            }
-                            conn.phase = Phase::Idle;
-                            conn.keep_alive = false;
-                            conn.close_after_flush = true;
-                        }
-                    }
-                }
+        };
+        conn.last_activity = Instant::now();
+        conn.send.push(&bytes);
+        match next {
+            StreamNext::More(ctx) => conn.phase = Phase::StreamWait(ctx),
+            StreamNext::Finished => conn.end_exchange(self.shared),
+            StreamNext::Abort => {
+                // Truncated chunked body: flush what was produced, then
+                // close — never reuse.
+                conn.close_after_flush = true;
+                conn.end_exchange(self.shared);
             }
         }
         // Push bytes out (and pump / dispatch / close as the new state
@@ -1121,20 +1041,18 @@ impl<'a> Shard<'a> {
             return; // POLLOUT re-arms on the next loop iteration
         }
         let conn = self.conns[slot].as_mut().expect("checked above");
-        if matches!(conn.phase, Phase::StreamWait(_))
-            && conn.send.pending() <= STREAM_RESUME_BYTES
-        {
-            let Phase::StreamWait(ctx) =
-                std::mem::replace(&mut conn.phase, Phase::StreamBusy)
-            else {
+        if matches!(conn.phase, Phase::StreamWait(_)) {
+            let Phase::StreamWait(ctx) = std::mem::replace(&mut conn.phase, Phase::Busy) else {
                 unreachable!()
             };
             let token = (slot, conn.seq);
-            self.shared.push_job(Job::NextChunk {
+            // No watermark: the stream's request was admitted already.
+            let job = Job::NextChunk {
                 shard: self.id,
                 token,
                 ctx,
-            });
+            };
+            self.shared.try_push_job(job, usize::MAX);
             return;
         }
         if matches!(conn.phase, Phase::Idle) {
@@ -1201,14 +1119,10 @@ impl<'a> Shard<'a> {
         }
     }
 
-    fn handle_writable(&mut self, slot: usize) {
-        self.flush(slot);
-    }
-
-    /// Parse-and-dispatch loop while the connection is idle: sheds at
-    /// per-route quotas, answers cache hits and parse errors directly,
-    /// and hands the rest to the worker pool unless the dispatch queue
-    /// is at its watermark.
+    /// Parse-and-dispatch loop while the connection is idle: refuses
+    /// bad requests, sheds past the pipelining cap, at per-route quotas
+    /// and at the dispatch-queue watermark, answers cache hits directly,
+    /// and hands the rest to the worker pool.
     fn try_dispatch(&mut self, slot: usize) {
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
@@ -1235,11 +1149,7 @@ impl<'a> Shard<'a> {
                         RequestError::BodyTooLarge(_) => (413, "body too large".to_string()),
                         RequestError::Malformed(m) => (400, m),
                     };
-                    let bytes = serialize_error(status, &msg, false, None);
-                    conn.send.push(&bytes);
-                    conn.keep_alive = false;
-                    conn.close_after_flush = true;
-                    self.flush(slot);
+                    self.refuse(slot, status, &msg, false);
                     return;
                 }
             };
@@ -1259,16 +1169,7 @@ impl<'a> Shard<'a> {
                         .metrics
                         .pipeline_capped
                         .fetch_add(1, Ordering::Relaxed);
-                    let bytes = serialize_error(
-                        503,
-                        "pipeline depth exceeded",
-                        false,
-                        Some(self.shared.config.retry_after_secs),
-                    );
-                    conn.send.push(&bytes);
-                    conn.keep_alive = false;
-                    conn.close_after_flush = true;
-                    self.flush(slot);
+                    self.refuse(slot, 503, "pipeline depth exceeded", false);
                     return;
                 }
             }
@@ -1287,25 +1188,19 @@ impl<'a> Shard<'a> {
             conn.served += 1;
             let keep_alive = req.wants_keep_alive()
                 && conn.served < self.shared.config.max_requests_per_conn;
+            // A request that will not keep its connection is the last
+            // one dispatched on it: this stops the loop once it is
+            // answered, and `flush` closes the connection.
+            conn.close_after_flush |= !keep_alive;
 
             // Per-route quota: shed the request, keep the connection.
             let route = classify(&req.path);
             if !self.shared.acquire_route(route) {
                 self.shared.metrics.record_route_shed(route);
-                let bytes = serialize_error(
-                    503,
-                    "route quota exhausted",
-                    keep_alive,
-                    Some(self.shared.config.retry_after_secs),
-                );
-                conn.send.push(&bytes);
-                if !keep_alive {
-                    conn.keep_alive = false;
-                    conn.close_after_flush = true;
-                }
-                self.flush(slot);
-                continue; // still idle: a pipelined request may follow
+                self.refuse(slot, 503, "route quota exhausted", keep_alive);
+                return;
             }
+            conn.inflight_route = Some(route);
 
             // Cache hits (and requests already past their deadline) are
             // answered here: no job queue, no worker, no completion
@@ -1316,12 +1211,7 @@ impl<'a> Shard<'a> {
                 let body_len = response.body.as_full().map_or(0, <[u8]>::len);
                 self.shared.metrics.record_ttfb(route, elapsed_us(t0));
                 self.shared.metrics.add_bytes_sent(body_len as u64);
-                self.shared.release_route(route);
-                conn.last_activity = Instant::now();
-                if !keep_alive {
-                    conn.keep_alive = false;
-                    conn.close_after_flush = true;
-                }
+                conn.end_exchange(self.shared);
                 // Parse the next pipelined request only once this
                 // response has left, so a connection queues at most one
                 // response, as with worker completions.
@@ -1350,25 +1240,27 @@ impl<'a> Shard<'a> {
                 .shared
                 .try_push_job(job, self.shared.config.queue_watermark)
             {
-                self.shared.release_route(route);
                 self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                let bytes = serialize_error(
-                    503,
-                    "admission queue full",
-                    false,
-                    Some(self.shared.config.retry_after_secs),
-                );
-                conn.send.push(&bytes);
-                conn.keep_alive = false;
-                conn.close_after_flush = true;
-                self.flush(slot);
+                self.refuse(slot, 503, "admission queue full", false);
                 return;
             }
-            conn.inflight_route = Some(route);
-            conn.keep_alive = keep_alive;
             conn.phase = Phase::Busy;
             return;
         }
+    }
+
+    /// The one refusal path: answer the request at hand with an error
+    /// (503s advertise `Retry-After`) and end its exchange. Unless
+    /// `keep_alive`, the connection closes once the error is flushed;
+    /// otherwise the next pipelined request is dispatched.
+    fn refuse(&mut self, slot: usize, status: u16, msg: &str, keep_alive: bool) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        conn.send.push(&serialize_error(status, msg, keep_alive));
+        conn.close_after_flush |= !keep_alive;
+        conn.end_exchange(self.shared);
+        self.flush(slot);
     }
 
     /// Timer pass: reap idle keep-alive connections and stuck partial
@@ -1379,24 +1271,21 @@ impl<'a> Shard<'a> {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
-            if let Some(rd) = conn.read_deadline {
-                if now >= rd {
-                    // A request head (or body) stalled mid-read past the
-                    // request deadline: answer 408 and close.
-                    self.shared
-                        .metrics
-                        .bad_requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    let bytes = serialize_error(408, "request read timed out", false, None);
-                    conn.send.push(&bytes);
-                    conn.keep_alive = false;
-                    conn.close_after_flush = true;
-                    conn.read_deadline = None;
-                    self.flush(slot);
-                    continue;
-                }
+            let idle_phase = matches!(conn.phase, Phase::Idle);
+            if idle_phase && conn.read_deadline.is_some_and(|rd| now >= rd) {
+                // A request head (or body) stalled mid-read past the
+                // request deadline: answer 408 and close. (Bytes queued
+                // behind an exchange in flight wait for it to end; a
+                // request dispatched past its deadline is answered 504.)
+                conn.read_deadline = None;
+                self.shared
+                    .metrics
+                    .bad_requests
+                    .fetch_add(1, Ordering::Relaxed);
+                self.refuse(slot, 408, "request read timed out", false);
+                continue;
             }
-            let idle = matches!(conn.phase, Phase::Idle)
+            let idle = idle_phase
                 && conn.parser.is_idle()
                 && conn.send.is_empty()
                 && !conn.close_after_flush;
@@ -1426,11 +1315,12 @@ impl<'a> Shard<'a> {
 }
 
 /// Serialise a full error response (head + sized body) for direct
-/// enqueueing by a shard.
-fn serialize_error(status: u16, msg: &str, keep_alive: bool, retry_after: Option<u64>) -> Vec<u8> {
+/// enqueueing by a shard or the acceptor. Every 503 advertises
+/// `Retry-After: 1`.
+fn serialize_error(status: u16, msg: &str, keep_alive: bool) -> Vec<u8> {
     let mut resp = Response::error(status, msg);
-    if let Some(ra) = retry_after {
-        resp = resp.with_header("retry-after", ra.to_string());
+    if status == 503 {
+        resp = resp.with_header("retry-after", "1");
     }
     let mut bytes = resp.head_bytes(keep_alive);
     bytes.extend_from_slice(resp.body.as_full().expect("error bodies are sized"));
@@ -1455,22 +1345,9 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.queue_watermark > 0);
         assert!(c.deadline > Duration::ZERO);
-        assert!(c.cache_shards > 0);
         assert!(c.event_shards >= 1);
         assert!(c.max_connections > 0);
         assert!(c.route_quota > 0);
-    }
-
-    #[test]
-    fn route_quota_overrides_apply() {
-        let c = ServerConfig {
-            route_quota: 100,
-            route_quota_overrides: vec![(Route::Query, 2), (Route::Tiles, 7)],
-            ..ServerConfig::default()
-        };
-        assert_eq!(c.quota_for(Route::Query), 2);
-        assert_eq!(c.quota_for(Route::Tiles), 7);
-        assert_eq!(c.quota_for(Route::Ice), 100);
     }
 
     #[test]
@@ -1478,6 +1355,11 @@ mod tests {
         let mut resp = Response::error(503, "x").with_header("retry-after", "1");
         let mut wire = Vec::new();
         resp.write_to(&mut wire, false).unwrap();
-        assert_eq!(serialize_error(503, "x", false, Some(1)), wire);
+        assert_eq!(serialize_error(503, "x", false), wire);
+        // Only 503s advertise a retry.
+        let mut resp = Response::error(408, "y");
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire, true).unwrap();
+        assert_eq!(serialize_error(408, "y", true), wire);
     }
 }

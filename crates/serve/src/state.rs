@@ -160,16 +160,14 @@ pub struct AppState {
     pub classic: ClassicCatalogue,
     /// GeoSPARQL catalogue over the same archive (the semantic arm).
     pub semantic: SemanticCatalogue,
-    /// BM25 inverted index over the archive's
+    /// The ranked-search index: BM25 postings over the archive's
     /// [`ee_catalogue::Product::search_text`] documents **plus** any
     /// live documents committed through `/update` ([`SEARCH_TEXT_IRI`]
-    /// triples). Doc ids below the product count index
-    /// [`ClassicCatalogue::products`]; higher slots resolve through the
-    /// live-document registry. Behind an [`RwLock`] because commits
-    /// maintain it incrementally.
-    bm25: RwLock<Bm25Index>,
-    /// Subject↔slot registry for the live (committed) ranked documents.
-    live_docs: Mutex<LiveDocs>,
+    /// triples), and the registry those live slots resolve through. One
+    /// [`RwLock`] over both, because commits maintain them incrementally
+    /// and a search must resolve its hits against the index state that
+    /// scored them.
+    search: RwLock<SearchIndex>,
     /// Overview pyramid, level 0 = full resolution.
     pub pyramid: Vec<Raster<f32>>,
     /// Tile side for `/tiles`.
@@ -259,7 +257,7 @@ impl AppState {
         let products =
             ProductGenerator::new(region, 2017, config.seed ^ 5).take(config.products);
         let classic = ClassicCatalogue::build(products.clone());
-        let bm25 = Bm25Index::build_products(classic.products());
+        let search = SearchIndex::new(Bm25Index::build_products(classic.products()), classic.len());
         let mut semantic = SemanticCatalogue::new();
         for p in &products {
             semantic.ingest_product(p);
@@ -304,7 +302,6 @@ impl AppState {
         let tile_size = config.tile_size.max(1);
         let generation = AtomicU64::new(store.generation());
         let head = AtomicU64::new(store.head_commit());
-        let live_docs = Mutex::new(LiveDocs::new(classic.len()));
         let state = AppState {
             config,
             writable: false,
@@ -316,8 +313,7 @@ impl AppState {
             store_reads: AtomicU64::new(0),
             classic,
             semantic,
-            bm25: RwLock::new(bm25),
-            live_docs,
+            search: RwLock::new(search),
             pyramid,
             tile_size,
             ice,
@@ -531,15 +527,15 @@ impl AppState {
     /// `/update` and resolve through the live-document registry.
     pub fn ranked_search(&self, query: &str, k: usize) -> Vec<RankedHit<'_>> {
         let products = self.classic.products();
-        let hits = self.bm25.read().expect("bm25 lock").search(query, k);
-        let live = self.live_docs.lock().expect("live docs lock");
+        let index = self.search.read().expect("search index lock");
+        let hits = index.bm25.search(query, k);
         hits.into_iter()
             .map(|h| {
                 let slot = h.doc as usize;
                 let doc = if slot < products.len() {
                     RankedDoc::Product(&products[slot])
                 } else {
-                    let (subject, text) = live
+                    let (subject, text) = index
                         .by_slot
                         .get(&slot)
                         .cloned()
@@ -557,7 +553,7 @@ impl AppState {
     /// Documents currently searchable by `mode=ranked` (seed products
     /// plus live committed documents).
     pub fn ranked_indexed(&self) -> usize {
-        self.bm25.read().expect("bm25 lock").len()
+        self.search.read().expect("search index lock").bm25.len()
     }
 
     /// Rebuild each subject's ranked-index document from the store's
@@ -565,11 +561,8 @@ impl AppState {
     /// sorted order) into one document, none at all removes it. Callers
     /// hold the store lock, making index updates atomic with commits.
     fn reindex_search_docs(&self, store: &TripleStore, subjects: &[Term]) {
-        // Stamp first: catalogue cache keys embed this generation, so
-        // any key built from here on can only name the new index state.
-        self.search_generation.fetch_add(1, Ordering::SeqCst);
-        let mut bm25 = self.bm25.write().expect("bm25 lock");
-        let mut live = self.live_docs.lock().expect("live docs lock");
+        let mut guard = self.search.write().expect("search index lock");
+        let index = &mut *guard;
         let pid = store.dict.id_of(&Term::iri(SEARCH_TEXT_IRI));
         let mut seen = std::collections::HashSet::new();
         for subject in subjects {
@@ -590,32 +583,36 @@ impl AppState {
                 });
             }
             if texts.is_empty() {
-                if let Some(slot) = live.by_subject.remove(&key) {
-                    bm25.remove(slot);
-                    live.by_slot.remove(&slot);
-                    live.free.push(slot);
+                if let Some(slot) = index.by_subject.remove(&key) {
+                    index.bm25.remove(slot);
+                    index.by_slot.remove(&slot);
+                    index.free.push(slot);
                 }
             } else {
                 texts.sort();
                 let text = texts.join(" ");
-                let slot = match live.by_subject.get(&key) {
+                let slot = match index.by_subject.get(&key) {
                     Some(&slot) => slot,
                     None => {
-                        let slot = if let Some(s) = live.free.pop() {
+                        let slot = if let Some(s) = index.free.pop() {
                             s
                         } else {
-                            let s = live.slots;
-                            live.slots += 1;
+                            let s = index.slots;
+                            index.slots += 1;
                             s
                         };
-                        live.by_subject.insert(key.clone(), slot);
+                        index.by_subject.insert(key.clone(), slot);
                         slot
                     }
                 };
-                bm25.upsert(slot, &text);
-                live.by_slot.insert(slot, (key, text));
+                index.bm25.upsert(slot, &text);
+                index.by_slot.insert(slot, (key, text));
             }
         }
+        // Publish after the change, still under the write lock:
+        // catalogue cache keys embed this generation, so a reader that
+        // builds a key with the new generation also reads the new index.
+        self.search_generation.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The state-owned slice of `/metrics`: fast-path execution counters
@@ -840,11 +837,13 @@ pub enum RankedDoc<'a> {
     },
 }
 
-/// Registry of live (committed) ranked documents: subject ↔ BM25 slot
-/// both ways, plus slot accounting. Slots `0..products` belong to the
-/// seed archive forever; live documents use slots above that, reusing
-/// freed ones before growing the slab.
-struct LiveDocs {
+/// The ranked-search index: BM25 postings plus the registry of live
+/// (committed) documents — subject ↔ BM25 slot both ways, plus slot
+/// accounting. Slots `0..products` belong to the seed archive forever;
+/// live documents use slots above that, reusing freed ones before
+/// growing the slab.
+struct SearchIndex {
+    bm25: Bm25Index,
     by_subject: HashMap<String, usize>,
     by_slot: HashMap<usize, (String, String)>,
     /// Total BM25 slots ever allocated (live or dead).
@@ -853,12 +852,14 @@ struct LiveDocs {
     free: Vec<usize>,
 }
 
-impl LiveDocs {
-    fn new(products: usize) -> LiveDocs {
-        LiveDocs {
+impl SearchIndex {
+    /// The index over the `products` seed documents alone.
+    fn new(bm25: Bm25Index, products: usize) -> SearchIndex {
+        SearchIndex {
+            bm25,
+            slots: products,
             by_subject: HashMap::new(),
             by_slot: HashMap::new(),
-            slots: products,
             free: Vec::new(),
         }
     }
@@ -1181,6 +1182,57 @@ mod tests {
 
         // Seed products stay searchable throughout.
         assert!(!state.ranked_search("radar ground range detected", 3).is_empty());
+    }
+
+    #[test]
+    fn ranked_search_racing_search_text_deletes_resolves_its_own_hits() {
+        // A writer inserts and deletes four `eo:searchText` documents in
+        // a loop, so their BM25 slots are freed and handed to other
+        // subjects while a reader searches: every hit must resolve to
+        // the document that scored it, and nothing may panic.
+        let state = AppState::build(DataConfig::tiny());
+        let update = |op: &str| {
+            let docs: String = (0..4)
+                .map(|i| format!("<http://e/zf{i}> <{SEARCH_TEXT_IRI}> \"zebrafish larva {i}\" . "))
+                .collect();
+            ee_rdf::parser::parse_update(&format!("{op} DATA {{ {docs} }}")).unwrap()
+        };
+        let (insert, delete) = (update("INSERT"), update("DELETE"));
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (reader, writer) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut rounds = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    state.commit_update(&insert).expect("insert");
+                    state.commit_update(&delete).expect("delete");
+                    rounds += 1;
+                }
+                rounds
+            });
+            let reader = scope.spawn(|| {
+                let mut searches = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for hit in state.ranked_search("zebrafish", 5) {
+                        let RankedDoc::Live { subject, text } = hit.doc else {
+                            panic!("only live documents mention zebrafish");
+                        };
+                        let n = subject.strip_prefix("http://e/zf").expect("a zf subject");
+                        assert_eq!(text, format!("zebrafish larva {n}"), "{subject}");
+                    }
+                    searches += 1;
+                }
+                searches
+            });
+            std::thread::sleep(std::time::Duration::from_secs(1));
+            stop.store(true, Ordering::Relaxed);
+            (reader.join(), writer.join())
+        });
+        let searches = reader.expect("reader must not panic");
+        let rounds = writer.expect("writer must not panic");
+        assert!(
+            searches > 0 && rounds > 0,
+            "{searches} searches, {rounds} rounds"
+        );
     }
 
     #[test]

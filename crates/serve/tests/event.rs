@@ -227,7 +227,7 @@ fn mid_stream_client_disconnect_leaves_event_server_healthy() {
 #[test]
 fn per_route_quota_sheds_requests_but_keeps_connections() {
     let mut config = event_config();
-    config.route_quota_overrides = vec![(Route::Debug, 1)];
+    config.route_quota = 1;
     let server = start(config, state()).expect("start");
 
     // Hold the single /debug in-flight slot.
@@ -257,6 +257,48 @@ fn per_route_quota_sheds_requests_but_keeps_connections() {
     // Once the slot frees, the route serves again.
     let again = send(&mut s2, &mut r2, "/debug/sleep?ms=1", false);
     assert_eq!(again.status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn a_closing_request_is_answered_once_then_eof() {
+    let server = start(event_config(), state()).expect("start");
+    // Warm one cacheable target so the first closing request is a hit.
+    let (mut s, mut r) = connect(server.addr);
+    let warm = send(&mut s, &mut r, "/tiles/0/0/0", true);
+    assert_eq!(warm.header("x-cache"), Some("MISS"));
+    // A cache hit, a sized miss and a streamed miss, each sent with
+    // `connection: close` and a second request pipelined behind it in
+    // the same write.
+    for (target, kind) in [
+        ("/tiles/0/0/0", "HIT"),
+        ("/healthz", ""),
+        ("/query?x=3&y=4", "MISS"),
+    ] {
+        let (mut s, mut r) = connect(server.addr);
+        let raw = format!(
+            "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n\
+             GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n"
+        );
+        s.write_all(raw.as_bytes()).unwrap();
+        s.flush().unwrap();
+        let resp = read_response(&mut r).expect("first response");
+        assert_eq!(resp.status, 200, "{target}");
+        assert!(!resp.keep_alive, "{target}: connection: close echoed");
+        if !kind.is_empty() {
+            assert_eq!(resp.header("x-cache"), Some(kind), "{target}");
+        }
+        if kind == "MISS" {
+            assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
+        }
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).expect("clean EOF");
+        assert!(
+            rest.is_empty(),
+            "{target}: no second response: {:?}",
+            String::from_utf8_lossy(&rest)
+        );
+    }
     server.shutdown();
 }
 

@@ -21,7 +21,9 @@ echo "== tier-1: offline release build =="
 cargo build --release --offline
 
 echo "== tier-1: offline test suite =="
-cargo test -q --offline
+# Socket tests drive real servers: a hung client fails verify instead of
+# stalling it.
+timeout 1800 cargo test -q --offline
 
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
