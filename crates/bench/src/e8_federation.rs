@@ -114,4 +114,33 @@ mod tests {
         let requests = |i: usize| -> u64 { rows[i][2].parse().unwrap() };
         assert!(requests(3) < requests(2), "source selection saves requests");
     }
+
+    #[test]
+    fn cost_meters_are_pinned_at_quick_scale() {
+        let endpoints = federation(500, 3);
+        let catalog = FederationCatalog::build(&endpoints);
+        let mut meters = Vec::new();
+        for q in [JOIN_QUERY, SPATIAL_QUERY] {
+            for mode in [Mode::Naive, Mode::Optimized] {
+                let r = federated_query(&endpoints, &catalog, q, mode).unwrap();
+                meters.push((
+                    r.total_requests,
+                    r.bindings_shipped,
+                    r.triples_transferred,
+                    r.rows.len(),
+                ));
+            }
+        }
+        // (requests, bindings shipped, triples transferred, rows) for
+        // join/naive, join/optimized, spatial/naive, spatial/optimized.
+        assert_eq!(
+            meters,
+            vec![
+                (6, 0, 690, 190),
+                (2, 190, 380, 190),
+                (3, 0, 1000, 500),
+                (1, 0, 500, 500),
+            ]
+        );
+    }
 }

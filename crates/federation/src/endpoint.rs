@@ -54,37 +54,7 @@ impl Endpoint {
         o: Option<&Term>,
     ) -> Vec<(Term, Term, Term)> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let sid = match s {
-            Some(t) => match self.store.dict.id_of(t) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        let pid = match p {
-            Some(t) => match self.store.dict.id_of(t) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        let oid = match o {
-            Some(t) => match self.store.dict.id_of(t) {
-                Some(id) => Some(id),
-                None => return Vec::new(),
-            },
-            None => None,
-        };
-        let mut out = Vec::new();
-        self.store.match_pattern(sid, pid, oid, &mut |(ts, tp, to)| {
-            out.push((
-                self.store.dict.term(ts).clone(),
-                self.store.dict.term(tp).clone(),
-                self.store.dict.term(to).clone(),
-            ));
-            true
-        });
-        out
+        self.probe(s, p, o)
     }
 
     /// A bind-join request: the pattern instantiated once per binding.
@@ -104,16 +74,42 @@ impl Endpoint {
         bindings
             .iter()
             .map(|b| {
-                // Decrement the double-counted per-probe request.
-                let r = if bind_subject {
-                    self.match_pattern(*b, p, o)
+                if bind_subject {
+                    self.probe(*b, p, o)
                 } else {
-                    self.match_pattern(None, p, *b)
-                };
-                self.requests.fetch_sub(1, Ordering::Relaxed);
-                r
+                    self.probe(None, p, *b)
+                }
             })
             .collect()
+    }
+
+    /// The unmetered store lookup behind both request kinds.
+    fn probe(
+        &self,
+        s: Option<&Term>,
+        p: Option<&Term>,
+        o: Option<&Term>,
+    ) -> Vec<(Term, Term, Term)> {
+        // `Some(None)` is a wildcard; `None` is a term the store has never
+        // seen, which matches nothing.
+        let id = |t: Option<&Term>| match t {
+            Some(t) => self.store.dict.id_of(t).map(Some),
+            None => Some(None),
+        };
+        let (Some(sid), Some(pid), Some(oid)) = (id(s), id(p), id(o)) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        self.store
+            .match_pattern(sid, pid, oid, &mut |(ts, tp, to)| {
+                out.push((
+                    self.store.dict.term(ts).clone(),
+                    self.store.dict.term(tp).clone(),
+                    self.store.dict.term(to).clone(),
+                ));
+                true
+            });
+        out
     }
 }
 

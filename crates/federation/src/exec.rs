@@ -1,29 +1,38 @@
-//! The federated evaluator: source selection + bind joins vs naive
-//! broadcast.
+//! The federated evaluator: a mediator over `ee-rdf`'s executor.
 //!
-//! Since the engine split, federation plans against the same
-//! [`ee_rdf::plan::Plan`] type as the local evaluator: [`plan_federated`]
-//! builds a *logical* plan (no dictionary ids — endpoints do not share a
-//! dictionary) and then rewrites it with per-pattern source assignments
-//! into a [`FedPlan`]. Execution walks the plan's join order, shipping
-//! each pattern to its assigned endpoints — as a bind join when the plan
-//! says a join variable is already bound, as a broadcast otherwise — and
-//! evaluates the plan's filters locally over the complete rows.
+//! Federation decides *what is shipped*; `ee-rdf` decides *what it
+//! means*. [`federated_query`] plans the query logically
+//! ([`ee_rdf::plan::logical`]: the endpoints share no dictionary) and
+//! fetches its patterns in the plan's join order. Each pattern goes to
+//! its sources: every endpoint in [`Mode::Naive`]; in
+//! [`Mode::Optimized`] only those whose catalog holds its predicate and,
+//! for the pattern that binds the spatially filtered variable, whose
+//! extent meets the plan's region. In optimized mode a pattern whose
+//! subject (else object) variable an earlier pattern binds ships as a
+//! bind join over that variable's distinct values; every other pattern
+//! is broadcast.
+//!
+//! Every fetched triple goes into one mediator [`TripleStore`]. The bind
+//! values, the early stop on an empty intermediate and the answer itself
+//! are all queries on the mediator, planned by [`ee_rdf::plan::plan`] and
+//! run by [`ee_rdf::exec::execute_plan_view`]. The fetches cover every
+//! triple a solution can use, so the answer is the query over the union
+//! of the endpoints.
 
 use crate::catalog::FederationCatalog;
 use crate::endpoint::Endpoint;
 use crate::FedError;
-use ee_rdf::dict::Dictionary;
-use ee_rdf::expr::{eval, truth, EvalCtx};
-use ee_rdf::parser::{parse_query, PatternTerm, TriplePattern};
+use ee_rdf::exec::{execute_plan_view, Solutions};
+use ee_rdf::parser::{parse_query, PatternTerm, Query, SelectItem, TriplePattern};
 use ee_rdf::plan::Plan;
+use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use ee_rdf::TripleStore;
+use ee_util::par;
+use std::sync::Arc;
 
 /// Federation execution mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Broadcast every pattern to every endpoint; join locally.
     Naive,
@@ -31,14 +40,11 @@ pub enum Mode {
     Optimized,
 }
 
-/// One solution row: variable name → term.
-pub type Row = HashMap<String, Term>;
-
 /// The result of a federated query, with the cost metrics E8 reports.
 #[derive(Debug)]
 pub struct FedReport {
-    /// Solution rows (projected).
-    pub rows: Vec<Row>,
+    /// The answer: the query run on the mediator.
+    pub rows: Solutions,
     /// (endpoint name, requests served) pairs.
     pub requests: Vec<(String, u64)>,
     /// Sum of requests over endpoints.
@@ -49,24 +55,13 @@ pub struct FedReport {
     pub triples_transferred: u64,
 }
 
-/// A logical [`Plan`] rewritten with source assignments: for each pattern
-/// (indexed as in `plan.patterns`), the endpoints it will be shipped to.
-#[derive(Debug)]
-pub struct FedPlan {
-    /// The shared logical plan (join order, filters, region, projection).
-    pub plan: Plan,
-    /// Per-pattern relevant endpoint indices.
-    pub sources: Vec<Vec<usize>>,
-}
-
-/// Build the federated plan: parse, plan logically through the shared
-/// planner, then assign sources per pattern (the plan rewrite).
-pub fn plan_federated(
+/// Run a query against the federation.
+pub fn federated_query(
     endpoints: &[Endpoint],
     catalog: &FederationCatalog,
     sparql: &str,
     mode: Mode,
-) -> Result<FedPlan, FedError> {
+) -> Result<FedReport, FedError> {
     let q = parse_query(sparql)?;
     let plan = ee_rdf::plan::logical(&q)?;
     if !plan.optionals.is_empty() || !plan.group_by.is_empty() {
@@ -77,208 +72,46 @@ pub fn plan_federated(
     if plan.has_agg {
         return Err(FedError::Unsupported("aggregates are not federated".into()));
     }
-    let sources: Vec<Vec<usize>> = plan
-        .patterns
-        .iter()
-        .map(|pattern| match mode {
-            Mode::Naive => (0..endpoints.len()).collect(),
-            Mode::Optimized => {
-                let predicate = match &pattern.p {
-                    PatternTerm::Const(Term::Iri(iri)) => Some(iri.as_str()),
-                    _ => None,
-                };
-                // Spatial restriction applies when this pattern binds the
-                // filtered geometry variable in object position.
-                let spatially_bound = matches!(
-                    (&pattern.o, &plan.region),
-                    (PatternTerm::Var(v), Some((rv, _))) if v == rv
-                );
-                catalog.relevant(
-                    predicate,
-                    plan.region.as_ref().map(|(_, e)| e),
-                    spatially_bound,
-                )
-            }
-        })
-        .collect();
-    Ok(FedPlan { plan, sources })
-}
-
-/// Prepared-plan cache for the federated evaluator, mirroring the
-/// serving tier's SPARQL plan cache: query text is canonicalised
-/// (whitespace-collapsed) and keyed together with the execution
-/// [`Mode`], because the naive and optimized rewrites assign different
-/// sources to the same logical plan. Repeated queries skip parse,
-/// logical planning, and source selection.
-///
-/// Source assignments depend on the catalog, so a cache belongs to one
-/// federation: rebuild (or drop) it when endpoints or their extents
-/// change.
-pub struct PlanCache {
-    plans: Mutex<HashMap<(String, Mode), Arc<FedPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache {
-            plans: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Resolve `sparql` under `mode` to a prepared [`FedPlan`], planning
-    /// on miss.
-    pub fn prepare(
-        &self,
-        endpoints: &[Endpoint],
-        catalog: &FederationCatalog,
-        sparql: &str,
-        mode: Mode,
-    ) -> Result<Arc<FedPlan>, FedError> {
-        let key = (
-            sparql.split_whitespace().collect::<Vec<_>>().join(" "),
-            mode,
-        );
-        let cached = self.plans.lock().expect("plan cache lock").get(&key).cloned();
-        match cached {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(p)
-            }
-            None => {
-                let p = Arc::new(plan_federated(endpoints, catalog, sparql, mode)?);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.plans
-                    .lock()
-                    .expect("plan cache lock")
-                    .insert(key, p.clone());
-                Ok(p)
-            }
-        }
-    }
-
-    /// Cache statistics: `(hits, misses, entries)`.
-    pub fn stats(&self) -> (u64, u64, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.plans.lock().expect("plan cache lock").len(),
-        )
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
-}
-
-/// Run a query against the federation through a [`PlanCache`]:
-/// [`federated_query`] with the parse/plan/source-selection front half
-/// cached across calls.
-pub fn federated_query_cached(
-    endpoints: &[Endpoint],
-    catalog: &FederationCatalog,
-    cache: &PlanCache,
-    sparql: &str,
-    mode: Mode,
-) -> Result<FedReport, FedError> {
-    let fed = cache.prepare(endpoints, catalog, sparql, mode)?;
-    execute_federated(endpoints, &fed, mode)
-}
-
-/// Run a query against the federation.
-pub fn federated_query(
-    endpoints: &[Endpoint],
-    catalog: &FederationCatalog,
-    sparql: &str,
-    mode: Mode,
-) -> Result<FedReport, FedError> {
-    let fed = plan_federated(endpoints, catalog, sparql, mode)?;
-    execute_federated(endpoints, &fed, mode)
-}
-
-/// Execute a prepared federated plan.
-pub fn execute_federated(
-    endpoints: &[Endpoint],
-    fed: &FedPlan,
-    mode: Mode,
-) -> Result<FedReport, FedError> {
-    let plan = &fed.plan;
     for ep in endpoints {
         ep.reset_meters();
     }
+    let mut mediator = TripleStore::new(IndexMode::Full);
     let mut triples_transferred = 0u64;
-    let mut rows: Vec<Row> = vec![HashMap::new()];
+    let mut fetched: Vec<TriplePattern> = Vec::new();
     for &pi in &plan.order {
         let pattern = &plan.patterns[pi];
-        rows = extend_rows(
-            endpoints,
-            &fed.sources[pi],
-            pattern,
-            rows,
-            mode,
-            &mut triples_transferred,
-        );
-        if rows.is_empty() {
-            break;
+        let bind = match mode {
+            Mode::Optimized => bind_var(pattern, &fetched),
+            Mode::Naive => None,
+        };
+        // The intermediate so far: the bind values, or any one row.
+        let mut values = Vec::new();
+        if !fetched.is_empty() {
+            values = solve(&mediator, &fetched, bind.map(|(v, _)| v))?.rows;
+            if values.is_empty() {
+                break;
+            }
         }
+        let [s, p, o] = [&pattern.s, &pattern.p, &pattern.o].map(constant);
+        for ei in sources(endpoints, catalog, &plan, pattern, mode) {
+            let batches = match bind {
+                // An object constant rides along only when binding the subject.
+                Some((_, subject)) => {
+                    let bindings: Vec<Option<&Term>> =
+                        values.iter().map(|row| row[0].as_ref()).collect();
+                    endpoints[ei].bind_join(&bindings, p, o.filter(|_| subject), subject)
+                }
+                None => vec![endpoints[ei].match_pattern(s, p, o)],
+            };
+            for (ts, tp, to) in batches.iter().flatten() {
+                triples_transferred += 1;
+                mediator.insert(ts, tp, to);
+            }
+        }
+        fetched.push(pattern.clone());
     }
-
-    // The plan's filters, evaluated locally over complete rows. Only the
-    // variables each filter actually references are interned.
-    if !plan.filters.is_empty() {
-        rows.retain(|row| {
-            plan.filters.iter().all(|f| {
-                let mut dict = Dictionary::new();
-                let ids: HashMap<&str, u64> = f
-                    .lookup
-                    .iter()
-                    .filter_map(|(name, _)| {
-                        row.get(name).map(|t| (name.as_str(), dict.intern(t)))
-                    })
-                    .collect();
-                let ctx = EvalCtx {
-                    dict: &dict,
-                    lookup: &|name: &str| ids.get(name).copied(),
-                    const_geoms: &plan.const_geoms,
-                };
-                truth(eval(&f.expr, &ctx)) == Some(true)
-            })
-        });
-    }
-
-    // Projection: the plan resolved the kept names at plan time.
-    let projected: Vec<Row> = if plan.star {
-        rows
-    } else {
-        let keep: HashSet<&str> = plan.projection.iter().map(|(n, _)| n.as_str()).collect();
-        rows.into_iter()
-            .map(|mut row| {
-                row.retain(|k, _| keep.contains(k.as_str()));
-                row
-            })
-            .collect()
-    };
-    let mut out = projected;
-    if plan.distinct {
-        let mut seen = HashSet::new();
-        out.retain(|row| {
-            let mut key: Vec<(String, String)> = row
-                .iter()
-                .map(|(k, v)| (k.clone(), v.ntriples()))
-                .collect();
-            key.sort();
-            seen.insert(key)
-        });
-    }
-    if let Some(limit) = plan.limit {
-        out.truncate(limit);
-    }
+    mediator.build_spatial_index();
+    let rows = run(&mediator, &q)?;
     let requests: Vec<(String, u64)> = endpoints
         .iter()
         .map(|e| (e.name.clone(), e.requests()))
@@ -286,7 +119,7 @@ pub fn execute_federated(
     let total_requests = requests.iter().map(|(_, r)| r).sum();
     let bindings_shipped = endpoints.iter().map(|e| e.bindings_shipped()).sum();
     Ok(FedReport {
-        rows: out,
+        rows,
         requests,
         total_requests,
         bindings_shipped,
@@ -294,129 +127,88 @@ pub fn execute_federated(
     })
 }
 
-fn as_const<'a>(t: &'a PatternTerm, row: &'a Row) -> Option<&'a Term> {
+/// The endpoints `pattern` is shipped to under `mode`.
+fn sources(
+    endpoints: &[Endpoint],
+    catalog: &FederationCatalog,
+    plan: &Plan,
+    pattern: &TriplePattern,
+    mode: Mode,
+) -> Vec<usize> {
+    match mode {
+        Mode::Naive => (0..endpoints.len()).collect(),
+        Mode::Optimized => {
+            let predicate = match &pattern.p {
+                PatternTerm::Const(Term::Iri(iri)) => Some(iri.as_str()),
+                _ => None,
+            };
+            // Spatial restriction applies when this pattern binds the
+            // filtered geometry variable in object position.
+            let spatially_bound = matches!(
+                (&pattern.o, &plan.region),
+                (PatternTerm::Var(v), Some((rv, _))) if v == rv
+            );
+            catalog.relevant(
+                predicate,
+                plan.region.as_ref().map(|(_, e)| e),
+                spatially_bound,
+            )
+        }
+    }
+}
+
+/// The variable a bind join ships for `pattern`: its subject, else its
+/// object, when a fetched pattern binds it (`true` = subject).
+fn bind_var<'p>(pattern: &'p TriplePattern, fetched: &[TriplePattern]) -> Option<(&'p str, bool)> {
+    let bound = |t: &'p PatternTerm| match t {
+        PatternTerm::Var(v) if fetched.iter().any(|f| [&f.s, &f.p, &f.o].contains(&t)) => {
+            Some(v.as_str())
+        }
+        _ => None,
+    };
+    bound(&pattern.s)
+        .map(|v| (v, true))
+        .or_else(|| bound(&pattern.o).map(|v| (v, false)))
+}
+
+fn constant(t: &PatternTerm) -> Option<&Term> {
     match t {
         PatternTerm::Const(c) => Some(c),
-        PatternTerm::Var(v) => row.get(v),
+        PatternTerm::Var(_) => None,
     }
 }
 
-fn unify(pattern: &TriplePattern, triple: &(Term, Term, Term), row: &Row) -> Option<Row> {
-    let mut out = row.clone();
-    for (pt, actual) in [
-        (&pattern.s, &triple.0),
-        (&pattern.p, &triple.1),
-        (&pattern.o, &triple.2),
-    ] {
-        match pt {
-            PatternTerm::Const(c) => {
-                if c != actual {
-                    return None;
-                }
-            }
-            PatternTerm::Var(v) => match out.get(v) {
-                Some(existing) => {
-                    if existing != actual {
-                        return None;
-                    }
-                }
-                None => {
-                    out.insert(v.clone(), actual.clone());
-                }
-            },
-        }
-    }
-    Some(out)
+/// `SELECT DISTINCT ?var` over `patterns` on the mediator; without a
+/// variable, any one row.
+fn solve(
+    mediator: &TripleStore,
+    patterns: &[TriplePattern],
+    var: Option<&str>,
+) -> Result<Solutions, FedError> {
+    run(
+        mediator,
+        &Query {
+            select: var
+                .map(|v| SelectItem::Var(v.to_string()))
+                .into_iter()
+                .collect(),
+            star: var.is_none(),
+            distinct: true,
+            patterns: patterns.to_vec(),
+            optionals: Vec::new(),
+            filters: Vec::new(),
+            group_by: Vec::new(),
+            order_by: None,
+            limit: var.map_or(Some(1), |_| None),
+            offset: None,
+            as_of: None,
+        },
+    )
 }
 
-fn extend_rows(
-    endpoints: &[Endpoint],
-    relevant: &[usize],
-    pattern: &TriplePattern,
-    rows: Vec<Row>,
-    mode: Mode,
-    transferred: &mut u64,
-) -> Vec<Row> {
-    // Bind-join opportunity: optimised mode, and the subject or object
-    // variable is already bound in (all) rows.
-    let bind_subject = matches!(&pattern.s, PatternTerm::Var(v) if rows.iter().all(|r| r.contains_key(v)))
-        && !rows.is_empty()
-        && !rows[0].is_empty();
-    let bind_object = matches!(&pattern.o, PatternTerm::Var(v) if rows.iter().all(|r| r.contains_key(v)))
-        && !rows.is_empty()
-        && !rows[0].is_empty();
-    if mode == Mode::Optimized && (bind_subject || bind_object) {
-        let var = match (bind_subject, &pattern.s, &pattern.o) {
-            (true, PatternTerm::Var(v), _) => v.clone(),
-            (false, _, PatternTerm::Var(v)) => v.clone(),
-            _ => unreachable!("guarded above"),
-        };
-        let mut distinct: Vec<&Term> = Vec::new();
-        let mut seen = HashSet::new();
-        for row in &rows {
-            let t = row.get(&var).expect("bound in all rows");
-            if seen.insert(t.ntriples()) {
-                distinct.push(t);
-            }
-        }
-        // Per-endpoint batched probe; results indexed by the bound value.
-        let mut by_value: HashMap<String, Vec<(Term, Term, Term)>> = HashMap::new();
-        let p_const = match &pattern.p {
-            PatternTerm::Const(c) => Some(c),
-            _ => None,
-        };
-        for &ei in relevant {
-            let bindings: Vec<Option<&Term>> = distinct.iter().map(|t| Some(*t)).collect();
-            let batches = if bind_subject {
-                let o_const = match &pattern.o {
-                    PatternTerm::Const(c) => Some(c),
-                    _ => None,
-                };
-                endpoints[ei].bind_join(&bindings, p_const, o_const, true)
-            } else {
-                endpoints[ei].bind_join(&bindings, p_const, None, false)
-            };
-            for (value, batch) in distinct.iter().zip(batches) {
-                *transferred += batch.len() as u64;
-                by_value
-                    .entry(value.ntriples())
-                    .or_default()
-                    .extend(batch);
-            }
-        }
-        let mut out = Vec::new();
-        for row in rows {
-            let key = row.get(&var).expect("bound").ntriples();
-            if let Some(triples) = by_value.get(&key) {
-                for t in triples {
-                    if let Some(extended) = unify(pattern, t, &row) {
-                        out.push(extended);
-                    }
-                }
-            }
-        }
-        return out;
-    }
-    // Broadcast path (naive mode, or nothing bound yet).
-    let template_row = Row::new();
-    let s_const = as_const(&pattern.s, &template_row).cloned();
-    let p_const = as_const(&pattern.p, &template_row).cloned();
-    let o_const = as_const(&pattern.o, &template_row).cloned();
-    let mut fetched: Vec<(Term, Term, Term)> = Vec::new();
-    for &ei in relevant {
-        let batch = endpoints[ei].match_pattern(s_const.as_ref(), p_const.as_ref(), o_const.as_ref());
-        *transferred += batch.len() as u64;
-        fetched.extend(batch);
-    }
-    let mut out = Vec::new();
-    for row in rows {
-        for t in &fetched {
-            if let Some(extended) = unify(pattern, t, &row) {
-                out.push(extended);
-            }
-        }
-    }
-    out
+fn run(mediator: &TripleStore, q: &Query) -> Result<Solutions, FedError> {
+    let plan = Arc::new(ee_rdf::plan::plan(mediator, q)?);
+    Ok(execute_plan_view(mediator, plan, par::available_threads())?)
 }
 
 #[cfg(test)]
@@ -478,18 +270,14 @@ mod tests {
         let naive = federated_query(&eps, &cat, QUERY, Mode::Naive).unwrap();
         let opt = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
         let norm = |r: &FedReport| {
-            let mut v: Vec<String> = r
+            let mut rows: Vec<Vec<String>> = r
+                .rows
                 .rows
                 .iter()
-                .map(|row| {
-                    let mut kv: Vec<String> =
-                        row.iter().map(|(k, t)| format!("{k}={}", t.ntriples())).collect();
-                    kv.sort();
-                    kv.join(",")
-                })
+                .map(|row| row.iter().map(|t| t.as_ref().unwrap().ntriples()).collect())
                 .collect();
-            v.sort();
-            v
+            rows.sort();
+            (r.rows.vars.clone(), rows)
         };
         assert_eq!(norm(&naive), norm(&opt));
         assert_eq!(naive.rows.len(), 3, "wheat fields 0, 2, 4");
@@ -523,7 +311,10 @@ mod tests {
         let eps = federation();
         let cat = FederationCatalog::build(&eps);
         let opt = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
-        assert!(opt.bindings_shipped > 0, "second pattern ran as a bind join");
+        assert!(
+            opt.bindings_shipped > 0,
+            "second pattern ran as a bind join"
+        );
         // The naive plan pulls the full name table (5 triples); the bind
         // join pulls only the wheat fields' names (3).
         let naive = federated_query(&eps, &cat, QUERY, Mode::Naive).unwrap();
@@ -586,44 +377,55 @@ mod tests {
         assert!(r.rows.is_empty());
     }
 
-    #[test]
-    fn plan_cache_reuses_prepared_plans() {
-        let eps = federation();
-        let cat = FederationCatalog::build(&eps);
-        let cache = PlanCache::new();
-        let direct = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
-        let first = federated_query_cached(&eps, &cat, &cache, QUERY, Mode::Optimized).unwrap();
-        assert_eq!(first.rows.len(), direct.rows.len());
-        // Same query with different whitespace: canonicalisation hits.
-        let respaced = QUERY.replace(" . ", " \n . ");
-        let second =
-            federated_query_cached(&eps, &cat, &cache, &respaced, Mode::Optimized).unwrap();
-        assert_eq!(second.rows.len(), direct.rows.len());
-        assert_eq!(cache.stats(), (1, 1, 1), "one plan, reused");
-        // The mode is part of the key: naive gets its own rewrite.
-        let naive = federated_query_cached(&eps, &cat, &cache, QUERY, Mode::Naive).unwrap();
-        assert_eq!(naive.rows.len(), direct.rows.len());
-        assert_eq!(cache.stats(), (1, 2, 2), "modes cached separately");
-        // Parse errors surface through the cached path too, uncached.
-        assert!(federated_query_cached(&eps, &cat, &cache, "nonsense", Mode::Naive).is_err());
-        assert_eq!(cache.stats().2, 2, "failed plans are not cached");
+    fn requests_per_endpoint(r: &FedReport) -> Vec<(&str, u64)> {
+        r.requests.iter().map(|(n, c)| (n.as_str(), *c)).collect()
     }
 
     #[test]
-    fn fed_plan_exposes_source_assignments() {
+    fn source_selection_meters_requests_per_endpoint() {
         let eps = federation();
         let cat = FederationCatalog::build(&eps);
-        let fed = plan_federated(&eps, &cat, QUERY, Mode::Optimized).unwrap();
-        assert_eq!(fed.sources.len(), 2);
-        // Pattern 0 (cropType) goes only to the crops endpoint; pattern 1
-        // (name) only to places.
-        assert_eq!(fed.sources[0], vec![0], "cropType → crops only");
-        assert_eq!(fed.sources[1], vec![2], "name → places only");
-        // The shared plan orders the two-constant pattern first.
-        assert_eq!(fed.plan.order[0], 0);
-        // Executing the prepared plan matches the one-shot entry point.
-        let direct = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
-        let via_plan = execute_federated(&eps, &fed, Mode::Optimized).unwrap();
-        assert_eq!(via_plan.rows.len(), direct.rows.len());
+        // cropType goes only to crops (a broadcast); name only to places
+        // (one bind join); ice holds neither predicate.
+        let opt = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
+        assert_eq!(
+            requests_per_endpoint(&opt),
+            vec![("crops", 1), ("ice", 0), ("places", 1)]
+        );
+        assert_eq!(opt.bindings_shipped, 3, "wheat fields 0, 2, 4");
+        let naive = federated_query(&eps, &cat, QUERY, Mode::Naive).unwrap();
+        assert_eq!(
+            requests_per_endpoint(&naive),
+            vec![("crops", 2), ("ice", 2), ("places", 2)]
+        );
+        assert_eq!(naive.bindings_shipped, 0);
+    }
+
+    #[test]
+    fn every_call_plans_and_meters_afresh() {
+        let eps = federation();
+        let cat = FederationCatalog::build(&eps);
+        let first = federated_query(&eps, &cat, QUERY, Mode::Optimized).unwrap();
+        // Same query with different whitespace, run again: the meters are
+        // reset per call, so it reports exactly what the first call did.
+        let respaced = QUERY.replace(" . ", " \n . ");
+        let second = federated_query(&eps, &cat, &respaced, Mode::Optimized).unwrap();
+        assert_eq!(second.rows, first.rows);
+        assert_eq!(
+            requests_per_endpoint(&second),
+            requests_per_endpoint(&first)
+        );
+        assert_eq!(second.triples_transferred, first.triples_transferred);
+        assert_eq!(second.bindings_shipped, first.bindings_shipped);
+        // Parse errors surface before anything is shipped.
+        assert!(matches!(
+            federated_query(&eps, &cat, "nonsense", Mode::Naive),
+            Err(FedError::Parse(_))
+        ));
+        assert_eq!(
+            eps.iter().map(Endpoint::requests).sum::<u64>(),
+            2,
+            "meters untouched"
+        );
     }
 }

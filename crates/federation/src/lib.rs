@@ -12,12 +12,16 @@
 //! * [`catalog`] — per-endpoint statistics harvested once: triple counts
 //!   per predicate and the spatial extent of each source's geometries —
 //!   the histograms source selection needs;
-//! * [`exec`] — the federated evaluator. *Source selection* drops
-//!   endpoints that cannot contribute to a pattern (no matching
-//!   predicate, or — for spatially filtered queries — a disjoint extent);
-//!   *bind joins* ship intermediate bindings so only relevant remote rows
-//!   return. The naive baseline broadcasts every pattern everywhere and
-//!   joins locally, which is exactly what the optimised plan beats in E8;
+//! * [`exec`] — the federated evaluator. It decides what is shipped:
+//!   *source selection* drops endpoints that cannot contribute to a
+//!   pattern (no matching predicate, or — for spatially filtered
+//!   queries — a disjoint extent), and *bind joins* ship intermediate
+//!   bindings so only relevant remote triples return. The naive baseline
+//!   broadcasts every pattern everywhere, which is what the optimised
+//!   plan beats in E8. Either way the fetched triples land in one
+//!   *mediator* store, and `ee-rdf`'s own planner and executor answer the
+//!   query there — joins, filters, ORDER BY, DISTINCT and slicing
+//!   included, exactly as over the union of the endpoints;
 //! * [`remote`] — scatter-gather over HTTP shard backends: a keep-alive
 //!   connection pool driving all in-flight exchanges from one poll
 //!   loop, per-shard deadlines (partial results, never hangs), and
@@ -31,10 +35,7 @@ pub mod remote;
 pub use catalog::FederationCatalog;
 pub use endpoint::Endpoint;
 pub use remote::{select_shards, ScatterConfig, ScatterReport, ShardBackend, ShardPart, ShardPool};
-pub use exec::{
-    execute_federated, federated_query, federated_query_cached, plan_federated, FedPlan,
-    FedReport, Mode, PlanCache,
-};
+pub use exec::{federated_query, FedReport, Mode};
 
 /// Errors from federated evaluation.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,7 +29,8 @@
 //!   *spatial pushdown* — a filter `geof:sfIntersects(?g, <const>)`
 //!   restricts `?g`'s candidates via the R-tree before the join runs
 //!   (filter–refine). The resulting [`plan::Plan`] is inspectable,
-//!   cacheable, and shared by the federation engine and the serving tier;
+//!   cacheable, and shared by the federation engine (as a logical plan:
+//!   fetch order and region) and the serving tier;
 //! * [`batch`] — columnar binding batches over term ids;
 //! * [`join`] — the physical operators: index nested-loop and hash-probe
 //!   pattern extension, filter masks, and OPTIONAL left-joins, all

@@ -12,9 +12,11 @@
 //! per-row name lookup survives into execution.
 //!
 //! [`logical`] builds the same `Plan` shape without a store — no
-//! dictionary ids, no candidate sets — which is what the federation
-//! engine plans against: its source selection is a rewrite over the
-//! logical plan (see `ee-federation`), not a string-level query split.
+//! dictionary ids, no candidate sets. The federation engine
+//! (`ee-federation`) reads two things off it: the join order, which is
+//! its fetch order, and the pushdown region, which drives spatial source
+//! selection. It then runs the query itself through [`plan`] and the
+//! executor, on a mediator store that holds the fetched triples.
 //!
 //! A `Plan` is immutable and `Send + Sync`: the serving tier caches
 //! prepared plans keyed on canonicalised query text and executes them
@@ -499,8 +501,8 @@ pub fn plan_view(view: StoreView<'_>, q: &Query) -> Result<Plan, RdfError> {
 }
 
 /// Plan a query without a store (logical plan): no dictionary ids, no
-/// candidate sets, join order from bound positions alone. This is the
-/// shape remote engines (federation) plan against.
+/// candidate sets, join order from bound positions alone. Federation
+/// takes its fetch order and spatial region from it.
 pub fn logical(q: &Query) -> Result<Plan, RdfError> {
     build(None, q)
 }

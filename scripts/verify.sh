@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and test the whole workspace with zero
 # network access, lint with clippy as errors, test and smoke-run the
-# ee-serve benchmark suite on both of its workloads, then smoke-run the
+# ee-serve benchmark suite on both of its workloads, run the federation
+# example and check its two plans agree, then smoke-run the
 # distributed-training (E4), classification (E5), kernel-throughput
 # (E-k0) and serving-tier (E-s0) experiments, plus the E3 parallel-join
 # sweep at 4 threads, the E-k6 top-k/BM25 sweep, the E-w7 durable
@@ -47,6 +48,15 @@ for workload in browse-hot ingest-mix; do
     bash crates/bench/src/bin/suite/run.sh --workload "$workload" --seconds 1 --trace 0 \
         | tail -1 | grep -q '"correct":true'
 done
+
+echo "== smoke: federation example (same rows, fewer triples moved) =="
+# `cargo test` only compiles the examples. The optimized plan must
+# answer the naive plan's rows while moving fewer triples.
+fed=$(cargo run --release --offline --example linked_data_federation | grep '^federation ')
+echo "$fed"
+echo "$fed" | awk '{ rows[$2] = $3; moved[$2] = $7 }
+    END { exit !(rows["Naive:"] > 0 && rows["Optimized:"] == rows["Naive:"] \
+                 && moved["Optimized:"] < moved["Naive:"]) }'
 
 # The harness writes its BENCH_PR*.json artifacts to its cwd. Run it
 # from a scratch dir under target/ so the smoke runs never rewrite the
