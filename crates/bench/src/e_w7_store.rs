@@ -12,13 +12,14 @@
 //!   the rebuild; the JSON records both times plus bulk-load
 //!   triples/sec.
 //! * **Write-while-serve** (`E-w7b`): a reader issuing the E2-style
-//!   rectangular selection through [`ee_serve::AppState::prepared_query`]
-//!   — first alone, then with a concurrent writer committing
+//!   rectangular selection through [`ee_serve::AppState::query`] (parse,
+//!   plan against the current store, execute — per read, as `/query`
+//!   does) — first alone, then with a concurrent writer committing
 //!   single-triple updates through [`ee_serve::AppState::commit_update`]
 //!   as fast as they apply. Reports read p50/p99 for both phases and
 //!   commit p50/p99, quantifying what a live write load costs the
-//!   read path (each commit also drops the prepared-plan cache, so the
-//!   contended numbers include replanning).
+//!   read path (the contended numbers include waits on the exclusive
+//!   store lock).
 //! * **Recovery check**: a seeded commit sequence whose commit log is
 //!   torn mid-final-record and reopened; the recovered triple set must be
 //!   bit-identical to the last fully-committed generation. A mismatch
@@ -148,7 +149,8 @@ fn write_while_serve(scale: Scale) -> WriteWhileServe {
         let mut lat = Vec::with_capacity(reads);
         for _ in 0..reads {
             let t0 = Instant::now();
-            state.prepared_query(&sparql).expect(label);
+            let q = ee_rdf::parser::parse_query(&sparql).expect(label);
+            state.query(&q).expect(label).collect(&**state.store());
             lat.push(t0.elapsed().as_secs_f64() * 1e6);
         }
         lat.sort_by(f64::total_cmp);
@@ -297,11 +299,11 @@ pub fn report(scale: Scale) -> (Vec<Table>, Json) {
     let mut t2 = Table::new(
         "E-w7b — write-while-serve latency",
         format!(
-            "{} E2 selection queries through the serve-tier prepared-query path, \
-             read-only vs against a writer committing single-triple updates \
-             continuously ({} commits landed). Commits take the exclusive store \
-             lock and drop the prepared-plan cache, so the contended reads \
-             include lock waits and replans.",
+            "{} E2 selection queries through the serve-tier query path (parse, \
+             plan and execute per read), read-only vs against a writer \
+             committing single-triple updates continuously ({} commits landed). \
+             Commits take the exclusive store lock, so the contended reads \
+             include lock waits.",
             wws.reads, wws.commits
         ),
         &["phase", "p50", "p99"],

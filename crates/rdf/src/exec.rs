@@ -96,7 +96,7 @@ pub fn query(store: &TripleStore, sparql: &str) -> Result<Solutions, RdfError> {
 /// built against the same one ([`crate::plan::plan`] /
 /// [`crate::plan::plan_view`]). `threads = 1` is fully serial; any other
 /// count produces bit-identical results. The plan may be reused across
-/// calls and shared between threads (the serving tier caches them).
+/// calls and shared between threads while that store is unchanged.
 /// Collecting under one borrow of the store answers the whole query
 /// against one snapshot; the rows are the concatenation of the
 /// [`stream_plan_shared`] batches by construction.

@@ -18,9 +18,12 @@
 //! selection. It then runs the query itself through [`plan`] and the
 //! executor, on a mediator store that holds the fetched triples.
 //!
-//! A `Plan` is immutable and `Send + Sync`: the serving tier caches
-//! prepared plans keyed on canonicalised query text and executes them
-//! concurrently from many worker threads.
+//! A physical `Plan` is immutable and `Send + Sync`, but it is valid for
+//! exactly one store state: its dictionary ids, cardinality-driven join
+//! order and spatial candidate sets are a snapshot of the store (or view)
+//! it was built against. A commit or a different `AS OF` overlay makes it
+//! stale, so the serving tier plans every query against the state it
+//! executes on and keeps no plan past its request.
 
 use crate::expr::{collect_const_geometries, spatial_pushdown, Expr};
 use crate::parser::{AggFunc, PatternTerm, Query, SelectItem, TriplePattern};
@@ -492,10 +495,11 @@ pub fn plan(store: &TripleStore, q: &Query) -> Result<Plan, RdfError> {
     build(Some(StoreView::from(store)), q)
 }
 
-/// Plan a query against a [`StoreView`] — the versioned-read entry
-/// point. Spatial candidate sets include the view's overlay geometries,
-/// so plans built here are valid **only for that exact view** (the
-/// serving tier never caches them; the overlay grows as head advances).
+/// Plan a query against a [`StoreView`] — a head store or a versioned
+/// `AS OF` view. Spatial candidate sets include the view's overlay
+/// geometries, so the plan is valid **only for that exact view**. An
+/// overlay is relative to the head it was built on: plan and execute a
+/// versioned read under one read guard that still sees that head.
 pub fn plan_view(view: StoreView<'_>, q: &Query) -> Result<Plan, RdfError> {
     build(Some(view), q)
 }

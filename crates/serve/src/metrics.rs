@@ -299,15 +299,14 @@ impl Metrics {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Render everything in Prometheus text exposition format. Cache and
-    /// plan-cache statistics come from the caller so the metrics type
-    /// stays decoupled from the cache types.
+    /// Render everything in Prometheus text exposition format. Cache
+    /// statistics come from the caller so the metrics type stays
+    /// decoupled from the cache type.
     pub fn render_prometheus(
         &self,
         cache_hits: u64,
         cache_misses: u64,
         cache_len: usize,
-        plan_stats: (u64, u64, usize),
     ) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
@@ -410,21 +409,6 @@ impl Metrics {
             "# HELP ee_serve_cache_entries Response cache entries held\n\
              # TYPE ee_serve_cache_entries gauge\nee_serve_cache_entries {cache_len}\n"
         ));
-        let (plan_hits, plan_misses, plan_len) = plan_stats;
-        out.push_str(&format!(
-            "# HELP ee_serve_plan_cache_hits_total Prepared-plan cache hits on /query\n\
-             # TYPE ee_serve_plan_cache_hits_total counter\n\
-             ee_serve_plan_cache_hits_total {plan_hits}\n"
-        ));
-        out.push_str(&format!(
-            "# HELP ee_serve_plan_cache_misses_total Prepared-plan cache misses on /query\n\
-             # TYPE ee_serve_plan_cache_misses_total counter\n\
-             ee_serve_plan_cache_misses_total {plan_misses}\n"
-        ));
-        out.push_str(&format!(
-            "# HELP ee_serve_plan_cache_entries Prepared plans held\n\
-             # TYPE ee_serve_plan_cache_entries gauge\nee_serve_plan_cache_entries {plan_len}\n"
-        ));
         out.push_str(&format!(
             "# HELP ee_serve_queue_depth Dispatch queue depth\n\
              # TYPE ee_serve_queue_depth gauge\nee_serve_queue_depth {}\n",
@@ -518,7 +502,7 @@ mod tests {
         m.conn_closed();
         m.idle_reaped.fetch_add(1, Ordering::Relaxed);
         m.pipeline_capped.fetch_add(2, Ordering::Relaxed);
-        let text = m.render_prometheus(5, 10, 7, (4, 2, 2));
+        let text = m.render_prometheus(5, 10, 7);
         assert!(text.contains("ee_serve_accept_errors_total 3"));
         assert!(text.contains("ee_serve_pipeline_capped_total 2"));
         assert!(text.contains("ee_serve_route_shed_total{route=\"query\"} 1"));
@@ -531,9 +515,6 @@ mod tests {
         assert!(text.contains("ee_serve_route_requests_total{route=\"query\"} 2"));
         assert!(text.contains("ee_serve_cache_hit_rate 0.333"));
         assert!(text.contains("ee_serve_not_modified_total 2"));
-        assert!(text.contains("ee_serve_plan_cache_hits_total 4"));
-        assert!(text.contains("ee_serve_plan_cache_misses_total 2"));
-        assert!(text.contains("ee_serve_plan_cache_entries 2"));
         assert!(text.contains("ee_serve_queue_depth 1"));
         assert!(text.contains("ee_serve_latency_us_count{route=\"query\"} 2"));
         // Prometheus text format: every non-comment line is `name value`

@@ -14,8 +14,9 @@
 //! | `/debug/sleep`              | deadline testing (opt-in)      | GET      |
 //!
 //! `POST /query` takes the raw SPARQL text as the request body; both
-//! verbs execute through [`AppState::prepared_query`], so a repeated
-//! query hits the prepared-plan cache regardless of how it arrives.
+//! verbs share one handler, which parses the text once and executes it
+//! through [`AppState::query`] (head reads) or [`AppState::query_as_of`]
+//! (versioned reads). Repeats are the response cache's job.
 //! `POST /update` takes SPARQL UPDATE text (INSERT DATA / DELETE DATA /
 //! DELETE WHERE) and commits it through the durable store — 403 unless
 //! the server runs `--writable`, 400 on a parse error.
@@ -145,20 +146,6 @@ pub fn versioned_read(req: &Request) -> bool {
         && matches!(classify(&req.path), Route::Query | Route::Tiles | Route::Ice)
 }
 
-/// Cheap pre-parse scan for the `AS OF` clause (case-insensitive token
-/// pair). False positives only cost one real parse, never a wrong
-/// route.
-pub(crate) fn mentions_as_of(sparql: &str) -> bool {
-    let mut prev_was_as = false;
-    for tok in sparql.split_whitespace() {
-        if prev_was_as && tok.eq_ignore_ascii_case("OF") {
-            return true;
-        }
-        prev_was_as = tok.eq_ignore_ascii_case("AS");
-    }
-    false
-}
-
 /// Dispatch a request to its handler. Takes the shared `Arc` so streamed
 /// response bodies can co-own the state past the handler's return.
 pub fn dispatch(
@@ -177,8 +164,8 @@ pub fn dispatch(
         }
     }
     let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    if req.method == "POST" && segs.as_slice() == ["query"] {
-        return Outcome::Ready(handle_query_post(state, req));
+    if segs.as_slice() == ["query"] && matches!(req.method.as_str(), "GET" | "POST") {
+        return Outcome::Ready(handle_query(state, req));
     }
     if req.method == "POST" && segs.as_slice() == ["update"] {
         return Outcome::Ready(handle_update(state, req));
@@ -190,7 +177,6 @@ pub fn dispatch(
         ));
     }
     match segs.as_slice() {
-        ["query"] => Outcome::Ready(handle_query(state, req)),
         ["catalogue", "search"] => Outcome::Ready(handle_catalogue(state, req)),
         ["tiles", level, row, col] => Outcome::Ready(handle_tile(state, req, level, row, col)),
         ["ice", region] => Outcome::Ready(handle_ice(state, req, region)),
@@ -202,18 +188,10 @@ pub fn dispatch(
 }
 
 /// `/query` — rectangular selections (or raw SPARQL) over the point
-/// store. Parameters: `sparql` (raw query) or `x0`,`y0`,`side`
-/// (selection window, E2 shape); `limit` caps materialised rows.
+/// store. GET takes `sparql` (raw query) or `x0`,`y0`,`side` (selection
+/// window, E2 shape); POST takes the raw SPARQL text as its body. `limit`
+/// caps materialised rows.
 fn handle_query(state: &Arc<AppState>, req: &Request) -> Response {
-    match crate::shard::query_of(req) {
-        Ok((sparql, limit)) => run_query(state, req, &sparql, limit),
-        Err(resp) => resp,
-    }
-}
-
-/// `POST /query` — the request body is the raw SPARQL text. Executes
-/// through the same prepared-plan path as GET.
-fn handle_query_post(state: &Arc<AppState>, req: &Request) -> Response {
     match crate::shard::query_of(req) {
         Ok((sparql, limit)) => run_query(state, req, &sparql, limit),
         Err(resp) => resp,
@@ -253,77 +231,61 @@ fn handle_update(state: &Arc<AppState>, req: &Request) -> Response {
     }
 }
 
-/// Shared GET/POST tail: prepared-plan execution, serialised batch by
-/// batch. The joins run here (planning errors surface as a sized 400);
-/// on success the response body is a [`QueryStream`] that materialises
-/// and serialises one `ee_rdf` batch per chunk, so the first bytes of a
-/// large result hit the wire before the last row exists. The `count`
-/// field counts **all** result rows (`rows` is capped at `limit`) and is
-/// emitted last — its value is only known once the stream has drained.
+/// The `/query` tail: parse once, then execute through [`AppState`].
+/// Parse and planning errors surface as a sized 400; on success a head read's body is a [`QueryStream`] that
+/// materialises and serialises one `ee_rdf` batch per chunk, so the
+/// first bytes of a large result hit the wire before the last row
+/// exists. The `count` field counts **all** result rows (`rows` is
+/// capped at `limit`) and is emitted last — its value is only known once
+/// the stream has drained.
 ///
 /// A versioned read — `?asOf=` or the SPARQL `AS OF <hexid>` clause —
 /// takes the collect path instead: the whole answer is computed against
 /// a [`ee_rdf::store::StoreView`] under one store guard (snapshot
-/// consistency beats streaming for historical reads), its plan is built
-/// fresh per view (never cached), and the ETag embeds the requested
-/// commit id rather than the head.
+/// consistency beats streaming for historical reads).
+///
+/// Either way the ETag is a function of the canonical query text, the
+/// row cap and the commit id the answer is for — computable up front
+/// without buffering a streamed body, and stable while that id names the
+/// same store (equal commit ids mean byte-identical stores, via the hash
+/// chain).
 fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -> Response {
     state.maybe_inject_slowdown();
     let param = match as_of_param(req) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    let clause = if mentions_as_of(sparql) {
-        match ee_rdf::parser::parse_query(sparql) {
-            Ok(q) => q.as_of,
-            Err(e) => return Response::error(400, &format!("query failed: {e}")),
-        }
-    } else {
-        None
+    let q = match ee_rdf::parser::parse_query(sparql) {
+        Ok(q) => q,
+        Err(e) => return Response::error(400, &format!("query failed: {e}")),
     };
-    let as_of = match (param, clause) {
+    let as_of = match (param, q.as_of) {
         (Some(a), Some(b)) if a != b => {
             return Response::error(400, "asOf= and AS OF name different commit ids")
         }
         (a, b) => a.or(b),
     };
-    let canon = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
-    if let Some(commit) = as_of {
-        // Resolve the overlay *before* any read guard is taken — a miss
-        // rewinds under the exclusive lock.
-        let Some(novelty) = state.novelty_for(commit) else {
-            return Response::error(404, &format!("unknown commit id {commit:016x}"));
-        };
-        return match state.versioned_query(sparql, &novelty) {
-            Ok(sols) => {
+    let commit = as_of.unwrap_or_else(|| state.head_commit());
+    let resp = if as_of.is_some() {
+        match state.query_as_of(&q, commit) {
+            None => return Response::error(404, &format!("unknown commit id {commit:016x}")),
+            Some(result) => result.map(|sols| {
                 let mut body = String::new();
                 let mut writer = ResultWriter::new(&sols.vars, limit);
                 for row in &sols.rows {
                     writer.row(&mut body, row);
                 }
                 writer.finish(&mut body);
-                let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
                 Response {
                     status: 200,
                     content_type: "application/json".into(),
                     headers: Vec::new(),
                     body: Body::Full(body.into_bytes()),
                 }
-                .with_header("etag", etag)
-                .with_header("x-commit", format!("{commit:016x}"))
-            }
-            Err(e) => Response::error(400, &format!("query failed: {e}")),
-        };
-    }
-    let head = state.head_commit();
-    match state.prepared_query_stream(sparql) {
-        Ok(core) => {
-            // Strong validator without buffering the (streamed) body:
-            // the result is a function of the canonical query text, the
-            // row cap, and the head commit id — computable up front, and
-            // provably stable while the head doesn't move (equal commit
-            // ids mean byte-identical stores, via the hash chain).
-            let etag = etag_of(format!("query|{canon}|{limit}|c{head:016x}").as_bytes());
+            }),
+        }
+    } else {
+        state.query(&q).map(|core| {
             let writer = Some(ResultWriter::new(core.vars(), limit));
             Response::streamed(
                 200,
@@ -335,8 +297,14 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
                     buf: String::new(),
                 }),
             )
-            .with_header("etag", etag)
-            .with_header("x-commit", format!("{head:016x}"))
+        })
+    };
+    match resp {
+        Ok(resp) => {
+            let canon = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
+            let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
+            resp.with_header("etag", etag)
+                .with_header("x-commit", format!("{commit:016x}"))
         }
         Err(e) => Response::error(400, &format!("query failed: {e}")),
     }
@@ -1304,8 +1272,7 @@ mod tests {
     }
 
     #[test]
-    fn get_and_post_query_share_the_plan_cache() {
-        // A fresh state so cache counters start at zero.
+    fn get_and_respaced_post_query_answer_identically() {
         let s = Arc::new(AppState::build(DataConfig::tiny()));
         let sparql = "PREFIX e: <http://e/>  SELECT (COUNT(?s) AS ?n) WHERE { ?s e:hasGeometry ?g }";
         let via_get = ready(dispatch(
@@ -1315,8 +1282,8 @@ mod tests {
             false,
         ));
         assert_eq!(via_get.status, 200);
-        // POST the same query with different whitespace: canonicalisation
-        // makes it the same plan-cache entry.
+        // POST the same query with different whitespace: one handler,
+        // one canonical text, one answer.
         let body = sparql.replace("  ", " \n ");
         let raw = format!(
             "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
@@ -1325,9 +1292,9 @@ mod tests {
         let req = parse(&raw);
         let via_post = ready(dispatch(&s, &req, far_deadline(), false));
         assert_eq!(via_post.status, 200);
+        let tag = |r: &Response| r.headers.iter().find(|(n, _)| n == "etag").cloned();
+        assert_eq!(tag(&via_get), tag(&via_post), "same validator both verbs");
         assert_eq!(body_of(via_get), body_of(via_post), "same answer both verbs");
-        let (hits, misses, entries) = s.plan_cache_stats();
-        assert_eq!((hits, misses, entries), (1, 1, 1), "one plan, reused");
     }
 
     #[test]

@@ -453,7 +453,6 @@ fn resolve_miss(
                 shared.cache.hits(),
                 shared.cache.misses(),
                 shared.cache.len(),
-                shared.state.plan_cache_stats(),
             ) + &shared.state.render_prometheus_section(),
         )
     } else {

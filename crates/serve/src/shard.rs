@@ -192,8 +192,9 @@ fn scatter_query(tier: &RouterTier, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     // Commit ids are per-shard (each shard grows its own hash chain),
-    // so a versioned read has no fleet-wide meaning here.
-    if req.param("asOf").is_some() || crate::router::mentions_as_of(&sparql) {
+    // so a versioned read has no fleet-wide meaning here; the `AS OF`
+    // clause is refused by `merge::strategy_for` below.
+    if req.param("asOf").is_some() {
         return Response::error(
             400,
             "versioned reads (asOf / AS OF) are not routable; query a shard endpoint directly",

@@ -5,10 +5,11 @@
 //! * a mutable [`ee_rdf::storage::Store`] of point features with a
 //!   spatial index — the E2/E3 rectangular-selection path behind
 //!   `/query`, writable through `POST /update` when the server runs
-//!   `--writable`. Reads take a shared [`RwLock`] guard; commits take
-//!   the exclusive side, bump the store **generation**, and invalidate
-//!   the prepared-plan cache. The generation is mirrored into an atomic
-//!   so the hot path (cache keys, ETags) never touches the lock;
+//!   `--writable`. Reads take a shared [`RwLock`] guard and plan each
+//!   query against the store state they execute on; commits take the
+//!   exclusive side and bump the store **generation**. The generation is
+//!   mirrored into an atomic so the hot path (cache keys, ETags) never
+//!   touches the lock;
 //! * an [`ee_catalogue::ClassicCatalogue`] + [`SemanticCatalogue`] pair
 //!   over the same generated archive — the E9 path, behind
 //!   `/catalogue/search`;
@@ -30,17 +31,19 @@ use ee_polar::icemap::{products_from_map, truth_masks, IceProducts};
 use ee_raster::scene::Band;
 use ee_raster::tile::pyramid;
 use ee_raster::Raster;
+use ee_rdf::exec::{Solutions, StreamCore};
+use ee_rdf::parser::Query;
 use ee_rdf::plan::FastPath;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
 use ee_rdf::store::{IndexMode, Novelty, StoreView};
 use ee_rdf::term::Term;
-use ee_rdf::TripleStore;
+use ee_rdf::{RdfError, TripleStore};
 use ee_util::timeline::Date;
 use ee_util::Rng;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Side length of the square point-feature region served by `/query`
 /// (degree-like units, matching the E2 experiment).
@@ -57,12 +60,6 @@ pub const CATALOGUE_MODES: [&str; 3] = ["classic", "semantic", "ranked"];
 /// search arm: committing `<s> eo:searchText "..."` through `/update`
 /// makes `s` findable by `mode=ranked`, deleting the triple removes it.
 pub const SEARCH_TEXT_IRI: &str = "http://extremeearth.eu/ont/eo#searchText";
-
-/// Most prepared plans the plan cache holds. Commits clear it, but a
-/// read-only server can see unique query texts without end; at the cap a
-/// new plan evicts an arbitrary cached one, counted as
-/// `ee_serve_invalidated_total{kind="plans"}`.
-const PLAN_CACHE_CAPACITY: usize = 1024;
 
 /// Sizing knobs for the engines behind the routes.
 #[derive(Debug, Clone)]
@@ -130,8 +127,8 @@ pub struct AppState {
     /// Point-feature store with spatial index (the `/query` engine),
     /// durable when built through [`AppState::build_durable`]. Private:
     /// reads go through [`AppState::store`], writes through
-    /// [`AppState::commit_update`] (which keeps the generation mirror
-    /// and the plan cache coherent).
+    /// [`AppState::commit_update`] (which keeps the generation and head
+    /// mirrors coherent).
     store: RwLock<Store>,
     /// Mirror of the store generation, readable without the lock
     /// (metrics and the shard merge layer consult it).
@@ -148,10 +145,6 @@ pub struct AppState {
     /// when the index changes, and never linger past a `searchText`
     /// commit.
     search_generation: AtomicU64,
-    /// Resolved `AS OF` overlays by commit id. Novelties are relative to
-    /// the **current** head, so the whole map is dropped on every
-    /// effective commit.
-    novelty: Mutex<HashMap<u64, Arc<Novelty>>>,
     /// Times the store read guard was taken ([`AppState::store`]).
     /// `ee_serve_store_reads_total`: lets experiments prove a cached
     /// 304 revalidation touched the store zero times.
@@ -176,13 +169,6 @@ pub struct AppState {
     pub ice: Vec<(String, IceProducts)>,
     /// Server start time, reported by `/healthz`.
     pub started: std::time::Instant,
-    /// Prepared [`ee_rdf::plan::Plan`]s keyed on canonicalised query
-    /// text, so repeated `/query` requests skip parse + plan.
-    plans: Mutex<HashMap<String, Arc<ee_rdf::plan::Plan>>>,
-    /// Plan-cache hits (reported by `/metrics`).
-    plan_hits: AtomicU64,
-    /// Plan-cache misses (reported by `/metrics`).
-    plan_misses: AtomicU64,
     /// Executions per [`FastPath`] kind, indexed by position in
     /// [`FastPath::ALL`] (rendered as `ee_rdf_fastpath_total{kind}`).
     fastpath: [AtomicU64; FastPath::ALL.len()],
@@ -191,11 +177,9 @@ pub struct AppState {
     catalogue_mode_requests: [AtomicU64; CATALOGUE_MODES.len()],
     /// Handler latency per `/catalogue/search` mode, same indexing.
     catalogue_mode_latency: [Histogram; CATALOGUE_MODES.len()],
-    /// Prepared plans dropped by commits or evicted at
-    /// [`PLAN_CACHE_CAPACITY`] (`ee_serve_invalidated_total{kind="plans"}`).
-    invalidated_plans: AtomicU64,
     /// Cached responses dropped by commits (counted by the server,
-    /// which owns the response cache; rendered here next to the plans).
+    /// which owns the response cache; rendered here with the store
+    /// counters).
     invalidated_responses: AtomicU64,
     /// `POST /update` commit latency (evaluate + log append + apply).
     update_latency: Histogram,
@@ -309,7 +293,6 @@ impl AppState {
             generation,
             head,
             search_generation: AtomicU64::new(0),
-            novelty: Mutex::new(HashMap::new()),
             store_reads: AtomicU64::new(0),
             classic,
             semantic,
@@ -318,13 +301,9 @@ impl AppState {
             tile_size,
             ice,
             started: std::time::Instant::now(),
-            plans: Mutex::new(HashMap::new()),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
             fastpath: std::array::from_fn(|_| AtomicU64::new(0)),
             catalogue_mode_requests: std::array::from_fn(|_| AtomicU64::new(0)),
             catalogue_mode_latency: std::array::from_fn(|_| Histogram::new()),
-            invalidated_plans: AtomicU64::new(0),
             invalidated_responses: AtomicU64::new(0),
             update_latency: Histogram::new(),
             router: None,
@@ -382,36 +361,6 @@ impl AppState {
         self.store_reads.load(Ordering::Relaxed)
     }
 
-    /// Resolve a commit id to its [`Novelty`] overlay (empty for the
-    /// head), or `None` when the id names no known commit. Cached per
-    /// id; the cache is dropped on every effective commit because
-    /// overlays are relative to the current head. Resolving a miss takes
-    /// the **exclusive** store lock (rewinding may re-intern terms that
-    /// compaction folded away), so callers must resolve *before* taking
-    /// any read guard.
-    pub fn novelty_for(&self, commit_id: u64) -> Option<Arc<Novelty>> {
-        if commit_id == self.head_commit() {
-            return Some(Arc::new(Novelty::default()));
-        }
-        if let Some(n) = self
-            .novelty
-            .lock()
-            .expect("novelty cache lock")
-            .get(&commit_id)
-        {
-            return Some(Arc::clone(n));
-        }
-        let novelty = {
-            let mut store = self.store.write().expect("store lock");
-            Arc::new(store.as_of(commit_id)?)
-        };
-        self.novelty
-            .lock()
-            .expect("novelty cache lock")
-            .insert(commit_id, Arc::clone(&novelty));
-        Some(novelty)
-    }
-
     /// Whether `commit_id` names a commit in the store's history (the
     /// root id always does). Takes the read guard — used on cache
     /// misses only.
@@ -420,10 +369,10 @@ impl AppState {
     }
 
     /// Commit a SPARQL UPDATE: takes the exclusive store lock, runs the
-    /// durable commit (evaluate → commit-log fsync → apply), then — if the
-    /// generation moved — refreshes the mirror and drops every prepared
-    /// plan (plans bake in index statistics that the commit may have
-    /// changed). Response-cache entries need no action here: their keys
+    /// durable commit (evaluate → commit-log fsync → apply), then
+    /// refreshes the generation and head mirrors. Nothing plan-shaped
+    /// outlives a commit: every query is planned against the store state
+    /// it runs on. Response-cache entries need no action here: their keys
     /// embed the generation, so the bump makes stale entries
     /// unreachable (the server also sweeps them, counting into
     /// [`ee_serve_invalidated_total`](Self::render_prometheus_section)).
@@ -454,15 +403,6 @@ impl AppState {
             self.reindex_search_docs(&store, &touched);
         }
         drop(store);
-        if stats.generation != prev {
-            let mut plans = self.plans.lock().expect("plan cache lock");
-            let dropped = plans.len() as u64;
-            plans.clear();
-            self.invalidated_plans.fetch_add(dropped, Ordering::Relaxed);
-            drop(plans);
-            // AS OF overlays are relative to the head that just moved.
-            self.novelty.lock().expect("novelty cache lock").clear();
-        }
         let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.update_latency.record_us(us);
         Ok(stats)
@@ -478,18 +418,6 @@ impl AppState {
     /// Commit-latency histogram of `POST /update` (for experiments).
     pub fn update_latency(&self) -> &Histogram {
         &self.update_latency
-    }
-
-    /// Count one execution of `plan`'s chosen fast path (both the
-    /// collecting and streaming `/query` arms call this, so the
-    /// `ee_rdf_fastpath_total{kind}` counters cover every execution).
-    fn note_fastpath(&self, plan: &ee_rdf::plan::Plan) {
-        let route = plan.fast_path();
-        let i = FastPath::ALL
-            .iter()
-            .position(|f| *f == route)
-            .expect("every FastPath is in ALL");
-        self.fastpath[i].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Executions recorded for one fast-path kind.
@@ -669,11 +597,9 @@ impl AppState {
             self.store_reads()
         ));
         out.push_str(&format!(
-            "# HELP ee_serve_invalidated_total Cache entries invalidated by store commits (plans: also capacity evictions)\n\
+            "# HELP ee_serve_invalidated_total Cache entries invalidated by store commits\n\
              # TYPE ee_serve_invalidated_total counter\n\
-             ee_serve_invalidated_total{{kind=\"plans\"}} {}\n\
              ee_serve_invalidated_total{{kind=\"responses\"}} {}\n",
-            self.invalidated_plans.load(Ordering::Relaxed),
             self.invalidated_responses.load(Ordering::Relaxed),
         ));
         render_histogram_family(
@@ -703,99 +629,60 @@ impl AppState {
         }
     }
 
-    /// Resolve a SPARQL text to a prepared plan: the text is
-    /// canonicalised (whitespace-collapsed), looked up in the plan
-    /// cache, and planned on miss. Takes the store (already locked by
-    /// the caller) so planning and execution see one consistent state.
-    fn prepared_plan(
-        &self,
-        store: &TripleStore,
-        sparql: &str,
-    ) -> Result<Arc<ee_rdf::plan::Plan>, ee_rdf::RdfError> {
-        let key = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
-        let cached = self.plans.lock().expect("plan cache lock").get(&key).cloned();
-        match cached {
-            Some(p) => {
-                self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(p)
-            }
-            None => {
-                let q = ee_rdf::parser::parse_query(sparql)?;
-                let p = Arc::new(ee_rdf::plan::plan(store, &q)?);
-                self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                let mut plans = self.plans.lock().expect("plan cache lock");
-                if plans.len() >= PLAN_CACHE_CAPACITY && !plans.contains_key(&key) {
-                    let victim = plans
-                        .keys()
-                        .next()
-                        .cloned()
-                        .expect("a full cache has a key");
-                    plans.remove(&victim);
-                    self.invalidated_plans.fetch_add(1, Ordering::Relaxed);
+    /// Plan `q` against `view` and start executing it there. The plan is
+    /// built per request — its dictionary ids and spatial candidate sets
+    /// are valid only for this exact view — and every read's plan passes
+    /// through here, so the `ee_rdf_fastpath_total{kind}` counters cover
+    /// every execution.
+    fn stream_on(&self, view: StoreView<'_>, q: &Query) -> Result<StreamCore, RdfError> {
+        let plan = Arc::new(ee_rdf::plan::plan_view(view, q)?);
+        let route = plan.fast_path();
+        let i = FastPath::ALL
+            .iter()
+            .position(|f| *f == route)
+            .expect("every FastPath is in ALL");
+        self.fastpath[i].fetch_add(1, Ordering::Relaxed);
+        ee_rdf::exec::stream_plan_shared(view, plan, ee_util::par::available_threads())
+    }
+
+    /// A head read of `q`, returned as a [`StreamCore`] that yields
+    /// result batches incrementally. For non-aggregate, non-ORDER-BY
+    /// queries no join work happens here at all: the pull-based pipeline
+    /// runs inside `next_batch(&self.store)` calls, so the `/query`
+    /// route's chunk-by-chunk serialisation exerts real backpressure — a
+    /// slow client pauses the joins instead of buffering their output.
+    pub fn query(&self, q: &Query) -> Result<StreamCore, RdfError> {
+        let store = self.store();
+        self.stream_on(StoreView::from(&**store), q)
+    }
+
+    /// An `AS OF commit` read of `q`, collected under **one** read guard
+    /// so the whole answer reflects a single immutable snapshot —
+    /// versioned reads trade streaming for snapshot consistency. `None`
+    /// when `commit` names no known commit.
+    ///
+    /// The overlay that rewinds to `commit` is relative to the head it
+    /// was built on, and building it takes the exclusive lock (rewinding
+    /// may re-intern terms that compaction folded away). A commit that
+    /// lands between building it and taking the read guard moves the
+    /// head under it, so the read goes round again with a fresh overlay
+    /// rather than apply the old one to the new head.
+    pub fn query_as_of(&self, q: &Query, commit: u64) -> Option<Result<Solutions, RdfError>> {
+        // The empty overlay is valid exactly while the head is `commit`.
+        let (mut novelty, mut built_on) = (Novelty::default(), commit);
+        loop {
+            // The lock-free mirror skips a read guard that cannot match.
+            if self.head_commit() == built_on {
+                let store = self.store();
+                if store.head_commit() == built_on {
+                    let view = StoreView::with_novelty(&store, &novelty);
+                    return Some(self.stream_on(view, q).map(|mut core| core.collect(view)));
                 }
-                plans.insert(key, p.clone());
-                Ok(p)
             }
+            let mut store = self.store.write().expect("store lock");
+            novelty = store.as_of(commit)?;
+            built_on = store.head_commit();
         }
-    }
-
-    /// Evaluate a SPARQL query through the prepared-plan path and collect
-    /// every row. Both GET and POST `/query` share the plan cache, so a
-    /// repeated query — however submitted — pays parse + planning once.
-    pub fn prepared_query(
-        &self,
-        sparql: &str,
-    ) -> Result<ee_rdf::exec::Solutions, ee_rdf::RdfError> {
-        let store = self.store();
-        let plan = self.prepared_plan(&store, sparql)?;
-        self.note_fastpath(&plan);
-        ee_rdf::exec::execute_plan_view(&**store, plan, ee_util::par::available_threads())
-    }
-
-    /// Evaluate a SPARQL query through the prepared-plan path, returning
-    /// a [`ee_rdf::exec::StreamCore`] that yields result batches
-    /// incrementally. For non-aggregate, non-ORDER-BY queries no join
-    /// work happens here at all: the pull-based pipeline runs inside
-    /// `next_batch(&self.store)` calls, so the `/query` route's
-    /// chunk-by-chunk serialisation exerts real backpressure — a slow
-    /// client pauses the joins instead of buffering their output.
-    pub fn prepared_query_stream(
-        &self,
-        sparql: &str,
-    ) -> Result<ee_rdf::exec::StreamCore, ee_rdf::RdfError> {
-        let store = self.store();
-        let plan = self.prepared_plan(&store, sparql)?;
-        self.note_fastpath(&plan);
-        ee_rdf::exec::stream_plan_shared(&**store, plan, ee_util::par::available_threads())
-    }
-
-    /// Evaluate a SPARQL query against the historical view `novelty`
-    /// describes (an `AS OF` read), collecting every row under **one**
-    /// read guard so the whole response reflects a single immutable
-    /// snapshot — versioned reads trade streaming for snapshot
-    /// consistency. The plan is built fresh against the view and never
-    /// cached: its spatial candidate sets are valid only for this exact
-    /// overlay, which changes as head advances.
-    pub fn versioned_query(
-        &self,
-        sparql: &str,
-        novelty: &Novelty,
-    ) -> Result<ee_rdf::exec::Solutions, ee_rdf::RdfError> {
-        let store = self.store();
-        let q = ee_rdf::parser::parse_query(sparql)?;
-        let view = StoreView::with_novelty(&store, novelty);
-        let plan = Arc::new(ee_rdf::plan::plan_view(view, &q)?);
-        self.note_fastpath(&plan);
-        ee_rdf::exec::execute_plan_view(view, plan, ee_util::par::available_threads())
-    }
-
-    /// Plan-cache statistics: `(hits, misses, entries)`.
-    pub fn plan_cache_stats(&self) -> (u64, u64, usize) {
-        (
-            self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
-            self.plans.lock().expect("plan cache lock").len(),
-        )
     }
 
     /// The ice products of a region, if it exists.
@@ -943,14 +830,22 @@ mod tests {
         assert_eq!(a.pyramid[2], b.pyramid[2]);
     }
 
+    /// A head read of `sparql`, drained.
+    fn head(state: &AppState, sparql: &str) -> ee_rdf::exec::Solutions {
+        let q = ee_rdf::parser::parse_query(sparql).expect("parse");
+        state.query(&q).expect("query").collect(&**state.store())
+    }
+
+    /// An `AS OF commit` read of `sparql`; `None` for an unknown id.
+    fn as_of(state: &AppState, sparql: &str, commit: u64) -> Option<ee_rdf::exec::Solutions> {
+        let q = ee_rdf::parser::parse_query(sparql).expect("parse");
+        state.query_as_of(&q, commit).map(|r| r.expect("query"))
+    }
+
     #[test]
-    fn commit_update_bumps_generation_and_drops_plans() {
+    fn commit_update_bumps_generation() {
         let state = AppState::build(DataConfig::tiny());
         assert_eq!(state.generation(), 0);
-        // Warm the plan cache.
-        let q = "PREFIX e: <http://e/> SELECT (COUNT(?s) AS ?n) WHERE { ?s e:hasGeometry ?g }";
-        state.prepared_query(q).expect("query");
-        assert_eq!(state.plan_cache_stats().2, 1);
         let before = state.store().len();
         let u = ee_rdf::parser::parse_update(
             "INSERT DATA { <http://e/new> <http://e/p> \"v\" }",
@@ -960,7 +855,6 @@ mod tests {
         assert_eq!(stats.generation, 1);
         assert_eq!(state.generation(), 1);
         assert_eq!(state.store().len(), before + 1);
-        assert_eq!(state.plan_cache_stats().2, 0, "commit drops prepared plans");
         // A no-op commit (same triple again) bumps nothing.
         let stats = state.commit_update(&u).expect("noop commit");
         assert_eq!(stats.generation, 1);
@@ -968,38 +862,18 @@ mod tests {
         assert_eq!(state.update_latency().count(), 2);
         let section = state.render_prometheus_section();
         assert!(section.contains("ee_rdf_generation 1"));
-        assert!(section.contains("ee_serve_invalidated_total{kind=\"plans\"} 1"));
         assert!(section.contains("ee_serve_update_commit_us_count{op=\"commit\"} 2"));
-    }
-
-    #[test]
-    fn plan_cache_is_bounded_and_still_answers_correctly() {
-        let state = AppState::build(DataConfig::tiny());
-        let n = PLAN_CACHE_CAPACITY + 100;
-        let q = |i: usize| selection_sparql(i as f64 * 0.08, 20.0, 10.0);
-        for i in 0..n {
-            state.prepared_query(&q(i)).expect("query");
-        }
-        let (_, misses, entries) = state.plan_cache_stats();
-        assert_eq!(misses, n as u64, "every query text is unique");
-        assert!(entries <= PLAN_CACHE_CAPACITY, "{entries} plans cached");
-        assert!(state
-            .render_prometheus_section()
-            .contains("ee_serve_invalidated_total{kind=\"plans\"} 100"));
-        // Evicted and still-cached plans alike answer as a fresh
-        // parse + plan + execute does.
-        for i in [0, n / 2, n - 1] {
-            let want = ee_rdf::exec::query(&state.store(), &q(i)).expect("reference");
-            assert_eq!(
-                state.prepared_query(&q(i)).expect("query"),
-                want,
-                "query {i}"
-            );
+        // Many unique windows, planned against the committed store,
+        // answer as a fresh parse + plan + execute does.
+        for i in (0..1124).step_by(17) {
+            let q = selection_sparql(i as f64 * 0.08, 20.0, 10.0);
+            let want = ee_rdf::exec::query(&state.store(), &q).expect("reference");
+            assert_eq!(head(&state, &q), want, "window {i}");
         }
     }
 
     #[test]
-    fn versioned_reads_rewind_through_the_novelty_cache() {
+    fn versioned_reads_rewind_to_their_commit() {
         let state = AppState::build(DataConfig::tiny());
         let root = state.head_commit();
         assert_eq!(root, ee_rdf::storage::ROOT_COMMIT_ID);
@@ -1030,31 +904,66 @@ mod tests {
         assert!(c2 != c1 && c2 != root);
         assert!(state.commit_known(c1) && state.commit_known(c2));
 
-        assert_eq!(v(state.prepared_query(q).unwrap()), ["v2"], "head sees v2");
-        let n1 = state.novelty_for(c1).expect("c1 resolvable");
-        assert_eq!(v(state.versioned_query(q, &n1).unwrap()), ["v1"]);
-        let nroot = state.novelty_for(root).expect("root resolvable");
-        assert!(v(state.versioned_query(q, &nroot).unwrap()).is_empty());
-        let nhead = state.novelty_for(c2).expect("head resolvable");
-        assert_eq!(v(state.versioned_query(q, &nhead).unwrap()), ["v2"]);
-        assert!(state.novelty_for(0xdead_beef).is_none(), "unknown id");
+        assert_eq!(v(head(&state, q)), ["v2"], "head sees v2");
+        assert_eq!(v(as_of(&state, q, c1).expect("c1 resolvable")), ["v1"]);
+        assert!(v(as_of(&state, q, root).expect("root resolvable")).is_empty());
+        assert_eq!(v(as_of(&state, q, c2).expect("head resolvable")), ["v2"]);
+        assert!(as_of(&state, q, 0xdead_beef).is_none(), "unknown id");
 
-        // The cache serves repeats and is dropped by the next commit.
-        let again = state.novelty_for(c1).expect("cached");
-        assert!(Arc::ptr_eq(&n1, &again), "second resolve is the cached Arc");
+        // A later commit moves the head; c1 still rewinds to v1.
         let u3 = ee_rdf::parser::parse_update(
             "INSERT DATA { <http://e/vdoc2> <http://e/p> \"x\" }",
         )
         .unwrap();
         state.commit_update(&u3).expect("commit x");
-        let fresh = state.novelty_for(c1).expect("re-resolved against new head");
-        assert!(!Arc::ptr_eq(&n1, &fresh), "overlay cache dropped on commit");
-        assert_eq!(v(state.versioned_query(q, &fresh).unwrap()), ["v1"]);
+        assert_eq!(
+            v(as_of(&state, q, c1).expect("c1 after a later commit")),
+            ["v1"]
+        );
         // A no-op update moves neither generation nor head.
         let before = state.head_commit();
         state.commit_update(&u3).expect("noop");
         assert_eq!(state.head_commit(), before);
         assert!(state.store_reads() > 0);
+    }
+
+    /// An `AS OF` read must see exactly its commit while commits land:
+    /// an overlay built against one head and applied to a newer one
+    /// would leak the newer commits' triples into the answer.
+    #[test]
+    fn as_of_reads_stay_pinned_while_commits_land() {
+        let state = AppState::build(DataConfig::tiny());
+        let root = state.head_commit();
+        let q = ee_rdf::parser::parse_query("SELECT ?o WHERE { <http://e/race> <http://e/p> ?o }")
+            .unwrap();
+        let (reads, wrong) = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..400 {
+                    let u = ee_rdf::parser::parse_update(&format!(
+                        "INSERT DATA {{ <http://e/race> <http://e/p> \"{i}\" }}"
+                    ))
+                    .unwrap();
+                    state.commit_update(&u).expect("commit");
+                }
+            });
+            // Bounded in time as well: the reader's lock traffic can
+            // delay the writer for seconds on a loaded host.
+            let t0 = std::time::Instant::now();
+            let (mut reads, mut wrong) = (0u64, 0u64);
+            while !writer.is_finished() && t0.elapsed() < std::time::Duration::from_secs(2) {
+                let sols = state
+                    .query_as_of(&q, root)
+                    .expect("root is known")
+                    .expect("query");
+                reads += 1;
+                wrong += u64::from(!sols.rows.is_empty());
+            }
+            (reads, wrong)
+        });
+        assert_eq!(
+            wrong, 0,
+            "{wrong} of {reads} AS OF root reads saw later commits"
+        );
     }
 
     #[test]
@@ -1086,22 +995,21 @@ mod tests {
     #[test]
     fn fastpath_counters_track_query_shapes() {
         let state = AppState::build(DataConfig::tiny());
-        // COUNT without GROUP BY → fast_count (twice: collect + stream).
+        // COUNT without GROUP BY → fast_count (twice: head + AS OF).
         let count_q =
             "PREFIX e: <http://e/> SELECT (COUNT(?s) AS ?n) WHERE { ?s e:hasGeometry ?g }";
-        state.prepared_query(count_q).expect("count query");
-        state.prepared_query_stream(count_q).expect("count stream");
+        head(&state, count_q);
+        assert!(as_of(&state, count_q, state.head_commit()).is_some());
         // ORDER BY + LIMIT → topk.
-        state
-            .prepared_query(
-                "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g } \
-                 ORDER BY ?s LIMIT 3",
-            )
-            .expect("topk query");
+        head(
+            &state,
+            "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g } ORDER BY ?s LIMIT 3",
+        );
         // Plain projection → stream.
-        state
-            .prepared_query("PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g }")
-            .expect("stream query");
+        head(
+            &state,
+            "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g }",
+        );
         assert_eq!(state.fastpath_count(FastPath::FastCount), 2);
         assert_eq!(state.fastpath_count(FastPath::TopK), 1);
         assert_eq!(state.fastpath_count(FastPath::Stream), 1);

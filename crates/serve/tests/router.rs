@@ -200,3 +200,31 @@ fn router_absorbs_a_shard_restart_via_stale_conn_retry() {
     router.shutdown();
     shard0b.shutdown();
 }
+
+#[test]
+fn routed_versioned_reads_are_refused() {
+    // Commit ids are per-shard, so neither spelling of a versioned read
+    // has a fleet-wide meaning: the router answers 400 before any scatter.
+    let shard0 = start(
+        server_config(),
+        Arc::new(AppState::build(shard_config(0, 1))),
+    )
+    .expect("start shard 0");
+    let (router, _state) = start_router(&[shard0.addr], ScatterConfig::default());
+    let sparql = "SELECT ?o WHERE { <http://e/f1> <http://e/hasGeometry> ?o }";
+    let target = |s: &str| format!("/query?sparql={}", s.replace(' ', "%20"));
+    assert_eq!(
+        get(router.addr, &target(sparql)).status,
+        200,
+        "plain reads route"
+    );
+    let root = format!("{:016x}", ee_rdf::storage::ROOT_COMMIT_ID);
+    let clause = format!("{sparql} AS OF <{root}>");
+    let resp = get(router.addr, &target(&clause));
+    assert_eq!(resp.status, 400, "AS OF clause");
+    assert!(String::from_utf8(resp.body).unwrap().contains("AS OF"));
+    let resp = get(router.addr, &format!("{}&asOf={root}", target(sparql)));
+    assert_eq!(resp.status, 400, "?asOf= parameter");
+    router.shutdown();
+    shard0.shutdown();
+}

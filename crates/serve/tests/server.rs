@@ -327,12 +327,12 @@ fn post_query_roundtrips_sparql_and_rejects_malformed_bodies() {
     assert!(text.contains("\"vars\""), "solution JSON: {text}");
     assert!(text.contains("\"count\""), "solution JSON: {text}");
 
-    // The same query again (same connection, different whitespace) rides
-    // the prepared-plan cache and answers identically.
+    // The same query again (same connection, different whitespace)
+    // answers identically.
     let respaced = sparql.replace(' ', "  ");
     let again = post(&mut s, &mut r, "/query", respaced.as_bytes(), true);
     assert_eq!(again.status, 200);
-    assert_eq!(again.body, resp.body, "plan reuse changes nothing");
+    assert_eq!(again.body, resp.body, "whitespace changes nothing");
 
     // Malformed SPARQL body → 400 with a parse message, not a 500.
     let bad = post(&mut s, &mut r, "/query", b"SELECT WHERE garbage {", true);
@@ -345,11 +345,6 @@ fn post_query_roundtrips_sparql_and_rejects_malformed_bodies() {
     // POST on any other route stays 405.
     let nope = post(&mut s, &mut r, "/healthz", b"", true);
     assert_eq!(nope.status, 405);
-
-    // /metrics shows the plan cache working.
-    let m = send(&mut s, &mut r, "/metrics", false);
-    let text = String::from_utf8(m.body).unwrap();
-    assert!(text.contains("ee_serve_plan_cache_hits_total"), "{text}");
     server.shutdown();
 }
 

@@ -5,9 +5,9 @@
 #                               [--seconds S] [--trace 0|1]
 #
 # The change side is the working tree this script lives in, uncommitted
-# edits included; the base side is <rev>, checked out with
-# `git worktree add` under $TMPDIR and removed on exit. Each side builds
-# into its own CARGO_TARGET_DIR (the change side: $CARGO_TARGET_DIR,
+# edits included; the base side is <rev>, exported with `git archive`
+# under $TMPDIR (nothing is written to .git) and removed on exit. Each
+# side builds into its own CARGO_TARGET_DIR (the change side: $CARGO_TARGET_DIR,
 # default `target`; the base side: a fresh one under $TMPDIR, so expect
 # one cold release build). After one discarded 1 s run per side (build +
 # warm-up), every seed A..B runs crates/bench/src/bin/suite/run.sh on
@@ -16,8 +16,15 @@
 # metric, each side's median and quartiles, the change's wins over the
 # pairs (ties count for neither; which way is better comes from
 # BENCHMARK.json, default lower), whether the median gap exceeds the
-# base's interquartile range, and the correct/failed totals. Exits 1 if
-# any run failed its correctness verdict.
+# base's interquartile range, and the correct/failed totals. Then one
+# verdict per `end_to_end` metric of BENCHMARK.json, against its `bound`
+# (a fraction of the base median):
+#   regressed   the change's median is worse than the base's by more
+#               than bound;
+#   unresolved  the base's IQR/median exceeds bound (too noisy to tell),
+#               unless every change run beats every base run;
+#   ok          otherwise.
+# Exits 1 if any run failed its correctness verdict.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -50,12 +57,9 @@ first=${BASH_REMATCH[1]} last=${BASH_REMATCH[2]}
 rev=$(git rev-parse --verify "$base^{commit}")
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$tmp/base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git archive "$rev" | tar -x -C "$tmp/base"
 
 declare -A dir=([base]="$tmp/base" [change]="$root")
 declare -A target=([base]="$tmp/target-base" [change]="${CARGO_TARGET_DIR:-$root/target}")
@@ -129,6 +133,30 @@ for name in names:
     gap = "yes" if abs(cmed - bmed) > bq3 - bq1 else "no"
     print(f"{name:<34} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<30} "
           f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} {delta:>8} {f'{wins}/{len(pairs)}':>7}  {gap}")
+
+print()
+for m in spec.get("end_to_end", []):
+    name, bound = m["name"], m["bound"]
+    pairs = [(value(runs["base"][s], name), value(runs["change"][s], name)) for s in seeds]
+    b = [x for x, y in pairs if x is not None and y is not None]
+    c = [y for x, y in pairs if x is not None and y is not None]
+    if not b:
+        print(f"verdict {name}: unresolved (no paired runs)")
+        continue
+    lower = m.get("better", "lower") == "lower"
+    bq1, bmed, bq3 = quartiles(b)
+    _, cmed, _ = quartiles(c)
+    worse = ((cmed - bmed) if lower else (bmed - cmed)) / bmed if bmed else 0.0
+    spread = (bq3 - bq1) / bmed if bmed else 0.0
+    beats_all = max(c) < min(b) if lower else min(c) > max(b)
+    if worse > bound:
+        verdict = "regressed"
+    elif spread > bound and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    print(f"verdict {name}: {verdict} (median {100 * worse:+.1f}% in the worse direction, "
+          f"base IQR/median {100 * spread:.1f}%, bound {100 * bound:.0f}%)")
 
 bad = 0
 for side in ("base", "change"):
