@@ -50,7 +50,6 @@ pub fn simulate_s2(
     // Cloud mask: thresholded fBm so clouds are spatially coherent.
     let cloud_field = Fbm::new(seed ^ 0xc10d ^ date.ordinal() as u64, 0.03).with_octaves(4);
     let threshold = 1.0 - config.cloud_fraction;
-    let cloudy = |c: usize, r: usize| cloud_field.sample01(c as f64, r as f64) > threshold;
 
     // Terrain illumination: brighter on "south-east" slopes.
     let illum = |c: usize, r: usize| -> f32 {
@@ -62,6 +61,30 @@ pub fn simulate_s2(
         (1.0 + 0.35 * (dx - dy)).clamp(0.75, 1.25)
     };
 
+    // Everything but the spectra is band-independent: decide it once per
+    // pixel (row-major, the order the band loop visits pixels in).
+    let pixels: Vec<Pixel> = (0..n)
+        .flat_map(|r| (0..n).map(move |c| (c, r)))
+        .map(|(c, r)| {
+            if cloud_field.sample01(c as f64, r as f64) > threshold {
+                return Pixel::Cloud;
+            }
+            let class = world.class_at(c, r);
+            // Crops, forest and wetland mix their developed spectrum with
+            // bare soil by canopy cover at the phenology-shifted day;
+            // water and urban (for which canopy 0 would wrongly yield bare
+            // soil) use their own spectrum directly.
+            let canopy =
+                (class.is_crop() || class == LandClass::Forest || class == LandClass::Wetland)
+                    .then(|| class.canopy(world.effective_doy(c, r, doy)));
+            Pixel::Ground {
+                class,
+                canopy,
+                illum: illum(c, r),
+            }
+        })
+        .collect();
+
     let soil = LandClass::BareSoil;
     let mut scene = Scene::new(
         format!("S2_SYN_{}_{:03}", date.year(), date.ordinal()),
@@ -69,38 +92,44 @@ pub fn simulate_s2(
         date,
     );
     for band in Band::S2_ALL {
+        let bare = soil.reflectance(band);
         let mut raster = Raster::zeros(n, n, transform);
-        for r in 0..n {
-            for c in 0..n {
-                let value = if cloudy(c, r) {
-                    // Clouds: bright, flat, slightly noisy.
-                    0.65 + rng.normal(0.0, 0.03) as f32
-                } else {
-                    let class = world.class_at(c, r);
-                    let eff_doy = world.effective_doy(c, r, doy);
-                    let canopy = class.canopy(eff_doy);
+        for (out, pixel) in raster.data_mut().iter_mut().zip(&pixels) {
+            let value = match *pixel {
+                // Clouds: bright, flat, slightly noisy.
+                Pixel::Cloud => 0.65 + rng.normal(0.0, 0.03) as f32,
+                Pixel::Ground {
+                    class,
+                    canopy,
+                    illum,
+                } => {
                     let developed = class.reflectance(band);
-                    let bare = soil.reflectance(band);
-                    let mixed = canopy * developed + (1.0 - canopy) * bare;
-                    // Water/urban ignore the soil mix (canopy 0 already
-                    // yields bare soil, wrong for them) — use their own
-                    // spectrum directly for non-crop statics.
-                    let base = if class.is_crop() {
-                        mixed
-                    } else if class == LandClass::Forest || class == LandClass::Wetland {
-                        let cf = class.canopy(eff_doy);
-                        cf * developed + (1.0 - cf) * bare
-                    } else {
-                        developed
+                    let base = match canopy {
+                        Some(k) => k * developed + (1.0 - k) * bare,
+                        None => developed,
                     };
-                    base * illum(c, r) + rng.normal(0.0, config.noise_std as f64) as f32
-                };
-                raster.put(c, r, value.clamp(0.0, 1.0));
-            }
+                    base * illum + rng.normal(0.0, config.noise_std as f64) as f32
+                }
+            };
+            *out = value.clamp(0.0, 1.0);
         }
         scene.add_band(band, raster)?;
     }
     Ok(scene)
+}
+
+/// The band-independent part of one pixel's simulation.
+#[derive(Clone, Copy)]
+enum Pixel {
+    Cloud,
+    Ground {
+        class: LandClass,
+        /// Canopy cover mixing the class spectrum with bare soil; `None`
+        /// for classes seen through their own spectrum alone.
+        canopy: Option<f32>,
+        /// Multiplicative terrain illumination.
+        illum: f32,
+    },
 }
 
 /// Simulate a full season of scenes at the given dates.
@@ -153,6 +182,38 @@ mod tests {
         OpticsConfig {
             cloud_fraction: 0.0,
             noise_std: 0.005,
+        }
+    }
+
+    /// FNV-1a over every band's `f32` bits, bands in `S2_ALL` order.
+    fn scene_hash(s: &Scene) -> u64 {
+        let mut bytes = Vec::new();
+        for band in Band::S2_ALL {
+            for v in s.band(band).unwrap().data() {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        ee_util::ring::fnv1a(&bytes)
+    }
+
+    #[test]
+    fn cloudy_scene_is_bit_identical_to_the_recorded_golden() {
+        // Default config (clouds on), so every branch of the per-pixel
+        // model and the RNG draw order are pinned. The hashes were
+        // recorded before the per-pixel terms were hoisted out of the
+        // band loop; any change to what is drawn, or in which order,
+        // moves them.
+        let w = world();
+        let cases = [
+            (Date::new(2018, 3, 20).unwrap(), 2, 0x9130d9e77a6da9dc),
+            (Date::new(2018, 9, 14).unwrap(), 11, 0x0e7b49120d01e324),
+        ];
+        for (date, seed, want) in cases {
+            let s = simulate_s2(&w, date, OpticsConfig::default(), seed).unwrap();
+            let blue = s.band(Band::B02).unwrap();
+            assert!(blue.data().iter().any(|&v| v > 0.5), "the scene has clouds");
+            let got = scene_hash(&s);
+            assert_eq!(got, want, "{date:?} seed {seed}: {got:#x}");
         }
     }
 

@@ -203,86 +203,62 @@ pub struct AppState {
 impl AppState {
     /// Build every engine over an **ephemeral** point store (commits
     /// apply in memory, nothing touches disk). Deterministic in
-    /// `config`; the pyramid build runs row-parallel on the
-    /// `ee_util::par` pool.
+    /// `config`: the three independent engine groups — the point store,
+    /// the catalogues and the rasters — build at the same time through
+    /// [`ee_util::par::join3`], each from its own seed, so the state is
+    /// the one a serial build gives.
     pub fn build(config: DataConfig) -> AppState {
-        let spec = shard_spec_of(&config);
-        let store = Store::ephemeral(point_store_sharded(
-            config.points,
-            config.seed,
-            spec.as_ref(),
-        ));
-        Self::build_with_store(config, store)
+        Self::build_with(config, |config| {
+            Ok(Store::ephemeral(generated_points(config)))
+        })
+        .expect("an ephemeral store always opens")
     }
 
     /// [`AppState::build`] with a **durable** point store in `dir`: an
     /// existing snapshot (plus commit-log tail) is reopened — preserving every
     /// committed update across restarts — and a fresh directory is
-    /// seeded with the deterministic generated point set.
+    /// seeded with the deterministic generated point set. The other
+    /// engine groups build while the store opens; an open error is
+    /// returned once they are done.
     pub fn build_durable(config: DataConfig, dir: &Path) -> Result<AppState, StoreError> {
-        let spec = shard_spec_of(&config);
-        let mut store = if dir.join(ee_rdf::storage::snapshot::SNAPSHOT_FILE).exists() {
-            Store::open(dir)?
-        } else {
-            Store::create(
-                dir,
-                point_store_sharded(config.points, config.seed, spec.as_ref()),
-                Durability::from_env(),
-            )?
-        };
-        // Threshold-triggered snapshots (EE_WAL_COMPACT_BYTES /
-        // EE_WAL_COMPACT_COMMITS); both unset leaves compaction manual.
-        store.set_compaction_policy(CompactionPolicy::from_env());
-        Ok(Self::build_with_store(config, store))
+        Self::build_with(config, |config| {
+            let mut store = if dir.join(ee_rdf::storage::snapshot::SNAPSHOT_FILE).exists() {
+                Store::open(dir)?
+            } else {
+                Store::create(dir, generated_points(config), Durability::from_env())?
+            };
+            // Threshold-triggered snapshots (EE_WAL_COMPACT_BYTES /
+            // EE_WAL_COMPACT_COMMITS); both unset leaves compaction manual.
+            store.set_compaction_policy(CompactionPolicy::from_env());
+            Ok(store)
+        })
     }
 
-    fn build_with_store(config: DataConfig, store: Store) -> AppState {
-        let region = Envelope::new(0.0, 0.0, 40.0, 40.0);
-        let products =
-            ProductGenerator::new(region, 2017, config.seed ^ 5).take(config.products);
-        let classic = ClassicCatalogue::build(products.clone());
-        let search = SearchIndex::new(Bm25Index::build_products(classic.products()), classic.len());
-        let mut semantic = SemanticCatalogue::new();
-        for p in &products {
-            semantic.ingest_product(p);
-        }
-        semantic.finish_ingest();
-
-        let world = Landscape::generate(LandscapeConfig {
-            size: config.scene_size,
-            seed: config.seed ^ 11,
-            ..LandscapeConfig::default()
-        })
-        .expect("landscape generation");
-        let scene = simulate_s2(
-            &world,
-            Date::new(2017, 7, 1).expect("valid date"),
-            OpticsConfig::default(),
-            config.seed ^ 13,
-        )
-        .expect("scene simulation");
-        let band = scene.band(Band::B04).expect("B04 simulated").clone();
-        let pyramid = pyramid(&band);
-
-        let ice = ICE_REGIONS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let world = IceWorld::generate(IceWorldConfig {
-                    size: config.ice_size,
-                    days: 3,
-                    icebergs: 4,
-                    seed: config.seed ^ (0x1ce << 8) ^ i as u64,
-                    ..IceWorldConfig::default()
-                })
-                .expect("ice world");
-                let (truth, leads, ridges) = truth_masks(&world, 1);
-                // 40 m grid aggregated ×5 → 200 m products ("1 km or
-                // better"), the same suite E12b delivers over PCDSS.
-                (name.to_string(), products_from_map(&truth, &leads, &ridges, 5))
-            })
-            .collect();
-
+    /// Build the state over the point store `open_store` makes, with the
+    /// three independent engine groups built at the same time through
+    /// [`ee_util::par::join3`]:
+    ///
+    /// * the point store (`open_store`, which generates the points when
+    ///   it needs them);
+    /// * the catalogues: the product archive, then its classic, BM25 and
+    ///   semantic indexes;
+    /// * the rasters: the landscape, its Sentinel-2 scene, the B04 tile
+    ///   pyramid, then the ice product suites.
+    ///
+    /// No group reads another's output, each derives its data from its
+    /// own seed, and `join3` hands back exactly what the closures
+    /// return, so the state is bit-identical to a serial build. A panic in
+    /// any group reaches the caller.
+    fn build_with<F>(config: DataConfig, open_store: F) -> Result<AppState, StoreError>
+    where
+        F: FnOnce(&DataConfig) -> Result<Store, StoreError> + Send,
+    {
+        let (store, (classic, semantic, search), (pyramid, ice)) = ee_util::par::join3(
+            || open_store(&config),
+            || catalogues(&config),
+            || rasters(&config),
+        );
+        let store = store?;
         let tile_size = config.tile_size.max(1);
         let generation = AtomicU64::new(store.generation());
         let head = AtomicU64::new(store.head_commit());
@@ -328,7 +304,7 @@ impl AppState {
                 state.reindex_search_docs(&store, &subjects);
             }
         }
-        state
+        Ok(state)
     }
 
     /// Shared read access to the point store. The guard derefs through
@@ -788,6 +764,74 @@ pub fn point_store_sharded(
     store
 }
 
+/// The generated point set of `config` (its shard's part, when sharded).
+fn generated_points(config: &DataConfig) -> TripleStore {
+    point_store_sharded(config.points, config.seed, shard_spec_of(config).as_ref())
+}
+
+/// The catalogue engine group: classic, semantic and ranked search over
+/// one generated product archive.
+fn catalogues(config: &DataConfig) -> (ClassicCatalogue, SemanticCatalogue, SearchIndex) {
+    let region = Envelope::new(0.0, 0.0, 40.0, 40.0);
+    let products = ProductGenerator::new(region, 2017, config.seed ^ 5).take(config.products);
+    let classic = ClassicCatalogue::build(products.clone());
+    let search = SearchIndex::new(Bm25Index::build_products(classic.products()), classic.len());
+    let mut semantic = SemanticCatalogue::new();
+    for p in &products {
+        semantic.ingest_product(p);
+    }
+    semantic.finish_ingest();
+    (classic, semantic, search)
+}
+
+/// The raster engine group: the B04 overview pyramid of a simulated
+/// Sentinel-2 scene, and the per-region ice product suites.
+fn rasters(config: &DataConfig) -> (Vec<Raster<f32>>, Vec<(String, IceProducts)>) {
+    let world = Landscape::generate(LandscapeConfig {
+        size: config.scene_size,
+        seed: config.seed ^ 11,
+        ..LandscapeConfig::default()
+    })
+    .expect("landscape generation");
+    let band = simulate_s2(
+        &world,
+        Date::new(2017, 7, 1).expect("valid date"),
+        OpticsConfig::default(),
+        config.seed ^ 13,
+    )
+    .expect("scene simulation")
+    .band(Band::B04)
+    .expect("B04 simulated")
+    .clone();
+    // The scene's twelve other bands died with the statement above; free
+    // the landscape and the band as soon as they are used too, so little
+    // of this group's transient memory overlaps the other groups' peaks.
+    drop(world);
+    let pyramid = pyramid(&band);
+    drop(band);
+
+    let ice = ICE_REGIONS
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let world = IceWorld::generate(IceWorldConfig {
+                size: config.ice_size,
+                days: 3,
+                icebergs: 4,
+                seed: config.seed ^ (0x1ce << 8) ^ i as u64,
+                ..IceWorldConfig::default()
+            })
+            .expect("ice world");
+            let (truth, leads, ridges) = truth_masks(&world, 1);
+            // 40 m grid aggregated ×5 → 200 m products ("1 km or
+            // better"), the same suite E12b delivers over PCDSS.
+            let products = products_from_map(&truth, &leads, &ridges, 5);
+            (name.to_string(), products)
+        })
+        .collect();
+    (pyramid, ice)
+}
+
 /// The [`ee_rdf::storage::ShardSpec`] a config's `shard` field names.
 /// Panics on an invalid assignment (index ≥ count) — a startup
 /// configuration error, not a runtime condition.
@@ -813,6 +857,55 @@ pub fn selection_sparql(x0: f64, y0: f64, side: f64) -> String {
 mod tests {
     use super::*;
 
+    /// What [`built`] returns: id triples, pyramid levels, ice products,
+    /// classic hits, ranked hits.
+    type Built = (
+        Vec<ee_rdf::store::IdTriple>,
+        Vec<Vec<u32>>,
+        Vec<(String, [Vec<u32>; 4])>,
+        Vec<String>,
+        Vec<(u64, String)>,
+    );
+
+    /// Everything a build produces that a request can observe, in a
+    /// comparable form: the store's triples (as dictionary ids), every
+    /// pyramid level, every ice region's products, and one classic and
+    /// one ranked catalogue search (product ids, scores as bits).
+    fn built(state: &AppState) -> Built {
+        let triples = state.store().id_triples().to_vec();
+        let bits = |r: &Raster<f32>| r.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let ice = state
+            .ice
+            .iter()
+            .map(|(name, p)| {
+                let stage = p.stage.data().iter().map(|&v| u32::from(v)).collect();
+                let fields = [
+                    bits(&p.concentration),
+                    stage,
+                    bits(&p.lead_fraction),
+                    bits(&p.ridge_fraction),
+                ];
+                (name.clone(), fields)
+            })
+            .collect();
+        let classic = state
+            .classic_search(Envelope::new(5.0, 5.0, 20.0, 20.0))
+            .expect("classic search")
+            .into_iter()
+            .map(|p| p.id.clone())
+            .collect();
+        let ranked = state
+            .ranked_search("sentinel ice", 10)
+            .into_iter()
+            .map(|h| match h.doc {
+                RankedDoc::Product(p) => (h.score.to_bits(), p.id.clone()),
+                RankedDoc::Live { subject, .. } => (h.score.to_bits(), subject),
+            })
+            .collect();
+        let pyramid = state.pyramid.iter().map(bits).collect();
+        (triples, pyramid, ice, classic, ranked)
+    }
+
     #[test]
     fn build_is_deterministic_and_complete() {
         let a = AppState::build(DataConfig::tiny());
@@ -824,10 +917,20 @@ mod tests {
         assert_eq!(a.ice.len(), ICE_REGIONS.len());
         assert!(a.ice_region("fram-strait").is_some());
         assert!(a.ice_region("atlantis").is_none());
-        // Determinism: the same config builds the same data.
+        let want = built(&a);
+        let (_, _, _, classic, ranked) = &want;
+        assert!(!classic.is_empty(), "the classic search hits");
+        assert!(!ranked.is_empty(), "the ranked search hits");
+        // Determinism: the engine groups build concurrently, yet the same
+        // config builds the same data — over an ephemeral store and over a
+        // durable one seeded in a fresh directory.
         let b = AppState::build(DataConfig::tiny());
-        assert_eq!(a.store().len(), b.store().len());
-        assert_eq!(a.pyramid[2], b.pyramid[2]);
+        assert!(built(&b) == want, "two builds of one config differ");
+        let dir = ee_rdf::storage::scratch_dir("serve-deterministic");
+        let d = AppState::build_durable(DataConfig::tiny(), &dir).expect("durable build");
+        assert!(built(&d) == want, "the durable build differs");
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A head read of `sparql`, drained.

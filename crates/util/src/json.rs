@@ -200,21 +200,27 @@ pub fn fmt_number(v: f64) -> String {
 /// [`Json::Str`] emits, without building the value.
 pub fn emit_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Bytes that need no escape are copied a run at a time. Every byte
+    // that does is ASCII, so run boundaries are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -501,6 +507,46 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn emit_string_matches_the_char_by_char_escaper_byte_for_byte() {
+        // The escaper `emit_string` replaced: one char at a time.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{0008}' => out.push_str("\\b"),
+                    '\u{000C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            "plain ascii".to_string(),
+            "\"".to_string(),
+            "\\".to_string(),
+            "\u{7f}".to_string(),
+            "é中🚀".to_string(),
+            "a\"b\\c\u{7f}d\u{1}é\n中\t🚀\u{1f}".to_string(),
+            controls.clone(),
+        ];
+        cases.extend(controls.chars().map(|c| format!("x{c}é{c}")));
+        for case in &cases {
+            let mut got = String::from("prefix:");
+            emit_string(case, &mut got);
+            assert_eq!(got, format!("prefix:{}", reference(case)), "{case:?}");
+        }
+    }
 
     #[test]
     fn emits_escapes() {

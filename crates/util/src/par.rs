@@ -5,8 +5,8 @@
 //! parallel hot path (SPARQL join and filter chunks, top-k decoration,
 //! tiled matmul row bands, batch-parallel conv2d, the tile pyramid,
 //! data-parallel gradient workers, hyper-parameter trials, interlinking
-//! shards) goes through the primitives below, and all of them share two
-//! guarantees:
+//! shards, the engine groups `ee-serve` builds at start-up) goes through
+//! the primitives below, and all of them share two guarantees:
 //!
 //! * **Deterministic fixed-order reduction.** Workers own disjoint,
 //!   contiguous slices of the input (or output), and the caller receives
@@ -96,6 +96,35 @@ where
             .map(|h| h.join().expect("ee-util par worker panicked"))
             .collect()
     })
+}
+
+/// Run `a`, `b` and `c` at the same time and return their results —
+/// what `(a(), b(), c())` returns, computed on the caller plus up to two
+/// pool helpers.
+///
+/// For independent stages of coarse, unequal work (the engine groups a
+/// server builds at start-up). A closure no free helper takes runs on the
+/// caller after its own, so a `join3` nested in a busy pool still
+/// completes. A panic in any closure is re-raised on the caller once none
+/// of them is running.
+pub fn join3<A, B, C, RA, RB, RC>(a: A, b: B, c: C) -> (RA, RB, RC)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    C: FnOnce() -> RC + Send,
+    RA: Send,
+    RB: Send,
+    RC: Send,
+{
+    let (mut ra, mut rb, mut rc) = (None, None, None);
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+        Box::new(|| ra = Some(a())),
+        Box::new(|| rb = Some(b())),
+        Box::new(|| rc = Some(c())),
+    ];
+    run_each(tasks, 3, |task| task());
+    let ran = "join3 runs every closure before it returns";
+    (ra.expect(ran), rb.expect(ran), rc.expect(ran))
 }
 
 /// Split `items` into at most `threads` contiguous chunks (sizes differing
@@ -452,6 +481,68 @@ mod tests {
             let want: Vec<usize> = (0..workers).map(|w| w * 10).collect();
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn join3_returns_each_result_in_place_and_runs_concurrently() {
+        // All three closures wait for one another: the call completes
+        // only if each runs on its own thread.
+        let all_running = std::sync::Barrier::new(3);
+        let (a, b, c) = join3(
+            || {
+                all_running.wait();
+                7u8
+            },
+            || {
+                all_running.wait();
+                "b".to_string()
+            },
+            || {
+                all_running.wait();
+                vec![1.5f32]
+            },
+        );
+        assert_eq!((a, b.as_str(), c), (7, "b", vec![1.5]));
+    }
+
+    #[test]
+    fn join3_nested_in_a_busy_pool_completes() {
+        let items: Vec<u64> = (0..16).collect();
+        let got = map_chunks(&items, 4, |_, c| {
+            let (x, y, z) = join3(|| c.len() as u64, || c.iter().sum::<u64>(), || 1u64);
+            x + y + z
+        });
+        assert_eq!(got.iter().sum::<u64>(), 16 + 120 + 4);
+    }
+
+    #[test]
+    fn join3_panic_reaches_caller_after_the_others_finish() {
+        // The panicking closure starts only once the other two are
+        // running too; they are still busy when it panics.
+        let all_running = std::sync::Barrier::new(3);
+        let finished = AtomicUsize::new(0);
+        let slow = || {
+            all_running.wait();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            finished.fetch_add(1, Ordering::SeqCst);
+        };
+        let got = panic::catch_unwind(AssertUnwindSafe(|| {
+            join3(
+                slow,
+                || {
+                    all_running.wait();
+                    panic!("one build group failed")
+                },
+                slow,
+            )
+        }));
+        let payload = got.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"one build group failed")
+        );
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "the others finished");
+        assert_eq!(join3(|| 1, || 2, || 3), (1, 2, 3), "the pool stays usable");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Alternating base/change pairs of the ee-serve benchmark suite.
 #
 # Usage: scripts/bench-pairs.sh --base <rev> --workload W --seeds A-B
-#                               [--seconds S] [--trace 0|1]
+#                               [--seconds S] [--trace 0|1] [--claim METRIC]
 #
 # The change side is the working tree this script lives in, uncommitted
 # edits included; the base side is <rev>, exported with `git archive`
@@ -24,16 +24,21 @@
 #   unresolved  the base's IQR/median exceeds bound (too noisy to tell),
 #               unless every change run beats every base run;
 #   ok          otherwise.
+# With --claim METRIC, a last line `claim METRIC: met|not met` applies
+# the rule for claiming a gain: the change wins at least 9 of every 10
+# pairs (ties count for neither side), and its median beats the base's
+# (direction from BENCHMARK.json) by more than the base's interquartile
+# range.
 # Exits 1 if any run failed its correctness verdict.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
 
 usage() {
-    sed -n '3,4p' "$0" | sed 's/^# //'
+    sed -n '4,5p' "$0" | sed 's/^# //'
 }
 
-base='' workload='' seeds='' seconds=4 trace=0
+base='' workload='' seeds='' seconds=4 trace=0 claim=''
 while [ $# -gt 0 ]; do
     case "$1" in
         --base) base=${2:?}; shift 2 ;;
@@ -41,6 +46,7 @@ while [ $# -gt 0 ]; do
         --seeds) seeds=${2:?}; shift 2 ;;
         --seconds) seconds=${2:?}; shift 2 ;;
         --trace) trace=${2:?}; shift 2 ;;
+        --claim) claim=${2:?}; shift 2 ;;
         -h | --help) usage; exit 0 ;;
         *) echo "bench-pairs: unknown argument $1" >&2; usage >&2; exit 2 ;;
     esac
@@ -91,7 +97,7 @@ for ((seed = first; seed <= last; seed++)); do
     done
 done
 
-python3 - "$tmp/runs.tsv" "$root/BENCHMARK.json" <<'EOF'
+python3 - "$tmp/runs.tsv" "$root/BENCHMARK.json" "$claim" <<'EOF'
 import json, statistics, sys
 
 runs = {"base": {}, "change": {}}
@@ -157,6 +163,20 @@ for m in spec.get("end_to_end", []):
         verdict = "ok"
     print(f"verdict {name}: {verdict} (median {100 * worse:+.1f}% in the worse direction, "
           f"base IQR/median {100 * spread:.1f}%, bound {100 * bound:.0f}%)")
+
+claim = sys.argv[3]
+if claim:
+    pairs = [(value(runs["base"][s], claim), value(runs["change"][s], claim)) for s in seeds]
+    pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
+    met = False
+    if pairs:
+        lower = better.get(claim, "lower") == "lower"
+        wins = sum((y < x) if lower else (y > x) for x, y in pairs)
+        bq1, bmed, bq3 = quartiles([x for x, _ in pairs])
+        _, cmed, _ = quartiles([y for _, y in pairs])
+        gain = (bmed - cmed) if lower else (cmed - bmed)
+        met = 10 * wins >= 9 * len(pairs) and gain > bq3 - bq1
+    print(f"claim {claim}: {'met' if met else 'not met'}")
 
 bad = 0
 for side in ("base", "change"):
