@@ -953,7 +953,7 @@ mod tests {
             assert!(st.remove_ids(ids.0, ids.1, ids.2));
             add.push(ids);
         }
-        let hide = st.id_triples().iter().copied().step_by(5).collect();
+        let hide = st.id_triples().step_by(5).collect();
         Novelty::new(hide, add)
     }
 

@@ -70,15 +70,12 @@ pub fn write_snapshot(dir: &Path, store: &TripleStore, generation: u64) -> io::R
         let mut w = BufWriter::new(file);
 
         let n_terms = store.dict.len();
-        let mut triples: Vec<IdTriple> = store.id_triples().to_vec();
-        triples.sort_unstable();
-
         let mut header = Vec::with_capacity(32);
         header.extend_from_slice(MAGIC);
         header.push(mode_byte(store.mode()));
         put_uvarint(&mut header, generation);
         put_uvarint(&mut header, n_terms as u64);
-        put_uvarint(&mut header, triples.len() as u64);
+        put_uvarint(&mut header, store.len() as u64);
         write_record(&mut w, &header)?;
 
         let mut block: Vec<&Term> = Vec::with_capacity(DICT_CHUNK);
@@ -93,10 +90,19 @@ pub fn write_snapshot(dir: &Path, store: &TripleStore, generation: u64) -> io::R
             write_record(&mut w, &encode_dict_block(&block))?;
         }
 
+        // Triples stream in SPO order, one segment buffered at a time.
         let mut prev_s = 0;
-        for chunk in triples.chunks(TRIPLE_CHUNK) {
-            write_record(&mut w, &encode_triple_segment(chunk, prev_s))?;
-            prev_s = chunk.last().unwrap().0;
+        let mut segment: Vec<IdTriple> = Vec::with_capacity(TRIPLE_CHUNK.min(store.len()));
+        for t in store.id_triples() {
+            segment.push(t);
+            if segment.len() == TRIPLE_CHUNK {
+                write_record(&mut w, &encode_triple_segment(&segment, prev_s))?;
+                prev_s = t.0;
+                segment.clear();
+            }
+        }
+        if !segment.is_empty() {
+            write_record(&mut w, &encode_triple_segment(&segment, prev_s))?;
         }
 
         w.flush()?;
@@ -192,14 +198,61 @@ mod tests {
         assert_eq!(data.mode, IndexMode::Full);
         assert_eq!(data.terms.len(), st.dict.len());
         assert_eq!(data.triples.len(), st.len());
-        let mut want: Vec<IdTriple> = st.id_triples().to_vec();
-        want.sort_unstable();
+        let want: Vec<IdTriple> = st.id_triples().collect();
         assert_eq!(data.triples, want);
         // Term ids are positional: term 0 decodes to the first interned term.
         for id in 0..data.terms.len() as u64 {
             assert_eq!(&data.terms[id as usize], st.dict.term(id));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// FNV-1a and length of the snapshot of a two-segment store whose
+    /// insertion order is far from SPO order: descending subjects,
+    /// deletes that move the tail around, then re-inserts.
+    fn pinned_snapshot(mode: IndexMode) -> (u64, usize) {
+        let iri = |s: String| Term::iri(format!("http://e/{s}"));
+        let mut st = TripleStore::new(mode);
+        for i in (0..9000u64).rev() {
+            st.insert(
+                &iri(format!("f{i}")),
+                &iri("v".into()),
+                &Term::integer(i as i64 % 89),
+            );
+        }
+        for i in (0..9000u64).step_by(7) {
+            st.remove(
+                &iri(format!("f{i}")),
+                &iri("v".into()),
+                &Term::integer(i as i64 % 89),
+            );
+        }
+        for i in (0..9000u64).step_by(14) {
+            st.insert(
+                &iri(format!("f{i}")),
+                &iri("geo".into()),
+                &Term::wkt(format!("POINT ({i} 1)")),
+            );
+        }
+        let dir = test_dir(&format!("snap-pinned-{mode:?}"));
+        write_snapshot(&dir, &st, 3).unwrap();
+        let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (crate::storage::encode::fnv1a(&bytes), bytes.len())
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Golden values recorded before the writer streamed from the SPO
+        // index; any change to the on-disk bytes must be deliberate.
+        assert_eq!(
+            pinned_snapshot(IndexMode::Full),
+            (0xe9a9_ae4f_a57f_e583, 216_686)
+        );
+        assert_eq!(
+            pinned_snapshot(IndexMode::Scan),
+            (0x5624_1c7e_bf28_0d59, 216_686)
+        );
     }
 
     #[test]

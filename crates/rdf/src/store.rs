@@ -34,10 +34,13 @@ pub struct TripleStore {
     /// Term dictionary (public read access for the evaluator).
     pub dict: Dictionary,
     mode: IndexMode,
+    /// Scan mode only (empty otherwise): the triple list the scan walks.
     all: Vec<IdTriple>,
-    /// Position of every triple in `all`, for O(1) removal (doubles as
-    /// the scan-mode dedup set; indexed modes also dedup through `spo`).
+    /// Scan mode only: position of every triple in `all`, for O(1)
+    /// removal and the dedup test.
     pos_of: std::collections::HashMap<IdTriple, usize>,
+    /// Indexed modes only (empty in scan mode): the three covering
+    /// indexes. `spo` is also the membership set and the SPO-order list.
     spo: BTreeSet<(u64, u64, u64)>,
     pos: BTreeSet<(u64, u64, u64)>,
     osp: BTreeSet<(u64, u64, u64)>,
@@ -68,12 +71,15 @@ impl TripleStore {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.all.len()
+        match self.mode {
+            IndexMode::Full | IndexMode::NoPushdown => self.spo.len(),
+            IndexMode::Scan => self.all.len(),
+        }
     }
 
     /// True when the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.all.is_empty()
+        self.len() == 0
     }
 
     /// Insert a triple of terms. Duplicate triples are ignored.
@@ -104,10 +110,10 @@ impl TripleStore {
                 if self.pos_of.contains_key(&(s, p, o)) {
                     return;
                 }
+                self.pos_of.insert((s, p, o), self.all.len());
+                self.all.push((s, p, o));
             }
         }
-        self.pos_of.insert((s, p, o), self.all.len());
-        self.all.push((s, p, o));
     }
 
     /// Remove a triple of terms. Returns `true` when the triple was
@@ -141,19 +147,25 @@ impl TripleStore {
     /// borrow already enforces within a single query execution.
     pub fn remove_ids(&mut self, s: u64, p: u64, o: u64) -> bool {
         let t = (s, p, o);
-        let Some(i) = self.pos_of.remove(&t) else {
-            return false;
-        };
-        // O(1) removal from the insertion-order list; fix up the moved
-        // tail entry's recorded position.
-        self.all.swap_remove(i);
-        if i < self.all.len() {
-            self.pos_of.insert(self.all[i], i);
-        }
-        if matches!(self.mode, IndexMode::Full | IndexMode::NoPushdown) {
-            self.spo.remove(&t);
-            self.pos.remove(&(p, o, s));
-            self.osp.remove(&(o, s, p));
+        match self.mode {
+            IndexMode::Full | IndexMode::NoPushdown => {
+                if !self.spo.remove(&t) {
+                    return false;
+                }
+                self.pos.remove(&(p, o, s));
+                self.osp.remove(&(o, s, p));
+            }
+            IndexMode::Scan => {
+                let Some(i) = self.pos_of.remove(&t) else {
+                    return false;
+                };
+                // O(1) removal from the triple list; fix up the moved
+                // tail entry's recorded position.
+                self.all.swap_remove(i);
+                if i < self.all.len() {
+                    self.pos_of.insert(self.all[i], i);
+                }
+            }
         }
         true
     }
@@ -166,39 +178,49 @@ impl TripleStore {
     /// pass. Equivalent to calling [`TripleStore::insert_ids`] per
     /// triple, which the storage tests assert.
     pub fn bulk_load_sorted_ids(&mut self, triples: &[IdTriple]) {
-        debug_assert!(self.all.is_empty(), "bulk load requires an empty store");
+        debug_assert!(self.is_empty(), "bulk load requires an empty store");
         debug_assert!(
             triples.windows(2).all(|w| w[0] < w[1]),
             "bulk load input must be strictly ascending SPO"
         );
-        if matches!(self.mode, IndexMode::Full | IndexMode::NoPushdown) {
-            self.spo = triples.iter().copied().collect();
-            self.pos = triples.iter().map(|&(s, p, o)| (p, o, s)).collect();
-            self.osp = triples.iter().map(|&(s, p, o)| (o, s, p)).collect();
-            if self.mode == IndexMode::Full {
-                for &(_, _, o) in triples {
-                    if let Some(env) = self.dict.envelope_of(o) {
-                        self.pending_spatial.push((env, o));
+        match self.mode {
+            IndexMode::Full | IndexMode::NoPushdown => {
+                self.spo = triples.iter().copied().collect();
+                self.pos = triples.iter().map(|&(s, p, o)| (p, o, s)).collect();
+                self.osp = triples.iter().map(|&(s, p, o)| (o, s, p)).collect();
+                if self.mode == IndexMode::Full {
+                    for &(_, _, o) in triples {
+                        if let Some(env) = self.dict.envelope_of(o) {
+                            self.pending_spatial.push((env, o));
+                        }
                     }
                 }
             }
+            IndexMode::Scan => {
+                self.all = triples.to_vec();
+                self.pos_of.reserve(triples.len());
+                self.pos_of
+                    .extend(triples.iter().enumerate().map(|(i, &t)| (t, i)));
+            }
         }
-        self.all = triples.to_vec();
-        self.pos_of.reserve(triples.len());
-        self.pos_of
-            .extend(triples.iter().enumerate().map(|(i, &t)| (t, i)));
     }
 
     /// Membership test on pre-interned ids.
     pub fn contains_ids(&self, s: u64, p: u64, o: u64) -> bool {
-        self.pos_of.contains_key(&(s, p, o))
+        match self.mode {
+            IndexMode::Full | IndexMode::NoPushdown => self.spo.contains(&(s, p, o)),
+            IndexMode::Scan => self.pos_of.contains_key(&(s, p, o)),
+        }
     }
 
-    /// Every triple as raw dictionary ids, in insertion order (absent
-    /// deletes; a delete swaps the last triple into the hole). The
-    /// storage layer encodes snapshots from this.
-    pub fn id_triples(&self) -> &[IdTriple] {
-        &self.all
+    /// Every triple as raw dictionary ids, in SPO order. Indexed modes
+    /// walk `spo`; scan mode sorts a copy of its triple list. The storage
+    /// layer streams snapshots from this.
+    pub fn id_triples(&self) -> impl Iterator<Item = IdTriple> + '_ {
+        // One of `spo` and `all` is always empty.
+        let mut scanned = self.all.clone();
+        scanned.sort_unstable();
+        self.spo.iter().copied().chain(scanned)
     }
 
     /// Finish an ingest: bulk-(re)load the spatial index from all geometry
@@ -369,7 +391,7 @@ impl TripleStore {
     pub fn estimate(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> usize {
         if self.mode == IndexMode::Scan {
             // Scan mode has no statistics: every pattern costs a pass.
-            return self.all.len();
+            return self.len();
         }
         match (s, p, o) {
             (None, None, None) => self.spo.len(),
@@ -379,11 +401,13 @@ impl TripleStore {
         }
     }
 
-    /// Iterate every triple (term-resolved), for export and interlinking.
+    /// Iterate every triple (term-resolved), for export and interlinking:
+    /// in SPO-id order in the indexed modes, in list order in scan mode.
     pub fn triples(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
-        // `all` is maintained in both modes, so one iterator serves both.
-        self.all
+        // One of `spo` and `all` is always empty.
+        self.spo
             .iter()
+            .chain(&self.all)
             .map(move |&(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
     }
 }
@@ -451,7 +475,7 @@ impl TripleStore {
         ) else {
             return false;
         };
-        self.pos_of.contains_key(&(s, p, o))
+        self.contains_ids(s, p, o)
     }
 
     /// The decoded value of an object id (exposed for the evaluator).
@@ -692,17 +716,15 @@ impl<'a> StoreView<'a> {
     /// Every view triple as ids, sorted SPO — the canonical content
     /// comparison the as-of identity tests use.
     pub fn id_triples_sorted(&self) -> Vec<IdTriple> {
-        let mut out: Vec<IdTriple> = match self.novelty {
-            None => self.base.id_triples().to_vec(),
-            Some(n) => self
-                .base
-                .id_triples()
-                .iter()
-                .filter(|t| !n.hide.contains(t))
-                .copied()
-                .chain(n.add.iter().copied())
-                .collect(),
+        let Some(n) = self.novelty else {
+            return self.base.id_triples().collect();
         };
+        let mut out: Vec<IdTriple> = self
+            .base
+            .id_triples()
+            .filter(|t| !n.hide.contains(t))
+            .chain(n.add.iter().copied())
+            .collect();
         out.sort_unstable();
         out
     }
@@ -877,7 +899,7 @@ mod tests {
     #[test]
     fn bulk_load_sorted_ids_matches_per_triple_inserts() {
         // Same triple set through insert() and through the snapshot-open
-        // bulk path: every index, the insertion-order list, and the
+        // bulk path: every index, the SPO-order triple list, and the
         // spatial candidate set must agree.
         let reference = {
             let mut st = store(IndexMode::Full);
@@ -885,8 +907,7 @@ mod tests {
             st.build_spatial_index();
             st
         };
-        let mut sorted = reference.id_triples().to_vec();
-        sorted.sort_unstable();
+        let sorted: Vec<IdTriple> = reference.id_triples().collect();
         let mut bulk = TripleStore::new(IndexMode::Full);
         for id in 0..reference.dict.len() as u64 {
             bulk.dict.intern(reference.dict.term(id));
@@ -895,7 +916,8 @@ mod tests {
         bulk.build_spatial_index();
 
         assert_eq!(bulk.len(), reference.len());
-        for &(s, p, o) in reference.id_triples() {
+        assert!(bulk.id_triples().eq(reference.id_triples()));
+        for (s, p, o) in reference.id_triples() {
             assert!(bulk.contains_ids(s, p, o));
         }
         for (pat, label) in [
@@ -1071,6 +1093,149 @@ mod tests {
         assert_eq!(seen.len(), 9, "no triple delivered twice");
     }
 
+    /// Pattern constants for one of the eight bound/unbound shapes, taken
+    /// from `base` (so a bound component usually matches something).
+    fn shape_of(shape: u8, base: IdTriple) -> (Option<u64>, Option<u64>, Option<u64>) {
+        (
+            (shape & 4 != 0).then_some(base.0),
+            (shape & 2 != 0).then_some(base.1),
+            (shape & 1 != 0).then_some(base.2),
+        )
+    }
+
+    #[test]
+    fn indexed_and_scan_stores_agree_under_random_churn() {
+        let mut rng = ee_util::rng::Rng::seed_from(0x5ca7);
+        // One term pool interned in the same order gives every store the
+        // same ids, so id triples compare directly.
+        let pool: Vec<Term> = (0..6)
+            .map(|i| t(&format!("n{i}")))
+            .chain((0..2).map(Term::integer))
+            .chain((0..2).map(|i| Term::wkt(format!("POINT ({i} {i})"))))
+            .collect();
+        let n = pool.len() as u64;
+        let mut stores: Vec<TripleStore> =
+            [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan]
+                .into_iter()
+                .map(|mode| {
+                    let mut st = TripleStore::new(mode);
+                    for term in &pool {
+                        st.dict.intern(term);
+                    }
+                    st
+                })
+                .collect();
+        let mut model: BTreeSet<IdTriple> = BTreeSet::new();
+        let random_triple =
+            |rng: &mut ee_util::rng::Rng| (rng.below(n), rng.below(n), rng.below(n));
+        for round in 0..60 {
+            for _ in 0..40 {
+                let (s, p, o) = random_triple(&mut rng);
+                if rng.chance(0.6) {
+                    model.insert((s, p, o));
+                    stores.iter_mut().for_each(|st| st.insert_ids(s, p, o));
+                } else {
+                    let was = model.remove(&(s, p, o));
+                    for st in &mut stores {
+                        assert_eq!(st.remove_ids(s, p, o), was, "{:?} round {round}", st.mode());
+                    }
+                }
+            }
+            let want_all: Vec<IdTriple> = model.iter().copied().collect();
+            for st in &stores {
+                let mode = st.mode();
+                assert_eq!(st.len(), model.len(), "{mode:?} round {round}");
+                assert_eq!(
+                    st.id_triples().collect::<Vec<_>>(),
+                    want_all,
+                    "{mode:?} round {round}"
+                );
+                for _ in 0..20 {
+                    let (s, p, o) = random_triple(&mut rng);
+                    assert_eq!(
+                        st.contains_ids(s, p, o),
+                        model.contains(&(s, p, o)),
+                        "{mode:?}"
+                    );
+                }
+            }
+            if model.is_empty() {
+                continue;
+            }
+            for shape in 0..8u8 {
+                let base = want_all[rng.below(want_all.len() as u64) as usize];
+                let (s, p, o) = shape_of(shape, base);
+                let want: Vec<IdTriple> = want_all
+                    .iter()
+                    .copied()
+                    .filter(|&tr| pattern_matches(tr, s, p, o))
+                    .collect();
+                // Paused every `chunk` rows, the store left unchanged.
+                for st in &stores {
+                    let chunk = 1 + rng.below(3) as usize;
+                    let mut cursor = PatternCursor::default();
+                    let mut got = Vec::new();
+                    while !cursor.is_done() {
+                        let mut taken = 0;
+                        st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                            got.push(tr);
+                            taken += 1;
+                            taken < chunk
+                        });
+                    }
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{:?} shape {shape} chunk {chunk}", st.mode());
+                }
+            }
+            // Removal between batches (indexed modes only: scan cursors are
+            // positional). Each pause deletes the cursor's resume key and one
+            // random triple from every store; the drain must deliver each
+            // initial match once, except those deleted before delivery.
+            let indexed = (round % 2) as usize; // Full or NoPushdown
+            let shape = rng.below(8) as u8;
+            let base = *model
+                .iter()
+                .nth(rng.below(model.len() as u64) as usize)
+                .unwrap();
+            let (s, p, o) = shape_of(shape, base);
+            let initial: BTreeSet<IdTriple> = model
+                .iter()
+                .copied()
+                .filter(|&tr| pattern_matches(tr, s, p, o))
+                .collect();
+            let mut delivered: Vec<IdTriple> = Vec::new();
+            let mut deleted_unseen: BTreeSet<IdTriple> = BTreeSet::new();
+            let mut cursor = PatternCursor::default();
+            while !cursor.is_done() {
+                let before = delivered.len();
+                stores[indexed].match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                    delivered.push(tr);
+                    delivered.len() - before < 2
+                });
+                let resume_key = (delivered.len() > before).then(|| delivered[delivered.len() - 1]);
+                for victim in resume_key.into_iter().chain([random_triple(&mut rng)]) {
+                    if !model.remove(&victim) {
+                        continue;
+                    }
+                    if !delivered.contains(&victim) && initial.contains(&victim) {
+                        deleted_unseen.insert(victim);
+                    }
+                    stores
+                        .iter_mut()
+                        .for_each(|st| assert!(st.remove_ids(victim.0, victim.1, victim.2)));
+                }
+            }
+            let distinct: BTreeSet<IdTriple> = delivered.iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                delivered.len(),
+                "a triple delivered twice, shape {shape}"
+            );
+            let want: BTreeSet<IdTriple> = initial.difference(&deleted_unseen).copied().collect();
+            assert_eq!(distinct, want, "shape {shape} round {round}");
+        }
+    }
+
     #[test]
     fn triples_iterator_resolves_terms() {
         let st = store(IndexMode::Full);
@@ -1129,12 +1294,8 @@ mod tests {
             assert!(st.contains_ids(a, knows, c) && !st.contains_ids(d, knows, a));
             // Every pattern shape agrees with a materialised reference.
             let reference: Vec<IdTriple> = {
-                let mut v: Vec<IdTriple> = st
-                    .id_triples()
-                    .iter()
-                    .copied()
-                    .filter(|&tr| tr != (a, knows, c))
-                    .collect();
+                let mut v: Vec<IdTriple> =
+                    st.id_triples().filter(|&tr| tr != (a, knows, c)).collect();
                 v.push((d, knows, a));
                 v.sort_unstable();
                 v
@@ -1192,11 +1353,7 @@ mod tests {
         assert_eq!(view.len(), st.len());
         assert_eq!(
             view.id_triples_sorted(),
-            {
-                let mut v = st.id_triples().to_vec();
-                v.sort_unstable();
-                v
-            },
+            st.id_triples().collect::<Vec<_>>(),
             "head view enumerates the store itself"
         );
     }

@@ -567,6 +567,18 @@ impl AppState {
              # TYPE ee_serve_search_generation gauge\nee_serve_search_generation {}\n",
             self.search_generation()
         ));
+        // Size gauges take the lock directly: `store()` would count this
+        // scrape as a request read.
+        let (triples, terms) = {
+            let store = self.store.read().expect("store lock");
+            (store.len(), store.dict.len())
+        };
+        out.push_str(&format!(
+            "# HELP ee_rdf_store_triples Triples in the point store\n\
+             # TYPE ee_rdf_store_triples gauge\nee_rdf_store_triples {triples}\n\
+             # HELP ee_rdf_dictionary_terms Terms in the point store's dictionary (never reclaimed)\n\
+             # TYPE ee_rdf_dictionary_terms gauge\nee_rdf_dictionary_terms {terms}\n",
+        ));
         out.push_str(&format!(
             "# HELP ee_serve_store_reads_total Times the point-store read guard was taken\n\
              # TYPE ee_serve_store_reads_total counter\nee_serve_store_reads_total {}\n",
@@ -740,6 +752,11 @@ pub fn point_store(n: usize, seed: u64) -> TripleStore {
 /// for every shard), then non-owned subjects are skipped — so N shard
 /// stores union to exactly the unsharded store, coordinate for
 /// coordinate.
+///
+/// Terms are interned in the order per-triple inserts would intern them
+/// (so term ids are theirs), then the sorted id triples bulk-load the
+/// indexes — the path [`ee_rdf::storage::Store::open`] takes, so a fresh
+/// server and a reopened one build the same index layout.
 pub fn point_store_sharded(
     n: usize,
     seed: u64,
@@ -750,6 +767,7 @@ pub fn point_store_sharded(
     let geom = Term::iri("http://e/hasGeometry");
     let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
     let feature = Term::iri("http://e/Feature");
+    let mut triples = Vec::with_capacity(2 * n);
     for i in 0..n {
         let s = Term::iri(format!("http://e/f{i}"));
         let x = rng.range_f64(0.0, REGION);
@@ -757,9 +775,17 @@ pub fn point_store_sharded(
         if shard.is_some_and(|spec| !spec.accepts(&s)) {
             continue;
         }
-        store.insert(&s, &kind, &feature);
-        store.insert(&s, &geom, &Term::wkt(format!("POINT ({x} {y})")));
+        let dict = &mut store.dict;
+        let (si, ki, fi) = (dict.intern(&s), dict.intern(&kind), dict.intern(&feature));
+        let (gi, wi) = (
+            dict.intern(&geom),
+            dict.intern(&Term::wkt(format!("POINT ({x} {y})"))),
+        );
+        triples.push((si, ki, fi));
+        triples.push((si, gi, wi));
     }
+    triples.sort_unstable();
+    store.bulk_load_sorted_ids(&triples);
     store.build_spatial_index();
     store
 }
@@ -872,7 +898,7 @@ mod tests {
     /// pyramid level, every ice region's products, and one classic and
     /// one ranked catalogue search (product ids, scores as bits).
     fn built(state: &AppState) -> Built {
-        let triples = state.store().id_triples().to_vec();
+        let triples = state.store().id_triples().collect();
         let bits = |r: &Raster<f32>| r.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let ice = state
             .ice
@@ -963,9 +989,19 @@ mod tests {
         assert_eq!(stats.generation, 1);
         assert_eq!(state.generation(), 1);
         assert_eq!(state.update_latency().count(), 2);
+        let reads = state.store_reads();
         let section = state.render_prometheus_section();
         assert!(section.contains("ee_rdf_generation 1"));
         assert!(section.contains("ee_serve_update_commit_us_count{op=\"commit\"} 2"));
+        let store = state.store();
+        assert!(section.contains(&format!("ee_rdf_store_triples {}\n", store.len())));
+        assert!(section.contains(&format!("ee_rdf_dictionary_terms {}\n", store.dict.len())));
+        drop(store);
+        assert_eq!(
+            state.store_reads(),
+            reads + 1,
+            "a scrape is not a store read"
+        );
         // Many unique windows, planned against the committed store,
         // answer as a fresh parse + plan + execute does.
         for i in (0..1124).step_by(17) {
