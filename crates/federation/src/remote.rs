@@ -219,6 +219,14 @@ impl ShardPool {
                         round.report.hedged += 1;
                     }
                 }
+                // A hedge can complete inside `open`, when the shard has
+                // answered before its first read: drop what it settled,
+                // or the poll below waits out the slow attempt it beat.
+                let parts = &round.report.parts;
+                round.live.retain(|a| parts[a.slot].is_none());
+                if round.live.is_empty() {
+                    break;
+                }
             }
             let now = Instant::now();
             let wake = if now < hedge_at {

@@ -274,6 +274,26 @@ impl Polygon {
         self.exterior.envelope()
     }
 
+    /// The envelope, when this polygon fills it exactly: an axis-aligned
+    /// rectangle of positive width and height with no holes, its ring the
+    /// four distinct envelope corners joined by axis-parallel edges. Any
+    /// other polygon (a triangle, an L-shape, a holed or degenerate
+    /// rectangle) answers `None`.
+    pub fn as_rectangle(&self) -> Option<Envelope> {
+        let pts = &self.exterior.points;
+        let env = self.envelope();
+        if !self.interiors.is_empty() || pts.len() != 5 || env.width() <= 0.0 || env.height() <= 0.0
+        {
+            return None;
+        }
+        let corner = |p: &Point| {
+            (p.x == env.min_x || p.x == env.max_x) && (p.y == env.min_y || p.y == env.max_y)
+        };
+        let distinct = (0..4).all(|i| (i + 1..4).all(|j| pts[i] != pts[j]));
+        let axis_parallel = pts.windows(2).all(|w| w[0].x == w[1].x || w[0].y == w[1].y);
+        (distinct && axis_parallel && pts.iter().all(corner)).then_some(env)
+    }
+
     /// Number of vertices across all rings (counting ring closure points).
     pub fn num_vertices(&self) -> usize {
         self.exterior.points.len() + self.interiors.iter().map(|r| r.points.len()).sum::<usize>()
@@ -381,6 +401,33 @@ mod tests {
         assert_eq!(e.width(), 4.0);
         assert_eq!(e.height(), 5.0);
         assert_eq!(e.area(), 20.0);
+    }
+
+    #[test]
+    fn as_rectangle_accepts_only_filled_axis_aligned_rectangles() {
+        let ring = |pts: &[(f64, f64)]| {
+            Polygon::from_exterior(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+        };
+        let want = Some(Envelope::new(0.0, 0.0, 4.0, 2.0));
+        assert_eq!(Polygon::rectangle(0.0, 0.0, 4.0, 2.0).as_rectangle(), want);
+        // Either orientation, any starting corner.
+        assert_eq!(ring(&[(4.0, 2.0), (4.0, 0.0), (0.0, 0.0), (0.0, 2.0)]).as_rectangle(), want);
+        // Corners visited out of order: a bow-tie, not a rectangle.
+        assert_eq!(ring(&[(0.0, 0.0), (4.0, 2.0), (4.0, 0.0), (0.0, 2.0)]).as_rectangle(), None);
+        // A triangle, an L-shape, a repeated corner, a degenerate box.
+        assert_eq!(ring(&[(0.0, 0.0), (4.0, 0.0), (0.0, 2.0)]).as_rectangle(), None);
+        let l_shape = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)];
+        assert_eq!(ring(&l_shape).as_rectangle(), None);
+        assert_eq!(ring(&[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 2.0)]).as_rectangle(), None);
+        assert_eq!(ring(&[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 0.0)]).as_rectangle(), None);
+        // A hole makes it not fill its envelope.
+        let hole = LineString::closed(vec![
+            Point::new(1.0, 0.5),
+            Point::new(2.0, 0.5),
+            Point::new(2.0, 1.5),
+        ]);
+        let holed = Polygon::new(Polygon::rectangle(0.0, 0.0, 4.0, 2.0).exterior, vec![hole]);
+        assert_eq!(holed.unwrap().as_rectangle(), None);
     }
 
     #[test]

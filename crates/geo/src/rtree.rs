@@ -170,14 +170,26 @@ impl<T> RTree<T> {
     }
 
     /// Visit each item whose envelope intersects `query` without
-    /// materialising a result vector (the hot path in the RDF store).
+    /// materialising a result vector.
     pub fn visit<'a, F: FnMut(&'a T)>(&'a self, query: &Envelope, f: &mut F) {
-        fn rec<'a, T, F: FnMut(&'a T)>(node: &'a Node<T>, query: &Envelope, f: &mut F) {
+        self.visit_entries(query, &mut |_, item| f(item));
+    }
+
+    /// [`visit`](RTree::visit) that also hands over each item's own
+    /// envelope, as stored in its leaf — the hot path in the RDF store,
+    /// which decides some spatial predicates from the envelope alone and
+    /// never fetches those items' geometries.
+    pub fn visit_entries<'a, F: FnMut(&'a Envelope, &'a T)>(&'a self, query: &Envelope, f: &mut F) {
+        fn rec<'a, T, F: FnMut(&'a Envelope, &'a T)>(
+            node: &'a Node<T>,
+            query: &Envelope,
+            f: &mut F,
+        ) {
             match node {
                 Node::Leaf { entries } => {
                     for (e, item) in entries {
                         if e.intersects(query) {
-                            f(item);
+                            f(e, item);
                         }
                     }
                 }
@@ -504,6 +516,21 @@ mod tests {
                 .map(|(e, _)| e.distance(&p.envelope()))
                 .fold(f64::INFINITY, f64::min);
             assert!((got[0].0 - best).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn visit_entries_yields_each_hit_with_its_own_envelope() {
+        let items = random_envelopes(600, 17);
+        let tree = RTree::bulk_load(items.clone());
+        let q = Envelope::new(200.0, 200.0, 500.0, 450.0);
+        let mut got = Vec::new();
+        tree.visit_entries(&q, &mut |e, &i| got.push((i, *e)));
+        got.sort_unstable_by_key(|&(i, _)| i);
+        let ids: Vec<usize> = got.iter().map(|&(i, _)| i).collect();
+        assert_eq!(ids, brute_force(&items, &q));
+        for (i, e) in got {
+            assert_eq!(e, items[i].0, "item {i}");
         }
     }
 

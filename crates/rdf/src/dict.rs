@@ -58,11 +58,7 @@ impl Dictionary {
             Some(v) => v,
             None => {
                 // A WKT literal: parse into the geometry table.
-                let lexical = match term {
-                    Term::Literal { lexical, .. } => lexical,
-                    Term::Iri(_) => unreachable!("IRIs always decode"),
-                };
-                match wkt::parse_wkt(lexical) {
+                match wkt::parse_wkt(term.lexical()) {
                     Ok(g) => {
                         self.geometries.push(g);
                         Value::Geometry(self.geometries.len() - 1)
@@ -193,7 +189,8 @@ mod tests {
         let i = d.intern(&Term::integer(7));
         assert_eq!(d.value(i), &Value::Int(7));
         let s = d.intern(&Term::string("hello"));
-        assert_eq!(d.value(s), &Value::Str("hello".into()));
+        assert_eq!(d.value(s), &Value::Str);
+        assert_eq!(d.term(s).lexical(), "hello");
     }
 
     #[test]

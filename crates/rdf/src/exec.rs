@@ -29,15 +29,18 @@
 //! [`StoreView`] alike:
 //!
 //! * [`stream_plan_shared`] builds a [`StreamCore`] for a prepared
-//!   [`Plan`], and [`StreamCore::next_batch`] pulls its result batches
-//!   from the same store or view;
+//!   [`Plan`], and [`StreamCore::drain_batch`] hands its result rows, a
+//!   batch at a time, to a callback as terms borrowed from the same store
+//!   or view — the one drain; [`StreamCore::next_batch`] and
+//!   [`StreamCore::collect`] are its owned wrappers;
 //! * [`execute_plan_view`] collects every batch into [`Solutions`]
-//!   through [`StreamCore::collect`], the one drain loop;
+//!   through [`StreamCore::collect`];
 //! * [`query`] parses, plans and collects at the ambient thread count;
 //! * [`stream_plan_baseline`] is the oracle: the same builder with every
 //!   fast path demoted to the generic route it replaces, for the
 //!   equivalence tests and the E-k6 harness.
 
+use crate::batch::{Batch, UNBOUND};
 use crate::parser::{AggFunc, SelectItem};
 use crate::plan::{FastPath, Plan};
 use crate::store::{StoreView, TripleStore};
@@ -109,7 +112,7 @@ pub fn execute_plan_view<'s>(
     Ok(stream_plan_shared(view, plan, threads)?.collect(view))
 }
 
-/// Rows per batch yielded by [`StreamCore::next_batch`]. Small enough
+/// Rows per batch yielded by [`StreamCore::drain_batch`]. Small enough
 /// that a `/query` consumer sees the first bytes before the last row is
 /// materialised; big enough to amortise the per-batch bookkeeping.
 pub const STREAM_BATCH_ROWS: usize = 256;
@@ -119,20 +122,49 @@ pub const STREAM_BATCH_ROWS: usize = 256;
 /// that had to be sorted up front (ORDER BY), or draining term rows that
 /// had to be computed eagerly (grouping needs every input row).
 enum Phase {
-    /// Non-aggregate, non-ORDER path: the pull-based pipeline, with a
-    /// small buffer of id rows from the last pull. Nothing has run yet
-    /// when a `StreamCore` is built in this phase; each
-    /// [`StreamCore::next_batch`] does O(batch) join work.
+    /// Non-aggregate, non-ORDER path: the pull-based pipeline, with the
+    /// columnar batch of its last pull and the next row to read there.
+    /// Nothing has run yet when a `StreamCore` is built in this phase;
+    /// each [`StreamCore::drain_batch`] does O(batch) join work.
     Stream {
         pipe: join::Pipeline,
-        buf: std::vec::IntoIter<Vec<Option<u64>>>,
+        buf: Batch,
+        pos: usize,
     },
     /// ORDER BY path: id rows globally sorted up front (sorting is
     /// blocking), materialised [`STREAM_BATCH_ROWS`] at a time.
     Ids(std::vec::IntoIter<Vec<Option<u64>>>),
-    /// Aggregate/grouped path: fully processed term rows, drained in
-    /// batches (groups are few — the expensive part was the join).
-    Rows(std::vec::IntoIter<Vec<Option<Term>>>),
+    /// Aggregate/grouped path: fully processed term rows and the next one
+    /// to hand out, drained in batches (groups are few — the expensive
+    /// part was the join).
+    Rows { rows: Vec<Vec<Option<Term>>>, pos: usize },
+}
+
+impl Phase {
+    /// Read the next id row's `cols` into `key` (unbound as `None`);
+    /// `false` once the id rows run dry. Id phases only.
+    fn next_ids(&mut self, store: StoreView<'_>, cols: &[usize], key: &mut Vec<Option<u64>>) -> bool {
+        key.clear();
+        match self {
+            Phase::Ids(it) => match it.next() {
+                Some(row) => key.extend(cols.iter().map(|&c| row[c])),
+                None => return false,
+            },
+            Phase::Stream { pipe, buf, pos } => {
+                if *pos == buf.len() {
+                    *buf = pipe.next_rows(store, STREAM_BATCH_ROWS);
+                    *pos = 0;
+                    if buf.is_empty() {
+                        return false;
+                    }
+                }
+                key.extend(cols.iter().map(|&c| Some(buf.get(*pos, c)).filter(|&id| id != UNBOUND)));
+                *pos += 1;
+            }
+            Phase::Rows { .. } => unreachable!("term rows are not id rows"),
+        }
+        true
+    }
 }
 
 /// Incremental query results. On the non-aggregate, non-ORDER-BY path
@@ -148,7 +180,8 @@ enum Phase {
 /// to an `Arc` of the store without self-referential lifetimes.
 pub struct StreamCore {
     vars: Vec<String>,
-    projection: Vec<(String, usize)>,
+    /// Projected columns of the id phases.
+    projection: Vec<usize>,
     phase: Phase,
     /// DISTINCT dedup keys seen so far — projected dictionary ids, not
     /// stringified terms (ids and terms are bijective through the
@@ -193,86 +226,85 @@ impl StreamCore {
         }
     }
 
-    /// Produce the next batch of up to [`STREAM_BATCH_ROWS`] result rows,
-    /// or `None` when the stream is exhausted (or LIMIT was reached).
-    /// `store` must be the store or view the stream was built from (same
-    /// base store, same novelty overlay).
+    /// Hand the next batch of up to [`STREAM_BATCH_ROWS`] result rows to
+    /// `row`, one call per row, as terms borrowed from `store` (or from
+    /// this stream's own aggregate rows): no term is cloned and no row
+    /// allocated. Returns how many rows were handed over; `0` means the
+    /// stream is exhausted (or LIMIT was reached). `store` must be the
+    /// store or view the stream was built from (same base store, same
+    /// novelty overlay).
+    pub fn drain_batch<'s>(
+        &mut self,
+        store: impl Into<StoreView<'s>>,
+        mut row: impl FnMut(&[Option<&Term>]),
+    ) -> usize {
+        let store = store.into();
+        let mut n = 0;
+        if let Phase::Rows { rows, pos } = &mut self.phase {
+            // Aggregate rows are already terms.
+            let mut cells = Vec::new();
+            while n < STREAM_BATCH_ROWS && self.remaining != Some(0) {
+                let Some(r) = rows.get(*pos) else { break };
+                *pos += 1;
+                if self.to_skip > 0 {
+                    self.to_skip -= 1;
+                    continue;
+                }
+                cells.clear();
+                cells.extend(r.iter().map(Option::as_ref));
+                row(&cells);
+                n += 1;
+                if let Some(rem) = &mut self.remaining {
+                    *rem -= 1;
+                }
+            }
+            return n;
+        }
+        // The id phases project, dedup and skip on dictionary ids and
+        // resolve terms last. DISTINCT and OFFSET may eat whole input
+        // chunks, so pull until a batch fills or input runs dry.
+        let dict = store.dict();
+        let (mut key, mut cells) = (Vec::new(), Vec::new());
+        while n < STREAM_BATCH_ROWS && self.remaining != Some(0) {
+            if !self.phase.next_ids(store, &self.projection, &mut key) {
+                break;
+            }
+            if let Some(seen) = &mut self.seen {
+                if !seen.insert(key.clone()) {
+                    continue;
+                }
+            }
+            if self.to_skip > 0 {
+                self.to_skip -= 1;
+                continue;
+            }
+            cells.clear();
+            cells.extend(key.iter().map(|id| id.map(|id| dict.term(id))));
+            row(&cells);
+            n += 1;
+            if let Some(rem) = &mut self.remaining {
+                *rem -= 1;
+            }
+        }
+        n
+    }
+
+    /// [`drain_batch`](StreamCore::drain_batch) into owned rows: the next
+    /// batch, or `None` when the stream is exhausted (or LIMIT was
+    /// reached).
     pub fn next_batch<'s>(
         &mut self,
         store: impl Into<StoreView<'s>>,
     ) -> Option<Vec<Vec<Option<Term>>>> {
-        let store = store.into();
-        if self.remaining == Some(0) {
-            return None;
-        }
         let mut out = Vec::new();
-        // Pull input rows until a non-empty output batch forms (DISTINCT
-        // and OFFSET may eat whole input chunks) or input runs dry.
-        while out.len() < STREAM_BATCH_ROWS {
-            // Aggregate rows are already terms; the id phases project,
-            // dedup and skip on dictionary ids and materialise terms last.
-            let row: Vec<Option<Term>> = match &mut self.phase {
-                Phase::Rows(it) => match it.next() {
-                    Some(r) => {
-                        if self.to_skip > 0 {
-                            self.to_skip -= 1;
-                            continue;
-                        }
-                        r
-                    }
-                    None => break,
-                },
-                phase => {
-                    let ids = match phase {
-                        Phase::Ids(it) => it.next(),
-                        Phase::Stream { pipe, buf } => loop {
-                            if let Some(ids) = buf.next() {
-                                break Some(ids);
-                            }
-                            let b = pipe.next_rows(store, STREAM_BATCH_ROWS);
-                            if b.is_empty() {
-                                break None;
-                            }
-                            *buf = b.into_rows().into_iter();
-                        },
-                        Phase::Rows(_) => unreachable!("handled above"),
-                    };
-                    let Some(ids) = ids else { break };
-                    let key: Vec<Option<u64>> =
-                        self.projection.iter().map(|&(_, i)| ids[i]).collect();
-                    if let Some(seen) = &mut self.seen {
-                        if !seen.insert(key.clone()) {
-                            continue;
-                        }
-                    }
-                    if self.to_skip > 0 {
-                        self.to_skip -= 1;
-                        continue;
-                    }
-                    key.iter()
-                        .map(|id| id.map(|id| store.dict().term(id).clone()))
-                        .collect()
-                }
-            };
-            out.push(row);
-            if let Some(rem) = &mut self.remaining {
-                *rem -= 1;
-                if *rem == 0 {
-                    break;
-                }
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
+        let n = self.drain_batch(store, |row| out.push(row.iter().map(|t| t.cloned()).collect()));
+        (n > 0).then_some(out)
     }
 
-    /// Drain every remaining batch into [`Solutions`] — the one collect
-    /// loop, behind [`execute_plan_view`]. `store` is the store or view
-    /// the stream was built from. Leaves the stream exhausted, with its
-    /// instrumentation ([`rows_touched`](StreamCore::rows_touched),
+    /// Drain every remaining batch into [`Solutions`], behind
+    /// [`execute_plan_view`]. `store` is the store or view the stream was
+    /// built from. Leaves the stream exhausted, with its instrumentation
+    /// ([`rows_touched`](StreamCore::rows_touched),
     /// [`peak_resident_rows`](StreamCore::peak_resident_rows)) readable.
     pub fn collect<'s>(&mut self, store: impl Into<StoreView<'s>>) -> Solutions {
         let store = store.into();
@@ -343,7 +375,7 @@ fn build(
         FastPath::FastCount | FastPath::GroupCount | FastPath::Aggregate => {
             let (h, rows, touched, peak) = aggregate_rows(store, &plan, threads, route)?;
             header = Some(h);
-            (Phase::Rows(rows.into_iter()), touched, peak)
+            (Phase::Rows { rows, pos: 0 }, touched, peak)
         }
         FastPath::TopK => {
             // Bounded-heap ORDER BY + LIMIT: only the k + offset best id
@@ -369,8 +401,8 @@ fn build(
             // The fully-streamed path: park the un-started pipeline; every
             // next_batch call does O(batch) probe work.
             let pipe = join::Pipeline::new(store, Arc::clone(&plan), threads);
-            let buf = Vec::new().into_iter();
-            (Phase::Stream { pipe, buf }, 0, 0)
+            let buf = Batch::new(plan.vars.len());
+            (Phase::Stream { pipe, buf, pos: 0 }, 0, 0)
         }
     };
     let (vars, projection, seen) = match header {
@@ -378,7 +410,7 @@ fn build(
         Some(header) => (header, Vec::new(), None),
         None => (
             plan.projection.iter().map(|(n, _)| n.clone()).collect(),
-            plan.projection.clone(),
+            plan.projection.iter().map(|&(_, i)| i).collect(),
             plan.distinct.then(HashSet::new),
         ),
     };
@@ -502,7 +534,7 @@ fn order_key(store: StoreView<'_>, id: u64) -> OrderKey {
         Value::Int(i) => (0, *i as f64, String::new()),
         Value::Float(f) => (0, *f, String::new()),
         Value::Date(d) => (1, *d as f64, String::new()),
-        Value::Str(s) => (2, 0.0, s.clone()),
+        Value::Str => (2, 0.0, store.dict().term(id).lexical().to_string()),
         _ => (3, 0.0, store.dict().term(id).ntriples()),
     };
     OrderKey { rank, num, text }

@@ -1,8 +1,10 @@
-//! Filter expressions and their evaluation.
+//! Filter expressions, compiled at plan time and evaluated over a
+//! batch's id columns.
 //!
 //! SPARQL's error semantics apply: a type error in a filter makes the
 //! filter unsatisfied (the row is dropped), it does not fail the query.
 
+use crate::batch::{Batch, UNBOUND};
 use crate::dict::Dictionary;
 use crate::term::{decode_non_geometry, Term, Value};
 use ee_geo::{algorithms, wkt, Envelope, Geometry};
@@ -60,7 +62,7 @@ pub enum Expr {
 
 /// A resolved scalar during evaluation.
 #[derive(Debug, Clone)]
-pub enum Scalar<'a> {
+enum Scalar<'a> {
     /// Numeric (integers widened to f64).
     Num(f64),
     /// Boolean.
@@ -75,92 +77,254 @@ pub enum Scalar<'a> {
     Id(u64),
 }
 
-/// Evaluation context: variable bindings into the dictionary, plus an
-/// overlay for constant terms that may not be interned in the store
-/// (query-supplied geometries, dates, numbers).
-pub struct EvalCtx<'a> {
-    /// The store dictionary.
-    pub dict: &'a Dictionary,
-    /// Variable bindings (name → id).
-    pub lookup: &'a dyn Fn(&str) -> Option<u64>,
-    /// Geometries parsed out of constant terms at query-prepare time.
-    pub const_geoms: &'a [(Term, Geometry)],
+/// A filter compiled at plan time against one plan's variable table and
+/// one store: every variable is a batch column and every constant is
+/// resolved once — IRIs to store ids, literals to typed values, WKT to a
+/// parsed geometry — so evaluating a row reads ids out of the batch and
+/// never looks a name up or compares a constant's text.
+///
+/// A spatial predicate between the pushdown column and an axis-aligned
+/// rectangle may also carry the ids the spatial index decided true (see
+/// [`Pushdown`]); such rows pass without their geometry being fetched.
+#[derive(Debug, Clone)]
+pub struct Filter {
+    root: Node,
+    /// `(column, ids)`: a row whose id in `column` is in the sorted `ids`
+    /// passes outright.
+    decided: Option<(usize, Vec<u64>)>,
 }
 
-impl<'a> EvalCtx<'a> {
-    fn scalar_of_id(&self, id: u64) -> Option<Scalar<'a>> {
-        match self.dict.value(id) {
-            Value::Iri => Some(Scalar::Id(id)),
-            Value::Str(s) => Some(Scalar::Str(s)),
-            Value::Int(i) => Some(Scalar::Num(*i as f64)),
-            Value::Float(f) => Some(Scalar::Num(*f)),
-            Value::Bool(b) => Some(Scalar::Bool(*b)),
-            Value::Date(d) => Some(Scalar::Date(*d)),
-            Value::Geometry(gi) => Some(Scalar::Geom(self.dict.geometry(*gi))),
-            Value::Malformed => None,
-        }
-    }
+/// A compiled expression node.
+#[derive(Debug, Clone)]
+enum Node {
+    /// The id in a batch column.
+    Col(usize),
+    /// A constant, resolved.
+    Const(Lit),
+    /// A constant that is a type error wherever it is used: a malformed
+    /// literal, WKT that does not parse, or a variable outside the table.
+    Error,
+    Cmp(Box<Node>, CmpOp, Box<Node>),
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+    Spatial(SpatialOp, Box<Node>, Box<Node>),
+    Distance(Box<Node>, Box<Node>),
+    Arith(Box<Node>, char, Box<Node>),
+}
 
-    fn scalar_of_const(&self, term: &'a Term) -> Option<Scalar<'a>> {
-        // Geometry constants come from the pre-parsed overlay.
-        if let Some((_, g)) = self.const_geoms.iter().find(|(t, _)| t == term) {
-            return Some(Scalar::Geom(g));
-        }
-        match decode_non_geometry(term)? {
-            Value::Iri => {
-                // IRIs compare by store identity; unknown IRIs can still
-                // be compared as strings-of-identity via the lexical form.
-                match self.dict.id_of(term) {
-                    Some(id) => Some(Scalar::Id(id)),
-                    None => match term {
-                        Term::Iri(s) => Some(Scalar::Str(s)),
-                        _ => None,
-                    },
-                }
-            }
-            Value::Str(_) => match term {
-                Term::Literal { lexical, .. } => Some(Scalar::Str(lexical)),
-                _ => None,
-            },
-            Value::Int(i) => Some(Scalar::Num(i as f64)),
-            Value::Float(f) => Some(Scalar::Num(f)),
-            Value::Bool(b) => Some(Scalar::Bool(b)),
-            Value::Date(d) => Some(Scalar::Date(d)),
-            Value::Geometry(_) | Value::Malformed => None,
+/// A resolved constant (the owned form of [`Scalar`]).
+#[derive(Debug, Clone)]
+enum Lit {
+    Num(f64),
+    Bool(bool),
+    Str(String),
+    Date(i64),
+    Id(u64),
+    Geom(Geometry),
+}
+
+impl Lit {
+    fn scalar(&self) -> Scalar<'_> {
+        match self {
+            Lit::Num(n) => Scalar::Num(*n),
+            Lit::Bool(b) => Scalar::Bool(*b),
+            Lit::Str(s) => Scalar::Str(s),
+            Lit::Date(d) => Scalar::Date(*d),
+            Lit::Id(id) => Scalar::Id(*id),
+            Lit::Geom(g) => Scalar::Geom(g),
         }
     }
 }
 
-/// Evaluate an expression to a scalar; `None` is SPARQL's type error.
-pub fn eval<'a>(expr: &'a Expr, ctx: &EvalCtx<'a>) -> Option<Scalar<'a>> {
+/// Compile `expr` against the variable table `vars` (a variable's column
+/// is its position there). `dict` resolves IRI constants to ids; without
+/// one (logical plans, which never execute) an IRI compares as its text,
+/// as an IRI the store has never seen does.
+pub fn compile(expr: &Expr, vars: &[String], dict: Option<&Dictionary>) -> Filter {
+    Filter {
+        root: compile_node(expr, vars, dict),
+        decided: None,
+    }
+}
+
+fn compile_node(expr: &Expr, vars: &[String], dict: Option<&Dictionary>) -> Node {
+    let bx = |e: &Expr| Box::new(compile_node(e, vars, dict));
     match expr {
-        Expr::Var(name) => {
-            let id = (ctx.lookup)(name)?;
-            ctx.scalar_of_id(id)
+        Expr::Var(name) => match vars.iter().position(|v| v == name) {
+            Some(col) => Node::Col(col),
+            None => Node::Error,
+        },
+        Expr::Const(term) => match compile_const(term, dict) {
+            Some(lit) => Node::Const(lit),
+            None => Node::Error,
+        },
+        Expr::Cmp(a, op, b) => Node::Cmp(bx(a), *op, bx(b)),
+        Expr::And(a, b) => Node::And(bx(a), bx(b)),
+        Expr::Or(a, b) => Node::Or(bx(a), bx(b)),
+        Expr::Not(a) => Node::Not(bx(a)),
+        Expr::Spatial(op, a, b) => Node::Spatial(*op, bx(a), bx(b)),
+        Expr::Distance(a, b) => Node::Distance(bx(a), bx(b)),
+        Expr::Arith(a, op, b) => Node::Arith(bx(a), *op, bx(b)),
+    }
+}
+
+fn compile_const(term: &Term, dict: Option<&Dictionary>) -> Option<Lit> {
+    let Some(value) = decode_non_geometry(term) else {
+        // A WKT literal.
+        return wkt::parse_wkt(term.lexical()).ok().map(Lit::Geom);
+    };
+    Some(match value {
+        // IRIs compare by store identity; an IRI the store has never
+        // seen compares as its text.
+        Value::Iri => match dict.and_then(|d| d.id_of(term)) {
+            Some(id) => Lit::Id(id),
+            None => Lit::Str(term.lexical().to_string()),
+        },
+        Value::Str => Lit::Str(term.lexical().to_string()),
+        Value::Int(i) => Lit::Num(i as f64),
+        Value::Float(f) => Lit::Num(f),
+        Value::Bool(b) => Lit::Bool(b),
+        Value::Date(d) => Lit::Date(d),
+        Value::Geometry(_) | Value::Malformed => return None,
+    })
+}
+
+/// The R-tree pushdown a filter allows: it is a spatial predicate between
+/// a column and a constant geometry, in either argument order. The
+/// envelope test is a *necessary* condition for all three predicates, so
+/// pushdown is always sound filter–refine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pushdown {
+    /// The column the predicate constrains.
+    pub col: usize,
+    /// The constant's envelope: a candidate's envelope must meet it.
+    pub envelope: Envelope,
+    /// The constant is an axis-aligned rectangle (it fills `envelope`)
+    /// and the predicate holds for every point strictly inside it:
+    /// `sfWithin(?g, R)`, `sfContains(R, ?g)` and `sfIntersects` in either
+    /// order.
+    pub decides_inner_points: bool,
+}
+
+impl Pushdown {
+    /// Whether a candidate with envelope `env` satisfies the predicate
+    /// without its geometry being looked at: its envelope is one point
+    /// strictly inside the rectangle. Every vertex of such a geometry is
+    /// that point, so the geometry is that point, inside the rectangle
+    /// and off its boundary.
+    pub fn decides(&self, env: &Envelope) -> bool {
+        let r = &self.envelope;
+        self.decides_inner_points
+            && env.min_x == env.max_x
+            && env.min_y == env.max_y
+            && r.min_x < env.min_x
+            && env.max_x < r.max_x
+            && r.min_y < env.min_y
+            && env.max_y < r.max_y
+    }
+}
+
+impl Filter {
+    /// The pushdown this filter allows, if any (see [`Pushdown`]).
+    pub fn pushdown(&self) -> Option<Pushdown> {
+        let Node::Spatial(op, a, b) = &self.root else {
+            return None;
+        };
+        let (col, geom, column_first) = match (a.as_ref(), b.as_ref()) {
+            (Node::Col(col), Node::Const(Lit::Geom(g))) => (*col, g, true),
+            (Node::Const(Lit::Geom(g)), Node::Col(col)) => (*col, g, false),
+            _ => return None,
+        };
+        let is_rectangle = matches!(geom, Geometry::Polygon(p) if p.as_rectangle().is_some());
+        let inner_points_pass = match op {
+            SpatialOp::Intersects => true,
+            SpatialOp::Within => column_first,
+            SpatialOp::Contains => !column_first,
+        };
+        Some(Pushdown {
+            col,
+            envelope: geom.envelope(),
+            decides_inner_points: is_rectangle && inner_points_pass,
+        })
+    }
+
+    /// Let rows whose id in `col` is one of `ids` pass without evaluating
+    /// the expression. Only for ids the filter's [`Pushdown::decides`]
+    /// accepted from the spatial index.
+    pub fn decide(&mut self, col: usize, mut ids: Vec<u64>) {
+        ids.sort_unstable();
+        ids.dedup();
+        self.decided = Some((col, ids));
+    }
+
+    /// The ids the spatial index decided true for this filter, sorted;
+    /// empty when it decided none.
+    pub fn decided(&self) -> &[u64] {
+        self.decided.as_ref().map_or(&[], |(_, ids)| ids)
+    }
+
+    /// Does row `row` of `batch` pass? A row where the expression errors
+    /// (e.g. an unbound variable) does not: SPARQL's error-is-false.
+    pub fn passes(&self, dict: &Dictionary, batch: &Batch, row: usize) -> bool {
+        self.eval(dict, batch, row) == Some(true)
+    }
+
+    /// The effective boolean value of the filter on one row; `None` is
+    /// SPARQL's type error.
+    fn eval(&self, dict: &Dictionary, batch: &Batch, row: usize) -> Option<bool> {
+        if let Some((col, ids)) = &self.decided {
+            if ids.binary_search(&batch.get(row, *col)).is_ok() {
+                return Some(true);
+            }
         }
-        Expr::Const(term) => ctx.scalar_of_const(term),
-        Expr::Cmp(lhs, op, rhs) => {
-            let l = eval(lhs, ctx)?;
-            let r = eval(rhs, ctx)?;
+        truth(eval(&self.root, dict, batch, row))
+    }
+}
+
+fn scalar_of_id(dict: &Dictionary, id: u64) -> Option<Scalar<'_>> {
+    match dict.value(id) {
+        Value::Iri => Some(Scalar::Id(id)),
+        Value::Str => Some(Scalar::Str(dict.term(id).lexical())),
+        Value::Int(i) => Some(Scalar::Num(*i as f64)),
+        Value::Float(f) => Some(Scalar::Num(*f)),
+        Value::Bool(b) => Some(Scalar::Bool(*b)),
+        Value::Date(d) => Some(Scalar::Date(*d)),
+        Value::Geometry(gi) => Some(Scalar::Geom(dict.geometry(*gi))),
+        Value::Malformed => None,
+    }
+}
+
+/// Evaluate a node on one row to a scalar; `None` is SPARQL's type error.
+fn eval<'a>(node: &'a Node, dict: &'a Dictionary, batch: &Batch, row: usize) -> Option<Scalar<'a>> {
+    let ev = |n: &'a Node| eval(n, dict, batch, row);
+    match node {
+        Node::Col(col) => match batch.get(row, *col) {
+            UNBOUND => None,
+            id => scalar_of_id(dict, id),
+        },
+        Node::Const(lit) => Some(lit.scalar()),
+        Node::Error => None,
+        Node::Cmp(lhs, op, rhs) => {
+            let l = ev(lhs)?;
+            let r = ev(rhs)?;
             compare(&l, &r, *op).map(Scalar::Bool)
         }
-        Expr::And(a, b) => {
-            let av = truth(eval(a, ctx))?;
-            if !av {
+        Node::And(a, b) => {
+            if !truth(ev(a))? {
                 return Some(Scalar::Bool(false));
             }
-            Some(Scalar::Bool(truth(eval(b, ctx))?))
+            Some(Scalar::Bool(truth(ev(b))?))
         }
-        Expr::Or(a, b) => {
-            let av = truth(eval(a, ctx))?;
-            if av {
+        Node::Or(a, b) => {
+            if truth(ev(a))? {
                 return Some(Scalar::Bool(true));
             }
-            Some(Scalar::Bool(truth(eval(b, ctx))?))
+            Some(Scalar::Bool(truth(ev(b))?))
         }
-        Expr::Not(a) => Some(Scalar::Bool(!truth(eval(a, ctx))?)),
-        Expr::Spatial(op, a, b) => {
-            let (Scalar::Geom(ga), Scalar::Geom(gb)) = (eval(a, ctx)?, eval(b, ctx)?) else {
+        Node::Not(a) => Some(Scalar::Bool(!truth(ev(a))?)),
+        Node::Spatial(op, a, b) => {
+            let (Scalar::Geom(ga), Scalar::Geom(gb)) = (ev(a)?, ev(b)?) else {
                 return None;
             };
             let v = match op {
@@ -170,14 +334,14 @@ pub fn eval<'a>(expr: &'a Expr, ctx: &EvalCtx<'a>) -> Option<Scalar<'a>> {
             };
             Some(Scalar::Bool(v))
         }
-        Expr::Distance(a, b) => {
-            let (Scalar::Geom(ga), Scalar::Geom(gb)) = (eval(a, ctx)?, eval(b, ctx)?) else {
+        Node::Distance(a, b) => {
+            let (Scalar::Geom(ga), Scalar::Geom(gb)) = (ev(a)?, ev(b)?) else {
                 return None;
             };
             Some(Scalar::Num(algorithms::distance(ga, gb)))
         }
-        Expr::Arith(a, op, b) => {
-            let (Scalar::Num(x), Scalar::Num(y)) = (eval(a, ctx)?, eval(b, ctx)?) else {
+        Node::Arith(a, op, b) => {
+            let (Scalar::Num(x), Scalar::Num(y)) = (ev(a)?, ev(b)?) else {
                 return None;
             };
             let v = match op {
@@ -198,7 +362,7 @@ pub fn eval<'a>(expr: &'a Expr, ctx: &EvalCtx<'a>) -> Option<Scalar<'a>> {
 }
 
 /// Effective boolean value.
-pub fn truth(s: Option<Scalar>) -> Option<bool> {
+fn truth(s: Option<Scalar>) -> Option<bool> {
     match s? {
         Scalar::Bool(b) => Some(b),
         Scalar::Num(n) => Some(n != 0.0),
@@ -234,76 +398,19 @@ fn compare(l: &Scalar, r: &Scalar, op: CmpOp) -> Option<bool> {
     })
 }
 
-/// Parse the geometry constants out of an expression tree (done once at
-/// query preparation). Returns `(term, geometry)` pairs.
-pub fn collect_const_geometries(expr: &Expr, out: &mut Vec<(Term, Geometry)>) {
-    match expr {
-        Expr::Const(t @ Term::Literal { lexical, datatype })
-            if datatype == crate::term::GEO_WKT
-            && !out.iter().any(|(seen, _)| seen == t) => {
-                if let Ok(g) = wkt::parse_wkt(lexical) {
-                    out.push((t.clone(), g));
-                }
-            }
-        Expr::Cmp(a, _, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::Spatial(_, a, b)
-        | Expr::Distance(a, b)
-        | Expr::Arith(a, _, b) => {
-            collect_const_geometries(a, out);
-            collect_const_geometries(b, out);
-        }
-        Expr::Not(a) => collect_const_geometries(a, out),
-        _ => {}
-    }
-}
-
-/// If this filter is a spatial predicate between a variable and a constant
-/// geometry (in either argument order), return `(variable, envelope)` for
-/// R-tree pushdown. The envelope test is a *necessary* condition for all
-/// three predicates, so pushdown is always sound filter–refine.
-pub fn spatial_pushdown(expr: &Expr, const_geoms: &[(Term, Geometry)]) -> Option<(String, Envelope)> {
-    let Expr::Spatial(_, a, b) = expr else {
-        return None;
-    };
-    let env_of = |e: &Expr| -> Option<Envelope> {
-        if let Expr::Const(t) = e {
-            const_geoms
-                .iter()
-                .find(|(seen, _)| seen == t)
-                .map(|(_, g)| g.envelope())
-        } else {
-            None
-        }
-    };
-    match (a.as_ref(), b.as_ref()) {
-        (Expr::Var(v), c) => env_of(c).map(|env| (v.clone(), env)),
-        (c, Expr::Var(v)) => env_of(c).map(|env| (v.clone(), env)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
+    /// Compile `expr` over a one-row batch holding `bindings`, then
+    /// evaluate it. A variable outside `bindings` is unbound.
     fn ctx_eval(expr: &Expr, bindings: &[(&str, Term)]) -> Option<bool> {
         let mut dict = Dictionary::new();
-        let map: HashMap<String, u64> = bindings
-            .iter()
-            .map(|(n, t)| (n.to_string(), dict.intern(t)))
-            .collect();
-        let mut geoms = Vec::new();
-        collect_const_geometries(expr, &mut geoms);
-        let lookup = move |name: &str| map.get(name).copied();
-        let ctx = EvalCtx {
-            dict: &dict,
-            lookup: &lookup,
-            const_geoms: &geoms,
-        };
-        truth(eval(expr, &ctx))
+        let vars: Vec<String> = bindings.iter().map(|(n, _)| n.to_string()).collect();
+        let ids: Vec<u64> = bindings.iter().map(|(_, t)| dict.intern(t)).collect();
+        let mut batch = Batch::new(vars.len());
+        batch.push_row(&ids);
+        compile(expr, &vars, Some(&dict)).eval(&dict, &batch, 0)
     }
 
     fn var(n: &str) -> Expr {
@@ -431,22 +538,53 @@ mod tests {
 
     #[test]
     fn pushdown_detection() {
+        let vars = ["g".to_string()];
         let poly = Term::wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))");
         let e = Expr::Spatial(
             SpatialOp::Intersects,
             Box::new(var("g")),
             Box::new(c(poly.clone())),
         );
-        let mut geoms = Vec::new();
-        collect_const_geometries(&e, &mut geoms);
-        let (v, env) = spatial_pushdown(&e, &geoms).unwrap();
-        assert_eq!(v, "g");
-        assert_eq!(env, Envelope::new(0.0, 0.0, 4.0, 4.0));
+        let pd = compile(&e, &vars, None).pushdown().unwrap();
+        assert_eq!(pd.col, 0);
+        assert_eq!(pd.envelope, Envelope::new(0.0, 0.0, 4.0, 4.0));
+        assert!(pd.decides_inner_points);
         // Reversed argument order also detected.
-        let rev = Expr::Spatial(SpatialOp::Contains, Box::new(c(poly)), Box::new(var("g")));
-        assert!(spatial_pushdown(&rev, &geoms).is_some());
+        let rev = Expr::Spatial(SpatialOp::Contains, Box::new(c(poly.clone())), Box::new(var("g")));
+        assert!(compile(&rev, &vars, None).pushdown().unwrap().decides_inner_points);
+        // A rectangle cannot be within a point, nor a point contain one.
+        for (op, a, b) in [
+            (SpatialOp::Within, c(poly.clone()), var("g")),
+            (SpatialOp::Contains, var("g"), c(poly.clone())),
+        ] {
+            let pd = compile(&Expr::Spatial(op, Box::new(a), Box::new(b)), &vars, None).pushdown();
+            assert!(!pd.unwrap().decides_inner_points, "{op:?}");
+        }
+        // A triangle pushes down its envelope but decides nothing.
+        let tri = Term::wkt("POLYGON ((0 0, 4 0, 0 4, 0 0))");
+        let t = Expr::Spatial(SpatialOp::Within, Box::new(var("g")), Box::new(c(tri)));
+        assert!(!compile(&t, &vars, None).pushdown().unwrap().decides_inner_points);
         // Var-var spatial joins cannot push down.
         let vv = Expr::Spatial(SpatialOp::Intersects, Box::new(var("a")), Box::new(var("b")));
-        assert!(spatial_pushdown(&vv, &geoms).is_none());
+        let ab = ["a".to_string(), "b".to_string()];
+        assert!(compile(&vv, &ab, None).pushdown().is_none());
+    }
+
+    #[test]
+    fn decides_only_single_points_strictly_inside() {
+        let pd = Pushdown {
+            col: 0,
+            envelope: Envelope::new(0.0, 0.0, 4.0, 4.0),
+            decides_inner_points: true,
+        };
+        let pt = |x, y| Envelope::new(x, y, x, y);
+        assert!(pd.decides(&pt(1.0, 3.0)));
+        // On an edge or a corner: left to the exact predicate.
+        assert!(!pd.decides(&pt(0.0, 2.0)));
+        assert!(!pd.decides(&pt(4.0, 4.0)));
+        // A non-point envelope, even strictly inside.
+        assert!(!pd.decides(&Envelope::new(1.0, 1.0, 2.0, 1.0)));
+        let off = Pushdown { decides_inner_points: false, ..pd };
+        assert!(!off.decides(&pt(1.0, 3.0)));
     }
 }

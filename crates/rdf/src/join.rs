@@ -37,7 +37,6 @@
 //! neighbour, so maximal-even chunks would leave threads idle.
 
 use crate::batch::{Batch, UNBOUND};
-use crate::expr::{eval, truth, EvalCtx};
 use crate::plan::{FilterPlan, Plan, Slot};
 use crate::store::{IdTriple, IndexMode, StoreView, ViewCursor, ESTIMATE_CAP};
 use ee_util::par;
@@ -448,7 +447,7 @@ impl Stage {
                 let mut b = probe.probe(store, plan, *pi, chunk, threads);
                 for f in &plan.filters {
                     if f.apply_after == Some(*step) {
-                        let mask = filter_mask(store, plan, f, &b, threads);
+                        let mask = filter_mask(store, f, &b, threads);
                         b.retain(&mask);
                     }
                 }
@@ -461,7 +460,7 @@ impl Stage {
                 let mut b = chunk.clone();
                 for f in &plan.filters {
                     if f.apply_after.is_none() {
-                        let mask = filter_mask(store, plan, f, &b, threads);
+                        let mask = filter_mask(store, f, &b, threads);
                         b.retain(&mask);
                     }
                 }
@@ -593,7 +592,7 @@ fn pull_chain(
             }
             for f in &plan.filters {
                 if f.apply_after == Some(0) {
-                    let mask = filter_mask(store, plan, f, &b, threads);
+                    let mask = filter_mask(store, f, &b, threads);
                     b.retain(&mask);
                 }
             }
@@ -623,41 +622,17 @@ fn pull_chain(
     stage.out.drain_front(want)
 }
 
-/// Evaluate one filter over every row in parallel; returns the keep mask
-/// in row order. Rows where the expression errors (e.g. an unbound
-/// variable) are dropped, matching SPARQL's error-is-false semantics.
-pub fn filter_mask(
-    store: StoreView<'_>,
-    plan: &Plan,
-    f: &FilterPlan,
-    batch: &Batch,
-    threads: usize,
-) -> Vec<bool> {
+/// Evaluate one compiled filter over every row in parallel; returns the
+/// keep mask in row order. Rows where the expression errors (e.g. an
+/// unbound variable) are dropped, matching SPARQL's error-is-false
+/// semantics.
+pub fn filter_mask(store: StoreView<'_>, f: &FilterPlan, batch: &Batch, threads: usize) -> Vec<bool> {
+    let dict = store.dict();
     let rows_idx: Vec<usize> = (0..batch.len()).collect();
     let parts = par::map_chunks_guided(&rows_idx, threads, OVERSUBSCRIBE, |_, chunk| {
         chunk
             .iter()
-            .map(|&r| {
-                let lookup = |name: &str| {
-                    f.lookup
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .and_then(|&(_, col)| {
-                            let id = batch.get(r, col);
-                            if id == UNBOUND {
-                                None
-                            } else {
-                                Some(id)
-                            }
-                        })
-                };
-                let ctx = EvalCtx {
-                    dict: store.dict(),
-                    lookup: &lookup,
-                    const_geoms: &plan.const_geoms,
-                };
-                truth(eval(&f.expr, &ctx)) == Some(true)
-            })
+            .map(|&r| f.filter.passes(dict, batch, r))
             .collect::<Vec<bool>>()
     });
     parts.concat()

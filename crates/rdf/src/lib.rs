@@ -14,12 +14,13 @@
 //! * [`dict`] — dictionary encoding: every term interned to a `u64`, with
 //!   decoded typed values (including parsed geometries) kept alongside;
 //! * [`store`] — triples in three covering B-tree indexes (SPO/POS/OSP)
-//!   plus an R-tree over geometry literals; an [`store::IndexMode::Scan`]
+//!   of 12-byte keys, per-predicate counts, plus an R-tree over geometry
+//!   literals; an [`store::IndexMode::Scan`]
 //!   mode disables all of it to serve as the pre-Strabon naive baseline
 //!   in experiments E2/E3;
 //! * [`expr`] — filter expressions: comparisons, boolean algebra, and the
 //!   GeoSPARQL functions `geof:sfIntersects` / `sfContains` / `sfWithin`
-//!   / `geof:distance`;
+//!   / `geof:distance`, compiled at plan time over batch columns;
 //! * [`parser`] — a hand-written SPARQL-subset parser (`PREFIX`,
 //!   `SELECT [DISTINCT]`, basic graph patterns, `OPTIONAL`, `FILTER`,
 //!   `GROUP BY` with `COUNT/SUM/AVG/MIN/MAX`, `ORDER BY`, `LIMIT`);
@@ -28,7 +29,8 @@
 //!   evaluation step, projection/group/order columns resolved, and
 //!   *spatial pushdown* — a filter `geof:sfIntersects(?g, <const>)`
 //!   restricts `?g`'s candidates via the R-tree before the join runs
-//!   (filter–refine). The resulting [`plan::Plan`] is inspectable,
+//!   (filter–refine), and a point candidate strictly inside a rectangle
+//!   constant skips the refine step. The resulting [`plan::Plan`] is inspectable,
 //!   cacheable, and shared by the federation engine (as a logical plan:
 //!   fetch order and region) and the serving tier;
 //! * [`batch`] — columnar binding batches over term ids;

@@ -207,8 +207,10 @@ impl ResultWriter {
         }
     }
 
-    /// Count one result row and append it to `out` if under the cap.
-    pub fn row(&mut self, out: &mut String, row: &[Option<Term>]) {
+    /// Count one result row and append it to `out` if under the cap. The
+    /// cells are borrowed, as [`crate::exec::StreamCore::drain_batch`]
+    /// hands them over.
+    pub fn row(&mut self, out: &mut String, row: &[Option<&Term>]) {
         if !self.begin_row(out) {
             return;
         }
@@ -219,7 +221,7 @@ impl ResultWriter {
             }
             match t {
                 None => out.push_str("null"),
-                Some(Term::Iri(s) | Term::Literal { lexical: s, .. }) => emit_string(s, out),
+                Some(t) => emit_string(t.lexical(), out),
             }
         }
         out.push(']');
@@ -599,7 +601,7 @@ mod tests {
             vec![lit("past the cap"), None],
         ] {
             chunk.clear();
-            w.row(&mut chunk, &row);
+            w.row(&mut chunk, &row.iter().map(Option::as_ref).collect::<Vec<_>>());
             out.push_str(&chunk);
         }
         assert!(chunk.is_empty(), "a capped row writes nothing");

@@ -5,11 +5,13 @@
 //! [`TripleStore`]: constants are resolved to dictionary ids, the join
 //! order is chosen once (greedy bound-position / estimated-cardinality,
 //! the same heuristic the old monolithic evaluator applied per recursion
-//! step), spatial `FILTER`s are pushed down into per-variable R-tree
-//! candidate sets, every filter is pinned to the earliest join step at
-//! which all of its variables are bound, and the projection / GROUP BY /
-//! ORDER BY columns are resolved to table indices **at plan time** so no
-//! per-row name lookup survives into execution.
+//! step), every filter is compiled over batch columns ([`expr::Filter`])
+//! and pinned to the earliest join step at which all of its variables are
+//! bound, spatial `FILTER`s are pushed down into per-variable R-tree
+//! candidate sets — a point candidate strictly inside a rectangle
+//! constant is decided there, from its envelope — and the projection /
+//! GROUP BY / ORDER BY columns are resolved to table indices **at plan
+//! time** so no per-row name lookup survives into execution.
 //!
 //! [`logical`] builds the same `Plan` shape without a store — no
 //! dictionary ids, no candidate sets. The federation engine
@@ -25,12 +27,11 @@
 //! stale, so the serving tier plans every query against the state it
 //! executes on and keeps no plan past its request.
 
-use crate::expr::{collect_const_geometries, spatial_pushdown, Expr};
+use crate::expr::{self, Expr};
 use crate::parser::{AggFunc, PatternTerm, Query, SelectItem, TriplePattern};
 use crate::store::{StoreView, TripleStore};
-use crate::term::Term;
 use crate::RdfError;
-use ee_geo::{Envelope, Geometry};
+use ee_geo::Envelope;
 use std::collections::HashMap;
 
 /// The executor route a plan takes, decided purely from the plan shape
@@ -102,14 +103,10 @@ pub enum Slot {
 /// A filter with its evaluation site decided at plan time.
 #[derive(Debug, Clone)]
 pub struct FilterPlan {
-    /// The filter expression.
-    pub expr: Expr,
+    /// The filter, compiled over this plan's columns.
+    pub filter: expr::Filter,
     /// Columns of every variable the expression references.
     pub vars: Vec<usize>,
-    /// Name → column pairs for exactly the referenced variables, so the
-    /// evaluator's name lookup scans a handful of entries instead of the
-    /// whole variable table per row.
-    pub lookup: Vec<(String, usize)>,
     /// Index into [`Plan::order`] of the earliest join step after which
     /// every referenced variable is bound; `None` means the filter is
     /// residual (it references OPTIONAL or unbound variables) and runs
@@ -134,8 +131,6 @@ pub struct Plan {
     pub optionals: Vec<Vec<[Slot; 3]>>,
     /// The filters with plan-time placement.
     pub filters: Vec<FilterPlan>,
-    /// Geometries parsed out of constant terms at plan time.
-    pub const_geoms: Vec<(Term, Geometry)>,
     /// Per-column spatial candidate id sets (sorted ascending) from
     /// R-tree pushdown. Empty for logical plans and non-`Full` stores.
     pub candidates: HashMap<usize, Vec<u64>>,
@@ -351,55 +346,58 @@ fn build(store: Option<StoreView<'_>>, q: &Query) -> Result<Plan, RdfError> {
                 .collect::<Vec<[Slot; 3]>>()
         })
         .collect();
-    let mut const_geoms = Vec::new();
-    for f in &q.filters {
-        collect_const_geometries(f, &mut const_geoms);
-    }
-    let mut region: Option<(String, Envelope)> = None;
-    let mut candidates: HashMap<usize, Vec<u64>> = HashMap::new();
-    for f in &q.filters {
-        if let Some((var, env)) = spatial_pushdown(f, &const_geoms) {
-            if region.is_none() {
-                region = Some((var.clone(), env));
-            }
-            if let Some(st) = store {
-                if let Some(ids) = st.spatial_candidates(&env) {
-                    let vi = var_index(&mut vars, &var);
-                    let mut set = ids;
-                    set.sort_unstable();
-                    set.dedup();
-                    match candidates.entry(vi) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            // Intersect with the previous pushdown set.
-                            let prev = e.get_mut();
-                            prev.retain(|id| set.binary_search(id).is_ok());
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(set);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut filters: Vec<FilterPlan> = q
+    let used_vars: Vec<Vec<usize>> = q
         .filters
         .iter()
         .map(|f| {
             let mut used = Vec::new();
             collect_expr_vars(f, &mut vars, &mut used);
-            let lookup = used
-                .iter()
-                .map(|&i| (vars[i].clone(), i))
-                .collect();
-            FilterPlan {
-                expr: f.clone(),
-                vars: used,
-                lookup,
-                apply_after: None,
-            }
+            used
         })
         .collect();
+    let dict = store.map(|st| st.dict());
+    let mut region: Option<(String, Envelope)> = None;
+    let mut candidates: HashMap<usize, Vec<u64>> = HashMap::new();
+    let mut filters: Vec<FilterPlan> = Vec::with_capacity(q.filters.len());
+    for (f, used) in q.filters.iter().zip(used_vars) {
+        let mut filter = expr::compile(f, &vars, dict);
+        if let Some(pd) = filter.pushdown() {
+            if region.is_none() {
+                region = Some((vars[pd.col].clone(), pd.envelope));
+            }
+            let (mut ids, mut decided) = (Vec::new(), Vec::new());
+            let pruned = store.is_some_and(|st| {
+                st.visit_spatial(&pd.envelope, &mut |env, id| {
+                    ids.push(id);
+                    if pd.decides(env) {
+                        decided.push(id);
+                    }
+                })
+            });
+            if pruned {
+                ids.sort_unstable();
+                ids.dedup();
+                match candidates.entry(pd.col) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        // Intersect with the previous pushdown set.
+                        let prev = e.get_mut();
+                        prev.retain(|id| ids.binary_search(id).is_ok());
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(ids);
+                    }
+                }
+                if !decided.is_empty() {
+                    filter.decide(pd.col, decided);
+                }
+            }
+        }
+        filters.push(FilterPlan {
+            filter,
+            vars: used,
+            apply_after: None,
+        });
+    }
     // Group/order vars must exist in the table too.
     for v in &q.group_by {
         var_index(&mut vars, v);
@@ -474,7 +472,6 @@ fn build(store: Option<StoreView<'_>>, q: &Query) -> Result<Plan, RdfError> {
         slots,
         optionals,
         filters,
-        const_geoms,
         candidates,
         region,
         select: q.select.clone(),
@@ -656,6 +653,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_query;
     use crate::store::IndexMode;
+    use crate::term::Term;
 
     fn e(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))

@@ -1,10 +1,17 @@
 //! The triple store: dictionary-encoded triples in three covering B-tree
 //! indexes, plus an R-tree over geometry literals.
+//!
+//! The indexes hold 12-byte keys: the dictionary issues ids below
+//! `u32::MAX`, so each id narrows to a `u32` inside the store while
+//! [`IdTriple`] stays `u64` at the API. An id no dictionary can issue —
+//! `u64::MAX`, the planner's stand-in for a constant the store has never
+//! seen, or anything else past `u32::MAX` — matches nothing, never a
+//! truncated real id.
 
 use crate::dict::Dictionary;
 use crate::term::{Term, Value};
 use ee_geo::{Envelope, RTree};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 
 /// How the store answers triple patterns.
@@ -29,6 +36,30 @@ pub type IdTriple = (u64, u64, u64);
 /// per join step. An estimate equal to the cap means "at least this many".
 pub const ESTIMATE_CAP: usize = 1024;
 
+/// An index key: three ids in one index's component order, each narrowed
+/// to `u32`.
+type Key = (u32, u32, u32);
+
+/// An id as an index component; `None` for an id no dictionary issues,
+/// which therefore matches nothing.
+fn narrow(id: u64) -> Option<u32> {
+    u32::try_from(id).ok()
+}
+
+/// A pattern component as an index component: `Some(None)` when
+/// unbound, `None` for a constant no dictionary issues.
+fn narrow_bound(id: Option<u64>) -> Option<Option<u32>> {
+    match id {
+        None => Some(None),
+        Some(id) => narrow(id).map(Some),
+    }
+}
+
+/// An SPO key back at the API width.
+fn widen(&(s, p, o): &Key) -> IdTriple {
+    (u64::from(s), u64::from(p), u64::from(o))
+}
+
 /// The store.
 pub struct TripleStore {
     /// Term dictionary (public read access for the evaluator).
@@ -41,9 +72,13 @@ pub struct TripleStore {
     pos_of: std::collections::HashMap<IdTriple, usize>,
     /// Indexed modes only (empty in scan mode): the three covering
     /// indexes. `spo` is also the membership set and the SPO-order list.
-    spo: BTreeSet<(u64, u64, u64)>,
-    pos: BTreeSet<(u64, u64, u64)>,
-    osp: BTreeSet<(u64, u64, u64)>,
+    spo: BTreeSet<Key>,
+    pos: BTreeSet<Key>,
+    osp: BTreeSet<Key>,
+    /// Indexed modes only: triples per predicate — the length of each
+    /// predicate's run in `pos`, which answers the predicate-only
+    /// [`estimate`](TripleStore::estimate) without walking the run.
+    pred_counts: HashMap<u32, usize>,
     rtree: RTree<u64>,
     pending_spatial: Vec<(Envelope, u64)>,
 }
@@ -59,6 +94,7 @@ impl TripleStore {
             spo: BTreeSet::new(),
             pos: BTreeSet::new(),
             osp: BTreeSet::new(),
+            pred_counts: HashMap::new(),
             rtree: RTree::new(),
             pending_spatial: Vec::new(),
         }
@@ -91,14 +127,22 @@ impl TripleStore {
     }
 
     /// Insert a triple of pre-interned ids.
+    ///
+    /// # Panics
+    ///
+    /// In the indexed modes, on an id of `u32::MAX` or more, which no
+    /// dictionary issues.
     pub fn insert_ids(&mut self, s: u64, p: u64, o: u64) {
         match self.mode {
             IndexMode::Full | IndexMode::NoPushdown => {
-                if !self.spo.insert((s, p, o)) {
+                let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
+                let (s32, p32, o32) = (key(s), key(p), key(o));
+                if !self.spo.insert((s32, p32, o32)) {
                     return;
                 }
-                self.pos.insert((p, o, s));
-                self.osp.insert((o, s, p));
+                self.pos.insert((p32, o32, s32));
+                self.osp.insert((o32, s32, p32));
+                *self.pred_counts.entry(p32).or_default() += 1;
                 if self.mode == IndexMode::Full {
                     if let Some(env) = self.dict.envelope_of(o) {
                         // Buffer for bulk-load; ingests pay one STR pack.
@@ -149,11 +193,19 @@ impl TripleStore {
         let t = (s, p, o);
         match self.mode {
             IndexMode::Full | IndexMode::NoPushdown => {
-                if !self.spo.remove(&t) {
+                let (Some(s), Some(p), Some(o)) = (narrow(s), narrow(p), narrow(o)) else {
+                    return false;
+                };
+                if !self.spo.remove(&(s, p, o)) {
                     return false;
                 }
                 self.pos.remove(&(p, o, s));
                 self.osp.remove(&(o, s, p));
+                let n = self.pred_counts.get_mut(&p).expect("a stored triple's predicate is counted");
+                *n -= 1;
+                if *n == 0 {
+                    self.pred_counts.remove(&p);
+                }
             }
             IndexMode::Scan => {
                 let Some(i) = self.pos_of.remove(&t) else {
@@ -175,8 +227,13 @@ impl TripleStore {
     /// Instead of 3n individual B-tree inserts (each paying a root-to-
     /// leaf walk and node splits), the three indexes are built through
     /// `FromIterator`, which packs nodes from sorted runs in one linear
-    /// pass. Equivalent to calling [`TripleStore::insert_ids`] per
-    /// triple, which the storage tests assert.
+    /// pass, and the per-predicate counts are the run lengths of `pos`.
+    /// Equivalent to calling [`TripleStore::insert_ids`] per triple,
+    /// which the storage tests assert.
+    ///
+    /// # Panics
+    ///
+    /// In the indexed modes, on an id of `u32::MAX` or more.
     pub fn bulk_load_sorted_ids(&mut self, triples: &[IdTriple]) {
         debug_assert!(self.is_empty(), "bulk load requires an empty store");
         debug_assert!(
@@ -185,9 +242,21 @@ impl TripleStore {
         );
         match self.mode {
             IndexMode::Full | IndexMode::NoPushdown => {
-                self.spo = triples.iter().copied().collect();
-                self.pos = triples.iter().map(|&(s, p, o)| (p, o, s)).collect();
-                self.osp = triples.iter().map(|&(s, p, o)| (o, s, p)).collect();
+                let keys: Vec<Key> = triples
+                    .iter()
+                    .map(|&(s, p, o)| {
+                        let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
+                        (key(s), key(p), key(o))
+                    })
+                    .collect();
+                let mut pos: Vec<Key> = keys.iter().map(|&(s, p, o)| (p, o, s)).collect();
+                pos.sort_unstable();
+                for run in pos.chunk_by(|a, b| a.0 == b.0) {
+                    self.pred_counts.insert(run[0].0, run.len());
+                }
+                self.pos = pos.into_iter().collect();
+                self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
+                self.spo = keys.into_iter().collect();
                 if self.mode == IndexMode::Full {
                     for &(_, _, o) in triples {
                         if let Some(env) = self.dict.envelope_of(o) {
@@ -208,7 +277,10 @@ impl TripleStore {
     /// Membership test on pre-interned ids.
     pub fn contains_ids(&self, s: u64, p: u64, o: u64) -> bool {
         match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => self.spo.contains(&(s, p, o)),
+            IndexMode::Full | IndexMode::NoPushdown => match (narrow(s), narrow(p), narrow(o)) {
+                (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
+                _ => false,
+            },
             IndexMode::Scan => self.pos_of.contains_key(&(s, p, o)),
         }
     }
@@ -220,7 +292,7 @@ impl TripleStore {
         // One of `spo` and `all` is always empty.
         let mut scanned = self.all.clone();
         scanned.sort_unstable();
-        self.spo.iter().copied().chain(scanned)
+        self.spo.iter().map(widen).chain(scanned)
     }
 
     /// Finish an ingest: bulk-(re)load the spatial index from all geometry
@@ -232,39 +304,46 @@ impl TripleStore {
             return;
         }
         let mut items: Vec<(Envelope, u64)> = Vec::with_capacity(self.rtree.len() + self.pending_spatial.len());
-        // Existing entries are re-collected by scanning the dictionary
-        // (ids are stable), which avoids keeping a second copy.
+        // Existing entries come back out of the tree with their stored
+        // envelopes, which avoids keeping a second copy.
         items.append(&mut self.pending_spatial);
         let mut seen: std::collections::HashSet<u64> = items.iter().map(|(_, id)| *id).collect();
-        let mut old = Vec::new();
-        self.rtree.visit(&Envelope::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY), &mut |id| {
-            old.push(*id);
-        });
-        for id in old {
+        let everything = Envelope::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY);
+        self.rtree.visit_entries(&everything, &mut |env, &id| {
             if seen.insert(id) {
-                if let Some(env) = self.dict.envelope_of(id) {
-                    items.push((env, id));
-                }
+                items.push((*env, id));
             }
-        }
+        });
         self.rtree = RTree::bulk_load(items);
     }
 
     /// Geometry-literal ids whose envelope intersects `query` (the spatial
-    /// pushdown primitive). `None` when the store cannot prune (scan mode).
+    /// pushdown primitive). `None` when the store cannot prune (the
+    /// non-`Full` modes).
     pub fn spatial_candidates(&self, query: &Envelope) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.visit_spatial(query, &mut |_, id| out.push(id))
+            .then_some(out)
+    }
+
+    /// Hand `f` every geometry-literal id whose envelope intersects
+    /// `query`, with that envelope as the spatial index stores it — the
+    /// planner decides some predicates from it without fetching the
+    /// geometry. Not-yet-packed entries are included, so correctness never
+    /// depends on calling [`build_spatial_index`](Self::build_spatial_index);
+    /// an id may come twice. Returns `false`, visiting nothing, when the
+    /// store cannot prune (the non-`Full` modes).
+    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) -> bool {
         if self.mode != IndexMode::Full {
-            return None;
+            return false;
         }
-        let mut out: Vec<u64> = self.rtree.search(query).into_iter().copied().collect();
-        // Include not-yet-packed entries so correctness never depends on
-        // calling build_spatial_index.
+        self.rtree.visit_entries(query, &mut |env, &id| f(env, id));
         for (env, id) in &self.pending_spatial {
             if env.intersects(query) {
-                out.push(*id);
+                f(env, *id);
             }
         }
-        Some(out)
+        true
     }
 
     /// All triples matching a pattern of optional ids, via the best index
@@ -317,67 +396,77 @@ impl TripleStore {
             cursor.done = true;
             return;
         }
-        // Indexed modes: resume each B-tree range exclusively after the
-        // last delivered triple, mapped into that index's component order.
-        let spo_key = |t: IdTriple| (t.0, t.1, t.2);
-        let pos_key = |t: IdTriple| (t.1, t.2, t.0);
-        let osp_key = |t: IdTriple| (t.2, t.0, t.1);
-        let after = cursor.last;
+        // Indexed modes: a constant no dictionary issues matches nothing.
+        let (Some(s), Some(p), Some(o)) = (narrow_bound(s), narrow_bound(p), narrow_bound(o)) else {
+            cursor.done = true;
+            return;
+        };
+        // Resume each B-tree range exclusively after the last delivered
+        // triple, mapped into that index's component order.
+        let last = cursor.last.map(|(ts, tp, to)| {
+            let key = |id| narrow(id).expect("a delivered triple's ids are narrow");
+            (key(ts), key(tp), key(to))
+        });
+        let spo_key = |(ts, tp, to): Key| (ts, tp, to);
+        let pos_key = |(ts, tp, to): Key| (tp, to, ts);
+        let osp_key = |(ts, tp, to): Key| (to, ts, tp);
+        // Deliver one SPO-ordered match; on a pause, remember it.
+        let mut deliver = |t: Key| {
+            let more = f(widen(&t));
+            if !more {
+                cursor.last = Some(widen(&t));
+            }
+            more
+        };
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                if after.is_none() && self.spo.contains(&(s, p, o)) {
-                    f((s, p, o));
+                if last.is_none() && self.spo.contains(&(s, p, o)) {
+                    f(widen(&(s, p, o)));
                 }
             }
             (Some(s), Some(p), None) => {
-                for &(ts, tp, to) in range3_from(&self.spo, s, Some(p), after.map(spo_key)) {
+                for &(ts, tp, to) in range3_from(&self.spo, s, Some(p), last.map(spo_key)) {
                     debug_assert!(ts == s && tp == p);
-                    if !f((ts, tp, to)) {
-                        cursor.last = Some((ts, tp, to));
+                    if !deliver((ts, tp, to)) {
                         return;
                     }
                 }
             }
             (Some(s), None, _) => {
-                for &(ts, tp, to) in range3_from(&self.spo, s, None, after.map(spo_key)) {
-                    if o.map(|v| v == to).unwrap_or(true) && !f((ts, tp, to)) {
-                        cursor.last = Some((ts, tp, to));
+                for &(ts, tp, to) in range3_from(&self.spo, s, None, last.map(spo_key)) {
+                    if o.is_none_or(|v| v == to) && !deliver((ts, tp, to)) {
                         return;
                     }
                 }
             }
             (None, Some(p), Some(o)) => {
-                for &(tp, to, ts) in range3_from(&self.pos, p, Some(o), after.map(pos_key)) {
-                    if !f((ts, tp, to)) {
-                        cursor.last = Some((ts, tp, to));
+                for &(tp, to, ts) in range3_from(&self.pos, p, Some(o), last.map(pos_key)) {
+                    if !deliver((ts, tp, to)) {
                         return;
                     }
                 }
             }
             (None, Some(p), None) => {
-                for &(tp, to, ts) in range3_from(&self.pos, p, None, after.map(pos_key)) {
-                    if !f((ts, tp, to)) {
-                        cursor.last = Some((ts, tp, to));
+                for &(tp, to, ts) in range3_from(&self.pos, p, None, last.map(pos_key)) {
+                    if !deliver((ts, tp, to)) {
                         return;
                     }
                 }
             }
             (None, None, Some(o)) => {
-                for &(to, ts, tp) in range3_from(&self.osp, o, None, after.map(osp_key)) {
-                    if !f((ts, tp, to)) {
-                        cursor.last = Some((ts, tp, to));
+                for &(to, ts, tp) in range3_from(&self.osp, o, None, last.map(osp_key)) {
+                    if !deliver((ts, tp, to)) {
                         return;
                     }
                 }
             }
             (None, None, None) => {
-                let lo = match after {
+                let lo = match last {
                     Some(k) => Bound::Excluded(k),
                     None => Bound::Unbounded,
                 };
                 for &t in self.spo.range((lo, Bound::Unbounded)) {
-                    if !f(t) {
-                        cursor.last = Some(t);
+                    if !deliver(t) {
                         return;
                     }
                 }
@@ -387,17 +476,31 @@ impl TripleStore {
     }
 
     /// Estimated result count of a pattern (exact for indexed lookups,
-    /// `len()` for unbounded/scan) — drives join ordering.
+    /// `len()` for unbounded/scan) — drives join ordering. Indexed
+    /// estimates are capped at [`ESTIMATE_CAP`]; a subject-bound pattern
+    /// is estimated from its subject (and predicate) alone. The
+    /// predicate-only shape reads the per-predicate count; the others walk
+    /// their index range up to the cap.
     pub fn estimate(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> usize {
         if self.mode == IndexMode::Scan {
             // Scan mode has no statistics: every pattern costs a pass.
             return self.len();
         }
+        // A component no dictionary issues narrows to `None`: no matches.
+        let range = |set: &BTreeSet<Key>, first: u64, second: Option<u64>| {
+            let (Some(first), Some(second)) = (narrow(first), narrow_bound(second)) else {
+                return 0;
+            };
+            range3_from(set, first, second, None).take(ESTIMATE_CAP).count()
+        };
         match (s, p, o) {
             (None, None, None) => self.spo.len(),
-            (Some(s), pp, _) => range3(&self.spo, s, pp).take(ESTIMATE_CAP).count(),
-            (None, Some(p), oo) => range3(&self.pos, p, oo).take(ESTIMATE_CAP).count(),
-            (None, None, Some(o)) => range3(&self.osp, o, None).take(ESTIMATE_CAP).count(),
+            (Some(s), pp, _) => range(&self.spo, s, pp),
+            (None, Some(p), None) => narrow(p)
+                .and_then(|p| self.pred_counts.get(&p))
+                .map_or(0, |&n| n.min(ESTIMATE_CAP)),
+            (None, Some(p), oo) => range(&self.pos, p, oo),
+            (None, None, Some(o)) => range(&self.osp, o, None),
         }
     }
 
@@ -407,8 +510,9 @@ impl TripleStore {
         // One of `spo` and `all` is always empty.
         self.spo
             .iter()
-            .chain(&self.all)
-            .map(move |&(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
+            .map(widen)
+            .chain(self.all.iter().copied())
+            .map(move |(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
     }
 }
 
@@ -434,32 +538,23 @@ impl PatternCursor {
     }
 }
 
-/// Range over a 3-tuple B-tree with the first component fixed and the
-/// second optionally fixed.
-fn range3(
-    set: &BTreeSet<(u64, u64, u64)>,
-    first: u64,
-    second: Option<u64>,
-) -> impl Iterator<Item = &(u64, u64, u64)> {
-    range3_from(set, first, second, None)
-}
-
-/// [`range3`] resuming exclusively after `after` (a full key in this
-/// index's component order); `None` starts from the beginning.
+/// Range over an index with the first component fixed and the second
+/// optionally fixed, resuming exclusively after `after` (a full key in
+/// this index's component order); `None` starts from the beginning.
 fn range3_from(
-    set: &BTreeSet<(u64, u64, u64)>,
-    first: u64,
-    second: Option<u64>,
-    after: Option<(u64, u64, u64)>,
-) -> impl Iterator<Item = &(u64, u64, u64)> {
+    set: &BTreeSet<Key>,
+    first: u32,
+    second: Option<u32>,
+    after: Option<Key>,
+) -> impl Iterator<Item = &Key> {
     let lo = match (after, second) {
         (Some(k), _) => Bound::Excluded(k),
-        (None, Some(s)) => Bound::Included((first, s, u64::MIN)),
-        (None, None) => Bound::Included((first, u64::MIN, u64::MIN)),
+        (None, Some(s)) => Bound::Included((first, s, u32::MIN)),
+        (None, None) => Bound::Included((first, u32::MIN, u32::MIN)),
     };
     let hi = match second {
-        Some(s) => Bound::Included((first, s, u64::MAX)),
-        None => Bound::Included((first, u64::MAX, u64::MAX)),
+        Some(s) => Bound::Included((first, s, u32::MAX)),
+        None => Bound::Included((first, u32::MAX, u32::MAX)),
     };
     set.range((lo, hi))
 }
@@ -636,23 +731,25 @@ impl<'a> StoreView<'a> {
         }
     }
 
-    /// Geometry-literal ids whose envelope intersects `query`, including
-    /// overlay objects — candidate sets are used by the executor to
-    /// *reject* bindings outside them, so a view that resurrects a
-    /// deleted geometry must surface its id here or the row would be
-    /// silently dropped. Stale base entries stay (superset semantics).
-    pub fn spatial_candidates(&self, query: &Envelope) -> Option<Vec<u64>> {
-        let mut out = self.base.spatial_candidates(query)?;
+    /// [`TripleStore::visit_spatial`] through the view, overlay objects
+    /// included — candidate sets are used by the executor to *reject*
+    /// bindings outside them, so a view that resurrects a deleted
+    /// geometry must surface its id here or the row would be silently
+    /// dropped. Stale base entries stay (superset semantics).
+    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) -> bool {
+        if !self.base.visit_spatial(query, f) {
+            return false;
+        }
         if let Some(n) = self.novelty {
             for &(_, _, o) in &n.add {
                 if let Some(env) = self.base.dict.envelope_of(o) {
                     if env.intersects(query) {
-                        out.push(o);
+                        f(&env, o);
                     }
                 }
             }
         }
-        Some(out)
+        true
     }
 
     /// All view triples matching a pattern; the callback returns `false`
@@ -1103,6 +1200,30 @@ mod tests {
         )
     }
 
+    /// What [`TripleStore::estimate`] answered by walking index ranges
+    /// before predicate-only patterns read the per-predicate counts: `len`
+    /// in scan mode and for the unbound pattern, else the matches of the
+    /// bound components it consults (a bound subject ignores the object),
+    /// capped at [`ESTIMATE_CAP`].
+    fn walked_estimate(
+        model: &BTreeSet<IdTriple>,
+        mode: IndexMode,
+        s: Option<u64>,
+        p: Option<u64>,
+        o: Option<u64>,
+    ) -> usize {
+        let walk = |s, p, o| {
+            let n = model.iter().filter(|&&t| pattern_matches(t, s, p, o)).count();
+            n.min(ESTIMATE_CAP)
+        };
+        match (mode, s, p, o) {
+            (IndexMode::Scan, ..) | (_, None, None, None) => model.len(),
+            (_, Some(s), p, _) => walk(Some(s), p, None),
+            (_, None, Some(p), o) => walk(None, Some(p), o),
+            (_, None, None, Some(o)) => walk(None, None, Some(o)),
+        }
+    }
+
     #[test]
     fn indexed_and_scan_stores_agree_under_random_churn() {
         let mut rng = ee_util::rng::Rng::seed_from(0x5ca7);
@@ -1114,6 +1235,11 @@ mod tests {
             .chain((0..2).map(|i| Term::wkt(format!("POINT ({i} {i})"))))
             .collect();
         let n = pool.len() as u64;
+        let random_triple =
+            |rng: &mut ee_util::rng::Rng| (rng.below(n), rng.below(n), rng.below(n));
+        // Every store starts from the same bulk load.
+        let mut model: BTreeSet<IdTriple> = (0..150).map(|_| random_triple(&mut rng)).collect();
+        let loaded: Vec<IdTriple> = model.iter().copied().collect();
         let mut stores: Vec<TripleStore> =
             [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan]
                 .into_iter()
@@ -1122,14 +1248,13 @@ mod tests {
                     for term in &pool {
                         st.dict.intern(term);
                     }
+                    st.bulk_load_sorted_ids(&loaded);
                     st
                 })
                 .collect();
-        let mut model: BTreeSet<IdTriple> = BTreeSet::new();
-        let random_triple =
-            |rng: &mut ee_util::rng::Rng| (rng.below(n), rng.below(n), rng.below(n));
         for round in 0..60 {
-            for _ in 0..40 {
+            // Round 0 checks the bulk load as it stands.
+            for _ in 0..if round == 0 { 0 } else { 40 } {
                 let (s, p, o) = random_triple(&mut rng);
                 if rng.chance(0.6) {
                     model.insert((s, p, o));
@@ -1141,10 +1266,26 @@ mod tests {
                     }
                 }
             }
+            // A re-insert of a present triple changes nothing.
+            if let Some(&(s, p, o)) = model.iter().nth(round as usize % model.len().max(1)) {
+                stores.iter_mut().for_each(|st| st.insert_ids(s, p, o));
+            }
             let want_all: Vec<IdTriple> = model.iter().copied().collect();
             for st in &stores {
                 let mode = st.mode();
                 assert_eq!(st.len(), model.len(), "{mode:?} round {round}");
+                // Every shape's estimate, around a present triple and
+                // around a random (usually absent) one.
+                for around in want_all.first().copied().into_iter().chain([random_triple(&mut rng)]) {
+                    for shape in 0..8u8 {
+                        let (s, p, o) = shape_of(shape, around);
+                        assert_eq!(
+                            st.estimate(s, p, o),
+                            walked_estimate(&model, mode, s, p, o),
+                            "{mode:?} round {round} shape {shape}"
+                        );
+                    }
+                }
                 assert_eq!(
                     st.id_triples().collect::<Vec<_>>(),
                     want_all,
@@ -1233,6 +1374,74 @@ mod tests {
             );
             let want: BTreeSet<IdTriple> = initial.difference(&deleted_unseen).copied().collect();
             assert_eq!(distinct, want, "shape {shape} round {round}");
+        }
+    }
+
+    #[test]
+    fn predicate_counts_answer_the_capped_estimate() {
+        for bulk in [true, false] {
+            let mut st = TripleStore::new(IndexMode::Full);
+            let (big, small) = (st.dict.intern(&t("big")), st.dict.intern(&t("small")));
+            let subjects: Vec<u64> = (0..1500).map(|i| st.dict.intern(&t(&format!("s{i}")))).collect();
+            let mut triples: Vec<IdTriple> = subjects.iter().map(|&s| (s, big, small)).collect();
+            triples.extend(subjects[..10].iter().map(|&s| (s, small, big)));
+            if bulk {
+                triples.sort_unstable();
+                st.bulk_load_sorted_ids(&triples);
+            } else {
+                triples.iter().for_each(|&(s, p, o)| st.insert_ids(s, p, o));
+            }
+            let est = |st: &TripleStore, p| st.estimate(None, Some(p), None);
+            assert_eq!((est(&st, big), est(&st, small)), (ESTIMATE_CAP, 10), "bulk {bulk}");
+            for &s in &subjects[..600] {
+                assert!(st.remove_ids(s, big, small));
+            }
+            assert_eq!(est(&st, big), 900, "bulk {bulk}");
+            for &s in &subjects[..10] {
+                assert!(st.remove_ids(s, small, big));
+            }
+            assert_eq!(est(&st, small), 0, "bulk {bulk}");
+            for &s in &subjects[..600] {
+                st.insert_ids(s, big, small);
+                st.insert_ids(s, big, small);
+            }
+            assert_eq!(est(&st, big), ESTIMATE_CAP, "bulk {bulk}");
+        }
+    }
+
+    #[test]
+    fn impossible_ids_match_nothing_under_narrow_keys() {
+        // `Slot::Impossible` reaches the store as `u64::MAX`; an id past
+        // `u32::MAX` whose low half is a real id must not alias it.
+        for mode in [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan] {
+            let st = store(mode);
+            let model: BTreeSet<IdTriple> = st.id_triples().collect();
+            let real = st.id_triples().next().unwrap();
+            for bad in [u64::MAX, (1 << 32) | real.0, (1 << 32) | real.1, (1 << 32) | real.2] {
+                for pos in 0..3 {
+                    let mut ids = [real.0, real.1, real.2];
+                    ids[pos] = bad;
+                    assert!(!st.contains_ids(ids[0], ids[1], ids[2]), "{mode:?}");
+                    for shape in 0..8u8 {
+                        let (s, p, o) = shape_of(shape, (ids[0], ids[1], ids[2]));
+                        let mut got = Vec::new();
+                        let mut cursor = PatternCursor::default();
+                        st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                            got.push(tr);
+                            true
+                        });
+                        got.sort_unstable();
+                        let want: Vec<IdTriple> =
+                            model.iter().copied().filter(|&tr| pattern_matches(tr, s, p, o)).collect();
+                        assert_eq!(got, want, "{mode:?} {s:?} {p:?} {o:?}");
+                        assert!(cursor.is_done());
+                        assert_eq!(st.estimate(s, p, o), walked_estimate(&model, mode, s, p, o));
+                    }
+                }
+            }
+            let mut st = st;
+            assert!(!st.remove_ids(u64::MAX, real.1, real.2), "{mode:?}");
+            assert_eq!(st.len(), model.len());
         }
     }
 
@@ -1374,7 +1583,9 @@ mod tests {
         let nov = Novelty::new(Default::default(), vec![(x, geom, near)]);
         let view = StoreView::with_novelty(&st, &nov);
         let query = Envelope::new(0.0, 0.0, 2.0, 2.0);
-        let cands = view.spatial_candidates(&query).expect("full mode prunes");
-        assert!(cands.contains(&near), "overlay geometry must be a candidate");
+        let mut cands = Vec::new();
+        assert!(view.visit_spatial(&query, &mut |env, id| cands.push((*env, id))), "full mode prunes");
+        let point = Envelope::new(1.0, 1.0, 1.0, 1.0);
+        assert!(cands.contains(&(point, near)), "overlay geometry must be a candidate");
     }
 }

@@ -90,6 +90,13 @@ impl Term {
         Term::wkt(wkt::to_wkt(g))
     }
 
+    /// The IRI, or the literal's lexical form.
+    pub fn lexical(&self) -> &str {
+        match self {
+            Term::Iri(s) | Term::Literal { lexical: s, .. } => s,
+        }
+    }
+
     /// True for IRIs.
     pub fn is_iri(&self) -> bool {
         matches!(self, Term::Iri(_))
@@ -108,13 +115,16 @@ impl Term {
 }
 
 /// The decoded value of a literal, computed once at interning time so
-/// filters never re-parse lexical forms in the inner loop.
+/// filters never re-parse lexical forms in the inner loop. A string's
+/// text is not copied here: it is the term's lexical form
+/// ([`Term::lexical`]), which the dictionary already holds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An IRI (compared by identity only).
     Iri,
-    /// String.
-    Str(String),
+    /// A string: `xsd:string` or a literal of a datatype with no typed
+    /// value here.
+    Str,
     /// Integer.
     Int(i64),
     /// Double.
@@ -136,7 +146,7 @@ pub fn decode_non_geometry(term: &Term) -> Option<Value> {
     match term {
         Term::Iri(_) => Some(Value::Iri),
         Term::Literal { lexical, datatype } => match datatype.as_str() {
-            XSD_STRING => Some(Value::Str(lexical.clone())),
+            XSD_STRING => Some(Value::Str),
             XSD_INTEGER => Some(
                 lexical
                     .parse::<i64>()
@@ -156,7 +166,7 @@ pub fn decode_non_geometry(term: &Term) -> Option<Value> {
             },
             XSD_DATE => Some(parse_date(lexical).map(Value::Date).unwrap_or(Value::Malformed)),
             GEO_WKT => None,
-            _ => Some(Value::Str(lexical.clone())),
+            _ => Some(Value::Str),
         },
     }
 }
@@ -203,12 +213,16 @@ mod tests {
             decode_non_geometry(&Term::boolean(true)),
             Some(Value::Bool(true))
         );
-        assert_eq!(
-            decode_non_geometry(&Term::string("hi")),
-            Some(Value::Str("hi".into()))
-        );
+        assert_eq!(decode_non_geometry(&Term::string("hi")), Some(Value::Str));
+        assert_eq!(Term::string("hi").lexical(), "hi");
         assert_eq!(decode_non_geometry(&Term::iri("x")), Some(Value::Iri));
         assert_eq!(decode_non_geometry(&Term::wkt("POINT (1 2)")), None);
+    }
+
+    #[test]
+    fn values_are_sixteen_bytes() {
+        // Every interned term carries one; a string payload made it 32.
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]

@@ -272,8 +272,11 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
             Some(result) => result.map(|sols| {
                 let mut body = String::new();
                 let mut writer = ResultWriter::new(&sols.vars, limit);
+                let mut cells = Vec::new();
                 for row in &sols.rows {
-                    writer.row(&mut body, row);
+                    cells.clear();
+                    cells.extend(row.iter().map(Option::as_ref));
+                    writer.row(&mut body, &cells);
                 }
                 writer.finish(&mut body);
                 Response {
@@ -313,9 +316,10 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
 /// A [`BodyStream`] serialising query results batch by batch: holds the
 /// state `Arc` (the stream outlives the handler) plus the borrow-free
 /// [`ee_rdf::exec::StreamCore`], and writes one batch per chunk through
-/// the [`ResultWriter`] every `/query` body goes through. The writer
-/// holds the body's head back until the first row, so the first chunk
-/// carries rows: time to first byte includes the first batch's execution.
+/// the [`ResultWriter`] every `/query` body goes through, straight from
+/// terms borrowed under the batch's read guard. The writer holds the
+/// body's head back until the first row, so the first chunk carries rows:
+/// time to first byte includes the first batch's execution.
 struct QueryStream {
     state: Arc<AppState>,
     core: ee_rdf::exec::StreamCore,
@@ -333,12 +337,15 @@ impl BodyStream for QueryStream {
         // The read lock is taken per batch, not for the whole stream: a
         // slow download never starves a writer, and indexed-mode cursors
         // re-seek past concurrent mutations (the serve store always runs
-        // `IndexMode::Full`).
-        match self.core.next_batch(&**self.state.store()) {
-            // May write nothing when every row is past `limit` (still
-            // counting); the chunked writer skips empty chunks.
-            Some(batch) => batch.iter().for_each(|row| writer.row(&mut self.buf, row)),
-            None => self.writer.take().expect("checked above").finish(&mut self.buf),
+        // `IndexMode::Full`). Rows are written from terms borrowed under
+        // the batch's guard. A batch may write nothing when every row is
+        // past `limit` (still counting); the chunked writer skips empty
+        // chunks.
+        let rows = self
+            .core
+            .drain_batch(&**self.state.store(), |row| writer.row(&mut self.buf, row));
+        if rows == 0 {
+            self.writer.take().expect("checked above").finish(&mut self.buf);
         }
         Ok(Some(self.buf.as_bytes()))
     }

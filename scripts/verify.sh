@@ -31,7 +31,7 @@ cargo clippy --offline --all-targets -- -D warnings
 
 echo "== lint: rustdoc (warnings are errors, e.g. dangling intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
-    -p ee-serve -p ee-util -p ee-rdf -p ee-bench -p ee-federation
+    -p ee-serve -p ee-util -p ee-rdf -p ee-geo -p ee-bench -p ee-federation
 
 echo "== tier-1: benchmark suite's own tests =="
 # The suite is a package with its own empty [workspace], so the root
