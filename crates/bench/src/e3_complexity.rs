@@ -12,9 +12,9 @@
 //! the serial (t=1) answer — the parallel-joins contract — and the
 //! speedup curve is written to `BENCH_PR3.json` by the harness.
 
+use crate::e2_selection::{indexed_store, measure, Arm};
 use crate::table::{fmt_secs, Table};
 use crate::Scale;
-use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::json::Json;
@@ -64,11 +64,12 @@ fn regular_ring(cx: f64, cy: f64, radius: f64, vertices: usize) -> String {
     format!("({})", pts.join(", "))
 }
 
-/// Build a store of `n` features of the given geometry class.
-pub fn geometry_store(n: usize, class: GeomClass, mode: IndexMode, seed: u64) -> TripleStore {
-    let mut store = TripleStore::new(mode);
+/// The triples of `n` features of the given geometry class, one
+/// geometry each.
+pub fn geometry_triples(n: usize, class: GeomClass, seed: u64) -> Vec<(Term, Term, Term)> {
     let mut rng = Rng::seed_from(seed);
     let geom = Term::iri("http://e/hasGeometry");
+    let mut triples = Vec::with_capacity(n);
     for i in 0..n {
         let s = Term::iri(format!("http://e/f{i}"));
         let cx = rng.range_f64(2.0, REGION - 2.0);
@@ -92,10 +93,9 @@ pub fn geometry_store(n: usize, class: GeomClass, mode: IndexMode, seed: u64) ->
                 format!("MULTIPOLYGON ({})", parts.join(", "))
             }
         };
-        store.insert(&s, &geom, &Term::wkt(wkt));
+        triples.push((s, geom.clone(), Term::wkt(wkt)));
     }
-    store.build_spatial_index();
-    store
+    triples
 }
 
 /// Build the join-heavy corpus for the threads sweep: each feature gets
@@ -104,7 +104,7 @@ pub fn geometry_store(n: usize, class: GeomClass, mode: IndexMode, seed: u64) ->
 /// query below joins four patterns and then pays real per-row spatial
 /// refinement — the E3 regime where the paper's engines fall over.
 pub fn join_store(n: usize, seed: u64) -> TripleStore {
-    let mut store = TripleStore::new(IndexMode::Full);
+    let mut store = TripleStore::new();
     let mut rng = Rng::seed_from(seed);
     let geom = Term::iri("http://e/hasGeometry");
     let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
@@ -268,7 +268,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
     complexity_tables(scale)
 }
 
-/// The original complexity sweep.
+/// The complexity sweep. **Panics** if the pushdown, post-filter and
+/// naive arms disagree on any window's hit count for any geometry class
+/// (the post-filter arm is checked, not tabulated).
 fn complexity_tables(scale: Scale) -> Vec<Table> {
     let (n, reps) = match scale {
         Scale::Quick => (3_000usize, 3usize),
@@ -284,21 +286,26 @@ fn complexity_tables(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "E3 — selection latency vs geometry complexity",
         "Paper claim: performance degrades once geometries become multi-polygons. \
-         Same rectangular selection as E2 over equal feature counts of rising complexity.",
+         Same rectangular selection as E2 over equal feature counts of rising complexity; \
+         the naive arm is E2's nested-loop scan, and every arm (E2's post-filter one too) \
+         must agree on every hit count.",
         &[
             "geometry class",
             "vertices/feature",
             "indexed median",
-            "scan median",
+            "naive scan median",
             "indexed slowdown vs points",
         ],
     );
     let mut point_base: Option<f64> = None;
     for class in classes {
-        let indexed = geometry_store(n, class, IndexMode::Full, 11);
-        let (ti, _) = crate::e2_selection::measure(&indexed, reps, 31);
-        let scan = geometry_store(n, class, IndexMode::Scan, 11);
-        let (ts, _) = crate::e2_selection::measure(&scan, reps, 31);
+        let triples = geometry_triples(n, class, 11);
+        let indexed = indexed_store(&triples);
+        let (ti, hits) = measure(&Arm::Pushdown(&indexed), reps, 31);
+        let (_, hits_post) = measure(&Arm::PostFilter(&indexed), reps, 31);
+        let (ts, hits_scan) = measure(&Arm::Naive(&triples), reps, 31);
+        assert_eq!(hits, hits_post, "E3 {}: post-filter arm disagrees with pushdown", class.label());
+        assert_eq!(hits, hits_scan, "E3 {}: naive arm disagrees with pushdown", class.label());
         let base = *point_base.get_or_insert(ti);
         table.row(vec![
             class.label(),
@@ -329,7 +336,6 @@ mod tests {
                 let window = ee_geo::Envelope::new(x0, y0, x0 + side, y0 + side);
                 store
                     .spatial_candidates(&window)
-                    .expect("Full index mode")
                     .iter()
                     .map(|&id| {
                         let g = store
@@ -346,8 +352,8 @@ mod tests {
     #[test]
     fn complexity_increases_latency() {
         let n = 2_000;
-        let pts = geometry_store(n, GeomClass::Point, IndexMode::Full, 1);
-        let heavy = geometry_store(n, GeomClass::MultiPolygon(64), IndexMode::Full, 1);
+        let pts = indexed_store(&geometry_triples(n, GeomClass::Point, 1));
+        let heavy = indexed_store(&geometry_triples(n, GeomClass::MultiPolygon(64), 1));
         let (vp, vh) = (vertices_refined(&pts, 3, 5), vertices_refined(&heavy, 3, 5));
         assert!(vp > 0, "the windows hit some points");
         assert!(
@@ -358,9 +364,9 @@ mod tests {
 
     #[test]
     fn stores_hold_valid_geometries() {
-        let st = geometry_store(50, GeomClass::MultiPolygon(16), IndexMode::Full, 2);
+        let st = indexed_store(&geometry_triples(50, GeomClass::MultiPolygon(16), 2));
         assert_eq!(st.dict.num_geometries(), 50, "all WKT parsed");
-        let st2 = geometry_store(50, GeomClass::Polygon(8), IndexMode::Full, 2);
+        let st2 = indexed_store(&geometry_triples(50, GeomClass::Polygon(8), 2));
         assert_eq!(st2.dict.num_geometries(), 50);
     }
 

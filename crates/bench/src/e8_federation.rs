@@ -9,7 +9,6 @@
 use crate::table::{fmt_secs, Table};
 use crate::Scale;
 use ee_federation::{federated_query, Endpoint, FederationCatalog, Mode};
-use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::Rng;
@@ -19,8 +18,8 @@ use std::time::Instant;
 /// extent), and a names source, `n` features each.
 pub fn federation(n: usize, seed: u64) -> Vec<Endpoint> {
     let mut rng = Rng::seed_from(seed);
-    let mut crops = TripleStore::new(IndexMode::Full);
-    let mut names = TripleStore::new(IndexMode::Full);
+    let mut crops = TripleStore::new();
+    let mut names = TripleStore::new();
     let t = |s: &str| Term::iri(format!("http://e/{s}"));
     for i in 0..n {
         let f = t(&format!("field{i}"));
@@ -32,7 +31,7 @@ pub fn federation(n: usize, seed: u64) -> Vec<Endpoint> {
         names.insert(&f, &t("name"), &Term::string(format!("Field {i}")));
     }
     crops.build_spatial_index();
-    let mut ice = TripleStore::new(IndexMode::Full);
+    let mut ice = TripleStore::new();
     for i in 0..n {
         let f = t(&format!("floe{i}"));
         ice.insert(&f, &t("iceType"), &Term::string("first-year"));

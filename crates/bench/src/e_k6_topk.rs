@@ -30,7 +30,6 @@ use ee_catalogue::{Bm25Index, ProductGenerator, ScanSearcher};
 use ee_geo::Envelope;
 use ee_rdf::exec::{execute_plan_view, stream_plan_baseline, stream_plan_shared, Solutions};
 use ee_rdf::plan::{FastPath, Plan};
-use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::json::Json;
@@ -42,7 +41,7 @@ use std::time::Instant;
 /// `e:value` drawn from a range wide enough that duplicates are rare but
 /// present (ties exercise the seq tie-break in the heap comparator).
 pub fn value_store(n: usize, seed: u64) -> TripleStore {
-    let mut store = TripleStore::new(IndexMode::Full);
+    let mut store = TripleStore::new();
     let mut rng = Rng::seed_from(seed);
     let value = Term::iri("http://e/value");
     for i in 0..n {

@@ -36,7 +36,7 @@ use ee_rdf::parser::parse_update;
 use ee_rdf::storage::{
     export_ntriples, load_ntriples, scratch_dir, Durability, Store,
 };
-use ee_rdf::store::{IndexMode, TripleStore};
+use ee_rdf::store::TripleStore;
 use ee_rdf::term::Term;
 use ee_rdf::update::GroundTriple;
 use ee_serve::{AppState, DataConfig};
@@ -83,7 +83,7 @@ struct ColdStart {
 fn cold_start(n: usize, durability: Durability) -> ColdStart {
     let dir = scratch_dir("e-w7-cold");
     let (store, stats) =
-        Store::bulk_load(&dir, IndexMode::Full, synthetic_triples(n, 0x57), durability, None)
+        Store::bulk_load(&dir, synthetic_triples(n, 0x57), durability, None)
             .expect("bulk load");
     let loaded = store.len();
     // The no-snapshot baseline: what a restart costs when all you have
@@ -91,7 +91,7 @@ fn cold_start(n: usize, durability: Durability) -> ColdStart {
     let text = export_ntriples(&store);
     drop(store);
     let t0 = Instant::now();
-    let mut rebuilt = TripleStore::new(IndexMode::Full);
+    let mut rebuilt = TripleStore::new();
     load_ntriples(&mut rebuilt, &text).expect("rebuild parses");
     rebuilt.build_spatial_index();
     let rebuild_secs = t0.elapsed().as_secs_f64();

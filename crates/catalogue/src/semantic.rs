@@ -13,7 +13,6 @@ use crate::product::Product;
 use crate::CatalogueError;
 use ee_geo::{algorithms, Geometry, Point, Polygon};
 use ee_rdf::exec::{query, Solutions};
-use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::timeline::Date;
@@ -43,7 +42,7 @@ impl SemanticCatalogue {
     /// An empty semantic catalogue (indexed store).
     pub fn new() -> Self {
         Self {
-            store: TripleStore::new(IndexMode::Full),
+            store: TripleStore::new(),
             obs_counter: 0,
         }
     }

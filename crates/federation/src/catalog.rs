@@ -109,7 +109,6 @@ impl FederationCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ee_rdf::store::IndexMode;
     use ee_rdf::TripleStore;
 
     fn t(n: &str) -> Term {
@@ -117,7 +116,7 @@ mod tests {
     }
 
     fn geo_endpoint(name: &str, x: f64) -> Endpoint {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&t("f"), &t("hasGeom"), &Term::wkt(format!("POINT ({x} 0)")));
         st.insert(&t("f"), &t("label"), &Term::string(name));
         Endpoint::new(name, st)
@@ -137,7 +136,7 @@ mod tests {
 
     #[test]
     fn relevance_by_predicate() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&t("a"), &t("onlyHere"), &t("b"));
         let eps = vec![geo_endpoint("geo", 0.0), Endpoint::new("other", st)];
         let cat = FederationCatalog::build(&eps);

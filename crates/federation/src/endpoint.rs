@@ -116,14 +116,13 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ee_rdf::store::IndexMode;
 
     fn t(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
     }
 
     fn endpoint() -> Endpoint {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&t("a"), &t("p"), &t("b"));
         st.insert(&t("a"), &t("p"), &t("c"));
         st.insert(&t("x"), &t("q"), &t("y"));

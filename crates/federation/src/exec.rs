@@ -25,7 +25,6 @@ use crate::FedError;
 use ee_rdf::exec::{execute_plan_view, Solutions};
 use ee_rdf::parser::{parse_query, PatternTerm, Query, SelectItem, TriplePattern};
 use ee_rdf::plan::Plan;
-use ee_rdf::store::IndexMode;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::par;
@@ -75,7 +74,7 @@ pub fn federated_query(
     for ep in endpoints {
         ep.reset_meters();
     }
-    let mut mediator = TripleStore::new(IndexMode::Full);
+    let mut mediator = TripleStore::new();
     let mut triples_transferred = 0u64;
     let mut fetched: Vec<TriplePattern> = Vec::new();
     for &pi in &plan.order {
@@ -214,7 +213,6 @@ fn run(mediator: &TripleStore, q: &Query) -> Result<Solutions, FedError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ee_rdf::store::IndexMode;
     use ee_rdf::TripleStore;
 
     fn t(n: &str) -> Term {
@@ -223,7 +221,7 @@ mod tests {
 
     /// Three endpoints: a crops source, an ice source, a places source.
     fn federation() -> Vec<Endpoint> {
-        let mut crops = TripleStore::new(IndexMode::Full);
+        let mut crops = TripleStore::new();
         for i in 0..5 {
             let f = t(&format!("field{i}"));
             crops.insert(&f, &t("cropType"), &Term::string(if i % 2 == 0 { "wheat" } else { "maize" }));
@@ -234,7 +232,7 @@ mod tests {
             );
         }
         crops.build_spatial_index();
-        let mut ice = TripleStore::new(IndexMode::Full);
+        let mut ice = TripleStore::new();
         for i in 0..4 {
             let f = t(&format!("floe{i}"));
             ice.insert(&f, &t("iceType"), &Term::string("first-year"));
@@ -245,7 +243,7 @@ mod tests {
             );
         }
         ice.build_spatial_index();
-        let mut places = TripleStore::new(IndexMode::Full);
+        let mut places = TripleStore::new();
         for i in 0..5 {
             places.insert(
                 &t(&format!("field{i}")),

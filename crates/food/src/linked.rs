@@ -13,7 +13,6 @@ use ee_datasets::Landscape;
 use ee_geo::algorithms;
 use ee_geotriples::features::{Feature, FeatureCollection, PropValue};
 use ee_geotriples::mapping::{feature_mapping, TermType};
-use ee_rdf::store::IndexMode;
 use ee_rdf::TripleStore;
 
 /// The A1 vocabulary namespace.
@@ -86,7 +85,7 @@ pub fn publish(fc: &FeatureCollection) -> Result<TripleStore, FoodError> {
             ),
         ],
     );
-    let mut store = TripleStore::new(IndexMode::Full);
+    let mut store = TripleStore::new();
     mapping
         .run_features(fc, &mut store)
         .map_err(|e| FoodError::Data(e.to_string()))?;

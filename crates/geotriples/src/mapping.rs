@@ -202,7 +202,6 @@ mod tests {
     use crate::csv::parse_csv;
     use crate::features::Feature;
     use ee_geo::Point;
-    use ee_rdf::store::IndexMode;
 
     #[test]
     fn template_expansion() {
@@ -257,7 +256,7 @@ mod tests {
                 ),
             ],
         };
-        let mut store = TripleStore::new(IndexMode::Full);
+        let mut store = TripleStore::new();
         let n = map.run_table(&table, &mut store).unwrap();
         assert_eq!(n, 6, "2 rows x (type + 2 properties)");
         assert_eq!(store.len(), 6);
@@ -283,7 +282,7 @@ mod tests {
             "http://geo.example/Place",
             &[("http://geo.example/population", "pop", TermType::Integer)],
         );
-        let mut store = TripleStore::new(IndexMode::Full);
+        let mut store = TripleStore::new();
         let n = map.run_features(&fc, &mut store).unwrap();
         assert_eq!(n, 3);
         store.build_spatial_index();
@@ -307,7 +306,7 @@ mod tests {
                 ObjectMap::Geometry,
             )],
         };
-        let mut store = TripleStore::new(IndexMode::Full);
+        let mut store = TripleStore::new();
         assert!(map.run_table(&table, &mut store).is_err());
     }
 
@@ -328,7 +327,7 @@ mod tests {
                 ),
             ],
         };
-        let mut store = TripleStore::new(IndexMode::Full);
+        let mut store = TripleStore::new();
         map.run_table(&table, &mut store).unwrap();
         assert!(store.contains(
             &Term::iri("http://e/s/7"),
@@ -345,7 +344,7 @@ mod tests {
             class: Some("http://e/C".into()),
             predicate_objects: vec![],
         };
-        let mut store = TripleStore::new(IndexMode::Full);
+        let mut store = TripleStore::new();
         map.run_table(&table, &mut store).unwrap();
         assert_eq!(store.len(), 1, "store dedups");
     }

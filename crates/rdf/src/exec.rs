@@ -44,7 +44,7 @@ use crate::batch::{Batch, UNBOUND};
 use crate::parser::{AggFunc, SelectItem};
 use crate::plan::{FastPath, Plan};
 use crate::store::{StoreView, TripleStore};
-use crate::term::{Term, Value};
+use crate::term::{decode_non_geometry, Term, Value};
 use crate::{join, RdfError};
 use ee_util::par;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -452,7 +452,8 @@ fn aggregate_rows(
     if let Some((ov, asc)) = plan.order_by_name() {
         if let Some(ci) = header.iter().position(|h| h == ov) {
             rows.sort_by(|a, b| {
-                let ord = cmp_terms(&a[ci], &b[ci]);
+                let key = |t: &Option<Term>| t.as_ref().map(term_order_key);
+                let ord = key(&a[ci]).cmp(&key(&b[ci]));
                 if asc {
                     ord
                 } else {
@@ -530,12 +531,23 @@ impl PartialOrd for OrderKey {
 }
 
 fn order_key(store: StoreView<'_>, id: u64) -> OrderKey {
-    let (rank, num, text) = match store.dict().value(id) {
+    key_of(store.dict().value(id), store.dict().term(id))
+}
+
+/// [`order_key`] of a term outside the dictionary: the aggregate route's
+/// output rows, which ORDER BY sorts in the same order as id rows.
+fn term_order_key(t: &Term) -> OrderKey {
+    // A WKT literal decodes to `None`, and geometries rank with the rest.
+    key_of(&decode_non_geometry(t).unwrap_or(Value::Malformed), t)
+}
+
+fn key_of(value: &Value, term: &Term) -> OrderKey {
+    let (rank, num, text) = match value {
         Value::Int(i) => (0, *i as f64, String::new()),
         Value::Float(f) => (0, *f, String::new()),
         Value::Date(d) => (1, *d as f64, String::new()),
-        Value::Str => (2, 0.0, store.dict().term(id).lexical().to_string()),
-        _ => (3, 0.0, store.dict().term(id).ntriples()),
+        Value::Str => (2, 0.0, term.lexical().to_string()),
+        _ => (3, 0.0, term.ntriples()),
     };
     OrderKey { rank, num, text }
 }
@@ -823,25 +835,6 @@ fn group_count(store: StoreView<'_>, plan: &Arc<Plan>, threads: usize) -> Result
     Ok((header, out, pipe.rows_touched(), peak))
 }
 
-fn cmp_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    let num = |t: &Option<Term>| -> Option<f64> {
-        match t {
-            Some(Term::Literal { lexical, datatype })
-                if datatype == crate::term::XSD_INTEGER || datatype == crate::term::XSD_DOUBLE =>
-            {
-                lexical.parse::<f64>().ok()
-            }
-            _ => None,
-        }
-    };
-    match (num(a), num(b)) {
-        // total_cmp keeps the alias-ORDER comparator a total order too
-        // (NaN-typed literals would otherwise break transitivity).
-        (Some(x), Some(y)) => x.total_cmp(&y),
-        _ => format!("{a:?}").cmp(&format!("{b:?}")),
-    }
-}
-
 type Grouped = (Vec<String>, Vec<Vec<Option<Term>>>);
 
 fn aggregate(
@@ -956,7 +949,7 @@ fn agg_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{IndexMode, Novelty};
+    use crate::store::Novelty;
 
     fn e(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
@@ -989,8 +982,8 @@ mod tests {
         Novelty::new(hide, add)
     }
 
-    fn sample_store(mode: IndexMode) -> TripleStore {
-        let mut st = TripleStore::new(mode);
+    fn sample_store() -> TripleStore {
+        let mut st = TripleStore::new();
         let name = e("name");
         let age = e("age");
         let knows = e("knows");
@@ -1022,7 +1015,7 @@ mod tests {
 
     #[test]
     fn basic_bgp_join() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:knows ?y . ?y e:name ?n }",
@@ -1034,7 +1027,7 @@ mod tests {
 
     #[test]
     fn filters_apply() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:age ?a . ?x e:name ?n . FILTER(?a >= 30) }",
@@ -1043,6 +1036,41 @@ mod tests {
         assert_eq!(names_of(&sol, 0), vec!["\"Alice\"", "\"Carol\""]);
     }
 
+    /// ORDER BY over an aggregate's output column sorts like ORDER BY
+    /// over rows: numbers, dates, strings, then other terms by N-Triples
+    /// form (literals before IRIs).
+    #[test]
+    fn aggregate_order_by_sorts_like_row_order_by() {
+        let mut st = TripleStore::new();
+        let values = [
+            e("iri"),
+            Term::wkt("POINT (7 10)"),
+            Term::string("zed"),
+            Term::integer(12),
+            Term::double(3.5),
+            Term::Literal { lexical: "2017-03-01".into(), datatype: crate::term::XSD_DATE.into() },
+        ];
+        for (i, v) in values.iter().enumerate() {
+            st.insert(&e(&format!("s{i}")), &e("val"), v);
+        }
+        for dir in ["", "DESC"] {
+            let rows = query(&st, &format!("PREFIX e: <http://e/> SELECT ?v WHERE {{ ?s e:val ?v }} ORDER BY {dir}(?v)"))
+                .unwrap()
+                .rows;
+            let aggregated = query(
+                &st,
+                &format!("PREFIX e: <http://e/> SELECT ?s (MAX(?v) AS ?m) WHERE {{ ?s e:val ?v }} GROUP BY ?s ORDER BY {dir}(?m)"),
+            )
+            .unwrap();
+            let ordered: Vec<Option<Term>> = aggregated.rows.iter().map(|r| r[1].clone()).collect();
+            assert_eq!(ordered, rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(), "{dir}");
+        }
+        let first = query(&st, "PREFIX e: <http://e/> SELECT ?v WHERE { ?s e:val ?v } ORDER BY ?v LIMIT 1").unwrap();
+        assert_eq!(first.rows, vec![vec![Some(Term::double(3.5))]]);
+    }
+
+    /// The engine over its indexes and the naive evaluator over the same
+    /// triples answer alike.
     #[test]
     fn scan_and_full_agree() {
         for q_text in [
@@ -1050,8 +1078,11 @@ mod tests {
             "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:age ?a . ?x e:name ?n . FILTER(?a < 31) }",
             "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:hasGeometry ?g . FILTER(geof:sfWithin(?g, \"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))\"^^geo:wktLiteral)) }",
         ] {
-            let full = query(&sample_store(IndexMode::Full), q_text).unwrap();
-            let scan = query(&sample_store(IndexMode::Scan), q_text).unwrap();
+            let st = sample_store();
+            let full = query(&st, q_text).unwrap();
+            let triples: Vec<(Term, Term, Term)> =
+                st.triples().map(|(s, p, o)| (s.clone(), p.clone(), o.clone())).collect();
+            let scan = crate::naive::query(&triples, q_text).unwrap();
             let norm = |s: &Solutions| {
                 let mut v: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
                 v.sort();
@@ -1063,7 +1094,7 @@ mod tests {
 
     #[test]
     fn spatial_selection_with_pushdown() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:hasGeometry ?g . \
@@ -1075,7 +1106,7 @@ mod tests {
 
     #[test]
     fn distance_filter() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:hasGeometry ?g . \
@@ -1087,7 +1118,7 @@ mod tests {
 
     #[test]
     fn optional_left_join() {
-        let mut st = sample_store(IndexMode::Full);
+        let mut st = sample_store();
         st.insert(&e("dave"), &e("age"), &Term::integer(40));
         let sol = query(
             &st,
@@ -1105,7 +1136,7 @@ mod tests {
 
     #[test]
     fn aggregates_with_grouping() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x e:knows ?y } GROUP BY ?x ORDER BY DESC(?n)",
@@ -1119,14 +1150,14 @@ mod tests {
 
     #[test]
     fn count_star_and_scalar() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(&st, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }").unwrap();
         assert_eq!(sol.scalar(), Some(&Term::integer(12)));
     }
 
     #[test]
     fn sum_avg_min_max() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT (SUM(?a) AS ?s) (AVG(?a) AS ?m) (MIN(?a) AS ?lo) (MAX(?a) AS ?hi) WHERE { ?x e:age ?a }",
@@ -1140,7 +1171,7 @@ mod tests {
 
     #[test]
     fn distinct_order_limit_offset() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT DISTINCT ?a WHERE { ?x e:age ?a } ORDER BY ?a LIMIT 2 OFFSET 1",
@@ -1153,7 +1184,7 @@ mod tests {
 
     #[test]
     fn unknown_constant_yields_empty() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:name \"Nobody\" }",
@@ -1164,7 +1195,7 @@ mod tests {
 
     #[test]
     fn select_star_projects_all_vars() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT * WHERE { ?x e:knows ?y }",
@@ -1176,7 +1207,7 @@ mod tests {
 
     #[test]
     fn repeated_variable_in_pattern() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&e("a"), &e("p"), &e("a"));
         st.insert(&e("a"), &e("p"), &e("b"));
         let sol = query(&st, "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p ?x }").unwrap();
@@ -1186,7 +1217,7 @@ mod tests {
 
     #[test]
     fn empty_where_returns_single_empty_row() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(&st, "SELECT (COUNT(*) AS ?n) WHERE { }").unwrap();
         assert_eq!(sol.scalar(), Some(&Term::integer(1)));
     }
@@ -1195,7 +1226,7 @@ mod tests {
     fn variable_variable_spatial_join() {
         // No constant geometry → no pushdown; the filter still evaluates
         // correctly over both bound variables.
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&e("a"), &e("zone"), &Term::wkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"));
         st.insert(&e("b"), &e("poi"), &Term::wkt("POINT (5 5)"));
         st.insert(&e("c"), &e("poi"), &Term::wkt("POINT (50 50)"));
@@ -1212,7 +1243,7 @@ mod tests {
 
     #[test]
     fn order_by_dates() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         for (who, iso) in [("a", "2017-06-01"), ("b", "2017-01-15"), ("c", "2017-12-30")] {
             st.insert(
                 &e(who),
@@ -1234,7 +1265,7 @@ mod tests {
 
     #[test]
     fn offset_beyond_results_is_empty() {
-        let st = sample_store(IndexMode::Full);
+        let st = sample_store();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:age ?a } OFFSET 100",
@@ -1245,7 +1276,7 @@ mod tests {
 
     #[test]
     fn filter_on_optional_variable() {
-        let mut st = sample_store(IndexMode::Full);
+        let mut st = sample_store();
         st.insert(&e("dave"), &e("age"), &Term::integer(40));
         // Dave has no name; the filter over ?n drops his row.
         let sol = query(
@@ -1260,7 +1291,7 @@ mod tests {
     /// candidate enumeration, filter masks, optional joins) actually
     /// splits into multiple chunks.
     fn parallel_corpus_store() -> TripleStore {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let geom = e("hasGeometry");
         let class = e("class");
         let name = e("name");
@@ -1374,7 +1405,7 @@ mod tests {
     /// high-water mark stays O(batch) even after a full drain.
     #[test]
     fn first_batch_touches_o_batch_probe_rows() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let near = e("near");
         let poi = e("poi");
         let name = e("name");
@@ -1451,7 +1482,7 @@ mod tests {
     /// dates, strings from a tiny alphabet, and IRIs. Some subjects have
     /// no value at all (unbound keys via OPTIONAL).
     fn topk_corpus_store() -> TripleStore {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let val = e("val");
         let tag = e("tag");
         let mut rng: u64 = 7;
@@ -1585,7 +1616,7 @@ mod tests {
     /// row set like the generic aggregate.
     #[test]
     fn fast_count_keeps_pipeline_memory_bound() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let near = e("near");
         for i in 0..10_000u32 {
             st.insert(&e(&format!("s{i}")), &near, &e(&format!("s{}", (i + 1) % 10_000)));
@@ -1616,7 +1647,7 @@ mod tests {
     /// where the full sort holds all 10k.
     #[test]
     fn topk_keeps_bounded_resident_rows() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let score = e("score");
         let mut rng: u64 = 99;
         for i in 0..10_000u32 {

@@ -75,6 +75,9 @@ enum Scalar<'a> {
     Geom(&'a Geometry),
     /// An IRI or other id-only term (identity comparisons only).
     Id(u64),
+    /// An IRI constant the store does not hold (identity comparisons
+    /// only, by text; never equal to a stored IRI).
+    Iri(&'a str),
 }
 
 /// A filter compiled at plan time against one plan's variable table and
@@ -121,6 +124,7 @@ enum Lit {
     Str(String),
     Date(i64),
     Id(u64),
+    Iri(String),
     Geom(Geometry),
 }
 
@@ -132,6 +136,7 @@ impl Lit {
             Lit::Str(s) => Scalar::Str(s),
             Lit::Date(d) => Scalar::Date(*d),
             Lit::Id(id) => Scalar::Id(*id),
+            Lit::Iri(text) => Scalar::Iri(text),
             Lit::Geom(g) => Scalar::Geom(g),
         }
     }
@@ -139,8 +144,8 @@ impl Lit {
 
 /// Compile `expr` against the variable table `vars` (a variable's column
 /// is its position there). `dict` resolves IRI constants to ids; without
-/// one (logical plans, which never execute) an IRI compares as its text,
-/// as an IRI the store has never seen does.
+/// one (logical plans, which never execute) every IRI constant is one the
+/// store has never seen.
 pub fn compile(expr: &Expr, vars: &[String], dict: Option<&Dictionary>) -> Filter {
     Filter {
         root: compile_node(expr, vars, dict),
@@ -176,10 +181,10 @@ fn compile_const(term: &Term, dict: Option<&Dictionary>) -> Option<Lit> {
     };
     Some(match value {
         // IRIs compare by store identity; an IRI the store has never
-        // seen compares as its text.
+        // seen equals no stored term.
         Value::Iri => match dict.and_then(|d| d.id_of(term)) {
             Some(id) => Lit::Id(id),
-            None => Lit::Str(term.lexical().to_string()),
+            None => Lit::Iri(term.lexical().to_string()),
         },
         Value::Str => Lit::Str(term.lexical().to_string()),
         Value::Int(i) => Lit::Num(i as f64),
@@ -310,18 +315,24 @@ fn eval<'a>(node: &'a Node, dict: &'a Dictionary, batch: &Batch, row: usize) -> 
             let r = ev(rhs)?;
             compare(&l, &r, *op).map(Scalar::Bool)
         }
-        Node::And(a, b) => {
-            if !truth(ev(a))? {
-                return Some(Scalar::Bool(false));
-            }
-            Some(Scalar::Bool(truth(ev(b))?))
-        }
-        Node::Or(a, b) => {
-            if truth(ev(a))? {
-                return Some(Scalar::Bool(true));
-            }
-            Some(Scalar::Bool(truth(ev(b))?))
-        }
+        // SPARQL's three-valued logic: a false conjunct (a true disjunct)
+        // decides the result even when the other side is an error.
+        Node::And(a, b) => match truth(ev(a)) {
+            Some(false) => Some(Scalar::Bool(false)),
+            ta => match (ta, truth(ev(b))) {
+                (_, Some(false)) => Some(Scalar::Bool(false)),
+                (Some(true), Some(true)) => Some(Scalar::Bool(true)),
+                _ => None,
+            },
+        },
+        Node::Or(a, b) => match truth(ev(a)) {
+            Some(true) => Some(Scalar::Bool(true)),
+            ta => match (ta, truth(ev(b))) {
+                (_, Some(true)) => Some(Scalar::Bool(true)),
+                (Some(false), Some(false)) => Some(Scalar::Bool(false)),
+                _ => None,
+            },
+        },
         Node::Not(a) => Some(Scalar::Bool(!truth(ev(a))?)),
         Node::Spatial(op, a, b) => {
             let (Scalar::Geom(ga), Scalar::Geom(gb)) = (ev(a)?, ev(b)?) else {
@@ -378,13 +389,19 @@ fn compare(l: &Scalar, r: &Scalar, op: CmpOp) -> Option<bool> {
         (Scalar::Str(a), Scalar::Str(b)) => a.cmp(b),
         (Scalar::Date(a), Scalar::Date(b)) => a.cmp(b),
         (Scalar::Bool(a), Scalar::Bool(b)) => a.cmp(b),
-        (Scalar::Id(a), Scalar::Id(b)) => {
-            // Identity only: equality/inequality meaningful.
-            match op {
-                CmpOp::Eq => return Some(a == b),
-                CmpOp::Ne => return Some(a != b),
-                _ => return None,
-            }
+        (Scalar::Id(_) | Scalar::Iri(_), Scalar::Id(_) | Scalar::Iri(_)) => {
+            // Identity only: equality/inequality meaningful. A stored
+            // IRI is never one the store lacks.
+            let same = match (l, r) {
+                (Scalar::Id(a), Scalar::Id(b)) => a == b,
+                (Scalar::Iri(a), Scalar::Iri(b)) => a == b,
+                _ => false,
+            };
+            return match op {
+                CmpOp::Eq => Some(same),
+                CmpOp::Ne => Some(!same),
+                _ => None,
+            };
         }
         _ => return None,
     };
@@ -468,8 +485,44 @@ mod tests {
         assert_eq!(ctx_eval(&Expr::Not(Box::new(f)), &[]), Some(true));
         // False && error short-circuits to false (SPARQL semantics).
         let err = var("unbound");
-        let sc = Expr::And(Box::new(c(Term::boolean(false))), Box::new(err));
+        let sc = Expr::And(Box::new(c(Term::boolean(false))), Box::new(err.clone()));
         assert_eq!(ctx_eval(&sc, &[]), Some(false));
+    }
+
+    #[test]
+    fn an_iri_the_store_lacks_compares_as_an_iri() {
+        // `?x != <unknown>` holds for every stored IRI: an IRI the store
+        // lacks is still an IRI, not a string.
+        let unknown = c(Term::iri("http://e/nowhere"));
+        let x = [("x", Term::iri("http://e/here"))];
+        let cmp = |a: &Expr, op, b: &Expr| Expr::Cmp(Box::new(a.clone()), op, Box::new(b.clone()));
+        assert_eq!(ctx_eval(&cmp(&var("x"), CmpOp::Ne, &unknown), &x), Some(true));
+        assert_eq!(ctx_eval(&cmp(&unknown, CmpOp::Eq, &var("x")), &x), Some(false));
+        assert_eq!(ctx_eval(&cmp(&unknown, CmpOp::Eq, &unknown), &x), Some(true));
+        let other = c(Term::iri("http://e/elsewhere"));
+        assert_eq!(ctx_eval(&cmp(&unknown, CmpOp::Ne, &other), &x), Some(true));
+        // Still no order between IRIs, and no equality with a string of
+        // the same text.
+        assert_eq!(ctx_eval(&cmp(&var("x"), CmpOp::Lt, &unknown), &x), None);
+        let text = c(Term::string("http://e/nowhere"));
+        assert_eq!(ctx_eval(&cmp(&unknown, CmpOp::Eq, &text), &x), None);
+    }
+
+    #[test]
+    fn an_error_on_the_left_does_not_decide_and_or() {
+        // SPARQL's tables are symmetric: error && false is false, error
+        // || true is true.
+        let (t, f, err) = (c(Term::boolean(true)), c(Term::boolean(false)), var("unbound"));
+        let and = |a: &Expr, b: &Expr| Expr::And(Box::new(a.clone()), Box::new(b.clone()));
+        let or = |a: &Expr, b: &Expr| Expr::Or(Box::new(a.clone()), Box::new(b.clone()));
+        assert_eq!(ctx_eval(&and(&err, &f), &[]), Some(false));
+        assert_eq!(ctx_eval(&or(&err, &t), &[]), Some(true));
+        assert_eq!(ctx_eval(&Expr::Not(Box::new(and(&err, &f))), &[]), Some(true));
+        assert_eq!(ctx_eval(&or(&or(&err, &err), &t), &[]), Some(true));
+        // Otherwise an error stays an error.
+        assert_eq!(ctx_eval(&and(&err, &t), &[]), None);
+        assert_eq!(ctx_eval(&or(&err, &f), &[]), None);
+        assert_eq!(ctx_eval(&and(&t, &err), &[]), None);
     }
 
     #[test]

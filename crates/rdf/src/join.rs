@@ -38,7 +38,7 @@
 
 use crate::batch::{Batch, UNBOUND};
 use crate::plan::{FilterPlan, Plan, Slot};
-use crate::store::{IdTriple, IndexMode, StoreView, ViewCursor, ESTIMATE_CAP};
+use crate::store::{IdTriple, StoreView, ViewCursor, ESTIMATE_CAP};
 use ee_util::par;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,18 +59,10 @@ const HASH_MIN_ROWS: usize = 32;
 pub const PIPELINE_CHUNK_ROWS: usize = 256;
 
 /// The spatial candidate set for a pattern's object position, when the
-/// object is a still-unbound variable with an R-tree pushdown set and the
-/// store supports indexed enumeration.
-fn object_candidates<'p>(
-    store: StoreView<'_>,
-    plan: &'p Plan,
-    slots: &[Slot; 3],
-    row: &[u64],
-) -> Option<&'p [u64]> {
+/// object is a still-unbound variable with an R-tree pushdown set.
+fn object_candidates<'p>(plan: &'p Plan, slots: &[Slot; 3], row: &[u64]) -> Option<&'p [u64]> {
     match &slots[2] {
-        Slot::Var(v) if row[*v] == UNBOUND && store.mode() == IndexMode::Full => {
-            plan.candidates.get(v).map(|c| c.as_slice())
-        }
+        Slot::Var(v) if row[*v] == UNBOUND => plan.candidates.get(v).map(|c| c.as_slice()),
         _ => None,
     }
 }
@@ -113,7 +105,7 @@ fn collect_matches(
 ) -> Vec<IdTriple> {
     let fixed = fixed_ids(slots, row);
     let mut matches = Vec::new();
-    match object_candidates(store, plan, slots, row) {
+    match object_candidates(plan, slots, row) {
         Some(cands) if candidates_pay(store, cands, &fixed) => {
             for &id in cands {
                 store.match_pattern(fixed[0], fixed[1], Some(id), &mut |t| {
@@ -189,7 +181,7 @@ impl SeedScan {
             return SeedScan { kind: SeedKind::Done };
         }
         let seed = vec![UNBOUND; plan.vars.len()];
-        let kind = match object_candidates(store, plan, slots, &seed)
+        let kind = match object_candidates(plan, slots, &seed)
             .filter(|c| candidates_pay(store, c, &fixed_ids(slots, &seed)))
         {
             Some(_) => match &slots[2] {

@@ -15,9 +15,7 @@
 //!   decoded typed values (including parsed geometries) kept alongside;
 //! * [`store`] — triples in three covering B-tree indexes (SPO/POS/OSP)
 //!   of 12-byte keys, per-predicate counts, plus an R-tree over geometry
-//!   literals; an [`store::IndexMode::Scan`]
-//!   mode disables all of it to serve as the pre-Strabon naive baseline
-//!   in experiments E2/E3;
+//!   literals — the one production layout;
 //! * [`expr`] — filter expressions: comparisons, boolean algebra, and the
 //!   GeoSPARQL functions `geof:sfIntersects` / `sfContains` / `sfWithin`
 //!   / `geof:distance`, compiled at plan time over batch columns;
@@ -32,7 +30,9 @@
 //!   (filter–refine), and a point candidate strictly inside a rectangle
 //!   constant skips the refine step. The resulting [`plan::Plan`] is inspectable,
 //!   cacheable, and shared by the federation engine (as a logical plan:
-//!   fetch order and region) and the serving tier;
+//!   fetch order and region) and the serving tier.
+//!   [`plan::plan_without_pushdown`] skips the R-tree: the post-filter
+//!   ablation arm of experiment E2;
 //! * [`batch`] — columnar binding batches over term ids;
 //! * [`join`] — the physical operators: index nested-loop and hash-probe
 //!   pattern extension, filter masks, and OPTIONAL left-joins, all
@@ -49,6 +49,10 @@
 //!   and the [`storage::Store`] wrapper that ties them together. A
 //!   [`storage::ShardSpec`] filters bulk loads to one subject-hash
 //!   shard of a partitioned dataset;
+//! * [`naive`] — an independent nested-loop evaluator over a plain list
+//!   of term triples, sharing only the parser's AST, [`Term`] and
+//!   `ee_geo` with the engine: the pre-Strabon baseline of experiments
+//!   E2/E3 and the oracle of the differential tests;
 //! * [`merge`] — merge-aware combination of per-shard query results for
 //!   the scatter-gather router tier: strategy selection by query shape
 //!   (sum counts, canonical-order row concatenation) and rejection of
@@ -60,6 +64,7 @@ pub mod exec;
 pub mod expr;
 pub mod join;
 pub mod merge;
+pub mod naive;
 pub mod parser;
 pub mod plan;
 pub mod storage;
@@ -67,7 +72,7 @@ pub mod store;
 pub mod term;
 pub mod update;
 
-pub use store::{IndexMode, Novelty, StoreView, TripleStore, ViewCursor};
+pub use store::{Novelty, StoreView, TripleStore, ViewCursor};
 pub use term::Term;
 
 /// Errors from the RDF layer.

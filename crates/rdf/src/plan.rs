@@ -132,7 +132,8 @@ pub struct Plan {
     /// The filters with plan-time placement.
     pub filters: Vec<FilterPlan>,
     /// Per-column spatial candidate id sets (sorted ascending) from
-    /// R-tree pushdown. Empty for logical plans and non-`Full` stores.
+    /// R-tree pushdown. Empty for logical plans and for
+    /// [`plan_without_pushdown`].
     pub candidates: HashMap<usize, Vec<u64>>,
     /// The pushdown region, when one exists: (variable name, envelope).
     /// Logical plans keep this for spatial source selection.
@@ -290,8 +291,10 @@ fn place_filters(filters: &mut [FilterPlan], slots: &[[Slot; 3]], order: &[usize
     }
 }
 
-/// The shared planning scaffold. `store == None` builds a logical plan.
-fn build(store: Option<StoreView<'_>>, q: &Query) -> Result<Plan, RdfError> {
+/// The shared planning scaffold. `store == None` builds a logical plan;
+/// `pushdown == false` skips the R-tree visit, so the plan has no
+/// candidate sets and its filters decide nothing.
+fn build(store: Option<StoreView<'_>>, q: &Query, pushdown: bool) -> Result<Plan, RdfError> {
     let mut vars = Vec::new();
     // Select order defines projection order for named vars.
     for item in &q.select {
@@ -365,16 +368,14 @@ fn build(store: Option<StoreView<'_>>, q: &Query) -> Result<Plan, RdfError> {
             if region.is_none() {
                 region = Some((vars[pd.col].clone(), pd.envelope));
             }
-            let (mut ids, mut decided) = (Vec::new(), Vec::new());
-            let pruned = store.is_some_and(|st| {
+            if let Some(st) = store.filter(|_| pushdown) {
+                let (mut ids, mut decided) = (Vec::new(), Vec::new());
                 st.visit_spatial(&pd.envelope, &mut |env, id| {
                     ids.push(id);
                     if pd.decides(env) {
                         decided.push(id);
                     }
-                })
-            });
-            if pruned {
+                });
                 ids.sort_unstable();
                 ids.dedup();
                 match candidates.entry(pd.col) {
@@ -489,7 +490,7 @@ fn build(store: Option<StoreView<'_>>, q: &Query) -> Result<Plan, RdfError> {
 
 /// Plan a query against a concrete store (physical plan).
 pub fn plan(store: &TripleStore, q: &Query) -> Result<Plan, RdfError> {
-    build(Some(StoreView::from(store)), q)
+    build(Some(StoreView::from(store)), q, true)
 }
 
 /// Plan a query against a [`StoreView`] — a head store or a versioned
@@ -498,14 +499,23 @@ pub fn plan(store: &TripleStore, q: &Query) -> Result<Plan, RdfError> {
 /// overlay is relative to the head it was built on: plan and execute a
 /// versioned read under one read guard that still sees that head.
 pub fn plan_view(view: StoreView<'_>, q: &Query) -> Result<Plan, RdfError> {
-    build(Some(view), q)
+    build(Some(view), q, true)
+}
+
+/// [`plan_view`] without spatial pushdown: the R-tree is never visited,
+/// so the plan carries no candidate sets and every spatial filter is a
+/// plain post-filter over the triple-index joins. The ablation arm of
+/// E2, isolating what the R-tree buys on top of the indexes; answers
+/// equal [`plan_view`]'s.
+pub fn plan_without_pushdown<'s>(view: impl Into<StoreView<'s>>, q: &Query) -> Result<Plan, RdfError> {
+    build(Some(view.into()), q, false)
 }
 
 /// Plan a query without a store (logical plan): no dictionary ids, no
 /// candidate sets, join order from bound positions alone. Federation
 /// takes its fetch order and spatial region from it.
 pub fn logical(q: &Query) -> Result<Plan, RdfError> {
-    build(None, q)
+    build(None, q, false)
 }
 
 fn pattern_term_str(t: &PatternTerm) -> String {
@@ -652,7 +662,6 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::store::IndexMode;
     use crate::term::Term;
 
     fn e(n: &str) -> Term {
@@ -660,7 +669,7 @@ mod tests {
     }
 
     fn store() -> TripleStore {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let name = e("name");
         let knows = e("knows");
         let geom = e("hasGeometry");
@@ -725,6 +734,27 @@ mod tests {
         );
         assert!(p.region.is_some());
         assert_eq!(p.candidates.len(), 1);
+    }
+
+    #[test]
+    fn no_pushdown_plan_indexes_but_does_not_prune() {
+        let st = store();
+        let q = parse_query(
+            "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g . \
+             FILTER(geof:sfWithin(?g, \"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))\"^^geo:wktLiteral)) }",
+        )
+        .unwrap();
+        let pushed = plan(&st, &q).unwrap();
+        assert_eq!(pushed.candidates.values().map(Vec::len).sum::<usize>(), 2);
+        assert_eq!(pushed.filters[0].filter.decided().len(), 2, "both points are strictly inside");
+        let post = plan_without_pushdown(&st, &q).unwrap();
+        assert!(post.candidates.is_empty(), "no R-tree pruning");
+        assert!(post.filters[0].filter.decided().is_empty(), "the R-tree decides nothing");
+        // The same join order over the same triple indexes, and the
+        // same region for spatial source selection.
+        assert_eq!(post.order, pushed.order);
+        assert_eq!(post.region, pushed.region);
+        assert_eq!(post.describe(), pushed.describe().replace(" [pushdown ?g]", ""));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod encode;
 pub mod segment;
 pub mod snapshot;
 
-use crate::store::{IdTriple, IndexMode, Novelty, TripleStore};
+use crate::store::{IdTriple, Novelty, TripleStore};
 use crate::term::{Term, XSD_STRING};
 use crate::update::{apply_delta, evaluate_update, Delta, GroundTriple};
 use crate::RdfError;
@@ -255,7 +255,7 @@ impl Store {
         let snap_path = dir.join(SNAPSHOT_FILE);
         let (mut inner, snapshot_generation) = if snap_path.exists() {
             let data = read_snapshot(&snap_path)?;
-            let mut st = TripleStore::new(data.mode);
+            let mut st = TripleStore::new();
             for t in &data.terms {
                 st.dict.intern(t);
             }
@@ -266,7 +266,7 @@ impl Store {
             st.bulk_load_sorted_ids(&data.triples);
             (st, data.generation)
         } else {
-            (TripleStore::new(IndexMode::Full), 0)
+            (TripleStore::new(), 0)
         };
         let (log, records) = CommitLog::open(dir, durability)?;
         let logged_generation = records.last().map_or(0, |(r, _)| r.generation());
@@ -339,7 +339,6 @@ impl Store {
     /// kept-triples over wall time (the filter walks the whole stream).
     pub fn bulk_load<I>(
         dir: impl AsRef<Path>,
-        mode: IndexMode,
         triples: I,
         durability: Durability,
         shard: Option<&ShardSpec>,
@@ -348,7 +347,7 @@ impl Store {
         I: IntoIterator<Item = GroundTriple>,
     {
         let start = Instant::now();
-        let mut st = TripleStore::new(mode);
+        let mut st = TripleStore::new();
         for (s, p, o) in triples {
             if let Some(spec) = shard {
                 if !spec.accepts(&s) {
@@ -873,7 +872,7 @@ mod tests {
 
     #[test]
     fn ephemeral_store_commits_without_disk() {
-        let mut st = Store::ephemeral(TripleStore::new(IndexMode::Full));
+        let mut st = Store::ephemeral(TripleStore::new());
         let stats = st.commit(&upd("INSERT DATA { e:a e:p e:b }")).unwrap();
         assert_eq!(stats.generation, 1);
         assert_eq!(stats.wal_bytes, 0);
@@ -888,7 +887,7 @@ mod tests {
             .map(|i| (e(&format!("s{i}")), e("p"), Term::integer(i)))
             .collect();
         let (st, stats) =
-            Store::bulk_load(&dir, IndexMode::Full, triples, Durability::NoSync, None).unwrap();
+            Store::bulk_load(&dir, triples, Durability::NoSync, None).unwrap();
         assert_eq!(stats.triples, 5000);
         assert!(stats.triples_per_sec > 0.0);
         assert_eq!(st.log_len(), 0, "bulk load must not log per-triple records");
@@ -896,6 +895,39 @@ mod tests {
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert_eq!(st.len(), 5000);
         assert_eq!(st.generation(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_naming_a_retired_index_mode_is_refused() {
+        // The header record is `len: u32 LE`, payload, `fnv1a: u64 LE`;
+        // payload byte 8 (after the magic) is the index-mode byte. The
+        // checksum is re-sealed, so only the mode byte can refuse it.
+        let dir = test_dir("retired-mode");
+        let triples: Vec<GroundTriple> = (0..10).map(|i| (e(&format!("s{i}")), e("p"), Term::integer(i))).collect();
+        drop(Store::bulk_load(&dir, triples, Durability::NoSync, None).unwrap());
+        let path = dir.join(SNAPSHOT_FILE);
+        let written = std::fs::read(&path).unwrap();
+        let len = u32::from_le_bytes(written[..4].try_into().unwrap()) as usize;
+        for byte in [0u8, 1, 2] {
+            let mut bytes = written.clone();
+            bytes[4 + 8] = byte;
+            let sum = encode::fnv1a(&bytes[4..4 + len]);
+            bytes[4 + len..4 + len + 8].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match Store::open_with(&dir, Durability::NoSync) {
+                Ok(st) => {
+                    assert_eq!(byte, 0, "mode byte {byte} must be refused");
+                    assert_eq!(st.len(), 10);
+                }
+                Err(StoreError::Io(err)) => {
+                    assert_ne!(byte, 0, "the indexed layout opens: {err}");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert!(err.to_string().contains("unknown index mode byte"), "{err}");
+                }
+                Err(other) => panic!("mode byte {byte}: {other}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -931,7 +963,7 @@ mod tests {
             let dir = test_dir(&format!("bulk-shard-{k}"));
             let spec = ShardSpec::new(k, count);
             let (st, stats) =
-                Store::bulk_load(&dir, IndexMode::Full, triples(k), Durability::NoSync, Some(&spec))
+                Store::bulk_load(&dir, triples(k), Durability::NoSync, Some(&spec))
                     .unwrap();
             assert_eq!(st.len(), stats.triples);
             assert!(st.len() < n as usize, "a shard holds a strict slice");
@@ -959,9 +991,7 @@ mod tests {
             .unwrap();
         }
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
-        let hits = st
-            .spatial_candidates(&ee_geo::Envelope::new(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
+        let hits = st.spatial_candidates(&ee_geo::Envelope::new(0.0, 0.0, 10.0, 10.0));
         assert_eq!(hits.len(), 1, "R-tree rebuilt from replayed triples");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1009,7 +1039,7 @@ mod tests {
         };
         let dir = test_dir("chain-durable");
         let (durable_ids, durable) = run(Store::open_with(&dir, Durability::NoSync).unwrap());
-        let (ephemeral_ids, _) = run(Store::ephemeral(TripleStore::new(IndexMode::Full)));
+        let (ephemeral_ids, _) = run(Store::ephemeral(TripleStore::new()));
         // Same commit sequence → same chain, with or without a disk.
         assert_eq!(durable_ids, ephemeral_ids);
         assert_eq!(durable_ids.len(), 3);
@@ -1038,7 +1068,7 @@ mod tests {
             "INSERT DATA { e:a e:p e:b . e:z e:q \"POINT (2 2)\"^^<http://www.opengis.net/ont/geosparql#wktLiteral> }",
             "DELETE DATA { e:x e:q e:y }",
         ];
-        let mut st = Store::ephemeral(TripleStore::new(IndexMode::Full));
+        let mut st = Store::ephemeral(TripleStore::new());
         let mut ids = vec![ROOT_COMMIT_ID];
         for u in &updates {
             st.commit(&upd(u)).unwrap();
@@ -1047,7 +1077,7 @@ mod tests {
         for (k, id) in ids.iter().enumerate() {
             // Reference: a fresh store replayed through the first k
             // commits, queried at head.
-            let mut reference = Store::ephemeral(TripleStore::new(IndexMode::Full));
+            let mut reference = Store::ephemeral(TripleStore::new());
             for u in &updates[..k] {
                 reference.commit(&upd(u)).unwrap();
             }
@@ -1142,7 +1172,7 @@ mod tests {
         // The id `next` gets on an uncrashed store holding k commits.
         let next_ids: Vec<u64> = (0..=updates.len())
             .map(|k| {
-                let mut reference = Store::ephemeral(TripleStore::new(IndexMode::Full));
+                let mut reference = Store::ephemeral(TripleStore::new());
                 for u in &updates[..k] {
                     reference.commit(&upd(u)).unwrap();
                 }
@@ -1217,12 +1247,12 @@ mod tests {
 
     #[test]
     fn ntriples_export_import_round_trips() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&e("a"), &e("p"), &Term::string("line\nbreak \"quoted\" \\slash"));
         st.insert(&e("a"), &e("v"), &Term::integer(-5));
         st.insert(&e("a"), &e("g"), &Term::wkt("POINT (1 2)"));
         let text = export_ntriples(&st);
-        let mut back = TripleStore::new(IndexMode::Full);
+        let mut back = TripleStore::new();
         assert_eq!(load_ntriples(&mut back, &text).unwrap(), 3);
         for (s, p, o) in st.triples() {
             assert!(back.contains(s, p, o), "{} missing", o.ntriples());

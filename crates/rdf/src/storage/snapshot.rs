@@ -1,8 +1,9 @@
 //! Snapshot files: a complete store image at one generation.
 //!
 //! ```text
-//! record 0           header: "EESNAP01" magic, index mode, generation,
-//!                    term count, triple count
+//! record 0           header: "EESNAP01" magic, index-mode byte (always
+//!                    0; any other value is refused), generation, term
+//!                    count, triple count
 //! records 1..=D      dictionary blocks (terms in id order, DICT_CHUNK each)
 //! records D+1..=D+S  triple segments (SPO-sorted, TRIPLE_CHUNK each)
 //! ```
@@ -19,7 +20,7 @@ use super::segment::{
     decode_dict_block, decode_triple_segment, encode_dict_block, encode_triple_segment,
     DICT_CHUNK, TRIPLE_CHUNK,
 };
-use crate::store::{IdTriple, IndexMode, TripleStore};
+use crate::store::{IdTriple, TripleStore};
 use crate::term::Term;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -31,33 +32,19 @@ const MAGIC: &[u8; 8] = b"EESNAP01";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
+/// The header's index-mode byte: always `0`, the indexed layout. Any
+/// other value names a layout this store does not have, and the snapshot
+/// is refused rather than opened as something it is not.
+const INDEXED_MODE_BYTE: u8 = 0;
+
 /// A decoded snapshot: everything needed to rebuild a store.
 pub struct SnapshotData {
-    /// Index mode the store was built with.
-    pub mode: IndexMode,
     /// Generation the snapshot captures.
     pub generation: u64,
     /// All terms, position = dictionary id.
     pub terms: Vec<Term>,
     /// All triples, SPO-sorted.
     pub triples: Vec<IdTriple>,
-}
-
-fn mode_byte(mode: IndexMode) -> u8 {
-    match mode {
-        IndexMode::Full => 0,
-        IndexMode::NoPushdown => 1,
-        IndexMode::Scan => 2,
-    }
-}
-
-fn byte_mode(b: u8) -> io::Result<IndexMode> {
-    match b {
-        0 => Ok(IndexMode::Full),
-        1 => Ok(IndexMode::NoPushdown),
-        2 => Ok(IndexMode::Scan),
-        other => Err(bad_data(&format!("unknown index mode byte {other}"))),
-    }
 }
 
 /// Write a snapshot of `store` at `generation` into `dir`, atomically
@@ -72,7 +59,7 @@ pub fn write_snapshot(dir: &Path, store: &TripleStore, generation: u64) -> io::R
         let n_terms = store.dict.len();
         let mut header = Vec::with_capacity(32);
         header.extend_from_slice(MAGIC);
-        header.push(mode_byte(store.mode()));
+        header.push(INDEXED_MODE_BYTE);
         put_uvarint(&mut header, generation);
         put_uvarint(&mut header, n_terms as u64);
         put_uvarint(&mut header, store.len() as u64);
@@ -123,7 +110,9 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotData> {
     if header.len() < 9 || &header[..8] != MAGIC {
         return Err(bad_data("not a snapshot file (bad magic)"));
     }
-    let mode = byte_mode(header[8])?;
+    if header[8] != INDEXED_MODE_BYTE {
+        return Err(bad_data(&format!("unknown index mode byte {}", header[8])));
+    }
     let mut pos = 9;
     let generation = get_uvarint(&header, &mut pos)?;
     let n_terms = get_uvarint(&header, &mut pos)? as usize;
@@ -152,7 +141,6 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotData> {
         _ => return Err(bad_data("trailing records after snapshot body")),
     }
     Ok(SnapshotData {
-        mode,
         generation,
         terms,
         triples,
@@ -172,7 +160,7 @@ mod tests {
     use crate::storage::test_dir;
 
     fn sample_store() -> TripleStore {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         for i in 0..5000u64 {
             st.insert(
                 &Term::iri(format!("http://e/f{i}")),
@@ -195,7 +183,6 @@ mod tests {
         write_snapshot(&dir, &st, 7).unwrap();
         let data = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
         assert_eq!(data.generation, 7);
-        assert_eq!(data.mode, IndexMode::Full);
         assert_eq!(data.terms.len(), st.dict.len());
         assert_eq!(data.triples.len(), st.len());
         let want: Vec<IdTriple> = st.id_triples().collect();
@@ -210,9 +197,9 @@ mod tests {
     /// FNV-1a and length of the snapshot of a two-segment store whose
     /// insertion order is far from SPO order: descending subjects,
     /// deletes that move the tail around, then re-inserts.
-    fn pinned_snapshot(mode: IndexMode) -> (u64, usize) {
+    fn pinned_snapshot() -> (u64, usize) {
         let iri = |s: String| Term::iri(format!("http://e/{s}"));
-        let mut st = TripleStore::new(mode);
+        let mut st = TripleStore::new();
         for i in (0..9000u64).rev() {
             st.insert(
                 &iri(format!("f{i}")),
@@ -234,7 +221,7 @@ mod tests {
                 &Term::wkt(format!("POINT ({i} 1)")),
             );
         }
-        let dir = test_dir(&format!("snap-pinned-{mode:?}"));
+        let dir = test_dir("snap-pinned");
         write_snapshot(&dir, &st, 3).unwrap();
         let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -245,14 +232,7 @@ mod tests {
     fn snapshot_bytes_are_pinned() {
         // Golden values recorded before the writer streamed from the SPO
         // index; any change to the on-disk bytes must be deliberate.
-        assert_eq!(
-            pinned_snapshot(IndexMode::Full),
-            (0xe9a9_ae4f_a57f_e583, 216_686)
-        );
-        assert_eq!(
-            pinned_snapshot(IndexMode::Scan),
-            (0x5624_1c7e_bf28_0d59, 216_686)
-        );
+        assert_eq!(pinned_snapshot(), (0xe9a9_ae4f_a57f_e583, 216_686));
     }
 
     #[test]

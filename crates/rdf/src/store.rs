@@ -14,20 +14,6 @@ use ee_geo::{Envelope, RTree};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 
-/// How the store answers triple patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// SPO/POS/OSP indexes + R-tree spatial pushdown (Strabon-style).
-    Full,
-    /// SPO/POS/OSP indexes but **no** spatial pushdown: spatial filters
-    /// are evaluated as plain post-filters. The ablation arm of E2 that
-    /// isolates what the R-tree buys on top of the triple indexes.
-    NoPushdown,
-    /// Linear scan of the triple list, no indexes at all — the naive
-    /// baseline of experiments E2/E3.
-    Scan,
-}
-
 /// A triple of dictionary ids.
 pub type IdTriple = (u64, u64, u64);
 
@@ -64,33 +50,30 @@ fn widen(&(s, p, o): &Key) -> IdTriple {
 pub struct TripleStore {
     /// Term dictionary (public read access for the evaluator).
     pub dict: Dictionary,
-    mode: IndexMode,
-    /// Scan mode only (empty otherwise): the triple list the scan walks.
-    all: Vec<IdTriple>,
-    /// Scan mode only: position of every triple in `all`, for O(1)
-    /// removal and the dedup test.
-    pos_of: std::collections::HashMap<IdTriple, usize>,
-    /// Indexed modes only (empty in scan mode): the three covering
-    /// indexes. `spo` is also the membership set and the SPO-order list.
+    /// The three covering indexes. `spo` is also the membership set and
+    /// the SPO-order list.
     spo: BTreeSet<Key>,
     pos: BTreeSet<Key>,
     osp: BTreeSet<Key>,
-    /// Indexed modes only: triples per predicate — the length of each
-    /// predicate's run in `pos`, which answers the predicate-only
+    /// Triples per predicate — the length of each predicate's run in
+    /// `pos`, which answers the predicate-only
     /// [`estimate`](TripleStore::estimate) without walking the run.
     pred_counts: HashMap<u32, usize>,
     rtree: RTree<u64>,
     pending_spatial: Vec<(Envelope, u64)>,
 }
 
+impl Default for TripleStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TripleStore {
-    /// An empty store in the given index mode.
-    pub fn new(mode: IndexMode) -> Self {
+    /// An empty store.
+    pub fn new() -> Self {
         Self {
             dict: Dictionary::new(),
-            mode,
-            all: Vec::new(),
-            pos_of: std::collections::HashMap::new(),
             spo: BTreeSet::new(),
             pos: BTreeSet::new(),
             osp: BTreeSet::new(),
@@ -100,17 +83,9 @@ impl TripleStore {
         }
     }
 
-    /// The index mode.
-    pub fn mode(&self) -> IndexMode {
-        self.mode
-    }
-
     /// Number of triples.
     pub fn len(&self) -> usize {
-        match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => self.spo.len(),
-            IndexMode::Scan => self.all.len(),
-        }
+        self.spo.len()
     }
 
     /// True when the store holds no triples.
@@ -130,33 +105,19 @@ impl TripleStore {
     ///
     /// # Panics
     ///
-    /// In the indexed modes, on an id of `u32::MAX` or more, which no
-    /// dictionary issues.
+    /// On an id of `u32::MAX` or more, which no dictionary issues.
     pub fn insert_ids(&mut self, s: u64, p: u64, o: u64) {
-        match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => {
-                let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
-                let (s32, p32, o32) = (key(s), key(p), key(o));
-                if !self.spo.insert((s32, p32, o32)) {
-                    return;
-                }
-                self.pos.insert((p32, o32, s32));
-                self.osp.insert((o32, s32, p32));
-                *self.pred_counts.entry(p32).or_default() += 1;
-                if self.mode == IndexMode::Full {
-                    if let Some(env) = self.dict.envelope_of(o) {
-                        // Buffer for bulk-load; ingests pay one STR pack.
-                        self.pending_spatial.push((env, o));
-                    }
-                }
-            }
-            IndexMode::Scan => {
-                if self.pos_of.contains_key(&(s, p, o)) {
-                    return;
-                }
-                self.pos_of.insert((s, p, o), self.all.len());
-                self.all.push((s, p, o));
-            }
+        let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
+        let (s32, p32, o32) = (key(s), key(p), key(o));
+        if !self.spo.insert((s32, p32, o32)) {
+            return;
+        }
+        self.pos.insert((p32, o32, s32));
+        self.osp.insert((o32, s32, p32));
+        *self.pred_counts.entry(p32).or_default() += 1;
+        if let Some(env) = self.dict.envelope_of(o) {
+            // Buffer for bulk-load; ingests pay one STR pack.
+            self.pending_spatial.push((env, o));
         }
     }
 
@@ -182,42 +143,23 @@ impl TripleStore {
     /// and rows bind exclusively through B-tree pattern matches, so a
     /// stale geometry id costs one rejected probe, never a wrong answer.
     ///
-    /// Cursor invariant: active [`PatternCursor`]s in the indexed modes
-    /// resume via an `Excluded(last)` re-seek, so removal of triples
-    /// other than the cursor's exact resume key is safe between batches
-    /// (removing the resume key itself is also safe — the seek lands on
-    /// the next greater key). Scan-mode cursors are positional and are
-    /// only valid while the store is unmodified, which the `&mut self`
-    /// borrow already enforces within a single query execution.
+    /// Cursor invariant: an active [`PatternCursor`] resumes via an
+    /// `Excluded(last)` re-seek, so removing triples between batches is
+    /// safe — including the cursor's exact resume key, since the seek
+    /// then lands on the next greater key.
     pub fn remove_ids(&mut self, s: u64, p: u64, o: u64) -> bool {
-        let t = (s, p, o);
-        match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => {
-                let (Some(s), Some(p), Some(o)) = (narrow(s), narrow(p), narrow(o)) else {
-                    return false;
-                };
-                if !self.spo.remove(&(s, p, o)) {
-                    return false;
-                }
-                self.pos.remove(&(p, o, s));
-                self.osp.remove(&(o, s, p));
-                let n = self.pred_counts.get_mut(&p).expect("a stored triple's predicate is counted");
-                *n -= 1;
-                if *n == 0 {
-                    self.pred_counts.remove(&p);
-                }
-            }
-            IndexMode::Scan => {
-                let Some(i) = self.pos_of.remove(&t) else {
-                    return false;
-                };
-                // O(1) removal from the triple list; fix up the moved
-                // tail entry's recorded position.
-                self.all.swap_remove(i);
-                if i < self.all.len() {
-                    self.pos_of.insert(self.all[i], i);
-                }
-            }
+        let (Some(s), Some(p), Some(o)) = (narrow(s), narrow(p), narrow(o)) else {
+            return false;
+        };
+        if !self.spo.remove(&(s, p, o)) {
+            return false;
+        }
+        self.pos.remove(&(p, o, s));
+        self.osp.remove(&(o, s, p));
+        let n = self.pred_counts.get_mut(&p).expect("a stored triple's predicate is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.pred_counts.remove(&p);
         }
         true
     }
@@ -233,72 +175,54 @@ impl TripleStore {
     ///
     /// # Panics
     ///
-    /// In the indexed modes, on an id of `u32::MAX` or more.
+    /// On an id of `u32::MAX` or more.
     pub fn bulk_load_sorted_ids(&mut self, triples: &[IdTriple]) {
         debug_assert!(self.is_empty(), "bulk load requires an empty store");
         debug_assert!(
             triples.windows(2).all(|w| w[0] < w[1]),
             "bulk load input must be strictly ascending SPO"
         );
-        match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => {
-                let keys: Vec<Key> = triples
-                    .iter()
-                    .map(|&(s, p, o)| {
-                        let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
-                        (key(s), key(p), key(o))
-                    })
-                    .collect();
-                let mut pos: Vec<Key> = keys.iter().map(|&(s, p, o)| (p, o, s)).collect();
-                pos.sort_unstable();
-                for run in pos.chunk_by(|a, b| a.0 == b.0) {
-                    self.pred_counts.insert(run[0].0, run.len());
-                }
-                self.pos = pos.into_iter().collect();
-                self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
-                self.spo = keys.into_iter().collect();
-                if self.mode == IndexMode::Full {
-                    for &(_, _, o) in triples {
-                        if let Some(env) = self.dict.envelope_of(o) {
-                            self.pending_spatial.push((env, o));
-                        }
-                    }
-                }
-            }
-            IndexMode::Scan => {
-                self.all = triples.to_vec();
-                self.pos_of.reserve(triples.len());
-                self.pos_of
-                    .extend(triples.iter().enumerate().map(|(i, &t)| (t, i)));
+        let keys: Vec<Key> = triples
+            .iter()
+            .map(|&(s, p, o)| {
+                let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
+                (key(s), key(p), key(o))
+            })
+            .collect();
+        let mut pos: Vec<Key> = keys.iter().map(|&(s, p, o)| (p, o, s)).collect();
+        pos.sort_unstable();
+        for run in pos.chunk_by(|a, b| a.0 == b.0) {
+            self.pred_counts.insert(run[0].0, run.len());
+        }
+        self.pos = pos.into_iter().collect();
+        self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        self.spo = keys.into_iter().collect();
+        for &(_, _, o) in triples {
+            if let Some(env) = self.dict.envelope_of(o) {
+                self.pending_spatial.push((env, o));
             }
         }
     }
 
     /// Membership test on pre-interned ids.
     pub fn contains_ids(&self, s: u64, p: u64, o: u64) -> bool {
-        match self.mode {
-            IndexMode::Full | IndexMode::NoPushdown => match (narrow(s), narrow(p), narrow(o)) {
-                (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
-                _ => false,
-            },
-            IndexMode::Scan => self.pos_of.contains_key(&(s, p, o)),
+        match (narrow(s), narrow(p), narrow(o)) {
+            (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
+            _ => false,
         }
     }
 
-    /// Every triple as raw dictionary ids, in SPO order. Indexed modes
-    /// walk `spo`; scan mode sorts a copy of its triple list. The storage
+    /// Every triple as raw dictionary ids, in SPO order. The storage
     /// layer streams snapshots from this.
     pub fn id_triples(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        // One of `spo` and `all` is always empty.
-        let mut scanned = self.all.clone();
-        scanned.sort_unstable();
-        self.spo.iter().map(widen).chain(scanned)
+        self.spo.iter().map(widen)
     }
 
     /// Finish an ingest: bulk-(re)load the spatial index from all geometry
-    /// objects seen so far. Call after batch inserts; queries also call it
-    /// lazily through [`TripleStore::spatial_candidates`] being
-    /// conservative (it falls back to pending entries linearly).
+    /// objects inserted so far. Call after batch inserts. Until then new
+    /// geometries wait in a pending list that
+    /// [`visit_spatial`](Self::visit_spatial) scans linearly, so answers
+    /// never depend on this call, only the cost of a spatial probe does.
     pub fn build_spatial_index(&mut self) {
         if self.pending_spatial.is_empty() {
             return;
@@ -318,12 +242,11 @@ impl TripleStore {
     }
 
     /// Geometry-literal ids whose envelope intersects `query` (the spatial
-    /// pushdown primitive). `None` when the store cannot prune (the
-    /// non-`Full` modes).
-    pub fn spatial_candidates(&self, query: &Envelope) -> Option<Vec<u64>> {
+    /// pushdown primitive); an id may come twice.
+    pub fn spatial_candidates(&self, query: &Envelope) -> Vec<u64> {
         let mut out = Vec::new();
-        self.visit_spatial(query, &mut |_, id| out.push(id))
-            .then_some(out)
+        self.visit_spatial(query, &mut |_, id| out.push(id));
+        out
     }
 
     /// Hand `f` every geometry-literal id whose envelope intersects
@@ -331,24 +254,18 @@ impl TripleStore {
     /// planner decides some predicates from it without fetching the
     /// geometry. Not-yet-packed entries are included, so correctness never
     /// depends on calling [`build_spatial_index`](Self::build_spatial_index);
-    /// an id may come twice. Returns `false`, visiting nothing, when the
-    /// store cannot prune (the non-`Full` modes).
-    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) -> bool {
-        if self.mode != IndexMode::Full {
-            return false;
-        }
+    /// an id may come twice.
+    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) {
         self.rtree.visit_entries(query, &mut |env, &id| f(env, id));
         for (env, id) in &self.pending_spatial {
             if env.intersects(query) {
                 f(env, *id);
             }
         }
-        true
     }
 
-    /// All triples matching a pattern of optional ids, via the best index
-    /// (or a scan in [`IndexMode::Scan`]). The callback returns `false` to
-    /// stop early.
+    /// All triples matching a pattern of optional ids, via the best
+    /// index. The callback returns `false` to stop early.
     pub fn match_pattern<F: FnMut(IdTriple) -> bool>(
         &self,
         s: Option<u64>,
@@ -380,23 +297,7 @@ impl TripleStore {
         if cursor.done {
             return;
         }
-        if self.mode == IndexMode::Scan {
-            // Scan order is `all` order; the cursor is a plain position.
-            while cursor.scan_pos < self.all.len() {
-                let (ts, tp, to) = self.all[cursor.scan_pos];
-                cursor.scan_pos += 1;
-                if s.map(|v| v == ts).unwrap_or(true)
-                    && p.map(|v| v == tp).unwrap_or(true)
-                    && o.map(|v| v == to).unwrap_or(true)
-                    && !f((ts, tp, to))
-                {
-                    return;
-                }
-            }
-            cursor.done = true;
-            return;
-        }
-        // Indexed modes: a constant no dictionary issues matches nothing.
+        // A constant no dictionary issues matches nothing.
         let (Some(s), Some(p), Some(o)) = (narrow_bound(s), narrow_bound(p), narrow_bound(o)) else {
             cursor.done = true;
             return;
@@ -476,16 +377,12 @@ impl TripleStore {
     }
 
     /// Estimated result count of a pattern (exact for indexed lookups,
-    /// `len()` for unbounded/scan) — drives join ordering. Indexed
-    /// estimates are capped at [`ESTIMATE_CAP`]; a subject-bound pattern
-    /// is estimated from its subject (and predicate) alone. The
+    /// `len()` for the unbound pattern) — drives join ordering. Estimates
+    /// are capped at [`ESTIMATE_CAP`]; a subject-bound pattern is
+    /// estimated from its subject (and predicate) alone. The
     /// predicate-only shape reads the per-predicate count; the others walk
     /// their index range up to the cap.
     pub fn estimate(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> usize {
-        if self.mode == IndexMode::Scan {
-            // Scan mode has no statistics: every pattern costs a pass.
-            return self.len();
-        }
         // A component no dictionary issues narrows to `None`: no matches.
         let range = |set: &BTreeSet<Key>, first: u64, second: Option<u64>| {
             let (Some(first), Some(second)) = (narrow(first), narrow_bound(second)) else {
@@ -504,14 +401,10 @@ impl TripleStore {
         }
     }
 
-    /// Iterate every triple (term-resolved), for export and interlinking:
-    /// in SPO-id order in the indexed modes, in list order in scan mode.
+    /// Iterate every triple (term-resolved), in SPO-id order, for export
+    /// and interlinking.
     pub fn triples(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
-        // One of `spo` and `all` is always empty.
-        self.spo
-            .iter()
-            .map(widen)
-            .chain(self.all.iter().copied())
+        self.id_triples()
             .map(move |(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
     }
 }
@@ -522,11 +415,9 @@ impl TripleStore {
 /// or repeat matches).
 #[derive(Debug, Clone, Default)]
 pub struct PatternCursor {
-    /// Last triple delivered before a pause (indexed modes resume
-    /// exclusively after it).
+    /// Last triple delivered before a pause; the enumeration resumes
+    /// exclusively after it.
     last: Option<IdTriple>,
-    /// Next position in `all` (scan mode).
-    scan_pos: usize,
     /// The enumeration ran to the end.
     done: bool,
 }
@@ -677,11 +568,6 @@ impl<'a> StoreView<'a> {
         &self.base.dict
     }
 
-    /// The base store's index mode.
-    pub fn mode(&self) -> IndexMode {
-        self.base.mode()
-    }
-
     /// Triples visible through the view.
     pub fn len(&self) -> usize {
         match self.novelty {
@@ -736,10 +622,8 @@ impl<'a> StoreView<'a> {
     /// bindings outside them, so a view that resurrects a deleted
     /// geometry must surface its id here or the row would be silently
     /// dropped. Stale base entries stay (superset semantics).
-    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) -> bool {
-        if !self.base.visit_spatial(query, f) {
-            return false;
-        }
+    pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) {
+        self.base.visit_spatial(query, f);
         if let Some(n) = self.novelty {
             for &(_, _, o) in &n.add {
                 if let Some(env) = self.base.dict.envelope_of(o) {
@@ -749,7 +633,6 @@ impl<'a> StoreView<'a> {
                 }
             }
         }
-        true
     }
 
     /// All view triples matching a pattern; the callback returns `false`
@@ -851,8 +734,8 @@ mod tests {
         Term::iri(format!("http://e/{n}"))
     }
 
-    fn store(mode: IndexMode) -> TripleStore {
-        let mut st = TripleStore::new(mode);
+    fn store() -> TripleStore {
+        let mut st = TripleStore::new();
         st.insert(&t("a"), &t("knows"), &t("b"));
         st.insert(&t("a"), &t("knows"), &t("c"));
         st.insert(&t("b"), &t("knows"), &t("c"));
@@ -878,10 +761,11 @@ mod tests {
         out
     }
 
+    /// The index path and a linear scan of the triple list agree on
+    /// every pattern shape.
     #[test]
     fn both_modes_agree_on_all_patterns() {
-        let full = store(IndexMode::Full);
-        let scan = store(IndexMode::Scan);
+        let st = store();
         let a = t("a");
         let knows = t("knows");
         let c = t("c");
@@ -895,24 +779,14 @@ mod tests {
             (Some(&a), Some(&knows), Some(&c)),
         ];
         for (s, p, o) in cases {
-            // Ids differ across dictionaries; compare resolved terms.
-            let resolve = |st: &TripleStore, v: Vec<IdTriple>| -> Vec<(Term, Term, Term)> {
-                let mut r: Vec<_> = v
-                    .into_iter()
-                    .map(|(a, b, c)| {
-                        (
-                            st.dict.term(a).clone(),
-                            st.dict.term(b).clone(),
-                            st.dict.term(c).clone(),
-                        )
-                    })
-                    .collect();
-                r.sort();
-                r
-            };
-            let lf = resolve(&full, collect(&full, s, p, o));
-            let ls = resolve(&scan, collect(&scan, s, p, o));
-            assert_eq!(lf, ls, "pattern {s:?} {p:?} {o:?}");
+            let id = |x: Option<&Term>| x.map(|x| st.dict.id_of(x).unwrap());
+            let (sid, pid, oid) = (id(s), id(p), id(o));
+            let scanned: Vec<IdTriple> = st
+                .id_triples()
+                .filter(|&tr| pattern_matches(tr, sid, pid, oid))
+                .collect();
+            assert!(!scanned.is_empty(), "pattern {s:?} {p:?} {o:?} matches");
+            assert_eq!(collect(&st, s, p, o), scanned, "pattern {s:?} {p:?} {o:?}");
         }
     }
 
@@ -920,63 +794,58 @@ mod tests {
     fn match_pattern_from_resumes_identically() {
         // Pulling 1..=3 triples per resume must enumerate exactly what a
         // one-shot match_pattern delivers, in the same order, for every
-        // pattern shape and both index modes.
-        for mode in [IndexMode::Full, IndexMode::Scan] {
-            let st = store(mode);
-            let a = t("a");
-            let knows = t("knows");
-            let c = t("c");
-            let id = |x: &Term| st.dict.id_of(x).unwrap();
-            let cases = [
-                (None, None, None),
-                (Some(id(&a)), None, None),
-                (None, Some(id(&knows)), None),
-                (None, None, Some(id(&c))),
-                (Some(id(&a)), Some(id(&knows)), None),
-                (None, Some(id(&knows)), Some(id(&c))),
-                (Some(id(&a)), None, Some(id(&c))),
-                (Some(id(&a)), Some(id(&knows)), Some(id(&c))),
-            ];
-            for (s, p, o) in cases {
-                let mut oneshot = Vec::new();
-                st.match_pattern(s, p, o, &mut |t| {
-                    oneshot.push(t);
-                    true
-                });
-                for chunk in 1..=3usize {
-                    let mut cursor = PatternCursor::default();
-                    let mut resumed = Vec::new();
-                    while !cursor.is_done() {
-                        let mut got = 0;
-                        st.match_pattern_from(s, p, o, &mut cursor, &mut |t| {
-                            resumed.push(t);
-                            got += 1;
-                            got < chunk
-                        });
-                    }
-                    assert_eq!(
-                        resumed, oneshot,
-                        "mode {mode:?} pattern {s:?} {p:?} {o:?} chunk {chunk}"
-                    );
+        // pattern shape.
+        let st = store();
+        let a = t("a");
+        let knows = t("knows");
+        let c = t("c");
+        let id = |x: &Term| st.dict.id_of(x).unwrap();
+        let cases = [
+            (None, None, None),
+            (Some(id(&a)), None, None),
+            (None, Some(id(&knows)), None),
+            (None, None, Some(id(&c))),
+            (Some(id(&a)), Some(id(&knows)), None),
+            (None, Some(id(&knows)), Some(id(&c))),
+            (Some(id(&a)), None, Some(id(&c))),
+            (Some(id(&a)), Some(id(&knows)), Some(id(&c))),
+        ];
+        for (s, p, o) in cases {
+            let mut oneshot = Vec::new();
+            st.match_pattern(s, p, o, &mut |t| {
+                oneshot.push(t);
+                true
+            });
+            for chunk in 1..=3usize {
+                let mut cursor = PatternCursor::default();
+                let mut resumed = Vec::new();
+                while !cursor.is_done() {
+                    let mut got = 0;
+                    st.match_pattern_from(s, p, o, &mut cursor, &mut |t| {
+                        resumed.push(t);
+                        got += 1;
+                        got < chunk
+                    });
                 }
+                assert_eq!(
+                    resumed, oneshot,
+                    "pattern {s:?} {p:?} {o:?} chunk {chunk}"
+                );
             }
         }
     }
 
     #[test]
     fn duplicates_are_ignored() {
-        let mut st = store(IndexMode::Full);
+        let mut st = store();
         assert_eq!(st.len(), 4);
         st.insert(&t("a"), &t("knows"), &t("b"));
         assert_eq!(st.len(), 4);
-        let mut scan = store(IndexMode::Scan);
-        scan.insert(&t("a"), &t("knows"), &t("b"));
-        assert_eq!(scan.len(), 4);
     }
 
     #[test]
     fn contains_checks_membership() {
-        let st = store(IndexMode::Full);
+        let st = store();
         assert!(st.contains(&t("a"), &t("knows"), &t("b")));
         assert!(!st.contains(&t("c"), &t("knows"), &t("a")));
         assert!(!st.contains(&t("zz"), &t("knows"), &t("b")), "unknown term");
@@ -984,7 +853,7 @@ mod tests {
 
     #[test]
     fn early_termination() {
-        let st = store(IndexMode::Full);
+        let st = store();
         let mut count = 0;
         st.match_pattern(None, None, None, &mut |_| {
             count += 1;
@@ -999,13 +868,13 @@ mod tests {
         // bulk path: every index, the SPO-order triple list, and the
         // spatial candidate set must agree.
         let reference = {
-            let mut st = store(IndexMode::Full);
+            let mut st = store();
             st.insert(&t("g"), &t("hasGeometry"), &Term::wkt("POINT (3 4)"));
             st.build_spatial_index();
             st
         };
         let sorted: Vec<IdTriple> = reference.id_triples().collect();
-        let mut bulk = TripleStore::new(IndexMode::Full);
+        let mut bulk = TripleStore::new();
         for id in 0..reference.dict.len() as u64 {
             bulk.dict.intern(reference.dict.term(id));
         }
@@ -1029,16 +898,12 @@ mod tests {
             );
         }
         let env = Envelope::new(0.0, 0.0, 10.0, 10.0);
-        assert_eq!(
-            bulk.spatial_candidates(&env).map(|mut v| {
-                v.sort_unstable();
-                v
-            }),
-            reference.spatial_candidates(&env).map(|mut v| {
-                v.sort_unstable();
-                v
-            }),
-        );
+        let sorted_candidates = |st: &TripleStore| {
+            let mut v = st.spatial_candidates(&env);
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted_candidates(&bulk), sorted_candidates(&reference));
     }
 
     fn collect_ids(
@@ -1058,33 +923,17 @@ mod tests {
 
     #[test]
     fn estimates_reflect_selectivity() {
-        let st = store(IndexMode::Full);
+        let st = store();
         let knows = st.dict.id_of(&t("knows")).unwrap();
         let a = st.dict.id_of(&t("a")).unwrap();
         assert_eq!(st.estimate(None, None, None), 4);
         assert_eq!(st.estimate(None, Some(knows), None), 3);
         assert_eq!(st.estimate(Some(a), Some(knows), None), 2);
-        // Scan mode: flat cost.
-        let sc = store(IndexMode::Scan);
-        assert_eq!(sc.estimate(Some(0), Some(1), Some(2)), 4);
-    }
-
-    #[test]
-    fn no_pushdown_mode_indexes_but_does_not_prune() {
-        let mut st = TripleStore::new(IndexMode::NoPushdown);
-        st.insert(&t("f"), &t("hasGeometry"), &Term::wkt("POINT (5 5)"));
-        st.build_spatial_index();
-        assert!(
-            st.spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0)).is_none(),
-            "no R-tree pruning in this mode"
-        );
-        // But pattern matching still uses the B-tree indexes.
-        assert_eq!(st.estimate(None, st.dict.id_of(&t("hasGeometry")), None), 1);
     }
 
     #[test]
     fn spatial_candidates_prune_by_envelope() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let has_geom = t("hasGeometry");
         for i in 0..100 {
             let x = i as f64;
@@ -1095,71 +944,58 @@ mod tests {
             );
         }
         st.build_spatial_index();
-        let hits = st
-            .spatial_candidates(&Envelope::new(10.0, 10.0, 20.0, 20.0))
-            .unwrap();
+        let hits = st.spatial_candidates(&Envelope::new(10.0, 10.0, 20.0, 20.0));
         assert_eq!(hits.len(), 11, "points 10..=20");
-        // Scan mode cannot prune.
-        let scan = TripleStore::new(IndexMode::Scan);
-        assert!(scan.spatial_candidates(&Envelope::new(0.0, 0.0, 1.0, 1.0)).is_none());
     }
 
     #[test]
     fn spatial_candidates_without_explicit_build() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&t("f"), &t("hasGeometry"), &Term::wkt("POINT (5 5)"));
         // No build_spatial_index call: pending entries still found.
-        let hits = st
-            .spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
+        let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0));
         assert_eq!(hits.len(), 1);
         // After build, same answer.
         st.build_spatial_index();
-        let hits = st
-            .spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
+        let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0));
         assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn incremental_build_keeps_old_entries() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&t("f1"), &t("g"), &Term::wkt("POINT (1 1)"));
         st.build_spatial_index();
         st.insert(&t("f2"), &t("g"), &Term::wkt("POINT (2 2)"));
         st.build_spatial_index();
-        let hits = st
-            .spatial_candidates(&Envelope::new(0.0, 0.0, 3.0, 3.0))
-            .unwrap();
+        let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 3.0, 3.0));
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
     fn remove_updates_every_index() {
-        for mode in [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan] {
-            let mut st = store(mode);
-            assert!(st.remove(&t("a"), &t("knows"), &t("b")), "mode {mode:?}");
-            assert!(!st.remove(&t("a"), &t("knows"), &t("b")), "double remove");
-            assert_eq!(st.len(), 3);
-            assert!(!st.contains(&t("a"), &t("knows"), &t("b")));
-            assert!(st.contains(&t("a"), &t("knows"), &t("c")));
-            // Pattern matching no longer surfaces the removed triple.
-            let got = collect(&st, Some(&t("a")), Some(&t("knows")), None);
-            assert_eq!(got.len(), 1, "mode {mode:?}");
-            // Unknown term: no-op.
-            assert!(!st.remove(&t("nobody"), &t("knows"), &t("b")));
-            // Re-insert after removal works and dedups.
-            st.insert(&t("a"), &t("knows"), &t("b"));
-            st.insert(&t("a"), &t("knows"), &t("b"));
-            assert_eq!(st.len(), 4);
-        }
+        let mut st = store();
+        assert!(st.remove(&t("a"), &t("knows"), &t("b")));
+        assert!(!st.remove(&t("a"), &t("knows"), &t("b")), "double remove");
+        assert_eq!(st.len(), 3);
+        assert!(!st.contains(&t("a"), &t("knows"), &t("b")));
+        assert!(st.contains(&t("a"), &t("knows"), &t("c")));
+        // Pattern matching no longer surfaces the removed triple.
+        let got = collect(&st, Some(&t("a")), Some(&t("knows")), None);
+        assert_eq!(got.len(), 1);
+        // Unknown term: no-op.
+        assert!(!st.remove(&t("nobody"), &t("knows"), &t("b")));
+        // Re-insert after removal works and dedups.
+        st.insert(&t("a"), &t("knows"), &t("b"));
+        st.insert(&t("a"), &t("knows"), &t("b"));
+        assert_eq!(st.len(), 4);
     }
 
     #[test]
     fn remove_is_safe_mid_stream_in_indexed_mode() {
         // A paused cursor must resume correctly even when the triple it
         // paused on — and others — were removed between batches.
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         for i in 0..10 {
             st.insert(&t(&format!("s{i:02}")), &t("p"), &t("o"));
         }
@@ -1202,12 +1038,11 @@ mod tests {
 
     /// What [`TripleStore::estimate`] answered by walking index ranges
     /// before predicate-only patterns read the per-predicate counts: `len`
-    /// in scan mode and for the unbound pattern, else the matches of the
-    /// bound components it consults (a bound subject ignores the object),
-    /// capped at [`ESTIMATE_CAP`].
+    /// for the unbound pattern, else the matches of the bound components
+    /// it consults (a bound subject ignores the object), capped at
+    /// [`ESTIMATE_CAP`].
     fn walked_estimate(
         model: &BTreeSet<IdTriple>,
-        mode: IndexMode,
         s: Option<u64>,
         p: Option<u64>,
         o: Option<u64>,
@@ -1216,19 +1051,19 @@ mod tests {
             let n = model.iter().filter(|&&t| pattern_matches(t, s, p, o)).count();
             n.min(ESTIMATE_CAP)
         };
-        match (mode, s, p, o) {
-            (IndexMode::Scan, ..) | (_, None, None, None) => model.len(),
-            (_, Some(s), p, _) => walk(Some(s), p, None),
-            (_, None, Some(p), o) => walk(None, Some(p), o),
-            (_, None, None, Some(o)) => walk(None, None, Some(o)),
+        match (s, p, o) {
+            (None, None, None) => model.len(),
+            (Some(s), p, _) => walk(Some(s), p, None),
+            (None, Some(p), o) => walk(None, Some(p), o),
+            (None, None, Some(o)) => walk(None, None, Some(o)),
         }
     }
 
     #[test]
-    fn indexed_and_scan_stores_agree_under_random_churn() {
+    fn store_agrees_with_model_under_random_churn() {
         let mut rng = ee_util::rng::Rng::seed_from(0x5ca7);
-        // One term pool interned in the same order gives every store the
-        // same ids, so id triples compare directly.
+        // Interning the term pool first gives its terms ids `0..n`, so
+        // the model's id triples compare directly.
         let pool: Vec<Term> = (0..6)
             .map(|i| t(&format!("n{i}")))
             .chain((0..2).map(Term::integer))
@@ -1237,68 +1072,56 @@ mod tests {
         let n = pool.len() as u64;
         let random_triple =
             |rng: &mut ee_util::rng::Rng| (rng.below(n), rng.below(n), rng.below(n));
-        // Every store starts from the same bulk load.
+        // The store starts from a bulk load.
         let mut model: BTreeSet<IdTriple> = (0..150).map(|_| random_triple(&mut rng)).collect();
         let loaded: Vec<IdTriple> = model.iter().copied().collect();
-        let mut stores: Vec<TripleStore> =
-            [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan]
-                .into_iter()
-                .map(|mode| {
-                    let mut st = TripleStore::new(mode);
-                    for term in &pool {
-                        st.dict.intern(term);
-                    }
-                    st.bulk_load_sorted_ids(&loaded);
-                    st
-                })
-                .collect();
+        let mut st = TripleStore::new();
+        for term in &pool {
+            st.dict.intern(term);
+        }
+        st.bulk_load_sorted_ids(&loaded);
         for round in 0..60 {
             // Round 0 checks the bulk load as it stands.
             for _ in 0..if round == 0 { 0 } else { 40 } {
                 let (s, p, o) = random_triple(&mut rng);
                 if rng.chance(0.6) {
                     model.insert((s, p, o));
-                    stores.iter_mut().for_each(|st| st.insert_ids(s, p, o));
+                    st.insert_ids(s, p, o);
                 } else {
                     let was = model.remove(&(s, p, o));
-                    for st in &mut stores {
-                        assert_eq!(st.remove_ids(s, p, o), was, "{:?} round {round}", st.mode());
-                    }
+                    assert_eq!(st.remove_ids(s, p, o), was, "round {round}");
                 }
             }
             // A re-insert of a present triple changes nothing.
             if let Some(&(s, p, o)) = model.iter().nth(round as usize % model.len().max(1)) {
-                stores.iter_mut().for_each(|st| st.insert_ids(s, p, o));
+                st.insert_ids(s, p, o);
             }
             let want_all: Vec<IdTriple> = model.iter().copied().collect();
-            for st in &stores {
-                let mode = st.mode();
-                assert_eq!(st.len(), model.len(), "{mode:?} round {round}");
-                // Every shape's estimate, around a present triple and
-                // around a random (usually absent) one.
-                for around in want_all.first().copied().into_iter().chain([random_triple(&mut rng)]) {
-                    for shape in 0..8u8 {
-                        let (s, p, o) = shape_of(shape, around);
-                        assert_eq!(
-                            st.estimate(s, p, o),
-                            walked_estimate(&model, mode, s, p, o),
-                            "{mode:?} round {round} shape {shape}"
-                        );
-                    }
-                }
-                assert_eq!(
-                    st.id_triples().collect::<Vec<_>>(),
-                    want_all,
-                    "{mode:?} round {round}"
-                );
-                for _ in 0..20 {
-                    let (s, p, o) = random_triple(&mut rng);
+            assert_eq!(st.len(), model.len(), "round {round}");
+            // Every shape's estimate, around a present triple and
+            // around a random (usually absent) one.
+            for around in want_all.first().copied().into_iter().chain([random_triple(&mut rng)]) {
+                for shape in 0..8u8 {
+                    let (s, p, o) = shape_of(shape, around);
                     assert_eq!(
-                        st.contains_ids(s, p, o),
-                        model.contains(&(s, p, o)),
-                        "{mode:?}"
+                        st.estimate(s, p, o),
+                        walked_estimate(&model, s, p, o),
+                        "round {round} shape {shape}"
                     );
                 }
+            }
+            assert_eq!(
+                st.id_triples().collect::<Vec<_>>(),
+                want_all,
+                "round {round}"
+            );
+            for _ in 0..20 {
+                let (s, p, o) = random_triple(&mut rng);
+                assert_eq!(
+                    st.contains_ids(s, p, o),
+                    model.contains(&(s, p, o)),
+                    "round {round}"
+                );
             }
             if model.is_empty() {
                 continue;
@@ -1312,27 +1135,23 @@ mod tests {
                     .filter(|&tr| pattern_matches(tr, s, p, o))
                     .collect();
                 // Paused every `chunk` rows, the store left unchanged.
-                for st in &stores {
-                    let chunk = 1 + rng.below(3) as usize;
-                    let mut cursor = PatternCursor::default();
-                    let mut got = Vec::new();
-                    while !cursor.is_done() {
-                        let mut taken = 0;
-                        st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
-                            got.push(tr);
-                            taken += 1;
-                            taken < chunk
-                        });
-                    }
-                    got.sort_unstable();
-                    assert_eq!(got, want, "{:?} shape {shape} chunk {chunk}", st.mode());
+                let chunk = 1 + rng.below(3) as usize;
+                let mut cursor = PatternCursor::default();
+                let mut got = Vec::new();
+                while !cursor.is_done() {
+                    let mut taken = 0;
+                    st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                        got.push(tr);
+                        taken += 1;
+                        taken < chunk
+                    });
                 }
+                got.sort_unstable();
+                assert_eq!(got, want, "shape {shape} chunk {chunk}");
             }
-            // Removal between batches (indexed modes only: scan cursors are
-            // positional). Each pause deletes the cursor's resume key and one
-            // random triple from every store; the drain must deliver each
+            // Removal between batches. Each pause deletes the cursor's
+            // resume key and one random triple; the drain must deliver each
             // initial match once, except those deleted before delivery.
-            let indexed = (round % 2) as usize; // Full or NoPushdown
             let shape = rng.below(8) as u8;
             let base = *model
                 .iter()
@@ -1349,7 +1168,7 @@ mod tests {
             let mut cursor = PatternCursor::default();
             while !cursor.is_done() {
                 let before = delivered.len();
-                stores[indexed].match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
                     delivered.push(tr);
                     delivered.len() - before < 2
                 });
@@ -1361,9 +1180,7 @@ mod tests {
                     if !delivered.contains(&victim) && initial.contains(&victim) {
                         deleted_unseen.insert(victim);
                     }
-                    stores
-                        .iter_mut()
-                        .for_each(|st| assert!(st.remove_ids(victim.0, victim.1, victim.2)));
+                    assert!(st.remove_ids(victim.0, victim.1, victim.2));
                 }
             }
             let distinct: BTreeSet<IdTriple> = delivered.iter().copied().collect();
@@ -1380,7 +1197,7 @@ mod tests {
     #[test]
     fn predicate_counts_answer_the_capped_estimate() {
         for bulk in [true, false] {
-            let mut st = TripleStore::new(IndexMode::Full);
+            let mut st = TripleStore::new();
             let (big, small) = (st.dict.intern(&t("big")), st.dict.intern(&t("small")));
             let subjects: Vec<u64> = (0..1500).map(|i| st.dict.intern(&t(&format!("s{i}")))).collect();
             let mut triples: Vec<IdTriple> = subjects.iter().map(|&s| (s, big, small)).collect();
@@ -1413,41 +1230,39 @@ mod tests {
     fn impossible_ids_match_nothing_under_narrow_keys() {
         // `Slot::Impossible` reaches the store as `u64::MAX`; an id past
         // `u32::MAX` whose low half is a real id must not alias it.
-        for mode in [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan] {
-            let st = store(mode);
-            let model: BTreeSet<IdTriple> = st.id_triples().collect();
-            let real = st.id_triples().next().unwrap();
-            for bad in [u64::MAX, (1 << 32) | real.0, (1 << 32) | real.1, (1 << 32) | real.2] {
-                for pos in 0..3 {
-                    let mut ids = [real.0, real.1, real.2];
-                    ids[pos] = bad;
-                    assert!(!st.contains_ids(ids[0], ids[1], ids[2]), "{mode:?}");
-                    for shape in 0..8u8 {
-                        let (s, p, o) = shape_of(shape, (ids[0], ids[1], ids[2]));
-                        let mut got = Vec::new();
-                        let mut cursor = PatternCursor::default();
-                        st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
-                            got.push(tr);
-                            true
-                        });
-                        got.sort_unstable();
-                        let want: Vec<IdTriple> =
-                            model.iter().copied().filter(|&tr| pattern_matches(tr, s, p, o)).collect();
-                        assert_eq!(got, want, "{mode:?} {s:?} {p:?} {o:?}");
-                        assert!(cursor.is_done());
-                        assert_eq!(st.estimate(s, p, o), walked_estimate(&model, mode, s, p, o));
-                    }
+        let st = store();
+        let model: BTreeSet<IdTriple> = st.id_triples().collect();
+        let real = st.id_triples().next().unwrap();
+        for bad in [u64::MAX, (1 << 32) | real.0, (1 << 32) | real.1, (1 << 32) | real.2] {
+            for pos in 0..3 {
+                let mut ids = [real.0, real.1, real.2];
+                ids[pos] = bad;
+                assert!(!st.contains_ids(ids[0], ids[1], ids[2]));
+                for shape in 0..8u8 {
+                    let (s, p, o) = shape_of(shape, (ids[0], ids[1], ids[2]));
+                    let mut got = Vec::new();
+                    let mut cursor = PatternCursor::default();
+                    st.match_pattern_from(s, p, o, &mut cursor, &mut |tr| {
+                        got.push(tr);
+                        true
+                    });
+                    got.sort_unstable();
+                    let want: Vec<IdTriple> =
+                        model.iter().copied().filter(|&tr| pattern_matches(tr, s, p, o)).collect();
+                    assert_eq!(got, want, "{s:?} {p:?} {o:?}");
+                    assert!(cursor.is_done());
+                    assert_eq!(st.estimate(s, p, o), walked_estimate(&model, s, p, o));
                 }
             }
-            let mut st = st;
-            assert!(!st.remove_ids(u64::MAX, real.1, real.2), "{mode:?}");
-            assert_eq!(st.len(), model.len());
         }
+        let mut st = st;
+        assert!(!st.remove_ids(u64::MAX, real.1, real.2));
+        assert_eq!(st.len(), model.len());
     }
 
     #[test]
     fn triples_iterator_resolves_terms() {
-        let st = store(IndexMode::Full);
+        let st = store();
         let all: Vec<_> = st.triples().collect();
         assert_eq!(all.len(), 4);
         assert!(all
@@ -1458,8 +1273,8 @@ mod tests {
     /// A store plus a novelty that hides (a knows c) and adds back a
     /// deleted triple (d knows a) — the view should look exactly like
     /// the store did before those two changes.
-    fn view_fixture(mode: IndexMode) -> (TripleStore, Novelty) {
-        let mut st = store(mode);
+    fn view_fixture() -> (TripleStore, Novelty) {
+        let mut st = store();
         // Intern the resurrected triple's terms, then remove it so the
         // base doesn't contain it (mirrors what Store::as_of does).
         st.insert(&t("d"), &t("knows"), &t("a"));
@@ -1489,55 +1304,53 @@ mod tests {
     }
 
     #[test]
-    fn view_overlays_hide_and_add_in_both_modes() {
-        for mode in [IndexMode::Full, IndexMode::Scan] {
-            let (st, nov) = view_fixture(mode);
-            let view = StoreView::with_novelty(&st, &nov);
-            let a = st.dict.id_of(&t("a")).unwrap();
-            let c = st.dict.id_of(&t("c")).unwrap();
-            let d = st.dict.id_of(&t("d")).unwrap();
-            let knows = st.dict.id_of(&t("knows")).unwrap();
-            assert_eq!(view.len(), st.len()); // one hidden, one added
-            assert!(!view.contains_ids(a, knows, c), "hidden triple visible");
-            assert!(view.contains_ids(d, knows, a), "added triple missing");
-            assert!(st.contains_ids(a, knows, c) && !st.contains_ids(d, knows, a));
-            // Every pattern shape agrees with a materialised reference.
-            let reference: Vec<IdTriple> = {
-                let mut v: Vec<IdTriple> =
-                    st.id_triples().filter(|&tr| tr != (a, knows, c)).collect();
-                v.push((d, knows, a));
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(view.id_triples_sorted(), reference);
-            for (s, p, o) in [
-                (None, None, None),
-                (Some(a), None, None),
-                (Some(d), Some(knows), None),
-                (None, Some(knows), None),
-                (None, Some(knows), Some(a)),
-                (None, None, Some(c)),
-                (Some(d), Some(knows), Some(a)),
-                (Some(a), Some(knows), Some(c)),
-            ] {
-                let got = view_collect(view, s, p, o);
-                let want: Vec<IdTriple> = reference
-                    .iter()
-                    .copied()
-                    .filter(|&tr| pattern_matches(tr, s, p, o))
-                    .collect();
-                assert_eq!(got, want, "pattern {s:?} {p:?} {o:?} in {mode:?}");
-                assert!(
-                    view.estimate(s, p, o) >= want.len(),
-                    "estimate must not undercount"
-                );
-            }
+    fn view_overlays_hide_and_add() {
+        let (st, nov) = view_fixture();
+        let view = StoreView::with_novelty(&st, &nov);
+        let a = st.dict.id_of(&t("a")).unwrap();
+        let c = st.dict.id_of(&t("c")).unwrap();
+        let d = st.dict.id_of(&t("d")).unwrap();
+        let knows = st.dict.id_of(&t("knows")).unwrap();
+        assert_eq!(view.len(), st.len()); // one hidden, one added
+        assert!(!view.contains_ids(a, knows, c), "hidden triple visible");
+        assert!(view.contains_ids(d, knows, a), "added triple missing");
+        assert!(st.contains_ids(a, knows, c) && !st.contains_ids(d, knows, a));
+        // Every pattern shape agrees with a materialised reference.
+        let reference: Vec<IdTriple> = {
+            let mut v: Vec<IdTriple> =
+                st.id_triples().filter(|&tr| tr != (a, knows, c)).collect();
+            v.push((d, knows, a));
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(view.id_triples_sorted(), reference);
+        for (s, p, o) in [
+            (None, None, None),
+            (Some(a), None, None),
+            (Some(d), Some(knows), None),
+            (None, Some(knows), None),
+            (None, Some(knows), Some(a)),
+            (None, None, Some(c)),
+            (Some(d), Some(knows), Some(a)),
+            (Some(a), Some(knows), Some(c)),
+        ] {
+            let got = view_collect(view, s, p, o);
+            let want: Vec<IdTriple> = reference
+                .iter()
+                .copied()
+                .filter(|&tr| pattern_matches(tr, s, p, o))
+                .collect();
+            assert_eq!(got, want, "pattern {s:?} {p:?} {o:?}");
+            assert!(
+                view.estimate(s, p, o) >= want.len(),
+                "estimate must not undercount"
+            );
         }
     }
 
     #[test]
     fn view_cursor_resumes_across_base_and_overlay() {
-        let (st, nov) = view_fixture(IndexMode::Full);
+        let (st, nov) = view_fixture();
         let view = StoreView::with_novelty(&st, &nov);
         let knows = st.dict.id_of(&t("knows")).unwrap();
         let all = view_collect(view, None, Some(knows), None);
@@ -1557,7 +1370,7 @@ mod tests {
 
     #[test]
     fn head_view_is_transparent() {
-        let st = store(IndexMode::Full);
+        let st = store();
         let view = StoreView::from(&st);
         assert_eq!(view.len(), st.len());
         assert_eq!(
@@ -1569,7 +1382,7 @@ mod tests {
 
     #[test]
     fn view_spatial_candidates_include_resurrected_geometries() {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         let wkt_near = Term::wkt("POINT (1 1)");
         let wkt_far = Term::wkt("POINT (50 50)");
         st.insert(&t("x"), &t("hasGeometry"), &wkt_near);
@@ -1584,7 +1397,7 @@ mod tests {
         let view = StoreView::with_novelty(&st, &nov);
         let query = Envelope::new(0.0, 0.0, 2.0, 2.0);
         let mut cands = Vec::new();
-        assert!(view.visit_spatial(&query, &mut |env, id| cands.push((*env, id))), "full mode prunes");
+        view.visit_spatial(&query, &mut |env, id| cands.push((*env, id)));
         let point = Envelope::new(1.0, 1.0, 1.0, 1.0);
         assert!(cands.contains(&(point, near)), "overlay geometry must be a candidate");
     }

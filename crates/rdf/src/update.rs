@@ -153,14 +153,13 @@ pub fn apply_delta(store: &mut TripleStore, delta: &Delta) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::parser::parse_update;
-    use crate::store::IndexMode;
 
     fn e(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
     }
 
     fn store() -> TripleStore {
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(&e("a"), &e("knows"), &e("b"));
         st.insert(&e("a"), &e("knows"), &e("c"));
         st.insert(&e("b"), &e("knows"), &e("c"));

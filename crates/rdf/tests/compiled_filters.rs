@@ -3,8 +3,9 @@
 //! Every `?s e:geom ?g . FILTER(geof:op(…))` selection over a seeded
 //! store of points, polygons, linestrings and non-geometry objects must
 //! select exactly the subjects a brute force over every stored geometry
-//! selects with `ee_geo::algorithms` — in every index mode, at one and
-//! several threads, on the head store and on an `AS OF` view whose
+//! selects with `ee_geo::algorithms` — planned with and without R-tree
+//! pushdown, at one and several threads, and by the naive evaluator over
+//! the same triples — on the head store and on an `AS OF` view whose
 //! overlay adds geometries the spatial index has never seen. The
 //! constants cover random rectangles, rectangles whose edges and corners
 //! sit on stored points, non-rectangular and holed polygons, and a
@@ -13,8 +14,8 @@
 
 use ee_geo::{algorithms, wkt, Geometry};
 use ee_rdf::exec::execute_plan_view;
-use ee_rdf::plan::plan_view;
-use ee_rdf::store::{IdTriple, IndexMode, Novelty, StoreView, TripleStore};
+use ee_rdf::plan::{plan_view, plan_without_pushdown};
+use ee_rdf::store::{IdTriple, Novelty, StoreView, TripleStore};
 use ee_rdf::Term;
 use ee_util::rng::Rng;
 use std::collections::HashSet;
@@ -66,8 +67,8 @@ fn object(rng: &mut Rng) -> Term {
     }
 }
 
-fn store(mode: IndexMode, triples: &[(Term, Term)]) -> TripleStore {
-    let mut st = TripleStore::new(mode);
+fn store(triples: &[(Term, Term)]) -> TripleStore {
+    let mut st = TripleStore::new();
     let geom = Term::iri(GEOM);
     for (s, o) in triples {
         st.insert(s, &geom, o);
@@ -152,8 +153,9 @@ fn oracle(op: &str, column_first: bool, obj: &Term, constant: Option<&Geometry>)
     }
 }
 
-/// Run every (constant, predicate, argument order) over `view` and check
-/// it against the oracle over `visible` (the view's `e:geom` triples).
+/// Run every (constant, predicate, argument order) over `view`, with and
+/// without pushdown, and over `visible` (the view's `e:geom` triples)
+/// with the naive evaluator, and check each against the brute force.
 /// Returns how many candidates the spatial index decided.
 fn check_view(
     view: StoreView<'_>,
@@ -162,6 +164,14 @@ fn check_view(
     label: &str,
 ) -> usize {
     let mut decided = 0;
+    let geom = Term::iri(GEOM);
+    let triples: Vec<(Term, Term, Term)> =
+        visible.iter().map(|(s, o)| (s.clone(), geom.clone(), o.clone())).collect();
+    let sorted = |rows: Vec<Vec<Option<Term>>>| {
+        let mut got: Vec<Term> = rows.into_iter().map(|r| r[0].clone().unwrap()).collect();
+        got.sort();
+        got
+    };
     for constant in consts {
         let parsed = wkt::parse_wkt(constant).ok();
         for op in OPS {
@@ -182,18 +192,18 @@ fn check_view(
                     .collect();
                 want.sort();
                 let q = ee_rdf::parser::parse_query(&q_text).unwrap();
-                let plan = Arc::new(plan_view(view, &q).unwrap());
-                decided += plan.filters[0].filter.decided().len();
-                for threads in [1, 3] {
-                    let sols = execute_plan_view(view, Arc::clone(&plan), threads).unwrap();
-                    let mut got: Vec<Term> = sols
-                        .rows
-                        .into_iter()
-                        .map(|r| r[0].clone().unwrap())
-                        .collect();
-                    got.sort();
-                    assert_eq!(got, want, "{label} t={threads}: {q_text}");
+                let pushed = Arc::new(plan_view(view, &q).unwrap());
+                let post = Arc::new(plan_without_pushdown(view, &q).unwrap());
+                decided += pushed.filters[0].filter.decided().len();
+                assert!(post.filters[0].filter.decided().is_empty(), "only the R-tree decides");
+                for (arm, plan) in [("pushdown", &pushed), ("post-filter", &post)] {
+                    for threads in [1, 3] {
+                        let sols = execute_plan_view(view, Arc::clone(plan), threads).unwrap();
+                        assert_eq!(sorted(sols.rows), want, "{label} {arm} t={threads}: {q_text}");
+                    }
                 }
+                let naive = ee_rdf::naive::evaluate(&triples, &q).unwrap();
+                assert_eq!(sorted(naive.rows), want, "{label} naive: {q_text}");
             }
         }
     }
@@ -224,17 +234,8 @@ fn compiled_spatial_filters_match_brute_force() {
         let mut rng = Rng::seed_from(0xf17e + seed);
         let triples = features(&mut rng, 240);
         let consts = constants(&mut rng, &grid_points(&triples));
-        for mode in [IndexMode::Full, IndexMode::NoPushdown, IndexMode::Scan] {
-            let st = store(mode, &triples);
-            let n = check_view(
-                StoreView::from(&st),
-                &triples,
-                &consts,
-                &format!("seed {seed} {mode:?}"),
-            );
-            assert!(mode == IndexMode::Full || n == 0, "only the R-tree decides");
-            decided += n;
-        }
+        let st = store(&triples);
+        decided += check_view(StoreView::from(&st), &triples, &consts, &format!("seed {seed}"));
     }
     assert!(decided > 0, "no candidate was decided from its envelope");
 }
@@ -250,29 +251,22 @@ fn compiled_spatial_filters_match_brute_force_as_of() {
         let added: Vec<(Term, Term)> = (200..260).map(|i| (subject(i), object(&mut rng))).collect();
         let mut consts = constants(&mut rng, &grid_points(&base));
         consts.extend(constants(&mut rng, &grid_points(&added)));
-        for mode in [IndexMode::Full, IndexMode::Scan] {
-            let mut st = store(mode, &base);
-            let geom = st.dict.intern(&Term::iri(GEOM));
-            let add: Vec<IdTriple> = added
-                .iter()
-                .map(|(s, o)| (st.dict.intern(s), geom, st.dict.intern(o)))
-                .collect();
-            let hide: HashSet<IdTriple> = st.id_triples().step_by(4).collect();
-            let visible: Vec<(Term, Term)> = st
-                .id_triples()
-                .filter(|t| !hide.contains(t))
-                .chain(add.iter().copied())
-                .map(|(s, _, o)| (st.dict.term(s).clone(), st.dict.term(o).clone()))
-                .collect();
-            let nov = Novelty::new(hide, add);
-            let view = StoreView::with_novelty(&st, &nov);
-            decided += check_view(
-                view,
-                &visible,
-                &consts,
-                &format!("as-of seed {seed} {mode:?}"),
-            );
-        }
+        let mut st = store(&base);
+        let geom = st.dict.intern(&Term::iri(GEOM));
+        let add: Vec<IdTriple> = added
+            .iter()
+            .map(|(s, o)| (st.dict.intern(s), geom, st.dict.intern(o)))
+            .collect();
+        let hide: HashSet<IdTriple> = st.id_triples().step_by(4).collect();
+        let visible: Vec<(Term, Term)> = st
+            .id_triples()
+            .filter(|t| !hide.contains(t))
+            .chain(add.iter().copied())
+            .map(|(s, _, o)| (st.dict.term(s).clone(), st.dict.term(o).clone()))
+            .collect();
+        let nov = Novelty::new(hide, add);
+        let view = StoreView::with_novelty(&st, &nov);
+        decided += check_view(view, &visible, &consts, &format!("as-of seed {seed}"));
     }
     assert!(decided > 0, "no candidate was decided from its envelope");
 }

@@ -188,7 +188,7 @@ fn store_directory_holds_only_snapshot_and_commit_log() {
     let dir = scratch_dir("one-log");
     let mut store = Store::create(
         &dir,
-        ee_rdf::TripleStore::new(ee_rdf::IndexMode::Full),
+        ee_rdf::TripleStore::new(),
         Durability::NoSync,
     )
     .unwrap();

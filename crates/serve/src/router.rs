@@ -335,9 +335,8 @@ impl BodyStream for QueryStream {
         };
         self.buf.clear();
         // The read lock is taken per batch, not for the whole stream: a
-        // slow download never starves a writer, and indexed-mode cursors
-        // re-seek past concurrent mutations (the serve store always runs
-        // `IndexMode::Full`). Rows are written from terms borrowed under
+        // slow download never starves a writer, and index cursors re-seek
+        // past concurrent mutations. Rows are written from terms borrowed under
         // the batch's guard. A batch may write nothing when every row is
         // past `limit` (still counting); the chunked writer skips empty
         // chunks.

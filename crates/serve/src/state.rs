@@ -35,7 +35,7 @@ use ee_rdf::exec::{Solutions, StreamCore};
 use ee_rdf::parser::Query;
 use ee_rdf::plan::FastPath;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
-use ee_rdf::store::{IndexMode, Novelty, StoreView};
+use ee_rdf::store::{Novelty, StoreView};
 use ee_rdf::term::Term;
 use ee_rdf::{RdfError, TripleStore};
 use ee_util::timeline::Date;
@@ -762,7 +762,7 @@ pub fn point_store_sharded(
     seed: u64,
     shard: Option<&ee_rdf::storage::ShardSpec>,
 ) -> TripleStore {
-    let mut store = TripleStore::new(IndexMode::Full);
+    let mut store = TripleStore::new();
     let mut rng = Rng::seed_from(seed);
     let geom = Term::iri("http://e/hasGeometry");
     let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");

@@ -420,10 +420,9 @@ mod tests {
 
     #[test]
     fn query_results_layer() {
-        use ee_rdf::store::IndexMode;
         use ee_rdf::term::Term;
         use ee_rdf::TripleStore;
-        let mut st = TripleStore::new(IndexMode::Full);
+        let mut st = TripleStore::new();
         st.insert(
             &Term::iri("http://e/a"),
             &Term::iri("http://e/geo"),

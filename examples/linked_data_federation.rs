@@ -15,7 +15,6 @@ use extremeearth::geotriples::features::{Feature, FeatureCollection, PropValue};
 use extremeearth::geotriples::mapping::{feature_mapping, ObjectMap, TermType, TriplesMap};
 use extremeearth::interlink::discover::{discover, DiscoverConfig};
 use extremeearth::interlink::entity::{LinkRule, SpatialEntity, SpatialRelation};
-use extremeearth::rdf::store::IndexMode;
 use extremeearth::rdf::TripleStore;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ],
     };
-    let mut crops = TripleStore::new(IndexMode::Full);
+    let mut crops = TripleStore::new();
     let emitted = mapping.run_table(&register, &mut crops)?;
     println!("GeoTriples: {emitted} triples from the crop register");
 
@@ -64,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "http://farm.example/Field",
         &[],
     );
-    let mut geo_store = TripleStore::new(IndexMode::Full);
+    let mut geo_store = TripleStore::new();
     geo_mapping.run_features(&parcels, &mut geo_store)?;
     geo_store.build_spatial_index();
     println!("GeoTriples: {} geometry triples from the parcel layer", geo_store.len());

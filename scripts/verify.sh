@@ -4,15 +4,16 @@
 # ee-serve benchmark suite on both of its workloads, run the federation
 # example and check its two plans agree, then smoke-run the
 # distributed-training (E4), classification (E5), kernel-throughput
-# (E-k0) and serving-tier (E-s0) experiments, plus the E3 parallel-join
-# sweep at 4 threads, the E-k6 top-k/BM25 sweep, the E-w7 durable
-# store run, the E-c8 event-driven C10K run, the E-f9 sharded
-# scatter-gather run over real shard processes, and the E-t10
-# versioned time-travel run (the harness aborts non-zero if any
-# parallel, top-k, ranked-search, crash-recovery, routed-vs-unsharded,
-# or as-of-vs-replayed run diverges from its reference answer, or if a
-# stalled streaming reader grows server memory instead of hitting
-# backpressure).
+# (E-k0) and serving-tier (E-s0) experiments, plus the E2 selection
+# arms and the E3 complexity and parallel-join sweeps at 4 threads, the
+# E-k6 top-k/BM25 sweep, the E-w7 durable store run, the E-c8
+# event-driven C10K run, the E-f9 sharded scatter-gather run over real
+# shard processes, and the E-t10 versioned time-travel run (the harness
+# aborts non-zero if the E2/E3 pushdown, post-filter and naive arms
+# disagree on a hit count, or if any parallel, top-k, ranked-search,
+# crash-recovery, routed-vs-unsharded, or as-of-vs-replayed run
+# diverges from its reference answer, or if a stalled streaming reader
+# grows server memory instead of hitting backpressure).
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -83,7 +84,10 @@ test -s "$ART"/BENCH_PR5.json
 grep -q '"experiment": "e-s0-query-streaming"' "$ART"/BENCH_PR5.json
 grep -q '"rows_touched_first_batch"' "$ART"/BENCH_PR5.json
 
-echo "== smoke: harness e3 --threads 4 (serial-vs-parallel identity) =="
+echo "== smoke: harness e2, e3 --threads 4 (arms agree; serial-vs-parallel identity) =="
+# E2 and E3 panic (non-zero exit) unless the pushdown, post-filter and
+# naive arms agree on every window's hit count at every size.
+harness e2
 harness e3 --threads 4
 
 echo "== smoke: harness e-k6 (top-k heap + BM25 identity) =="

@@ -77,7 +77,7 @@ fn knowledge_store_federates_with_external_sources() {
         .expect("extract");
 
     // External source: market prices per crop.
-    let mut market = extremeearth::rdf::TripleStore::new(extremeearth::rdf::IndexMode::Full);
+    let mut market = extremeearth::rdf::TripleStore::new();
     for (crop, price) in [("Wheat", 182.0), ("Maize", 160.5), ("Rapeseed", 395.0), ("SugarBeet", 31.0), ("Grassland", 12.0)] {
         market.insert(
             &extremeearth::rdf::term::Term::string(crop),
@@ -87,7 +87,7 @@ fn knowledge_store_federates_with_external_sources() {
     }
     // Move the knowledge store's triples into an endpoint (federation
     // owns its endpoints; the platform keeps its catalogue).
-    let mut knowledge = extremeearth::rdf::TripleStore::new(extremeearth::rdf::IndexMode::Full);
+    let mut knowledge = extremeearth::rdf::TripleStore::new();
     for (s, p, o) in platform.catalogue().store().triples() {
         knowledge.insert(s, p, o);
     }
