@@ -150,7 +150,8 @@ fn write_while_serve(scale: Scale) -> WriteWhileServe {
         for _ in 0..reads {
             let t0 = Instant::now();
             let q = ee_rdf::parser::parse_query(&sparql).expect(label);
-            state.query(&q).expect(label).collect(&**state.store());
+            let mut read = state.query(&q, None).expect("the head").expect(label);
+            while read.drain_batch(&state, |_| {}) > 0 {}
             lat.push(t0.elapsed().as_secs_f64() * 1e6);
         }
         lat.sort_by(f64::total_cmp);

@@ -126,11 +126,6 @@ impl Platform {
         &self.catalogue
     }
 
-    /// Mutable catalogue access (pipelines publish into it).
-    pub fn catalogue_mut(&mut self) -> &mut SemanticCatalogue {
-        &mut self.catalogue
-    }
-
     /// The attached cluster description.
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster

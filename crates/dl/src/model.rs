@@ -29,11 +29,6 @@ impl Sequential {
         self.num_classes
     }
 
-    /// The layers (for optimisers and the distributed averaging path).
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
-    }
-
     /// Forward pass through all layers.
     pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, DlError> {
         let mut cur = x.clone();

@@ -21,11 +21,6 @@ impl EndpointStats {
     pub fn has_predicate(&self, iri: &str) -> bool {
         self.predicate_counts.get(iri).copied().unwrap_or(0) > 0
     }
-
-    /// Estimated cardinality of a predicate.
-    pub fn predicate_count(&self, iri: &str) -> usize {
-        self.predicate_counts.get(iri).copied().unwrap_or(0)
-    }
 }
 
 /// The federation's statistics catalogue (harvested once at registration,

@@ -38,7 +38,7 @@
 
 use crate::batch::{Batch, UNBOUND};
 use crate::plan::{FilterPlan, Plan, Slot};
-use crate::store::{IdTriple, StoreView, ViewCursor, ESTIMATE_CAP};
+use crate::store::{IdTriple, PatternCursor, StoreView, ESTIMATE_CAP};
 use ee_util::par;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -165,7 +165,7 @@ enum SeedKind {
     /// variable `v`, `next` ids consumed so far.
     Candidates { pi: usize, v: usize, next: usize },
     /// Resumable direct scan of the pattern's best index.
-    Scan { pi: usize, cursor: ViewCursor },
+    Scan { pi: usize, cursor: PatternCursor },
 }
 
 impl SeedScan {
@@ -190,7 +190,7 @@ impl SeedScan {
             },
             None => SeedKind::Scan {
                 pi,
-                cursor: ViewCursor::default(),
+                cursor: PatternCursor::default(),
             },
         };
         SeedScan { kind }

@@ -72,7 +72,7 @@ pub mod store;
 pub mod term;
 pub mod update;
 
-pub use store::{Novelty, StoreView, TripleStore, ViewCursor};
+pub use store::{Novelty, PatternCursor, StoreView, TripleStore};
 pub use term::Term;
 
 /// Errors from the RDF layer.

@@ -19,7 +19,7 @@
 //! `sfContains`, `sfWithin`, `distance`) under any prefix.
 
 use crate::expr::{CmpOp, Expr, SpatialOp};
-use crate::term::{Term, GEO_WKT, XSD_BOOLEAN, XSD_DATE, XSD_DOUBLE, XSD_INTEGER};
+use crate::term::{Term, XSD_DATE, XSD_DOUBLE, XSD_INTEGER};
 use crate::RdfError;
 use std::collections::HashMap;
 
@@ -1096,22 +1096,6 @@ pub fn date_literal(iso: &str) -> Term {
     Term::Literal {
         lexical: iso.to_string(),
         datatype: XSD_DATE.to_string(),
-    }
-}
-
-/// Convenience: a WKT literal.
-pub fn wkt_literal(wkt: &str) -> Term {
-    Term::Literal {
-        lexical: wkt.to_string(),
-        datatype: GEO_WKT.to_string(),
-    }
-}
-
-/// Convenience: a boolean literal.
-pub fn bool_literal(b: bool) -> Term {
-    Term::Literal {
-        lexical: b.to_string(),
-        datatype: XSD_BOOLEAN.to_string(),
     }
 }
 

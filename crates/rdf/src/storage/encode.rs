@@ -17,16 +17,8 @@
 use crate::term::Term;
 use std::io::{self, Read, Write};
 
-/// FNV-1a over a byte slice (the repo-wide checksum/hash primitive;
-/// same constants as `ee-serve`'s ETag sink).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The record checksum (and commit id) hash.
+pub use ee_util::ring::fnv1a;
 
 /// Append a LEB128 uvarint.
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {

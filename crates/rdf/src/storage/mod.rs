@@ -281,6 +281,16 @@ impl Store {
         let folded = snapshot_generation as usize;
         let log_len_at_snapshot = folded.checked_sub(1).map_or(0, |i| records[i].1);
         let history: Vec<CommitRecord> = records.into_iter().map(|(r, _)| r).collect();
+        // `as_of` resolves every logged term through the dictionary: make
+        // sure the folded commits' terms are there even if a snapshot
+        // predates one (at runtime every committed term already is).
+        for rec in &history[..folded] {
+            for (s, p, o) in rec.commit.insert.iter().chain(&rec.commit.delete) {
+                for t in [s, p, o] {
+                    inner.dict.intern(t);
+                }
+            }
+        }
         for rec in &history[folded..] {
             for (s, p, o) in &rec.commit.delete {
                 inner.remove(s, p, o);
@@ -387,7 +397,7 @@ impl Store {
     /// Whether `id` names a commit in this store's history (the root id
     /// always qualifies).
     pub fn commit_known(&self, id: u64) -> bool {
-        id == ROOT_COMMIT_ID || self.history.iter().any(|r| r.id == id)
+        id == ROOT_COMMIT_ID || self.history.iter().rev().any(|r| r.id == id)
     }
 
     /// The full commit history, oldest first.
@@ -401,50 +411,35 @@ impl Store {
     /// copy of the store is made. Returns `None` for unknown ids; the
     /// head id yields an empty (transparent) overlay.
     ///
-    /// Commits are undone newest-first over their effective deltas: an
-    /// inserted triple not re-added later is hidden, a deleted triple
-    /// not re-hidden later is resurrected. Needs `&mut self` because
-    /// resurrected triples may reference terms absent from a
-    /// reopened-store dictionary (snapshots only carry live terms);
-    /// those are re-interned, which is safe — the dictionary is
-    /// append-only and ids are stable.
-    pub fn as_of(&mut self, commit_id: u64) -> Option<Novelty> {
-        if commit_id == self.head_commit() {
-            return Some(Novelty::default());
-        }
+    /// The history is searched from the newest record, where pinned
+    /// commits usually sit, and commits are undone newest-first over
+    /// their effective deltas: an inserted triple not re-added later is
+    /// hidden, a deleted triple not re-hidden later is resurrected. Every
+    /// logged term is in the dictionary (commits intern theirs, and
+    /// [`Store::open`] interns the folded ones), so this only reads.
+    pub fn as_of(&self, commit_id: u64) -> Option<Novelty> {
         let cut = if commit_id == ROOT_COMMIT_ID {
             0
         } else {
-            self.history.iter().position(|r| r.id == commit_id)? + 1
+            self.history.iter().rposition(|r| r.id == commit_id)? + 1
         };
         let mut hide: std::collections::HashSet<IdTriple> = std::collections::HashSet::new();
         let mut add: std::collections::HashSet<IdTriple> = std::collections::HashSet::new();
-        // Take the history out so the dictionary can be borrowed mutably
-        // while walking it (interning never touches the history).
-        let history = std::mem::take(&mut self.history);
-        for rec in history[cut..].iter().rev() {
+        let id = |t: &Term| self.inner.dict.id_of(t).expect("every logged term is interned");
+        for rec in self.history[cut..].iter().rev() {
             for (s, p, o) in &rec.commit.insert {
-                let t = (
-                    self.inner.dict.intern(s),
-                    self.inner.dict.intern(p),
-                    self.inner.dict.intern(o),
-                );
+                let t = (id(s), id(p), id(o));
                 if !add.remove(&t) {
                     hide.insert(t);
                 }
             }
             for (s, p, o) in &rec.commit.delete {
-                let t = (
-                    self.inner.dict.intern(s),
-                    self.inner.dict.intern(p),
-                    self.inner.dict.intern(o),
-                );
+                let t = (id(s), id(p), id(o));
                 if !hide.remove(&t) {
                     add.insert(t);
                 }
             }
         }
-        self.history = history;
         Some(Novelty::new(hide, add.into_iter().collect()))
     }
 
@@ -554,11 +549,6 @@ impl Store {
     /// Install an automatic compaction policy (see [`CompactionPolicy`]).
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
         self.policy = policy;
-    }
-
-    /// The active automatic compaction policy.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.policy
     }
 
     /// Effective commits since the last snapshot write.
@@ -1106,7 +1096,7 @@ mod tests {
         drop(st);
         // After compaction + reopen the triple is in no snapshot segment
         // and in no replayed record: only the commit history knows it.
-        let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
+        let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert!(visible(&st, None).is_empty());
         let novelty = st.as_of(before_delete).unwrap();
         let rows = visible(&st, Some(&novelty));
@@ -1132,7 +1122,7 @@ mod tests {
         st.compact().unwrap();
         st.commit(&upd("INSERT DATA { e:post e:p e:o }")).unwrap();
         drop(st);
-        let mut st = Store::open_with(&dir, Durability::NoSync).unwrap();
+        let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         let reopened: Vec<u64> = st.history().iter().map(|r| r.id).collect();
         assert_eq!(&reopened[..ids.len()], &ids[..], "pre-compaction history intact");
         assert_eq!(reopened.len(), ids.len() + 1);

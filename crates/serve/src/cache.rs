@@ -44,16 +44,6 @@ impl AsRef<[u8]> for CachedBody {
     }
 }
 
-/// FNV-1a, used for deterministic shard selection.
-fn fnv1a(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 const NIL: usize = usize::MAX;
 
 struct Node {
@@ -296,7 +286,7 @@ impl ShardedLru {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let idx = (fnv1a(key) % self.shards.len() as u64) as usize;
+        let idx = (ee_util::ring::fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 

@@ -14,9 +14,10 @@
 //! | `/debug/sleep`              | deadline testing (opt-in)      | GET      |
 //!
 //! `POST /query` takes the raw SPARQL text as the request body; both
-//! verbs share one handler, which parses the text once and executes it
-//! through [`AppState::query`] (head reads) or [`AppState::query_as_of`]
-//! (versioned reads). Repeats are the response cache's job.
+//! verbs share one handler, which parses the text once and streams it
+//! through [`AppState::query`] from the one commit the read is pinned to
+//! (the `asOf` commit, or the head it was planned at). Repeats are the
+//! response cache's job.
 //! `POST /update` takes SPARQL UPDATE text (INSERT DATA / DELETE DATA /
 //! DELETE WHERE) and commits it through the durable store — 403 unless
 //! the server runs `--writable`, 400 on a parse error.
@@ -37,9 +38,9 @@
 //! (`/metrics` is answered by the server itself, which owns the metrics
 //! and cache objects.)
 
-use crate::http::{Body, BodyStream, Request, Response};
+use crate::http::{BodyStream, Request, Response};
 use crate::metrics::Route;
-use crate::state::{AppState, ICE_REGIONS};
+use crate::state::{AppState, PinnedRead, ICE_REGIONS};
 use ee_geo::Envelope;
 use ee_polar::pcdss::encode_bundle;
 use ee_rdf::merge::ResultWriter;
@@ -231,22 +232,19 @@ fn handle_update(state: &Arc<AppState>, req: &Request) -> Response {
     }
 }
 
-/// The `/query` tail: parse once, then execute through [`AppState`].
-/// Parse and planning errors surface as a sized 400; on success a head read's body is a [`QueryStream`] that
-/// materialises and serialises one `ee_rdf` batch per chunk, so the
-/// first bytes of a large result hit the wire before the last row
-/// exists. The `count` field counts **all** result rows (`rows` is
-/// capped at `limit`) and is emitted last — its value is only known once
-/// the stream has drained.
+/// The `/query` tail: parse once, then execute through [`AppState::query`].
+/// Parse and planning errors surface as a sized 400, an unknown commit
+/// as a 404. On success the body is a [`QueryStream`] that materialises
+/// and serialises one `ee_rdf` batch per chunk, so the first bytes of a
+/// large result hit the wire before the last row exists. The `count`
+/// field counts **all** result rows (`rows` is capped at `limit`) and is
+/// emitted last — its value is only known once the stream has drained.
 ///
-/// A versioned read — `?asOf=` or the SPARQL `AS OF <hexid>` clause —
-/// takes the collect path instead: the whole answer is computed against
-/// a [`ee_rdf::store::StoreView`] under one store guard (snapshot
-/// consistency beats streaming for historical reads).
-///
-/// Either way the ETag is a function of the canonical query text, the
-/// row cap and the commit id the answer is for — computable up front
-/// without buffering a streamed body, and stable while that id names the
+/// Every batch reads the one commit the read is pinned to: the `?asOf=`
+/// / `AS OF <hexid>` commit, or the head when the query was planned. The
+/// `x-commit` header names it, and the ETag is a function of the
+/// canonical query text, the row cap and that commit — computable up
+/// front without buffering the body, and stable while that id names the
 /// same store (equal commit ids mean byte-identical stores, via the hash
 /// chain).
 fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -> Response {
@@ -265,64 +263,42 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
         }
         (a, b) => a.or(b),
     };
-    let commit = as_of.unwrap_or_else(|| state.head_commit());
-    let resp = if as_of.is_some() {
-        match state.query_as_of(&q, commit) {
-            None => return Response::error(404, &format!("unknown commit id {commit:016x}")),
-            Some(result) => result.map(|sols| {
-                let mut body = String::new();
-                let mut writer = ResultWriter::new(&sols.vars, limit);
-                let mut cells = Vec::new();
-                for row in &sols.rows {
-                    cells.clear();
-                    cells.extend(row.iter().map(Option::as_ref));
-                    writer.row(&mut body, &cells);
-                }
-                writer.finish(&mut body);
-                Response {
-                    status: 200,
-                    content_type: "application/json".into(),
-                    headers: Vec::new(),
-                    body: Body::Full(body.into_bytes()),
-                }
-            }),
+    let read = match state.query(&q, as_of) {
+        Some(Ok(read)) => read,
+        Some(Err(e)) => return Response::error(400, &format!("query failed: {e}")),
+        None => {
+            let id = as_of.expect("the head is always known");
+            return Response::error(404, &format!("unknown commit id {id:016x}"));
         }
-    } else {
-        state.query(&q).map(|core| {
-            let writer = Some(ResultWriter::new(core.vars(), limit));
-            Response::streamed(
-                200,
-                "application/json",
-                Box::new(QueryStream {
-                    state: Arc::clone(state),
-                    core,
-                    writer,
-                    buf: String::new(),
-                }),
-            )
-        })
     };
-    match resp {
-        Ok(resp) => {
-            let canon = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
-            let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
-            resp.with_header("etag", etag)
-                .with_header("x-commit", format!("{commit:016x}"))
-        }
-        Err(e) => Response::error(400, &format!("query failed: {e}")),
-    }
+    let commit = read.commit();
+    let canon = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
+    let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
+    let writer = Some(ResultWriter::new(read.vars(), limit));
+    Response::streamed(
+        200,
+        "application/json",
+        Box::new(QueryStream {
+            state: Arc::clone(state),
+            read,
+            writer,
+            buf: String::new(),
+        }),
+    )
+    .with_header("etag", etag)
+    .with_header("x-commit", format!("{commit:016x}"))
 }
 
 /// A [`BodyStream`] serialising query results batch by batch: holds the
 /// state `Arc` (the stream outlives the handler) plus the borrow-free
-/// [`ee_rdf::exec::StreamCore`], and writes one batch per chunk through
-/// the [`ResultWriter`] every `/query` body goes through, straight from
-/// terms borrowed under the batch's read guard. The writer holds the
-/// body's head back until the first row, so the first chunk carries rows:
-/// time to first byte includes the first batch's execution.
+/// [`PinnedRead`], and writes one batch per chunk through the
+/// [`ResultWriter`] every `/query` body goes through, straight from terms
+/// borrowed under the batch's read guard. The writer holds the body's
+/// head back until the first row, so the first chunk carries rows: time
+/// to first byte includes the first batch's execution.
 struct QueryStream {
     state: Arc<AppState>,
-    core: ee_rdf::exec::StreamCore,
+    read: PinnedRead,
     /// `None` once the body's tail has been written.
     writer: Option<ResultWriter>,
     buf: String,
@@ -334,15 +310,11 @@ impl BodyStream for QueryStream {
             return Ok(None);
         };
         self.buf.clear();
-        // The read lock is taken per batch, not for the whole stream: a
-        // slow download never starves a writer, and index cursors re-seek
-        // past concurrent mutations. Rows are written from terms borrowed under
-        // the batch's guard. A batch may write nothing when every row is
-        // past `limit` (still counting); the chunked writer skips empty
-        // chunks.
+        // A batch may write nothing when every row is past `limit` (still
+        // counting); the chunked writer skips empty chunks.
         let rows = self
-            .core
-            .drain_batch(&**self.state.store(), |row| writer.row(&mut self.buf, row));
+            .read
+            .drain_batch(&self.state, |row| writer.row(&mut self.buf, row));
         if rows == 0 {
             self.writer.take().expect("checked above").finish(&mut self.buf);
         }
@@ -530,33 +502,26 @@ impl BodyStream for TileStream {
     }
 }
 
-/// An incremental FNV-1a hasher that doubles as a `Write` sink, so a
-/// body can be ETagged by streaming it through without buffering.
-pub struct FnvSink(u64);
+/// An incremental FNV-1a hasher ([`ee_util::ring::Fnv1a`]) that doubles
+/// as a `Write` sink, so a body can be ETagged by streaming it through
+/// without buffering.
+#[derive(Default)]
+pub struct FnvSink(ee_util::ring::Fnv1a);
 
 impl FnvSink {
     /// Start from the FNV-1a offset basis.
     pub fn new() -> FnvSink {
-        FnvSink(0xcbf2_9ce4_8422_2325)
+        FnvSink::default()
     }
 
     /// Fold more bytes into the hash.
     pub fn update(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.update(bytes);
     }
 
     /// The quoted strong-ETag form of the current hash.
     pub fn etag(&self) -> String {
-        format!("\"{:016x}\"", self.0)
-    }
-}
-
-impl Default for FnvSink {
-    fn default() -> Self {
-        Self::new()
+        format!("\"{:016x}\"", self.0.finish())
     }
 }
 
@@ -1037,7 +1002,7 @@ mod tests {
         assert_eq!(header(&ice, "x-commit").as_deref(), Some(format!("{c1:016x}").as_str()));
     }
 
-    /// One body format: a streamed head read, the collected `?asOf=` read
+    /// One body format: a streamed head read, the streamed `?asOf=` read
     /// of the same commit and the router tier's `QueryResult` round trip
     /// produce the same bytes — for a rows query capped by `limit` with
     /// an unbound OPTIONAL cell, and for a COUNT.
@@ -1069,12 +1034,85 @@ mod tests {
                 far_deadline(),
                 false,
             ));
-            assert!(matches!(pinned.body, Body::Full(_)), "asOf reads collect");
+            assert!(matches!(pinned.body, Body::Streamed(_)), "asOf reads stream");
             assert_eq!(String::from_utf8(body_of(pinned)).unwrap(), body, "{sparql}");
             let parsed = ee_rdf::merge::QueryResult::parse(&body).unwrap();
             assert_eq!((parsed.rows.len(), parsed.count), (rows, count), "{body}");
             assert_eq!(parsed.emit(), body);
         }
+    }
+
+    /// A rows read of every point feature, uncapped.
+    fn features_read(as_of: Option<u64>) -> Request {
+        let sparql = "SELECT%20?s%20WHERE%20{%20?s%20\
+                      <http://www.w3.org/1999/02/22-rdf-syntax-ns%23type>%20<http://e/Feature>%20}";
+        let pin = as_of.map_or(String::new(), |id| format!("&asOf={id:016x}"));
+        get(&format!("/query?limit=100000&sparql={sparql}{pin}"))
+    }
+
+    /// Start [`features_read`], pull its first chunk, commit an insert of
+    /// a new feature and a delete of one not emitted yet, then drain: the
+    /// body must be `want`, the answer at the response's `x-commit`, byte
+    /// for byte. Returns that commit.
+    fn features_read_across_commits(s: &Arc<AppState>, as_of: Option<u64>, want: &str) -> u64 {
+        let resp = ready(dispatch(s, &features_read(as_of), far_deadline(), false));
+        let commit = resp.headers.iter().find(|(n, _)| n == "x-commit").expect("x-commit");
+        let commit = commit.1.clone();
+        let Body::Streamed(mut stream) = resp.body else {
+            panic!("rows reads stream");
+        };
+        let mut body = stream.next_chunk().unwrap().expect("a first chunk").to_vec();
+        let last = s.config.points - 1;
+        let emitted = String::from_utf8_lossy(&body).contains(&format!("/f{last}\""));
+        assert!(!emitted, "the first chunk is one batch");
+        let kind = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Feature>";
+        let update = format!(
+            "INSERT DATA {{ <http://e/late{}> {kind} }} ; \
+             DELETE DATA {{ <http://e/f{last}> {kind} }}",
+            s.generation()
+        );
+        let stats = s.commit_update(&ee_rdf::parser::parse_update(&update).unwrap()).unwrap();
+        assert_eq!((stats.inserted, stats.deleted), (1, 1));
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            body.extend_from_slice(chunk);
+        }
+        assert_eq!(String::from_utf8(body).unwrap(), want, "the answer at x-commit {commit}");
+        u64::from_str_radix(&commit, 16).unwrap()
+    }
+
+    /// A writable state and its features' rows body at the root commit.
+    fn writable_with_features() -> (Arc<AppState>, String) {
+        let mut s = AppState::build(DataConfig::tiny());
+        s.writable = true;
+        let s = Arc::new(s);
+        let resp = ready(dispatch(&s, &features_read(None), far_deadline(), false));
+        let want = String::from_utf8(body_of(resp)).unwrap();
+        let parsed = ee_rdf::merge::QueryResult::parse(&want).unwrap();
+        let points = s.config.points;
+        assert_eq!((parsed.rows.len(), parsed.count), (points, points as u64));
+        assert!(points > 2 * ee_rdf::exec::STREAM_BATCH_ROWS, "the read spans several batches");
+        (s, want)
+    }
+
+    #[test]
+    fn head_rows_stream_answers_at_its_commit_while_commits_land() {
+        let (s, want) = writable_with_features();
+        let root = s.head_commit();
+        assert_eq!(features_read_across_commits(&s, None, &want), root);
+        assert_ne!(s.head_commit(), root, "the commits landed");
+    }
+
+    #[test]
+    fn as_of_rows_stream_answers_at_its_commit_while_commits_land() {
+        let (s, want) = writable_with_features();
+        let root = s.head_commit();
+        // One commit first, so the read starts through an overlay; the
+        // overlay is rebuilt when the next commit lands mid-stream.
+        let kind = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Feature>";
+        let first = format!("INSERT DATA {{ <http://e/early> {kind} }}");
+        let first = ee_rdf::parser::parse_update(&first).unwrap();
+        s.commit_update(&first).unwrap();
+        assert_eq!(features_read_across_commits(&s, Some(root), &want), root);
     }
 
     #[test]

@@ -428,9 +428,9 @@ fn lookup(
 /// counts), `/metrics`, engine dispatch with a cache insert (full
 /// bodies) or tee (streamed), the post-commit cache sweep, `If-None-Match`
 /// elision, and per-route latency accounting. It never probes the cache:
-/// the insert key is computed here, at execution time, so a commit that
-/// lands while the request queues stamps the entry with the head the
-/// engines actually read.
+/// the insert key is computed here, at execution time, and a response
+/// whose `x-commit` is not the commit the key is stamped with is not
+/// inserted, so an entry always names the commit its body was read at.
 fn resolve_miss(
     shared: &Shared,
     req: &Request,
@@ -456,11 +456,8 @@ fn resolve_miss(
             ) + &shared.state.render_prometheus_section(),
         )
     } else {
-        let key = cache_key(
-            req,
-            shared.state.head_commit(),
-            shared.state.search_generation(),
-        );
+        let head = shared.state.head_commit();
+        let key = cache_key(req, head, shared.state.search_generation());
         let cacheable = key.is_some();
         // Versioned (`asOf`) responses are immutable: pin them so the
         // update sweep and TTL expiry leave them alone.
@@ -468,7 +465,13 @@ fn resolve_miss(
         match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
             Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
             Outcome::Ready(mut resp) => {
-                if let Some(k) = key.filter(|_| resp.status == 200) {
+                // A read names the commit it answered at in `x-commit`;
+                // one that differs from the key's stamp (a commit landed
+                // before the read was planned) is not filed under it.
+                let as_of = crate::router::as_of_param(req).ok().flatten();
+                let stamp = format!("{:016x}", as_of.unwrap_or(head));
+                let names_stamp = resp.headers.iter().all(|(n, v)| n != "x-commit" || *v == stamp);
+                if let Some(k) = key.filter(|_| resp.status == 200 && names_stamp) {
                     // Full bodies can be cached before the write;
                     // streamed ones are teed as produced (headers
                     // snapshotted *before* the x-cache marker so

@@ -5,11 +5,12 @@
 //! * a mutable [`ee_rdf::storage::Store`] of point features with a
 //!   spatial index — the E2/E3 rectangular-selection path behind
 //!   `/query`, writable through `POST /update` when the server runs
-//!   `--writable`. Reads take a shared [`RwLock`] guard and plan each
-//!   query against the store state they execute on; commits take the
-//!   exclusive side and bump the store **generation**. The generation is
-//!   mirrored into an atomic so the hot path (cache keys, ETags) never
-//!   touches the lock;
+//!   `--writable`. Every `/query` read is a [`PinnedRead`] of one commit
+//!   (its `AS OF` commit, or the head it was planned at) that takes the
+//!   shared [`RwLock`] guard once per batch; only
+//!   [`AppState::commit_update`] takes the exclusive side. The head
+//!   commit and **generation** are mirrored into atomics so the hot path
+//!   (cache keys, ETags) never touches the lock;
 //! * an [`ee_catalogue::ClassicCatalogue`] + [`SemanticCatalogue`] pair
 //!   over the same generated archive — the E9 path, behind
 //!   `/catalogue/search`;
@@ -31,7 +32,7 @@ use ee_polar::icemap::{products_from_map, truth_masks, IceProducts};
 use ee_raster::scene::Band;
 use ee_raster::tile::pyramid;
 use ee_raster::Raster;
-use ee_rdf::exec::{Solutions, StreamCore};
+use ee_rdf::exec::StreamCore;
 use ee_rdf::parser::Query;
 use ee_rdf::plan::FastPath;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
@@ -617,60 +618,32 @@ impl AppState {
         }
     }
 
-    /// Plan `q` against `view` and start executing it there. The plan is
-    /// built per request — its dictionary ids and spatial candidate sets
-    /// are valid only for this exact view — and every read's plan passes
-    /// through here, so the `ee_rdf_fastpath_total{kind}` counters cover
-    /// every execution.
-    fn stream_on(&self, view: StoreView<'_>, q: &Query) -> Result<StreamCore, RdfError> {
-        let plan = Arc::new(ee_rdf::plan::plan_view(view, q)?);
-        let route = plan.fast_path();
-        let i = FastPath::ALL
-            .iter()
-            .position(|f| *f == route)
-            .expect("every FastPath is in ALL");
-        self.fastpath[i].fetch_add(1, Ordering::Relaxed);
-        ee_rdf::exec::stream_plan_shared(view, plan, ee_util::par::available_threads())
-    }
-
-    /// A head read of `q`, returned as a [`StreamCore`] that yields
-    /// result batches incrementally. For non-aggregate, non-ORDER-BY
-    /// queries no join work happens here at all: the pull-based pipeline
-    /// runs inside `next_batch(&self.store)` calls, so the `/query`
-    /// route's chunk-by-chunk serialisation exerts real backpressure — a
-    /// slow client pauses the joins instead of buffering their output.
-    pub fn query(&self, q: &Query) -> Result<StreamCore, RdfError> {
+    /// Plan `q` at one commit — `as_of`, or else the head read under the
+    /// guard that plans it — and return a [`PinnedRead`] of it; `None`
+    /// when `as_of` names no commit. A plan's ids and spatial candidate
+    /// sets hold for its commit only, so every read is planned here (and
+    /// `ee_rdf_fastpath_total{kind}` counts every execution). For
+    /// non-aggregate, non-ORDER-BY queries no join work happens here: the
+    /// pipeline runs inside [`PinnedRead::drain_batch`], so a slow client
+    /// pauses the joins instead of buffering their output.
+    pub fn query(&self, q: &Query, as_of: Option<u64>) -> Option<Result<PinnedRead, RdfError>> {
         let store = self.store();
-        self.stream_on(StoreView::from(&**store), q)
-    }
-
-    /// An `AS OF commit` read of `q`, collected under **one** read guard
-    /// so the whole answer reflects a single immutable snapshot —
-    /// versioned reads trade streaming for snapshot consistency. `None`
-    /// when `commit` names no known commit.
-    ///
-    /// The overlay that rewinds to `commit` is relative to the head it
-    /// was built on, and building it takes the exclusive lock (rewinding
-    /// may re-intern terms that compaction folded away). A commit that
-    /// lands between building it and taking the read guard moves the
-    /// head under it, so the read goes round again with a fresh overlay
-    /// rather than apply the old one to the new head.
-    pub fn query_as_of(&self, q: &Query, commit: u64) -> Option<Result<Solutions, RdfError>> {
-        // The empty overlay is valid exactly while the head is `commit`.
-        let (mut novelty, mut built_on) = (Novelty::default(), commit);
-        loop {
-            // The lock-free mirror skips a read guard that cannot match.
-            if self.head_commit() == built_on {
-                let store = self.store();
-                if store.head_commit() == built_on {
-                    let view = StoreView::with_novelty(&store, &novelty);
-                    return Some(self.stream_on(view, q).map(|mut core| core.collect(view)));
-                }
-            }
-            let mut store = self.store.write().expect("store lock");
-            novelty = store.as_of(commit)?;
-            built_on = store.head_commit();
-        }
+        let head = store.head_commit();
+        let commit = as_of.unwrap_or(head);
+        let novelty = store.as_of(commit)?;
+        let view = StoreView::with_novelty(&store, &novelty);
+        let core = ee_rdf::plan::plan_view(view, q).and_then(|plan| {
+            let i = FastPath::ALL.iter().position(|f| *f == plan.fast_path());
+            self.fastpath[i.expect("every FastPath is in ALL")].fetch_add(1, Ordering::Relaxed);
+            let threads = ee_util::par::available_threads();
+            ee_rdf::exec::stream_plan_shared(view, Arc::new(plan), threads)
+        });
+        Some(core.map(|core| PinnedRead {
+            core,
+            commit,
+            novelty,
+            built_on: head,
+        }))
     }
 
     /// The ice products of a region, if it exists.
@@ -687,6 +660,43 @@ impl AppState {
         aoi: Envelope,
     ) -> Result<Vec<&ee_catalogue::Product>, ee_catalogue::CatalogueError> {
         self.classic.search(&Search::aoi(aoi))
+    }
+}
+
+/// A `/query` read pinned to one commit. It takes the store's read guard
+/// once per batch, so a slow reader never starves a writer. When commits
+/// have moved the head since its last batch, it rebuilds the overlay that
+/// rewinds the new head to its commit, and its index cursors resume on
+/// that view exactly where they paused ([`StoreView`] enumerates every
+/// view of one commit in the same order).
+pub struct PinnedRead {
+    core: StreamCore,
+    commit: u64,
+    /// Rewinds the head `built_on` to `commit` (empty while they agree).
+    novelty: Novelty,
+    built_on: u64,
+}
+
+impl PinnedRead {
+    /// The commit every batch reads.
+    pub fn commit(&self) -> u64 {
+        self.commit
+    }
+
+    /// Projected variable names, in order.
+    pub fn vars(&self) -> &[String] {
+        self.core.vars()
+    }
+
+    /// [`StreamCore::drain_batch`] at the pinned commit, under one read
+    /// guard of `state`'s store.
+    pub fn drain_batch(&mut self, state: &AppState, row: impl FnMut(&[Option<&Term>])) -> usize {
+        let store = state.store();
+        if store.head_commit() != self.built_on {
+            self.novelty = store.as_of(self.commit).expect("the history keeps every commit");
+            self.built_on = store.head_commit();
+        }
+        self.core.drain_batch(StoreView::with_novelty(&store, &self.novelty), row)
     }
 }
 
@@ -959,16 +969,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Drain a pinned read into owned rows.
+    fn drain(state: &AppState, mut read: PinnedRead) -> ee_rdf::exec::Solutions {
+        let mut rows = Vec::new();
+        let owned = |row: &[Option<&Term>]| row.iter().map(|t| t.cloned()).collect();
+        while read.drain_batch(state, |row| rows.push(owned(row))) > 0 {}
+        ee_rdf::exec::Solutions {
+            vars: read.vars().to_vec(),
+            rows,
+        }
+    }
+
     /// A head read of `sparql`, drained.
     fn head(state: &AppState, sparql: &str) -> ee_rdf::exec::Solutions {
         let q = ee_rdf::parser::parse_query(sparql).expect("parse");
-        state.query(&q).expect("query").collect(&**state.store())
+        drain(state, state.query(&q, None).expect("the head").expect("query"))
     }
 
     /// An `AS OF commit` read of `sparql`; `None` for an unknown id.
     fn as_of(state: &AppState, sparql: &str, commit: u64) -> Option<ee_rdf::exec::Solutions> {
         let q = ee_rdf::parser::parse_query(sparql).expect("parse");
-        state.query_as_of(&q, commit).map(|r| r.expect("query"))
+        Some(drain(state, state.query(&q, Some(commit))?.expect("query")))
     }
 
     #[test]
@@ -1090,10 +1111,8 @@ mod tests {
             let t0 = std::time::Instant::now();
             let (mut reads, mut wrong) = (0u64, 0u64);
             while !writer.is_finished() && t0.elapsed() < std::time::Duration::from_secs(2) {
-                let sols = state
-                    .query_as_of(&q, root)
-                    .expect("root is known")
-                    .expect("query");
+                let read = state.query(&q, Some(root)).expect("root is known");
+                let sols = drain(&state, read.expect("query"));
                 reads += 1;
                 wrong += u64::from(!sols.rows.is_empty());
             }

@@ -90,13 +90,6 @@ impl Tensor {
         self.data[i * self.shape[1] + j]
     }
 
-    /// 2-D element write.
-    #[inline]
-    pub fn set2(&mut self, i: usize, j: usize, v: f32) {
-        debug_assert_eq!(self.shape.len(), 2);
-        self.data[i * self.shape[1] + j] = v;
-    }
-
     /// 4-D element access (`[n, c, h, w]` layout).
     #[inline]
     pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {

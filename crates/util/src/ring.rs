@@ -22,14 +22,40 @@
 //! ring, so whole key families would pile onto one arc without it.
 
 /// FNV-1a over a byte string — deterministic, dependency-free, and fast
-/// enough for per-request routing decisions.
+/// enough for per-request routing decisions. The one FNV-1a of the
+/// workspace: ring placement, cache shard selection, ETags, on-disk
+/// record checksums and commit ids all hash through it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// The incremental form of [`fnv1a`]: bytes folded in piece by piece
+/// hash as their concatenation does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// The FNV-1a offset basis, the hash of no bytes.
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Fold more bytes into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// 64-bit avalanche finalizer (the MurmurHash3 `fmix64` constants):

@@ -31,8 +31,7 @@ echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
 
 echo "== lint: rustdoc (warnings are errors, e.g. dangling intra-doc links) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
-    -p ee-serve -p ee-util -p ee-rdf -p ee-geo -p ee-bench -p ee-federation
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== tier-1: benchmark suite's own tests =="
 # The suite is a package with its own empty [workspace], so the root
