@@ -43,7 +43,7 @@ pub fn indexed_store(triples: &[(Term, Term, Term)]) -> TripleStore {
     for (s, p, o) in triples {
         store.insert(s, p, o);
     }
-    store.build_spatial_index();
+    store.pack();
     store
 }
 

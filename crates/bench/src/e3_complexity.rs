@@ -135,7 +135,7 @@ pub fn join_store(n: usize, seed: u64) -> TripleStore {
             &Term::wkt(format!("MULTIPOLYGON ({})", parts.join(", "))),
         );
     }
-    store.build_spatial_index();
+    store.pack();
     store
 }
 

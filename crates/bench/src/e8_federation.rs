@@ -30,7 +30,8 @@ pub fn federation(n: usize, seed: u64) -> Vec<Endpoint> {
         crops.insert(&f, &t("hasGeom"), &Term::wkt(format!("POINT ({x} {y})")));
         names.insert(&f, &t("name"), &Term::string(format!("Field {i}")));
     }
-    crops.build_spatial_index();
+    crops.pack();
+    names.pack();
     let mut ice = TripleStore::new();
     for i in 0..n {
         let f = t(&format!("floe{i}"));
@@ -39,7 +40,7 @@ pub fn federation(n: usize, seed: u64) -> Vec<Endpoint> {
         let y = rng.range_f64(75.0, 85.0);
         ice.insert(&f, &t("hasGeom"), &Term::wkt(format!("POINT ({x} {y})")));
     }
-    ice.build_spatial_index();
+    ice.pack();
     vec![
         Endpoint::new("crops", crops),
         Endpoint::new("ice", ice),

@@ -48,6 +48,7 @@ pub fn value_store(n: usize, seed: u64) -> TripleStore {
         let s = Term::iri(format!("http://e/r{i}"));
         store.insert(&s, &value, &Term::integer(rng.range(0, (n / 2).max(2)) as i64));
     }
+    store.pack();
     store
 }
 

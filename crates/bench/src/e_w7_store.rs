@@ -93,7 +93,7 @@ fn cold_start(n: usize, durability: Durability) -> ColdStart {
     let t0 = Instant::now();
     let mut rebuilt = TripleStore::new();
     load_ntriples(&mut rebuilt, &text).expect("rebuild parses");
-    rebuilt.build_spatial_index();
+    rebuilt.pack();
     let rebuild_secs = t0.elapsed().as_secs_f64();
     assert_eq!(rebuilt.len(), loaded, "rebuild must reproduce the store");
     drop(rebuilt);
@@ -249,7 +249,7 @@ fn recovery_check(durability: Durability) -> bool {
 fn triple_set(store: &Store) -> Vec<(Term, Term, Term)> {
     let mut v: Vec<(Term, Term, Term)> = store
         .triples()
-        .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))
+        .map(|(s, p, o)| (s.to_term(), p.to_term(), o.to_term()))
         .collect();
     v.sort();
     v

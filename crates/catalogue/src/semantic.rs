@@ -62,9 +62,10 @@ impl SemanticCatalogue {
         self.store.is_empty()
     }
 
-    /// Rebuild the spatial index after a batch ingest.
+    /// Pack the store after a batch ingest ([`TripleStore::pack`]): the
+    /// spatial index, and indexes left part-empty by per-triple inserts.
     pub fn finish_ingest(&mut self) {
-        self.store.build_spatial_index();
+        self.store.pack();
     }
 
     /// Insert an arbitrary knowledge triple. Pipelines use this to publish

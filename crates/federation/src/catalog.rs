@@ -2,7 +2,7 @@
 
 use crate::endpoint::Endpoint;
 use ee_geo::Envelope;
-use ee_rdf::term::Term;
+use ee_rdf::term::TermRef;
 use std::collections::HashMap;
 
 /// Per-endpoint statistics.
@@ -39,15 +39,14 @@ impl FederationCatalog {
                 let mut predicate_counts: HashMap<String, usize> = HashMap::new();
                 let mut extent = Envelope::empty();
                 let mut total = 0;
-                for (_, p, o) in ep.store().triples() {
+                let dict = &ep.store().dict;
+                for (_, p, o) in ep.store().id_triples() {
                     total += 1;
-                    if let Term::Iri(iri) = p {
-                        *predicate_counts.entry(iri.clone()).or_insert(0) += 1;
+                    if let TermRef::Iri(iri) = dict.term(p) {
+                        *predicate_counts.entry(iri.to_string()).or_insert(0) += 1;
                     }
-                    if let Some(id) = ep.store().dict.id_of(o) {
-                        if let Some(env) = ep.store().dict.envelope_of(id) {
-                            extent = extent.union(&env);
-                        }
+                    if let Some(env) = dict.envelope_of(o) {
+                        extent = extent.union(&env);
                     }
                 }
                 EndpointStats {
@@ -104,7 +103,7 @@ impl FederationCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ee_rdf::TripleStore;
+    use ee_rdf::{Term, TripleStore};
 
     fn t(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))

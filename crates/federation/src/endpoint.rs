@@ -1,8 +1,11 @@
 //! The endpoint abstraction: a named remote store with request metering.
 
-use ee_rdf::term::Term;
+use ee_rdf::term::{Term, TermRef};
 use ee_rdf::TripleStore;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One matched triple, its terms borrowed from the endpoint's store.
+pub type TripleRef<'a> = (TermRef<'a>, TermRef<'a>, TermRef<'a>);
 
 /// A federated data source.
 pub struct Endpoint {
@@ -52,7 +55,7 @@ impl Endpoint {
         s: Option<&Term>,
         p: Option<&Term>,
         o: Option<&Term>,
-    ) -> Vec<(Term, Term, Term)> {
+    ) -> Vec<TripleRef<'_>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.probe(s, p, o)
     }
@@ -65,7 +68,7 @@ impl Endpoint {
         p: Option<&Term>,
         o: Option<&Term>,
         bind_subject: bool,
-    ) -> Vec<Vec<(Term, Term, Term)>> {
+    ) -> Vec<Vec<TripleRef<'_>>> {
         self.bindings_shipped
             .fetch_add(bindings.len() as u64, Ordering::Relaxed);
         // One network round trip for the whole batch (VALUES-style), but
@@ -84,12 +87,7 @@ impl Endpoint {
     }
 
     /// The unmetered store lookup behind both request kinds.
-    fn probe(
-        &self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-    ) -> Vec<(Term, Term, Term)> {
+    fn probe(&self, s: Option<&Term>, p: Option<&Term>, o: Option<&Term>) -> Vec<TripleRef<'_>> {
         // `Some(None)` is a wildcard; `None` is a term the store has never
         // seen, which matches nothing.
         let id = |t: Option<&Term>| match t {
@@ -99,14 +97,11 @@ impl Endpoint {
         let (Some(sid), Some(pid), Some(oid)) = (id(s), id(p), id(o)) else {
             return Vec::new();
         };
+        let dict = &self.store.dict;
         let mut out = Vec::new();
         self.store
             .match_pattern(sid, pid, oid, &mut |(ts, tp, to)| {
-                out.push((
-                    self.store.dict.term(ts).clone(),
-                    self.store.dict.term(tp).clone(),
-                    self.store.dict.term(to).clone(),
-                ));
+                out.push((dict.term(ts), dict.term(tp), dict.term(to)));
                 true
             });
         out

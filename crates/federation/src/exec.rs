@@ -102,14 +102,14 @@ pub fn federated_query(
                 }
                 None => vec![endpoints[ei].match_pattern(s, p, o)],
             };
-            for (ts, tp, to) in batches.iter().flatten() {
+            for &(ts, tp, to) in batches.iter().flatten() {
                 triples_transferred += 1;
                 mediator.insert(ts, tp, to);
             }
         }
         fetched.push(pattern.clone());
     }
-    mediator.build_spatial_index();
+    mediator.pack();
     let rows = run(&mediator, &q)?;
     let requests: Vec<(String, u64)> = endpoints
         .iter()
@@ -231,7 +231,7 @@ mod tests {
                 &Term::wkt(format!("POINT ({} 0.5)", i as f64 + 0.5)),
             );
         }
-        crops.build_spatial_index();
+        crops.pack();
         let mut ice = TripleStore::new();
         for i in 0..4 {
             let f = t(&format!("floe{i}"));
@@ -242,7 +242,7 @@ mod tests {
                 &Term::wkt(format!("POINT ({} 80.5)", i as f64 + 0.5)),
             );
         }
-        ice.build_spatial_index();
+        ice.pack();
         let mut places = TripleStore::new();
         for i in 0..5 {
             places.insert(

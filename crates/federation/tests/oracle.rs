@@ -66,7 +66,7 @@ fn store(triples: &[Triple]) -> TripleStore {
     for (s, p, o) in triples {
         st.insert(s, p, o);
     }
-    st.build_spatial_index();
+    st.pack();
     st
 }
 

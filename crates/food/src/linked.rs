@@ -89,7 +89,7 @@ pub fn publish(fc: &FeatureCollection) -> Result<TripleStore, FoodError> {
     mapping
         .run_features(fc, &mut store)
         .map_err(|e| FoodError::Data(e.to_string()))?;
-    store.build_spatial_index();
+    store.pack();
     Ok(store)
 }
 

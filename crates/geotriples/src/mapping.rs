@@ -285,7 +285,7 @@ mod tests {
         let mut store = TripleStore::new();
         let n = map.run_features(&fc, &mut store).unwrap();
         assert_eq!(n, 3);
-        store.build_spatial_index();
+        store.pack();
         let sol = ee_rdf::exec::query(
             &store,
             "PREFIX g: <http://geo.example/> SELECT ?s WHERE { ?s a g:Place ; geo:asWKT ?w . \

@@ -5,22 +5,45 @@
 //! edges. This is the standard RDF-store design and the reason the E2
 //! selection stays cheap — no string compares in the join loop.
 //!
-//! Each term is stored once, in `terms` at its id. The reverse map is an
-//! open-addressed table of `u32` ids (linear probing, grown at load ½)
-//! probed with a keyed SipHash of the term — the `RandomState` a
-//! `HashMap` uses, so the table keeps its HashDoS resistance — and every
-//! probe compares against `terms[id]`. A `HashMap<Term, u64>` beside the
-//! id vector held every term twice; the table costs 8–16 bytes a term.
-//! Ids are dense, append-only and assigned in intern order, which is what
-//! snapshots, commit ids and baked plans rely on.
+//! Every term lives in one byte arena: its text (an IRI, or a literal's
+//! lexical form) is appended to `text`, and `spans[id]` holds where that
+//! text ends (it starts where the previous id's ends) and the term's
+//! kind: IRI, or the literal's datatype in a small table of interned
+//! datatype IRIs — so a literal does not carry its own copy of
+//! `xsd:integer`. End and kind sit side by side, so resolving an id
+//! reads one cache line of `spans` and then the text.
+//! [`Dictionary::term`] hands out a borrowed [`TermRef`] view of that
+//! storage; nothing per id is a heap allocation. The arena is addressed
+//! with `u32` offsets, so its text is capped at `u32::MAX` bytes (an
+//! intern past that panics).
+//!
+//! The reverse map is an open-addressed table of `u32` ids (linear
+//! probing, grown at load ½) probed with a keyed SipHash of the term's
+//! [`TermRef`] — the `RandomState` a `HashMap` uses, so the table keeps
+//! its HashDoS resistance, and an owned [`Term`](crate::term::Term)
+//! hashes the same, so it finds its arena entry — and every probe
+//! compares against the arena view at that id. Ids are dense,
+//! append-only and assigned in intern order, which is what snapshots,
+//! commit ids and baked plans rely on.
 
-use crate::term::{decode_non_geometry, Term, Value};
+use crate::term::{decode_non_geometry, TermRef, Value};
 use ee_geo::{wkt, Envelope, Geometry};
 use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 /// An unused slot of the id table.
 const EMPTY: u32 = u32::MAX;
+
+/// The kind of an IRI; a literal's kind is 1 + its datatype's index.
+const IRI: u32 = 0;
+
+/// Where an id's text ends in the arena, and its kind.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    end: u32,
+    kind: u32,
+}
 
 /// The term dictionary.
 #[derive(Debug, Default)]
@@ -28,11 +51,31 @@ pub struct Dictionary {
     /// Keyed hasher for the id table.
     hasher: RandomState,
     /// Open-addressed id table: a power-of-two number of slots (or none
-    /// before the first intern), each [`EMPTY`] or an index into `terms`.
+    /// before the first intern), each [`EMPTY`] or an id.
     table: Vec<u32>,
-    terms: Vec<Term>,
+    /// Every term's text, back to back in id order.
+    text: String,
+    /// Per id: the end of its text in `text`, and its kind — [`IRI`], or
+    /// 1 + the literal's index into `datatypes`.
+    spans: Vec<Span>,
+    /// Interned datatype IRIs, and their indexes.
+    datatypes: Vec<Box<str>>,
+    datatype_index: HashMap<Box<str>, u32>,
     values: Vec<Value>,
     geometries: Vec<Geometry>,
+}
+
+/// `len` as an arena offset.
+///
+/// # Panics
+///
+/// Past `u32::MAX`: the arena's offsets are `u32`.
+fn arena_offset(len: usize) -> u32 {
+    assert!(
+        len <= u32::MAX as usize,
+        "the term arena holds at most u32::MAX bytes of text"
+    );
+    len as u32
 }
 
 impl Dictionary {
@@ -44,16 +87,18 @@ impl Dictionary {
     /// Intern a term, returning its id (stable across repeat calls).
     /// Geometry literals are parsed once here; malformed WKT interns as
     /// [`Value::Malformed`] (filters then never match it).
-    pub fn intern(&mut self, term: &Term) -> u64 {
+    pub fn intern<'t>(&mut self, term: impl Into<TermRef<'t>>) -> u64 {
+        let term = term.into();
         let slot = match self.probe(term) {
             Ok(id) => return id,
             Err(slot) => slot,
         };
-        let id = self.terms.len() as u64;
+        let id = self.spans.len() as u64;
         assert!(
             id < u64::from(EMPTY),
             "the id table holds at most u32::MAX terms"
         );
+        let end = arena_offset(self.text.len() + term.lexical().len());
         let value = match decode_non_geometry(term) {
             Some(v) => v,
             None => {
@@ -67,9 +112,14 @@ impl Dictionary {
                 }
             }
         };
-        self.terms.push(term.clone());
+        let kind = match term {
+            TermRef::Iri(_) => IRI,
+            TermRef::Literal { datatype, .. } => 1 + self.intern_datatype(datatype),
+        };
+        self.text.push_str(term.lexical());
+        self.spans.push(Span { end, kind });
         self.values.push(value);
-        if 2 * self.terms.len() > self.table.len() {
+        if 2 * self.spans.len() > self.table.len() {
             self.grow();
         } else {
             self.table[slot] = id as u32;
@@ -77,15 +127,28 @@ impl Dictionary {
         id
     }
 
+    /// The index of a datatype IRI in `datatypes`, interning it if new.
+    fn intern_datatype(&mut self, datatype: &str) -> u32 {
+        if let Some(&i) = self.datatype_index.get(datatype) {
+            return i;
+        }
+        // Lossless, and 1 + i fits a kind: each datatype came with a
+        // term, and the id assert keeps terms below u32::MAX.
+        let i = self.datatypes.len() as u32;
+        self.datatypes.push(datatype.into());
+        self.datatype_index.insert(datatype.into(), i);
+        i
+    }
+
     /// Look up an existing term's id without interning.
-    pub fn id_of(&self, term: &Term) -> Option<u64> {
-        self.probe(term).ok()
+    pub fn id_of<'t>(&self, term: impl Into<TermRef<'t>>) -> Option<u64> {
+        self.probe(term.into()).ok()
     }
 
     /// Walk `term`'s probe sequence: `Ok(id)` when it is interned, else
     /// `Err(slot)` — the empty slot an insert would take (meaningless
     /// while the table has no slots; [`Dictionary::intern`] grows then).
-    fn probe(&self, term: &Term) -> Result<u64, usize> {
+    fn probe(&self, term: TermRef<'_>) -> Result<u64, usize> {
         if self.table.is_empty() {
             return Err(0);
         }
@@ -94,7 +157,7 @@ impl Dictionary {
         loop {
             match self.table[slot] {
                 EMPTY => return Err(slot),
-                id if self.terms[id as usize] == *term => return Ok(u64::from(id)),
+                id if self.holds(id as usize, term) => return Ok(u64::from(id)),
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -103,20 +166,53 @@ impl Dictionary {
     /// Double the table (16 slots at first) and re-place every id.
     fn grow(&mut self) {
         let slots = (2 * self.table.len()).max(16);
-        self.table = vec![EMPTY; slots];
+        let mut table = vec![EMPTY; slots];
         let mask = slots - 1;
-        for (id, term) in self.terms.iter().enumerate() {
-            let mut slot = self.hasher.hash_one(term) as usize & mask;
-            while self.table[slot] != EMPTY {
+        for id in 0..self.len() as u32 {
+            let mut slot = self.hasher.hash_one(self.term(u64::from(id))) as usize & mask;
+            while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            self.table[slot] = id as u32;
+            table[slot] = id;
+        }
+        self.table = table;
+    }
+
+    /// The arena range of `id`'s text, and its kind.
+    fn span(&self, id: usize) -> (std::ops::Range<usize>, u32) {
+        let start = match id {
+            0 => 0,
+            _ => self.spans[id - 1].end as usize,
+        };
+        let Span { end, kind } = self.spans[id];
+        (start..end as usize, kind)
+    }
+
+    /// Is `term` the term at `id`?
+    fn holds(&self, id: usize, term: TermRef<'_>) -> bool {
+        let (range, kind) = self.span(id);
+        let text = &self.text.as_bytes()[range];
+        match term {
+            TermRef::Iri(iri) => kind == IRI && text == iri.as_bytes(),
+            TermRef::Literal { lexical, datatype } => {
+                kind != IRI
+                    && text == lexical.as_bytes()
+                    && *self.datatypes[kind as usize - 1] == *datatype
+            }
         }
     }
 
-    /// The term for an id.
-    pub fn term(&self, id: u64) -> &Term {
-        &self.terms[id as usize]
+    /// The term for an id, borrowed from the arena.
+    pub fn term(&self, id: u64) -> TermRef<'_> {
+        let (range, kind) = self.span(id as usize);
+        let text = &self.text[range];
+        match kind {
+            IRI => TermRef::Iri(text),
+            kind => TermRef::Literal {
+                lexical: text,
+                datatype: &self.datatypes[kind as usize - 1],
+            },
+        }
     }
 
     /// The decoded value for an id.
@@ -144,24 +240,36 @@ impl Dictionary {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.spans.len()
     }
 
     /// True when nothing is interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.spans.is_empty()
     }
 
     /// Number of parsed geometries.
     pub fn num_geometries(&self) -> usize {
         self.geometries.len()
     }
+
+    /// Heap bytes of the term storage: the arena text, spans, id table
+    /// and decoded values by capacity, plus the datatype IRIs' text (held
+    /// twice: table and index). Parsed geometries are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let datatypes: usize = self.datatypes.iter().map(|d| 2 * d.len()).sum();
+        self.text.capacity()
+            + std::mem::size_of::<Span>() * self.spans.capacity()
+            + 4 * self.table.capacity()
+            + std::mem::size_of::<Value>() * self.values.capacity()
+            + datatypes
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::term::Term;
 
     #[test]
     fn intern_is_idempotent() {
@@ -172,7 +280,7 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.term(a), &Term::iri("http://e/a"));
+        assert_eq!(d.term(a), Term::iri("http://e/a"));
     }
 
     #[test]
@@ -256,7 +364,7 @@ mod tests {
         assert_eq!(d.len(), model.len());
         for (term, &id) in &model {
             assert_eq!(d.id_of(term), Some(id));
-            assert_eq!(d.term(id), term);
+            assert_eq!(d.term(id), *term);
         }
         for (id, (value, geometry)) in decoded.iter().enumerate() {
             assert_eq!(d.value(id as u64), value, "id {id}");
@@ -271,6 +379,73 @@ mod tests {
             d.num_geometries(),
             decoded.iter().filter(|(_, g)| g.is_some()).count()
         );
+    }
+
+    #[test]
+    fn iri_string_and_typed_literal_of_one_text_are_distinct() {
+        let mut d = Dictionary::new();
+        let typed = Term::Literal {
+            lexical: "x".into(),
+            datatype: "http://e/dt".into(),
+        };
+        let ids = [
+            d.intern(&Term::iri("x")),
+            d.intern(&Term::string("x")),
+            d.intern(&typed),
+        ];
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(d.id_of(&Term::string("x")), Some(1));
+        assert_eq!(d.id_of(&typed), Some(2));
+        assert_eq!(d.term(2), typed);
+        assert_eq!(
+            d.id_of(&Term::iri("http://e/dt")),
+            None,
+            "a datatype is not a term"
+        );
+    }
+
+    #[test]
+    fn arena_terms_round_trip_exactly() {
+        let terms = [
+            Term::string(""),
+            Term::iri(""),
+            Term::Literal {
+                lexical: String::new(),
+                datatype: "http://e/dt".into(),
+            },
+            Term::string("Norske Øer — 氷山 🧊"),
+            Term::iri("http://e/Ø"),
+            Term::wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1))"),
+            Term::integer(-42),
+        ];
+        let mut d = Dictionary::new();
+        let ids: Vec<u64> = terms.iter().map(|t| d.intern(t)).collect();
+        assert_eq!(ids, (0..terms.len() as u64).collect::<Vec<_>>());
+        for (t, &id) in terms.iter().zip(&ids) {
+            assert_eq!(d.term(id).to_term(), *t);
+            assert_eq!(d.id_of(d.term(id)), Some(id));
+        }
+        assert_eq!(d.num_geometries(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX bytes")]
+    fn arena_offsets_past_u32_panic() {
+        arena_offset(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_arena() {
+        let mut d = Dictionary::new();
+        assert_eq!(d.heap_bytes(), 0);
+        for i in 0..100 {
+            d.intern(&Term::iri(format!("http://e/{i}")));
+        }
+        let bytes = d.heap_bytes();
+        assert!(bytes >= d.text.len() + 24 * d.len(), "{bytes}");
+        // Longer than every spare byte: some buffer has to grow.
+        d.intern(&Term::iri("x".repeat(bytes)));
+        assert!(d.heap_bytes() > bytes);
     }
 
     #[test]

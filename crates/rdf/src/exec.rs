@@ -44,7 +44,7 @@ use crate::batch::{Batch, UNBOUND};
 use crate::parser::{AggFunc, SelectItem};
 use crate::plan::{FastPath, Plan};
 use crate::store::{StoreView, TripleStore};
-use crate::term::{decode_non_geometry, Term, Value};
+use crate::term::{decode_non_geometry, Term, TermRef, Value};
 use crate::{join, RdfError};
 use ee_util::par;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -236,7 +236,7 @@ impl StreamCore {
     pub fn drain_batch<'s>(
         &mut self,
         store: impl Into<StoreView<'s>>,
-        mut row: impl FnMut(&[Option<&Term>]),
+        mut row: impl FnMut(&[Option<TermRef<'_>>]),
     ) -> usize {
         let store = store.into();
         let mut n = 0;
@@ -251,7 +251,7 @@ impl StreamCore {
                     continue;
                 }
                 cells.clear();
-                cells.extend(r.iter().map(Option::as_ref));
+                cells.extend(r.iter().map(|t| t.as_ref().map(Term::as_ref)));
                 row(&cells);
                 n += 1;
                 if let Some(rem) = &mut self.remaining {
@@ -297,7 +297,9 @@ impl StreamCore {
         store: impl Into<StoreView<'s>>,
     ) -> Option<Vec<Vec<Option<Term>>>> {
         let mut out = Vec::new();
-        let n = self.drain_batch(store, |row| out.push(row.iter().map(|t| t.cloned()).collect()));
+        let n = self.drain_batch(store, |row| {
+            out.push(row.iter().map(|t| t.map(TermRef::to_term)).collect())
+        });
         (n > 0).then_some(out)
     }
 
@@ -538,10 +540,10 @@ fn order_key(store: StoreView<'_>, id: u64) -> OrderKey {
 /// output rows, which ORDER BY sorts in the same order as id rows.
 fn term_order_key(t: &Term) -> OrderKey {
     // A WKT literal decodes to `None`, and geometries rank with the rest.
-    key_of(&decode_non_geometry(t).unwrap_or(Value::Malformed), t)
+    key_of(&decode_non_geometry(t).unwrap_or(Value::Malformed), t.as_ref())
 }
 
-fn key_of(value: &Value, term: &Term) -> OrderKey {
+fn key_of(value: &Value, term: TermRef<'_>) -> OrderKey {
     let (rank, num, text) = match value {
         Value::Int(i) => (0, *i as f64, String::new()),
         Value::Float(f) => (0, *f, String::new()),
@@ -821,7 +823,7 @@ fn group_count(store: StoreView<'_>, plan: &Arc<Plan>, threads: usize) -> Result
             match item {
                 SelectItem::Var(v) => {
                     let gi = group_names.iter().position(|x| x == v).expect("checked");
-                    row.push(key[gi].map(|id| store.dict().term(id).clone()));
+                    row.push(key[gi].map(|id| store.dict().term(id).to_term()));
                 }
                 SelectItem::Agg { .. } => {
                     row.push(Some(Term::integer(slots[next_agg] as i64)));
@@ -873,7 +875,7 @@ fn aggregate(
             match item {
                 SelectItem::Var(v) => {
                     let gi = group_names.iter().position(|x| x == v).expect("checked");
-                    row.push(key[gi].map(|id| store.dict().term(id).clone()));
+                    row.push(key[gi].map(|id| store.dict().term(id).to_term()));
                 }
                 SelectItem::Agg { func, var, .. } => {
                     let vi = var
@@ -940,7 +942,7 @@ fn agg_value(
                     }
                 }
             }
-            best.map(|(id, _)| store.dict().term(id).clone())
+            best.map(|(id, _)| store.dict().term(id).to_term())
                 .unwrap_or_else(|| Term::integer(0))
         }
     }
@@ -998,7 +1000,7 @@ mod tests {
         st.insert(&e("alice"), &geom, &Term::wkt("POINT (1 1)"));
         st.insert(&e("bob"), &geom, &Term::wkt("POINT (5 5)"));
         st.insert(&e("carol"), &geom, &Term::wkt("POINT (20 20)"));
-        st.build_spatial_index();
+        st.pack();
         st
     }
 
@@ -1081,7 +1083,7 @@ mod tests {
             let st = sample_store();
             let full = query(&st, q_text).unwrap();
             let triples: Vec<(Term, Term, Term)> =
-                st.triples().map(|(s, p, o)| (s.clone(), p.clone(), o.clone())).collect();
+                st.triples().map(|(s, p, o)| (s.to_term(), p.to_term(), o.to_term())).collect();
             let scan = crate::naive::query(&triples, q_text).unwrap();
             let norm = |s: &Solutions| {
                 let mut v: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -1230,7 +1232,7 @@ mod tests {
         st.insert(&e("a"), &e("zone"), &Term::wkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"));
         st.insert(&e("b"), &e("poi"), &Term::wkt("POINT (5 5)"));
         st.insert(&e("c"), &e("poi"), &Term::wkt("POINT (50 50)"));
-        st.build_spatial_index();
+        st.pack();
         let sol = query(
             &st,
             "PREFIX e: <http://e/> SELECT ?p WHERE { ?z e:zone ?zg . ?p e:poi ?pg . \
@@ -1312,7 +1314,7 @@ mod tests {
             }
             st.insert(&s, &near, &e(&format!("f{}", (i + 7) % 600)));
         }
-        st.build_spatial_index();
+        st.pack();
         st
     }
 

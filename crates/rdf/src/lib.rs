@@ -10,9 +10,11 @@
 //! engine and that experiment:
 //!
 //! * [`term`] — RDF terms with typed literals (strings, integers,
-//!   doubles, booleans, dates and `geo:wktLiteral` geometries);
-//! * [`dict`] — dictionary encoding: every term interned to a `u64`, with
-//!   decoded typed values (including parsed geometries) kept alongside;
+//!   doubles, booleans, dates and `geo:wktLiteral` geometries), owned
+//!   ([`Term`]) and borrowed ([`TermRef`]);
+//! * [`dict`] — dictionary encoding: every term interned to a `u64`, its
+//!   text in one byte arena, with decoded typed values (including parsed
+//!   geometries) kept alongside;
 //! * [`store`] — triples in three covering B-tree indexes (SPO/POS/OSP)
 //!   of 12-byte keys, per-predicate counts, plus an R-tree over geometry
 //!   literals — the one production layout;
@@ -73,7 +75,7 @@ pub mod term;
 pub mod update;
 
 pub use store::{Novelty, PatternCursor, StoreView, TripleStore};
-pub use term::Term;
+pub use term::{Term, TermRef};
 
 /// Errors from the RDF layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -37,7 +37,7 @@
 //! [`QueryResult::parse`] reads it back.
 
 use crate::parser::{parse_query, AggFunc, PatternTerm, SelectItem};
-use crate::term::Term;
+use crate::term::TermRef;
 use crate::RdfError;
 use ee_util::json::{emit_string, fmt_number, Json};
 
@@ -210,7 +210,7 @@ impl ResultWriter {
     /// Count one result row and append it to `out` if under the cap. The
     /// cells are borrowed, as [`crate::exec::StreamCore::drain_batch`]
     /// hands them over.
-    pub fn row(&mut self, out: &mut String, row: &[Option<&Term>]) {
+    pub fn row(&mut self, out: &mut String, row: &[Option<TermRef<'_>>]) {
         if !self.begin_row(out) {
             return;
         }
@@ -390,6 +390,7 @@ pub fn merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     #[test]
     fn count_queries_sum() {
@@ -601,7 +602,8 @@ mod tests {
             vec![lit("past the cap"), None],
         ] {
             chunk.clear();
-            w.row(&mut chunk, &row.iter().map(Option::as_ref).collect::<Vec<_>>());
+            let cells: Vec<_> = row.iter().map(|t| t.as_ref().map(Term::as_ref)).collect();
+            w.row(&mut chunk, &cells);
             out.push_str(&chunk);
         }
         assert!(chunk.is_empty(), "a capped row writes nothing");

@@ -414,7 +414,7 @@ fn aggregate(q: &Query, vars: &[String], rows: &[Row<'_>]) -> Result<Table, RdfE
 /// variable bound `bound` (`star` is `COUNT(*)`).
 fn aggregate_value(func: AggFunc, star: bool, rows: usize, bound: &[&Term]) -> Term {
     let numbers = || {
-        bound.iter().filter_map(|t| match decode_non_geometry(t) {
+        bound.iter().filter_map(|t| match decode_non_geometry(*t) {
             Some(Value::Int(i)) => Some(i as f64),
             Some(Value::Float(f)) => Some(f),
             _ => None,

@@ -679,7 +679,7 @@ mod tests {
         st.insert(&e("alice"), &knows, &e("bob"));
         st.insert(&e("alice"), &geom, &Term::wkt("POINT (1 1)"));
         st.insert(&e("bob"), &geom, &Term::wkt("POINT (5 5)"));
-        st.build_spatial_index();
+        st.pack();
         st
     }
 

@@ -14,7 +14,7 @@
 //! which is reported with the byte offset of the clean prefix so log
 //! recovery can truncate it away.
 
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use std::io::{self, Read, Write};
 
 /// The record checksum (and commit id) hash.
@@ -72,13 +72,13 @@ const TAG_IRI: u8 = 0;
 const TAG_LITERAL: u8 = 1;
 
 /// Append one term.
-pub fn put_term(out: &mut Vec<u8>, t: &Term) {
-    match t {
-        Term::Iri(i) => {
+pub fn put_term<'t>(out: &mut Vec<u8>, t: impl Into<TermRef<'t>>) {
+    match t.into() {
+        TermRef::Iri(i) => {
             out.push(TAG_IRI);
             put_str(out, i);
         }
-        Term::Literal { lexical, datatype } => {
+        TermRef::Literal { lexical, datatype } => {
             out.push(TAG_LITERAL);
             put_str(out, lexical);
             put_str(out, datatype);

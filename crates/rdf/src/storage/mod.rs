@@ -31,7 +31,7 @@ pub mod segment;
 pub mod snapshot;
 
 use crate::store::{IdTriple, Novelty, TripleStore};
-use crate::term::{Term, XSD_STRING};
+use crate::term::{Term, TermRef, XSD_STRING};
 use crate::update::{apply_delta, evaluate_update, Delta, GroundTriple};
 use crate::RdfError;
 use commitlog::{derive_record, CommitLog, WalCommit};
@@ -136,14 +136,14 @@ impl ShardSpec {
 
     /// Whether this shard owns `subject` (IRIs hash on their IRI text,
     /// anything else on its N-Triples form).
-    pub fn accepts(&self, subject: &Term) -> bool {
+    pub fn accepts<'t>(&self, subject: impl Into<TermRef<'t>>) -> bool {
         self.owner(subject) == self.index
     }
 
     /// The shard index owning `subject` on this spec's ring.
-    pub fn owner(&self, subject: &Term) -> usize {
-        match subject {
-            Term::Iri(iri) => self.ring.shard_of(iri),
+    pub fn owner<'t>(&self, subject: impl Into<TermRef<'t>>) -> usize {
+        match subject.into() {
+            TermRef::Iri(iri) => self.ring.shard_of(iri),
             other => self.ring.shard_of(&other.ntriples()),
         }
     }
@@ -299,7 +299,7 @@ impl Store {
                 inner.insert(s, p, o);
             }
         }
-        inner.build_spatial_index();
+        inner.pack();
         Ok(Store {
             inner,
             commits: Some(log),
@@ -366,7 +366,7 @@ impl Store {
             }
             st.insert(&s, &p, &o);
         }
-        st.build_spatial_index();
+        st.pack();
         let n = st.len();
         let store = Self::create(dir, st, durability)?;
         let elapsed = start.elapsed();

@@ -13,7 +13,7 @@
 
 use super::encode::{bad_data, get_term, get_uvarint, put_term, put_uvarint};
 use crate::store::IdTriple;
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use std::io;
 
 /// Terms per dictionary record.
@@ -22,10 +22,10 @@ pub const DICT_CHUNK: usize = 4096;
 pub const TRIPLE_CHUNK: usize = 8192;
 
 /// Encode one dictionary block (terms in id order).
-pub fn encode_dict_block(terms: &[&Term]) -> Vec<u8> {
+pub fn encode_dict_block(terms: &[TermRef<'_>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(terms.len() * 16);
     put_uvarint(&mut out, terms.len() as u64);
-    for t in terms {
+    for &t in terms {
         put_term(&mut out, t);
     }
     out
@@ -100,7 +100,7 @@ mod tests {
                 }
             })
             .collect();
-        let refs: Vec<&Term> = terms.iter().collect();
+        let refs: Vec<TermRef> = terms.iter().map(Term::as_ref).collect();
         let back = decode_dict_block(&encode_dict_block(&refs)).unwrap();
         assert_eq!(back, terms);
     }

@@ -21,7 +21,7 @@ use super::segment::{
     DICT_CHUNK, TRIPLE_CHUNK,
 };
 use crate::store::{IdTriple, TripleStore};
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -65,7 +65,7 @@ pub fn write_snapshot(dir: &Path, store: &TripleStore, generation: u64) -> io::R
         put_uvarint(&mut header, store.len() as u64);
         write_record(&mut w, &header)?;
 
-        let mut block: Vec<&Term> = Vec::with_capacity(DICT_CHUNK);
+        let mut block: Vec<TermRef> = Vec::with_capacity(DICT_CHUNK);
         for id in 0..n_terms as u64 {
             block.push(store.dict.term(id));
             if block.len() == DICT_CHUNK {
@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(data.triples, want);
         // Term ids are positional: term 0 decodes to the first interned term.
         for id in 0..data.terms.len() as u64 {
-            assert_eq!(&data.terms[id as usize], st.dict.term(id));
+            assert_eq!(data.terms[id as usize], st.dict.term(id));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

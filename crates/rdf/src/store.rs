@@ -9,7 +9,7 @@
 //! truncated real id.
 
 use crate::dict::Dictionary;
-use crate::term::Term;
+use crate::term::TermRef;
 use ee_geo::{Envelope, RTree};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
@@ -61,6 +61,9 @@ pub struct TripleStore {
     pred_counts: HashMap<u32, usize>,
     rtree: RTree<u64>,
     pending_spatial: Vec<(Envelope, u64)>,
+    /// A per-triple insert landed since the indexes were last built from
+    /// sorted runs, so [`pack`](TripleStore::pack) has nodes to fill.
+    inserted_since_pack: bool,
 }
 
 impl Default for TripleStore {
@@ -80,6 +83,7 @@ impl TripleStore {
             pred_counts: HashMap::new(),
             rtree: RTree::new(),
             pending_spatial: Vec::new(),
+            inserted_since_pack: false,
         }
     }
 
@@ -94,7 +98,12 @@ impl TripleStore {
     }
 
     /// Insert a triple of terms. Duplicate triples are ignored.
-    pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
+    pub fn insert<'t>(
+        &mut self,
+        s: impl Into<TermRef<'t>>,
+        p: impl Into<TermRef<'t>>,
+        o: impl Into<TermRef<'t>>,
+    ) {
         let si = self.dict.intern(s);
         let pi = self.dict.intern(p);
         let oi = self.dict.intern(o);
@@ -114,6 +123,7 @@ impl TripleStore {
         }
         self.pos.insert((p32, o32, s32));
         self.osp.insert((o32, s32, p32));
+        self.inserted_since_pack = true;
         *self.pred_counts.entry(p32).or_default() += 1;
         if let Some(env) = self.dict.envelope_of(o) {
             // Buffer for bulk-load; ingests pay one STR pack.
@@ -126,7 +136,12 @@ impl TripleStore {
     /// any triple). Dictionary ids are never reclaimed — term ids stay
     /// stable across deletes, which is what keeps on-disk dictionary
     /// blocks and baked query plans valid.
-    pub fn remove(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
+    pub fn remove<'t>(
+        &mut self,
+        s: impl Into<TermRef<'t>>,
+        p: impl Into<TermRef<'t>>,
+        o: impl Into<TermRef<'t>>,
+    ) -> bool {
         let (Some(si), Some(pi), Some(oi)) =
             (self.dict.id_of(s), self.dict.id_of(p), self.dict.id_of(o))
         else {
@@ -197,6 +212,7 @@ impl TripleStore {
         self.pos = pos.into_iter().collect();
         self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
         self.spo = keys.into_iter().collect();
+        self.inserted_since_pack = false;
         for &(_, _, o) in triples {
             if let Some(env) = self.dict.envelope_of(o) {
                 self.pending_spatial.push((env, o));
@@ -218,19 +234,37 @@ impl TripleStore {
         self.spo.iter().map(widen)
     }
 
-    /// Finish an ingest: bulk-(re)load the spatial index from all geometry
-    /// objects inserted so far. Call after batch inserts. Until then new
-    /// geometries wait in a pending list that
-    /// [`visit_spatial`](Self::visit_spatial) scans linearly, so answers
-    /// never depend on this call, only the cost of a spatial probe does.
-    pub fn build_spatial_index(&mut self) {
+    /// Finish a batch ingest: pack everything per-triple inserts left
+    /// loose. Call after batch inserts; answers never depend on it, only
+    /// the cost of a read and the memory held do.
+    ///
+    /// - The spatial index is bulk-(re)loaded from every geometry object
+    ///   inserted so far. Until then new geometries wait in a pending
+    ///   list that [`visit_spatial`](Self::visit_spatial) scans linearly;
+    ///   the list's buffer is freed, not kept for the next ingest.
+    /// - When per-triple inserts happened since the indexes were last
+    ///   built from sorted runs, `spo`, `pos` and `osp` are rebuilt from
+    ///   their own (sorted) contents: `FromIterator` packs full nodes,
+    ///   where inserts leave them part-empty.
+    pub fn pack(&mut self) {
+        if self.inserted_since_pack {
+            for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
+                *index = std::mem::take(index).into_iter().collect();
+            }
+            self.inserted_since_pack = false;
+        }
+        self.pack_spatial();
+    }
+
+    /// The spatial part of [`pack`](Self::pack).
+    fn pack_spatial(&mut self) {
         if self.pending_spatial.is_empty() {
             return;
         }
-        let mut items: Vec<(Envelope, u64)> = Vec::with_capacity(self.rtree.len() + self.pending_spatial.len());
         // Existing entries come back out of the tree with their stored
         // envelopes, which avoids keeping a second copy.
-        items.append(&mut self.pending_spatial);
+        let mut items = std::mem::take(&mut self.pending_spatial);
+        items.reserve(self.rtree.len());
         let mut seen: std::collections::HashSet<u64> = items.iter().map(|(_, id)| *id).collect();
         let everything = Envelope::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY);
         self.rtree.visit_entries(&everything, &mut |env, &id| {
@@ -253,8 +287,7 @@ impl TripleStore {
     /// `query`, with that envelope as the spatial index stores it — the
     /// planner decides some predicates from it without fetching the
     /// geometry. Not-yet-packed entries are included, so correctness never
-    /// depends on calling [`build_spatial_index`](Self::build_spatial_index);
-    /// an id may come twice.
+    /// depends on calling [`pack`](Self::pack); an id may come twice.
     pub fn visit_spatial(&self, query: &Envelope, f: &mut impl FnMut(&Envelope, u64)) {
         self.rtree.visit_entries(query, &mut |env, &id| f(env, id));
         for (env, id) in &self.pending_spatial {
@@ -363,7 +396,7 @@ impl TripleStore {
 
     /// Iterate every triple (term-resolved), in SPO-id order, for export
     /// and interlinking.
-    pub fn triples(&self) -> impl Iterator<Item = (&Term, &Term, &Term)> {
+    pub fn triples(&self) -> impl Iterator<Item = (TermRef<'_>, TermRef<'_>, TermRef<'_>)> {
         self.id_triples()
             .map(move |(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
     }
@@ -450,7 +483,12 @@ fn prefix_range(
 /// Convenience for tests and loaders: is the exact triple present?
 impl TripleStore {
     /// Membership test on terms.
-    pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
+    pub fn contains<'t>(
+        &self,
+        s: impl Into<TermRef<'t>>,
+        p: impl Into<TermRef<'t>>,
+        o: impl Into<TermRef<'t>>,
+    ) -> bool {
         let (Some(s), Some(p), Some(o)) = (
             self.dict.id_of(s),
             self.dict.id_of(p),
@@ -712,6 +750,7 @@ impl<'a> StoreView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     fn t(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
@@ -853,7 +892,7 @@ mod tests {
         let reference = {
             let mut st = store();
             st.insert(&t("g"), &t("hasGeometry"), &Term::wkt("POINT (3 4)"));
-            st.build_spatial_index();
+            st.pack();
             st
         };
         let sorted: Vec<IdTriple> = reference.id_triples().collect();
@@ -862,7 +901,7 @@ mod tests {
             bulk.dict.intern(reference.dict.term(id));
         }
         bulk.bulk_load_sorted_ids(&sorted);
-        bulk.build_spatial_index();
+        bulk.pack();
 
         assert_eq!(bulk.len(), reference.len());
         assert!(bulk.id_triples().eq(reference.id_triples()));
@@ -926,7 +965,7 @@ mod tests {
                 &Term::wkt(format!("POINT ({x} {x})")),
             );
         }
-        st.build_spatial_index();
+        st.pack();
         let hits = st.spatial_candidates(&Envelope::new(10.0, 10.0, 20.0, 20.0));
         assert_eq!(hits.len(), 11, "points 10..=20");
     }
@@ -935,11 +974,11 @@ mod tests {
     fn spatial_candidates_without_explicit_build() {
         let mut st = TripleStore::new();
         st.insert(&t("f"), &t("hasGeometry"), &Term::wkt("POINT (5 5)"));
-        // No build_spatial_index call: pending entries still found.
+        // No pack call: pending entries still found.
         let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0));
         assert_eq!(hits.len(), 1);
         // After build, same answer.
-        st.build_spatial_index();
+        st.pack();
         let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 10.0, 10.0));
         assert_eq!(hits.len(), 1);
     }
@@ -948,9 +987,9 @@ mod tests {
     fn incremental_build_keeps_old_entries() {
         let mut st = TripleStore::new();
         st.insert(&t("f1"), &t("g"), &Term::wkt("POINT (1 1)"));
-        st.build_spatial_index();
+        st.pack();
         st.insert(&t("f2"), &t("g"), &Term::wkt("POINT (2 2)"));
-        st.build_spatial_index();
+        st.pack();
         let hits = st.spatial_candidates(&Envelope::new(0.0, 0.0, 3.0, 3.0));
         assert_eq!(hits.len(), 2);
     }
@@ -1177,6 +1216,176 @@ mod tests {
         }
     }
 
+    /// Everything a reader can ask a store: every triple, each shape's
+    /// matches around each probe (one-shot, then resumed every 1, 2 and
+    /// 3 rows — in enumeration order, not sorted), each shape's
+    /// estimate, every predicate's count, and the spatial candidates of
+    /// each window with their envelopes, as a set (an unpacked store may
+    /// report an id twice).
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        triples: Vec<IdTriple>,
+        matches: Vec<Vec<IdTriple>>,
+        estimates: Vec<usize>,
+        spatial: Vec<Vec<(u64, [u64; 4])>>,
+    }
+
+    fn observe(st: &TripleStore, probes: &[IdTriple], windows: &[Envelope]) -> Observed {
+        let mut matches = Vec::new();
+        let mut estimates = Vec::new();
+        for &probe in probes {
+            for shape in 0..8u8 {
+                let (s, p, o) = shape_of(shape, probe);
+                estimates.push(st.estimate(s, p, o));
+                let mut oneshot = Vec::new();
+                st.match_pattern(s, p, o, &mut |t| {
+                    oneshot.push(t);
+                    true
+                });
+                for chunk in 1..=3usize {
+                    let mut cursor = PatternCursor::default();
+                    let mut resumed = Vec::new();
+                    while !cursor.is_done() {
+                        let mut taken = 0;
+                        st.match_pattern_from(s, p, o, &mut cursor, &mut |t| {
+                            resumed.push(t);
+                            taken += 1;
+                            taken < chunk
+                        });
+                    }
+                    matches.push(resumed);
+                }
+                matches.push(oneshot);
+            }
+        }
+        for p in 0..st.dict.len() as u64 {
+            estimates.push(st.estimate(None, Some(p), None));
+        }
+        let spatial = windows
+            .iter()
+            .map(|w| {
+                let mut hits = Vec::new();
+                st.visit_spatial(w, &mut |env, id| {
+                    hits.push((id, [env.min_x, env.min_y, env.max_x, env.max_y].map(f64::to_bits)));
+                });
+                hits.sort_unstable();
+                hits.dedup();
+                hits
+            })
+            .collect();
+        Observed {
+            triples: st.id_triples().collect(),
+            matches,
+            estimates,
+            spatial,
+        }
+    }
+
+    #[test]
+    fn pack_changes_no_answer() {
+        let mut rng = ee_util::rng::Rng::seed_from(0x9ac4);
+        let pool: Vec<Term> = (0..40)
+            .map(|i| t(&format!("n{i}")))
+            .chain((0..8).map(Term::integer))
+            .chain((0..30).map(|i| Term::wkt(format!("POINT ({} {})", i % 7, i / 7))))
+            .chain((0..6).map(|i| {
+                let j = i + 2;
+                Term::wkt(format!("POLYGON (({i} 0, {j} 0, {j} 3, {i} 3, {i} 0))"))
+            }))
+            .collect();
+        let n = pool.len() as u64;
+        // Objects below `objects`: the churn leaves the polygons (the
+        // pool's last six) to the bulk load, so a pack must carry the
+        // R-tree's old entries over.
+        let random_triple = |rng: &mut ee_util::rng::Rng, objects: u64| {
+            let s = rng.below(40);
+            let p = rng.below(6);
+            (s, p, rng.below(objects))
+        };
+        let windows: Vec<Envelope> = (0..12)
+            .map(|_| {
+                let (x, y) = (rng.range_f64(-1.0, 8.0), rng.range_f64(-1.0, 5.0));
+                Envelope::new(x, y, x + rng.range_f64(0.0, 4.0), y + rng.range_f64(0.0, 4.0))
+            })
+            .chain([Envelope::new(-10.0, -10.0, 10.0, 10.0)])
+            .collect();
+        // Per-triple inserts (with churn, so packing starts from a
+        // bulk load and from nothing), against the same triples
+        // bulk-loaded.
+        for from_bulk in [false, true] {
+            let mut inserted = TripleStore::new();
+            for term in &pool {
+                inserted.dict.intern(term);
+            }
+            if from_bulk {
+                let mut first: Vec<IdTriple> =
+                    (0..300).map(|_| random_triple(&mut rng, n)).collect();
+                first.sort_unstable();
+                first.dedup();
+                inserted.bulk_load_sorted_ids(&first);
+                inserted.pack();
+                assert!(!inserted.inserted_since_pack);
+            }
+            for _ in 0..1500 {
+                let (s, p, o) = random_triple(&mut rng, n - 6);
+                if rng.chance(0.8) {
+                    inserted.insert_ids(s, p, o);
+                } else {
+                    inserted.remove_ids(s, p, o);
+                }
+            }
+            assert!(inserted.inserted_since_pack);
+            let probes: Vec<IdTriple> = inserted
+                .id_triples()
+                .step_by(97)
+                .chain([random_triple(&mut rng, n), (n, n, n)])
+                .collect();
+            let loose = observe(&inserted, &probes, &windows);
+            inserted.pack();
+            assert!(!inserted.inserted_since_pack);
+            assert_eq!(inserted.pending_spatial.capacity(), 0, "the pending buffer is freed");
+            let packed = observe(&inserted, &probes, &windows);
+
+            let mut bulk = TripleStore::new();
+            for term in &pool {
+                bulk.dict.intern(term);
+            }
+            bulk.bulk_load_sorted_ids(&packed.triples);
+            bulk.pack();
+            let bulk = observe(&bulk, &probes, &windows);
+
+            assert!(packed.triples.len() > 500, "{}", packed.triples.len());
+            assert!(packed.spatial.iter().any(|hits| hits.len() > 5));
+            assert_eq!(packed, loose, "from_bulk {from_bulk}");
+            assert_eq!(packed.triples, bulk.triples, "from_bulk {from_bulk}");
+            assert_eq!(packed.matches, bulk.matches, "from_bulk {from_bulk}");
+            assert_eq!(packed.estimates, bulk.estimates, "from_bulk {from_bulk}");
+            // Removes keep a geometry's spatial entry (candidates are a
+            // superset), so the inserted store may also name objects
+            // the bulk-loaded one never held.
+            let live: std::collections::HashSet<u64> = packed.triples.iter().map(|t| t.2).collect();
+            for (got, want) in packed.spatial.iter().zip(&bulk.spatial) {
+                let got: Vec<_> = got.iter().filter(|(id, _)| live.contains(id)).copied().collect();
+                assert_eq!(&got, want, "from_bulk {from_bulk}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_frees_the_pending_spatial_buffer() {
+        let mut st = TripleStore::new();
+        for i in 0..100 {
+            st.insert(&t(&format!("f{i}")), &t("g"), &Term::wkt(format!("POINT ({i} 0)")));
+        }
+        assert!(st.pending_spatial.capacity() >= 100);
+        st.pack();
+        assert_eq!(st.pending_spatial.capacity(), 0);
+        assert_eq!(st.spatial_candidates(&Envelope::new(0.0, -1.0, 9.5, 1.0)).len(), 10);
+        // A second pack with nothing pending keeps the tree.
+        st.pack();
+        assert_eq!(st.spatial_candidates(&Envelope::new(0.0, -1.0, 9.5, 1.0)).len(), 10);
+    }
+
     #[test]
     fn predicate_counts_answer_the_capped_estimate() {
         for bulk in [true, false] {
@@ -1250,7 +1459,7 @@ mod tests {
         assert_eq!(all.len(), 4);
         assert!(all
             .iter()
-            .any(|(s, p, o)| *s == &t("a") && *p == &t("age") && *o == &Term::integer(30)));
+            .any(|(s, p, o)| *s == t("a") && *p == t("age") && *o == Term::integer(30)));
     }
 
     /// A store plus a novelty that hides (a knows c) and adds back a
@@ -1376,7 +1585,7 @@ mod tests {
         let near = st.dict.id_of(&wkt_near).unwrap();
         // Delete the near geometry, then resurrect it through a view.
         assert!(st.remove_ids(x, geom, near));
-        st.build_spatial_index();
+        st.pack();
         let nov = Novelty::new(Default::default(), vec![(x, geom, near)]);
         let view = StoreView::with_novelty(&st, &nov);
         let query = Envelope::new(0.0, 0.0, 2.0, 2.0);

@@ -2,6 +2,7 @@
 
 use ee_geo::wkt;
 use ee_util::timeline::Date;
+use std::hash::{Hash, Hasher};
 
 /// Well-known datatype IRIs (abbreviated).
 pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
@@ -17,8 +18,9 @@ pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 pub const GEO_WKT: &str = "http://www.opengis.net/ont/geosparql#wktLiteral";
 
 /// An RDF term. Blank nodes are not needed by the workspace's pipelines
-/// (GeoTriples-style mappings mint IRIs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// (GeoTriples-style mappings mint IRIs). [`TermRef`] is its borrowed
+/// form; the two compare, order and hash alike.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Term {
     /// An IRI reference.
     Iri(String),
@@ -90,11 +92,17 @@ impl Term {
         Term::wkt(wkt::to_wkt(g))
     }
 
+    /// The borrowed view of this term.
+    pub fn as_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(iri) => TermRef::Iri(iri),
+            Term::Literal { lexical, datatype } => TermRef::Literal { lexical, datatype },
+        }
+    }
+
     /// The IRI, or the literal's lexical form.
     pub fn lexical(&self) -> &str {
-        match self {
-            Term::Iri(s) | Term::Literal { lexical: s, .. } => s,
-        }
+        self.as_ref().lexical()
     }
 
     /// True for IRIs.
@@ -104,13 +112,98 @@ impl Term {
 
     /// N-Triples-ish display form.
     pub fn ntriples(&self) -> String {
+        self.as_ref().ntriples()
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
+    }
+}
+
+/// A term borrowed from wherever its text lives — a [`Term`], or the
+/// dictionary's byte arena ([`crate::dict::Dictionary::term`]). `Copy`,
+/// so rows of terms pass by value with no allocation. It compares,
+/// orders and hashes exactly like the owned [`Term`] it stands for, which
+/// is what lets an owned query term find its arena entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TermRef<'a> {
+    /// An IRI reference.
+    Iri(&'a str),
+    /// A literal with its datatype IRI.
+    Literal {
+        /// Lexical form.
+        lexical: &'a str,
+        /// Datatype IRI.
+        datatype: &'a str,
+    },
+}
+
+impl<'a> TermRef<'a> {
+    /// The IRI, or the literal's lexical form.
+    pub fn lexical(self) -> &'a str {
         match self {
-            Term::Iri(i) => format!("<{i}>"),
-            Term::Literal { lexical, datatype } if datatype == XSD_STRING => {
+            TermRef::Iri(s) | TermRef::Literal { lexical: s, .. } => s,
+        }
+    }
+
+    /// N-Triples-ish display form.
+    pub fn ntriples(self) -> String {
+        match self {
+            TermRef::Iri(i) => format!("<{i}>"),
+            TermRef::Literal { lexical, datatype } if datatype == XSD_STRING => {
                 format!("{lexical:?}")
             }
-            Term::Literal { lexical, datatype } => format!("{lexical:?}^^<{datatype}>"),
+            TermRef::Literal { lexical, datatype } => format!("{lexical:?}^^<{datatype}>"),
         }
+    }
+
+    /// The owned term.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::Iri(iri.to_string()),
+            TermRef::Literal { lexical, datatype } => Term::Literal {
+                lexical: lexical.to_string(),
+                datatype: datatype.to_string(),
+            },
+        }
+    }
+}
+
+impl Hash for TermRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The variant as a word, then the fields: what `derive(Hash)`
+        // writes for `Term`.
+        match *self {
+            TermRef::Iri(iri) => {
+                state.write_isize(0);
+                iri.hash(state);
+            }
+            TermRef::Literal { lexical, datatype } => {
+                state.write_isize(1);
+                lexical.hash(state);
+                datatype.hash(state);
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> TermRef<'a> {
+        term.as_ref()
+    }
+}
+
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        *self == other.as_ref()
+    }
+}
+
+impl PartialEq<TermRef<'_>> for Term {
+    fn eq(&self, other: &TermRef<'_>) -> bool {
+        self.as_ref() == *other
     }
 }
 
@@ -142,10 +235,10 @@ pub enum Value {
 /// Decode a term's typed value. Geometries are parsed separately by the
 /// dictionary (which owns the geometry table); this returns `None` for
 /// WKT literals so the caller knows to do so.
-pub fn decode_non_geometry(term: &Term) -> Option<Value> {
-    match term {
-        Term::Iri(_) => Some(Value::Iri),
-        Term::Literal { lexical, datatype } => match datatype.as_str() {
+pub fn decode_non_geometry<'a>(term: impl Into<TermRef<'a>>) -> Option<Value> {
+    match term.into() {
+        TermRef::Iri(_) => Some(Value::Iri),
+        TermRef::Literal { lexical, datatype } => match datatype {
             XSD_STRING => Some(Value::Str),
             XSD_INTEGER => Some(
                 lexical
@@ -159,7 +252,7 @@ pub fn decode_non_geometry(term: &Term) -> Option<Value> {
                     .map(Value::Float)
                     .unwrap_or(Value::Malformed),
             ),
-            XSD_BOOLEAN => match lexical.as_str() {
+            XSD_BOOLEAN => match lexical {
                 "true" | "1" => Some(Value::Bool(true)),
                 "false" | "0" => Some(Value::Bool(false)),
                 _ => Some(Value::Malformed),
@@ -261,6 +354,28 @@ mod tests {
         assert_eq!(Term::iri("http://e/x").ntriples(), "<http://e/x>");
         assert_eq!(Term::string("a\"b").ntriples(), "\"a\\\"b\"");
         assert!(Term::integer(5).ntriples().contains("^^<"));
+    }
+
+    #[test]
+    fn borrowed_terms_compare_order_and_hash_like_owned_ones() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        let terms = [
+            Term::iri("x"),
+            Term::string("x"),
+            Term::Literal { lexical: "x".into(), datatype: "http://e/dt".into() },
+            Term::integer(5),
+            Term::string(""),
+        ];
+        for a in &terms {
+            assert_eq!(a.as_ref(), *a);
+            assert_eq!(a.as_ref().to_term(), *a);
+            assert_eq!(hasher.hash_one(a), hasher.hash_one(a.as_ref()));
+            assert_eq!(a.as_ref().ntriples(), a.ntriples());
+            for b in &terms {
+                assert_eq!(a.as_ref().cmp(&b.as_ref()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn store(triples: &[(Term, Term)]) -> TripleStore {
     for (s, o) in triples {
         st.insert(s, &geom, o);
     }
-    st.build_spatial_index();
+    st.pack();
     st
 }
 
@@ -262,7 +262,7 @@ fn compiled_spatial_filters_match_brute_force_as_of() {
             .id_triples()
             .filter(|t| !hide.contains(t))
             .chain(add.iter().copied())
-            .map(|(s, _, o)| (st.dict.term(s).clone(), st.dict.term(o).clone()))
+            .map(|(s, _, o)| (st.dict.term(s).to_term(), st.dict.term(o).to_term()))
             .collect();
         let nov = Novelty::new(hide, add);
         let view = StoreView::with_novelty(&st, &nov);

@@ -61,7 +61,7 @@ fn rand_update(rng: &mut Rng) -> String {
 fn triple_set(store: &Store) -> Vec<(Term, Term, Term)> {
     let mut v: Vec<(Term, Term, Term)> = store
         .triples()
-        .map(|(s, p, o)| (s.clone(), p.clone(), o.clone()))
+        .map(|(s, p, o)| (s.to_term(), p.to_term(), o.to_term()))
         .collect();
     v.sort();
     v

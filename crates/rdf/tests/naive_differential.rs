@@ -389,7 +389,7 @@ fn engine_matches_naive_evaluator_at_every_cut() {
         for (s, p, o) in &model {
             base.insert(s, p, o);
         }
-        base.build_spatial_index();
+        base.pack();
         let mut store = Store::ephemeral(base);
         let mut cuts: Vec<(u64, BTreeSet<Triple>)> = vec![(ROOT_COMMIT_ID, model.clone())];
         for _ in 0..1 + rng.below(4) {

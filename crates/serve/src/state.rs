@@ -37,7 +37,7 @@ use ee_rdf::parser::Query;
 use ee_rdf::plan::FastPath;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
 use ee_rdf::store::{Novelty, StoreView};
-use ee_rdf::term::Term;
+use ee_rdf::term::{Term, TermRef};
 use ee_rdf::{RdfError, TripleStore};
 use ee_util::timeline::Date;
 use ee_util::Rng;
@@ -297,12 +297,12 @@ impl AppState {
             let mut subjects = Vec::new();
             if let Some(pid) = store.dict.id_of(&pred) {
                 store.match_pattern(None, Some(pid), None, &mut |(s, _, _)| {
-                    subjects.push(store.dict.term(s).clone());
+                    subjects.push(store.dict.term(s));
                     true
                 });
             }
             if !subjects.is_empty() {
-                state.reindex_search_docs(&store, &subjects);
+                state.reindex_search_docs(&store, subjects);
             }
         }
         Ok(state)
@@ -377,7 +377,7 @@ impl AppState {
             // Re-derive each touched subject's document from the
             // post-commit store (still under the exclusive lock, so
             // ranked results can never lag a visible commit).
-            self.reindex_search_docs(&store, &touched);
+            self.reindex_search_docs(&store, touched.iter().map(Term::as_ref));
         }
         drop(store);
         let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -465,14 +465,18 @@ impl AppState {
     /// current [`SEARCH_TEXT_IRI`] triples: multiple literals join (in
     /// sorted order) into one document, none at all removes it. Callers
     /// hold the store lock, making index updates atomic with commits.
-    fn reindex_search_docs(&self, store: &TripleStore, subjects: &[Term]) {
+    fn reindex_search_docs<'t>(
+        &self,
+        store: &TripleStore,
+        subjects: impl IntoIterator<Item = TermRef<'t>>,
+    ) {
         let mut guard = self.search.write().expect("search index lock");
         let index = &mut *guard;
         let pid = store.dict.id_of(&Term::iri(SEARCH_TEXT_IRI));
         let mut seen = std::collections::HashSet::new();
         for subject in subjects {
             let key = match subject {
-                Term::Iri(i) => i.clone(),
+                TermRef::Iri(i) => i.to_string(),
                 other => other.ntriples(),
             };
             if !seen.insert(key.clone()) {
@@ -481,8 +485,8 @@ impl AppState {
             let mut texts: Vec<String> = Vec::new();
             if let (Some(pid), Some(sid)) = (pid, store.dict.id_of(subject)) {
                 store.match_pattern(Some(sid), Some(pid), None, &mut |(_, _, o)| {
-                    if let Term::Literal { lexical, .. } = store.dict.term(o) {
-                        texts.push(lexical.clone());
+                    if let TermRef::Literal { lexical, .. } = store.dict.term(o) {
+                        texts.push(lexical.to_string());
                     }
                     true
                 });
@@ -570,15 +574,17 @@ impl AppState {
         ));
         // Size gauges take the lock directly: `store()` would count this
         // scrape as a request read.
-        let (triples, terms) = {
+        let (triples, terms, dict_bytes) = {
             let store = self.store.read().expect("store lock");
-            (store.len(), store.dict.len())
+            (store.len(), store.dict.len(), store.dict.heap_bytes())
         };
         out.push_str(&format!(
             "# HELP ee_rdf_store_triples Triples in the point store\n\
              # TYPE ee_rdf_store_triples gauge\nee_rdf_store_triples {triples}\n\
              # HELP ee_rdf_dictionary_terms Terms in the point store's dictionary (never reclaimed)\n\
-             # TYPE ee_rdf_dictionary_terms gauge\nee_rdf_dictionary_terms {terms}\n",
+             # TYPE ee_rdf_dictionary_terms gauge\nee_rdf_dictionary_terms {terms}\n\
+             # HELP ee_rdf_dictionary_bytes Bytes allocated for the point store's dictionary: term arena, id table and decoded values, by capacity, parsed geometries excluded\n\
+             # TYPE ee_rdf_dictionary_bytes gauge\nee_rdf_dictionary_bytes {dict_bytes}\n",
         ));
         out.push_str(&format!(
             "# HELP ee_serve_store_reads_total Times the point-store read guard was taken\n\
@@ -690,7 +696,11 @@ impl PinnedRead {
 
     /// [`StreamCore::drain_batch`] at the pinned commit, under one read
     /// guard of `state`'s store.
-    pub fn drain_batch(&mut self, state: &AppState, row: impl FnMut(&[Option<&Term>])) -> usize {
+    pub fn drain_batch(
+        &mut self,
+        state: &AppState,
+        row: impl FnMut(&[Option<TermRef<'_>>]),
+    ) -> usize {
         let store = state.store();
         if store.head_commit() != self.built_on {
             self.novelty = store.as_of(self.commit).expect("the history keeps every commit");
@@ -796,7 +806,7 @@ pub fn point_store_sharded(
     }
     triples.sort_unstable();
     store.bulk_load_sorted_ids(&triples);
-    store.build_spatial_index();
+    store.pack();
     store
 }
 
@@ -972,7 +982,7 @@ mod tests {
     /// Drain a pinned read into owned rows.
     fn drain(state: &AppState, mut read: PinnedRead) -> ee_rdf::exec::Solutions {
         let mut rows = Vec::new();
-        let owned = |row: &[Option<&Term>]| row.iter().map(|t| t.cloned()).collect();
+        let owned = |row: &[Option<TermRef>]| row.iter().map(|t| t.map(TermRef::to_term)).collect();
         while read.drain_batch(state, |row| rows.push(owned(row))) > 0 {}
         ee_rdf::exec::Solutions {
             vars: read.vars().to_vec(),
@@ -990,6 +1000,31 @@ mod tests {
     fn as_of(state: &AppState, sparql: &str, commit: u64) -> Option<ee_rdf::exec::Solutions> {
         let q = ee_rdf::parser::parse_query(sparql).expect("parse");
         Some(drain(state, state.query(&q, Some(commit))?.expect("query")))
+    }
+
+    /// The `ee_rdf_dictionary_bytes` value in a `/metrics` section.
+    fn dictionary_bytes(section: &str) -> usize {
+        let line = section
+            .lines()
+            .find_map(|l| l.strip_prefix("ee_rdf_dictionary_bytes "))
+            .expect("the gauge renders");
+        line.parse().expect("a byte count")
+    }
+
+    #[test]
+    fn dictionary_bytes_gauge_grows_with_a_new_iri() {
+        let state = AppState::build(DataConfig::tiny());
+        let section = state.render_prometheus_section();
+        assert!(section.contains("# TYPE ee_rdf_dictionary_bytes gauge\n"));
+        let before = dictionary_bytes(&section);
+        assert!(before > 0);
+        // Capacity moves only when a buffer fills: an IRI longer than
+        // every spare byte the dictionary holds must grow it.
+        let iri = format!("http://e/{}", "x".repeat(before));
+        let u = ee_rdf::parser::parse_update(&format!("INSERT DATA {{ <{iri}> <http://e/p> 1 }}"))
+            .unwrap();
+        state.commit_update(&u).expect("commit");
+        assert!(dictionary_bytes(&state.render_prometheus_section()) > before);
     }
 
     #[test]
@@ -1017,6 +1052,8 @@ mod tests {
         let store = state.store();
         assert!(section.contains(&format!("ee_rdf_store_triples {}\n", store.len())));
         assert!(section.contains(&format!("ee_rdf_dictionary_terms {}\n", store.dict.len())));
+        let bytes = store.dict.heap_bytes();
+        assert!(section.contains(&format!("ee_rdf_dictionary_bytes {bytes}\n")));
         drop(store);
         assert_eq!(
             state.store_reads(),

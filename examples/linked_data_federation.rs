@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut geo_store = TripleStore::new();
     geo_mapping.run_features(&parcels, &mut geo_store)?;
-    geo_store.build_spatial_index();
+    geo_store.pack();
     println!("GeoTriples: {} geometry triples from the parcel layer", geo_store.len());
 
     // --- Interlinking: which weather stations sit inside which parcel? --

@@ -91,7 +91,7 @@ fn knowledge_store_federates_with_external_sources() {
     for (s, p, o) in platform.catalogue().store().triples() {
         knowledge.insert(s, p, o);
     }
-    knowledge.build_spatial_index();
+    knowledge.pack();
     let endpoints = vec![
         Endpoint::new("knowledge", knowledge),
         Endpoint::new("market", market),
