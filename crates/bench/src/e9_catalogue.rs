@@ -42,11 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for &n in &sizes {
         let products = ProductGenerator::new(region, 2017, 5).take(n);
         let classic = ClassicCatalogue::build(products.clone());
-        let mut semantic = SemanticCatalogue::new();
-        for p in &products {
-            semantic.ingest_product(p);
-        }
-        semantic.finish_ingest();
+        let semantic = SemanticCatalogue::from_products(&products);
         let mut rng = Rng::seed_from(17);
         let mut classic_times = Vec::new();
         let mut semantic_times = Vec::new();

@@ -74,24 +74,49 @@ impl SemanticCatalogue {
         self.store.insert(s, p, o);
     }
 
-    /// Ingest one product's metadata.
-    pub fn ingest_product(&mut self, p: &Product) {
-        let subject = Term::iri(format!("{EO}product/{}", p.id));
-        let t = Term::iri(RDF_TYPE);
-        self.store.insert(&subject, &t, &eo("Product"));
-        self.store
-            .insert(&subject, &eo("mission"), &Term::string(&p.mission));
-        self.store
-            .insert(&subject, &eo("platform"), &Term::string(&p.platform));
-        self.store
-            .insert(&subject, &eo("productType"), &Term::string(&p.product_type));
-        self.store
-            .insert(&subject, &eo("sensingDate"), &Term::date(p.sensing_date()));
-        self.store
-            .insert(&subject, &eo("cloudCover"), &Term::double(p.cloud_cover));
-        let geom: Geometry = p.polygon().into();
-        self.store
-            .insert(&subject, &eo("footprint"), &Term::geometry(&geom));
+    /// A catalogue of `products`' metadata, seven triples each, packed and
+    /// ready to query. Terms are interned product by product in triple
+    /// order — the ids per-triple inserts give — and each footprint from
+    /// the polygon it came as
+    /// ([`Dictionary::intern_geometry`](ee_rdf::dict::Dictionary::intern_geometry));
+    /// the triples then load from sorted runs in one
+    /// [`TripleStore::load_ids`].
+    pub fn from_products(products: &[Product]) -> Self {
+        let mut cat = Self::new();
+        let [rdf_type, class, mission, platform, product_type, sensing, cloud, footprint] = [
+            Term::iri(RDF_TYPE),
+            eo("Product"),
+            eo("mission"),
+            eo("platform"),
+            eo("productType"),
+            eo("sensingDate"),
+            eo("cloudCover"),
+            eo("footprint"),
+        ];
+        let dict = &mut cat.store.dict;
+        let mut triples = Vec::with_capacity(7 * products.len());
+        for p in products {
+            let s = dict.intern(&Term::iri(format!("{EO}product/{}", p.id)));
+            let rows = [
+                (dict.intern(&rdf_type), dict.intern(&class)),
+                (dict.intern(&mission), dict.intern(&Term::string(&p.mission))),
+                (dict.intern(&platform), dict.intern(&Term::string(&p.platform))),
+                (
+                    dict.intern(&product_type),
+                    dict.intern(&Term::string(&p.product_type)),
+                ),
+                (dict.intern(&sensing), dict.intern(&Term::date(p.sensing_date()))),
+                (dict.intern(&cloud), dict.intern(&Term::double(p.cloud_cover))),
+                (
+                    dict.intern(&footprint),
+                    dict.intern_geometry(p.polygon().into()),
+                ),
+            ];
+            triples.extend(rows.map(|(p, o)| (s, p, o)));
+        }
+        cat.store.load_ids(triples);
+        cat.finish_ingest();
+        cat
     }
 
     /// Record a detected iceberg at a position on a date.
@@ -199,12 +224,8 @@ mod tests {
 
     #[test]
     fn product_metadata_is_queryable() {
-        let mut cat = SemanticCatalogue::new();
         let mut g = ProductGenerator::new(Envelope::new(0.0, 0.0, 5.0, 5.0), 2017, 5);
-        for p in g.take(50) {
-            cat.ingest_product(&p);
-        }
-        cat.finish_ingest();
+        let cat = SemanticCatalogue::from_products(&g.take(50));
         assert!(cat.len() >= 50 * 7);
         let sol = cat
             .query(&format!(
@@ -224,6 +245,61 @@ mod tests {
             // existence is enough; exact count depends on the seed
         }
         assert!(sol.len() < 50);
+    }
+
+    /// A product's seven metadata triples as terms, in ingest order.
+    fn product_triples(p: &Product) -> Vec<[Term; 3]> {
+        let s = Term::iri(format!("{EO}product/{}", p.id));
+        let geom: Geometry = p.polygon().into();
+        [
+            (Term::iri(RDF_TYPE), eo("Product")),
+            (eo("mission"), Term::string(&p.mission)),
+            (eo("platform"), Term::string(&p.platform)),
+            (eo("productType"), Term::string(&p.product_type)),
+            (eo("sensingDate"), Term::date(p.sensing_date())),
+            (eo("cloudCover"), Term::double(p.cloud_cover)),
+            (eo("footprint"), Term::geometry(&geom)),
+        ]
+        .into_iter()
+        .map(|(pred, o)| [s.clone(), pred, o])
+        .collect()
+    }
+
+    /// Every dictionary entry (floats by their `Debug` bits) and id triple.
+    fn contents(cat: &SemanticCatalogue) -> (Vec<String>, Vec<ee_rdf::store::IdTriple>) {
+        let dict = &cat.store().dict;
+        let entries = (0..dict.len() as u64)
+            .map(|id| {
+                format!(
+                    "{:?} {:?} {:?}",
+                    dict.term(id),
+                    dict.value(id),
+                    dict.geometry_of(id)
+                )
+            })
+            .collect();
+        (entries, cat.store().id_triples().collect())
+    }
+
+    #[test]
+    fn from_products_matches_per_triple_inserts() {
+        let products = ProductGenerator::new(Envelope::new(0.0, 0.0, 5.0, 5.0), 2017, 9).take(40);
+        // Products 20..30 come twice: their triples load once.
+        let batch: Vec<Product> = products[..30]
+            .iter()
+            .chain(&products[20..])
+            .cloned()
+            .collect();
+        let mut reference = SemanticCatalogue::new();
+        for p in &batch {
+            for [s, pred, o] in product_triples(p) {
+                reference.insert_raw(&s, &pred, &o);
+            }
+        }
+        reference.finish_ingest();
+        let loaded = SemanticCatalogue::from_products(&batch);
+        assert!(contents(&loaded) == contents(&reference));
+        assert_eq!(loaded.len(), 7 * 40);
     }
 
     #[test]
@@ -267,12 +343,8 @@ mod tests {
 
     #[test]
     fn scaling_ingest_smoke() {
-        let mut cat = SemanticCatalogue::new();
         let mut g = ProductGenerator::new(Envelope::new(0.0, 0.0, 20.0, 20.0), 2017, 11);
-        for p in g.take(1000) {
-            cat.ingest_product(&p);
-        }
-        cat.finish_ingest();
+        let cat = SemanticCatalogue::from_products(&g.take(1000));
         let sol = cat
             .query(&format!(
                 "PREFIX eo: <{EO}> SELECT (COUNT(?p) AS ?n) WHERE {{ \

@@ -1,6 +1,7 @@
 //! The Sentinel-2 optical simulator.
 //!
-//! For a landscape, a date and a seed, produce a 13-band scene:
+//! For a landscape, a date and a seed, produce a 13-band scene — or any
+//! subset of its bands, each bit-identical to the full scene's:
 //!
 //! * per-pixel reflectance = canopy-weighted mix of the class's developed
 //!   spectrum and bare soil (phenology drives the seasonal signal);
@@ -35,13 +36,37 @@ impl Default for OpticsConfig {
     }
 }
 
-/// Simulate one Sentinel-2 scene over the landscape.
+/// Simulate one Sentinel-2 scene over the landscape: all 13 bands of
+/// [`simulate_s2_bands`].
 pub fn simulate_s2(
     world: &Landscape,
     date: Date,
     config: OpticsConfig,
     seed: u64,
 ) -> Result<Scene, DataGenError> {
+    simulate_s2_bands(world, date, config, seed, &Band::S2_ALL)
+}
+
+/// Simulate only `bands` of one Sentinel-2 scene; each comes out
+/// bit-identical to the same band of [`simulate_s2`]. The noise stream
+/// runs through the bands in [`Band::S2_ALL`] order, one normal draw per
+/// pixel, so a band before the last wanted one is skipped by advancing
+/// the generator past its draws ([`Rng::skip_gaussians`]) and the bands
+/// after it are never visited. The scene holds the wanted bands in
+/// instrument order; a band outside `S2_ALL` is a config error.
+pub fn simulate_s2_bands(
+    world: &Landscape,
+    date: Date,
+    config: OpticsConfig,
+    seed: u64,
+    bands: &[Band],
+) -> Result<Scene, DataGenError> {
+    if let Some(b) = bands.iter().find(|b| !Band::S2_ALL.contains(b)) {
+        return Err(DataGenError::Config(format!(
+            "{} is not a Sentinel-2 band",
+            b.name()
+        )));
+    }
     let n = world.config.size;
     let transform = world.truth.transform();
     let mut rng = Rng::seed_from(seed ^ (date.ordinal() as u64) << 32 ^ date.year() as u64);
@@ -91,7 +116,15 @@ pub fn simulate_s2(
         Mission::Sentinel2,
         date,
     );
-    for band in Band::S2_ALL {
+    let last = Band::S2_ALL.iter().rposition(|b| bands.contains(b));
+    for (i, band) in Band::S2_ALL.into_iter().enumerate() {
+        if Some(i) > last {
+            break;
+        }
+        if !bands.contains(&band) {
+            rng.skip_gaussians(pixels.len() as u64);
+            continue;
+        }
         let bare = soil.reflectance(band);
         let mut raster = Raster::zeros(n, n, transform);
         for (out, pixel) in raster.data_mut().iter_mut().zip(&pixels) {
@@ -215,6 +248,52 @@ mod tests {
             let got = scene_hash(&s);
             assert_eq!(got, want, "{date:?} seed {seed}: {got:#x}");
         }
+    }
+
+    #[test]
+    fn single_bands_are_bit_identical_to_the_full_scene() {
+        // 65² pixels is odd, so a cached spare deviate crosses every
+        // other band boundary; 96² is even, so none does.
+        for size in [96, 65] {
+            let w = Landscape::generate(LandscapeConfig {
+                size,
+                parcels_per_side: 6,
+                ..LandscapeConfig::default()
+            })
+            .unwrap();
+            let date = Date::new(2017, 7, 1).unwrap();
+            let full = simulate_s2(&w, date, OpticsConfig::default(), 13).unwrap();
+            for band in Band::S2_ALL {
+                let one =
+                    simulate_s2_bands(&w, date, OpticsConfig::default(), 13, &[band]).unwrap();
+                assert_eq!(one.num_bands(), 1);
+                let bits = |s: &Scene| -> Vec<u32> {
+                    s.band(band)
+                        .unwrap()
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert!(bits(&one) == bits(&full), "size {size}, {}", band.name());
+            }
+        }
+    }
+
+    #[test]
+    fn band_subsets_come_in_instrument_order() {
+        let w = world();
+        let date = Date::new(2017, 7, 1).unwrap();
+        let s = simulate_s2_bands(&w, date, clear(), 3, &[Band::B08, Band::B02]).unwrap();
+        let got: Vec<Band> = s.bands().map(|(b, _)| b).collect();
+        assert_eq!(got, [Band::B02, Band::B08]);
+        assert_eq!(
+            simulate_s2_bands(&w, date, clear(), 3, &[])
+                .unwrap()
+                .num_bands(),
+            0
+        );
+        assert!(simulate_s2_bands(&w, date, clear(), 3, &[Band::VV]).is_err());
     }
 
     #[test]

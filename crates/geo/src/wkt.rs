@@ -17,6 +17,24 @@ pub fn to_wkt(geom: &Geometry) -> String {
     out
 }
 
+/// Whether [`parse_wkt`] of [`to_wkt`] gives `geom` back exactly: every
+/// coordinate is finite — the writer's shortest round-trip float
+/// formatting then parses back to the same bits — and every part has the
+/// shape the parser builds: a line of at least two points, rings closed
+/// with at least four. A geometry built in memory can break either
+/// (`NaN` writes as text no parser reads; the fields are public).
+pub fn round_trips(geom: &Geometry) -> bool {
+    let finite = |points: &[Point]| points.iter().all(|p| p.x.is_finite() && p.y.is_finite());
+    let ring = |r: &LineString| r.is_ring() && finite(&r.points);
+    let polygon = |p: &Polygon| ring(&p.exterior) && p.interiors.iter().all(ring);
+    match geom {
+        Geometry::Point(p) => finite(std::slice::from_ref(p)),
+        Geometry::LineString(l) => l.points.len() >= 2 && finite(&l.points),
+        Geometry::Polygon(p) => polygon(p),
+        Geometry::MultiPolygon(m) => m.polygons.iter().all(polygon),
+    }
+}
+
 fn write_coord(p: &Point, out: &mut String) {
     // Shortest round-trip float formatting keeps literals compact.
     use std::fmt::Write;
@@ -348,6 +366,99 @@ mod tests {
             _ => panic!("not a multipolygon"),
         }
         assert_eq!(parse_wkt(&to_wkt(&g)).unwrap(), g);
+    }
+
+    /// A random finite coordinate: mostly ordinary, sometimes an edge
+    /// value (signed zero, extreme and subnormal magnitudes) or any
+    /// finite bit pattern.
+    fn random_coord(rng: &mut ee_util::Rng) -> f64 {
+        const EDGES: [f64; 8] = [0.0, -0.0, 1e-300, -1e300, 1e300, 5e-324, f64::MAX, 0.1];
+        match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            1 => loop {
+                let x = f64::from_bits(rng.next_u64());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+            _ => rng.range_f64(-180.0, 180.0),
+        }
+    }
+
+    /// A closed ring of 4..8 points.
+    fn random_ring(rng: &mut ee_util::Rng) -> LineString {
+        let n = rng.range(3, 7);
+        let points = (0..n)
+            .map(|_| Point::new(random_coord(rng), random_coord(rng)))
+            .collect();
+        LineString::closed(points)
+    }
+
+    fn random_polygon(rng: &mut ee_util::Rng) -> Polygon {
+        let holes = (0..rng.below(3)).map(|_| random_ring(rng)).collect();
+        Polygon::new(random_ring(rng), holes).unwrap()
+    }
+
+    #[test]
+    fn random_geometries_round_trip_bit_for_bit() {
+        let mut rng = ee_util::Rng::seed_from(0x3c7);
+        for _ in 0..2_000 {
+            let g = match rng.below(4) {
+                0 => Geometry::Point(Point::new(random_coord(&mut rng), random_coord(&mut rng))),
+                1 => {
+                    let n = rng.range(2, 6);
+                    let points = (0..n)
+                        .map(|_| Point::new(random_coord(&mut rng), random_coord(&mut rng)))
+                        .collect();
+                    Geometry::LineString(LineString::new(points).unwrap())
+                }
+                2 => Geometry::Polygon(random_polygon(&mut rng)),
+                _ => {
+                    let n = rng.below(3) as usize;
+                    Geometry::MultiPolygon(MultiPolygon::new(
+                        (0..n).map(|_| random_polygon(&mut rng)).collect(),
+                    ))
+                }
+            };
+            assert!(round_trips(&g), "{g:?}");
+            let text = to_wkt(&g);
+            let back = parse_wkt(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            // `Debug` of an f64 round-trips, so this compares bits
+            // (`==` would equate 0 and -0).
+            assert_eq!(format!("{back:?}"), format!("{g:?}"), "{text}");
+        }
+    }
+
+    #[test]
+    fn round_trips_rejects_what_the_parser_would() {
+        let unit = Polygon::rectangle(0.0, 0.0, 1.0, 1.0);
+        assert!(round_trips(&Geometry::Polygon(unit.clone())));
+        assert!(round_trips(&Geometry::MultiPolygon(MultiPolygon::new(vec![]))));
+        let open_ring = LineString {
+            points: vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(1.0, 1.0)],
+        };
+        let unparseable = [
+            Geometry::Point(Point::new(f64::NAN, 0.0)),
+            Geometry::Point(Point::new(0.0, f64::NEG_INFINITY)),
+            Geometry::LineString(LineString {
+                points: vec![Point::new(0.0, 0.0)],
+            }),
+            Geometry::Polygon(Polygon {
+                exterior: open_ring.clone(),
+                interiors: vec![],
+            }),
+            Geometry::MultiPolygon(MultiPolygon::new(vec![
+                unit.clone(),
+                Polygon {
+                    exterior: unit.exterior.clone(),
+                    interiors: vec![open_ring],
+                },
+            ])),
+        ];
+        for g in unparseable {
+            assert!(!round_trips(&g), "{g:?}");
+            assert!(parse_wkt(&to_wkt(&g)).is_err(), "{g:?}");
+        }
     }
 
     #[test]

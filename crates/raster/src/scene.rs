@@ -172,6 +172,15 @@ impl Scene {
             .ok_or_else(|| RasterError::MissingBand(band.name().to_string()))
     }
 
+    /// Take one band out of the scene by value, dropping the rest.
+    pub fn into_band(self, band: Band) -> Result<Raster<f32>, RasterError> {
+        self.bands
+            .into_iter()
+            .find(|(b, _)| *b == band)
+            .map(|(_, r)| r)
+            .ok_or_else(|| RasterError::MissingBand(band.name().to_string()))
+    }
+
     /// True when the band is present.
     pub fn has_band(&self, band: Band) -> bool {
         self.bands.iter().any(|(b, _)| *b == band)
@@ -254,6 +263,9 @@ mod tests {
         assert!(!s.has_band(Band::B02));
         assert!(s.band(Band::B08).is_ok());
         assert!(matches!(s.band(Band::B02), Err(RasterError::MissingBand(_))));
+        let b08 = s.band(Band::B08).unwrap().clone();
+        assert_eq!(s.clone().into_band(Band::B08).unwrap(), b08);
+        assert!(matches!(s.into_band(Band::B02), Err(RasterError::MissingBand(_))));
     }
 
     #[test]

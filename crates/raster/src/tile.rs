@@ -123,13 +123,14 @@ pub fn downsample2_with_threads<T: Pixel + Send + Sync>(
     out
 }
 
-/// Build a full overview pyramid: level 0 is the input, each further level
-/// halves the resolution, down to a single-ish pixel.
+/// Build a full overview pyramid: level 0 is the input, moved in rather
+/// than copied, and each further level halves the resolution, down to a
+/// single-ish pixel.
 ///
 /// Levels are built in sequence (each needs the previous), but every
 /// level's rows are computed in parallel via [`downsample2`].
-pub fn pyramid<T: Pixel + Send + Sync>(raster: &Raster<T>) -> Vec<Raster<T>> {
-    let mut levels = vec![raster.clone()];
+pub fn pyramid<T: Pixel + Send + Sync>(raster: Raster<T>) -> Vec<Raster<T>> {
+    let mut levels = vec![raster];
     while levels.last().expect("non-empty").cols() > 1
         || levels.last().expect("non-empty").rows() > 1
     {
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn pyramid_reaches_unit_size() {
         let r: Raster<f32> = Raster::zeros(64, 48, gt());
-        let levels = pyramid(&r);
+        let levels = pyramid(r);
         assert_eq!(levels[0].shape(), (64, 48));
         let top = levels.last().unwrap();
         assert_eq!(top.shape(), (1, 1));
@@ -241,7 +242,7 @@ mod tests {
     fn pyramid_preserves_mean() {
         // Box-filter pyramids preserve mean for power-of-two sizes.
         let r: Raster<f32> = Raster::from_fn(16, 16, gt(), |c, row| ((row * 16 + c) % 7) as f32);
-        let levels = pyramid(&r);
+        let levels = pyramid(r);
         let m0 = levels[0].mean();
         let mtop = levels.last().unwrap().mean();
         assert!((m0 - mtop).abs() < 1e-5, "{m0} vs {mtop}");

@@ -25,8 +25,13 @@
 //! compares against the arena view at that id. Ids are dense,
 //! append-only and assigned in intern order, which is what snapshots,
 //! commit ids and baked plans rely on.
+//!
+//! A geometry literal is parsed once, when it is interned.
+//! [`Dictionary::intern_geometry`] skips even that for a geometry the
+//! caller already holds: it writes the WKT text and keeps the geometry it
+//! was given, which is what parsing that text would give back.
 
-use crate::term::{decode_non_geometry, TermRef, Value};
+use crate::term::{decode_non_geometry, TermRef, Value, GEO_WKT};
 use ee_geo::{wkt, Envelope, Geometry};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -88,7 +93,29 @@ impl Dictionary {
     /// Geometry literals are parsed once here; malformed WKT interns as
     /// [`Value::Malformed`] (filters then never match it).
     pub fn intern<'t>(&mut self, term: impl Into<TermRef<'t>>) -> u64 {
-        let term = term.into();
+        self.intern_parsed(term.into(), None)
+    }
+
+    /// Intern `geometry` as its `geo:wktLiteral`: the same id, term,
+    /// value and geometry as `intern(&Term::geometry(&geometry))`. The
+    /// text comes from [`wkt::to_wkt`]; a new term keeps `geometry`
+    /// itself instead of parsing that text back, unless the text would
+    /// not parse back to it ([`wkt::round_trips`], e.g. a non-finite
+    /// coordinate), in which case it is parsed as [`Dictionary::intern`]
+    /// parses it.
+    pub fn intern_geometry(&mut self, geometry: Geometry) -> u64 {
+        let text = wkt::to_wkt(&geometry);
+        let parsed = wkt::round_trips(&geometry).then_some(geometry);
+        let term = TermRef::Literal {
+            lexical: &text,
+            datatype: GEO_WKT,
+        };
+        self.intern_parsed(term, parsed)
+    }
+
+    /// [`Dictionary::intern`], with a new WKT literal's geometry taken
+    /// from `parsed` when given (it must be what its text parses to).
+    fn intern_parsed(&mut self, term: TermRef<'_>, parsed: Option<Geometry>) -> u64 {
         let slot = match self.probe(term) {
             Ok(id) => return id,
             Err(slot) => slot,
@@ -103,7 +130,7 @@ impl Dictionary {
             Some(v) => v,
             None => {
                 // A WKT literal: parse into the geometry table.
-                match wkt::parse_wkt(term.lexical()) {
+                match parsed.map_or_else(|| wkt::parse_wkt(term.lexical()), Ok) {
                     Ok(g) => {
                         self.geometries.push(g);
                         Value::Geometry(self.geometries.len() - 1)
@@ -446,6 +473,70 @@ mod tests {
         // Longer than every spare byte: some buffer has to grow.
         d.intern(&Term::iri("x".repeat(bytes)));
         assert!(d.heap_bytes() > bytes);
+    }
+
+    /// Everything a dictionary holds for `id`, floats by their bits.
+    fn entry(d: &Dictionary, id: u64) -> String {
+        format!("{:?} {:?} {:?}", d.term(id), d.value(id), d.geometry_of(id))
+    }
+
+    #[test]
+    fn intern_geometry_matches_interning_its_text() {
+        use ee_geo::{LineString, MultiPolygon, Point, Polygon};
+        let ring = |pts: &[(f64, f64)]| {
+            LineString::closed(pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+        };
+        let holed = Polygon::new(
+            ring(&[(0.0, 0.0), (1e300, 0.0), (1e300, 1e300), (-0.0, 1e300)]),
+            vec![ring(&[(1.0, 1.0), (2.0, 1.0), (2.0, 1e-300)])],
+        )
+        .unwrap();
+        let geometries = [
+            Geometry::Point(Point::new(-0.0, 1e-300)),
+            Geometry::Point(Point::new(1e300, -1e300)),
+            Geometry::LineString(
+                LineString::new(vec![Point::new(-0.0, 0.0), Point::new(0.5, 1e-300)]).unwrap(),
+            ),
+            Geometry::Polygon(holed.clone()),
+            Geometry::MultiPolygon(MultiPolygon::new(vec![
+                holed,
+                Polygon::rectangle(-0.0, 0.0, 1.0, 1.0),
+            ])),
+            Geometry::MultiPolygon(MultiPolygon::new(vec![])),
+            // Not finite: the text does not parse, so both intern it as
+            // malformed.
+            Geometry::Point(Point::new(f64::NAN, 1.0)),
+            Geometry::Point(Point::new(0.0, f64::INFINITY)),
+        ];
+        for g in &geometries {
+            // On an empty dictionary, and on one that already holds the
+            // text (interned by the other path).
+            let mut by_text = Dictionary::new();
+            let mut direct = Dictionary::new();
+            let a = by_text.intern(&Term::geometry(g));
+            let b = direct.intern_geometry(g.clone());
+            assert_eq!((a, entry(&by_text, a)), (b, entry(&direct, b)), "{g:?}");
+            assert_eq!(by_text.num_geometries(), direct.num_geometries());
+            assert_eq!(by_text.intern_geometry(g.clone()), a);
+            assert_eq!(direct.intern(&Term::geometry(g)), b);
+            assert_eq!(by_text.len(), 1);
+            assert_eq!(direct.len(), 1);
+            assert_eq!(by_text.num_geometries(), direct.num_geometries());
+        }
+        // Interleaved with other terms, ids stay those of intern order.
+        let (mut by_text, mut direct) = (Dictionary::new(), Dictionary::new());
+        for (i, g) in geometries.iter().enumerate() {
+            let iri = Term::iri(format!("http://e/g{i}"));
+            assert_eq!(by_text.intern(&iri), direct.intern(&iri));
+            assert_eq!(
+                by_text.intern(&Term::geometry(g)),
+                direct.intern_geometry(g.clone())
+            );
+        }
+        for id in 0..by_text.len() as u64 {
+            assert_eq!(entry(&by_text, id), entry(&direct, id), "id {id}");
+        }
+        assert_eq!(direct.value(direct.len() as u64 - 1), &Value::Malformed);
     }
 
     #[test]

@@ -260,10 +260,10 @@ impl Store {
                 st.dict.intern(t);
             }
             debug_assert_eq!(st.dict.len(), data.terms.len(), "ids must be positional");
-            // Snapshot segments are strictly-ascending SPO, so the
-            // indexes bulk-build from sorted runs instead of paying a
-            // tree walk per triple.
-            st.bulk_load_sorted_ids(&data.triples);
+            // The indexes build from sorted runs instead of paying a
+            // tree walk per triple (snapshot segments are already
+            // strictly-ascending SPO, which the sort finds in one pass).
+            st.load_ids(data.triples);
             (st, data.generation)
         } else {
             (TripleStore::new(), 0)

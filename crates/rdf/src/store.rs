@@ -7,6 +7,13 @@
 //! `u64::MAX`, the planner's stand-in for a constant the store has never
 //! seen, or anything else past `u32::MAX` — matches nothing, never a
 //! truncated real id.
+//!
+//! Triples arrive one at a time ([`TripleStore::insert_ids`], the write
+//! path) or as one batch into an empty store ([`TripleStore::load_ids`],
+//! which snapshot opens and batch ingests take): the batch is sorted
+//! once and every index is built from sorted runs, with full nodes and
+//! no per-triple tree walk. [`TripleStore::pack`] then bulk-loads the
+//! spatial index.
 
 use crate::dict::Dictionary;
 use crate::term::TermRef;
@@ -179,31 +186,33 @@ impl TripleStore {
         true
     }
 
-    /// Bulk-load a strictly-ascending, deduplicated SPO-sorted triple
-    /// slice into an **empty** store — the snapshot-open fast path.
-    /// Instead of 3n individual B-tree inserts (each paying a root-to-
-    /// leaf walk and node splits), the three indexes are built through
-    /// `FromIterator`, which packs nodes from sorted runs in one linear
-    /// pass, and the per-predicate counts are the run lengths of `pos`.
-    /// Equivalent to calling [`TripleStore::insert_ids`] per triple,
-    /// which the storage tests assert.
+    /// Load `triples` into an **empty** store from sorted runs — the one
+    /// batch path, taken by snapshot opens and batch ingests. The input
+    /// may come in any order and repeat triples: it is sorted and
+    /// deduplicated here. Instead of 3n individual B-tree inserts (each
+    /// paying a root-to-leaf walk and node splits), the three indexes are
+    /// built through `FromIterator`, which packs nodes from sorted runs
+    /// in one linear pass, and the per-predicate counts are the run
+    /// lengths of `pos`. The result is the store that
+    /// [`TripleStore::insert_ids`] per triple and then
+    /// [`pack`](TripleStore::pack) build, which the tests assert; call
+    /// `pack` after it to index the geometries spatially.
     ///
     /// # Panics
     ///
-    /// On an id of `u32::MAX` or more.
-    pub fn bulk_load_sorted_ids(&mut self, triples: &[IdTriple]) {
-        debug_assert!(self.is_empty(), "bulk load requires an empty store");
-        debug_assert!(
-            triples.windows(2).all(|w| w[0] < w[1]),
-            "bulk load input must be strictly ascending SPO"
-        );
-        let keys: Vec<Key> = triples
-            .iter()
-            .map(|&(s, p, o)| {
-                let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
-                (key(s), key(p), key(o))
-            })
+    /// When the store already holds triples (they would drop out of the
+    /// indexes while still counted per predicate), and on an id of
+    /// `u32::MAX` or more.
+    pub fn load_ids(&mut self, triples: Vec<IdTriple>) {
+        assert!(self.is_empty(), "load_ids requires an empty store");
+        let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
+        // Narrowing keeps the order, so the keys sort as the ids would.
+        let mut keys: Vec<Key> = triples
+            .into_iter()
+            .map(|(s, p, o)| (key(s), key(p), key(o)))
             .collect();
+        keys.sort_unstable();
+        keys.dedup();
         let mut pos: Vec<Key> = keys.iter().map(|&(s, p, o)| (p, o, s)).collect();
         pos.sort_unstable();
         for run in pos.chunk_by(|a, b| a.0 == b.0) {
@@ -211,13 +220,13 @@ impl TripleStore {
         }
         self.pos = pos.into_iter().collect();
         self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
-        self.spo = keys.into_iter().collect();
-        self.inserted_since_pack = false;
-        for &(_, _, o) in triples {
-            if let Some(env) = self.dict.envelope_of(o) {
-                self.pending_spatial.push((env, o));
+        for &(_, _, o) in &keys {
+            if let Some(env) = self.dict.envelope_of(u64::from(o)) {
+                self.pending_spatial.push((env, u64::from(o)));
             }
         }
+        self.spo = keys.into_iter().collect();
+        self.inserted_since_pack = false;
     }
 
     /// Membership test on pre-interned ids.
@@ -885,62 +894,62 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_sorted_ids_matches_per_triple_inserts() {
-        // Same triple set through insert() and through the snapshot-open
-        // bulk path: every index, the SPO-order triple list, and the
-        // spatial candidate set must agree.
-        let reference = {
-            let mut st = store();
-            st.insert(&t("g"), &t("hasGeometry"), &Term::wkt("POINT (3 4)"));
-            st.pack();
+    fn load_ids_matches_per_triple_inserts() {
+        // Unsorted input with repeats through load_ids, against the same
+        // triples inserted one at a time: both packed, a reader sees the
+        // same store — triples, matches, estimates, per-predicate counts
+        // and spatial candidates.
+        let mut rng = ee_util::rng::Rng::seed_from(0x10ad);
+        let pool: Vec<Term> = (0..30)
+            .map(|i| t(&format!("n{i}")))
+            .chain((0..20).map(|i| Term::wkt(format!("POINT ({} {})", i % 5, i / 5))))
+            .collect();
+        let n = pool.len() as u64;
+        let mut triples: Vec<IdTriple> = (0..600)
+            .map(|_| (rng.below(n), rng.below(5), rng.below(n)))
+            .collect();
+        // Repeats, some adjacent and some far apart.
+        triples.extend_from_within(..100);
+        triples.insert(7, triples[6]);
+        assert!(!triples.is_sorted());
+        let fresh = || {
+            let mut st = TripleStore::new();
+            for term in &pool {
+                st.dict.intern(term);
+            }
             st
         };
-        let sorted: Vec<IdTriple> = reference.id_triples().collect();
-        let mut bulk = TripleStore::new();
-        for id in 0..reference.dict.len() as u64 {
-            bulk.dict.intern(reference.dict.term(id));
+        let mut inserted = fresh();
+        for &(s, p, o) in &triples {
+            inserted.insert_ids(s, p, o);
         }
-        bulk.bulk_load_sorted_ids(&sorted);
-        bulk.pack();
+        inserted.pack();
+        let mut loaded = fresh();
+        loaded.load_ids(triples.clone());
+        loaded.pack();
 
-        assert_eq!(bulk.len(), reference.len());
-        assert!(bulk.id_triples().eq(reference.id_triples()));
-        for (s, p, o) in reference.id_triples() {
-            assert!(bulk.contains_ids(s, p, o));
-        }
-        for (pat, label) in [
-            ((None, reference.dict.id_of(&t("knows")), None), "POS"),
-            ((reference.dict.id_of(&t("a")), None, None), "SPO"),
-            ((None, None, reference.dict.id_of(&t("c"))), "OSP"),
-        ] {
-            assert_eq!(
-                collect_ids(&bulk, pat.0, pat.1, pat.2),
-                collect_ids(&reference, pat.0, pat.1, pat.2),
-                "{label} pattern must match"
-            );
-        }
-        let env = Envelope::new(0.0, 0.0, 10.0, 10.0);
-        let sorted_candidates = |st: &TripleStore| {
-            let mut v = st.spatial_candidates(&env);
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sorted_candidates(&bulk), sorted_candidates(&reference));
+        let distinct: BTreeSet<IdTriple> = triples.iter().copied().collect();
+        assert_eq!(loaded.len(), distinct.len());
+        assert!(loaded.len() < triples.len(), "the input repeats triples");
+        assert_eq!(loaded.pred_counts, inserted.pred_counts);
+        let probes: Vec<IdTriple> =
+            triples.iter().copied().step_by(7).chain([(n, n, n)]).collect();
+        let windows = [
+            Envelope::new(0.0, 0.0, 2.0, 1.0),
+            Envelope::new(1.5, 1.5, 9.0, 9.0),
+            Envelope::new(-10.0, -10.0, 10.0, 10.0),
+        ];
+        let want = observe(&inserted, &probes, &windows);
+        assert!(want.spatial.iter().all(|hits| !hits.is_empty()));
+        assert_eq!(observe(&loaded, &probes, &windows), want);
     }
 
-    fn collect_ids(
-        st: &TripleStore,
-        s: Option<u64>,
-        p: Option<u64>,
-        o: Option<u64>,
-    ) -> Vec<IdTriple> {
-        let mut out = Vec::new();
-        st.match_pattern(s, p, o, &mut |t| {
-            out.push(t);
-            true
-        });
-        out.sort_unstable();
-        out
+    #[test]
+    #[should_panic(expected = "load_ids requires an empty store")]
+    fn load_ids_into_a_non_empty_store_panics() {
+        let mut st = store();
+        let (s, p, o) = st.id_triples().next().unwrap();
+        st.load_ids(vec![(o, p, s)]);
     }
 
     #[test]
@@ -1096,12 +1105,11 @@ mod tests {
             |rng: &mut ee_util::rng::Rng| (rng.below(n), rng.below(n), rng.below(n));
         // The store starts from a bulk load.
         let mut model: BTreeSet<IdTriple> = (0..150).map(|_| random_triple(&mut rng)).collect();
-        let loaded: Vec<IdTriple> = model.iter().copied().collect();
         let mut st = TripleStore::new();
         for term in &pool {
             st.dict.intern(term);
         }
-        st.bulk_load_sorted_ids(&loaded);
+        st.load_ids(model.iter().copied().collect());
         for round in 0..60 {
             // Round 0 checks the bulk load as it stands.
             for _ in 0..if round == 0 { 0 } else { 40 } {
@@ -1318,11 +1326,8 @@ mod tests {
                 inserted.dict.intern(term);
             }
             if from_bulk {
-                let mut first: Vec<IdTriple> =
-                    (0..300).map(|_| random_triple(&mut rng, n)).collect();
-                first.sort_unstable();
-                first.dedup();
-                inserted.bulk_load_sorted_ids(&first);
+                let first: Vec<IdTriple> = (0..300).map(|_| random_triple(&mut rng, n)).collect();
+                inserted.load_ids(first);
                 inserted.pack();
                 assert!(!inserted.inserted_since_pack);
             }
@@ -1350,7 +1355,7 @@ mod tests {
             for term in &pool {
                 bulk.dict.intern(term);
             }
-            bulk.bulk_load_sorted_ids(&packed.triples);
+            bulk.load_ids(packed.triples.clone());
             bulk.pack();
             let bulk = observe(&bulk, &probes, &windows);
 
@@ -1395,8 +1400,7 @@ mod tests {
             let mut triples: Vec<IdTriple> = subjects.iter().map(|&s| (s, big, small)).collect();
             triples.extend(subjects[..10].iter().map(|&s| (s, small, big)));
             if bulk {
-                triples.sort_unstable();
-                st.bulk_load_sorted_ids(&triples);
+                st.load_ids(triples);
             } else {
                 triples.iter().for_each(|&(s, p, o)| st.insert_ids(s, p, o));
             }

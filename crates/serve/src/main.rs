@@ -151,7 +151,16 @@ fn main() {
         state.router = Some(RouterTier::new(&addrs, Default::default()));
     }
     let state = Arc::new(state);
-    eprintln!("ee-serve: engines ready in {:?}", t0.elapsed());
+    let groups: Vec<String> = state
+        .build_seconds()
+        .iter()
+        .map(|(group, seconds)| format!("{group} {:.1} ms", seconds * 1e3))
+        .collect();
+    eprintln!(
+        "ee-serve: engines ready in {:?} ({})",
+        t0.elapsed(),
+        groups.join(", ")
+    );
 
     let mut config = ServerConfig {
         addr,

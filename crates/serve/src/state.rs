@@ -14,8 +14,9 @@
 //! * an [`ee_catalogue::ClassicCatalogue`] + [`SemanticCatalogue`] pair
 //!   over the same generated archive — the E9 path, behind
 //!   `/catalogue/search`;
-//! * an overview pyramid of a synthetic Sentinel-2 scene (built with the
-//!   row-parallel [`ee_raster::tile::pyramid`]) — behind `/tiles`;
+//! * an overview pyramid of the B04 band of a synthetic Sentinel-2 scene
+//!   (built with the row-parallel [`ee_raster::tile::pyramid`]) — behind
+//!   `/tiles`;
 //! * per-region 200 m sea-ice product suites ready for PCDSS bundling —
 //!   the E12 path, behind `/ice/{region}`.
 //!
@@ -25,9 +26,9 @@ use crate::metrics::{render_histogram_family, Histogram};
 use ee_catalogue::classic::Search;
 use ee_catalogue::{Bm25Index, ClassicCatalogue, ProductGenerator, SemanticCatalogue};
 use ee_datasets::landscape::{Landscape, LandscapeConfig};
-use ee_datasets::optics::{simulate_s2, OpticsConfig};
+use ee_datasets::optics::{simulate_s2_bands, OpticsConfig};
 use ee_datasets::seaice::{IceWorld, IceWorldConfig};
-use ee_geo::Envelope;
+use ee_geo::{Envelope, Point};
 use ee_polar::icemap::{products_from_map, truth_masks, IceProducts};
 use ee_raster::scene::Band;
 use ee_raster::tile::pyramid;
@@ -56,6 +57,11 @@ pub const ICE_REGIONS: [&str; 3] = ["fram-strait", "norske-oer", "baffin-bay"];
 /// The `/catalogue/search` modes tracked separately in the per-mode
 /// latency metrics (`mode=` parameter values, fixed cardinality).
 pub const CATALOGUE_MODES: [&str; 3] = ["classic", "semantic", "ranked"];
+
+/// The engine groups [`AppState::build`] builds at the same time, in the
+/// order of [`AppState::build_seconds`] (the `group` label of
+/// `ee_serve_build_seconds`).
+pub const BUILD_GROUPS: [&str; 3] = ["points", "catalogues", "rasters"];
 
 /// Predicate whose literal objects are indexed into the ranked (BM25)
 /// search arm: committing `<s> eo:searchText "..."` through `/update`
@@ -170,6 +176,9 @@ pub struct AppState {
     pub ice: Vec<(String, IceProducts)>,
     /// Server start time, reported by `/healthz`.
     pub started: std::time::Instant,
+    /// Wall time each engine group took to build, in seconds, indexed
+    /// like [`BUILD_GROUPS`].
+    build_seconds: [f64; BUILD_GROUPS.len()],
     /// Executions per [`FastPath`] kind, indexed by position in
     /// [`FastPath::ALL`] (rendered as `ee_rdf_fastpath_total{kind}`).
     fastpath: [AtomicU64; FastPath::ALL.len()],
@@ -243,22 +252,25 @@ impl AppState {
     ///   it needs them);
     /// * the catalogues: the product archive, then its classic, BM25 and
     ///   semantic indexes;
-    /// * the rasters: the landscape, its Sentinel-2 scene, the B04 tile
-    ///   pyramid, then the ice product suites.
+    /// * the rasters: the landscape, the B04 band of its Sentinel-2 scene
+    ///   and that band's tile pyramid, then the ice product suites.
     ///
     /// No group reads another's output, each derives its data from its
     /// own seed, and `join3` hands back exactly what the closures
     /// return, so the state is bit-identical to a serial build. A panic in
-    /// any group reaches the caller.
+    /// any group reaches the caller. Each group's wall time is kept for
+    /// [`AppState::build_seconds`].
     fn build_with<F>(config: DataConfig, open_store: F) -> Result<AppState, StoreError>
     where
         F: FnOnce(&DataConfig) -> Result<Store, StoreError> + Send,
     {
-        let (store, (classic, semantic, search), (pyramid, ice)) = ee_util::par::join3(
-            || open_store(&config),
-            || catalogues(&config),
-            || rasters(&config),
-        );
+        let ((store, points_s), (catalogues, catalogues_s), ((pyramid, ice), rasters_s)) =
+            ee_util::par::join3(
+                || timed(|| open_store(&config)),
+                || timed(|| catalogues(&config)),
+                || timed(|| rasters(&config)),
+            );
+        let (classic, semantic, search) = catalogues;
         let store = store?;
         let tile_size = config.tile_size.max(1);
         let generation = AtomicU64::new(store.generation());
@@ -278,6 +290,7 @@ impl AppState {
             tile_size,
             ice,
             started: std::time::Instant::now(),
+            build_seconds: [points_s, catalogues_s, rasters_s],
             fastpath: std::array::from_fn(|_| AtomicU64::new(0)),
             catalogue_mode_requests: std::array::from_fn(|_| AtomicU64::new(0)),
             catalogue_mode_latency: std::array::from_fn(|_| Histogram::new()),
@@ -316,6 +329,12 @@ impl AppState {
     pub fn store(&self) -> RwLockReadGuard<'_, Store> {
         self.store_reads.fetch_add(1, Ordering::Relaxed);
         self.store.read().expect("store lock")
+    }
+
+    /// Wall time each engine group took to build, in seconds, paired
+    /// with its [`BUILD_GROUPS`] name.
+    pub fn build_seconds(&self) -> [(&'static str, f64); BUILD_GROUPS.len()] {
+        std::array::from_fn(|i| (BUILD_GROUPS[i], self.build_seconds[i]))
     }
 
     /// Current store generation, lock-free (mirrored on every commit).
@@ -562,6 +581,13 @@ impl AppState {
                 .enumerate()
                 .map(|(i, m)| (*m, &self.catalogue_mode_latency[i])),
         );
+        out.push_str(
+            "# HELP ee_serve_build_seconds Start-up build wall time per engine group, in seconds\n\
+             # TYPE ee_serve_build_seconds gauge\n",
+        );
+        for (group, seconds) in self.build_seconds() {
+            out.push_str(&format!("ee_serve_build_seconds{{group=\"{group}\"}} {seconds}\n"));
+        }
         out.push_str(&format!(
             "# HELP ee_rdf_generation Point-store generation (bumps once per effective commit)\n\
              # TYPE ee_rdf_generation gauge\nee_rdf_generation {}\n",
@@ -774,9 +800,11 @@ pub fn point_store(n: usize, seed: u64) -> TripleStore {
 /// coordinate.
 ///
 /// Terms are interned in the order per-triple inserts would intern them
-/// (so term ids are theirs), then the sorted id triples bulk-load the
-/// indexes — the path [`ee_rdf::storage::Store::open`] takes, so a fresh
-/// server and a reopened one build the same index layout.
+/// (so term ids are theirs), each point straight from its coordinates
+/// ([`ee_rdf::dict::Dictionary::intern_geometry`]). The id
+/// triples then load the indexes from sorted runs — the path
+/// [`ee_rdf::storage::Store::open`] takes, so a fresh server and a
+/// reopened one build the same index layout.
 pub fn point_store_sharded(
     n: usize,
     seed: u64,
@@ -799,13 +827,12 @@ pub fn point_store_sharded(
         let (si, ki, fi) = (dict.intern(&s), dict.intern(&kind), dict.intern(&feature));
         let (gi, wi) = (
             dict.intern(&geom),
-            dict.intern(&Term::wkt(format!("POINT ({x} {y})"))),
+            dict.intern_geometry(Point::new(x, y).into()),
         );
         triples.push((si, ki, fi));
         triples.push((si, gi, wi));
     }
-    triples.sort_unstable();
-    store.bulk_load_sorted_ids(&triples);
+    store.load_ids(triples);
     store.pack();
     store
 }
@@ -822,11 +849,7 @@ fn catalogues(config: &DataConfig) -> (ClassicCatalogue, SemanticCatalogue, Sear
     let products = ProductGenerator::new(region, 2017, config.seed ^ 5).take(config.products);
     let classic = ClassicCatalogue::build(products.clone());
     let search = SearchIndex::new(Bm25Index::build_products(classic.products()), classic.len());
-    let mut semantic = SemanticCatalogue::new();
-    for p in &products {
-        semantic.ingest_product(p);
-    }
-    semantic.finish_ingest();
+    let semantic = SemanticCatalogue::from_products(&products);
     (classic, semantic, search)
 }
 
@@ -839,22 +862,22 @@ fn rasters(config: &DataConfig) -> (Vec<Raster<f32>>, Vec<(String, IceProducts)>
         ..LandscapeConfig::default()
     })
     .expect("landscape generation");
-    let band = simulate_s2(
+    // Only B04 is served: simulate it alone and move it, uncopied, from
+    // the scene into the pyramid's level 0. Free the landscape as soon as
+    // it is used, so little of this group's transient memory overlaps the
+    // other groups' peaks.
+    let band = simulate_s2_bands(
         &world,
         Date::new(2017, 7, 1).expect("valid date"),
         OpticsConfig::default(),
         config.seed ^ 13,
+        &[Band::B04],
     )
     .expect("scene simulation")
-    .band(Band::B04)
-    .expect("B04 simulated")
-    .clone();
-    // The scene's twelve other bands died with the statement above; free
-    // the landscape and the band as soon as they are used too, so little
-    // of this group's transient memory overlaps the other groups' peaks.
+    .into_band(Band::B04)
+    .expect("B04 simulated");
     drop(world);
-    let pyramid = pyramid(&band);
-    drop(band);
+    let pyramid = pyramid(band);
 
     let ice = ICE_REGIONS
         .iter()
@@ -876,6 +899,13 @@ fn rasters(config: &DataConfig) -> (Vec<Raster<f32>>, Vec<(String, IceProducts)>
         })
         .collect();
     (pyramid, ice)
+}
+
+/// Run one engine group: what it built, and its wall time in seconds.
+fn timed<T>(group: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let built = group();
+    (built, t0.elapsed().as_secs_f64())
 }
 
 /// The [`ee_rdf::storage::ShardSpec`] a config's `shard` field names.
@@ -979,6 +1009,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Fold every dictionary entry of `store` — id, term, decoded value
+    /// and parsed geometry — into `h`, then its id triples.
+    fn fingerprint_store(h: &mut ee_util::ring::Fnv1a, store: &TripleStore) {
+        for id in 0..store.dict.len() as u64 {
+            let entry = format!(
+                "{id} {} {:?} {:?}\n",
+                store.dict.term(id).ntriples(),
+                store.dict.value(id),
+                store.dict.geometry_of(id),
+            );
+            h.update(entry.as_bytes());
+        }
+        for (s, p, o) in store.id_triples() {
+            for id in [s, p, o] {
+                h.update(&id.to_le_bytes());
+            }
+        }
+    }
+
+    /// A golden FNV-1a fingerprint of the tiny build: everything
+    /// [`built`] compares, plus every dictionary entry of the point store
+    /// and of the semantic store and the semantic store's id triples.
+    /// `Debug` of an `f64` round-trips, so a value or coordinate that
+    /// moves by one bit moves the hash. Recorded before the start-up
+    /// build was reworked; any change to what the build produces, or to
+    /// the ids it assigns, moves it.
+    #[test]
+    fn tiny_build_matches_its_golden_fingerprint() {
+        let state = AppState::build(DataConfig::tiny());
+        let mut h = ee_util::ring::Fnv1a::default();
+        fingerprint_store(&mut h, &state.store());
+        fingerprint_store(&mut h, state.semantic.store());
+        h.update(format!("{:?}", built(&state)).as_bytes());
+        let got = h.finish();
+        assert_eq!(got, 0x61d1_032d_a6d9_52f9, "tiny build fingerprint {got:#018x}");
+    }
+
     /// Drain a pinned read into owned rows.
     fn drain(state: &AppState, mut read: PinnedRead) -> ee_rdf::exec::Solutions {
         let mut rows = Vec::new();
@@ -1009,6 +1076,25 @@ mod tests {
             .find_map(|l| l.strip_prefix("ee_rdf_dictionary_bytes "))
             .expect("the gauge renders");
         line.parse().expect("a byte count")
+    }
+
+    #[test]
+    fn build_seconds_render_per_engine_group() {
+        let state = AppState::build(DataConfig::tiny());
+        let section = state.render_prometheus_section();
+        assert!(section.contains(
+            "# HELP ee_serve_build_seconds Start-up build wall time per engine group, in seconds\n"
+        ));
+        assert!(section.contains("# TYPE ee_serve_build_seconds gauge\n"));
+        for group in BUILD_GROUPS {
+            let prefix = format!("ee_serve_build_seconds{{group=\"{group}\"}} ");
+            let line = section
+                .lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("no {group} line in\n{section}"));
+            let seconds: f64 = line[prefix.len()..].parse().expect("a number");
+            assert!(seconds > 0.0 && seconds < 60.0, "{line}");
+        }
     }
 
     #[test]

@@ -137,16 +137,41 @@ impl Rng {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
-        // Avoid u == 0 which would produce ln(0).
-        let mut u = self.f64();
-        while u <= f64::EPSILON {
-            u = self.f64();
-        }
-        let v = self.f64();
+        let (u, v) = self.box_muller_uniforms();
         let r = (-2.0 * u.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * v;
         self.gauss_spare = Some(r * theta.sin());
         r * theta.cos()
+    }
+
+    /// The two uniforms one Box-Muller pair consumes: `u` redrawn while
+    /// it is at most `f64::EPSILON` (which would feed `ln(0)`), then `v`.
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
+        let mut u = self.f64();
+        while u <= f64::EPSILON {
+            u = self.f64();
+        }
+        (u, self.f64())
+    }
+
+    /// Advance the generator to the state `k` calls of
+    /// [`gaussian`](Rng::gaussian) leave, cached spare included, without
+    /// computing the deviates: a cached spare is dropped, each whole pair
+    /// draws its two uniforms and nothing else (no `ln`, `sin` or `cos`),
+    /// and an odd last deviate is computed for the spare it caches.
+    pub fn skip_gaussians(&mut self, mut k: u64) {
+        if k == 0 {
+            return;
+        }
+        if self.gauss_spare.take().is_some() {
+            k -= 1;
+        }
+        for _ in 0..k / 2 {
+            self.box_muller_uniforms();
+        }
+        if k % 2 == 1 {
+            self.gaussian();
+        }
     }
 
     /// Normal deviate with the given mean and standard deviation.
@@ -314,6 +339,48 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
+
+    /// The whole generator state, the spare by its bits.
+    fn state(r: &Rng) -> ([u64; 4], Option<u64>) {
+        (r.s, r.gauss_spare.map(f64::to_bits))
+    }
+
+    #[test]
+    fn skip_gaussians_leaves_the_state_of_k_draws() {
+        for spare in [false, true] {
+            for k in (0..=5).chain([65_537]) {
+                let mut drawn = Rng::seed_from(12);
+                if spare {
+                    drawn.gaussian();
+                    assert!(drawn.gauss_spare.is_some());
+                }
+                let mut skipped = drawn.clone();
+                for _ in 0..k {
+                    drawn.gaussian();
+                }
+                skipped.skip_gaussians(k);
+                assert_eq!(state(&skipped), state(&drawn), "k {k}, spare {spare}");
+                assert_eq!(skipped.gaussian().to_bits(), drawn.gaussian().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn skip_gaussians_redraws_tiny_uniforms_as_gaussian_does() {
+        // xoshiro256++ outputs 0 when s[0] and s[3] are 0; with s[1]
+        // set the state still moves on, so the first uniform is 0 and the
+        // redraw loop runs.
+        let mut r = Rng::seed_from(0);
+        r.s = [0, 1, 0, 0];
+        let mut probe = r.clone();
+        assert!(probe.f64() <= f64::EPSILON, "the planted state draws u = 0 first");
+        let mut drawn = r.clone();
+        for _ in 0..4 {
+            drawn.gaussian();
+        }
+        r.skip_gaussians(4);
+        assert_eq!(state(&r), state(&drawn));
     }
 
     #[test]

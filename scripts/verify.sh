@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and test the whole workspace with zero
-# network access, re-run the ee-rdf tests in release mode, lint with
-# clippy as errors, test and smoke-run the ee-serve benchmark suite on
-# both of its workloads, run the federation example and check its two
-# plans agree, then smoke-run the
+# network access, re-run the ee-rdf tests and the ee-serve state tests
+# in release mode, lint with clippy as errors, test and smoke-run the
+# ee-serve benchmark suite on both of its workloads, run the federation
+# example and check its two plans agree, then smoke-run the
 # distributed-training (E4), classification (E5), kernel-throughput
 # (E-k0) and serving-tier (E-s0) experiments, plus the E2 selection
 # arms and the E3 complexity and parallel-join sweeps at 4 threads, the
@@ -32,6 +32,11 @@ echo "== tier-1: ee-rdf tests in release mode =="
 # The dictionary's byte arena does offset arithmetic: run its tests with
 # release codegen too, where overflow checks are off.
 cargo test -q --release --offline -p ee-rdf
+
+echo "== tier-1: ee-serve state tests in release mode =="
+# The start-up build fingerprint pins every id, term and byte the engines
+# build; run it with release codegen too, where debug_assert!s are off.
+cargo test -q --release --offline -p ee-serve --lib state::
 
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --all-targets -- -D warnings
