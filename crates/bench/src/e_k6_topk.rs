@@ -4,9 +4,9 @@
 //!
 //! * **Top-k**: `ORDER BY ?v LIMIT k` over a value corpus of `n` rows,
 //!   executed through the bounded-heap fast path
-//!   ([`ee_rdf::exec::stream_plan_shared`], which routes
-//!   `FastPath::TopK`) versus the forced full-sort oracle
-//!   ([`ee_rdf::exec::stream_plan_baseline`]). Every (n, k) point
+//!   ([`ee_rdf::exec::stream_plan_shared`] running the plan's `TopK`
+//!   step) versus the forced full-sort oracle
+//!   ([`ee_rdf::exec::stream_plan_baseline`], `Sort` + `Slice`). Every (n, k) point
 //!   asserts the two row sets **bit-identical** — and identical to a
 //!   third run through the collect API
 //!   ([`ee_rdf::exec::execute_plan_view`]) — then records median
@@ -29,7 +29,7 @@ use crate::Scale;
 use ee_catalogue::{Bm25Index, ProductGenerator, ScanSearcher};
 use ee_geo::Envelope;
 use ee_rdf::exec::{execute_plan_view, stream_plan_baseline, stream_plan_shared, Solutions};
-use ee_rdf::plan::{FastPath, Plan};
+use ee_rdf::plan::Plan;
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::json::Json;
@@ -98,11 +98,7 @@ pub fn measure_topk(
 ) -> TopKPoint {
     let q = ee_rdf::parser::parse_query(&topk_query(k)).expect("query parses");
     let plan = Arc::new(ee_rdf::plan::plan(store, &q).expect("query plans"));
-    assert_eq!(
-        plan.fast_path(),
-        FastPath::TopK,
-        "the sweep query must route through the bounded heap"
-    );
+    assert_eq!(plan.route(), "topk", "the sweep query must route through the bounded heap");
     let mut fast_times = Vec::with_capacity(reps);
     let mut sort_times = Vec::with_capacity(reps);
     let mut fast_peak = 0u64;

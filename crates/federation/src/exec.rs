@@ -3,11 +3,11 @@
 //! Federation decides *what is shipped*; `ee-rdf` decides *what it
 //! means*. [`federated_query`] plans the query logically
 //! ([`ee_rdf::plan::logical`]: the endpoints share no dictionary) and
-//! fetches its patterns in the plan's join order. Each pattern goes to
-//! its sources: every endpoint in [`Mode::Naive`]; in
-//! [`Mode::Optimized`] only those whose catalog holds its predicate and,
-//! for the pattern that binds the spatially filtered variable, whose
-//! extent meets the plan's region. In optimized mode a pattern whose
+//! fetches its patterns in the order of the plan's `Scan`/`Probe`
+//! steps. Each pattern goes to its sources: every endpoint in
+//! [`Mode::Naive`]; in [`Mode::Optimized`] only those whose catalog
+//! holds its predicate and, for the pattern that binds the spatially
+//! filtered variable, whose extent meets the plan's region. In optimized mode a pattern whose
 //! subject (else object) variable an earlier pattern binds ships as a
 //! bind join over that variable's distinct values; every other pattern
 //! is broadcast.
@@ -24,7 +24,7 @@ use crate::endpoint::Endpoint;
 use crate::FedError;
 use ee_rdf::exec::{execute_plan_view, Solutions};
 use ee_rdf::parser::{parse_query, PatternTerm, Query, SelectItem, TriplePattern};
-use ee_rdf::plan::Plan;
+use ee_rdf::plan::{Plan, Step};
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
 use ee_util::par;
@@ -63,13 +63,18 @@ pub fn federated_query(
 ) -> Result<FedReport, FedError> {
     let q = parse_query(sparql)?;
     let plan = ee_rdf::plan::logical(&q)?;
-    if !plan.optionals.is_empty() || !plan.group_by.is_empty() {
-        return Err(FedError::Unsupported(
-            "OPTIONAL / GROUP BY are not federated; run them at the client".into(),
-        ));
-    }
-    if plan.has_agg {
-        return Err(FedError::Unsupported("aggregates are not federated".into()));
+    for step in &plan.steps {
+        match step {
+            Step::LeftJoin(_) => {
+                return Err(FedError::Unsupported(
+                    "OPTIONAL is not federated; run it at the client".into(),
+                ))
+            }
+            Step::Count(_) | Step::GroupCount(_) | Step::Aggregate(_) => {
+                return Err(FedError::Unsupported("GROUP BY and aggregates are not federated".into()))
+            }
+            _ => {}
+        }
     }
     for ep in endpoints {
         ep.reset_meters();
@@ -77,7 +82,7 @@ pub fn federated_query(
     let mut mediator = TripleStore::new();
     let mut triples_transferred = 0u64;
     let mut fetched: Vec<TriplePattern> = Vec::new();
-    for &pi in &plan.order {
+    for pi in plan.join_order() {
         let pattern = &plan.patterns[pi];
         let bind = match mode {
             Mode::Optimized => bind_var(pattern, &fetched),

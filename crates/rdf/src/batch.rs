@@ -95,7 +95,9 @@ impl Batch {
     /// uses this to hand a bounded slice of a stage's output buffer
     /// downstream while keeping the overflow for the next pull.
     pub fn drain_front(&mut self, n: usize) -> Batch {
-        let n = n.min(self.len);
+        if n >= self.len {
+            return std::mem::replace(self, Batch::new(self.width()));
+        }
         let mut out = Batch::new(self.width());
         if n == 0 {
             return out;
@@ -122,23 +124,35 @@ impl Batch {
         self.len = keep.iter().filter(|&&k| k).count();
     }
 
+    /// Keep only the first `n` rows.
+    pub fn truncate(&mut self, n: usize) {
+        for c in &mut self.cols {
+            c.truncate(n);
+        }
+        self.len = self.len.min(n);
+    }
+
+    /// A batch of the given columns, in that order (a column may repeat).
+    pub fn select(&self, cols: &[usize]) -> Batch {
+        Batch {
+            len: self.len,
+            cols: cols.iter().map(|&c| self.cols[c].clone()).collect(),
+        }
+    }
+
+    /// A batch of the given rows, in that order.
+    pub fn gather(&self, rows: &[usize]) -> Batch {
+        Batch {
+            len: rows.len(),
+            cols: self.cols.iter().map(|c| rows.iter().map(|&r| c[r]).collect()).collect(),
+        }
+    }
+
     /// Number of rows whose value in `col` is bound (not [`UNBOUND`]).
     /// The executor's COUNT fast path calls this per pulled batch, so a
     /// `COUNT(?v)` never materialises row-major `Option` form at all.
     pub fn count_bound(&self, col: usize) -> usize {
         self.cols[col].iter().filter(|&&v| v != UNBOUND).count()
-    }
-
-    /// Materialise into row-major `Option` form for the execution tail
-    /// (grouping, ordering, projection).
-    pub fn into_rows(self) -> Vec<Vec<Option<u64>>> {
-        let mut rows = vec![Vec::with_capacity(self.cols.len()); self.len];
-        for c in &self.cols {
-            for (r, &v) in c.iter().enumerate() {
-                rows[r].push(if v == UNBOUND { None } else { Some(v) });
-            }
-        }
-        rows
     }
 }
 
@@ -156,10 +170,8 @@ mod tests {
         b.read_row(0, &mut buf);
         assert_eq!(buf, vec![1, UNBOUND, 3]);
         assert_eq!(b.get(1, 1), 5);
-        assert_eq!(
-            b.into_rows(),
-            vec![vec![Some(1), None, Some(3)], vec![Some(4), Some(5), None]]
-        );
+        b.read_row(1, &mut buf);
+        assert_eq!(buf, vec![4, 5, UNBOUND]);
     }
 
     #[test]
@@ -201,6 +213,22 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(b.is_empty());
         assert!(b.drain_front(4).is_empty());
+    }
+
+    #[test]
+    fn select_gather_and_truncate_keep_order() {
+        let mut b = Batch::new(2);
+        for i in 0..4 {
+            b.push_row(&[i, i + 10]);
+        }
+        let s = b.select(&[1, 1]);
+        assert_eq!((s.len(), s.col(0), s.col(1)), (4, &[10, 11, 12, 13][..], &[10, 11, 12, 13][..]));
+        let g = b.gather(&[3, 0]);
+        assert_eq!((g.len(), g.col(0), g.col(1)), (2, &[3, 0][..], &[13, 10][..]));
+        b.truncate(1);
+        assert_eq!((b.len(), b.col(1)), (1, &[10][..]));
+        // A projection onto no columns keeps the row count.
+        assert_eq!(g.select(&[]).len(), 2);
     }
 
     #[test]

@@ -1,29 +1,28 @@
-//! The query executor: a thin driver over the staged engine.
+//! The query executor: one pull operator per plan step.
 //!
-//! Pipeline: [`crate::plan::plan`] (constant resolution, static greedy
-//! join order, filter placement, spatial pushdown) → [`crate::join`]
-//! pull-based physical operators over columnar [`crate::batch::Batch`]es
-//! (parallel, bit-identical to serial) → OPTIONAL left-joins → residual
-//! filters → grouping / aggregation → DISTINCT / ORDER / LIMIT → term
-//! materialisation.
+//! [`crate::plan::plan`] emits a plan's [`Step`]s in execution order;
+//! [`stream_plan_shared`] builds one operator per step over columnar
+//! [`Batch`]es and chains them volcano-style, each pulling batches from
+//! the one before it:
 //!
-//! The non-aggregate, non-ORDER-BY path is fully pipelined: nothing runs
-//! until [`StreamCore::next_batch`] pulls, and producing a batch touches
-//! O(batch) probe rows. Grouping/aggregation and ORDER BY are inherently
-//! blocking (every input row feeds the result), so those paths drain the
-//! pipeline eagerly up front and stream only the drained rows.
+//! * `Scan`, `Probe`, `Filter` and `LeftJoin` run [`crate::join`]'s
+//!   operators on [`PIPELINE_CHUNK_ROWS`]-row chunks and buffer only what
+//!   their consumer has not taken yet;
+//! * `Distinct`, `Slice` and `Project` stream row by row;
+//! * `TopK`, `Sort`, `Count`, `GroupCount` and `Aggregate` need every input
+//!   row before they emit one, so [`stream_plan_shared`] drains each of
+//!   them before it returns (their errors come back there), and the
+//!   step's output rows become the source of the steps after it.
 //!
-//! Within the blocking family, [`crate::plan::FastPath`] routes the
-//! common shapes onto cheaper physical forms — all bit-identical to the
-//! generic routes they replace:
+//! A plan without a blocking step is fully pipelined: nothing runs until
+//! [`StreamCore::next_batch`] pulls, and a batch touches O(batch) probe
+//! rows. Every operator returns an empty batch only once it is exhausted.
 //!
-//! * **Top-k** (`ORDER BY ?v LIMIT k`, ± OFFSET, no DISTINCT): a bounded
-//!   max-heap of size `k + offset` fed by the pipeline — O(n log k)
-//!   comparisons, O(batch + k) resident rows, no global sort.
-//! * **Fast count** (`COUNT(*)` / `COUNT(?v)`, no GROUP BY): rows are
-//!   counted column-wise off the pipeline, never materialised as terms.
-//! * **Group count** (GROUP BY whose aggregates are all COUNTs): a
-//!   single-pass id-keyed counter table replaces materialise-then-group.
+//! Rows stay dictionary ids until they leave the last step. Aggregate
+//! steps emit id rows too: a computed value (a count, a sum) that the
+//! store's dictionary does not hold gets an id in a small per-stream term
+//! table, so one `Distinct`, `Sort`, `Slice` and `Project` serve plain and
+//! aggregate queries alike.
 //!
 //! One way to run a plan, over a head `&TripleStore` and an `AS OF`
 //! [`StoreView`] alike:
@@ -36,16 +35,19 @@
 //! * [`execute_plan_view`] collects every batch into [`Solutions`]
 //!   through [`StreamCore::collect`];
 //! * [`query`] parses, plans and collects at the ambient thread count;
-//! * [`stream_plan_baseline`] is the oracle: the same builder with every
-//!   fast path demoted to the generic route it replaces, for the
+//! * [`stream_plan_baseline`] is the oracle: the same executor over the
+//!   plan's steps rewritten to the generic ones they replace (`TopK` →
+//!   `Sort` + `Slice`, `Count`/`GroupCount` → `Aggregate`), for the
 //!   equivalence tests and the E-k6 harness.
 
 use crate::batch::{Batch, UNBOUND};
-use crate::parser::{AggFunc, SelectItem};
-use crate::plan::{FastPath, Plan};
+use crate::dict::Dictionary;
+use crate::join::{self, SeedScan, StepProbe, PIPELINE_CHUNK_ROWS};
+use crate::parser::AggFunc;
+use crate::plan::{Grouping, Item, Plan, Slot, Step};
 use crate::store::{StoreView, TripleStore};
 use crate::term::{decode_non_geometry, Term, TermRef, Value};
-use crate::{join, RdfError};
+use crate::RdfError;
 use ee_util::par;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -117,86 +119,196 @@ pub fn execute_plan_view<'s>(
 /// materialised; big enough to amortise the per-batch bookkeeping.
 pub const STREAM_BATCH_ROWS: usize = 256;
 
-/// Where a [`StreamCore`] is in its life: pulling id rows straight off
-/// the live join pipeline (the fully-streamed path), draining id rows
-/// that had to be sorted up front (ORDER BY), or draining term rows that
-/// had to be computed eagerly (grouping needs every input row).
-enum Phase {
-    /// Non-aggregate, non-ORDER path: the pull-based pipeline, with the
-    /// columnar batch of its last pull and the next row to read there.
-    /// Nothing has run yet when a `StreamCore` is built in this phase;
-    /// each [`StreamCore::drain_batch`] does O(batch) join work.
-    Stream {
-        pipe: join::Pipeline,
-        buf: Batch,
-        pos: usize,
-    },
-    /// ORDER BY path: id rows globally sorted up front (sorting is
-    /// blocking), materialised [`STREAM_BATCH_ROWS`] at a time.
-    Ids(std::vec::IntoIter<Vec<Option<u64>>>),
-    /// Aggregate/grouped path: fully processed term rows and the next one
-    /// to hand out, drained in batches (groups are few — the expensive
-    /// part was the join).
-    Rows { rows: Vec<Vec<Option<Term>>>, pos: usize },
+/// Rows pulled per batch by the `TopK` step: larger than
+/// [`STREAM_BATCH_ROWS`] so the per-batch parallel decorate amortises its
+/// fan-out, small enough that resident memory stays O(batch + k).
+const TOPK_PULL_ROWS: usize = 4096;
+
+/// The pull operator of one step.
+enum Op {
+    /// `Scan`, or the single all-unbound row of a plan with no required
+    /// pattern.
+    Scan(SeedScan),
+    /// A row-local step: its output not yet pulled, and whether its
+    /// upstream is exhausted.
+    Rows { step: RowStep, out: Batch, done: bool },
+    /// `Distinct`: the keys seen so far (ids, not terms: ids and terms are
+    /// bijective through the dictionary and the computed-term table).
+    Distinct { cols: Vec<usize>, seen: HashSet<Vec<u64>> },
+    /// `Slice`: rows still to skip and to keep, and the row width.
+    Slice { skip: usize, left: Option<usize>, width: usize },
+    /// `Project`: the result columns.
+    Project(Vec<usize>),
+    /// A drained blocking step's output rows, handed out in order.
+    Ready(Batch),
 }
 
-impl Phase {
-    /// Read the next id row's `cols` into `key` (unbound as `None`);
-    /// `false` once the id rows run dry. Id phases only.
-    fn next_ids(&mut self, store: StoreView<'_>, cols: &[usize], key: &mut Vec<Option<u64>>) -> bool {
-        key.clear();
+/// A step that maps each pulled chunk on its own.
+enum RowStep {
+    Probe(usize, StepProbe),
+    Filter(usize),
+    LeftJoin(Vec<usize>),
+}
+
+/// What every operator pull shares.
+struct Cx<'a> {
+    store: StoreView<'a>,
+    plan: &'a Plan,
+    threads: usize,
+    /// Probe rows touched: see [`StreamCore::rows_touched`].
+    touched: &'a mut u64,
+}
+
+impl Op {
+    /// Rows held in this operator's buffer.
+    fn buffered(&self) -> usize {
         match self {
-            Phase::Ids(it) => match it.next() {
-                Some(row) => key.extend(cols.iter().map(|&c| row[c])),
-                None => return false,
-            },
-            Phase::Stream { pipe, buf, pos } => {
-                if *pos == buf.len() {
-                    *buf = pipe.next_rows(store, STREAM_BATCH_ROWS);
-                    *pos = 0;
-                    if buf.is_empty() {
-                        return false;
-                    }
-                }
-                key.extend(cols.iter().map(|&c| Some(buf.get(*pos, c)).filter(|&id| id != UNBOUND)));
-                *pos += 1;
-            }
-            Phase::Rows { .. } => unreachable!("term rows are not id rows"),
+            Op::Rows { out: b, .. } | Op::Ready(b) => b.len(),
+            _ => 0,
         }
-        true
     }
 }
 
-/// Incremental query results. On the non-aggregate, non-ORDER-BY path
-/// the join pipeline itself is pull-based: each
-/// [`next_batch`](StreamCore::next_batch) call runs only enough probe
-/// work to fill one batch, so memory stays O(batch) and a slow consumer
-/// pauses the joins instead of buffering them. Grouping and ORDER BY are
-/// blocking and run eagerly at build time (documented on
+/// Pull up to `want` rows from the last operator of `ops`, which pulls
+/// from the ones before it. An empty batch means the chain is exhausted.
+fn pull(ops: &mut [Op], cx: &mut Cx<'_>, want: usize) -> Batch {
+    let (op, up) = ops.split_last_mut().expect("a chain starts at its source");
+    match op {
+        Op::Scan(scan) => scan.next_rows(cx.store, cx.plan, cx.threads, want, cx.touched),
+        Op::Ready(rows) => rows.drain_front(want),
+        Op::Rows { step, out, done } => {
+            while out.len() < want && !*done {
+                let chunk = pull(up, cx, PIPELINE_CHUNK_ROWS);
+                if chunk.is_empty() {
+                    *done = true;
+                    break;
+                }
+                let (store, plan, threads) = (cx.store, cx.plan, cx.threads);
+                let produced = match step {
+                    RowStep::Probe(pi, probe) => {
+                        *cx.touched += chunk.len() as u64;
+                        probe.probe(store, plan, *pi, &chunk, threads)
+                    }
+                    RowStep::LeftJoin(patterns) => {
+                        *cx.touched += chunk.len() as u64;
+                        join::left_join(store, plan, patterns, &chunk, threads)
+                    }
+                    RowStep::Filter(fi) => {
+                        let mut b = chunk;
+                        b.retain(&join::filter_mask(store, &plan.filters[*fi], &b, threads));
+                        b
+                    }
+                };
+                if out.is_empty() {
+                    *out = produced;
+                } else {
+                    out.append(&produced);
+                }
+            }
+            out.drain_front(want)
+        }
+        Op::Distinct { cols, seen } => loop {
+            let mut b = pull(up, cx, want);
+            let keep: Vec<bool> =
+                (0..b.len()).map(|r| seen.insert(cols.iter().map(|&c| b.get(r, c)).collect())).collect();
+            b.retain(&keep);
+            if !b.is_empty() || keep.is_empty() {
+                return b;
+            }
+        },
+        Op::Slice { skip, left, width } => loop {
+            if *left == Some(0) {
+                return Batch::new(*width);
+            }
+            let mut b = pull(up, cx, want.min(left.unwrap_or(usize::MAX).saturating_add(*skip)));
+            if b.is_empty() {
+                return b;
+            }
+            let n = (*skip).min(b.len());
+            b.drain_front(n);
+            *skip -= n;
+            if let Some(left) = left {
+                b.truncate(*left);
+                *left -= b.len();
+            }
+            if !b.is_empty() {
+                return b;
+            }
+        },
+        Op::Project(cols) => pull(up, cx, want).select(cols),
+    }
+}
+
+/// Terms that aggregate steps compute and the store's dictionary does not
+/// hold, under ids from [`COMPUTED_IDS`] up (the dictionary's ids are
+/// dense from zero). A term the dictionary holds keeps its dictionary id
+/// and equal terms share an id, so `Distinct` on ids stays exact.
+#[derive(Default)]
+struct Computed {
+    /// Each term with its decoded value, by id − [`COMPUTED_IDS`].
+    terms: Vec<(Term, Value)>,
+    ids: HashMap<Term, u64>,
+}
+
+const COMPUTED_IDS: u64 = 1 << 63;
+
+impl Computed {
+    /// The id of `t`: the dictionary's, else its computed one.
+    fn intern(&mut self, dict: &Dictionary, t: Term) -> u64 {
+        if let Some(id) = dict.id_of(&t).or_else(|| self.ids.get(&t).copied()) {
+            return id;
+        }
+        let id = COMPUTED_IDS | self.terms.len() as u64;
+        let value = decode_non_geometry(&t).unwrap_or(Value::Malformed);
+        self.ids.insert(t.clone(), id);
+        self.terms.push((t, value));
+        id
+    }
+
+    /// The term of a bound id.
+    fn term<'a>(&'a self, dict: &'a Dictionary, id: u64) -> TermRef<'a> {
+        match id.checked_sub(COMPUTED_IDS) {
+            Some(i) => self.terms[i as usize].0.as_ref(),
+            None => dict.term(id),
+        }
+    }
+
+    /// ORDER BY's key of an id; `None` for unbound.
+    fn key(&self, dict: &Dictionary, id: u64) -> Option<OrderKey> {
+        if id == UNBOUND {
+            return None;
+        }
+        Some(match id.checked_sub(COMPUTED_IDS) {
+            Some(i) => {
+                let (t, v) = &self.terms[i as usize];
+                key_of(v, t.as_ref())
+            }
+            None => key_of(dict.value(id), dict.term(id)),
+        })
+    }
+}
+
+/// Incremental query results: the operator chain of one plan. On a plan
+/// without blocking steps each [`next_batch`](StreamCore::next_batch)
+/// call runs only enough probe work to fill one batch, so memory stays
+/// O(batch) and a slow consumer pauses the joins instead of buffering
+/// them. Blocking steps ran when the stream was built (documented on
 /// [`stream_plan_shared`]).
 ///
 /// Owns no borrows — the store is passed to each `next_batch` call — so
 /// a serving tier can park a `StreamCore` inside a response object next
 /// to an `Arc` of the store without self-referential lifetimes.
 pub struct StreamCore {
+    plan: Arc<Plan>,
+    threads: usize,
+    /// The result header: the `Project` step's names.
     vars: Vec<String>,
-    /// Projected columns of the id phases.
-    projection: Vec<usize>,
-    phase: Phase,
-    /// DISTINCT dedup keys seen so far — projected dictionary ids, not
-    /// stringified terms (ids and terms are bijective through the
-    /// dictionary, so the semantics are identical and no per-row string
-    /// allocation happens). Persistent across batches.
-    seen: Option<HashSet<Vec<Option<u64>>>>,
-    /// OFFSET rows still to skip (counted after DISTINCT).
-    to_skip: usize,
-    /// LIMIT rows still to emit (`None` = unlimited).
-    remaining: Option<usize>,
-    /// Probe rows touched by an eager (aggregate/ORDER) build; the
-    /// streamed phase reads its pipeline's live counter instead.
-    touched_eager: u64,
-    /// Peak resident rows of an eager build (the whole drained set).
-    peak_eager: u64,
+    /// The chain, source first; a drained blocking step replaces
+    /// everything before it.
+    ops: Vec<Op>,
+    computed: Computed,
+    touched: u64,
+    peak: u64,
 }
 
 impl StreamCore {
@@ -205,30 +317,26 @@ impl StreamCore {
         &self.vars
     }
 
-    /// Probe rows touched so far: raw seed matches scanned plus rows
-    /// consumed by every pipeline stage. On the streamed path this grows
-    /// with each pulled batch — the acceptance metric for "first batch
-    /// touches O(batch) rows". Eager paths report the full drain.
+    /// Probe rows touched so far: the matches or candidates the `Scan`
+    /// step enumerated plus the rows every `Probe` and `LeftJoin` step
+    /// consumed (`Filter` and the tail steps add nothing). Without
+    /// blocking steps this grows with each pulled batch — the acceptance
+    /// metric for "first batch touches O(batch) rows"; a blocking step
+    /// reports its whole drain.
     pub fn rows_touched(&self) -> u64 {
-        match &self.phase {
-            Phase::Stream { pipe, .. } => pipe.rows_touched(),
-            _ => self.touched_eager,
-        }
+        self.touched
     }
 
-    /// High-water mark of rows resident in the executor at once: stage
-    /// buffers for the streamed path, the whole materialised row set for
-    /// the eager (aggregate/ORDER) paths.
+    /// High-water mark of rows resident in the executor at once: the
+    /// operators' buffers plus the pulled batch, and whatever a blocking
+    /// step held (every input row for `Sort` and `Aggregate`).
     pub fn peak_resident_rows(&self) -> u64 {
-        match &self.phase {
-            Phase::Stream { pipe, .. } => pipe.peak_resident_rows(),
-            _ => self.peak_eager,
-        }
+        self.peak
     }
 
     /// Hand the next batch of up to [`STREAM_BATCH_ROWS`] result rows to
     /// `row`, one call per row, as terms borrowed from `store` (or from
-    /// this stream's own aggregate rows): no term is cloned and no row
+    /// this stream's computed terms): no term is cloned and no row
     /// allocated. Returns how many rows were handed over; `0` means the
     /// stream is exhausted (or LIMIT was reached). `store` must be the
     /// store or view the stream was built from (same base store, same
@@ -239,54 +347,21 @@ impl StreamCore {
         mut row: impl FnMut(&[Option<TermRef<'_>>]),
     ) -> usize {
         let store = store.into();
-        let mut n = 0;
-        if let Phase::Rows { rows, pos } = &mut self.phase {
-            // Aggregate rows are already terms.
-            let mut cells = Vec::new();
-            while n < STREAM_BATCH_ROWS && self.remaining != Some(0) {
-                let Some(r) = rows.get(*pos) else { break };
-                *pos += 1;
-                if self.to_skip > 0 {
-                    self.to_skip -= 1;
-                    continue;
-                }
-                cells.clear();
-                cells.extend(r.iter().map(|t| t.as_ref().map(Term::as_ref)));
-                row(&cells);
-                n += 1;
-                if let Some(rem) = &mut self.remaining {
-                    *rem -= 1;
-                }
-            }
-            return n;
+        let b = self.pull(store, STREAM_BATCH_ROWS);
+        if b.is_empty() {
+            return 0;
         }
-        // The id phases project, dedup and skip on dictionary ids and
-        // resolve terms last. DISTINCT and OFFSET may eat whole input
-        // chunks, so pull until a batch fills or input runs dry.
         let dict = store.dict();
-        let (mut key, mut cells) = (Vec::new(), Vec::new());
-        while n < STREAM_BATCH_ROWS && self.remaining != Some(0) {
-            if !self.phase.next_ids(store, &self.projection, &mut key) {
-                break;
-            }
-            if let Some(seen) = &mut self.seen {
-                if !seen.insert(key.clone()) {
-                    continue;
-                }
-            }
-            if self.to_skip > 0 {
-                self.to_skip -= 1;
-                continue;
-            }
+        let mut cells = Vec::with_capacity(b.width());
+        for r in 0..b.len() {
             cells.clear();
-            cells.extend(key.iter().map(|id| id.map(|id| dict.term(id))));
+            cells.extend((0..b.width()).map(|c| {
+                let id = b.get(r, c);
+                (id != UNBOUND).then(|| self.computed.term(dict, id))
+            }));
             row(&cells);
-            n += 1;
-            if let Some(rem) = &mut self.remaining {
-                *rem -= 1;
-            }
         }
-        n
+        b.len()
     }
 
     /// [`drain_batch`](StreamCore::drain_batch) into owned rows: the next
@@ -319,6 +394,38 @@ impl StreamCore {
             rows,
         }
     }
+
+    /// Pull from the end of the chain, tracking the resident high-water
+    /// mark.
+    fn pull(&mut self, store: StoreView<'_>, want: usize) -> Batch {
+        let mut cx = Cx {
+            store,
+            plan: &self.plan,
+            threads: self.threads,
+            touched: &mut self.touched,
+        };
+        let b = pull(&mut self.ops, &mut cx, want);
+        let resident = self.ops.iter().map(Op::buffered).sum::<usize>() + b.len();
+        self.held(resident);
+        b
+    }
+
+    fn held(&mut self, rows: usize) {
+        self.peak = self.peak.max(rows as u64);
+    }
+
+    /// Every remaining row of the chain, in one batch.
+    fn drain_all(&mut self, store: StoreView<'_>, width: usize) -> Batch {
+        let mut all = Batch::new(width);
+        loop {
+            let b = self.pull(store, PIPELINE_CHUNK_ROWS);
+            if b.is_empty() {
+                self.held(all.len());
+                return all;
+            }
+            all.append(&b);
+        }
+    }
 }
 
 /// Build a [`StreamCore`] for a shared prepared [`Plan`] over `store`: a
@@ -328,173 +435,102 @@ impl StreamCore {
 /// encode its overlay). Pull the batches with [`StreamCore::next_batch`]
 /// from the same store or view.
 ///
-/// Non-aggregate, non-ORDER-BY queries are fully pipelined: **no join
-/// work happens here** — each [`StreamCore::next_batch`] pulls just
-/// enough probe rows through the operator chain to fill one batch.
-/// Grouping/aggregation and ORDER BY are blocking by nature (every input
-/// row feeds the output), so those paths drain the pipeline eagerly here
-/// and stream only the post-processed rows; this is the documented eager
-/// exception. The route comes from [`Plan::fast_path`], so the executor
-/// and the serving tier's per-fast-path counter can never disagree about
-/// which route ran.
+/// A plan without blocking steps is fully pipelined: **no join work
+/// happens here** — each [`StreamCore::next_batch`] pulls just enough
+/// probe rows through the operator chain to fill one batch. A blocking
+/// step (`TopK`, `Sort`, `Count`, `GroupCount`, `Aggregate`) needs every
+/// input row, so this drains it here — the documented eager exception —
+/// and its errors come back from this call.
 pub fn stream_plan_shared<'s>(
     store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
     threads: usize,
 ) -> Result<StreamCore, RdfError> {
-    let route = plan.fast_path();
-    build(store.into(), plan, threads, route)
+    let store = store.into();
+    let mut core = StreamCore {
+        plan: Arc::clone(&plan),
+        threads,
+        vars: Vec::new(),
+        ops: Vec::new(),
+        computed: Computed::default(),
+        touched: 0,
+        peak: 0,
+    };
+    let mut width = plan.vars.len();
+    if !matches!(plan.steps.first(), Some(Step::Scan(_))) {
+        core.ops.push(Op::Scan(SeedScan::unit()));
+    }
+    let rows = |step| Op::Rows { step, out: Batch::new(plan.vars.len()), done: false };
+    // Variables bound by the join steps so far: a probe's join key.
+    let mut bound = vec![false; width];
+    let bind = |bound: &mut [bool], pi: usize| {
+        for s in &plan.slots[pi] {
+            if let Slot::Var(v) = s {
+                bound[*v] = true;
+            }
+        }
+    };
+    for step in &plan.steps {
+        let op = match step {
+            Step::Scan(pi) => {
+                bind(&mut bound, *pi);
+                Op::Scan(SeedScan::new(store, &plan, *pi))
+            }
+            Step::Probe(pi) => {
+                let probe = StepProbe::new(store, &plan, *pi, &bound);
+                bind(&mut bound, *pi);
+                rows(RowStep::Probe(*pi, probe))
+            }
+            Step::Filter(fi) => rows(RowStep::Filter(*fi)),
+            Step::LeftJoin(patterns) => rows(RowStep::LeftJoin(patterns.clone())),
+            Step::Distinct(cols) => Op::Distinct { cols: cols.clone(), seen: HashSet::new() },
+            Step::Slice { offset, limit } => Op::Slice { skip: *offset, left: *limit, width },
+            Step::Project(cols) => {
+                core.vars = cols.iter().map(|(n, _)| n.clone()).collect();
+                Op::Project(cols.iter().map(|&(_, c)| c).collect())
+            }
+            Step::TopK { col, asc, offset, limit } => {
+                Op::Ready(top_k(&mut core, store, width, *col, *asc, *offset, *limit))
+            }
+            Step::Sort { col, asc } => Op::Ready(sort(&mut core, store, width, *col, *asc)),
+            Step::Count(g) | Step::GroupCount(g) => Op::Ready(count(&mut core, store, g)),
+            Step::Aggregate(g) => Op::Ready(aggregate(&mut core, store, width, g)?),
+        };
+        if let Op::Ready(_) = op {
+            core.ops.clear();
+        }
+        if let Step::Count(g) | Step::GroupCount(g) | Step::Aggregate(g) = step {
+            width = g.items.len();
+        }
+        core.ops.push(op);
+    }
+    Ok(core)
 }
 
-/// The oracle: [`stream_plan_shared`] with every fast path demoted to the
-/// generic route it replaces — top-k to the global sort, the count
-/// shortcuts to the materialise-then-group aggregate. Results are
-/// bit-identical; only the work differs. The fast-path equivalence tests
-/// and the E-k6 harness compare against it.
+/// The oracle: [`stream_plan_shared`] over the plan's steps rewritten to
+/// the generic ones they replace — `TopK` to `Sort` + `Slice`, `Count` and
+/// `GroupCount` to `Aggregate`. Results are bit-identical; only the work
+/// differs. The fast-path equivalence tests and the E-k6 harness compare
+/// against it.
 pub fn stream_plan_baseline<'s>(
     store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
     threads: usize,
 ) -> Result<StreamCore, RdfError> {
-    let route = match plan.fast_path() {
-        FastPath::TopK => FastPath::FullSort,
-        FastPath::FastCount | FastPath::GroupCount => FastPath::Aggregate,
-        other => other,
-    };
-    build(store.into(), plan, threads, route)
-}
-
-fn build(
-    store: StoreView<'_>,
-    plan: Arc<Plan>,
-    threads: usize,
-    route: FastPath,
-) -> Result<StreamCore, RdfError> {
-    // Aggregate routes yield finished term rows under their own header;
-    // the id routes project, dedup and skip as they stream.
-    let mut header = None;
-    let (phase, touched, peak) = match route {
-        FastPath::FastCount | FastPath::GroupCount | FastPath::Aggregate => {
-            let (h, rows, touched, peak) = aggregate_rows(store, &plan, threads, route)?;
-            header = Some(h);
-            (Phase::Rows { rows, pos: 0 }, touched, peak)
-        }
-        FastPath::TopK => {
-            // Bounded-heap ORDER BY + LIMIT: only the k + offset best id
-            // rows survive the drain; everything downstream streams.
-            let (oi, asc) = plan.order_by.expect("topk implies ORDER BY");
-            let n_keep = plan
-                .limit
-                .expect("topk implies LIMIT")
-                .saturating_add(plan.offset.unwrap_or(0));
-            let (rows, touched, peak) = topk_rows(store, &plan, threads, oi, asc, n_keep);
-            (Phase::Ids(rows.into_iter()), touched, peak)
-        }
-        FastPath::FullSort => {
-            // ORDER BY is global: drain and sort the id rows now, with
-            // keys computed once per row (decorate–sort–undecorate);
-            // everything downstream streams.
-            let (oi, asc) = plan.order_by.expect("full sort implies ORDER BY");
-            let (raw, touched, peak) = drain_pipeline(store, &plan, threads);
-            let rows = full_sort_rows(store, raw, threads, oi, asc);
-            (Phase::Ids(rows.into_iter()), touched, peak)
-        }
-        _ => {
-            // The fully-streamed path: park the un-started pipeline; every
-            // next_batch call does O(batch) probe work.
-            let pipe = join::Pipeline::new(store, Arc::clone(&plan), threads);
-            let buf = Batch::new(plan.vars.len());
-            (Phase::Stream { pipe, buf, pos: 0 }, 0, 0)
-        }
-    };
-    let (vars, projection, seen) = match header {
-        // DISTINCT was already applied to the aggregate rows.
-        Some(header) => (header, Vec::new(), None),
-        None => (
-            plan.projection.iter().map(|(n, _)| n.clone()).collect(),
-            plan.projection.iter().map(|&(_, i)| i).collect(),
-            plan.distinct.then(HashSet::new),
-        ),
-    };
-    Ok(StreamCore {
-        vars,
-        projection,
-        phase,
-        seen,
-        to_skip: plan.offset.unwrap_or(0),
-        remaining: plan.limit,
-        touched_eager: touched,
-        peak_eager: peak,
-    })
-}
-
-/// The blocking aggregate routes: run the pipeline to exhaustion
-/// (counting in place on the fast routes), aggregate, then DISTINCT, then
-/// alias ORDER BY — the op order of the generic route. OFFSET and LIMIT
-/// stay streaming, in [`StreamCore::next_batch`].
-fn aggregate_rows(
-    store: StoreView<'_>,
-    plan: &Arc<Plan>,
-    threads: usize,
-    route: FastPath,
-) -> Result<AggOut, RdfError> {
-    let (header, mut rows, touched, peak) = match route {
-        FastPath::FastCount => fast_count(store, plan, threads)?,
-        FastPath::GroupCount => group_count(store, plan, threads)?,
-        _ => {
-            let (raw, touched, peak) = drain_pipeline(store, plan, threads);
-            let (header, rows) = aggregate(store, plan, raw)?;
-            (header, rows, touched, peak)
-        }
-    };
-    if plan.distinct {
-        let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
-        rows.retain(|row| seen.insert(row.clone()));
-    }
-    if let Some((ov, asc)) = plan.order_by_name() {
-        if let Some(ci) = header.iter().position(|h| h == ov) {
-            rows.sort_by(|a, b| {
-                let key = |t: &Option<Term>| t.as_ref().map(term_order_key);
-                let ord = key(&a[ci]).cmp(&key(&b[ci]));
-                if asc {
-                    ord
-                } else {
-                    ord.reverse()
-                }
-            });
-        }
-    }
-    Ok((header, rows, touched, peak))
-}
-
-/// Run a plan's pipeline to exhaustion (the blocking aggregate/ORDER
-/// paths). Returns the raw id rows plus the probe-rows-touched and
-/// peak-resident instrumentation (here the peak is the whole row set).
-fn drain_pipeline(
-    store: StoreView<'_>,
-    plan: &Arc<Plan>,
-    threads: usize,
-) -> (Vec<Vec<Option<u64>>>, u64, u64) {
-    let mut pipe = join::Pipeline::new(store, Arc::clone(plan), threads);
-    let mut rows = Vec::new();
-    loop {
-        let b = pipe.next_rows(store, STREAM_BATCH_ROWS);
-        if b.is_empty() {
-            break;
-        }
-        rows.extend(b.into_rows());
-    }
-    let touched = pipe.rows_touched();
-    let peak = rows.len() as u64;
-    (rows, touched, peak)
-}
-
-fn numeric_of(store: StoreView<'_>, id: u64) -> Option<f64> {
-    match store.dict().value(id) {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
+    let mut generic = (*plan).clone();
+    generic.steps = plan
+        .steps
+        .iter()
+        .cloned()
+        .flat_map(|step| match step {
+            Step::TopK { col, asc, offset, limit } => {
+                vec![Step::Sort { col, asc }, Step::Slice { offset, limit: Some(limit) }]
+            }
+            Step::Count(g) | Step::GroupCount(g) => vec![Step::Aggregate(g)],
+            step => vec![step],
+        })
+        .collect();
+    stream_plan_shared(store, Arc::new(generic), threads)
 }
 
 /// Sort key for ORDER BY and MIN/MAX: numbers before dates before strings
@@ -532,17 +568,6 @@ impl PartialOrd for OrderKey {
     }
 }
 
-fn order_key(store: StoreView<'_>, id: u64) -> OrderKey {
-    key_of(store.dict().value(id), store.dict().term(id))
-}
-
-/// [`order_key`] of a term outside the dictionary: the aggregate route's
-/// output rows, which ORDER BY sorts in the same order as id rows.
-fn term_order_key(t: &Term) -> OrderKey {
-    // A WKT literal decodes to `None`, and geometries rank with the rest.
-    key_of(&decode_non_geometry(t).unwrap_or(Value::Malformed), t.as_ref())
-}
-
 fn key_of(value: &Value, term: TermRef<'_>) -> OrderKey {
     let (rank, num, text) = match value {
         Value::Int(i) => (0, *i as f64, String::new()),
@@ -554,12 +579,12 @@ fn key_of(value: &Value, term: TermRef<'_>) -> OrderKey {
     OrderKey { rank, num, text }
 }
 
-/// The one ordering shared by the full-sort and top-k paths: the
-/// (possibly reversed) key, then the original input position. Unbound
-/// (`None`) sorts first ascending, as ever; `seq` is globally unique, so
-/// this is a **strict** total order — ties cannot exist, the top-`n` set
-/// and its sorted order are partition-independent, and per-chunk heaps
-/// merged in any order reproduce the serial answer bit-for-bit.
+/// The one ordering shared by `Sort` and `TopK`: the (possibly reversed)
+/// key, then the original input position. Unbound (`None`) sorts first
+/// ascending, as ever; `seq` is globally unique, so this is a **strict**
+/// total order — ties cannot exist, the top-`n` set and its sorted order
+/// are partition-independent, and per-chunk heaps merged in any order
+/// reproduce the serial answer bit-for-bit.
 fn cmp_keyed(
     ka: &Option<OrderKey>,
     sa: u64,
@@ -572,45 +597,31 @@ fn cmp_keyed(
     ord.then_with(|| sa.cmp(&sb))
 }
 
-/// The retained global-sort path, decorated: keys are computed **once
-/// per row** (in parallel, fixed-order concat via `par::map`) instead of
-/// twice per comparison inside `sort_by` — the historical comparator
-/// recomputed (and re-allocated) `order_key` O(n log n) times.
-fn full_sort_rows(
-    store: StoreView<'_>,
-    rows: Vec<Vec<Option<u64>>>,
-    threads: usize,
-    oi: usize,
-    asc: bool,
-) -> Vec<Vec<Option<u64>>> {
-    let keys: Vec<Option<OrderKey>> =
-        par::map(&rows, threads, |_, r| r[oi].map(|id| order_key(store, id)));
-    let mut decorated: Vec<(Option<OrderKey>, u64, Vec<Option<u64>>)> = keys
-        .into_iter()
-        .zip(rows)
-        .enumerate()
-        .map(|(i, (k, r))| (k, i as u64, r))
-        .collect();
-    // Unstable is fine: the seq component makes the order strict, which
-    // is exactly what stability used to provide.
-    decorated.sort_unstable_by(|a, b| cmp_keyed(&a.0, a.1, &b.0, b.1, asc));
-    decorated.into_iter().map(|(_, _, r)| r).collect()
+/// `Sort`: every row, decorated with its key **once** (in parallel,
+/// fixed-order concat via `par::map`) rather than twice per comparison.
+fn sort(core: &mut StreamCore, store: StoreView<'_>, width: usize, col: usize, asc: bool) -> Batch {
+    let rows = core.drain_all(store, width);
+    let dict = store.dict();
+    let computed = &core.computed;
+    let idx: Vec<usize> = (0..rows.len()).collect();
+    let mut order: Vec<(Option<OrderKey>, usize)> =
+        par::map(&idx, core.threads, |_, &r| (computed.key(dict, rows.get(r, col)), r));
+    // Unstable is fine: the position makes the order strict, which is
+    // exactly what stability used to provide.
+    order.sort_unstable_by(|a, b| cmp_keyed(&a.0, a.1 as u64, &b.0, b.1 as u64, asc));
+    let idx: Vec<usize> = order.into_iter().map(|(_, r)| r).collect();
+    rows.gather(&idx)
 }
 
-/// Rows pulled per pipeline batch on the top-k path: larger than
-/// [`STREAM_BATCH_ROWS`] so the per-batch parallel decorate amortises
-/// its fan-out, small enough that resident memory stays O(batch + k).
-const TOPK_PULL_ROWS: usize = 4096;
-
-/// A heap entry on the top-k path. `BinaryHeap` is a max-heap, so the
-/// root is the **worst** retained row (greatest under [`cmp_keyed`]) and
-/// a bounded heap holds exactly the `n_keep` smallest seen so far. The
-/// sort direction rides in each entry because `Ord` has no side channel;
-/// all entries in one heap share it.
+/// A heap entry of `TopK`. `BinaryHeap` is a max-heap, so the root is
+/// the **worst** retained row (greatest under [`cmp_keyed`]) and a bounded
+/// heap holds exactly the `n_keep` smallest seen so far. The sort
+/// direction rides in each entry because `Ord` has no side channel; all
+/// entries in one heap share it.
 struct TopKEntry {
     key: Option<OrderKey>,
     seq: u64,
-    row: Vec<Option<u64>>,
+    row: Vec<u64>,
     asc: bool,
 }
 
@@ -648,39 +659,39 @@ fn push_bounded(heap: &mut BinaryHeap<TopKEntry>, e: TopKEntry, n_keep: usize) {
     }
 }
 
-/// The bounded-heap ORDER BY + LIMIT path: O(n log k) comparisons, O(k)
-/// retained rows, no global sort. Each pulled batch is decorated and
-/// pre-pruned in parallel per chunk — a row outside its chunk's local
-/// top-`n_keep` cannot be in the global top-`n_keep` — then the chunk
-/// survivors merge into one global heap in fixed chunk order. Because
-/// [`cmp_keyed`] is strict over unique `seq`s, the retained set and
-/// `into_sorted_vec`'s order equal the first `n_keep` rows of the full
-/// sort for any thread count and any batch size.
-fn topk_rows(
+/// `TopK`: O(n log k) comparisons, O(batch + k) retained rows, no global
+/// sort. Each pulled batch is decorated and pre-pruned in parallel per
+/// chunk — a row outside its chunk's local top-`n_keep` cannot be in the
+/// global top-`n_keep` — then the chunk survivors merge into one global
+/// heap in fixed chunk order. Because [`cmp_keyed`] is strict over unique
+/// `seq`s, the retained set and `into_sorted_vec`'s order equal the first
+/// `n_keep` rows of the full sort for any thread count and batch size.
+fn top_k(
+    core: &mut StreamCore,
     store: StoreView<'_>,
-    plan: &Arc<Plan>,
-    threads: usize,
-    oi: usize,
+    width: usize,
+    col: usize,
     asc: bool,
-    n_keep: usize,
-) -> (Vec<Vec<Option<u64>>>, u64, u64) {
-    let mut pipe = join::Pipeline::new(store, Arc::clone(plan), threads);
+    offset: usize,
+    limit: usize,
+) -> Batch {
+    let n_keep = limit.saturating_add(offset);
     let mut heap: BinaryHeap<TopKEntry> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut peak_exec = 0u64;
     loop {
-        let b = pipe.next_rows(store, TOPK_PULL_ROWS);
+        let b = core.pull(store, TOPK_PULL_ROWS);
         if b.is_empty() {
             break;
         }
-        let rows = b.into_rows();
-        peak_exec = peak_exec.max((heap.len() + rows.len()) as u64);
-        let locals: Vec<Vec<TopKEntry>> = par::map_chunks(&rows, threads, |start, chunk| {
+        core.held(heap.len() + b.len());
+        let (dict, computed) = (store.dict(), &core.computed);
+        let idx: Vec<usize> = (0..b.len()).collect();
+        let locals: Vec<Vec<TopKEntry>> = par::map_chunks(&idx, core.threads, |_, chunk| {
             let mut local: BinaryHeap<TopKEntry> = BinaryHeap::new();
-            for (i, row) in chunk.iter().enumerate() {
-                let key = row[oi].map(|id| order_key(store, id));
-                let s = seq + (start + i) as u64;
-                // Clone the row only when it can actually enter the heap.
+            for &r in chunk {
+                let key = computed.key(dict, b.get(r, col));
+                let s = seq + r as u64;
+                // Read the row only when it can actually enter the heap.
                 if local.len() == n_keep {
                     match local.peek() {
                         Some(worst)
@@ -689,263 +700,164 @@ fn topk_rows(
                         _ => continue,
                     }
                 }
-                let e = TopKEntry { key, seq: s, row: row.clone(), asc };
-                push_bounded(&mut local, e, n_keep);
+                let mut row = Vec::with_capacity(width);
+                b.read_row(r, &mut row);
+                push_bounded(&mut local, TopKEntry { key, seq: s, row, asc }, n_keep);
             }
             local.into_vec()
         });
-        seq += rows.len() as u64;
-        for local in locals {
-            for e in local {
-                push_bounded(&mut heap, e, n_keep);
-            }
+        seq += b.len() as u64;
+        for e in locals.into_iter().flatten() {
+            push_bounded(&mut heap, e, n_keep);
         }
     }
-    let rows: Vec<Vec<Option<u64>>> = heap.into_sorted_vec().into_iter().map(|e| e.row).collect();
-    let touched = pipe.rows_touched();
-    let peak = pipe.peak_resident_rows().max(peak_exec).max(rows.len() as u64);
-    (rows, touched, peak)
+    let mut out = Batch::new(width);
+    for e in heap.into_sorted_vec().into_iter().skip(offset) {
+        out.push_row(&e.row);
+    }
+    out
 }
 
-/// Shared return shape of the blocking aggregate routes: header, term
-/// rows, probe rows touched, peak resident rows.
-type AggOut = (Vec<String>, Vec<Vec<Option<Term>>>, u64, u64);
+/// Unbound (`UNBOUND`) as `None`, so group keys order unbound first.
+fn bound(id: &u64) -> Option<u64> {
+    (*id != UNBOUND).then_some(*id)
+}
 
-/// `COUNT(*)` / `COUNT(?v)` without GROUP BY: count rows (or bound
-/// values, column-wise) batch-by-batch straight off the columnar
-/// pipeline — no `into_rows`, no term materialisation, O(batch) resident.
-/// Zero input rows produce an **empty** result set, exactly like the
-/// generic path (grouping an empty input yields no groups).
-fn fast_count(store: StoreView<'_>, plan: &Arc<Plan>, threads: usize) -> Result<AggOut, RdfError> {
-    let (alias, var) = match plan.select.as_slice() {
-        [SelectItem::Agg { func: AggFunc::Count, var, alias }] => (alias.clone(), var.clone()),
-        _ => unreachable!("fast_path gates on a single COUNT item"),
-    };
-    let vi = var
-        .map(|v| {
-            plan.vars
-                .iter()
-                .position(|x| x == &v)
-                .ok_or_else(|| RdfError::Eval(format!("unknown ?{v}")))
+/// An aggregate step's output: one row per group, in key order. A key
+/// item copies the group's key; an aggregate item is `agg(key, item,
+/// index among the aggregate items)`.
+fn group_rows<'k>(
+    g: &Grouping,
+    keys: impl Iterator<Item = &'k Vec<u64>>,
+    mut agg: impl FnMut(&[u64], &Item, usize) -> Result<u64, RdfError>,
+) -> Result<Batch, RdfError> {
+    let mut keys: Vec<&Vec<u64>> = keys.collect();
+    keys.sort_by(|a, b| a.iter().map(bound).cmp(b.iter().map(bound)));
+    let mut out = Batch::new(g.items.len());
+    let mut row = Vec::with_capacity(g.items.len());
+    for key in keys {
+        row.clear();
+        let mut k = 0;
+        for (_, item) in &g.items {
+            row.push(match item {
+                Item::Key(i) => key[*i],
+                _ => {
+                    k += 1;
+                    agg(key, item, k - 1)?
+                }
+            });
+        }
+        out.push_row(&row);
+    }
+    Ok(out)
+}
+
+/// `Count` and `GroupCount`: one pass keeps a counter per group and COUNT
+/// item — column-wise per batch when there is no GROUP BY, so no row is
+/// ever read on its own. No input rows make no groups, hence no rows.
+fn count(core: &mut StreamCore, store: StoreView<'_>, g: &Grouping) -> Batch {
+    let args: Vec<Option<usize>> = g
+        .items
+        .iter()
+        .filter_map(|(_, item)| match item {
+            Item::Agg(_, arg) => Some(*arg),
+            _ => None,
         })
-        .transpose()?;
-    let mut pipe = join::Pipeline::new(store, Arc::clone(plan), threads);
-    let mut input_rows = 0u64;
-    let mut n = 0u64;
+        .collect();
+    let mut counters: HashMap<Vec<u64>, Vec<u64>> = HashMap::new();
     loop {
-        let b = pipe.next_rows(store, STREAM_BATCH_ROWS);
+        let b = core.pull(store, STREAM_BATCH_ROWS);
         if b.is_empty() {
             break;
         }
-        input_rows += b.len() as u64;
-        n += match vi {
-            None => b.len() as u64,
-            Some(i) => b.count_bound(i) as u64,
-        };
+        if g.keys.is_empty() {
+            let slots = counters.entry(Vec::new()).or_insert_with(|| vec![0; args.len()]);
+            for (slot, arg) in slots.iter_mut().zip(&args) {
+                *slot += arg.map_or(b.len(), |c| b.count_bound(c)) as u64;
+            }
+            continue;
+        }
+        for r in 0..b.len() {
+            let key = g.keys.iter().map(|&c| b.get(r, c)).collect();
+            let slots = counters.entry(key).or_insert_with(|| vec![0; args.len()]);
+            for (slot, arg) in slots.iter_mut().zip(&args) {
+                if arg.is_none_or(|c| b.get(r, c) != UNBOUND) {
+                    *slot += 1;
+                }
+            }
+        }
     }
-    let rows = if input_rows == 0 {
-        Vec::new()
-    } else {
-        vec![vec![Some(Term::integer(n as i64))]]
-    };
-    Ok((vec![alias], rows, pipe.rows_touched(), pipe.peak_resident_rows()))
+    core.held(counters.len());
+    let (dict, computed) = (store.dict(), &mut core.computed);
+    group_rows(g, counters.keys(), |key, _, k| {
+        Ok(computed.intern(dict, Term::integer(counters[key][k] as i64)))
+    })
+    .expect("counts never fail")
 }
 
-/// GROUP BY where every aggregate is a COUNT: a single pass over the
-/// pipeline updates an id-keyed counter table (group key → one counter
-/// per COUNT item) instead of materialising every input row into
-/// per-group vectors and re-walking them per aggregate. Header layout,
-/// error cases and the sorted deterministic group order match
-/// [`aggregate`] exactly.
-fn group_count(store: StoreView<'_>, plan: &Arc<Plan>, threads: usize) -> Result<AggOut, RdfError> {
-    let group_names: Vec<&str> = plan.group_by.iter().map(|&i| plan.vars[i].as_str()).collect();
-    let mut header = Vec::new();
-    for item in &plan.select {
-        match item {
-            SelectItem::Var(v) => {
-                if !group_names.contains(&v.as_str()) {
-                    return Err(RdfError::Eval(format!(
-                        "?{v} selected but not in GROUP BY"
-                    )));
-                }
-                header.push(v.clone());
-            }
-            SelectItem::Agg { alias, .. } => header.push(alias.clone()),
-        }
-    }
-    // Count column per aggregate item (`None` = COUNT(*)). Resolvability
-    // is part of the fast-path gate; the error arm is defensive.
-    let mut agg_cols: Vec<Option<usize>> = Vec::new();
-    for item in &plan.select {
-        if let SelectItem::Agg { var, .. } = item {
-            agg_cols.push(
-                var.as_ref()
-                    .map(|v| {
-                        plan.vars
-                            .iter()
-                            .position(|x| x == v)
-                            .ok_or_else(|| RdfError::Eval(format!("unknown ?{v}")))
-                    })
-                    .transpose()?,
-            );
-        }
-    }
-    let mut counters: HashMap<Vec<Option<u64>>, Vec<u64>> = HashMap::new();
-    let mut pipe = join::Pipeline::new(store, Arc::clone(plan), threads);
-    loop {
-        let b = pipe.next_rows(store, STREAM_BATCH_ROWS);
-        if b.is_empty() {
-            break;
-        }
-        for row in b.into_rows() {
-            let key: Vec<Option<u64>> = plan.group_by.iter().map(|&i| row[i]).collect();
-            let slots = counters
-                .entry(key)
-                .or_insert_with(|| vec![0u64; agg_cols.len()]);
-            for (slot, vi) in slots.iter_mut().zip(&agg_cols) {
-                match vi {
-                    None => *slot += 1,
-                    Some(i) if row[*i].is_some() => *slot += 1,
-                    _ => {}
-                }
-            }
-        }
-    }
-    // Deterministic group order, same as the generic path.
-    let mut keys: Vec<Vec<Option<u64>>> = counters.keys().cloned().collect();
-    keys.sort();
-    let mut out = Vec::with_capacity(keys.len());
-    for key in keys {
-        let slots = &counters[&key];
-        let mut next_agg = 0usize;
-        let mut row: Vec<Option<Term>> = Vec::with_capacity(plan.select.len());
-        for item in &plan.select {
-            match item {
-                SelectItem::Var(v) => {
-                    let gi = group_names.iter().position(|x| x == v).expect("checked");
-                    row.push(key[gi].map(|id| store.dict().term(id).to_term()));
-                }
-                SelectItem::Agg { .. } => {
-                    row.push(Some(Term::integer(slots[next_agg] as i64)));
-                    next_agg += 1;
-                }
-            }
-        }
-        out.push(row);
-    }
-    let peak = pipe.peak_resident_rows().max(out.len() as u64);
-    Ok((header, out, pipe.rows_touched(), peak))
-}
-
-type Grouped = (Vec<String>, Vec<Vec<Option<Term>>>);
-
+/// `Aggregate`: every input row is kept and grouped, then each item is
+/// computed per group. An aggregate over an unknown variable fails once a
+/// group exists.
 fn aggregate(
+    core: &mut StreamCore,
     store: StoreView<'_>,
-    plan: &Plan,
-    rows: Vec<Vec<Option<u64>>>,
-) -> Result<Grouped, RdfError> {
-    let group_names: Vec<&str> = plan.group_by.iter().map(|&i| plan.vars[i].as_str()).collect();
-    let mut groups: HashMap<Vec<Option<u64>>, Vec<Vec<Option<u64>>>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Option<u64>> = plan.group_by.iter().map(|&i| row[i]).collect();
-        groups.entry(key).or_default().push(row);
+    width: usize,
+    g: &Grouping,
+) -> Result<Batch, RdfError> {
+    let rows = core.drain_all(store, width);
+    let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
+    for r in 0..rows.len() {
+        groups.entry(g.keys.iter().map(|&c| rows.get(r, c)).collect()).or_default().push(r);
     }
-    // Deterministic group order.
-    let mut keys: Vec<Vec<Option<u64>>> = groups.keys().cloned().collect();
-    keys.sort();
-    let mut header = Vec::new();
-    for item in &plan.select {
-        match item {
-            SelectItem::Var(v) => {
-                if !group_names.contains(&v.as_str()) {
-                    return Err(RdfError::Eval(format!(
-                        "?{v} selected but not in GROUP BY"
-                    )));
-                }
-                header.push(v.clone());
-            }
-            SelectItem::Agg { alias, .. } => header.push(alias.clone()),
-        }
-    }
-    let mut out = Vec::with_capacity(keys.len());
-    for key in keys {
-        let members = &groups[&key];
-        let mut row: Vec<Option<Term>> = Vec::with_capacity(plan.select.len());
-        for item in &plan.select {
-            match item {
-                SelectItem::Var(v) => {
-                    let gi = group_names.iter().position(|x| x == v).expect("checked");
-                    row.push(key[gi].map(|id| store.dict().term(id).to_term()));
-                }
-                SelectItem::Agg { func, var, .. } => {
-                    let vi = var
-                        .as_ref()
-                        .map(|v| {
-                            plan.vars
-                                .iter()
-                                .position(|x| x == v)
-                                .ok_or_else(|| RdfError::Eval(format!("unknown ?{v}")))
-                        })
-                        .transpose()?;
-                    row.push(Some(agg_value(store, *func, vi, members)));
+    let (dict, computed) = (store.dict(), &mut core.computed);
+    group_rows(g, groups.keys(), |key, item, _| {
+        let members = &groups[key];
+        let (func, col) = match item {
+            Item::Agg(func, col) => (*func, *col),
+            Item::Unknown(v) => return Err(RdfError::Eval(format!("unknown ?{v}"))),
+            Item::Key(_) => unreachable!("group_rows copies keys"),
+        };
+        let values = members.iter().filter_map(|&r| col.and_then(|c| bound(&rows.get(r, c))));
+        let t = match func {
+            AggFunc::Count => Term::integer(col.map_or(members.len(), |_| values.count()) as i64),
+            AggFunc::Sum | AggFunc::Avg => {
+                let nums: Vec<f64> = values
+                    .filter_map(|id| match dict.value(id) {
+                        Value::Int(i) => Some(*i as f64),
+                        Value::Float(f) => Some(*f),
+                        _ => None,
+                    })
+                    .collect();
+                let sum: f64 = nums.iter().sum();
+                match func {
+                    AggFunc::Sum => Term::double(sum),
+                    _ => Term::double(if nums.is_empty() { 0.0 } else { sum / nums.len() as f64 }),
                 }
             }
-        }
-        out.push(row);
-    }
-    Ok((header, out))
-}
-
-fn agg_value(
-    store: StoreView<'_>,
-    func: AggFunc,
-    vi: Option<usize>,
-    members: &[Vec<Option<u64>>],
-) -> Term {
-    match func {
-        AggFunc::Count => {
-            let n = match vi {
-                None => members.len(),
-                Some(i) => members.iter().filter(|r| r[i].is_some()).count(),
-            };
-            Term::integer(n as i64)
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            let vals: Vec<f64> = members
-                .iter()
-                .filter_map(|r| vi.and_then(|i| r[i]).and_then(|id| numeric_of(store, id)))
-                .collect();
-            let sum: f64 = vals.iter().sum();
-            match func {
-                AggFunc::Sum => Term::double(sum),
-                _ => Term::double(if vals.is_empty() { 0.0 } else { sum / vals.len() as f64 }),
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            // MIN/MAX share the executor's total OrderKey ordering.
-            let mut best: Option<(u64, OrderKey)> = None;
-            for r in members {
-                if let Some(id) = vi.and_then(|i| r[i]) {
-                    let k = order_key(store, id);
-                    let better = match &best {
-                        None => true,
-                        Some((_, bk)) => {
-                            if func == AggFunc::Min {
-                                k < *bk
-                            } else {
-                                k > *bk
-                            }
+            AggFunc::Min | AggFunc::Max => {
+                // MIN/MAX share ORDER BY's total order; the first best wins.
+                let mut best: Option<(u64, OrderKey)> = None;
+                for id in values {
+                    let k = key_of(dict.value(id), dict.term(id));
+                    let better = best.as_ref().is_none_or(|(_, bk)| {
+                        if func == AggFunc::Min {
+                            k < *bk
+                        } else {
+                            k > *bk
                         }
-                    };
+                    });
                     if better {
                         best = Some((id, k));
                     }
                 }
+                match best {
+                    Some((id, _)) => return Ok(id),
+                    None => Term::integer(0),
+                }
             }
-            best.map(|(id, _)| store.dict().term(id).to_term())
-                .unwrap_or_else(|| Term::integer(0))
-        }
-    }
+        };
+        Ok(computed.intern(dict, t))
+    })
 }
 
 #[cfg(test)]
@@ -1401,6 +1313,48 @@ mod tests {
         }
     }
 
+    /// An empty batch means "exhausted" at every step: a filter that
+    /// rejects the first 1,500 rows in scan order — right after the
+    /// `Scan`, after a `Probe`, or as a residual filter after a `LeftJoin`
+    /// — must not end the stream early.
+    #[test]
+    fn filtered_prefix_does_not_end_the_stream() {
+        let mut st = TripleStore::new();
+        for i in 0..3_000 {
+            let s = e(&format!("s{i}"));
+            st.insert(&s, &e("tag"), &e("t"));
+            st.insert(&s, &e("v"), &Term::integer(i));
+        }
+        st.pack();
+        let cases = [
+            ("PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:v ?v . FILTER(?v >= 1500) }", "Scan"),
+            (
+                "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:tag e:t . ?s e:v ?v . FILTER(?v >= 1500) }",
+                "Probe",
+            ),
+            (
+                "PREFIX e: <http://e/> SELECT ?s ?v WHERE { ?s e:tag e:t . OPTIONAL { ?s e:v ?v } FILTER(?v >= 1500) }",
+                "LeftJoin",
+            ),
+        ];
+        for (q_text, after) in cases {
+            let plan = plan_of(&st, q_text);
+            let fi = plan.steps.iter().position(|s| matches!(s, Step::Filter(_))).unwrap();
+            assert!(format!("{:?}", plan.steps[fi - 1]).starts_with(after), "{}", plan.describe());
+            for t in [1usize, 4] {
+                let collected = execute_plan_view(&st, Arc::clone(&plan), t).unwrap();
+                assert_eq!(collected.len(), 1_500, "t={t} {q_text}");
+                assert_eq!(collected.rows[0][1], Some(Term::integer(1_500)), "scan order: {q_text}");
+                let mut stream = stream_plan_shared(&st, Arc::clone(&plan), t).unwrap();
+                let mut rows = Vec::new();
+                while let Some(b) = stream.next_batch(&st) {
+                    rows.extend(b);
+                }
+                assert_eq!(rows, collected.rows, "t={t} {q_text}");
+            }
+        }
+    }
+
     /// The tentpole's memory bound: on the non-aggregate, non-ORDER path
     /// the first streamed batch is produced after touching only O(batch)
     /// probe rows — not the full result set — and the resident-row
@@ -1545,7 +1499,7 @@ mod tests {
                         .replace("{K}", &k.to_string())
                         .replace("{O}", &o.to_string());
                     let plan = plan_of(view, &q_text);
-                    assert_eq!(plan.fast_path(), crate::plan::FastPath::TopK, "{q_text}");
+                    assert_eq!(plan.route(), "topk", "{q_text}");
                     for t in [1usize, 4] {
                         let fast = execute_plan_view(view, Arc::clone(&plan), t).unwrap();
                         let slow = stream_plan_baseline(view, Arc::clone(&plan), t)
@@ -1588,20 +1542,20 @@ mod tests {
             .collect();
         let nov = overlay(&mut st, &extra);
         let cases = [
-            ("PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:near ?t }", crate::plan::FastPath::FastCount),
-            ("PREFIX e: <http://e/> SELECT (COUNT(?n) AS ?c) WHERE { ?s e:class e:crop . OPTIONAL { ?s e:name ?n } }", crate::plan::FastPath::FastCount),
+            ("PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:near ?t }", "fast_count"),
+            ("PREFIX e: <http://e/> SELECT (COUNT(?n) AS ?c) WHERE { ?s e:class e:crop . OPTIONAL { ?s e:name ?n } }", "fast_count"),
             // Zero join rows: both paths yield an empty result set.
-            ("PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:nosuch ?g }", crate::plan::FastPath::FastCount),
-            ("PREFIX e: <http://e/> SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s e:class ?c . ?s e:near ?t } GROUP BY ?c ORDER BY ?c", crate::plan::FastPath::GroupCount),
-            ("PREFIX e: <http://e/> SELECT ?c (COUNT(*) AS ?all) (COUNT(?n) AS ?named) WHERE { ?s e:class ?c . OPTIONAL { ?s e:name ?n } } GROUP BY ?c", crate::plan::FastPath::GroupCount),
-            ("PREFIX e: <http://e/> SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s e:nosuch ?c } GROUP BY ?c", crate::plan::FastPath::GroupCount),
+            ("PREFIX e: <http://e/> SELECT (COUNT(*) AS ?n) WHERE { ?s e:nosuch ?g }", "fast_count"),
+            ("PREFIX e: <http://e/> SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s e:class ?c . ?s e:near ?t } GROUP BY ?c ORDER BY ?c", "group_count"),
+            ("PREFIX e: <http://e/> SELECT ?c (COUNT(*) AS ?all) (COUNT(?n) AS ?named) WHERE { ?s e:class ?c . OPTIONAL { ?s e:name ?n } } GROUP BY ?c", "group_count"),
+            ("PREFIX e: <http://e/> SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s e:nosuch ?c } GROUP BY ?c", "group_count"),
             // Non-count aggregates stay generic and still agree.
-            ("PREFIX e: <http://e/> SELECT (SUM(?s) AS ?n) WHERE { ?s e:near ?t }", crate::plan::FastPath::Aggregate),
+            ("PREFIX e: <http://e/> SELECT (SUM(?s) AS ?n) WHERE { ?s e:near ?t }", "aggregate"),
         ];
         for view in [StoreView::from(&st), StoreView::with_novelty(&st, &nov)] {
             for (q_text, want_route) in cases {
                 let plan = plan_of(view, q_text);
-                assert_eq!(plan.fast_path(), want_route, "{q_text}");
+                assert_eq!(plan.route(), want_route, "{q_text}");
                 for t in [1usize, 4] {
                     let fast = execute_plan_view(view, Arc::clone(&plan), t).unwrap();
                     let slow = stream_plan_baseline(view, Arc::clone(&plan), t)

@@ -1,19 +1,16 @@
-//! Physical operators: pull-based pattern extension (resumable index
-//! scans, hash probes, R-tree candidate enumeration), filter masks, and
-//! OPTIONAL left-joins over columnar [`Batch`]es.
+//! Physical operators: the row-local steps of a plan over columnar
+//! [`Batch`]es — resumable index scans, hash probes, R-tree candidate
+//! enumeration, filter masks and OPTIONAL left-joins.
 //!
-//! ## Pull-based pipeline
-//!
-//! A [`Pipeline`] chains the plan's join steps into a volcano-style
-//! operator stack: each stage pulls bounded chunks of probe rows from the
-//! stage above it ([`PIPELINE_CHUNK_ROWS`] at a time), extends/filters
-//! them, and buffers only the overflow. The first pattern is a
-//! `SeedScan` — a resumable index cursor or an incremental slice of the
-//! R-tree candidate set — so producing the first n result rows touches
-//! O(n) probe rows, not the whole result set. Build sides (hash tables)
-//! may still materialise; probe sides never do. OPTIONAL groups and
-//! residual filters are row-local, so they run chunk-wise inside the same
-//! pipeline without changing results.
+//! [`crate::exec`] builds one pull operator per plan step and chains
+//! them; the operators here each map one chunk of probe rows
+//! ([`PIPELINE_CHUNK_ROWS`] at a time) to its output. The `Scan` step is
+//! a `SeedScan` — a resumable index cursor or an incremental slice of
+//! the R-tree candidate set — so producing the first n result rows
+//! touches O(n) probe rows, not the whole result set. Build sides (hash
+//! tables) may still materialise; probe sides never do. Filters and
+//! OPTIONAL groups are row-local, so running them chunk-wise does not
+//! change results.
 //!
 //! ## Parallelism contract
 //!
@@ -41,7 +38,6 @@ use crate::plan::{FilterPlan, Plan, Slot};
 use crate::store::{IdTriple, PatternCursor, StoreView, ESTIMATE_CAP};
 use ee_util::par;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Chunks per thread for guided scheduling: enough slack that a skewed
 /// chunk can be stolen around, not so many that coordination dominates.
@@ -147,12 +143,12 @@ fn unify(plan: &Plan, slots: &[Slot; 3], triple: IdTriple, work: &mut [u64]) -> 
     true
 }
 
-/// Incremental enumerator for the pipeline's first join step, probed by
-/// the single all-unbound seed row. Each `next_rows` call touches at most
-/// `want` candidate ids (R-tree path) or pauses the index cursor after
-/// `want` unified rows (scan path), so the first batch of a selection
-/// query no longer enumerates the whole pattern.
-struct SeedScan {
+/// The `Scan` step: an incremental enumerator of the first join step,
+/// probed by the single all-unbound seed row. Each `next_rows` call
+/// touches at most `want` candidate ids (R-tree path) or pauses the index
+/// cursor after `want` unified rows (scan path), so the first batch of a
+/// selection query does not enumerate the whole pattern.
+pub(crate) struct SeedScan {
     kind: SeedKind,
 }
 
@@ -169,13 +165,17 @@ enum SeedKind {
 }
 
 impl SeedScan {
-    fn new(store: StoreView<'_>, plan: &Plan) -> SeedScan {
+    /// The source of a plan without required patterns: one all-unbound
+    /// row.
+    pub(crate) fn unit() -> SeedScan {
+        SeedScan { kind: SeedKind::Unit }
+    }
+
+    /// Enumerate pattern `pi`.
+    pub(crate) fn new(store: StoreView<'_>, plan: &Plan, pi: usize) -> SeedScan {
         if plan.impossible {
             return SeedScan { kind: SeedKind::Done };
         }
-        let Some(&pi) = plan.order.first() else {
-            return SeedScan { kind: SeedKind::Unit };
-        };
         let slots = &plan.slots[pi];
         if slots.iter().any(|s| matches!(s, Slot::Impossible)) {
             return SeedScan { kind: SeedKind::Done };
@@ -199,7 +199,7 @@ impl SeedScan {
     /// Produce up to `want` rows (empty ⇔ exhausted, so callers can treat
     /// an empty batch as end-of-input). `touched` counts probe work: raw
     /// index matches scanned or candidate ids enumerated.
-    fn next_rows(
+    pub(crate) fn next_rows(
         &mut self,
         store: StoreView<'_>,
         plan: &Plan,
@@ -279,10 +279,10 @@ impl SeedScan {
     }
 }
 
-/// Reusable state for one pipelined join step: the probe side arrives in
+/// The `Probe` step's reusable state: the probe side arrives in
 /// chunks; the build side (a hash table over the pattern's constant-only
 /// matches) materialises at most once and is probed by every chunk.
-struct StepProbe {
+pub(crate) struct StepProbe {
     /// `(triple position, variable)` pairs bound by earlier steps — the
     /// join key. Static per step: a variable introduced by step j < k is
     /// bound in *every* row reaching step k.
@@ -296,7 +296,7 @@ struct StepProbe {
 }
 
 impl StepProbe {
-    fn new(store: StoreView<'_>, plan: &Plan, pi: usize, bound: &[bool]) -> StepProbe {
+    pub(crate) fn new(store: StoreView<'_>, plan: &Plan, pi: usize, bound: &[bool]) -> StepProbe {
         let slots = &plan.slots[pi];
         let key_cols: Vec<(usize, usize)> = slots
             .iter()
@@ -321,7 +321,7 @@ impl StepProbe {
     /// (and match order within a row): hash probe when the chunk is large
     /// enough and the build side small enough, index nested-loop (with
     /// candidate enumeration where it pays) otherwise.
-    fn probe(
+    pub(crate) fn probe(
         &mut self,
         store: StoreView<'_>,
         plan: &Plan,
@@ -402,223 +402,11 @@ impl StepProbe {
     }
 }
 
-/// One pipeline stage: a join step, an OPTIONAL left-join group, or the
-/// residual-filter tail. Holds the overflow rows its downstream consumer
-/// has not pulled yet — the only inter-stage buffering, bounded by one
-/// chunk's expansion.
-struct Stage {
-    kind: StageKind,
-    out: Batch,
-    upstream_done: bool,
-}
-
-enum StageKind {
-    /// Join step at position `step` in `plan.order` (selects the filters
-    /// pinned after it), extending by pattern `pi`.
-    Join {
-        step: usize,
-        pi: usize,
-        probe: StepProbe,
-    },
-    /// OPTIONAL left-join of group `gi`.
-    Optional { gi: usize },
-    /// Filters not pinned to any join step (they need OPTIONAL bindings).
-    Residual,
-}
-
-impl Stage {
-    fn process(
-        &mut self,
-        store: StoreView<'_>,
-        plan: &Plan,
-        threads: usize,
-        chunk: &Batch,
-    ) -> Batch {
-        match &mut self.kind {
-            StageKind::Join { step, pi, probe } => {
-                let mut b = probe.probe(store, plan, *pi, chunk, threads);
-                for f in &plan.filters {
-                    if f.apply_after == Some(*step) {
-                        let mask = filter_mask(store, f, &b, threads);
-                        b.retain(&mask);
-                    }
-                }
-                b
-            }
-            StageKind::Optional { gi } => {
-                apply_optional_group(store, plan, &plan.optionals[*gi], chunk, threads)
-            }
-            StageKind::Residual => {
-                let mut b = chunk.clone();
-                for f in &plan.filters {
-                    if f.apply_after.is_none() {
-                        let mask = filter_mask(store, f, &b, threads);
-                        b.retain(&mask);
-                    }
-                }
-                b
-            }
-        }
-    }
-}
-
-/// The pull-based join pipeline: seed scan → join steps (each with its
-/// pinned filters) → OPTIONAL groups → residual filters, every edge a
-/// bounded chunk transfer. Owns no borrows beyond an `Arc` of the plan —
-/// the store is passed to each [`next_rows`](Pipeline::next_rows) call —
-/// so a serving tier can park one inside a response object.
-pub struct Pipeline {
-    plan: Arc<Plan>,
-    threads: usize,
-    source: SeedScan,
-    stages: Vec<Stage>,
-    /// Probe rows touched: raw seed matches/candidates scanned plus rows
-    /// consumed by every downstream stage. The "O(batch) work to first
-    /// batch" acceptance metric.
-    touched: u64,
-    /// High-water mark of rows buffered across all stages at once — the
-    /// pipeline's resident-set bound (build-side hash tables excluded).
-    peak_resident: u64,
-}
-
-impl Pipeline {
-    /// Build the operator chain for a prepared plan. Cheap: the only
-    /// store work is one cardinality estimate per join step.
-    pub fn new(store: StoreView<'_>, plan: Arc<Plan>, threads: usize) -> Pipeline {
-        let source = SeedScan::new(store, &plan);
-        let mut stages = Vec::new();
-        let mut bound = vec![false; plan.vars.len()];
-        if let Some(&p0) = plan.order.first() {
-            for s in &plan.slots[p0] {
-                if let Slot::Var(v) = s {
-                    bound[*v] = true;
-                }
-            }
-        }
-        for (step, &pi) in plan.order.iter().enumerate().skip(1) {
-            let probe = StepProbe::new(store, &plan, pi, &bound);
-            for s in &plan.slots[pi] {
-                if let Slot::Var(v) = s {
-                    bound[*v] = true;
-                }
-            }
-            stages.push(Stage {
-                kind: StageKind::Join { step, pi, probe },
-                out: Batch::new(plan.vars.len()),
-                upstream_done: false,
-            });
-        }
-        for gi in 0..plan.optionals.len() {
-            stages.push(Stage {
-                kind: StageKind::Optional { gi },
-                out: Batch::new(plan.vars.len()),
-                upstream_done: false,
-            });
-        }
-        if plan.filters.iter().any(|f| f.apply_after.is_none()) {
-            stages.push(Stage {
-                kind: StageKind::Residual,
-                out: Batch::new(plan.vars.len()),
-                upstream_done: false,
-            });
-        }
-        Pipeline {
-            plan,
-            threads,
-            source,
-            stages,
-            touched: 0,
-            peak_resident: 0,
-        }
-    }
-
-    /// Pull up to `want` fully-joined, fully-filtered rows. An empty batch
-    /// means the pipeline is exhausted.
-    pub fn next_rows(&mut self, store: StoreView<'_>, want: usize) -> Batch {
-        let out = pull_chain(
-            store,
-            &self.plan,
-            self.threads,
-            &mut self.source,
-            &mut self.stages,
-            &mut self.touched,
-            want.max(1),
-        );
-        let resident =
-            self.stages.iter().map(|s| s.out.len() as u64).sum::<u64>() + out.len() as u64;
-        self.peak_resident = self.peak_resident.max(resident);
-        out
-    }
-
-    /// Probe rows touched so far (see the field doc).
-    pub fn rows_touched(&self) -> u64 {
-        self.touched
-    }
-
-    /// High-water mark of rows buffered inside the pipeline.
-    pub fn peak_resident_rows(&self) -> u64 {
-        self.peak_resident
-    }
-}
-
-/// Recursive pull: `stages.last()` serves the caller, refilling from the
-/// prefix (ultimately the seed scan) one [`PIPELINE_CHUNK_ROWS`] chunk at
-/// a time until it can hand back `want` rows or its upstream is dry.
-fn pull_chain(
-    store: StoreView<'_>,
-    plan: &Plan,
-    threads: usize,
-    source: &mut SeedScan,
-    stages: &mut [Stage],
-    touched: &mut u64,
-    want: usize,
-) -> Batch {
-    let Some((stage, upstream)) = stages.split_last_mut() else {
-        // The seed scan, with any filters pinned after step 0. Filters can
-        // empty a chunk without the scan being done, so loop: an empty
-        // return must keep meaning "exhausted".
-        loop {
-            let mut b = source.next_rows(store, plan, threads, want, touched);
-            if b.is_empty() {
-                return b;
-            }
-            for f in &plan.filters {
-                if f.apply_after == Some(0) {
-                    let mask = filter_mask(store, f, &b, threads);
-                    b.retain(&mask);
-                }
-            }
-            if !b.is_empty() {
-                return b;
-            }
-        }
-    };
-    while stage.out.len() < want && !stage.upstream_done {
-        let chunk = pull_chain(
-            store,
-            plan,
-            threads,
-            source,
-            upstream,
-            touched,
-            PIPELINE_CHUNK_ROWS,
-        );
-        if chunk.is_empty() {
-            stage.upstream_done = true;
-            break;
-        }
-        *touched += chunk.len() as u64;
-        let produced = stage.process(store, plan, threads, &chunk);
-        stage.out.append(&produced);
-    }
-    stage.out.drain_front(want)
-}
-
 /// Evaluate one compiled filter over every row in parallel; returns the
 /// keep mask in row order. Rows where the expression errors (e.g. an
 /// unbound variable) are dropped, matching SPARQL's error-is-false
 /// semantics.
-pub fn filter_mask(store: StoreView<'_>, f: &FilterPlan, batch: &Batch, threads: usize) -> Vec<bool> {
+pub(crate) fn filter_mask(store: StoreView<'_>, f: &FilterPlan, batch: &Batch, threads: usize) -> Vec<bool> {
     let dict = store.dict();
     let rows_idx: Vec<usize> = (0..batch.len()).collect();
     let parts = par::map_chunks_guided(&rows_idx, threads, OVERSUBSCRIBE, |_, chunk| {
@@ -635,36 +423,37 @@ pub fn filter_mask(store: StoreView<'_>, f: &FilterPlan, batch: &Batch, threads:
 fn join_group(
     store: StoreView<'_>,
     plan: &Plan,
-    group: &[[Slot; 3]],
-    gi: usize,
+    group: &[usize],
     work: &mut Vec<u64>,
     out: &mut Vec<u64>,
     found: &mut usize,
 ) {
-    if gi == group.len() {
+    let Some((&pi, rest)) = group.split_first() else {
         out.extend_from_slice(work);
         *found += 1;
         return;
-    }
-    let matches = collect_matches(store, plan, &group[gi], work);
+    };
+    let slots = &plan.slots[pi];
+    let matches = collect_matches(store, plan, slots, work);
     let snapshot = work.clone();
     for t in matches {
         work.copy_from_slice(&snapshot);
-        if unify(plan, &group[gi], t, work) {
-            join_group(store, plan, group, gi + 1, work, out, found);
+        if unify(plan, slots, t, work) {
+            join_group(store, plan, rest, work, out, found);
         }
     }
     work.copy_from_slice(&snapshot);
 }
 
-/// Left-join one OPTIONAL group onto every row of `batch`: rows with
-/// matches are replaced by their extensions, rows without pass through
-/// unchanged. Row-local, so applying it chunk-wise inside the pipeline is
-/// identical to applying it to the concatenated batch.
-fn apply_optional_group(
+/// The `LeftJoin` step: left-join one OPTIONAL group (patterns in
+/// execution order) onto every row of `batch`. Rows with matches are
+/// replaced by their extensions, rows without pass through unchanged.
+/// Row-local, so applying it chunk-wise is identical to applying it to
+/// the concatenated batch.
+pub(crate) fn left_join(
     store: StoreView<'_>,
     plan: &Plan,
-    group: &[[Slot; 3]],
+    group: &[usize],
     batch: &Batch,
     threads: usize,
 ) -> Batch {
@@ -673,7 +462,7 @@ fn apply_optional_group(
     // through unextended.
     if group
         .iter()
-        .any(|p| p.iter().any(|s| matches!(s, Slot::Impossible)))
+        .any(|&pi| plan.slots[pi].iter().any(|s| matches!(s, Slot::Impossible)))
     {
         return batch.clone();
     }
@@ -685,7 +474,7 @@ fn apply_optional_group(
             batch.read_row(r, &mut row);
             let mut work = row.clone();
             let mut found = 0;
-            join_group(store, plan, group, 0, &mut work, &mut rows, &mut found);
+            join_group(store, plan, group, &mut work, &mut rows, &mut found);
             if found == 0 {
                 rows.extend_from_slice(&row);
             }

@@ -24,9 +24,10 @@
 //! * [`parser`] — a hand-written SPARQL-subset parser (`PREFIX`,
 //!   `SELECT [DISTINCT]`, basic graph patterns, `OPTIONAL`, `FILTER`,
 //!   `GROUP BY` with `COUNT/SUM/AVG/MIN/MAX`, `ORDER BY`, `LIMIT`);
-//! * [`plan`] — logical/physical query planning: constants resolved to
-//!   ids, a static greedy join order, filters pinned to their earliest
-//!   evaluation step, projection/group/order columns resolved, and
+//! * [`plan`] — logical/physical query planning into a list of steps,
+//!   one per physical operator: constants resolved to ids, a static
+//!   greedy join order, each filter placed right after the step that
+//!   binds its variables, the tail's columns resolved, and
 //!   *spatial pushdown* — a filter `geof:sfIntersects(?g, <const>)`
 //!   restricts `?g`'s candidates via the R-tree before the join runs
 //!   (filter–refine), and a point candidate strictly inside a rectangle
@@ -36,12 +37,12 @@
 //!   [`plan::plan_without_pushdown`] skips the R-tree: the post-filter
 //!   ablation arm of experiment E2;
 //! * [`batch`] — columnar binding batches over term ids;
-//! * [`join`] — the physical operators: index nested-loop and hash-probe
-//!   pattern extension, filter masks, and OPTIONAL left-joins, all
-//!   parallelised with fixed-order reduction so any thread count is
-//!   bit-identical to serial;
-//! * [`exec`] — the executor pipeline tying plan → batches → operators →
-//!   aggregation / ordering / materialisation together;
+//! * [`join`] — the row-local physical operators: resumable seed scans,
+//!   index nested-loop and hash-probe pattern extension, filter masks,
+//!   and OPTIONAL left-joins, all parallelised with fixed-order reduction
+//!   so any thread count is bit-identical to serial;
+//! * [`exec`] — the executor: one pull operator per plan step, chained
+//!   over batches, from the scan to the projected terms;
 //! * [`update`] — SPARQL UPDATE evaluation (`INSERT DATA` / `DELETE
 //!   DATA` / `DELETE WHERE`), split into a read-only evaluate step and
 //!   an apply step so the durable store can log the delta in between;

@@ -5,20 +5,30 @@
 //! [`TripleStore`]: constants are resolved to dictionary ids, the join
 //! order is chosen once (greedy bound-position / estimated-cardinality,
 //! the same heuristic the old monolithic evaluator applied per recursion
-//! step), every filter is compiled over batch columns ([`expr::Filter`])
-//! and pinned to the earliest join step at which all of its variables are
-//! bound, spatial `FILTER`s are pushed down into per-variable R-tree
-//! candidate sets — a point candidate strictly inside a rectangle
-//! constant is decided there, from its envelope — and the projection /
-//! GROUP BY / ORDER BY columns are resolved to table indices **at plan
-//! time** so no per-row name lookup survives into execution.
+//! step), every filter is compiled over batch columns ([`expr::Filter`]),
+//! spatial `FILTER`s are pushed down into per-variable R-tree candidate
+//! sets — a point candidate strictly inside a rectangle constant is
+//! decided there, from its envelope — and every column the steps read is
+//! resolved to a table index **at plan time**, so no per-row name lookup
+//! survives into execution.
 //!
-//! [`logical`] builds the same `Plan` shape without a store — no
-//! dictionary ids, no candidate sets. The federation engine
-//! (`ee-federation`) reads two things off it: the join order, which is
-//! its fetch order, and the pushdown region, which drives spatial source
-//! selection. It then runs the query itself through [`plan`] and the
-//! executor, on a mediator store that holds the fetched triples.
+//! The plan is the program: [`Plan::steps`] lists one [`Step`] per
+//! physical operator, in execution order. The executor
+//! ([`crate::exec`]) builds one pull operator per step,
+//! [`Plan::describe`] prints one line per step, and the route the serving
+//! tier counts is the label of the first blocking step
+//! ([`Plan::route`]). Choosing a fast path is choosing steps: `TopK`
+//! instead of `Sort` + `Slice`, `Count` or `GroupCount` instead of
+//! `Aggregate`. Each filter sits right after the join step that binds the
+//! last of its variables, or after the left-joins when it reads an
+//! OPTIONAL variable.
+//!
+//! [`logical`] builds the same steps without a store — no dictionary ids,
+//! no candidate sets. The federation engine (`ee-federation`) reads two
+//! things off it: the `Scan`/`Probe` order ([`Plan::join_order`]), which
+//! is its fetch order, and the pushdown region, which drives spatial
+//! source selection. It then runs the query itself through [`plan`] and
+//! the executor, on a mediator store that holds the fetched triples.
 //!
 //! A physical `Plan` is immutable and `Send + Sync`, but it is valid for
 //! exactly one store state: its dictionary ids, cardinality-driven join
@@ -34,57 +44,102 @@ use crate::RdfError;
 use ee_geo::Envelope;
 use std::collections::HashMap;
 
-/// The executor route a plan takes, decided purely from the plan shape
-/// (never from store contents or thread count, so routing is stable
-/// across replans and deterministic for tests and metrics).
-///
-/// The first four kinds are the interesting ones for the
-/// `ee_rdf_fastpath_total{kind}` counter; `Aggregate` and `Stream` are
-/// the generic routes that predate the fast paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FastPath {
-    /// `ORDER BY ?v LIMIT k` (± OFFSET), no DISTINCT, no aggregation:
-    /// bounded max-heap of size `k + offset` fed by the pipeline.
-    TopK,
-    /// `COUNT(*)` / `COUNT(?v)` as the sole SELECT item, no GROUP BY:
-    /// rows are counted in the pipeline without materialising terms.
-    FastCount,
-    /// GROUP BY where every aggregate is a COUNT: one-pass id-keyed
-    /// counter table instead of materialise-then-group row vectors.
-    GroupCount,
-    /// ORDER BY without a usable LIMIT (or with DISTINCT): global sort
-    /// with precomputed keys (decorate–sort–undecorate).
-    FullSort,
-    /// Generic grouping/aggregation (SUM/AVG/MIN/MAX, or shapes the
-    /// count fast paths cannot reproduce exactly).
-    Aggregate,
-    /// The fully pipelined non-aggregate, non-ORDER path.
-    Stream,
+/// Every [`Plan::route`] label, in metric-rendering order: the labels of
+/// `ee_rdf_fastpath_total{kind}`.
+pub const ROUTES: [&str; 6] =
+    ["topk", "fast_count", "group_count", "full_sort", "aggregate", "stream"];
+
+/// One physical operator of a [`Plan`]. Steps up to the first aggregate
+/// read and write rows laid out as [`Plan::vars`]; an aggregate step emits
+/// one column per SELECT item, and the steps after it index those.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// Enumerate the matches of a required pattern (an index into
+    /// [`Plan::patterns`]); always the first step. A plan with no
+    /// required pattern starts from one all-unbound row instead.
+    Scan(usize),
+    /// Extend every row by the matches of a required pattern under its
+    /// bindings.
+    Probe(usize),
+    /// Keep the rows that pass a filter (an index into [`Plan::filters`]).
+    Filter(usize),
+    /// OPTIONAL: extend every row by the joined matches of these patterns
+    /// (in execution order), or keep it unchanged when there are none.
+    LeftJoin(Vec<usize>),
+    /// Keep the first row of each distinct combination of these columns.
+    Distinct(Vec<usize>),
+    /// ORDER BY + LIMIT without DISTINCT: a bounded heap keeps the first
+    /// `offset + limit` rows in order, then the step skips `offset`.
+    TopK {
+        /// The ordered column.
+        col: usize,
+        /// Ascending.
+        asc: bool,
+        /// OFFSET (0 when absent).
+        offset: usize,
+        /// LIMIT.
+        limit: usize,
+    },
+    /// ORDER BY: a stable global sort on one column.
+    Sort {
+        /// The ordered column.
+        col: usize,
+        /// Ascending.
+        asc: bool,
+    },
+    /// A lone COUNT without GROUP BY, counted batch by batch.
+    Count(Grouping),
+    /// GROUP BY whose aggregates are all COUNTs: one pass over an
+    /// id-keyed counter table.
+    GroupCount(Grouping),
+    /// Any other grouping: every input row is kept, grouped, and each
+    /// aggregate computed per group.
+    Aggregate(Grouping),
+    /// OFFSET, then LIMIT.
+    Slice {
+        /// Rows to skip.
+        offset: usize,
+        /// Rows to keep after that (`None` = all).
+        limit: Option<usize>,
+    },
+    /// The result columns, as (name, column) pairs.
+    Project(Vec<(String, usize)>),
 }
 
-impl FastPath {
-    /// Every variant, in metric-rendering order.
-    pub const ALL: [FastPath; 6] = [
-        FastPath::TopK,
-        FastPath::FastCount,
-        FastPath::GroupCount,
-        FastPath::FullSort,
-        FastPath::Aggregate,
-        FastPath::Stream,
-    ];
-
-    /// Stable label for metrics (`ee_rdf_fastpath_total{kind="..."}`)
-    /// and [`Plan::describe`].
-    pub fn label(self) -> &'static str {
+impl Step {
+    /// The route label of a blocking step (one that needs every input row
+    /// before it emits one); `None` for a streaming step.
+    pub fn route(&self) -> Option<&'static str> {
         match self {
-            FastPath::TopK => "topk",
-            FastPath::FastCount => "fast_count",
-            FastPath::GroupCount => "group_count",
-            FastPath::FullSort => "full_sort",
-            FastPath::Aggregate => "aggregate",
-            FastPath::Stream => "stream",
+            Step::TopK { .. } => Some("topk"),
+            Step::Count(_) => Some("fast_count"),
+            Step::GroupCount(_) => Some("group_count"),
+            Step::Sort { .. } => Some("full_sort"),
+            Step::Aggregate(_) => Some("aggregate"),
+            _ => None,
         }
     }
+}
+
+/// What an aggregate step groups by and emits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grouping {
+    /// GROUP BY columns of [`Plan::vars`].
+    pub keys: Vec<usize>,
+    /// One output column per SELECT item, with its name.
+    pub items: Vec<(String, Item)>,
+}
+
+/// One output column of a [`Grouping`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Item {
+    /// The group's value of a key (an index into [`Grouping::keys`]).
+    Key(usize),
+    /// An aggregate over a column of [`Plan::vars`]; `None` is `*`.
+    Agg(AggFunc, Option<usize>),
+    /// An aggregate over a variable the query never binds: an error once
+    /// there is a group to aggregate.
+    Unknown(String),
 }
 
 /// A triple-pattern position with the variable resolved to a column and
@@ -100,18 +155,13 @@ pub enum Slot {
     Impossible,
 }
 
-/// A filter with its evaluation site decided at plan time.
+/// A compiled filter and the variables it reads.
 #[derive(Debug, Clone)]
 pub struct FilterPlan {
     /// The filter, compiled over this plan's columns.
     pub filter: expr::Filter,
     /// Columns of every variable the expression references.
     pub vars: Vec<usize>,
-    /// Index into [`Plan::order`] of the earliest join step after which
-    /// every referenced variable is bound; `None` means the filter is
-    /// residual (it references OPTIONAL or unbound variables) and runs
-    /// after the left-joins.
-    pub apply_after: Option<usize>,
 }
 
 /// An executable query plan. See the module docs for the two builders.
@@ -119,17 +169,14 @@ pub struct FilterPlan {
 pub struct Plan {
     /// The full variable table; row layout of every binding batch.
     pub vars: Vec<String>,
-    /// The required triple patterns, as parsed (kept for inspection and
-    /// for engines that ship patterns to remote endpoints).
+    /// Every triple pattern as parsed: the required ones, then each
+    /// OPTIONAL group's (kept for inspection and for engines that ship
+    /// patterns to remote endpoints).
     pub patterns: Vec<TriplePattern>,
-    /// Execution order: indices into [`Plan::patterns`].
-    pub order: Vec<usize>,
-    /// Id-resolved slots, parallel to [`Plan::patterns`]. Empty for
-    /// logical plans.
+    /// Slots parallel to [`Plan::patterns`]: id-resolved for physical
+    /// plans, every constant a placeholder for logical ones.
     pub slots: Vec<[Slot; 3]>,
-    /// OPTIONAL groups, id-resolved, each in its own execution order.
-    pub optionals: Vec<Vec<[Slot; 3]>>,
-    /// The filters with plan-time placement.
+    /// The compiled filters, in query order; [`Step::Filter`] places them.
     pub filters: Vec<FilterPlan>,
     /// Per-column spatial candidate id sets (sorted ascending) from
     /// R-tree pushdown. Empty for logical plans and for
@@ -138,28 +185,11 @@ pub struct Plan {
     /// The pushdown region, when one exists: (variable name, envelope).
     /// Logical plans keep this for spatial source selection.
     pub region: Option<(String, Envelope)>,
-    /// The SELECT items, as parsed (drives the aggregation tail).
-    pub select: Vec<SelectItem>,
-    /// `SELECT *`.
-    pub star: bool,
-    /// `DISTINCT`.
-    pub distinct: bool,
-    /// Projected (name, column) pairs for the non-aggregate path,
-    /// resolved at plan time.
-    pub projection: Vec<(String, usize)>,
-    /// Whether any SELECT item aggregates.
-    pub has_agg: bool,
-    /// GROUP BY columns, resolved at plan time.
-    pub group_by: Vec<usize>,
-    /// ORDER BY as (column, ascending), resolved at plan time.
-    pub order_by: Option<(usize, bool)>,
-    /// LIMIT.
-    pub limit: Option<usize>,
-    /// OFFSET.
-    pub offset: Option<usize>,
     /// True when some required pattern contains a constant the store has
     /// never seen: the query yields no join rows.
     pub impossible: bool,
+    /// The program, in execution order.
+    pub steps: Vec<Step>,
 }
 
 fn var_index(vars: &mut Vec<String>, name: &str) -> usize {
@@ -168,16 +198,6 @@ fn var_index(vars: &mut Vec<String>, name: &str) -> usize {
     } else {
         vars.push(name.to_string());
         vars.len() - 1
-    }
-}
-
-fn resolve_slot(t: &PatternTerm, store: StoreView<'_>, vars: &mut Vec<String>) -> Slot {
-    match t {
-        PatternTerm::Var(name) => Slot::Var(var_index(vars, name)),
-        PatternTerm::Const(term) => match store.dict().id_of(term) {
-            Some(id) => Slot::Const(id),
-            None => Slot::Impossible,
-        },
     }
 }
 
@@ -219,11 +239,6 @@ fn slot_vars(slots: &[Slot; 3]) -> impl Iterator<Item = usize> + '_ {
 fn choose_order(slots: &[[Slot; 3]], store: Option<StoreView<'_>>) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..slots.len()).collect();
     let mut bound: Vec<bool> = Vec::new();
-    let grow = |bound: &mut Vec<bool>, v: usize| {
-        if v >= bound.len() {
-            bound.resize(v + 1, false);
-        }
-    };
     let mut order = Vec::with_capacity(slots.len());
     while !remaining.is_empty() {
         let mut best = remaining[0];
@@ -261,34 +276,13 @@ fn choose_order(slots: &[[Slot; 3]], store: Option<StoreView<'_>>) -> Vec<usize>
         order.push(best);
         remaining.retain(|&x| x != best);
         for v in slot_vars(&slots[best]) {
-            grow(&mut bound, v);
-            bound[v] = true;
-        }
-    }
-    order
-}
-
-/// Pin each filter to the earliest step in `order` after which all of its
-/// variables are bound by required patterns; `None` = residual.
-fn place_filters(filters: &mut [FilterPlan], slots: &[[Slot; 3]], order: &[usize]) {
-    let mut bound: Vec<bool> = Vec::new();
-    let mut bound_after: Vec<Vec<bool>> = Vec::with_capacity(order.len());
-    for &pi in order {
-        for v in slot_vars(&slots[pi]) {
             if v >= bound.len() {
                 bound.resize(v + 1, false);
             }
             bound[v] = true;
         }
-        bound_after.push(bound.clone());
     }
-    for f in filters.iter_mut() {
-        f.apply_after = bound_after.iter().position(|b| {
-            f.vars
-                .iter()
-                .all(|&v| b.get(v).copied().unwrap_or(false))
-        });
-    }
+    order
 }
 
 /// The shared planning scaffold. `store == None` builds a logical plan;
@@ -303,52 +297,36 @@ fn build(store: Option<StoreView<'_>>, q: &Query, pushdown: bool) -> Result<Plan
         }
     }
     let mut impossible = false;
-    let resolve = |t: &PatternTerm, vars: &mut Vec<String>, impossible: &mut bool| match store {
-        Some(st) => {
-            let s = resolve_slot(t, st, vars);
-            if matches!(s, Slot::Impossible) {
-                *impossible = true;
-            }
-            s
-        }
-        None => match t {
-            PatternTerm::Var(name) => Slot::Var(var_index(vars, name)),
+    let resolve = |p: &TriplePattern, vars: &mut Vec<String>, impossible: &mut bool| {
+        [&p.s, &p.p, &p.o].map(|t| match (t, store) {
+            (PatternTerm::Var(name), _) => Slot::Var(var_index(vars, name)),
+            (PatternTerm::Const(term), Some(st)) => st.dict().id_of(term).map_or_else(
+                || {
+                    *impossible = true;
+                    Slot::Impossible
+                },
+                Slot::Const,
+            ),
             // Logical plans carry no ids; mark constants with a
             // placeholder the executor never sees.
-            PatternTerm::Const(_) => Slot::Const(0),
-        },
+            (PatternTerm::Const(_), None) => Slot::Const(0),
+        })
     };
-    let slots: Vec<[Slot; 3]> = q
-        .patterns
-        .iter()
-        .map(|p| {
-            [
-                resolve(&p.s, &mut vars, &mut impossible),
-                resolve(&p.p, &mut vars, &mut impossible),
-                resolve(&p.o, &mut vars, &mut impossible),
-            ]
-        })
-        .collect();
-    let optionals: Vec<Vec<[Slot; 3]>> = q
-        .optionals
-        .iter()
-        .map(|group| {
-            // An optional group with an unknown constant never matches;
-            // the Slot::Impossible stays in the group and the executor
-            // passes rows through unextended.
-            let mut opt_impossible = false;
-            group
-                .iter()
-                .map(|p| {
-                    [
-                        resolve(&p.s, &mut vars, &mut opt_impossible),
-                        resolve(&p.p, &mut vars, &mut opt_impossible),
-                        resolve(&p.o, &mut vars, &mut opt_impossible),
-                    ]
-                })
-                .collect::<Vec<[Slot; 3]>>()
-        })
-        .collect();
+    let mut patterns = q.patterns.clone();
+    let mut slots: Vec<[Slot; 3]> =
+        q.patterns.iter().map(|p| resolve(p, &mut vars, &mut impossible)).collect();
+    // An optional group with an unknown constant never matches; the
+    // Slot::Impossible stays in the group and the left-join passes rows
+    // through unextended.
+    let mut groups = Vec::with_capacity(q.optionals.len());
+    for group in &q.optionals {
+        let start = slots.len();
+        for p in group {
+            slots.push(resolve(p, &mut vars, &mut false));
+            patterns.push(p.clone());
+        }
+        groups.push(start..slots.len());
+    }
     let used_vars: Vec<Vec<usize>> = q
         .filters
         .iter()
@@ -393,99 +371,136 @@ fn build(store: Option<StoreView<'_>>, q: &Query, pushdown: bool) -> Result<Plan
                 }
             }
         }
-        filters.push(FilterPlan {
-            filter,
-            vars: used,
-            apply_after: None,
-        });
+        filters.push(FilterPlan { filter, vars: used });
     }
     // Group/order vars must exist in the table too.
-    for v in &q.group_by {
-        var_index(&mut vars, v);
+    let group_by: Vec<usize> = q.group_by.iter().map(|v| var_index(&mut vars, v)).collect();
+    let order_by = q.order_by.as_ref().map(|(v, asc)| (var_index(&mut vars, v), *asc));
+
+    // The joins, each filter right after the step that binds the last of
+    // its variables; filters on OPTIONAL variables after the left-joins.
+    let mut steps = Vec::new();
+    let mut bound = vec![false; vars.len()];
+    let mut placed = vec![false; filters.len()];
+    for (k, pi) in choose_order(&slots[..q.patterns.len()], store).into_iter().enumerate() {
+        steps.push(if k == 0 { Step::Scan(pi) } else { Step::Probe(pi) });
+        for v in slot_vars(&slots[pi]) {
+            bound[v] = true;
+        }
+        for (fi, f) in filters.iter().enumerate() {
+            if !placed[fi] && f.vars.iter().all(|&v| bound[v]) {
+                placed[fi] = true;
+                steps.push(Step::Filter(fi));
+            }
+        }
     }
-    if let Some((v, _)) = &q.order_by {
-        var_index(&mut vars, v);
+    for group in groups {
+        let order = choose_order(&slots[group.clone()], store);
+        steps.push(Step::LeftJoin(order.into_iter().map(|i| group.start + i).collect()));
     }
+    steps.extend((0..filters.len()).filter(|&fi| !placed[fi]).map(Step::Filter));
+    tail(q, &vars, group_by, order_by, &mut steps)?;
 
-    let order = choose_order(&slots, store);
-    place_filters(&mut filters, &slots, &order);
+    Ok(Plan {
+        vars,
+        patterns,
+        slots,
+        filters,
+        candidates,
+        region,
+        impossible,
+        steps,
+    })
+}
 
-    // Each optional group gets its own static execution order by
-    // re-sorting the group's slots in place.
-    let optionals: Vec<Vec<[Slot; 3]>> = optionals
-        .into_iter()
-        .map(|group| {
-            let ord = choose_order(&group, store);
-            ord.into_iter().map(|i| group[i].clone()).collect()
-        })
-        .collect();
-
+/// The steps after the joins: grouping, DISTINCT, ORDER BY, OFFSET/LIMIT
+/// and the projection, in that order. A SELECT variable outside the
+/// GROUP BY of an aggregate query is an error here, before any join runs.
+fn tail(
+    q: &Query,
+    vars: &[String],
+    group_by: Vec<usize>,
+    order_by: Option<(usize, bool)>,
+    steps: &mut Vec<Step>,
+) -> Result<(), RdfError> {
     let has_agg = q.select.iter().any(|s| matches!(s, SelectItem::Agg { .. }));
-    let projection: Vec<(String, usize)> = if has_agg || !q.group_by.is_empty() {
-        Vec::new()
+    let mut topk = false;
+    let project: Vec<(String, usize)> = if has_agg || !group_by.is_empty() {
+        let mut items = Vec::with_capacity(q.select.len());
+        for item in &q.select {
+            items.push(match item {
+                SelectItem::Var(v) => {
+                    let key = q.group_by.iter().position(|g| g == v).ok_or_else(|| {
+                        RdfError::Eval(format!("?{v} selected but not in GROUP BY"))
+                    })?;
+                    (v.clone(), Item::Key(key))
+                }
+                SelectItem::Agg { func, var, alias } => {
+                    let arg = match var {
+                        None => Item::Agg(*func, None),
+                        Some(v) => match vars.iter().position(|x| x == v) {
+                            Some(c) => Item::Agg(*func, Some(c)),
+                            None => Item::Unknown(v.clone()),
+                        },
+                    };
+                    (alias.clone(), arg)
+                }
+            });
+        }
+        let counts_only = items
+            .iter()
+            .all(|(_, it)| matches!(it, Item::Key(_) | Item::Agg(AggFunc::Count, _)));
+        let project: Vec<(String, usize)> =
+            items.iter().enumerate().map(|(i, (n, _))| (n.clone(), i)).collect();
+        let g = Grouping { keys: group_by, items };
+        steps.push(match (g.keys.is_empty(), g.items.len(), counts_only && has_agg) {
+            (true, 1, true) => Step::Count(g),
+            (false, _, true) => Step::GroupCount(g),
+            _ => Step::Aggregate(g),
+        });
+        if q.distinct {
+            steps.push(Step::Distinct((0..q.select.len()).collect()));
+        }
+        // ORDER BY a name the aggregate does not emit orders nothing.
+        if let Some((ov, asc)) = &q.order_by {
+            if let Some(col) = project.iter().position(|(n, _)| n == ov) {
+                steps.push(Step::Sort { col, asc: *asc });
+            }
+        }
+        project
     } else {
-        let names: Vec<String> = if q.star {
-            vars.clone()
+        let names: Vec<&String> = if q.star {
+            vars.iter().collect()
         } else {
             q.select
                 .iter()
                 .filter_map(|s| match s {
-                    SelectItem::Var(v) => Some(v.clone()),
-                    _ => None,
+                    SelectItem::Var(v) => Some(v),
+                    SelectItem::Agg { .. } => None,
                 })
                 .collect()
         };
-        names
-            .into_iter()
-            .map(|n| {
-                let i = vars
-                    .iter()
-                    .position(|v| v == &n)
-                    .ok_or_else(|| RdfError::Eval(format!("unknown select variable ?{n}")))?;
-                Ok((n, i))
-            })
-            .collect::<Result<_, RdfError>>()?
-    };
-    let group_by: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|v| {
-            vars.iter()
-                .position(|x| x == v)
-                .ok_or_else(|| RdfError::Eval(format!("unknown group variable ?{v}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let order_by = match &q.order_by {
-        Some((ov, asc)) => {
-            let oi = vars
-                .iter()
-                .position(|v| v == ov)
-                .ok_or_else(|| RdfError::Eval(format!("unknown order variable ?{ov}")))?;
-            Some((oi, *asc))
+        let column = |n: &String| vars.iter().position(|v| v == n).expect("SELECT variables are in the table");
+        let project: Vec<(String, usize)> = names.into_iter().map(|n| (n.clone(), column(n))).collect();
+        match (order_by, q.limit) {
+            // DISTINCT dedups after the sort: a heap would under-produce.
+            (Some((col, asc)), Some(limit)) if !q.distinct => {
+                topk = true;
+                steps.push(Step::TopK { col, asc, offset: q.offset.unwrap_or(0), limit });
+            }
+            (Some((col, asc)), _) => steps.push(Step::Sort { col, asc }),
+            (None, _) => {}
         }
-        None => None,
+        if q.distinct {
+            steps.push(Step::Distinct(project.iter().map(|&(_, c)| c).collect()));
+        }
+        project
     };
-
-    Ok(Plan {
-        vars,
-        patterns: q.patterns.clone(),
-        order,
-        slots,
-        optionals,
-        filters,
-        candidates,
-        region,
-        select: q.select.clone(),
-        star: q.star,
-        distinct: q.distinct,
-        projection,
-        has_agg,
-        group_by,
-        order_by,
-        limit: q.limit,
-        offset: q.offset,
-        impossible,
-    })
+    if !topk && (q.offset.is_some() || q.limit.is_some()) {
+        steps.push(Step::Slice { offset: q.offset.unwrap_or(0), limit: q.limit });
+    }
+    steps.push(Step::Project(project));
+    Ok(())
 }
 
 /// Plan a query against a concrete store (physical plan).
@@ -518,143 +533,107 @@ pub fn logical(q: &Query) -> Result<Plan, RdfError> {
     build(None, q, false)
 }
 
-fn pattern_term_str(t: &PatternTerm) -> String {
-    match t {
-        PatternTerm::Var(v) => format!("?{v}"),
-        PatternTerm::Const(c) => c.ntriples(),
-    }
-}
-
-fn pattern_str(p: &TriplePattern) -> String {
-    format!(
-        "{} {} {}",
-        pattern_term_str(&p.s),
-        pattern_term_str(&p.p),
-        pattern_term_str(&p.o)
-    )
-}
-
 impl Plan {
-    /// The name of the ORDER BY variable, if any (resolved back from the
-    /// column index).
-    pub fn order_by_name(&self) -> Option<(&str, bool)> {
-        self.order_by
-            .map(|(i, asc)| (self.vars[i].as_str(), asc))
+    /// The required patterns in join order: the `Scan` step's, then each
+    /// `Probe` step's (indices into [`Plan::patterns`]).
+    pub fn join_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Scan(pi) | Step::Probe(pi) => Some(*pi),
+            _ => None,
+        })
     }
 
-    /// Which executor route this plan takes (see [`FastPath`]). A pure
-    /// function of the plan shape: the executor and the serving tier's
-    /// `ee_rdf_fastpath_total{kind}` counter call this and always agree.
-    ///
-    /// Count fast paths additionally require every aggregated variable to
-    /// resolve in the variable table: an unknown `COUNT(?ghost)` stays on
-    /// the generic path, which reproduces the historical semantics of
-    /// erroring only when at least one group exists.
-    pub fn fast_path(&self) -> FastPath {
-        if self.has_agg || !self.group_by.is_empty() {
-            let resolvable = |var: &Option<String>| match var {
-                None => true,
-                Some(v) => self.vars.iter().any(|x| x == v),
-            };
-            if self.group_by.is_empty() {
-                if let [SelectItem::Agg { func: AggFunc::Count, var, .. }] =
-                    self.select.as_slice()
-                {
-                    if resolvable(var) {
-                        return FastPath::FastCount;
-                    }
-                }
-                return FastPath::Aggregate;
-            }
-            let all_count = self.has_agg
-                && self.select.iter().all(|item| match item {
-                    SelectItem::Var(_) => true,
-                    SelectItem::Agg { func: AggFunc::Count, var, .. } => resolvable(var),
-                    SelectItem::Agg { .. } => false,
-                });
-            if all_count {
-                FastPath::GroupCount
-            } else {
-                FastPath::Aggregate
-            }
-        } else if self.order_by.is_some() {
-            if self.limit.is_some() && !self.distinct {
-                FastPath::TopK
-            } else {
-                FastPath::FullSort
-            }
-        } else {
-            FastPath::Stream
-        }
+    /// The route this plan takes, one of [`ROUTES`]: the label of its
+    /// first blocking step, or `"stream"` when every step streams. A pure
+    /// function of the steps, so the executor and the serving tier's
+    /// `ee_rdf_fastpath_total{kind}` counter always agree.
+    pub fn route(&self) -> &'static str {
+        self.steps.iter().find_map(Step::route).unwrap_or("stream")
     }
 
-    /// A stable human-readable rendering of the chosen plan, for
-    /// inspection and snapshot tests. Deliberately excludes anything that
-    /// varies with store content beyond the join order itself (no
-    /// cardinalities, no candidate counts).
+    /// A stable human-readable rendering of the plan, one numbered line
+    /// per step, for inspection and snapshot tests. Deliberately excludes
+    /// anything that varies with store content beyond the join order
+    /// itself (no cardinalities, no candidate counts).
     pub fn describe(&self) -> String {
+        // Column names of the rows a step reads: the variable table, then
+        // an aggregate's output columns.
+        let mut names: Vec<&str> = self.vars.iter().map(String::as_str).collect();
         let mut s = String::new();
-        s.push_str("join order:\n");
-        for (step, &pi) in self.order.iter().enumerate() {
-            s.push_str(&format!("  {step}: {}", pattern_str(&self.patterns[pi])));
-            if let Some([_, _, Slot::Var(v)]) = self.slots.get(pi) {
-                if self.candidates.contains_key(v) {
-                    s.push_str(&format!(" [pushdown ?{}]", self.vars[*v]));
+        for (i, step) in self.steps.iter().enumerate() {
+            let cols = |cols: &[usize]| {
+                cols.iter().map(|&c| format!("?{}", names[c])).collect::<Vec<_>>().join(" ")
+            };
+            let dir = |asc: bool| if asc { "asc" } else { "desc" };
+            let line = match step {
+                Step::Scan(pi) => format!("scan {}", self.pattern_line(*pi)),
+                Step::Probe(pi) => format!("probe {}", self.pattern_line(*pi)),
+                Step::Filter(fi) => format!("filter {fi} on {}", cols(&self.filters[*fi].vars)),
+                Step::LeftJoin(ps) => {
+                    let ps: Vec<String> = ps.iter().map(|&pi| self.pattern_line(pi)).collect();
+                    format!("left join {}", ps.join(" . "))
                 }
+                Step::Distinct(cs) => format!("distinct {}", cols(cs)),
+                Step::TopK { col, asc, offset, limit } => {
+                    format!("topk ?{} {} offset {offset} limit {limit}", names[*col], dir(*asc))
+                }
+                Step::Sort { col, asc } => format!("sort ?{} {}", names[*col], dir(*asc)),
+                Step::Count(g) | Step::GroupCount(g) | Step::Aggregate(g) => {
+                    let kind = match step {
+                        Step::Count(_) => "count",
+                        Step::GroupCount(_) => "group count",
+                        _ => "aggregate",
+                    };
+                    let items: Vec<String> = g
+                        .items
+                        .iter()
+                        .map(|(name, item)| match item {
+                            Item::Key(k) => format!("?{}", self.vars[g.keys[*k]]),
+                            Item::Agg(func, arg) => {
+                                let arg = arg.map_or("*".into(), |c| format!("?{}", self.vars[c]));
+                                format!("{}({arg}) as ?{name}", format!("{func:?}").to_lowercase())
+                            }
+                            Item::Unknown(v) => format!("unknown ?{v} as ?{name}"),
+                        })
+                        .collect();
+                    let by = match g.keys.is_empty() {
+                        true => String::new(),
+                        false => format!(" by {}", cols(&g.keys)),
+                    };
+                    format!("{kind}{by}: {}", items.join(" "))
+                }
+                Step::Slice { offset, limit } => match limit {
+                    Some(limit) => format!("slice offset {offset} limit {limit}"),
+                    None => format!("slice offset {offset}"),
+                },
+                Step::Project(cols) => {
+                    let cols: Vec<String> = cols.iter().map(|(n, c)| format!("?{n}@{c}")).collect();
+                    format!("project {}", cols.join(" "))
+                }
+            };
+            s.push_str(&format!("{i}: {line}\n"));
+            if let Step::Count(g) | Step::GroupCount(g) | Step::Aggregate(g) = step {
+                names = g.items.iter().map(|(n, _)| n.as_str()).collect();
             }
-            s.push('\n');
-        }
-        for (gi, group) in self.optionals.iter().enumerate() {
-            s.push_str(&format!("optional group {gi}: {} patterns\n", group.len()));
-        }
-        for (fi, f) in self.filters.iter().enumerate() {
-            let vars: Vec<String> = f
-                .vars
-                .iter()
-                .map(|&v| format!("?{}", self.vars[v]))
-                .collect();
-            match f.apply_after {
-                Some(step) => s.push_str(&format!(
-                    "filter {fi} on {} after step {step}\n",
-                    vars.join(" ")
-                )),
-                None => s.push_str(&format!("filter {fi} on {} residual\n", vars.join(" "))),
-            }
-        }
-        if self.has_agg || !self.group_by.is_empty() {
-            s.push_str("aggregate\n");
-        } else {
-            let names: Vec<String> = self
-                .projection
-                .iter()
-                .map(|(n, i)| format!("?{n}@{i}"))
-                .collect();
-            s.push_str(&format!("project: {}\n", names.join(" ")));
-        }
-        if self.distinct {
-            s.push_str("distinct\n");
-        }
-        if let Some((oi, asc)) = self.order_by {
-            s.push_str(&format!(
-                "order by ?{} {}\n",
-                self.vars[oi],
-                if asc { "asc" } else { "desc" }
-            ));
-        }
-        if let Some(l) = self.limit {
-            s.push_str(&format!("limit {l}\n"));
-        }
-        if let Some(o) = self.offset {
-            s.push_str(&format!("offset {o}\n"));
-        }
-        // The routing decision, for non-default routes only: the plain
-        // pipelined path stays unannotated so historical plan snapshots
-        // keep their shape.
-        let fp = self.fast_path();
-        if fp != FastPath::Stream {
-            s.push_str(&format!("fastpath: {}\n", fp.label()));
         }
         s
+    }
+
+    /// A pattern as text, with the pushdown marker when its object
+    /// variable has a spatial candidate set.
+    fn pattern_line(&self, pi: usize) -> String {
+        let p = &self.patterns[pi];
+        let term = |t: &PatternTerm| match t {
+            PatternTerm::Var(v) => format!("?{v}"),
+            PatternTerm::Const(c) => c.ntriples(),
+        };
+        let mut line = format!("{} {} {}", term(&p.s), term(&p.p), term(&p.o));
+        if let Some([_, _, Slot::Var(v)]) = self.slots.get(pi) {
+            if self.candidates.contains_key(v) {
+                line.push_str(&format!(" [pushdown ?{}]", self.vars[*v]));
+            }
+        }
+        line
     }
 }
 
@@ -692,9 +671,9 @@ mod tests {
         .unwrap();
         let p = plan(&st, &q).unwrap();
         // ?x knows ?y has 1 match, ?y name ?n has 3: knows goes first.
-        assert_eq!(p.order, vec![0, 1]);
+        assert_eq!(p.join_order().collect::<Vec<_>>(), vec![0, 1]);
         // The filterless name join is step 1 with ?y bound.
-        assert!(p.describe().starts_with("join order:"));
+        assert_eq!(p.steps[..2], [Step::Scan(0), Step::Probe(1)]);
     }
 
     #[test]
@@ -707,10 +686,9 @@ mod tests {
         let p = plan(&st, &q).unwrap();
         assert_eq!(
             p.describe(),
-            "join order:\n\
-             \x20 0: ?x <http://e/knows> ?y\n\
-             \x20 1: ?y <http://e/name> ?n\n\
-             project: ?n@0\n"
+            "0: scan ?x <http://e/knows> ?y\n\
+             1: probe ?y <http://e/name> ?n\n\
+             2: project ?n@0\n"
         );
     }
 
@@ -726,12 +704,12 @@ mod tests {
         let p = plan(&st, &q).unwrap();
         assert_eq!(
             p.describe(),
-            "join order:\n\
-             \x20 0: ?s <http://e/hasGeometry> ?g [pushdown ?g]\n\
-             filter 0 on ?g after step 0\n\
-             aggregate\n\
-             fastpath: fast_count\n"
+            "0: scan ?s <http://e/hasGeometry> ?g [pushdown ?g]\n\
+             1: filter 0 on ?g\n\
+             2: count: count(?s) as ?n\n\
+             3: project ?n@0\n"
         );
+        assert_eq!(p.route(), "fast_count");
         assert!(p.region.is_some());
         assert_eq!(p.candidates.len(), 1);
     }
@@ -752,7 +730,7 @@ mod tests {
         assert!(post.filters[0].filter.decided().is_empty(), "the R-tree decides nothing");
         // The same join order over the same triple indexes, and the
         // same region for spatial source selection.
-        assert_eq!(post.order, pushed.order);
+        assert!(post.join_order().eq(pushed.join_order()));
         assert_eq!(post.region, pushed.region);
         assert_eq!(post.describe(), pushed.describe().replace(" [pushdown ?g]", ""));
     }
@@ -766,15 +744,19 @@ mod tests {
         )
         .unwrap();
         let p = plan(&st, &q).unwrap();
-        let f = &p.filters[0];
-        // ?n is bound by the name pattern; whichever step runs it first
-        // carries the filter.
+        // ?n is bound by the name pattern; the filter runs right after
+        // that pattern's step, whichever step that is.
         let name_step = p
-            .order
+            .steps
             .iter()
-            .position(|&pi| matches!(&q.patterns[pi].p, PatternTerm::Const(t) if t == &e("name")))
+            .position(|s| match s {
+                Step::Scan(pi) | Step::Probe(pi) => {
+                    matches!(&q.patterns[*pi].p, PatternTerm::Const(t) if t == &e("name"))
+                }
+                _ => false,
+            })
             .unwrap();
-        assert_eq!(f.apply_after, Some(name_step));
+        assert_eq!(p.steps[name_step + 1], Step::Filter(0));
     }
 
     #[test]
@@ -786,7 +768,54 @@ mod tests {
         )
         .unwrap();
         let p = plan(&st, &q).unwrap();
-        assert_eq!(p.filters[0].apply_after, None, "optional var → residual");
+        // Optional var → residual: the filter runs after the left-join.
+        assert_eq!(
+            p.describe(),
+            "0: scan ?x <http://e/knows> ?y\n\
+             1: left join ?x <http://e/name> ?n\n\
+             2: filter 0 on ?n\n\
+             3: project ?x@0\n"
+        );
+    }
+
+    #[test]
+    fn snapshot_aggregate_tail_plan() {
+        let st = store();
+        let q = parse_query(
+            "PREFIX e: <http://e/> SELECT DISTINCT ?x (COUNT(?y) AS ?n) (MIN(?m) AS ?lo) WHERE { \
+             ?x e:knows ?y . ?y e:name ?m } GROUP BY ?x ORDER BY DESC(?n) LIMIT 5 OFFSET 1",
+        )
+        .unwrap();
+        let p = plan(&st, &q).unwrap();
+        // After the aggregate, steps index its output columns.
+        assert_eq!(
+            p.describe(),
+            "0: scan ?x <http://e/knows> ?y\n\
+             1: probe ?y <http://e/name> ?m\n\
+             2: aggregate by ?x: ?x count(?y) as ?n min(?m) as ?lo\n\
+             3: distinct ?x ?n ?lo\n\
+             4: sort ?n desc\n\
+             5: slice offset 1 limit 5\n\
+             6: project ?x@0 ?n@1 ?lo@2\n"
+        );
+        assert_eq!(p.route(), "aggregate");
+    }
+
+    /// A SELECT variable outside the GROUP BY fails at plan time, before
+    /// any join runs, with or without an aggregate.
+    #[test]
+    fn aggregate_shape_is_checked_at_plan_time() {
+        let st = store();
+        for q_text in [
+            "PREFIX e: <http://e/> SELECT ?x (SUM(?n) AS ?s) WHERE { ?x e:name ?n . ?x e:knows ?y } GROUP BY ?y",
+            "PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:knows ?y } GROUP BY ?y",
+            "PREFIX e: <http://e/> SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x e:knows ?y } GROUP BY ?y",
+            "PREFIX e: <http://e/> SELECT ?x (COUNT(*) AS ?n) WHERE { ?x e:knows ?y }",
+        ] {
+            let q = parse_query(q_text).unwrap();
+            let err = plan_view(StoreView::from(&st), &q).unwrap_err();
+            assert_eq!(err, RdfError::Eval("?x selected but not in GROUP BY".into()), "{q_text}");
+        }
     }
 
     #[test]
@@ -796,10 +825,10 @@ mod tests {
         )
         .unwrap();
         let p = logical(&q).unwrap();
-        assert_eq!(p.order, vec![0, 1], "two consts beat one const");
+        assert_eq!(p.join_order().collect::<Vec<_>>(), vec![0, 1], "two consts beat one const");
         assert!(p.candidates.is_empty());
         assert!(!p.impossible);
-        assert_eq!(p.projection.len(), 2);
+        assert_eq!(p.steps.last(), Some(&Step::Project(vec![("f".into(), 0), ("n".into(), 1)])));
     }
 
     #[test]
@@ -807,60 +836,60 @@ mod tests {
         let st = store();
         let route = |q_text: &str| {
             let q = parse_query(q_text).unwrap();
-            plan(&st, &q).unwrap().fast_path()
+            plan(&st, &q).unwrap().route()
         };
         let cases = [
             // ORDER BY + LIMIT without DISTINCT: bounded heap.
             (
                 "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n } ORDER BY ?n LIMIT 2",
-                FastPath::TopK,
+                "topk",
             ),
             // OFFSET rides along with the heap (k + offset resident rows).
             (
                 "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n } ORDER BY DESC(?n) LIMIT 2 OFFSET 1",
-                FastPath::TopK,
+                "topk",
             ),
             // DISTINCT dedups after the sort — the heap would under-produce.
             (
                 "PREFIX e: <http://e/> SELECT DISTINCT ?n WHERE { ?x e:name ?n } ORDER BY ?n LIMIT 2",
-                FastPath::FullSort,
+                "full_sort",
             ),
             // No LIMIT: nothing to bound.
             (
                 "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n } ORDER BY ?n",
-                FastPath::FullSort,
+                "full_sort",
             ),
-            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", FastPath::FastCount),
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", "fast_count"),
             (
                 "PREFIX e: <http://e/> SELECT (COUNT(?y) AS ?n) WHERE { ?x e:knows ?y }",
-                FastPath::FastCount,
+                "fast_count",
             ),
             // Non-count aggregate: generic path.
             (
                 "PREFIX e: <http://e/> SELECT (MIN(?n) AS ?lo) WHERE { ?x e:name ?n }",
-                FastPath::Aggregate,
+                "aggregate",
             ),
             (
                 "PREFIX e: <http://e/> SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x e:knows ?y } GROUP BY ?x",
-                FastPath::GroupCount,
+                "group_count",
             ),
             // Grouped non-count aggregate: generic path.
             (
                 "PREFIX e: <http://e/> SELECT ?x (MIN(?y) AS ?lo) WHERE { ?x e:knows ?y } GROUP BY ?x",
-                FastPath::Aggregate,
+                "aggregate",
             ),
             (
                 "PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n } LIMIT 2",
-                FastPath::Stream,
+                "stream",
             ),
         ];
         for (q_text, want) in cases {
             assert_eq!(route(q_text), want, "{q_text}");
         }
         // Labels are stable — the metrics contract.
-        assert_eq!(FastPath::TopK.label(), "topk");
-        assert_eq!(FastPath::ALL.len(), 6);
-        let mut labels: Vec<&str> = FastPath::ALL.iter().map(|f| f.label()).collect();
+        assert_eq!(ROUTES[0], "topk");
+        assert_eq!(ROUTES.len(), 6);
+        let mut labels = ROUTES.to_vec();
         labels.dedup();
         assert_eq!(labels.len(), 6, "labels are distinct");
     }
@@ -873,11 +902,12 @@ mod tests {
         )
         .unwrap();
         let d = plan(&st, &q).unwrap().describe();
-        assert!(d.ends_with("fastpath: topk\n"), "{d}");
-        // The plain pipelined route stays unannotated.
-        let q = parse_query("PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n }").unwrap();
-        let d = plan(&st, &q).unwrap().describe();
-        assert!(!d.contains("fastpath"), "{d}");
+        assert!(d.ends_with("1: topk ?n asc offset 1 limit 2\n2: project ?n@0\n"), "{d}");
+        // The plain pipelined route has no blocking step.
+        let q = parse_query("PREFIX e: <http://e/> SELECT ?n WHERE { ?x e:name ?n } LIMIT 2").unwrap();
+        let p = plan(&st, &q).unwrap();
+        assert_eq!(p.describe(), "0: scan ?x <http://e/name> ?n\n1: slice offset 0 limit 2\n2: project ?n@0\n");
+        assert!(p.steps.iter().all(|s| s.route().is_none()));
     }
 
     #[test]
@@ -890,7 +920,7 @@ mod tests {
             "PREFIX e: <http://e/> SELECT (COUNT(?ghost) AS ?n) WHERE { ?x e:name ?m }",
         )
         .unwrap();
-        assert_eq!(plan(&st, &q).unwrap().fast_path(), FastPath::Aggregate);
+        assert_eq!(plan(&st, &q).unwrap().route(), "aggregate");
     }
 
     #[test]

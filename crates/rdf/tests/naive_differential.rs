@@ -7,16 +7,18 @@
 //! spatial predicates, unknown constants), `DISTINCT`, `ORDER BY`,
 //! `LIMIT`/`OFFSET` and `COUNT`/`SUM`/`AVG`/`MIN`/`MAX` with and without
 //! `GROUP BY`. Each query runs on the engine at 1 and 3 threads, planned
-//! with and without spatial pushdown, at the head and at every `AS OF` cut
-//! of the history, and must answer what [`ee_rdf::naive`] answers over
-//! the triples replayed to that cut.
+//! with and without spatial pushdown, and through the oracle
+//! ([`ee_rdf::exec::stream_plan_baseline`], the plan's fast steps
+//! rewritten to the generic ones) at 1 thread, at the head and at every
+//! `AS OF` cut of the history, and must answer what [`ee_rdf::naive`]
+//! answers over the triples replayed to that cut.
 //!
 //! Rows compare as multisets. Under `ORDER BY` the ordered column's
 //! sequence must match too. Under `LIMIT`/`OFFSET` the engine may keep any
 //! of the tied rows, so it must return as many rows as the naive answer,
 //! each drawn from the naive answer without the slice.
 
-use ee_rdf::exec::{execute_plan_view, Solutions};
+use ee_rdf::exec::{execute_plan_view, stream_plan_baseline, Solutions};
 use ee_rdf::parser::{parse_query, Query};
 use ee_rdf::plan::{plan_view, plan_without_pushdown};
 use ee_rdf::storage::{Store, ROOT_COMMIT_ID};
@@ -362,9 +364,13 @@ fn check(view: StoreView<'_>, triples: &[Triple], q: &Query, label: &str) {
     let unsliced = naive::evaluate(triples, &Query { limit: None, offset: None, ..q.clone() });
     for pushdown in [true, false] {
         let plan = if pushdown { plan_view(view, q) } else { plan_without_pushdown(view, q) };
-        for threads in [1, 3] {
-            let got = plan.clone().and_then(|p| execute_plan_view(view, Arc::new(p), threads));
-            let ctx = format!("{label} pushdown={pushdown} t={threads}");
+        let runs = [(1, false), (3, false), (1, true)];
+        for (threads, oracle) in runs {
+            let got = plan.clone().and_then(|p| match oracle {
+                false => execute_plan_view(view, Arc::new(p), threads),
+                true => stream_plan_baseline(view, Arc::new(p), threads).map(|mut s| s.collect(view)),
+            });
+            let ctx = format!("{label} pushdown={pushdown} t={threads} oracle={oracle}");
             match (&got, &want, &unsliced) {
                 (Ok(got), Ok(want), Ok(unsliced)) => {
                     if let Err(why) = agree(q, got, want, unsliced) {

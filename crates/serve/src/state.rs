@@ -35,7 +35,7 @@ use ee_raster::tile::pyramid;
 use ee_raster::Raster;
 use ee_rdf::exec::StreamCore;
 use ee_rdf::parser::Query;
-use ee_rdf::plan::FastPath;
+use ee_rdf::plan::ROUTES;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
 use ee_rdf::store::{Novelty, StoreView};
 use ee_rdf::term::{Term, TermRef};
@@ -62,6 +62,14 @@ pub const CATALOGUE_MODES: [&str; 3] = ["classic", "semantic", "ranked"];
 /// order of [`AppState::build_seconds`] (the `group` label of
 /// `ee_serve_build_seconds`).
 pub const BUILD_GROUPS: [&str; 3] = ["points", "catalogues", "rasters"];
+
+/// The HELP line of `ee_rdf_fastpath_total`: what each value of its
+/// `kind` label ([`ROUTES`], from [`ee_rdf::plan::Plan::route`]) means.
+const FASTPATH_HELP: &str = "# HELP ee_rdf_fastpath_total Query executions per route; kind is the \
+     label of the plan's first blocking step: topk (ORDER BY + LIMIT through a bounded heap), \
+     fast_count (a lone COUNT without GROUP BY), group_count (GROUP BY whose aggregates are all \
+     COUNTs), full_sort (ORDER BY as a global sort), aggregate (any other grouping or \
+     aggregate), stream (no blocking step)\n";
 
 /// Predicate whose literal objects are indexed into the ranked (BM25)
 /// search arm: committing `<s> eo:searchText "..."` through `/update`
@@ -179,9 +187,9 @@ pub struct AppState {
     /// Wall time each engine group took to build, in seconds, indexed
     /// like [`BUILD_GROUPS`].
     build_seconds: [f64; BUILD_GROUPS.len()],
-    /// Executions per [`FastPath`] kind, indexed by position in
-    /// [`FastPath::ALL`] (rendered as `ee_rdf_fastpath_total{kind}`).
-    fastpath: [AtomicU64; FastPath::ALL.len()],
+    /// Executions per route, indexed by position in [`ROUTES`]
+    /// (rendered as `ee_rdf_fastpath_total{kind}`).
+    fastpath: [AtomicU64; ROUTES.len()],
     /// Requests per `/catalogue/search` mode, indexed by position in
     /// [`CATALOGUE_MODES`].
     catalogue_mode_requests: [AtomicU64; CATALOGUE_MODES.len()],
@@ -416,12 +424,9 @@ impl AppState {
         &self.update_latency
     }
 
-    /// Executions recorded for one fast-path kind.
-    pub fn fastpath_count(&self, kind: FastPath) -> u64 {
-        let i = FastPath::ALL
-            .iter()
-            .position(|f| *f == kind)
-            .expect("every FastPath is in ALL");
+    /// Executions recorded for one route (a label of [`ROUTES`]).
+    pub fn fastpath_count(&self, route: &str) -> u64 {
+        let i = ROUTES.iter().position(|r| *r == route).expect("a label of ROUTES");
         self.fastpath[i].load(Ordering::Relaxed)
     }
 
@@ -550,14 +555,11 @@ impl AppState {
     /// describe.
     pub fn render_prometheus_section(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(
-            "# HELP ee_rdf_fastpath_total Query executions per executor fast path\n\
-             # TYPE ee_rdf_fastpath_total counter\n",
-        );
-        for (i, kind) in FastPath::ALL.iter().enumerate() {
+        out.push_str(FASTPATH_HELP);
+        out.push_str("# TYPE ee_rdf_fastpath_total counter\n");
+        for (i, kind) in ROUTES.iter().enumerate() {
             out.push_str(&format!(
-                "ee_rdf_fastpath_total{{kind=\"{}\"}} {}\n",
-                kind.label(),
+                "ee_rdf_fastpath_total{{kind=\"{kind}\"}} {}\n",
                 self.fastpath[i].load(Ordering::Relaxed)
             ));
         }
@@ -654,10 +656,10 @@ impl AppState {
     /// guard that plans it — and return a [`PinnedRead`] of it; `None`
     /// when `as_of` names no commit. A plan's ids and spatial candidate
     /// sets hold for its commit only, so every read is planned here (and
-    /// `ee_rdf_fastpath_total{kind}` counts every execution). For
-    /// non-aggregate, non-ORDER-BY queries no join work happens here: the
-    /// pipeline runs inside [`PinnedRead::drain_batch`], so a slow client
-    /// pauses the joins instead of buffering their output.
+    /// `ee_rdf_fastpath_total{kind}` counts every execution). For a plan
+    /// without blocking steps no join work happens here: the operators
+    /// run inside [`PinnedRead::drain_batch`], so a slow client pauses
+    /// the joins instead of buffering their output.
     pub fn query(&self, q: &Query, as_of: Option<u64>) -> Option<Result<PinnedRead, RdfError>> {
         let store = self.store();
         let head = store.head_commit();
@@ -665,8 +667,8 @@ impl AppState {
         let novelty = store.as_of(commit)?;
         let view = StoreView::with_novelty(&store, &novelty);
         let core = ee_rdf::plan::plan_view(view, q).and_then(|plan| {
-            let i = FastPath::ALL.iter().position(|f| *f == plan.fast_path());
-            self.fastpath[i.expect("every FastPath is in ALL")].fetch_add(1, Ordering::Relaxed);
+            let i = ROUTES.iter().position(|r| *r == plan.route());
+            self.fastpath[i.expect("a label of ROUTES")].fetch_add(1, Ordering::Relaxed);
             let threads = ee_util::par::available_threads();
             ee_rdf::exec::stream_plan_shared(view, Arc::new(plan), threads)
         });
@@ -1291,11 +1293,21 @@ mod tests {
             &state,
             "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:hasGeometry ?g }",
         );
-        assert_eq!(state.fastpath_count(FastPath::FastCount), 2);
-        assert_eq!(state.fastpath_count(FastPath::TopK), 1);
-        assert_eq!(state.fastpath_count(FastPath::Stream), 1);
-        assert_eq!(state.fastpath_count(FastPath::FullSort), 0);
+        assert_eq!(state.fastpath_count("fast_count"), 2);
+        assert_eq!(state.fastpath_count("topk"), 1);
+        assert_eq!(state.fastpath_count("stream"), 1);
+        assert_eq!(state.fastpath_count("full_sort"), 0);
         let section = state.render_prometheus_section();
+        // The label contract: the HELP line names `kind` and all six
+        // values.
+        assert!(section.contains(
+            "# HELP ee_rdf_fastpath_total Query executions per route; kind is the label of the \
+             plan's first blocking step: topk (ORDER BY + LIMIT through a bounded heap), \
+             fast_count (a lone COUNT without GROUP BY), group_count (GROUP BY whose aggregates \
+             are all COUNTs), full_sort (ORDER BY as a global sort), aggregate (any other \
+             grouping or aggregate), stream (no blocking step)\n\
+             # TYPE ee_rdf_fastpath_total counter\n"
+        ));
         assert!(section.contains("ee_rdf_fastpath_total{kind=\"fast_count\"} 2"));
         assert!(section.contains("ee_rdf_fastpath_total{kind=\"topk\"} 1"));
         assert!(section.contains("ee_rdf_fastpath_total{kind=\"group_count\"} 0"));
