@@ -1,5 +1,5 @@
 //! The experiment harness: regenerates every E1–E12 table plus the E-k0
-//! kernel-throughput and E-s0 serving-tier tables.
+//! kernel-throughput table.
 //!
 //! ```text
 //! harness                 # run everything at Quick scale
@@ -7,26 +7,15 @@
 //! harness --full          # the EXPERIMENTS.md scale
 //! harness e2 e3 --full    # selected experiments
 //! harness kernels --full  # kernel throughput; also writes BENCH_PR1.json
-//! harness e-s0 --full     # serving tier; writes BENCH_PR2/PR4/PR5.json
 //! harness e3 --threads 4  # join threads sweep up to 4; writes BENCH_PR3.json
-//! harness e-k6            # top-k + BM25 sweeps; writes BENCH_PR6.json
-//! harness e-w7 --quick    # durable store; writes BENCH_PR7.json
-//! harness e-c8 --quick    # C10K event serve tier; writes BENCH_PR8.json
-//! harness e-f9 --shards 4 # sharded scatter-gather; writes BENCH_PR9.json
-//! harness e-t10 --quick   # versioned time-travel; writes BENCH_PR10.json
 //! ```
 //!
 //! Unknown experiment ids and unknown flags are rejected up front, before
-//! anything runs; `--threads` and `--shards` must be positive integers.
-//! The E3 threads sweep asserts each parallel run bit-identical to
-//! serial, and the E-f9 shard sweep asserts routed answers identical to
-//! an unsharded reference process; both abort (non-zero exit) on
-//! divergence.
+//! anything runs; `--threads` must be a positive integer. The E3 threads
+//! sweep asserts each parallel run bit-identical to serial and aborts
+//! (non-zero exit) on divergence.
 
-use ee_bench::{
-    e3_complexity, e_c8_event, e_f9_shard, e_k6_topk, e_s0_serve, e_t10, e_w7_store, kernels, run,
-    Scale, ALL,
-};
+use ee_bench::{e3_complexity, kernels, run, Scale, ALL};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,15 +28,11 @@ fn main() {
     // Validate flags (and pull out --threads' value) before running
     // anything.
     let mut max_threads: Option<usize> = None;
-    let mut max_shards: Option<usize> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => {}
-            // Quick is already the default; the explicit spelling lets
-            // scripts (verify.sh's E-w7 smoke) state the scale they mean.
-            "--quick" => {}
             "--threads" => {
                 let Some(v) = it.next() else {
                     eprintln!("[harness] --threads needs a value, e.g. --threads 4");
@@ -61,23 +46,9 @@ fn main() {
                     }
                 }
             }
-            "--shards" => {
-                let Some(v) = it.next() else {
-                    eprintln!("[harness] --shards needs a value, e.g. --shards 4");
-                    std::process::exit(2);
-                };
-                match v.parse::<usize>() {
-                    Ok(s) if (1..=16).contains(&s) => max_shards = Some(s),
-                    _ => {
-                        eprintln!("[harness] --shards must be an integer in 1..=16, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             other if other.starts_with("--") => {
                 eprintln!(
-                    "[harness] unknown flag {other:?}; known: --full, --quick, --list, \
-                     --threads N, --shards N"
+                    "[harness] unknown flag {other:?}; known: --full, --list, --threads N"
                 );
                 std::process::exit(2);
             }
@@ -112,36 +83,13 @@ fn main() {
         let start = std::time::Instant::now();
         // The two bench-artifact experiments run once, feeding both the
         // printed table and their JSON file.
-        let json_artifacts: Vec<(&str, ee_util::json::Json)> = match id {
+        let artifact: Option<(&str, ee_util::json::Json)> = match id {
             "kernels" => {
                 let (tables, json) = kernels::report(scale);
                 for t in tables {
                     println!("{}", t.markdown());
                 }
-                vec![("BENCH_PR1.json", json)]
-            }
-            "e-s0" => {
-                let (tables, json) = e_s0_serve::report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                // The streaming stage feeds its own artifact.
-                let (tables, streaming_json) = e_s0_serve::streaming_report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                // The query-streaming TTFB stage does too; its internal
-                // streamed-vs-collected identity check panics (non-zero
-                // exit) on divergence.
-                let (tables, query_json) = e_s0_serve::query_streaming_report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![
-                    ("BENCH_PR2.json", json),
-                    ("BENCH_PR4.json", streaming_json),
-                    ("BENCH_PR5.json", query_json),
-                ]
+                Some(("BENCH_PR1.json", json))
             }
             "e3" => {
                 let max = max_threads.unwrap_or_else(|| {
@@ -151,65 +99,17 @@ fn main() {
                 for t in tables {
                     println!("{}", t.markdown());
                 }
-                vec![("BENCH_PR3.json", json)]
-            }
-            "e-k6" => {
-                // Panics inside on any top-k or BM25 identity divergence,
-                // so verify.sh sees a non-zero exit.
-                let (tables, json) = e_k6_topk::report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![("BENCH_PR6.json", json)]
-            }
-            "e-w7" => {
-                // The in-bench crash-recovery check panics on any
-                // divergence, so verify.sh sees a non-zero exit.
-                let (tables, json) = e_w7_store::report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![("BENCH_PR7.json", json)]
-            }
-            "e-c8" => {
-                // The in-bench stalled-reader backpressure check panics
-                // on unbounded buffering, so verify.sh sees a non-zero
-                // exit.
-                let (tables, json) = e_c8_event::report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![("BENCH_PR8.json", json)]
-            }
-            "e-f9" => {
-                // Launches real ee-serve shard + router processes; every
-                // identity check (routed vs unsharded reference) panics
-                // on divergence, so verify.sh sees a non-zero exit.
-                let (tables, json) = e_f9_shard::report(scale, max_shards.unwrap_or(4));
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![("BENCH_PR9.json", json)]
-            }
-            "e-t10" => {
-                // Every as-of identity, 304-zero-store-reads, and
-                // catalogue-freshness check panics on divergence, so
-                // verify.sh sees a non-zero exit.
-                let (tables, json) = e_t10::report(scale);
-                for t in tables {
-                    println!("{}", t.markdown());
-                }
-                vec![("BENCH_PR10.json", json)]
+                Some(("BENCH_PR3.json", json))
             }
             _ => {
                 let tables = run(id, scale).expect("id validated above");
                 for t in tables {
                     println!("{}", t.markdown());
                 }
-                Vec::new()
+                None
             }
         };
-        for (path, json) in json_artifacts {
+        if let Some((path, json)) = artifact {
             match std::fs::write(path, json.emit_pretty() + "\n") {
                 Ok(()) => eprintln!("[harness] wrote {path}"),
                 Err(e) => eprintln!("[harness] could not write {path}: {e}"),

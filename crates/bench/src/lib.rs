@@ -3,31 +3,17 @@
 //! regenerated at laptop scale.
 //!
 //! Each experiment module exposes a `run(scale) -> Vec<Table>` used by the
-//! `harness` binary, which prints the EXPERIMENTS.md tables. Two extra
-//! experiments ride along: [`kernels`] (`E-k0`) times the parallel compute
-//! kernels against their serial references (writes `BENCH_PR1.json`), and
-//! [`e_s0_serve`] (`E-s0`) load-tests the `ee-serve` serving tier over real
-//! sockets (writes `BENCH_PR2.json`). [`e_w7_store`] (`E-w7`) measures
-//! the durable store's cold-start, write-while-serve latency, and crash
-//! recovery (writes `BENCH_PR7.json`). [`e_c8_event`] (`E-c8`) measures
-//! the event-driven serve tier holding thousands of mostly-idle
-//! keep-alive connections and a stalled streaming reader (writes
-//! `BENCH_PR8.json`). [`e_f9_shard`] (`E-f9`) launches N real `ee-serve`
-//! shard processes behind the scatter-gather router and checks routed
-//! answers byte-for-byte against an unsharded reference (writes
-//! `BENCH_PR9.json`). [`e_t10`] (`E-t10`) machine-checks versioned
-//! `?asOf=` reads against replayed stores and measures the pinned
-//! versioned-read cache under writes (writes `BENCH_PR10.json`). The
-//! [`table::Table`] type renders GitHub-flavoured markdown.
+//! `harness` binary, which prints the EXPERIMENTS.md tables. One extra
+//! experiment rides along: [`kernels`] (`E-k0`) times the parallel compute
+//! kernels against their serial references (writes `BENCH_PR1.json`). The
+//! serving tier's performance instrument is the benchmark suite under
+//! `src/bin/suite/` (see `BENCHMARK.json`); [`e_f9_shard`] keeps only the
+//! `ee-serve` binary lookup it imports. The [`table::Table`] type renders
+//! GitHub-flavoured markdown.
 
 pub mod table;
 
-pub mod e_c8_event;
 pub mod e_f9_shard;
-pub mod e_k6_topk;
-pub mod e_s0_serve;
-pub mod e_t10;
-pub mod e_w7_store;
 pub mod kernels;
 
 pub mod e1_extraction;
@@ -53,9 +39,8 @@ pub enum Scale {
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 19] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "kernels", "e-s0",
-    "e-k6", "e-w7", "e-c8", "e-f9", "e-t10",
+pub const ALL: [&str; 13] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "kernels",
 ];
 
 /// Run one experiment by id.
@@ -74,12 +59,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Vec<table::Table>> {
         "e11" => Some(e11_water::run(scale)),
         "e12" => Some(e12_seaice::run(scale)),
         "kernels" => Some(kernels::run(scale)),
-        "e-s0" => Some(e_s0_serve::run(scale)),
-        "e-k6" => Some(e_k6_topk::run(scale)),
-        "e-w7" => Some(e_w7_store::run(scale)),
-        "e-c8" => Some(e_c8_event::run(scale)),
-        "e-f9" => Some(e_f9_shard::run(scale)),
-        "e-t10" => Some(e_t10::run(scale)),
         _ => None,
     }
 }

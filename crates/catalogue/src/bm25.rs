@@ -14,8 +14,8 @@
 //!   independent of corpus size for selective terms.
 //! * [`ScanSearcher`] — the brute-force reference: every query walks
 //!   every document. O(docs × terms) per query, kept as the correctness
-//!   oracle (tests and the E-k6 harness assert exact equality) and as the
-//!   latency baseline BM25 is measured against.
+//!   oracle (tests assert exact equality) and as the latency baseline
+//!   BM25 is measured against.
 //!
 //! ## Scoring
 //!

@@ -38,7 +38,7 @@
 //! * [`stream_plan_baseline`] is the oracle: the same executor over the
 //!   plan's steps rewritten to the generic ones they replace (`TopK` →
 //!   `Sort` + `Slice`, `Count`/`GroupCount` → `Aggregate`), for the
-//!   equivalence tests and the E-k6 harness.
+//!   equivalence tests.
 
 use crate::batch::{Batch, UNBOUND};
 use crate::dict::Dictionary;
@@ -510,8 +510,7 @@ pub fn stream_plan_shared<'s>(
 /// The oracle: [`stream_plan_shared`] over the plan's steps rewritten to
 /// the generic ones they replace — `TopK` to `Sort` + `Slice`, `Count` and
 /// `GroupCount` to `Aggregate`. Results are bit-identical; only the work
-/// differs. The fast-path equivalence tests and the E-k6 harness compare
-/// against it.
+/// differs. The fast-path equivalence tests compare against it.
 pub fn stream_plan_baseline<'s>(
     store: impl Into<StoreView<'s>>,
     plan: Arc<Plan>,
@@ -1358,16 +1357,19 @@ mod tests {
     /// The tentpole's memory bound: on the non-aggregate, non-ORDER path
     /// the first streamed batch is produced after touching only O(batch)
     /// probe rows — not the full result set — and the resident-row
-    /// high-water mark stays O(batch) even after a full drain.
+    /// high-water mark stays O(batch) even after a full drain, whose rows
+    /// equal a one-thread collect.
     #[test]
     fn first_batch_touches_o_batch_probe_rows() {
         let mut st = TripleStore::new();
         let near = e("near");
         let poi = e("poi");
         let name = e("name");
+        let geo = e("geo");
         for i in 0..10_000u32 {
             let s = e(&format!("s{i}"));
             st.insert(&s, &near, &e(&format!("s{}", (i + 1) % 10_000)));
+            st.insert(&s, &geo, &Term::wkt(format!("POINT ({} {})", i % 100, i / 100)));
             if i < 500 {
                 st.insert(&s, &poi, &e("marker"));
             }
@@ -1375,9 +1377,16 @@ mod tests {
                 st.insert(&s, &name, &Term::string(format!("site {i}")));
             }
         }
-        let cases: [(&str, usize); 2] = [
+        let cases: [(&str, usize); 3] = [
             // Single-pattern scan over 10k matches.
             ("PREFIX e: <http://e/> SELECT ?s ?t WHERE { ?s e:near ?t }", 10_000),
+            // Spatial window over every point: R-tree candidates stream
+            // through the exact filter batch by batch.
+            (
+                "PREFIX e: <http://e/> SELECT ?s ?g WHERE { ?s e:geo ?g . \
+                 FILTER(geof:sfWithin(?g, \"POLYGON ((-1 -1, 101 -1, 101 101, -1 101, -1 -1))\"^^geo:wktLiteral)) }",
+                10_000,
+            ),
             // Dense two-pattern join (hash-probe eligible: build side < cap).
             (
                 "PREFIX e: <http://e/> SELECT ?s ?n WHERE { ?s e:poi ?x . ?s e:name ?n }",
@@ -1402,11 +1411,13 @@ mod tests {
                     "t={t} {q_text}: peak resident {} rows after first batch",
                     core.peak_resident_rows()
                 );
-                let mut rows = first.len();
+                let mut rows = first;
                 while let Some(b) = core.next_batch(&st) {
-                    rows += b.len();
+                    rows.extend(b);
                 }
-                assert_eq!(rows, total, "t={t} {q_text}");
+                assert_eq!(rows.len(), total, "t={t} {q_text}");
+                let serial = execute_plan_view(&st, Arc::clone(&plan), 1).unwrap();
+                assert!(rows == serial.rows, "t={t} {q_text}: streamed != serial collect");
                 assert!(
                     core.peak_resident_rows() <= bound,
                     "t={t} {q_text}: full drain kept {} rows resident (> {bound})",

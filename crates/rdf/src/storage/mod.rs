@@ -88,7 +88,7 @@ pub struct CommitStats {
     pub wal_bytes: u64,
 }
 
-/// Bulk-load timing, for the E-w7 ingest benchmark.
+/// Bulk-load timing.
 #[derive(Debug, Clone, Copy)]
 pub struct BulkLoadStats {
     /// Triples loaded (after dedup).
@@ -563,7 +563,7 @@ impl Store {
 }
 
 /// Serialise every triple in N-Triples syntax (the interchange format
-/// the E-w7 cold-rebuild benchmark parses back in).
+/// [`load_ntriples`] parses back in).
 pub fn export_ntriples(store: &TripleStore) -> String {
     let mut out = String::new();
     for (s, p, o) in store.triples() {
@@ -873,8 +873,16 @@ mod tests {
     #[test]
     fn bulk_load_builds_snapshot_without_wal_records() {
         let dir = test_dir("bulk");
+        // Every third triple a point geometry: the snapshot carries the
+        // spatial index's input too.
         let triples: Vec<GroundTriple> = (0..5000)
-            .map(|i| (e(&format!("s{i}")), e("p"), Term::integer(i)))
+            .map(|i| match i % 3 {
+                0 => {
+                    let point = Term::wkt(format!("POINT ({} {})", i % 100, i / 100));
+                    (e(&format!("s{i}")), e("geo"), point)
+                }
+                _ => (e(&format!("s{i}")), e("p"), Term::integer(i)),
+            })
             .collect();
         let (st, stats) =
             Store::bulk_load(&dir, triples, Durability::NoSync, None).unwrap();
@@ -885,6 +893,8 @@ mod tests {
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert_eq!(st.len(), 5000);
         assert_eq!(st.generation(), 0);
+        let all = ee_geo::Envelope::new(-1.0, -1.0, 101.0, 101.0);
+        assert_eq!(st.spatial_candidates(&all).len(), 1667, "geometries indexed after reopen");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,12 +25,11 @@
 //! [`metrics`] counters and latency histograms, [`server`] the
 //! poll-driven event-loop shards (C10K tier) over a worker pool,
 //! [`loadgen`] the one load generator (a poll-driven fleet of
-//! nonblocking client connections, closed loop for E-s0, open loop for
-//! E-c8 and E-f9), [`shard`] the scale-out router tier
-//! (`--router`): scatter-gather `/query` over N shard processes with
-//! canonical merges, consistent-hash forwarding for `/tiles` and
-//! `/ice`, per-shard deadlines with partial results, and hedged
-//! requests against slow shards.
+//! nonblocking client connections, in open or closed loop), [`shard`]
+//! the scale-out router tier (`--router`): scatter-gather `/query` over
+//! N shard processes with canonical merges, consistent-hash forwarding
+//! for `/tiles` and `/ice`, per-shard deadlines with partial results,
+//! and hedged requests against slow shards.
 
 pub mod cache;
 pub mod http;

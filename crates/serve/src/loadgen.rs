@@ -10,12 +10,10 @@
 //!   requests wait in a client-side FIFO — nothing is dropped — and
 //!   latency is timed from the due time, so queueing shows up in the
 //!   numbers instead of silently throttling the generator. This is the
-//!   C10K client model behind E-c8 (a mostly idle fleet, rate ≪
-//!   connections) and the E-f9 router sweeps.
+//!   C10K client model: a mostly idle fleet, rate ≪ connections.
 //! * **Closed loop** ([`Arrivals::Closed`]): the same loop, where a
 //!   request is due the moment a reply frees its connection, so offered
-//!   load adapts to service rate — the client model behind E-s0's
-//!   concurrency sweep.
+//!   load adapts to service rate.
 //!
 //! [`ConnMode::KeepAlive`] reuses each connection; [`ConnMode::PerRequest`]
 //! sends `connection: close`, so every request arrives on a new

@@ -23,14 +23,13 @@
 //! shard's subject-hash slice of the point store; `--router a,b,c`
 //! (or `EE_SERVE_BACKENDS`) turns the process into the scatter-gather
 //! router tier over those shard addresses (read-only, response cache
-//! off — freshness belongs to the shards). `EE_SERVE_SLOW_EVERY` /
-//! `EE_SERVE_SLOW_MS` arm the slow-shard fault injector on `/query`.
+//! off — freshness belongs to the shards).
 //! `EE_SERVE_WORKERS` overrides the resolve-worker count (default: one
 //! per CPU, capped at 8) — benches pin it so results don't depend on
 //! the machine's core count.
 //!
 //! On successful bind the process prints `LISTENING <addr>` on stdout —
-//! the line a supervising process (the E-f9 harness) parses to learn
+//! the line a supervising process (the benchmark suite) parses to learn
 //! the ephemeral port.
 
 use ee_serve::{start, AppState, DataConfig, RouterTier, ServerConfig};
@@ -138,14 +137,6 @@ fn main() {
         _ => AppState::build(data),
     };
     state.writable = writable;
-    state.slow_every = env_u64("EE_SERVE_SLOW_EVERY");
-    state.slow_ms = env_u64("EE_SERVE_SLOW_MS");
-    if state.slow_every > 0 {
-        eprintln!(
-            "ee-serve: slow-shard injector armed (every {} queries sleep {} ms)",
-            state.slow_every, state.slow_ms
-        );
-    }
     let router = backends.is_some();
     if let Some(addrs) = backends {
         state.router = Some(RouterTier::new(&addrs, Default::default()));
@@ -184,7 +175,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Machine-parsable bind announcement (the E-f9 harness reads this).
+    // Machine-parsable bind announcement (the benchmark suite reads this).
     println!("LISTENING {}", handle.addr);
     eprintln!(
         "ee-serve: listening on http://{} ({} workers{}{}) — try /healthz, /query, /tiles/0/0/0",

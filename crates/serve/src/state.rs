@@ -208,11 +208,10 @@ pub struct AppState {
     /// Slow-shard fault injection: every `slow_every`-th `/query`
     /// execution sleeps [`slow_ms`](AppState::slow_ms) milliseconds
     /// (0 = off). Models a transient hiccup — most requests stay fast,
-    /// so a hedged retry lands on the fast path. Set from
-    /// `EE_SERVE_SLOW_EVERY` by the binary; used by the hedging
-    /// demonstration in E-f9.
+    /// so a hedged retry lands on the fast path. Set directly by the
+    /// router's hedging test.
     pub slow_every: u64,
-    /// Injected sleep in milliseconds (`EE_SERVE_SLOW_MS`).
+    /// Injected sleep in milliseconds.
     pub slow_ms: u64,
     /// Requests seen by the fault injector.
     slow_counter: AtomicU64,

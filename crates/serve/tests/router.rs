@@ -1,12 +1,14 @@
 //! End-to-end tests for the scale-out router tier over real sockets:
-//! a dead shard degrades the scatter to a partial result (flagged, not
-//! hung), a slow shard is beaten by a hedged duplicate request, and a
-//! shard restart behind the router's keep-alive pool is absorbed by the
+//! routed answers over N shards match one unsharded server, a dead shard
+//! degrades the scatter to a partial result (flagged, not hung), a slow
+//! shard is beaten by a hedged duplicate request, and a shard restart
+//! behind the router's keep-alive pool is absorbed by the
 //! stale-connection retry.
 
 use ee_federation::ScatterConfig;
 use ee_serve::http::read_response;
 use ee_serve::{start, AppState, DataConfig, RouterTier, ServerConfig};
+use ee_util::json::Json;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -14,13 +16,21 @@ use std::time::{Duration, Instant};
 
 fn shard_config(index: usize, count: usize) -> DataConfig {
     DataConfig {
+        shard: Some((index, count)),
+        ..unsharded_config()
+    }
+}
+
+/// The whole dataset every shard fleet splits.
+fn unsharded_config() -> DataConfig {
+    DataConfig {
         points: 600,
         products: 50,
         scene_size: 64,
         tile_size: 32,
         ice_size: 16,
         seed: 2019,
-        shard: Some((index, count)),
+        shard: None,
     }
 }
 
@@ -73,11 +83,117 @@ fn rows_target() -> String {
     format!("/query?limit=10000&sparql={}", sparql.replace(' ', "%20"))
 }
 
+fn count_target() -> String {
+    let sparql = "PREFIX e: <http://e/> SELECT (COUNT(?s) AS ?n) WHERE { ?s e:hasGeometry ?g }";
+    format!("/query?sparql={}", sparql.replace(' ', "%20"))
+}
+
+/// A `/query` body as (rows, each re-emitted as JSON text; `count`).
+fn rows_and_count(resp: &ee_serve::http::ClientResponse) -> (Vec<String>, u64) {
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let v = ee_util::json::parse(std::str::from_utf8(&resp.body).unwrap()).expect("valid JSON");
+    let rows = v.get("rows").and_then(Json::as_arr).expect("rows array");
+    let count = v.get("count").and_then(Json::as_u64).expect("count");
+    (rows.iter().map(Json::emit).collect(), count)
+}
+
+/// The integer a one-row COUNT body carries.
+fn count_value(resp: &ee_serve::http::ClientResponse) -> u64 {
+    let (rows, _) = rows_and_count(resp);
+    assert_eq!(rows.len(), 1, "COUNT answers one row: {rows:?}");
+    let row = ee_util::json::parse(&rows[0]).expect("row JSON");
+    row.as_arr().expect("row array")[0]
+        .as_str()
+        .expect("lexical form")
+        .parse()
+        .expect("integer count")
+}
+
 /// An address nothing listens on: bind an ephemeral port, then drop the
 /// listener so connects are refused immediately.
 fn dead_addr() -> SocketAddr {
     let l = TcpListener::bind("127.0.0.1:0").expect("bind");
     l.local_addr().expect("addr")
+}
+
+/// Routed answers over n ∈ {1, 2, 3} in-process shards against one
+/// unsharded server built from the same seed: the COUNT body is
+/// byte-identical, the row multiset and its count are equal, a capped
+/// read (`?limit=k` or a SPARQL `LIMIT k`) returns k reference rows with
+/// the reference's count, and the per-shard COUNTs are strict slices
+/// that sum to the reference COUNT.
+#[test]
+fn sharded_answers_match_the_unsharded_reference() {
+    let reference = start(server_config(), Arc::new(AppState::build(unsharded_config())))
+        .expect("start reference");
+    let ref_count = get(reference.addr, &count_target());
+    let total = count_value(&ref_count);
+    assert_eq!(total, 600);
+    let (mut ref_rows, ref_n) = rows_and_count(&get(reference.addr, &rows_target()));
+    ref_rows.sort_unstable();
+    let k = 7;
+    let rows_sparql = "PREFIX e: <http://e/> SELECT ?s ?g WHERE { ?s e:hasGeometry ?g }";
+    let capped = [
+        format!("/query?limit={k}&sparql={}", rows_sparql.replace(' ', "%20")),
+        format!("/query?sparql={}", format!("{rows_sparql} LIMIT {k}").replace(' ', "%20")),
+    ];
+    let ref_capped: Vec<u64> = capped
+        .iter()
+        .map(|t| rows_and_count(&get(reference.addr, t)).1)
+        .collect();
+    reference.shutdown();
+
+    for n in 1..=3 {
+        let shards: Vec<_> = (0..n)
+            .map(|i| {
+                start(server_config(), Arc::new(AppState::build(shard_config(i, n))))
+                    .expect("start shard")
+            })
+            .collect();
+        let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
+        let (router, _state) = start_router(&addrs, ScatterConfig::default());
+
+        let routed = get(router.addr, &count_target());
+        assert_eq!(routed.status, 200);
+        assert_eq!(
+            routed.body,
+            ref_count.body,
+            "n={n}: routed COUNT {} vs reference {}",
+            String::from_utf8_lossy(&routed.body),
+            String::from_utf8_lossy(&ref_count.body)
+        );
+
+        let (mut rows, count) = rows_and_count(&get(router.addr, &rows_target()));
+        rows.sort_unstable();
+        assert_eq!(count, ref_n, "n={n}: row count");
+        assert!(rows == ref_rows, "n={n}: routed row multiset differs from the reference");
+
+        for (target, want_count) in capped.iter().zip(&ref_capped) {
+            let (rows, count) = rows_and_count(&get(router.addr, target));
+            assert_eq!(rows.len(), k, "n={n}: {target}");
+            assert_eq!(count, *want_count, "n={n}: {target}");
+            for row in &rows {
+                assert!(ref_rows.binary_search(row).is_ok(), "n={n}: {row} not a reference row");
+            }
+        }
+
+        let per_shard: Vec<u64> = addrs
+            .iter()
+            .map(|&a| count_value(&get(a, &count_target())))
+            .collect();
+        assert_eq!(per_shard.iter().sum::<u64>(), total, "n={n}: {per_shard:?}");
+        if n > 1 {
+            assert!(
+                per_shard.iter().all(|&c| c > 0 && c < total),
+                "n={n}: every shard holds a strict, non-empty slice: {per_shard:?}"
+            );
+        }
+
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! End-to-end serving-tier tests over real localhost sockets: keep-alive
 //! reuse, cache hit/miss, per-request deadlines, and 503 admission
-//! shedding under overload — the behaviours E-s0 measures, asserted
-//! functionally here.
+//! shedding under overload.
 
 use ee_serve::http::read_response;
 use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};

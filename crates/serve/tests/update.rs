@@ -305,7 +305,8 @@ fn ranked_catalogue_never_serves_stale_hits_after_a_write() {
 
 #[test]
 fn versioned_reads_survive_commits_and_revalidate_as_304() {
-    let server = start(test_config(), writable_state()).expect("start");
+    let state = writable_state();
+    let server = start(test_config(), Arc::clone(&state)).expect("start");
     let (mut s, mut r) = connect(server.addr);
 
     // Commit a marker triple and capture the resulting commit id.
@@ -361,8 +362,21 @@ fn versioned_reads_survive_commits_and_revalidate_as_304() {
         "head entries are swept on commit"
     );
 
+    // Scraping /metrics takes no store read guard, so back-to-back
+    // scrapes agree on the counter.
+    let scrape_reads = |s: &mut TcpStream, r: &mut BufReader<TcpStream>| {
+        let text = String::from_utf8(get(s, r, "/metrics").body).unwrap();
+        text.lines()
+            .find_map(|l| l.strip_prefix("ee_serve_store_reads_total "))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .expect("ee_serve_store_reads_total")
+    };
+    let scraped = scrape_reads(&mut s, &mut r);
+    assert_eq!(scrape_reads(&mut s, &mut r), scraped, "a scrape reads no store");
+
     // Conditional revalidation against the unchanged commit id: 304,
-    // empty body, same tag.
+    // empty body, same tag — answered without touching the store.
+    let reads = state.store_reads();
     let _ = write!(
         s,
         "GET {pinned_target} HTTP/1.1\r\nhost: t\r\nconnection: keep-alive\r\n\
@@ -372,6 +386,7 @@ fn versioned_reads_survive_commits_and_revalidate_as_304() {
     let cond = read_response(&mut r).expect("response");
     assert_eq!(cond.status, 304);
     assert!(cond.body.is_empty(), "304 elides the body");
+    assert_eq!(state.store_reads(), reads, "the 304 took no store read guard");
     server.shutdown();
 }
 
