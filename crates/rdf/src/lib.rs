@@ -50,8 +50,8 @@
 //!   format (dictionary blocks + sorted triple segments), a hash-chained
 //!   commit log that is also the write-ahead log (torn-tail recovery),
 //!   and the [`storage::Store`] wrapper that ties them together. A
-//!   [`storage::ShardSpec`] filters bulk loads to one subject-hash
-//!   shard of a partitioned dataset;
+//!   [`storage::ShardSpec`] names one subject-hash shard of a
+//!   partitioned dataset;
 //! * [`naive`] — an independent nested-loop evaluator over a plain list
 //!   of term triples, sharing only the parser's AST, [`Term`] and
 //!   `ee_geo` with the engine: the pre-Strabon baseline of experiments

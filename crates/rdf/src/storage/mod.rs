@@ -31,7 +31,7 @@ pub mod segment;
 pub mod snapshot;
 
 use crate::store::{IdTriple, Novelty, TripleStore};
-use crate::term::{Term, TermRef, XSD_STRING};
+use crate::term::{Term, TermRef};
 use crate::update::{apply_delta, evaluate_update, Delta, GroundTriple};
 use crate::RdfError;
 use commitlog::{derive_record, CommitLog, WalCommit};
@@ -39,7 +39,6 @@ pub use commitlog::{CommitRecord, Durability, ROOT_COMMIT_ID};
 use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_FILE};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Errors from the storage layer: either the SPARQL side of an update
 /// or the filesystem side of durability.
@@ -86,17 +85,6 @@ pub struct CommitStats {
     /// Bytes appended to `commits.log` (0 for no-ops and ephemeral
     /// stores).
     pub wal_bytes: u64,
-}
-
-/// Bulk-load timing.
-#[derive(Debug, Clone, Copy)]
-pub struct BulkLoadStats {
-    /// Triples loaded (after dedup).
-    pub triples: usize,
-    /// Wall time for build + index + snapshot write.
-    pub elapsed: Duration,
-    /// `triples / elapsed` in triples per second.
-    pub triples_per_sec: f64,
 }
 
 /// One shard's slice of a logical dataset, by deterministic subject
@@ -171,15 +159,15 @@ impl CompactionPolicy {
         CompactionPolicy::default()
     }
 
-    /// Read `EE_WAL_COMPACT_BYTES` / `EE_WAL_COMPACT_COMMITS` from the
-    /// environment (unset, empty or unparsable → that trigger disabled).
+    /// Read `EE_WAL_COMPACT_COMMITS` from the environment (unset, empty
+    /// or unparsable → manual compaction only). The byte trigger is set
+    /// in code.
     pub fn from_env() -> Self {
-        fn parse(var: &str) -> Option<u64> {
-            std::env::var(var).ok()?.trim().parse().ok()
-        }
         CompactionPolicy {
-            max_wal_bytes: parse("EE_WAL_COMPACT_BYTES"),
-            max_commits: parse("EE_WAL_COMPACT_COMMITS"),
+            max_wal_bytes: None,
+            max_commits: std::env::var("EE_WAL_COMPACT_COMMITS")
+                .ok()
+                .and_then(|v| v.trim().parse().ok()),
         }
     }
 
@@ -338,47 +326,6 @@ impl Store {
         })
     }
 
-    /// Build a store from a triple stream and persist it in one step —
-    /// **without** per-triple commit records (the snapshot itself is the
-    /// durable copy). Reports load throughput.
-    ///
-    /// With a [`ShardSpec`], only the triples whose subject the spec
-    /// owns are kept: N shard processes can each stream the *same*
-    /// logical dataset and build/snapshot only their slice, without any
-    /// coordinator shipping data around. `triples_per_sec` then reports
-    /// kept-triples over wall time (the filter walks the whole stream).
-    pub fn bulk_load<I>(
-        dir: impl AsRef<Path>,
-        triples: I,
-        durability: Durability,
-        shard: Option<&ShardSpec>,
-    ) -> Result<(Self, BulkLoadStats), StoreError>
-    where
-        I: IntoIterator<Item = GroundTriple>,
-    {
-        let start = Instant::now();
-        let mut st = TripleStore::new();
-        for (s, p, o) in triples {
-            if let Some(spec) = shard {
-                if !spec.accepts(&s) {
-                    continue;
-                }
-            }
-            st.insert(&s, &p, &o);
-        }
-        st.pack();
-        let n = st.len();
-        let store = Self::create(dir, st, durability)?;
-        let elapsed = start.elapsed();
-        let secs = elapsed.as_secs_f64();
-        let stats = BulkLoadStats {
-            triples: n,
-            elapsed,
-            triples_per_sec: if secs > 0.0 { n as f64 / secs } else { f64::INFINITY },
-        };
-        Ok((store, stats))
-    }
-
     /// Monotonic change counter: bumps by one per effective commit,
     /// survives restarts. It is the head commit's generation (0 before
     /// any commit).
@@ -392,12 +339,6 @@ impl Store {
     /// stores, which is what makes it a sound ETag and cache key.
     pub fn head_commit(&self) -> u64 {
         self.history.last().map_or(ROOT_COMMIT_ID, |r| r.id)
-    }
-
-    /// Whether `id` names a commit in this store's history (the root id
-    /// always qualifies).
-    pub fn commit_known(&self, id: u64) -> bool {
-        id == ROOT_COMMIT_ID || self.history.iter().rev().any(|r| r.id == id)
     }
 
     /// The full commit history, oldest first.
@@ -559,115 +500,6 @@ impl Store {
     /// Snapshot folds performed by this instance (manual or automatic).
     pub fn compactions(&self) -> u64 {
         self.compactions
-    }
-}
-
-/// Serialise every triple in N-Triples syntax (the interchange format
-/// [`load_ntriples`] parses back in).
-pub fn export_ntriples(store: &TripleStore) -> String {
-    let mut out = String::new();
-    for (s, p, o) in store.triples() {
-        out.push_str(&s.ntriples());
-        out.push(' ');
-        out.push_str(&p.ntriples());
-        out.push(' ');
-        out.push_str(&o.ntriples());
-        out.push_str(" .\n");
-    }
-    out
-}
-
-/// Parse N-Triples text (the subset [`export_ntriples`] emits: IRIs and
-/// quoted literals with optional `^^<datatype>`) into a store.
-/// Returns the number of triple lines parsed.
-pub fn load_ntriples(store: &mut TripleStore, text: &str) -> io::Result<usize> {
-    let mut n = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut pos = 0;
-        let s = parse_nt_term(line, &mut pos)
-            .ok_or_else(|| nt_err(lineno, "bad subject"))?;
-        let p = parse_nt_term(line, &mut pos)
-            .ok_or_else(|| nt_err(lineno, "bad predicate"))?;
-        let o = parse_nt_term(line, &mut pos)
-            .ok_or_else(|| nt_err(lineno, "bad object"))?;
-        let rest = line[pos..].trim();
-        if rest != "." {
-            return Err(nt_err(lineno, "missing terminating '.'"));
-        }
-        store.insert(&s, &p, &o);
-        n += 1;
-    }
-    Ok(n)
-}
-
-fn nt_err(lineno: usize, msg: &str) -> io::Error {
-    encode::bad_data(&format!("N-Triples line {}: {msg}", lineno + 1))
-}
-
-/// Parse one term starting at `*pos` (after skipping spaces).
-fn parse_nt_term(line: &str, pos: &mut usize) -> Option<Term> {
-    let bytes = line.as_bytes();
-    while *pos < bytes.len() && bytes[*pos] == b' ' {
-        *pos += 1;
-    }
-    match bytes.get(*pos)? {
-        b'<' => {
-            let end = line[*pos..].find('>')? + *pos;
-            let iri = line[*pos + 1..end].to_string();
-            *pos = end + 1;
-            Some(Term::Iri(iri))
-        }
-        b'"' => {
-            // Rust-debug-style escapes, matching `Term::ntriples`.
-            let mut lexical = String::new();
-            let mut i = *pos + 1;
-            loop {
-                match *bytes.get(i)? {
-                    b'"' => break,
-                    b'\\' => {
-                        i += 1;
-                        match *bytes.get(i)? {
-                            b'n' => lexical.push('\n'),
-                            b't' => lexical.push('\t'),
-                            b'r' => lexical.push('\r'),
-                            b'0' => lexical.push('\0'),
-                            b'u' => {
-                                // \u{hex}
-                                if bytes.get(i + 1) != Some(&b'{') {
-                                    return None;
-                                }
-                                let close = line[i..].find('}')? + i;
-                                let cp = u32::from_str_radix(&line[i + 2..close], 16).ok()?;
-                                lexical.push(char::from_u32(cp)?);
-                                i = close;
-                            }
-                            other => lexical.push(other as char),
-                        }
-                        i += 1;
-                    }
-                    _ => {
-                        let c = line[i..].chars().next()?;
-                        lexical.push(c);
-                        i += c.len_utf8();
-                    }
-                }
-            }
-            *pos = i + 1;
-            let datatype = if line[*pos..].starts_with("^^<") {
-                let end = line[*pos..].find('>')? + *pos;
-                let dt = line[*pos + 3..end].to_string();
-                *pos = end + 1;
-                dt
-            } else {
-                XSD_STRING.to_string()
-            };
-            Some(Term::Literal { lexical, datatype })
-        }
-        _ => None,
     }
 }
 
@@ -870,29 +702,40 @@ mod tests {
         assert_eq!(st.log_len(), 0);
     }
 
+    /// `Store::create` persists a built store as a generation-0 snapshot
+    /// and an empty commit log, and nothing else: a reopen gets every
+    /// triple back from the snapshot, and the spatial index answers over
+    /// the reopened geometries.
     #[test]
-    fn bulk_load_builds_snapshot_without_wal_records() {
-        let dir = test_dir("bulk");
+    fn create_writes_a_snapshot_and_an_empty_log() {
+        let dir = test_dir("create");
         // Every third triple a point geometry: the snapshot carries the
         // spatial index's input too.
-        let triples: Vec<GroundTriple> = (0..5000)
-            .map(|i| match i % 3 {
+        let mut inner = TripleStore::new();
+        for i in 0..5000 {
+            let s = e(&format!("s{i}"));
+            match i % 3 {
                 0 => {
                     let point = Term::wkt(format!("POINT ({} {})", i % 100, i / 100));
-                    (e(&format!("s{i}")), e("geo"), point)
+                    inner.insert(&s, &e("geo"), &point);
                 }
-                _ => (e(&format!("s{i}")), e("p"), Term::integer(i)),
-            })
-            .collect();
-        let (st, stats) =
-            Store::bulk_load(&dir, triples, Durability::NoSync, None).unwrap();
-        assert_eq!(stats.triples, 5000);
-        assert!(stats.triples_per_sec > 0.0);
-        assert_eq!(st.log_len(), 0, "bulk load must not log per-triple records");
+                _ => inner.insert(&s, &e("p"), &Term::integer(i)),
+            }
+        }
+        inner.pack();
+        let st = Store::create(&dir, inner, Durability::NoSync).unwrap();
+        assert_eq!(st.log_len(), 0, "create logs no per-triple records");
         drop(st);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, [commitlog::COMMITS_FILE, SNAPSHOT_FILE]);
+        assert_eq!(std::fs::metadata(dir.join(commitlog::COMMITS_FILE)).unwrap().len(), 0);
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         assert_eq!(st.len(), 5000);
-        assert_eq!(st.generation(), 0);
+        assert_eq!((st.generation(), st.history().len()), (0, 0));
         let all = ee_geo::Envelope::new(-1.0, -1.0, 101.0, 101.0);
         assert_eq!(st.spatial_candidates(&all).len(), 1667, "geometries indexed after reopen");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -904,8 +747,11 @@ mod tests {
         // payload byte 8 (after the magic) is the index-mode byte. The
         // checksum is re-sealed, so only the mode byte can refuse it.
         let dir = test_dir("retired-mode");
-        let triples: Vec<GroundTriple> = (0..10).map(|i| (e(&format!("s{i}")), e("p"), Term::integer(i))).collect();
-        drop(Store::bulk_load(&dir, triples, Durability::NoSync, None).unwrap());
+        let mut inner = TripleStore::new();
+        for i in 0..10 {
+            inner.insert(&e(&format!("s{i}")), &e("p"), &Term::integer(i));
+        }
+        drop(Store::create(&dir, inner, Durability::NoSync).unwrap());
         let path = dir.join(SNAPSHOT_FILE);
         let written = std::fs::read(&path).unwrap();
         let len = u32::from_le_bytes(written[..4].try_into().unwrap()) as usize;
@@ -945,38 +791,6 @@ mod tests {
             let owners: Vec<usize> = (0..count).filter(|&k| specs[k].accepts(&s)).collect();
             assert_eq!(owners.len(), 1, "subject owned by exactly one shard");
             assert_eq!(owners[0], specs[0].owner(&s));
-        }
-    }
-
-    #[test]
-    fn sharded_bulk_loads_partition_the_dataset() {
-        let count = 3;
-        let n = 2000;
-        let triples = |_: usize| -> Vec<GroundTriple> {
-            (0..n)
-                .map(|i| (e(&format!("s{i}")), e("p"), Term::integer(i)))
-                .collect()
-        };
-        let mut total = 0;
-        let mut stores = Vec::new();
-        for k in 0..count {
-            let dir = test_dir(&format!("bulk-shard-{k}"));
-            let spec = ShardSpec::new(k, count);
-            let (st, stats) =
-                Store::bulk_load(&dir, triples(k), Durability::NoSync, Some(&spec))
-                    .unwrap();
-            assert_eq!(st.len(), stats.triples);
-            assert!(st.len() < n as usize, "a shard holds a strict slice");
-            total += st.len();
-            stores.push((st, spec, dir));
-        }
-        assert_eq!(total, n as usize, "slices are disjoint and exhaustive");
-        // Each shard holds exactly the subjects its spec accepts.
-        for (st, spec, dir) in &stores {
-            for (s, _, _) in st.triples() {
-                assert!(spec.accepts(s));
-            }
-            std::fs::remove_dir_all(dir).unwrap();
         }
     }
 
@@ -1047,10 +861,10 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), 3, "each commit gets a distinct id");
         for id in &durable_ids {
-            assert!(durable.commit_known(*id));
+            assert!(durable.as_of(*id).is_some());
         }
-        assert!(durable.commit_known(ROOT_COMMIT_ID));
-        assert!(!durable.commit_known(0xdead_beef));
+        assert!(durable.as_of(ROOT_COMMIT_ID).is_some());
+        assert!(durable.as_of(0xdead_beef).is_none());
         drop(durable);
         let st = Store::open_with(&dir, Durability::NoSync).unwrap();
         let reopened: Vec<u64> = st.history().iter().map(|r| r.id).collect();
@@ -1243,19 +1057,5 @@ mod tests {
         assert_eq!(st.generation(), 5);
         assert!(st.contains(&e("after"), &e("p"), &e("o")));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ntriples_export_import_round_trips() {
-        let mut st = TripleStore::new();
-        st.insert(&e("a"), &e("p"), &Term::string("line\nbreak \"quoted\" \\slash"));
-        st.insert(&e("a"), &e("v"), &Term::integer(-5));
-        st.insert(&e("a"), &e("g"), &Term::wkt("POINT (1 2)"));
-        let text = export_ntriples(&st);
-        let mut back = TripleStore::new();
-        assert_eq!(load_ntriples(&mut back, &text).unwrap(), 3);
-        for (s, p, o) in st.triples() {
-            assert!(back.contains(s, p, o), "{} missing", o.ntriples());
-        }
     }
 }

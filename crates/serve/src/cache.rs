@@ -55,8 +55,8 @@ struct Node {
     /// occupant of the slot are recognised and skipped.
     generation: u64,
     /// Pinned entries never expire and survive [`Shard::sweep_unpinned`]
-    /// — used for responses keyed by an immutable commit id, which stay
-    /// correct forever. They remain LRU-evictable: pinning is about
+    /// — used for immutable responses (tiles, ice, `?asOf=` reads), which
+    /// stay correct forever. They remain LRU-evictable: pinning is about
     /// invalidation semantics, not a memory guarantee.
     pinned: bool,
     prev: usize,
@@ -168,8 +168,8 @@ impl Shard {
     }
 
     /// Drop every non-pinned entry, returning how many were dropped.
-    /// The write path sweeps with this so commit-id-pinned versioned
-    /// responses — which can never go stale — survive updates.
+    /// The write path sweeps with this so pinned immutable responses —
+    /// which can never go stale — survive updates.
     fn sweep_unpinned(&mut self) -> usize {
         let victims: Vec<usize> = self
             .map
@@ -320,8 +320,8 @@ impl ShardedLru {
 
     /// Insert (or refresh) a key as **pinned**: no TTL, and the entry
     /// survives [`sweep_unpinned`](ShardedLru::sweep_unpinned). For
-    /// responses keyed by an immutable commit id (`?asOf=` reads), which
-    /// can never go stale — only LRU pressure evicts them. Returns
+    /// responses whose key names no moving state (tiles, ice, `?asOf=`
+    /// reads), which can never go stale — only LRU pressure evicts them. Returns
     /// `false` when the body exceeds the per-entry byte cap.
     pub fn put_pinned(&self, key: String, value: Arc<CachedBody>) -> bool {
         if value.body.len() > self.max_entry_bytes {
@@ -338,7 +338,7 @@ impl ShardedLru {
 
     /// Drop every entry across all shards, returning how many were
     /// held. Test/teardown helper; the write path uses
-    /// [`sweep_unpinned`](ShardedLru::sweep_unpinned) so versioned
+    /// [`sweep_unpinned`](ShardedLru::sweep_unpinned) so immutable
     /// responses survive commits.
     pub fn clear(&self) -> usize {
         self.shards
@@ -352,8 +352,8 @@ impl ShardedLru {
     /// invalidates all head-of-store responses in one sweep
     /// (commit-stamped keys already make stale entries unreachable;
     /// sweeping also reclaims their memory immediately and feeds the
-    /// invalidation counter), while commit-id-pinned versioned
-    /// responses stay valid forever and are kept.
+    /// invalidation counter), while pinned immutable responses stay
+    /// valid forever and are kept.
     pub fn sweep_unpinned(&self) -> usize {
         self.shards
             .iter()

@@ -13,17 +13,17 @@
 //! EE_SERVE_ADDR=127.0.0.1:7207 ee-serve --router 127.0.0.1:7301,127.0.0.1:7302
 //! ```
 //!
-//! `--writable` (or `EE_SERVE_WRITABLE=1`) enables `POST /update`;
-//! without it every update is answered 403. `EE_SERVE_DATA_DIR` makes
-//! the point store durable: the first start seeds the directory with a
-//! generation-0 snapshot, later starts reopen snapshot + commit-log tail, so
-//! committed updates survive restarts.
+//! `--writable` enables `POST /update`; without it every update is
+//! answered 403. `EE_SERVE_DATA_DIR` makes the point store durable: the
+//! first start seeds the directory with a generation-0 snapshot, later
+//! starts reopen snapshot + commit-log tail, so committed updates
+//! survive restarts.
 //!
 //! Scale-out flags: `--shard-index I --shard-count N` builds only this
-//! shard's subject-hash slice of the point store; `--router a,b,c`
-//! (or `EE_SERVE_BACKENDS`) turns the process into the scatter-gather
-//! router tier over those shard addresses (read-only, response cache
-//! off — freshness belongs to the shards).
+//! shard's subject-hash slice of the point store; `--router a,b,c` turns
+//! the process into the scatter-gather router tier over those shard
+//! addresses (read-only, response cache off — freshness belongs to the
+//! shards).
 //! `EE_SERVE_WORKERS` overrides the resolve-worker count (default: one
 //! per CPU, capped at 8) — benches pin it so results don't depend on
 //! the machine's core count.
@@ -66,8 +66,7 @@ fn main() {
     } else {
         DataConfig::default()
     };
-    let writable = args.iter().any(|a| a == "--writable")
-        || matches!(std::env::var("EE_SERVE_WRITABLE"), Ok(v) if !v.is_empty() && v != "0");
+    let writable = args.iter().any(|a| a == "--writable");
 
     // Shard assignment: --shard-index I --shard-count N (both or neither).
     let shard_index = arg_value(&args, "--shard-index").map(|v| v.parse::<usize>());
@@ -84,10 +83,8 @@ fn main() {
         }
     }
 
-    // Router mode: --router a,b,c or EE_SERVE_BACKENDS=a,b,c.
-    let backends_raw = arg_value(&args, "--router")
-        .or_else(|| std::env::var("EE_SERVE_BACKENDS").ok().filter(|v| !v.is_empty()));
-    let backends: Option<Vec<std::net::SocketAddr>> = match &backends_raw {
+    // Router mode: --router a,b,c.
+    let backends: Option<Vec<std::net::SocketAddr>> = match arg_value(&args, "--router") {
         None => None,
         Some(list) => {
             let parsed: Result<Vec<_>, _> =
@@ -124,7 +121,7 @@ fn main() {
                 Ok(s) => {
                     eprintln!(
                         "ee-serve: durable store in {dir} (generation {})",
-                        s.generation()
+                        s.store().generation()
                     );
                     s
                 }

@@ -22,18 +22,18 @@
 //! DELETE WHERE) and commits it through the durable store — 403 unless
 //! the server runs `--writable`, 400 on a parse error.
 //!
-//! Tile and query responses carry a strong `etag` that mixes in the
-//! store's **head commit id** — a hash-chained name for the entire
-//! history, so equal tags provably mean byte-identical stores — and a
-//! committed update rolls every client-held validator at once; the
-//! server layer answers `If-None-Match` revalidations with 304.
-//!
-//! `/query`, `/tiles` and `/ice` additionally accept `?asOf=<hexid>`
-//! (and `/query` the SPARQL `AS OF <hexid>` clause): the response is
-//! computed against the store as of that commit, its ETag embeds the
-//! requested id, and — because a commit id is immutable — the response
-//! is cached **pinned** (no TTL, survives the post-commit sweep).
-//! Unknown ids 404, malformed ones 400.
+//! Only reads of the point store carry a version. A head `/query`
+//! answer's strong `etag` mixes in the store's **head commit id** — a
+//! hash-chained name for the entire history, so equal tags provably mean
+//! byte-identical stores — and a committed update rolls those validators
+//! at once. `/query` also accepts `?asOf=<hexid>` (or the SPARQL
+//! `AS OF <hexid>` clause): the answer is computed against the store as
+//! of that commit (unknown ids 404, malformed ones 400). Tiles and ice
+//! bundles are built once at start-up: their ETags hash the body bytes
+//! alone and never roll. Tile, ice and `asOf` responses are immutable,
+//! so the server caches them **pinned** (no TTL, they survive the
+//! post-commit sweep) and answers `If-None-Match` revalidations of any
+//! of them with 304.
 //!
 //! (`/metrics` is answered by the server itself, which owns the metrics
 //! and cache objects.)
@@ -81,46 +81,34 @@ pub fn classify(path: &str) -> Route {
 /// The key canonicalises the query string — parameters sorted by name
 /// (stable for equal names) — so `?a=1&b=2` and `?b=2&a=1` share an
 /// entry. Only GETs on the four engine routes are cacheable; health,
-/// metrics and debug endpoints always reflect live state (they never
-/// get a key, so they bypass the generation stamping below entirely).
+/// metrics and debug endpoints always reflect live state.
 ///
-/// Keys for the store-derived routes (`/query`, `/tiles`) embed a
-/// **commit id** — the requested `?asOf=` id when present, else the
-/// head `commit`: an entry cached at head H can never be served once a
-/// commit moves the head, because every later lookup uses a different
-/// key, while a versioned entry's key never changes (its id names an
-/// immutable history — the server pins such entries past TTL and
-/// sweeps). `/catalogue/search` keys embed the ranked-index
-/// `search_generation` instead, so a committed `searchText` document
-/// can never be shadowed by a stale cached ranking. Ice responses are
-/// not store-derived and stay on pure TTL freshness — unless pinned to
-/// a commit by `?asOf=`.
+/// A key carries a stamp only where the answer can change under it.
+/// `/query` keys embed a **commit id** — the requested `?asOf=` id when
+/// present, else the head `commit`: an entry cached at head H can never
+/// be served once a commit moves the head, because every later lookup
+/// uses a different key, while an `asOf` key never changes (its id
+/// names an immutable history). `/catalogue/search` keys embed the
+/// ranked-index `search_generation`, so a committed `searchText`
+/// document can never be shadowed by a stale cached ranking. Tile and
+/// ice keys carry no stamp: those engines never change after start-up.
 pub fn cache_key(req: &Request, commit: u64, search_generation: u64) -> Option<String> {
     if req.method != "GET" {
         return None;
     }
-    let route = classify(&req.path);
-    match route {
-        Route::Query | Route::Catalogue | Route::Tiles | Route::Ice => {
-            let mut params = req.query.clone();
-            params.sort_by(|a, b| a.0.cmp(&b.0));
-            let canon: Vec<String> =
-                params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let as_of = as_of_param(req).ok().flatten();
-            let stamp = match route {
-                Route::Query | Route::Tiles => {
-                    format!("|c{:016x}", as_of.unwrap_or(commit))
-                }
-                Route::Catalogue => format!("|s{search_generation}"),
-                _ => match as_of {
-                    Some(id) => format!("|c{id:016x}"),
-                    None => String::new(),
-                },
-            };
-            Some(format!("GET|{}|{}{stamp}", req.path, canon.join("&")))
+    let stamp = match classify(&req.path) {
+        Route::Query => {
+            let id = as_of_param(req).ok().flatten().unwrap_or(commit);
+            format!("|c{id:016x}")
         }
-        _ => None,
-    }
+        Route::Catalogue => format!("|s{search_generation}"),
+        Route::Tiles | Route::Ice => String::new(),
+        _ => return None,
+    };
+    let mut params = req.query.clone();
+    params.sort_by(|a, b| a.0.cmp(&b.0));
+    let canon: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    Some(format!("GET|{}|{}{stamp}", req.path, canon.join("&")))
 }
 
 /// The `?asOf=` commit id of a request: `Ok(None)` when absent,
@@ -138,13 +126,16 @@ pub(crate) fn as_of_param(req: &Request) -> Result<Option<u64>, Response> {
     }
 }
 
-/// Whether this request is a versioned (`?asOf=`) read of a cacheable
-/// route. The server caches such responses **pinned**: their key embeds
-/// an immutable commit id, so they never go stale — no TTL, and they
-/// survive the post-commit sweep.
-pub fn versioned_read(req: &Request) -> bool {
-    matches!(as_of_param(req), Ok(Some(_)))
-        && matches!(classify(&req.path), Route::Query | Route::Tiles | Route::Ice)
+/// Whether this request's cache key names no moving state: tiles and
+/// ice bundles (built once at start-up) and `/query?asOf=` reads (an
+/// immutable commit). The server caches such responses **pinned**: they
+/// never go stale, so no TTL, and they survive the post-commit sweep.
+pub fn immutable_read(req: &Request) -> bool {
+    match classify(&req.path) {
+        Route::Tiles | Route::Ice => true,
+        Route::Query => matches!(as_of_param(req), Ok(Some(_))),
+        _ => false,
+    }
 }
 
 /// Dispatch a request to its handler. Takes the shared `Arc` so streamed
@@ -179,7 +170,7 @@ pub fn dispatch(
     }
     match segs.as_slice() {
         ["catalogue", "search"] => Outcome::Ready(handle_catalogue(state, req)),
-        ["tiles", level, row, col] => Outcome::Ready(handle_tile(state, req, level, row, col)),
+        ["tiles", level, row, col] => Outcome::Ready(handle_tile(state, level, row, col)),
         ["ice", region] => Outcome::Ready(handle_ice(state, req, region)),
         ["healthz"] => Outcome::Ready(handle_healthz(state)),
         ["debug", "sleep"] if debug_routes => debug_sleep(req, deadline),
@@ -435,22 +426,13 @@ fn catalogue_by_mode(state: &AppState, req: &Request, mode: &str) -> Response {
 /// overview pyramid, **streamed**: the body is an
 /// [`ee_raster::codec::EncodeChunks`] producer transmitted chunked, so a
 /// tile bigger than memory-comfortable never materialises server-side.
-/// The strong ETag still has to be in the headers before the first body
-/// byte, so the tile is hashed in a sink-only encode pass first (two
-/// encode passes trade CPU for never holding the body; revalidations
-/// that end in 304 skip the payload pass entirely). Grid geometry comes
-/// back in `x-tile-*` headers.
-fn handle_tile(state: &AppState, req: &Request, level: &str, row: &str, col: &str) -> Response {
-    let commit = match as_of_param(req) {
-        Ok(None) => state.head_commit(),
-        Ok(Some(id)) => {
-            if !state.commit_known(id) {
-                return Response::error(404, &format!("unknown commit id {id:016x}"));
-            }
-            id
-        }
-        Err(resp) => return resp,
-    };
+/// The strong ETag, a hash of the body bytes, still has to be in the
+/// headers before the first body byte, so the tile is hashed in a
+/// sink-only encode pass first (two encode passes trade CPU for never
+/// holding the body; revalidations that end in 304 skip the payload pass
+/// entirely). The pyramid never changes after start-up, so neither does
+/// a tile's ETag. Grid geometry comes back in `x-tile-*` headers.
+fn handle_tile(state: &AppState, level: &str, row: &str, col: &str) -> Response {
     let (Ok(level), Ok(row), Ok(col)) = (
         level.parse::<usize>(),
         row.parse::<usize>(),
@@ -472,13 +454,9 @@ fn handle_tile(state: &AppState, req: &Request, level: &str, row: &str, col: &st
     let w = ts.min(raster.cols() - col0);
     let h = ts.min(raster.rows() - row0);
     let window = raster.window(col0, row0, w, h).expect("bounds checked");
-    // Hash pass: stream the encoding through the FNV sink (no buffer).
-    // The commit id (requested `asOf` or the head) seeds the hash so
-    // every committed update rolls all tile validators at once, matching
-    // the commit-stamped cache keys — while a versioned tile's validator
-    // is pinned to its immutable id forever.
+    // Hash pass: stream the encoding through the FNV sink (no buffer);
+    // the tag equals `etag_of` over the streamed bytes.
     let mut sink = FnvSink::new();
-    sink.update(&commit.to_le_bytes());
     ee_raster::codec::encode_into(&window, &mut sink).expect("hash sink cannot fail");
     let etag = sink.etag();
     Response::streamed(
@@ -489,7 +467,6 @@ fn handle_tile(state: &AppState, req: &Request, level: &str, row: &str, col: &st
     .with_header("x-tile-cols", w.to_string())
     .with_header("x-tile-rows", h.to_string())
     .with_header("x-pyramid-levels", state.pyramid.len().to_string())
-    .with_header("x-commit", format!("{commit:016x}"))
     .with_header("etag", etag)
 }
 
@@ -562,20 +539,9 @@ pub fn if_none_match_matches(header: &str, etag: &str) -> bool {
 /// `/ice/{region}` — the PCDSS product bundle for a region, encoded
 /// within `?budget=` bytes (default 1 MB). The body concatenates the
 /// three length-prefixed codec segments (concentration, stage, leads) in
-/// the order PCDSS ships them. The strong ETag hashes the body; a
-/// `?asOf=` request additionally seeds it with the (validated) commit
-/// id, so versioned ice responses revalidate and cache-pin like every
-/// other versioned read.
+/// the order PCDSS ships them. The strong ETag hashes the body alone:
+/// the ice suites never change after start-up.
 fn handle_ice(state: &AppState, req: &Request, region: &str) -> Response {
-    let as_of = match as_of_param(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if let Some(id) = as_of {
-        if !state.commit_known(id) {
-            return Response::error(404, &format!("unknown commit id {id:016x}"));
-        }
-    }
     let Some(products) = state.ice_region(region) else {
         return Response::error(
             404,
@@ -590,19 +556,11 @@ fn handle_ice(state: &AppState, req: &Request, region: &str) -> Response {
                 body.extend_from_slice(&(seg.len() as u32).to_le_bytes());
                 body.extend_from_slice(seg);
             }
-            let mut sink = FnvSink::new();
-            if let Some(id) = as_of {
-                sink.update(&id.to_le_bytes());
-            }
-            sink.update(&body);
-            let mut resp = Response::octets(200, body)
+            let etag = etag_of(&body);
+            Response::octets(200, body)
                 .with_header("x-downsample", bundle.downsample.to_string())
                 .with_header("x-bundle-bytes", bundle.bytes().to_string())
-                .with_header("etag", sink.etag());
-            if let Some(id) = as_of {
-                resp = resp.with_header("x-commit", format!("{id:016x}"));
-            }
-            resp
+                .with_header("etag", etag)
         }
         Err(e) => Response::error(400, &format!("budget unsatisfiable: {e}")),
     }
@@ -658,10 +616,14 @@ fn debug_sleep(req: &Request, deadline: Instant) -> Outcome {
 /// chunks of `B` bytes each, pausing `M` ms before every chunk. Exists
 /// so chunked framing and the deadline-between-chunks abort are testable
 /// end-to-end: with a tight deadline and a non-zero pause, the server
-/// must truncate the stream instead of pinning a worker.
+/// must truncate the stream instead of pinning a worker. A shape outside
+/// `N ≤ 10000`, `1 ≤ B ≤ 1 MiB` is a 400, never a shorter stream.
 fn debug_stream(req: &Request) -> Response {
-    let chunks = req.param_or("chunks", 4usize).min(10_000);
-    let bytes = req.param_or("bytes", 1024usize).clamp(1, 1 << 20);
+    let chunks = req.param_or("chunks", 4usize);
+    let bytes = req.param_or("bytes", 1024usize);
+    if chunks > 10_000 || !(1..=1 << 20).contains(&bytes) {
+        return Response::error(400, "chunks must be in 0..=10000 and bytes in 1..=1048576");
+    }
     let ms = req.param_or("ms", 0u64).min(60_000);
     struct SlowChunks {
         left: usize,
@@ -756,12 +718,13 @@ mod tests {
 
     #[test]
     fn cache_key_stamps_store_derived_routes_with_commit_id() {
-        // Store-derived routes change key when the head commit moves…
-        for target in ["/query?x0=1&y0=2", "/tiles/0/0/0"] {
-            let c0 = cache_key(&get(target), 7, 0).unwrap();
-            let c1 = cache_key(&get(target), 8, 0).unwrap();
-            assert_ne!(c0, c1, "{target} must be commit-stamped");
-        }
+        // Head `/query` keys change when the head commit moves…
+        let target = "/query?x0=1&y0=2";
+        assert_ne!(
+            cache_key(&get(target), 7, 0).unwrap(),
+            cache_key(&get(target), 8, 0).unwrap(),
+            "{target} must be commit-stamped"
+        );
         // …catalogue keys follow the ranked-index generation (not the
         // store commit — a searchText commit must never be shadowed by a
         // stale cached ranking)…
@@ -776,11 +739,12 @@ mod tests {
             cache_key(&get(cat), 7, 4).unwrap(),
             "catalogue keys follow the search generation"
         );
-        // …and ice stays on TTL freshness (not store-derived).
-        assert_eq!(
-            cache_key(&get("/ice/fram-strait"), 7, 0).unwrap(),
-            cache_key(&get("/ice/fram-strait"), 8, 0).unwrap()
-        );
+        // …and tiles and ice, built once at start-up, carry no stamp.
+        for target in ["/tiles/0/0/0", "/ice/fram-strait"] {
+            let key = cache_key(&get(target), 7, 3).unwrap();
+            assert_eq!(key, cache_key(&get(target), 8, 4).unwrap(), "{target}");
+            assert_eq!(key, format!("GET|{target}|"));
+        }
     }
 
     #[test]
@@ -788,21 +752,19 @@ mod tests {
         // An `asOf` key embeds the requested id, not the moving head —
         // so the entry stays addressable across commits and can be
         // pinned.
-        for target in [
-            "/query?x0=1&asOf=00000000000000ab",
-            "/tiles/0/0/0?asOf=00000000000000ab",
-            "/ice/fram-strait?asOf=00000000000000ab",
-        ] {
-            let k7 = cache_key(&get(target), 7, 0).unwrap();
-            let k8 = cache_key(&get(target), 8, 0).unwrap();
-            assert_eq!(k7, k8, "{target} key must not follow the head");
-            assert!(k7.ends_with("|c00000000000000ab"), "got {k7}");
-            assert!(versioned_read(&get(target)), "{target}");
+        let target = "/query?x0=1&asOf=00000000000000ab";
+        let k7 = cache_key(&get(target), 7, 0).unwrap();
+        assert_eq!(k7, cache_key(&get(target), 8, 0).unwrap(), "the key must not follow the head");
+        assert!(k7.ends_with("|c00000000000000ab"), "got {k7}");
+        // Immutable reads: `asOf` queries, and every tile and ice bundle
+        // (where `asOf` is an ordinary unknown parameter).
+        for target in [target, "/tiles/0/0/0", "/tiles/0/0/0?asOf=ab", "/ice/fram-strait"] {
+            assert!(immutable_read(&get(target)), "{target}");
         }
-        assert!(!versioned_read(&get("/query?x0=1")));
-        assert!(!versioned_read(&get("/catalogue/search?asOf=ab")));
-        // Malformed hex: not a versioned read (the handler 400s).
-        assert!(!versioned_read(&get("/query?asOf=zzz")));
+        assert!(!immutable_read(&get("/query?x0=1")));
+        assert!(!immutable_read(&get("/catalogue/search?asOf=ab")));
+        // Malformed hex: not an immutable read (the handler 400s).
+        assert!(!immutable_read(&get("/query?asOf=zzz")));
     }
 
     fn post(target: &str, body: &str) -> Request {
@@ -847,7 +809,7 @@ mod tests {
         assert_eq!(v.get("inserted").and_then(Json::as_f64), Some(2.0));
         assert_eq!(v.get("deleted").and_then(Json::as_f64), Some(0.0));
         assert_eq!(s.store().len(), before + 2);
-        assert_eq!(s.generation(), 1);
+        assert_eq!(s.store().generation(), 1);
         // The written triple is immediately visible through /query.
         let q = "SELECT ?o WHERE { <http://e/x> <http://e/p> ?o }";
         let resp = ready(dispatch(
@@ -868,7 +830,7 @@ mod tests {
         assert_eq!(resp.status, 200);
         let v = ee_util::json::parse(std::str::from_utf8(&body_of(resp)).unwrap()).unwrap();
         assert_eq!(v.get("deleted").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(s.generation(), 2);
+        assert_eq!(s.store().generation(), 2);
         // Parse errors and empty bodies are 400, not 500.
         assert_eq!(
             ready(dispatch(&s, &post("/update", "DROP ALL"), far_deadline(), false)).status,
@@ -893,7 +855,6 @@ mod tests {
                 .expect("response has etag")
         };
         let q0 = ready(dispatch(&s, &get("/query?x0=10&y0=10&side=20"), far_deadline(), false));
-        let t0 = ready(dispatch(&s, &get("/tiles/0/0/0"), far_deadline(), false));
         // Same generation: tags are stable.
         let q0b = ready(dispatch(&s, &get("/query?x0=10&y0=10&side=20"), far_deadline(), false));
         assert_eq!(tag(&q0), tag(&q0b));
@@ -904,9 +865,7 @@ mod tests {
             false,
         ));
         let q1 = ready(dispatch(&s, &get("/query?x0=10&y0=10&side=20"), far_deadline(), false));
-        let t1 = ready(dispatch(&s, &get("/tiles/0/0/0"), far_deadline(), false));
         assert_ne!(tag(&q0), tag(&q1), "query etag rolls on commit");
-        assert_ne!(tag(&t0), tag(&t1), "tile etag rolls on commit");
     }
 
     #[test]
@@ -989,17 +948,6 @@ mod tests {
             .status,
             404
         );
-        // Tiles and ice accept the same pin: stable bytes + commit echo.
-        let t = ready(dispatch(&s, &get(&format!("/tiles/0/0/0?asOf={c1:016x}")), far_deadline(), false));
-        assert_eq!(t.status, 200);
-        assert_eq!(header(&t, "x-commit").as_deref(), Some(format!("{c1:016x}").as_str()));
-        assert_eq!(
-            ready(dispatch(&s, &get("/tiles/0/0/0?asOf=00000000000000ff"), far_deadline(), false)).status,
-            404
-        );
-        let ice = ready(dispatch(&s, &get(&format!("/ice/fram-strait?asOf={c1:016x}")), far_deadline(), false));
-        assert_eq!(ice.status, 200);
-        assert_eq!(header(&ice, "x-commit").as_deref(), Some(format!("{c1:016x}").as_str()));
     }
 
     /// One body format: a streamed head read, the streamed `?asOf=` read
@@ -1069,7 +1017,7 @@ mod tests {
         let update = format!(
             "INSERT DATA {{ <http://e/late{}> {kind} }} ; \
              DELETE DATA {{ <http://e/f{last}> {kind} }}",
-            s.generation()
+            s.store().generation()
         );
         let stats = s.commit_update(&ee_rdf::parser::parse_update(&update).unwrap()).unwrap();
         assert_eq!((stats.inserted, stats.deleted), (1, 1));
@@ -1360,6 +1308,58 @@ mod tests {
         assert_ne!(etag_of(b"x"), etag_of(b"y"));
     }
 
+    /// Tiles and ice are built once at start-up: their ETags hash the body
+    /// bytes alone, they name no commit, a commit leaves them as they
+    /// were, and `asOf` is an ordinary parameter there (no 404, no 400).
+    #[test]
+    fn tile_and_ice_etags_hash_the_body_alone() {
+        let mut s = AppState::build(DataConfig::tiny());
+        s.writable = true;
+        let s = Arc::new(s);
+        let fetch = |target: &str| {
+            let resp = ready(dispatch(&s, &get(target), far_deadline(), false));
+            assert_eq!(resp.status, 200, "{target}");
+            assert!(resp.headers.iter().all(|(n, _)| n != "x-commit"), "{target}");
+            let tag = resp.headers.iter().find(|(n, _)| n == "etag").expect("etag").1.clone();
+            let body = body_of(resp);
+            assert_eq!(tag, etag_of(&body), "{target}");
+            (tag, body)
+        };
+        let tile = fetch("/tiles/0/0/0");
+        let ice = fetch("/ice/fram-strait");
+        let insert = "INSERT DATA { <http://e/t> <http://e/p> <http://e/o> }";
+        assert_eq!(ready(dispatch(&s, &post("/update", insert), far_deadline(), false)).status, 200);
+        assert_eq!(fetch("/tiles/0/0/0"), tile, "a commit leaves tiles alone");
+        assert_eq!(fetch("/ice/fram-strait"), ice, "a commit leaves ice alone");
+        assert_eq!(fetch("/tiles/0/0/0?asOf=00000000000000ff"), tile);
+        assert_eq!(fetch("/ice/fram-strait?asOf=zz"), ice);
+    }
+
+    #[test]
+    fn debug_stream_refuses_shapes_outside_its_ranges() {
+        let status = |target: &str| ready(dispatch(state(), &get(target), far_deadline(), true));
+        for target in [
+            "/debug/stream?chunks=10001",
+            "/debug/stream?bytes=0",
+            "/debug/stream?chunks=1&bytes=1048577",
+        ] {
+            let resp = status(target);
+            assert_eq!(resp.status, 400, "{target}");
+            let body = String::from_utf8(body_of(resp)).unwrap();
+            assert!(body.contains("0..=10000") && body.contains("1..=1048576"), "{body}");
+        }
+        // The edges of both ranges stream exactly what was asked for.
+        for (target, len) in [
+            ("/debug/stream?chunks=10000&bytes=1", 10_000),
+            ("/debug/stream?chunks=1&bytes=1048576", 1 << 20),
+            ("/debug/stream?chunks=0", 0),
+        ] {
+            let resp = status(target);
+            assert_eq!(resp.status, 200, "{target}");
+            assert_eq!(body_of(resp).len(), len, "{target}");
+        }
+    }
+
     #[test]
     fn if_none_match_handles_lists_and_wildcard() {
         let tag = "\"abc123\"";
@@ -1396,7 +1396,7 @@ mod tests {
         // One point per commit: `points - generation` stays constant
         // exactly when all three fields come from the same commit.
         let state = Arc::new(AppState::build(DataConfig::tiny()));
-        let base = state.store().len() as f64 - state.generation() as f64;
+        let base = state.store().len() as f64 - state.store().generation() as f64;
         let stop = std::sync::atomic::AtomicBool::new(false);
         let (answers, mixed) = std::thread::scope(|scope| {
             let writer = scope.spawn(|| {

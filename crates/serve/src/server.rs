@@ -401,9 +401,10 @@ fn lookup(
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
     } else {
-        // Keys embed the head commit id (store-derived routes) or the
-        // ranked-search index generation (catalogue), so entries cached
-        // before a commit or reindex are unreachable after it.
+        // Head `/query` keys embed the head commit id and catalogue keys
+        // the ranked-index generation, so entries cached before a commit
+        // or reindex are unreachable after it. Tile, ice and `asOf` keys
+        // name no moving state.
         let key = cache_key(
             req,
             shared.state.head_commit(),
@@ -442,6 +443,7 @@ fn resolve_miss(
     // to store up front; the chunk producer tees the chunks into this
     // fill and the entry is inserted only after the body completes.
     let mut stream_tee: Option<CacheFill> = None;
+    let head = shared.state.head_commit();
 
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
@@ -456,12 +458,11 @@ fn resolve_miss(
             ) + &shared.state.render_prometheus_section(),
         )
     } else {
-        let head = shared.state.head_commit();
         let key = cache_key(req, head, shared.state.search_generation());
         let cacheable = key.is_some();
-        // Versioned (`asOf`) responses are immutable: pin them so the
+        // Tile, ice and `asOf` responses are immutable: pin them so the
         // update sweep and TTL expiry leave them alone.
-        let pinned = cacheable && crate::router::versioned_read(req);
+        let pinned = cacheable && crate::router::immutable_read(req);
         match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
             Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
             Outcome::Ready(mut resp) => {
@@ -493,12 +494,12 @@ fn resolve_miss(
         }
     };
 
-    // A committed update: sweep the unpinned response cache. The
-    // commit-stamped keys already guarantee staleness can't be served;
-    // the sweep reclaims the dead entries' memory now and feeds
-    // `ee_serve_invalidated_total{kind="responses"}`. Pinned versioned
-    // entries survive — their commit ids are immutable history.
-    if route == Route::Update && response.status == 200 {
+    // An update that moved the head: sweep the unpinned response cache.
+    // The commit-stamped keys already guarantee staleness can't be
+    // served; the sweep reclaims the dead entries' memory now and feeds
+    // `ee_serve_invalidated_total{kind="responses"}`. Pinned entries
+    // survive, and a no-op commit leaves the head, so the cache, as is.
+    if route == Route::Update && shared.state.head_commit() != head {
         let swept = shared.cache.sweep_unpinned() as u64;
         shared.state.note_invalidated_responses(swept);
     }
@@ -566,8 +567,8 @@ struct CacheFill {
     headers: Vec<(String, String)>,
     buf: Vec<u8>,
     overflowed: bool,
-    /// Versioned (`asOf`) response: insert with `put_pinned` so the
-    /// entry is exempt from TTL expiry and update sweeps.
+    /// Immutable (tile, ice or `asOf`) response: insert with `put_pinned`
+    /// so the entry is exempt from TTL expiry and update sweeps.
     pinned: bool,
 }
 

@@ -9,8 +9,8 @@
 //!   (its `AS OF` commit, or the head it was planned at) that takes the
 //!   shared [`RwLock`] guard once per batch; only
 //!   [`AppState::commit_update`] takes the exclusive side. The head
-//!   commit and **generation** are mirrored into atomics so the hot path
-//!   (cache keys, ETags) never touches the lock;
+//!   commit id is mirrored into an atomic so the hot path (cache keys)
+//!   never touches the lock;
 //! * an [`ee_catalogue::ClassicCatalogue`] + [`SemanticCatalogue`] pair
 //!   over the same generated archive — the E9 path, behind
 //!   `/catalogue/search`;
@@ -142,23 +142,20 @@ pub struct AppState {
     /// Point-feature store with spatial index (the `/query` engine),
     /// durable when built through [`AppState::build_durable`]. Private:
     /// reads go through [`AppState::store`], writes through
-    /// [`AppState::commit_update`] (which keeps the generation and head
-    /// mirrors coherent).
+    /// [`AppState::commit_update`] (which keeps the head mirror
+    /// coherent).
     store: RwLock<Store>,
-    /// Mirror of the store generation, readable without the lock
-    /// (metrics and the shard merge layer consult it).
-    generation: AtomicU64,
     /// Mirror of the store's head commit id, readable without the lock.
-    /// Cache keys and ETags consult it on every request: a commit id
-    /// names the entire history that produced it (hash chain), so equal
-    /// ids guarantee byte-identical stores — which a bare generation
-    /// counter cannot.
+    /// Every cache lookup consults it: a commit id names the entire
+    /// history that produced it (hash chain), so equal ids guarantee
+    /// byte-identical stores — which a bare generation counter cannot.
     head: AtomicU64,
     /// Generation of the ranked (BM25) search index, bumped on every
-    /// reindex. Catalogue cache keys stamp this — not the store
-    /// generation — so `/catalogue/search` responses go stale exactly
-    /// when the index changes, and never linger past a `searchText`
-    /// commit.
+    /// reindex. Catalogue cache keys stamp this — not the head commit —
+    /// so `/catalogue/search` responses go stale exactly when the index
+    /// changes. The reindex runs after the head is published, so a key
+    /// stamped with the head could capture the old index; this counter
+    /// is bumped only once the new index is in place.
     search_generation: AtomicU64,
     /// Times the store read guard was taken ([`AppState::store`]).
     /// `ee_serve_store_reads_total`: lets experiments prove a cached
@@ -244,8 +241,8 @@ impl AppState {
             } else {
                 Store::create(dir, generated_points(config), Durability::from_env())?
             };
-            // Threshold-triggered snapshots (EE_WAL_COMPACT_BYTES /
-            // EE_WAL_COMPACT_COMMITS); both unset leaves compaction manual.
+            // Threshold-triggered snapshots (EE_WAL_COMPACT_COMMITS); unset
+            // leaves compaction manual.
             store.set_compaction_policy(CompactionPolicy::from_env());
             Ok(store)
         })
@@ -280,13 +277,11 @@ impl AppState {
         let (classic, semantic, search) = catalogues;
         let store = store?;
         let tile_size = config.tile_size.max(1);
-        let generation = AtomicU64::new(store.generation());
         let head = AtomicU64::new(store.head_commit());
         let state = AppState {
             config,
             writable: false,
             store: RwLock::new(store),
-            generation,
             head,
             search_generation: AtomicU64::new(0),
             store_reads: AtomicU64::new(0),
@@ -344,11 +339,6 @@ impl AppState {
         std::array::from_fn(|i| (BUILD_GROUPS[i], self.build_seconds[i]))
     }
 
-    /// Current store generation, lock-free (mirrored on every commit).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
     /// Current head commit id, lock-free (mirrored on every commit).
     pub fn head_commit(&self) -> u64 {
         self.head.load(Ordering::SeqCst)
@@ -364,19 +354,12 @@ impl AppState {
         self.store_reads.load(Ordering::Relaxed)
     }
 
-    /// Whether `commit_id` names a commit in the store's history (the
-    /// root id always does). Takes the read guard — used on cache
-    /// misses only.
-    pub fn commit_known(&self, commit_id: u64) -> bool {
-        self.store().commit_known(commit_id)
-    }
-
     /// Commit a SPARQL UPDATE: takes the exclusive store lock, runs the
     /// durable commit (evaluate → commit-log fsync → apply), then
-    /// refreshes the generation and head mirrors. Nothing plan-shaped
-    /// outlives a commit: every query is planned against the store state
-    /// it runs on. Response-cache entries need no action here: their keys
-    /// embed the generation, so the bump makes stale entries
+    /// refreshes the head mirror. Nothing plan-shaped outlives a commit:
+    /// every query is planned against the store state it runs on.
+    /// Response-cache entries need no action here: head `/query` keys
+    /// embed the head commit id, so a commit makes stale entries
     /// unreachable (the server also sweeps them, counting into
     /// [`ee_serve_invalidated_total`](Self::render_prometheus_section)).
     pub fn commit_update(
@@ -397,9 +380,10 @@ impl AppState {
             .map(|(s, _, _)| s.clone())
             .collect();
         let stats = store.commit_delta(delta)?;
-        let prev = self.generation.swap(stats.generation, Ordering::SeqCst);
         self.head.store(store.head_commit(), Ordering::SeqCst);
-        if stats.generation != prev && !touched.is_empty() {
+        // A no-op commit changed no document: leave the index (and the
+        // catalogue cache keys) as they are.
+        if stats.inserted + stats.deleted > 0 && !touched.is_empty() {
             // Re-derive each touched subject's document from the
             // post-commit store (still under the exclusive lock, so
             // ranked results can never lag a visible commit).
@@ -589,22 +573,21 @@ impl AppState {
         for (group, seconds) in self.build_seconds() {
             out.push_str(&format!("ee_serve_build_seconds{{group=\"{group}\"}} {seconds}\n"));
         }
+        // Store gauges take the lock directly: `store()` would count this
+        // scrape as a request read.
+        let (generation, triples, terms, dict_bytes) = {
+            let store = self.store.read().expect("store lock");
+            (store.generation(), store.len(), store.dict.len(), store.dict.heap_bytes())
+        };
         out.push_str(&format!(
             "# HELP ee_rdf_generation Point-store generation (bumps once per effective commit)\n\
-             # TYPE ee_rdf_generation gauge\nee_rdf_generation {}\n",
-            self.generation()
+             # TYPE ee_rdf_generation gauge\nee_rdf_generation {generation}\n",
         ));
         out.push_str(&format!(
             "# HELP ee_serve_search_generation Ranked-index generation (bumps on reindex)\n\
              # TYPE ee_serve_search_generation gauge\nee_serve_search_generation {}\n",
             self.search_generation()
         ));
-        // Size gauges take the lock directly: `store()` would count this
-        // scrape as a request read.
-        let (triples, terms, dict_bytes) = {
-            let store = self.store.read().expect("store lock");
-            (store.len(), store.dict.len(), store.dict.heap_bytes())
-        };
         out.push_str(&format!(
             "# HELP ee_rdf_store_triples Triples in the point store\n\
              # TYPE ee_rdf_store_triples gauge\nee_rdf_store_triples {triples}\n\
@@ -1117,7 +1100,7 @@ mod tests {
     #[test]
     fn commit_update_bumps_generation() {
         let state = AppState::build(DataConfig::tiny());
-        assert_eq!(state.generation(), 0);
+        assert_eq!(state.store().generation(), 0);
         let before = state.store().len();
         let u = ee_rdf::parser::parse_update(
             "INSERT DATA { <http://e/new> <http://e/p> \"v\" }",
@@ -1125,12 +1108,12 @@ mod tests {
         .unwrap();
         let stats = state.commit_update(&u).expect("commit");
         assert_eq!(stats.generation, 1);
-        assert_eq!(state.generation(), 1);
+        assert_eq!(state.store().generation(), 1);
         assert_eq!(state.store().len(), before + 1);
         // A no-op commit (same triple again) bumps nothing.
         let stats = state.commit_update(&u).expect("noop commit");
         assert_eq!(stats.generation, 1);
-        assert_eq!(state.generation(), 1);
+        assert_eq!(state.store().generation(), 1);
         assert_eq!(state.update_latency().count(), 2);
         let reads = state.store_reads();
         let section = state.render_prometheus_section();
@@ -1186,7 +1169,6 @@ mod tests {
         state.commit_update(&u2).expect("commit v2");
         let c2 = state.head_commit();
         assert!(c2 != c1 && c2 != root);
-        assert!(state.commit_known(c1) && state.commit_known(c2));
 
         assert_eq!(v(head(&state, q)), ["v2"], "head sees v2");
         assert_eq!(v(as_of(&state, q, c1).expect("c1 resolvable")), ["v1"]);
@@ -1263,7 +1245,7 @@ mod tests {
         drop(fresh);
         // Reopen: snapshot + commit-log replay restore the committed triple.
         let reopened = AppState::build_durable(cfg, &dir).expect("reopen");
-        assert_eq!(reopened.generation(), 1);
+        assert_eq!(reopened.store().generation(), 1);
         assert_eq!(reopened.store().len(), seeded + 1);
         assert!(reopened.store().contains(
             &Term::iri("http://e/durable"),
@@ -1445,5 +1427,35 @@ mod tests {
             other => panic!("expected scalar count, got {other:?}"),
         };
         assert!(n > 0, "1% window over 2k points hits something");
+    }
+
+    /// The shards' slices of the generated point set are disjoint and
+    /// union to [`point_store`], for every fleet size the router tests
+    /// run; with more than one shard each holds a strict slice.
+    #[test]
+    fn point_store_sharded_slices_partition_point_store() {
+        let (n, seed) = (600, 7);
+        let lines = |store: &TripleStore| -> Vec<String> {
+            let line = |(s, p, o): (TermRef, TermRef, TermRef)| {
+                format!("{} {} {}", s.ntriples(), p.ntriples(), o.ntriples())
+            };
+            store.triples().map(line).collect()
+        };
+        let mut whole = lines(&point_store(n, seed));
+        whole.sort();
+        for count in 1..=3 {
+            let mut union = Vec::new();
+            for index in 0..count {
+                let spec = ee_rdf::storage::ShardSpec::new(index, count);
+                let slice = lines(&point_store_sharded(n, seed, Some(&spec)));
+                assert!(count == 1 || slice.len() < whole.len(), "shard {index}/{count}");
+                union.extend(slice);
+            }
+            union.sort();
+            let total = union.len();
+            union.dedup();
+            assert_eq!(union.len(), total, "{count} slices are disjoint");
+            assert_eq!(union, whole, "{count} slices union to the unsharded store");
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! /update` authorisation and error handling, write-then-read
 //! visibility, commit-stamped response-cache invalidation (an entry
 //! cached under commit C never serves after C′, including the
-//! refresh-after-write race), ranked-catalogue cache freshness after a
-//! `searchText` write, pinned versioned (`?asOf=`) reads surviving
-//! commits, and the always-live `/healthz` + `/metrics` bypass.
+//! refresh-after-write race), a no-op commit leaving the cache warm,
+//! ranked-catalogue cache freshness after a `searchText` write, pinned
+//! immutable reads (`?asOf=` queries, tiles) surviving commits, and the
+//! always-live `/healthz` + `/metrics` bypass.
 
 use ee_serve::http::read_response;
 use ee_serve::{start, AppState, DataConfig, ServerConfig};
@@ -144,6 +145,77 @@ fn committed_writes_invalidate_cached_queries() {
     let stale_tag = miss.header("etag").expect("query etag").to_string();
     let fresh_tag = after.header("etag").expect("query etag");
     assert_ne!(stale_tag, fresh_tag);
+    server.shutdown();
+}
+
+/// `ee_serve_invalidated_total{kind="responses"}` from a `/metrics` scrape.
+fn invalidated_responses(s: &mut TcpStream, r: &mut BufReader<TcpStream>) -> u64 {
+    let text = String::from_utf8(get(s, r, "/metrics").body).unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix("ee_serve_invalidated_total{kind=\"responses\"} "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("ee_serve_invalidated_total{kind=\"responses\"}")
+}
+
+#[test]
+fn noop_update_keeps_the_response_cache_warm() {
+    let server = start(test_config(), writable_state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
+    let q = "/query?x0=10&y0=10&side=20";
+    assert_eq!(get(&mut s, &mut r, q).header("x-cache"), Some("MISS"));
+    assert_eq!(get(&mut s, &mut r, q).header("x-cache"), Some("HIT"));
+    let swept = invalidated_responses(&mut s, &mut r);
+
+    // The generated store already holds this triple: the commit is a
+    // no-op, answered 200 at an unchanged generation.
+    let upd = post_update(
+        &mut s,
+        &mut r,
+        "INSERT DATA { <http://e/f0> \
+         <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Feature> }",
+    );
+    assert_eq!(upd.status, 200);
+    let v = json_of(&upd);
+    assert_eq!(v.get("generation").and_then(ee_util::json::Json::as_f64), Some(0.0));
+    assert_eq!(v.get("inserted").and_then(ee_util::json::Json::as_f64), Some(0.0));
+
+    assert_eq!(get(&mut s, &mut r, q).header("x-cache"), Some("HIT"), "the cache stays warm");
+    assert_eq!(invalidated_responses(&mut s, &mut r), swept, "nothing was swept");
+    server.shutdown();
+}
+
+#[test]
+fn tiles_stay_cached_and_revalidate_across_commits() {
+    let server = start(test_config(), writable_state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
+    let tile = "/tiles/0/0/0";
+    let miss = get(&mut s, &mut r, tile);
+    assert_eq!((miss.status, miss.header("x-cache")), (200, Some("MISS")));
+    assert_eq!(miss.header("x-commit"), None, "a tile names no commit");
+    let tag = miss.header("etag").expect("tile etag").to_string();
+    assert_eq!(get(&mut s, &mut r, tile).header("x-cache"), Some("HIT"));
+
+    let upd = post_update(
+        &mut s,
+        &mut r,
+        "INSERT DATA { <http://e/tile-commit> <http://e/p> <http://e/o> }",
+    );
+    assert_eq!(upd.status, 200);
+    assert_eq!(json_of(&upd).get("generation").and_then(ee_util::json::Json::as_f64), Some(1.0));
+
+    // The commit changed no tile: same entry, same validator.
+    let after = get(&mut s, &mut r, tile);
+    assert_eq!(after.header("x-cache"), Some("HIT"), "tiles survive the commit sweep");
+    assert_eq!(after.header("etag"), Some(tag.as_str()), "the tile etag does not roll");
+    assert_eq!(after.body, miss.body);
+    let _ = write!(
+        s,
+        "GET {tile} HTTP/1.1\r\nhost: t\r\nconnection: keep-alive\r\nif-none-match: {tag}\r\n\r\n"
+    );
+    let _ = s.flush();
+    let cond = read_response(&mut r).expect("response");
+    assert_eq!(cond.status, 304, "the pre-commit etag still revalidates");
+    assert!(cond.body.is_empty());
     server.shutdown();
 }
 
