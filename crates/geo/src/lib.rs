@@ -15,9 +15,12 @@
 //!   and rectangle clipping;
 //! * [`rtree`] — an R-tree (STR bulk load + quadratic-split inserts) used
 //!   for spatial-selection pushdown;
-//! * [`grid`] — regular lon/lat grids used for rasterisation and blocking.
+//! * [`grid`] — regular lon/lat grids used for rasterisation and blocking;
+//! * [`curve`] — the Hilbert curve, which orders records so that ones
+//!   near each other in space sit near each other in memory.
 
 pub mod algorithms;
+pub mod curve;
 pub mod geometry;
 pub mod grid;
 pub mod rtree;

@@ -143,6 +143,27 @@ fn unify(plan: &Plan, slots: &[Slot; 3], triple: IdTriple, work: &mut [u64]) -> 
     true
 }
 
+/// The candidate set the `Scan` of pattern `pi` enumerates, with the
+/// object variable it binds: the pattern's R-tree pushdown set, when it
+/// has one and enumerating it is estimated cheaper than scanning the
+/// pattern's index ([`candidates_pay`]). `None` means the step scans the
+/// index. The one access-path test for a seed scan: [`SeedScan::new`]
+/// takes it, and [`Plan::is_bounded`] reads its size.
+pub(crate) fn seed_candidates<'p>(
+    store: StoreView<'_>,
+    plan: &'p Plan,
+    pi: usize,
+) -> Option<(usize, &'p [u64])> {
+    let slots = &plan.slots[pi];
+    let seed = vec![UNBOUND; plan.vars.len()];
+    let cands = object_candidates(plan, slots, &seed)
+        .filter(|c| candidates_pay(store, c, &fixed_ids(slots, &seed)))?;
+    match &slots[2] {
+        Slot::Var(v) => Some((*v, cands)),
+        _ => unreachable!("object_candidates implies an object variable"),
+    }
+}
+
 /// The `Scan` step: an incremental enumerator of the first join step,
 /// probed by the single all-unbound seed row. Each `next_rows` call
 /// touches at most `want` candidate ids (R-tree path) or pauses the index
@@ -180,14 +201,8 @@ impl SeedScan {
         if slots.iter().any(|s| matches!(s, Slot::Impossible)) {
             return SeedScan { kind: SeedKind::Done };
         }
-        let seed = vec![UNBOUND; plan.vars.len()];
-        let kind = match object_candidates(plan, slots, &seed)
-            .filter(|c| candidates_pay(store, c, &fixed_ids(slots, &seed)))
-        {
-            Some(_) => match &slots[2] {
-                Slot::Var(v) => SeedKind::Candidates { pi, v: *v, next: 0 },
-                _ => unreachable!("object_candidates implies an object variable"),
-            },
+        let kind = match seed_candidates(store, plan, pi) {
+            Some((v, _)) => SeedKind::Candidates { pi, v, next: 0 },
             None => SeedKind::Scan {
                 pi,
                 cursor: PatternCursor::default(),

@@ -551,6 +551,34 @@ impl Plan {
         self.steps.iter().find_map(Step::route).unwrap_or("stream")
     }
 
+    /// Whether running this plan touches at most `max_candidates` probe
+    /// rows: it has exactly one required pattern (no `Probe`, no
+    /// `LeftJoin`), no blocking step but a lone `Count`, and its `Scan`
+    /// enumerates an R-tree candidate set of at most `max_candidates`
+    /// ids. The candidate test is the one the executor's seed scan takes
+    /// (`join::seed_candidates`), so a plan this calls bounded runs on
+    /// exactly that access path. `store` is the store or view the plan
+    /// was built against.
+    pub fn is_bounded(&self, store: StoreView<'_>, max_candidates: usize) -> bool {
+        let Some(Step::Scan(pi)) = self.steps.first() else {
+            return false;
+        };
+        let unbounded = self.steps.iter().any(|s| {
+            matches!(
+                s,
+                Step::Probe(_)
+                    | Step::LeftJoin(_)
+                    | Step::TopK { .. }
+                    | Step::Sort { .. }
+                    | Step::GroupCount(_)
+                    | Step::Aggregate(_)
+            )
+        });
+        !unbounded
+            && crate::join::seed_candidates(store, self, *pi)
+                .is_some_and(|(_, cands)| cands.len() <= max_candidates)
+    }
+
     /// A stable human-readable rendering of the plan, one numbered line
     /// per step, for inspection and snapshot tests. Deliberately excludes
     /// anything that varies with store content beyond the join order

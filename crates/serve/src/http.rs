@@ -112,12 +112,32 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parse a query parameter with `FromStr`, falling back on absence or
-    /// garbage.
-    pub fn param_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.param(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// A query parameter parsed as `T` and checked against `range`, or
+    /// `default` when the parameter is absent. A value that does not
+    /// parse, or falls outside `range`, is refused with a 400 that names
+    /// the parameter and the range: never replaced or clamped.
+    pub fn param_in<T, R>(&self, name: &str, default: T, range: R) -> Result<T, Response>
+    where
+        T: std::str::FromStr + PartialOrd,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        use std::ops::Bound::Unbounded;
+        let Some(raw) = self.param(name) else {
+            return Ok(default);
+        };
+        match raw.parse::<T>() {
+            Ok(v) if range.contains(&v) => Ok(v),
+            _ => {
+                let float = std::any::type_name::<T>().starts_with('f');
+                let kind = if float { "a number" } else { "an integer" };
+                let within = match (range.start_bound(), range.end_bound()) {
+                    (Unbounded, Unbounded) => String::new(),
+                    _ => format!(" in {range:?}"),
+                };
+                let msg = format!("{name} must be {kind}{within}, got {raw:?}");
+                Err(Response::error(400, &msg))
+            }
+        }
     }
 
     /// Whether the connection should stay open after this exchange.
@@ -742,8 +762,18 @@ mod tests {
         assert_eq!(req.path, "/query");
         assert_eq!(req.param("x0"), Some("1.5"));
         assert_eq!(req.param("mode"), Some("a b"));
-        assert_eq!(req.param_or("y0", 0.0), 2.0);
-        assert_eq!(req.param_or("missing", 9usize), 9);
+        assert_eq!(req.param_in("y0", 0.0, ..).unwrap(), 2.0);
+        assert_eq!(req.param_in("missing", 9usize, 0..=10).unwrap(), 9);
+        let refused = |r: Result<usize, Response>| {
+            let resp = r.expect_err("a 400");
+            assert_eq!(resp.status, 400);
+            String::from_utf8(resp.body.collect().unwrap()).unwrap()
+        };
+        assert!(refused(req.param_in("x0", 0usize, 0..))
+            .contains("x0 must be an integer in 0.., got \\\"1.5\\\""));
+        assert!(
+            refused(req.param_in("y0", 0usize, 3..=9)).contains("y0 must be an integer in 3..=9")
+        );
         assert_eq!(req.header("x-trace"), Some("7"));
         assert!(req.http11);
         assert!(req.wants_keep_alive());

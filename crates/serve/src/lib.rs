@@ -23,7 +23,9 @@
 //! response writer, the client-side reader), [`router`] request→engine
 //! dispatch, [`state`] the engines, [`cache`] a sharded LRU with TTL,
 //! [`metrics`] counters and latency histograms, [`server`] the
-//! poll-driven event-loop shards (C10K tier) over a worker pool,
+//! poll-driven event-loop shards (C10K tier), which answer cache hits
+//! and bounded head `/query` reads themselves, over a worker pool that
+//! runs everything else,
 //! [`loadgen`] the one load generator (a poll-driven fleet of
 //! nonblocking client connections, in open or closed loop), [`shard`]
 //! the scale-out router tier (`--router`): scatter-gather `/query` over

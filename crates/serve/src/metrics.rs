@@ -229,6 +229,14 @@ pub struct Metrics {
     per_route_requests: [AtomicU64; ROUTES.len()],
     per_route_latency: [Histogram; ROUTES.len()],
     per_route_ttfb: [Histogram; ROUTES.len()],
+    /// Panics caught in a handler or body producer (answered 500, or the
+    /// streamed body truncated).
+    pub panics: AtomicU64,
+    /// `/query` cache misses run to completion on the event-loop shard
+    /// that parsed them (bounded head reads).
+    pub query_inline: AtomicU64,
+    /// `/query` cache misses sent to the worker pool.
+    pub query_deferred: AtomicU64,
 }
 
 impl Metrics {
@@ -390,6 +398,11 @@ impl Metrics {
             "Keep-alive connections reaped by the idle timeout",
             self.idle_reaped.load(Ordering::Relaxed),
         );
+        counter(
+            "ee_serve_panics_total",
+            "Panics caught in handlers and body producers, each answered 500 or ending its body truncated",
+            self.panics.load(Ordering::Relaxed),
+        );
         counter("ee_serve_cache_hits_total", "Response cache hits", cache_hits);
         counter(
             "ee_serve_cache_misses_total",
@@ -408,6 +421,16 @@ impl Metrics {
         out.push_str(&format!(
             "# HELP ee_serve_cache_entries Response cache entries held\n\
              # TYPE ee_serve_cache_entries gauge\nee_serve_cache_entries {cache_len}\n"
+        ));
+        out.push_str(&format!(
+            "# HELP ee_serve_query_reads_total /query cache misses by where they ran, in requests: \
+             path=\"inline\" is a bounded head read run on the event-loop shard that parsed it, \
+             path=\"deferred\" one sent to the worker pool\n\
+             # TYPE ee_serve_query_reads_total counter\n\
+             ee_serve_query_reads_total{{path=\"inline\"}} {}\n\
+             ee_serve_query_reads_total{{path=\"deferred\"}} {}\n",
+            self.query_inline.load(Ordering::Relaxed),
+            self.query_deferred.load(Ordering::Relaxed),
         ));
         out.push_str(&format!(
             "# HELP ee_serve_queue_depth Dispatch queue depth\n\

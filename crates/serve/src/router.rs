@@ -12,6 +12,8 @@
 //! | `/ice/{region}`             | `ee-polar` PCDSS bundle (E12)  | GET      |
 //! | `/healthz`                  | liveness + engine inventory    | GET      |
 //! | `/debug/sleep`              | deadline testing (opt-in)      | GET      |
+//! | `/debug/stream`             | chunked framing tests (opt-in) | GET      |
+//! | `/debug/panic`              | panic containment (opt-in)     | GET      |
 //!
 //! `POST /query` takes the raw SPARQL text as the request body; both
 //! verbs share one handler, which parses the text once and streams it
@@ -38,7 +40,7 @@
 //! (`/metrics` is answered by the server itself, which owns the metrics
 //! and cache objects.)
 
-use crate::http::{BodyStream, Request, Response};
+use crate::http::{BodyStream, ChunkedSlices, Request, Response};
 use crate::metrics::Route;
 use crate::state::{AppState, PinnedRead, ICE_REGIONS};
 use ee_geo::Envelope;
@@ -174,7 +176,10 @@ pub fn dispatch(
         ["ice", region] => Outcome::Ready(handle_ice(state, req, region)),
         ["healthz"] => Outcome::Ready(handle_healthz(state)),
         ["debug", "sleep"] if debug_routes => debug_sleep(req, deadline),
-        ["debug", "stream"] if debug_routes => Outcome::Ready(debug_stream(req)),
+        ["debug", "stream"] if debug_routes => {
+            Outcome::Ready(debug_stream(req).unwrap_or_else(|refused| refused))
+        }
+        ["debug", "panic"] if debug_routes => Outcome::Ready(debug_panic(req)),
         _ => Outcome::Ready(Response::error(404, "no such route")),
     }
 }
@@ -263,21 +268,50 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
         }
     };
     let commit = read.commit();
+    let writer = Some(ResultWriter::new(read.vars(), limit));
+    let body = QueryStream {
+        state: Arc::clone(state),
+        read,
+        writer,
+        buf: String::new(),
+    };
+    query_response(sparql, limit, commit, Box::new(body))
+}
+
+/// A bounded head `/query` read answered whole, on the calling thread:
+/// the response [`dispatch`] gives for the same request and commit, with
+/// the body already written and handed over as one chunk. The
+/// server runs this on the event-loop shard that parsed the request.
+/// `None` leaves the request to [`dispatch`] (which parses it again):
+/// on a router tier, whose `/query` scatters over the network; for
+/// anything but `GET /query` without `asOf=` (a head read whose text the
+/// request-head limit bounds); while fault injection is armed (its sleep
+/// belongs on a worker); and whenever [`AppState::query_bounded`]
+/// declines — a contended store lock, a parse or plan error, or a plan
+/// that is not bounded.
+pub(crate) fn run_bounded(state: &AppState, req: &Request) -> Option<Response> {
+    let head_read =
+        req.method == "GET" && req.path.trim_matches('/') == "query" && req.param("asOf").is_none();
+    let injecting = state.slow_every != 0 && state.slow_ms != 0;
+    if state.router.is_some() || !head_read || injecting {
+        return None;
+    }
+    let (sparql, limit) = crate::shard::query_of(req).ok()?;
+    let q = ee_rdf::parser::parse_query(&sparql).ok()?;
+    let (commit, body) = state.query_bounded(&q, limit)?;
+    let body = ChunkedSlices::new(vec![body.into_bytes()]);
+    Some(query_response(&sparql, limit, commit, Box::new(body)))
+}
+
+/// The 200 of a `/query` read of `sparql` at `commit`: a streamed JSON
+/// body, an ETag over the canonical query text, the row cap and the
+/// commit, and the commit in `x-commit`.
+fn query_response(sparql: &str, limit: usize, commit: u64, body: Box<dyn BodyStream>) -> Response {
     let canon = sparql.split_whitespace().collect::<Vec<_>>().join(" ");
     let etag = etag_of(format!("query|{canon}|{limit}|c{commit:016x}").as_bytes());
-    let writer = Some(ResultWriter::new(read.vars(), limit));
-    Response::streamed(
-        200,
-        "application/json",
-        Box::new(QueryStream {
-            state: Arc::clone(state),
-            read,
-            writer,
-            buf: String::new(),
-        }),
-    )
-    .with_header("etag", etag)
-    .with_header("x-commit", format!("{commit:016x}"))
+    Response::streamed(200, "application/json", body)
+        .with_header("etag", etag)
+        .with_header("x-commit", format!("{commit:016x}"))
 }
 
 /// A [`BodyStream`] serialising query results batch by batch: holds the
@@ -323,7 +357,7 @@ impl BodyStream for QueryStream {
 fn handle_catalogue(state: &AppState, req: &Request) -> Response {
     let t0 = Instant::now();
     let mode = req.param("mode").unwrap_or("classic");
-    let resp = catalogue_by_mode(state, req, mode);
+    let resp = catalogue_by_mode(state, req, mode).unwrap_or_else(|refused| refused);
     if resp.status == 200 {
         let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         state.record_catalogue_mode(mode, us);
@@ -332,13 +366,16 @@ fn handle_catalogue(state: &AppState, req: &Request) -> Response {
 }
 
 /// The mode dispatch of `/catalogue/search` (split out so the wrapper
-/// can time every arm uniformly).
-fn catalogue_by_mode(state: &AppState, req: &Request, mode: &str) -> Response {
+/// can time every arm uniformly); `Err` is a refused parameter's 400.
+fn catalogue_by_mode(state: &AppState, req: &Request, mode: &str) -> Result<Response, Response> {
     if mode == "ranked" {
         let Some(q) = req.param("q").filter(|q| !q.trim().is_empty()) else {
-            return Response::error(400, "mode=ranked needs a non-empty q= query");
+            return Err(Response::error(
+                400,
+                "mode=ranked needs a non-empty q= query",
+            ));
         };
-        let k = req.param_or("k", 10usize).min(1000);
+        let k = req.param_in("k", 10usize, 0..=1000)?;
         let hits = state.ranked_search(q, k);
         let results: Vec<Json> = hits
             .iter()
@@ -359,27 +396,27 @@ fn catalogue_by_mode(state: &AppState, req: &Request, mode: &str) -> Response {
                 ]),
             })
             .collect();
-        return Json::obj(vec![
+        return Ok(Json::obj(vec![
             ("mode", Json::Str("ranked".into())),
             ("query", Json::Str(q.to_string())),
             ("count", Json::Num(results.len() as f64)),
             ("indexed", Json::Num(state.ranked_indexed() as f64)),
             ("results", Json::Arr(results)),
         ])
-        .pipe_json();
+        .pipe_json());
     }
-    let minx: f64 = req.param_or("minx", 10.0);
-    let miny: f64 = req.param_or("miny", 10.0);
-    let maxx = req.param_or("maxx", minx + 2.0);
-    let maxy = req.param_or("maxy", miny + 2.0);
+    let minx: f64 = req.param_in("minx", 10.0, ..)?;
+    let miny: f64 = req.param_in("miny", 10.0, ..)?;
+    let maxx = req.param_in("maxx", minx + 2.0, ..)?;
+    let maxy = req.param_in("maxy", miny + 2.0, ..)?;
     if !(minx.is_finite() && miny.is_finite() && maxx > minx && maxy > miny) {
-        return Response::error(400, "need finite minx,miny < maxx,maxy");
+        return Err(Response::error(400, "need finite minx,miny < maxx,maxy"));
     }
     let aoi = Envelope::new(minx, miny, maxx, maxy);
-    match mode {
+    Ok(match mode {
         "classic" => match state.classic_search(aoi) {
             Ok(hits) => {
-                let limit = req.param_or("limit", 50usize);
+                let limit = req.param_in("limit", 50usize, 0..)?;
                 let ids: Vec<Json> =
                     hits.iter().take(limit).map(|p| p.to_json()).collect();
                 Json::obj(vec![
@@ -419,7 +456,7 @@ fn catalogue_by_mode(state: &AppState, req: &Request, mode: &str) -> Response {
             }
         }
         other => Response::error(400, &format!("unknown mode {other:?}")),
-    }
+    })
 }
 
 /// `/tiles/{level}/{row}/{col}` — a codec-encoded tile window of the
@@ -548,7 +585,10 @@ fn handle_ice(state: &AppState, req: &Request, region: &str) -> Response {
             &format!("unknown region {region:?}; known: {ICE_REGIONS:?}"),
         );
     };
-    let budget = req.param_or("budget", 1_000_000usize);
+    let budget = match req.param_in("budget", 1_000_000usize, 0..) {
+        Ok(budget) => budget,
+        Err(refused) => return refused,
+    };
     match encode_bundle(products, budget) {
         Ok(bundle) => {
             let mut body = Vec::with_capacity(bundle.bytes() + 12);
@@ -595,10 +635,14 @@ fn handle_healthz(state: &AppState) -> Response {
     .pipe_json()
 }
 
-/// `/debug/sleep?ms=N` — hold a worker for `ms`, checking the deadline
-/// every slice. Exists so deadline enforcement is testable end-to-end.
+/// `/debug/sleep?ms=N` — hold a worker for `ms` (at most 60,000),
+/// checking the deadline every slice. Exists so deadline enforcement is
+/// testable end-to-end.
 fn debug_sleep(req: &Request, deadline: Instant) -> Outcome {
-    let ms = req.param_or("ms", 10u64).min(60_000);
+    let ms = match req.param_in("ms", 10u64, 0..=60_000) {
+        Ok(ms) => ms,
+        Err(refused) => return Outcome::Ready(refused),
+    };
     let until = Instant::now() + std::time::Duration::from_millis(ms);
     while Instant::now() < until {
         if Instant::now() >= deadline {
@@ -617,14 +661,18 @@ fn debug_sleep(req: &Request, deadline: Instant) -> Outcome {
 /// so chunked framing and the deadline-between-chunks abort are testable
 /// end-to-end: with a tight deadline and a non-zero pause, the server
 /// must truncate the stream instead of pinning a worker. A shape outside
-/// `N ≤ 10000`, `1 ≤ B ≤ 1 MiB` is a 400, never a shorter stream.
-fn debug_stream(req: &Request) -> Response {
-    let chunks = req.param_or("chunks", 4usize);
-    let bytes = req.param_or("bytes", 1024usize);
+/// `N ≤ 10000`, `1 ≤ B ≤ 1 MiB`, `M ≤ 60000` is a 400, never a shorter
+/// or quicker stream.
+fn debug_stream(req: &Request) -> Result<Response, Response> {
+    let chunks = req.param_in("chunks", 4usize, 0..)?;
+    let bytes = req.param_in("bytes", 1024usize, 0..)?;
     if chunks > 10_000 || !(1..=1 << 20).contains(&bytes) {
-        return Response::error(400, "chunks must be in 0..=10000 and bytes in 1..=1048576");
+        return Err(Response::error(
+            400,
+            "chunks must be in 0..=10000 and bytes in 1..=1048576",
+        ));
     }
-    let ms = req.param_or("ms", 0u64).min(60_000);
+    let ms = req.param_in("ms", 0u64, 0..=60_000)?;
     struct SlowChunks {
         left: usize,
         chunk: Vec<u8>,
@@ -642,7 +690,7 @@ fn debug_stream(req: &Request) -> Response {
             Ok(Some(&self.chunk))
         }
     }
-    Response::streamed(
+    Ok(Response::streamed(
         200,
         "application/octet-stream",
         Box::new(SlowChunks {
@@ -650,7 +698,36 @@ fn debug_stream(req: &Request) -> Response {
             chunk: vec![0x5A; bytes],
             pause: std::time::Duration::from_millis(ms),
         }),
-    )
+    ))
+}
+
+/// `/debug/panic?after=N` — a handler that panics: at once when `N` is
+/// 0 (the default), else inside its streamed body, after `N` chunks of
+/// 64 KiB. Exists so the server's panic containment is testable
+/// end-to-end: a panic before the head is a 500, one mid-stream ends the
+/// body truncated.
+fn debug_panic(req: &Request) -> Response {
+    let after = match req.param_in("after", 0usize, 0..=1000) {
+        Ok(after) => after,
+        Err(refused) => return refused,
+    };
+    assert!(after > 0, "/debug/panic: panicking in the handler");
+    struct PanicAfter {
+        left: usize,
+        chunk: Vec<u8>,
+    }
+    impl BodyStream for PanicAfter {
+        fn next_chunk(&mut self) -> std::io::Result<Option<&[u8]>> {
+            assert!(self.left > 0, "/debug/panic: panicking mid-stream");
+            self.left -= 1;
+            Ok(Some(&self.chunk))
+        }
+    }
+    let body = PanicAfter {
+        left: after,
+        chunk: vec![0x5A; 64 * 1024],
+    };
+    Response::streamed(200, "application/octet-stream", Box::new(body))
 }
 
 /// Small helper: turn a [`Json`] into a 200 response.
@@ -1358,6 +1435,200 @@ mod tests {
             assert_eq!(resp.status, 200, "{target}");
             assert_eq!(body_of(resp).len(), len, "{target}");
         }
+    }
+
+    /// Percent-encode every byte but ASCII letters and digits.
+    fn pct(text: &str) -> String {
+        text.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' => (b as char).to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    /// A `/query` GET of `sparql`.
+    fn sparql_get(sparql: &str) -> Request {
+        get(&format!("/query?sparql={}", pct(sparql)))
+    }
+
+    /// `SELECT ?s ?g` over the features within a `side`-wide window at
+    /// (`x0`, `y0`), with `extra` appended to the group.
+    fn window_rows(x0: f64, y0: f64, side: f64, extra: &str) -> String {
+        let (x1, y1) = (x0 + side, y0 + side);
+        format!(
+            "PREFIX e: <http://e/> SELECT ?s ?g WHERE {{ ?s e:hasGeometry ?g . {extra} \
+             FILTER(geof:sfWithin(?g, \"POLYGON (({x0} {y0}, {x1} {y0}, {x1} {y1}, {x0} {y1}, {x0} {y0}))\"^^geo:wktLiteral)) }}"
+        )
+    }
+
+    /// Which reads the event loop runs: bounded COUNT and rows windows,
+    /// up to [`crate::state::INLINE_CANDIDATES`] candidates. Joins,
+    /// OPTIONAL, ORDER BY, GROUP BY, unbounded scans, larger windows,
+    /// POST, `asOf` / `AS OF` reads and a router tier's reads go to the
+    /// worker pool.
+    #[test]
+    fn only_bounded_head_reads_run_inline() {
+        let s = state();
+        let inline = |req: &Request| run_bounded(s, req).is_some();
+        let kind = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>";
+        // The tiny store: 2,000 points over 100 × 100.
+        assert!(inline(&get("/query?x0=10&y0=10&side=10")));
+        assert!(inline(&sparql_get(&crate::state::selection_sparql(
+            40.0, 40.0, 10.0
+        ))));
+        assert!(inline(&sparql_get(&window_rows(20.0, 30.0, 5.0, ""))));
+        // About 720 and 1,620 candidates: the cap sits in between.
+        assert!(inline(&sparql_get(&window_rows(0.0, 0.0, 60.0, ""))));
+        assert!(
+            !inline(&sparql_get(&window_rows(0.0, 0.0, 90.0, ""))),
+            "past the cap"
+        );
+        let head = s.head_commit();
+        for (shape, sparql) in [
+            (
+                "join",
+                window_rows(20.0, 30.0, 5.0, &format!("?s {kind} ?t .")),
+            ),
+            (
+                "optional",
+                window_rows(20.0, 30.0, 5.0, &format!("OPTIONAL {{ ?s {kind} ?t }}")),
+            ),
+            (
+                "order by",
+                window_rows(20.0, 30.0, 5.0, "") + " ORDER BY ?s",
+            ),
+            (
+                "order by + limit",
+                window_rows(20.0, 30.0, 5.0, "") + " ORDER BY ?s LIMIT 3",
+            ),
+            (
+                "group by",
+                window_rows(20.0, 30.0, 5.0, "")
+                    .replace("?s ?g WHERE", "?g (COUNT(?s) AS ?n) WHERE")
+                    + " GROUP BY ?g",
+            ),
+            (
+                "unbounded scan",
+                "SELECT ?s WHERE { ?s <http://e/hasGeometry> ?g }".into(),
+            ),
+            (
+                "AS OF",
+                window_rows(20.0, 30.0, 5.0, "") + &format!(" AS OF <{head:016x}>"),
+            ),
+        ] {
+            assert!(!inline(&sparql_get(&sparql)), "{shape}: {sparql}");
+            // Deferred reads still answer, on the pool's path.
+            let pooled = ready(dispatch(s, &sparql_get(&sparql), far_deadline(), false));
+            assert_eq!(pooled.status, 200, "{shape}");
+        }
+        let window = "/query?x0=10&y0=10&side=10";
+        assert!(
+            !inline(&get(&format!("{window}&asOf={head:016x}"))),
+            "asOf="
+        );
+        assert!(
+            !inline(&post(
+                "/query",
+                &crate::state::selection_sparql(10.0, 10.0, 10.0)
+            )),
+            "POST"
+        );
+        assert!(
+            !inline(&get("/query/more?x0=10&y0=10&side=10")),
+            "not the /query route"
+        );
+        assert!(
+            !inline(&get("/query?sparql=nonsense")),
+            "parse errors answer on the pool"
+        );
+        let mut routed = AppState::build(DataConfig::tiny());
+        let shard: std::net::SocketAddr = "127.0.0.1:9".parse().unwrap();
+        routed.router = Some(crate::shard::RouterTier::new(&[shard], Default::default()));
+        assert!(
+            run_bounded(&routed, &get(window)).is_none(),
+            "a router tier scatters"
+        );
+    }
+
+    /// An inline read answers what the pool's [`PinnedRead`] drain does
+    /// for the same query and commit: status, headers and body bytes.
+    #[test]
+    fn inline_bodies_equal_the_pool_paths() {
+        let s = state();
+        for target in [
+            "/query?x0=10&y0=10&side=10".to_string(),
+            format!("/query?sparql={}", pct(&window_rows(20.0, 30.0, 5.0, ""))),
+            format!(
+                "/query?limit=2&sparql={}",
+                pct(&window_rows(20.0, 30.0, 5.0, ""))
+            ),
+            format!(
+                "/query?limit=0&sparql={}",
+                pct(&window_rows(70.0, 30.0, 8.0, ""))
+            ),
+        ] {
+            let inline = run_bounded(s, &get(&target)).expect("a bounded read");
+            let pooled = ready(dispatch(s, &get(&target), far_deadline(), false));
+            assert_eq!(
+                (inline.status, &inline.headers),
+                (pooled.status, &pooled.headers),
+                "{target}"
+            );
+            assert!(
+                matches!(inline.body, Body::Streamed(_)),
+                "chunked, as the pool's"
+            );
+            let (inline, pooled) = (body_of(inline), body_of(pooled));
+            assert_eq!(
+                String::from_utf8(inline).unwrap(),
+                String::from_utf8(pooled).unwrap()
+            );
+        }
+    }
+
+    /// Every strict parameter: a value that does not parse, or parses
+    /// outside the parameter's range, is a 400 naming the parameter —
+    /// never a default or a clamp. One test per parameter.
+    macro_rules! refuses {
+        ($($test:ident: $target:expr, $param:expr;)*) => {$(
+            #[test]
+            fn $test() {
+                let resp = ready(dispatch(state(), &get($target), far_deadline(), true));
+                assert_eq!(resp.status, 400, "{}", $target);
+                let body = String::from_utf8(body_of(resp)).unwrap();
+                assert!(body.contains(&format!("{} must be", $param)), "{body}");
+            }
+        )*};
+    }
+
+    refuses! {
+        query_limit_must_be_an_integer: "/query?x0=1&y0=1&side=5&limit=abc", "limit";
+        query_x0_must_be_a_number: "/query?x0=abc", "x0";
+        query_y0_must_be_a_number: "/query?y0=1e", "y0";
+        query_side_must_be_a_number: "/query?side=wide", "side";
+        ranked_k_is_at_most_1000: "/catalogue/search?mode=ranked&q=radar&k=1001", "k";
+        catalogue_minx_must_be_a_number: "/catalogue/search?minx=abc", "minx";
+        catalogue_miny_must_be_a_number: "/catalogue/search?miny=abc", "miny";
+        catalogue_maxx_must_be_a_number: "/catalogue/search?maxx=abc", "maxx";
+        catalogue_maxy_must_be_a_number: "/catalogue/search?maxy=", "maxy";
+        classic_limit_must_be_an_integer: "/catalogue/search?limit=-1", "limit";
+        ice_budget_must_be_an_integer: "/ice/fram-strait?budget=abc", "budget";
+        sleep_ms_is_at_most_60000: "/debug/sleep?ms=60001", "ms";
+        stream_chunks_must_be_an_integer: "/debug/stream?chunks=x", "chunks";
+        stream_bytes_must_be_an_integer: "/debug/stream?bytes=1.5", "bytes";
+        stream_ms_is_at_most_60000: "/debug/stream?ms=60001", "ms";
+        panic_after_is_at_most_1000: "/debug/panic?after=1001", "after";
+    }
+
+    #[test]
+    fn strict_parameters_accept_their_range_edges() {
+        let ok = |target: &str| ready(dispatch(state(), &get(target), far_deadline(), true)).status;
+        assert_eq!(ok("/catalogue/search?mode=ranked&q=radar&k=1000"), 200);
+        assert_eq!(ok("/catalogue/search?mode=ranked&q=radar&k=0"), 200);
+        assert_eq!(ok("/debug/sleep?ms=0"), 200);
+        assert_eq!(ok("/debug/stream?ms=0&chunks=1"), 200);
+        assert_eq!(ok("/query?x0=1&y0=1&side=5&limit=0"), 200);
     }
 
     #[test]

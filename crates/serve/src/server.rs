@@ -5,29 +5,44 @@
 //!   acceptor ──► shard inboxes ──► N event-loop shards (poll(2))
 //!                                     │  nonblocking sockets, one
 //!                                     │  EventConn state machine each:
-//!                                     │  Idle → parse → admit ─ hit or
-//!                                     │  refusal: answered on the shard
-//!                                     │  miss: Busy ⇄ StreamWait
+//!                                     │  Idle → parse → admit ─ hit,
+//!                                     │  refusal or bounded head read:
+//!                                     │  answered on the shard
+//!                                     │  anything else: Busy ⇄ StreamWait
 //!                                     │  → end_exchange → Idle
 //!                                     ▼
-//!                       misses only: job queue ──► M worker threads
+//!                       the rest only: job queue ──► M worker threads
 //!                                     ▲            (resolve_miss / pull
 //!                                     └── ready ◄─ body chunks)
 //!                                         queue + wake pipe
 //! ```
 //!
 //! A connection is a small state struct, not a thread: the shard polls
-//! its sockets, feeds bytes to a resumable [`RequestParser`], and looks
-//! each complete request up in the response cache itself. A hit is
-//! answered on the spot — head serialised straight into the
-//! connection's [`SendBuf`], body copied once from the cache entry — so
-//! it never pays the two cross-thread handoffs (job queue, then
-//! completion mailbox + wake pipe). Only misses and uncacheable routes
-//! go to the worker pool, which returns one `Completion` shape for
-//! every job: bytes plus how the response continues (a sized response
-//! is simply finished). Every exchange — hit, refusal or worker
-//! response — ends in one place, `EventConn::end_exchange`, and every
-//! refusal (400/413/408, the 503 sheds) is written by one helper.
+//! its sockets, feeds bytes to a resumable [`RequestParser`], and answers
+//! a request in one of three places:
+//!
+//! 1. **A hit or a refusal, on the shard.** The shard looks each
+//!    complete request up in the response cache itself; a hit is
+//!    answered on the spot — head serialised straight into the
+//!    connection's [`SendBuf`], body copied once from the cache entry.
+//! 2. **A bounded head read, on the shard.** A `GET /query` miss without
+//!    `asOf` whose plan enumerates at most
+//!    [`INLINE_CANDIDATES`](crate::state::INLINE_CANDIDATES) R-tree
+//!    candidates (`router::run_bounded`) runs to completion on
+//!    the shard that parsed it, under a store guard taken without
+//!    waiting; a contended lock or a plan that fails the gate sends it
+//!    on to the workers.
+//! 3. **Everything else, on the workers.** The worker pool returns one
+//!    `Completion` shape for every job: bytes plus how the response
+//!    continues (a sized response is simply finished).
+//!
+//! The first two never pay the two cross-thread handoffs (job queue,
+//! then completion mailbox + wake pipe). Every exchange — hit, refusal,
+//! inline read or worker response — ends in one place,
+//! `EventConn::end_exchange`, and every refusal (400/413/408, the 503
+//! sheds) is written by one helper. Every handler and body producer runs
+//! inside one panic boundary (`contain_panic`): a panic answers 500, or
+//! truncates a body already under way, and no thread dies.
 //! Heavy route work (plan/execute, tile encode) runs on workers;
 //! streamed bodies are pulled in bounded batches
 //! **only while the socket drains**, so a stalled reader parks its
@@ -458,37 +473,11 @@ fn resolve_miss(
             ) + &shared.state.render_prometheus_section(),
         )
     } else {
-        let key = cache_key(req, head, shared.state.search_generation());
-        let cacheable = key.is_some();
-        // Tile, ice and `asOf` responses are immutable: pin them so the
-        // update sweep and TTL expiry leave them alone.
-        let pinned = cacheable && crate::router::immutable_read(req);
         match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
             Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
-            Outcome::Ready(mut resp) => {
-                // A read names the commit it answered at in `x-commit`;
-                // one that differs from the key's stamp (a commit landed
-                // before the read was planned) is not filed under it.
-                let as_of = crate::router::as_of_param(req).ok().flatten();
-                let stamp = format!("{:016x}", as_of.unwrap_or(head));
-                let names_stamp = resp.headers.iter().all(|(n, v)| n != "x-commit" || *v == stamp);
-                if let Some(k) = key.filter(|_| resp.status == 200 && names_stamp) {
-                    // Full bodies can be cached before the write;
-                    // streamed ones are teed as produced (headers
-                    // snapshotted *before* the x-cache marker so
-                    // replays re-mark).
-                    let mut fill = CacheFill::new(k, pinned, &resp);
-                    match resp.body.as_full() {
-                        Some(full) => {
-                            fill.buf = full.to_vec();
-                            fill.insert(&shared.cache);
-                        }
-                        None => stream_tee = Some(fill),
-                    }
-                }
-                if cacheable {
-                    resp.headers.push(("x-cache".into(), "MISS".into()));
-                }
+            Outcome::Ready(resp) => {
+                let (resp, tee) = file_miss(shared, req, head, resp);
+                stream_tee = tee;
                 resp
             }
         }
@@ -516,6 +505,50 @@ fn resolve_miss(
     }
 
     (response, stream_tee)
+}
+
+/// File a handler's response to a cache miss: a cacheable 200 is
+/// inserted (sized body) or returned as the tee its streamed body fills,
+/// and a cacheable response is marked `x-cache: MISS`. `head` is the
+/// head commit read before the handler ran: the insert key is stamped
+/// with it, and a read whose `x-commit` names another commit (one landed
+/// before the read was planned) is not filed under it, so an entry
+/// always names the commit its body was read at.
+fn file_miss(
+    shared: &Shared,
+    req: &Request,
+    head: u64,
+    mut resp: Response,
+) -> (Response, Option<CacheFill>) {
+    let key = cache_key(req, head, shared.state.search_generation());
+    let cacheable = key.is_some();
+    // Tile, ice and `asOf` responses are immutable: pin them so the
+    // update sweep and TTL expiry leave them alone.
+    let pinned = cacheable && crate::router::immutable_read(req);
+    let as_of = crate::router::as_of_param(req).ok().flatten();
+    let stamp = format!("{:016x}", as_of.unwrap_or(head));
+    let names_stamp = resp
+        .headers
+        .iter()
+        .all(|(n, v)| n != "x-commit" || *v == stamp);
+    let mut tee = None;
+    if let Some(k) = key.filter(|_| resp.status == 200 && names_stamp) {
+        // Full bodies can be cached before the write; streamed ones are
+        // teed as produced (headers snapshotted *before* the x-cache
+        // marker so replays re-mark).
+        let mut fill = CacheFill::new(k, pinned, &resp);
+        match resp.body.as_full() {
+            Some(full) => {
+                fill.buf = full.to_vec();
+                fill.insert(&shared.cache);
+            }
+            None => tee = Some(fill),
+        }
+    }
+    if cacheable {
+        resp.headers.push(("x-cache".into(), "MISS".into()));
+    }
+    (resp, tee)
 }
 
 /// Conditional requests: when the client's `If-None-Match` names a 200
@@ -701,12 +734,23 @@ fn worker_loop(shared: &Shared) {
                 route,
                 deadline,
                 keep_alive,
-            } => (
-                shard,
-                token,
-                run_miss(shared, &req, route, deadline, keep_alive),
-            ),
-            Job::NextChunk { shard, token, ctx } => (shard, token, produce_chunks(shared, ctx)),
+            } => {
+                let t0 = Instant::now();
+                let run = contain_panic(shared, || {
+                    run_miss(shared, &req, route, deadline, keep_alive)
+                });
+                (
+                    shard,
+                    token,
+                    run.unwrap_or_else(|| panicked(shared, route, t0, keep_alive)),
+                )
+            }
+            Job::NextChunk { shard, token, ctx } => {
+                // The head went out with the first batch: a panic here
+                // can only truncate the body, and the connection closes.
+                let run = contain_panic(shared, || produce_chunks(shared, ctx));
+                (shard, token, run.unwrap_or((Vec::new(), StreamNext::Abort)))
+            }
         };
         let mailbox = &shared.shards[shard];
         mailbox
@@ -718,9 +762,32 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Worker-side miss handling: resolve, then serialise. Sized bodies
-/// become one complete byte run; streamed bodies yield their head plus
-/// the first chunk batch, with the context returned for continuation.
+/// Run `work`, catching a panic: `None` means it panicked, counted in
+/// `ee_serve_panics_total`. The one panic boundary of the server — every
+/// handler and body producer runs inside it, on a worker or on an event
+/// loop, so a panic costs its own request, never the thread and the
+/// requests behind it.
+fn contain_panic<T>(shared: &Shared, work: impl FnOnce() -> T) -> Option<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
+        Ok(done) => Some(done),
+        Err(_) => {
+            shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
+}
+
+/// The answer to a request whose handler panicked before any of its
+/// response was produced: a 500, with its latency recorded.
+fn panicked(shared: &Shared, route: Route, t0: Instant, keep_alive: bool) -> (Vec<u8>, StreamNext) {
+    shared.metrics.record(route, elapsed_us(t0));
+    (
+        serialize_error(500, "internal error", keep_alive),
+        StreamNext::Finished,
+    )
+}
+
+/// Worker-side miss handling: resolve, then serialise.
 fn run_miss(
     shared: &Shared,
     req: &Request,
@@ -730,6 +797,55 @@ fn run_miss(
 ) -> (Vec<u8>, StreamNext) {
     let t0 = Instant::now();
     let (response, stream_tee) = resolve_miss(shared, req, route, deadline, t0);
+    serialize(
+        shared, response, stream_tee, route, deadline, t0, keep_alive,
+    )
+}
+
+/// A bounded head `/query` read run to completion on the event-loop shard
+/// that parsed it ([`run_bounded`](crate::router::run_bounded)), filed in the cache and
+/// checked against `If-None-Match` as a worker's miss is, then
+/// serialised whole: the head, the body as one chunk and the terminator.
+/// `None` sends the request to the worker pool instead.
+fn run_inline(
+    shared: &Shared,
+    req: &Request,
+    route: Route,
+    deadline: Instant,
+    keep_alive: bool,
+) -> Option<(Vec<u8>, StreamNext)> {
+    let t0 = Instant::now();
+    let head = shared.state.head_commit();
+    let resp = crate::router::run_bounded(&shared.state, req)?;
+    let (mut response, mut stream_tee) = file_miss(shared, req, head, resp);
+    if elide_if_not_modified(shared, req, &mut response) {
+        stream_tee = None;
+    }
+    let (mut bytes, mut next) = serialize(
+        shared, response, stream_tee, route, deadline, t0, keep_alive,
+    );
+    // The body is in memory: frame the rest of it now rather than park
+    // it for a worker.
+    while let StreamNext::More(ctx) = next {
+        let (more, then) = produce_chunks(shared, ctx);
+        bytes.extend_from_slice(&more);
+        next = then;
+    }
+    Some((bytes, next))
+}
+
+/// Serialise a resolved response: sized bodies become one complete byte
+/// run; streamed bodies yield their head plus the first chunk batch, with
+/// the context returned for continuation.
+fn serialize(
+    shared: &Shared,
+    response: Response,
+    stream_tee: Option<CacheFill>,
+    route: Route,
+    deadline: Instant,
+    t0: Instant,
+    keep_alive: bool,
+) -> (Vec<u8>, StreamNext) {
     let mut bytes = response.head_bytes(keep_alive);
     match response.body {
         Body::Streamed(body) => {
@@ -1206,15 +1322,36 @@ impl<'a> Shard<'a> {
             conn.inflight_route = Some(route);
 
             // Cache hits (and requests already past their deadline) are
-            // answered here: no job queue, no worker, no completion
-            // mailbox or wake pipe.
+            // answered here, and so are bounded head `/query` reads: no
+            // job queue, no worker, no completion mailbox or wake pipe.
+            let shared = self.shared;
             let t0 = Instant::now();
-            if let Some(response) = lookup(self.shared, &req, route, deadline, t0) {
+            let answered = if let Some(response) = lookup(shared, &req, route, deadline, t0) {
                 conn.send.push_response(&response, keep_alive);
                 let body_len = response.body.as_full().map_or(0, <[u8]>::len);
-                self.shared.metrics.record_ttfb(route, elapsed_us(t0));
-                self.shared.metrics.add_bytes_sent(body_len as u64);
-                conn.end_exchange(self.shared);
+                shared.metrics.record_ttfb(route, elapsed_us(t0));
+                shared.metrics.add_bytes_sent(body_len as u64);
+                true
+            } else if route == Route::Query {
+                let inline = contain_panic(shared, || {
+                    run_inline(shared, &req, route, deadline, keep_alive)
+                })
+                .unwrap_or_else(|| Some(panicked(shared, route, t0, keep_alive)));
+                match inline {
+                    Some((bytes, next)) => {
+                        shared.metrics.query_inline.fetch_add(1, Ordering::Relaxed);
+                        conn.send.push(&bytes);
+                        // A truncated body (deadline) closes the connection.
+                        conn.close_after_flush |= matches!(next, StreamNext::Abort);
+                        true
+                    }
+                    None => false,
+                }
+            } else {
+                false
+            };
+            if answered {
+                conn.end_exchange(shared);
                 // Parse the next pipelined request only once this
                 // response has left, so a connection queues at most one
                 // response, as with worker completions.
@@ -1239,13 +1376,16 @@ impl<'a> Shard<'a> {
                 deadline,
                 keep_alive,
             };
-            if !self
-                .shared
-                .try_push_job(job, self.shared.config.queue_watermark)
-            {
-                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            if !shared.try_push_job(job, shared.config.queue_watermark) {
+                shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 self.refuse(slot, 503, "admission queue full", false);
                 return;
+            }
+            if route == Route::Query {
+                shared
+                    .metrics
+                    .query_deferred
+                    .fetch_add(1, Ordering::Relaxed);
             }
             conn.phase = Phase::Busy;
             return;
@@ -1351,6 +1491,70 @@ mod tests {
         assert!(c.event_shards >= 1);
         assert!(c.max_connections > 0);
         assert!(c.route_quota > 0);
+    }
+
+    /// A bounded head read that finds the store's write guard held is
+    /// deferred to the worker pool, never waited on by the event loop: a
+    /// cache hit on the same shard is answered meanwhile, and the read
+    /// is answered once the guard drops.
+    #[test]
+    fn inline_reads_never_wait_on_the_store_lock() {
+        use crate::http::read_response;
+        use crate::state::DataConfig;
+        use std::io::BufReader;
+        let state = Arc::new(AppState::build(DataConfig::tiny()));
+        let config = ServerConfig {
+            workers: 1,
+            event_shards: 1,
+            deadline: Duration::from_secs(60),
+            ..ServerConfig::default()
+        };
+        let server = start(config, Arc::clone(&state)).expect("start");
+        let metrics = server.metrics();
+        let connect = || {
+            let s = TcpStream::connect(server.addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let r = BufReader::new(s.try_clone().unwrap());
+            (s, r)
+        };
+        let get = |s: &mut TcpStream, target: &str| {
+            write!(s, "GET {target} HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
+        };
+        let (mut h, mut hr) = connect();
+        get(&mut h, "/tiles/0/0/0");
+        assert_eq!(read_response(&mut hr).unwrap().status, 200);
+
+        let guard = state.lock_store_exclusive();
+        let (mut q, mut qr) = connect();
+        get(&mut q, "/query?x0=10&y0=10&side=10");
+        let t0 = Instant::now();
+        while metrics.query_deferred.load(Ordering::SeqCst) == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the read was never deferred"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        get(&mut h, "/tiles/0/0/0");
+        let hit = read_response(&mut hr).expect("the hit is answered");
+        assert_eq!(hit.header("x-cache"), Some("HIT"));
+        q.set_nonblocking(true).unwrap();
+        let pending = q.peek(&mut [0u8; 1]);
+        assert!(
+            matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "{pending:?}"
+        );
+        q.set_nonblocking(false).unwrap();
+        drop(guard);
+        let read = read_response(&mut qr).expect("the read is answered");
+        assert_eq!(read.status, 200);
+        assert_eq!(read.header("x-cache"), Some("MISS"));
+        assert_eq!(metrics.query_inline.load(Ordering::SeqCst), 0);
+        // With the lock free, the same shape runs on the shard.
+        get(&mut q, "/query?x0=20&y0=20&side=10");
+        assert_eq!(read_response(&mut qr).unwrap().status, 200);
+        assert_eq!(metrics.query_inline.load(Ordering::SeqCst), 1);
+        server.shutdown();
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub(crate) fn route(state: &Arc<AppState>, tier: &RouterTier, req: &Request) -> 
 /// The SPARQL text + row cap a `/query` request asks for — shared with
 /// the single-store handlers in [`crate::router`].
 pub(crate) fn query_of(req: &Request) -> Result<(String, usize), Response> {
-    let limit = req.param_or("limit", 1000usize);
+    let limit = req.param_in("limit", 1000usize, 0..)?;
     if req.method == "POST" {
         let Ok(sparql) = std::str::from_utf8(&req.body) else {
             return Err(Response::error(400, "body must be UTF-8 SPARQL text"));
@@ -172,9 +172,9 @@ pub(crate) fn query_of(req: &Request) -> Result<(String, usize), Response> {
     let sparql = match req.param("sparql") {
         Some(q) => q.to_string(),
         None => {
-            let x0 = req.param_or("x0", crate::state::REGION * 0.45);
-            let y0 = req.param_or("y0", crate::state::REGION * 0.45);
-            let side = req.param_or("side", crate::state::REGION / 10.0);
+            let x0 = req.param_in("x0", crate::state::REGION * 0.45, ..)?;
+            let y0 = req.param_in("y0", crate::state::REGION * 0.45, ..)?;
+            let side = req.param_in("side", crate::state::REGION / 10.0, ..)?;
             if !(x0.is_finite() && y0.is_finite() && side.is_finite() && side > 0.0) {
                 return Err(Response::error(400, "x0/y0/side must be finite, side > 0"));
             }

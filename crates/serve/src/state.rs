@@ -28,12 +28,14 @@ use ee_catalogue::{Bm25Index, ClassicCatalogue, ProductGenerator, SemanticCatalo
 use ee_datasets::landscape::{Landscape, LandscapeConfig};
 use ee_datasets::optics::{simulate_s2_bands, OpticsConfig};
 use ee_datasets::seaice::{IceWorld, IceWorldConfig};
+use ee_geo::curve::hilbert_key;
 use ee_geo::{Envelope, Point};
 use ee_polar::icemap::{products_from_map, truth_masks, IceProducts};
 use ee_raster::scene::Band;
 use ee_raster::tile::pyramid;
 use ee_raster::Raster;
 use ee_rdf::exec::StreamCore;
+use ee_rdf::merge::ResultWriter;
 use ee_rdf::parser::Query;
 use ee_rdf::plan::ROUTES;
 use ee_rdf::storage::{CommitStats, CompactionPolicy, Durability, Store, StoreError};
@@ -50,6 +52,14 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 /// Side length of the square point-feature region served by `/query`
 /// (degree-like units, matching the E2 experiment).
 pub const REGION: f64 = 100.0;
+
+/// The largest R-tree candidate set a read may enumerate on an event-loop
+/// shard, as a bounded head `/query` read. About five times the largest
+/// window the benchmark suite sends (some 200 candidates at side 10 over
+/// the default 20,000 points); at the ~1 µs per row a cache-cold read
+/// costs on a 2-core x86 host, one such read holds its event loop for
+/// about a millisecond at most.
+pub const INLINE_CANDIDATES: usize = 1024;
 
 /// Ice regions served by `/ice/{region}`.
 pub const ICE_REGIONS: [&str; 3] = ["fram-strait", "norske-oer", "baffin-bay"];
@@ -331,6 +341,12 @@ impl AppState {
     pub fn store(&self) -> RwLockReadGuard<'_, Store> {
         self.store_reads.fetch_add(1, Ordering::Relaxed);
         self.store.read().expect("store lock")
+    }
+
+    /// The store's exclusive guard, for tests that need the lock held.
+    #[cfg(test)]
+    pub(crate) fn lock_store_exclusive(&self) -> std::sync::RwLockWriteGuard<'_, Store> {
+        self.store.write().expect("store lock")
     }
 
     /// Wall time each engine group took to build, in seconds, paired
@@ -637,11 +653,14 @@ impl AppState {
     /// Plan `q` at one commit — `as_of`, or else the head read under the
     /// guard that plans it — and return a [`PinnedRead`] of it; `None`
     /// when `as_of` names no commit. A plan's ids and spatial candidate
-    /// sets hold for its commit only, so every read is planned here (and
-    /// `ee_rdf_fastpath_total{kind}` counts every execution). For a plan
-    /// without blocking steps no join work happens here: the operators
-    /// run inside [`PinnedRead::drain_batch`], so a slow client pauses
-    /// the joins instead of buffering their output.
+    /// sets hold for its commit only, so every read is planned here or in
+    /// `AppState::query_bounded` (and `ee_rdf_fastpath_total{kind}`
+    /// counts every execution). For a plan without blocking steps no join
+    /// work happens here: the operators run inside
+    /// [`PinnedRead::drain_batch`], so a slow client pauses the joins
+    /// instead of buffering their output. This is the worker pool's path,
+    /// which blocks on the store lock and runs plans on
+    /// [`ee_util::par::available_threads`] threads.
     pub fn query(&self, q: &Query, as_of: Option<u64>) -> Option<Result<PinnedRead, RdfError>> {
         let store = self.store();
         let head = store.head_commit();
@@ -649,8 +668,7 @@ impl AppState {
         let novelty = store.as_of(commit)?;
         let view = StoreView::with_novelty(&store, &novelty);
         let core = ee_rdf::plan::plan_view(view, q).and_then(|plan| {
-            let i = ROUTES.iter().position(|r| *r == plan.route());
-            self.fastpath[i.expect("a label of ROUTES")].fetch_add(1, Ordering::Relaxed);
+            self.count_route(&plan);
             let threads = ee_util::par::available_threads();
             ee_rdf::exec::stream_plan_shared(view, Arc::new(plan), threads)
         });
@@ -660,6 +678,43 @@ impl AppState {
             novelty,
             built_on: head,
         }))
+    }
+
+    /// The whole body of a bounded head read of `q` — the JSON a
+    /// [`PinnedRead`] drained through [`ResultWriter`] gives, at most
+    /// `limit` rows written — and the commit it read. This is the event
+    /// loop's path, so it never waits: `None` leaves the read to
+    /// [`AppState::query`] when the store lock is not free right now, when
+    /// `q` names an `AS OF` commit or fails to plan, or when its plan is
+    /// not [bounded](ee_rdf::plan::Plan::is_bounded) by
+    /// [`INLINE_CANDIDATES`]. The read guard is taken with `try_read` and
+    /// counted like [`AppState::store`]'s; under it the plan is built and
+    /// run serially (one thread: an event loop must not wait on pool
+    /// helpers) and the body written.
+    pub(crate) fn query_bounded(&self, q: &Query, limit: usize) -> Option<(u64, String)> {
+        if q.as_of.is_some() {
+            return None;
+        }
+        let store = self.store.try_read().ok()?;
+        self.store_reads.fetch_add(1, Ordering::Relaxed);
+        let view = StoreView::head(&store);
+        let plan = ee_rdf::plan::plan_view(view, q).ok()?;
+        if !plan.is_bounded(view, INLINE_CANDIDATES) {
+            return None;
+        }
+        self.count_route(&plan);
+        let mut core = ee_rdf::exec::stream_plan_shared(view, Arc::new(plan), 1).ok()?;
+        let mut writer = ResultWriter::new(core.vars(), limit);
+        let mut body = String::new();
+        while core.drain_batch(view, |row| writer.row(&mut body, row)) > 0 {}
+        writer.finish(&mut body);
+        Some((store.head_commit(), body))
+    }
+
+    /// Count one execution of `plan` in `ee_rdf_fastpath_total{kind}`.
+    fn count_route(&self, plan: &ee_rdf::plan::Plan) {
+        let i = ROUTES.iter().position(|r| *r == plan.route());
+        self.fastpath[i.expect("a label of ROUTES")].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The ice products of a region, if it exists.
@@ -783,36 +838,49 @@ pub fn point_store(n: usize, seed: u64) -> TripleStore {
 /// stores union to exactly the unsharded store, coordinate for
 /// coordinate.
 ///
-/// Terms are interned in the order per-triple inserts would intern them
-/// (so term ids are theirs), each point straight from its coordinates
-/// ([`ee_rdf::dict::Dictionary::intern_geometry`]). The id
-/// triples then load the indexes from sorted runs — the path
-/// [`ee_rdf::storage::Store::open`] takes, so a fresh server and a
-/// reopened one build the same index layout.
+/// The features are interned in Hilbert order: sorted by the
+/// [`hilbert_key`] of their point on a `2^16 × 2^16` grid over the
+/// region (ties keep generation order), each one's subject, predicates,
+/// class and point in turn, the point straight from its coordinates
+/// ([`ee_rdf::dict::Dictionary::intern_geometry`]). So the ids of the
+/// features in one selection window are close together, and so are
+/// their index entries and term text. The id triples then load the
+/// indexes from sorted runs — the path [`ee_rdf::storage::Store::open`]
+/// takes, so a fresh server and a reopened one build the same index
+/// layout. Ids that `/update` assigns later append, unordered.
 pub fn point_store_sharded(
     n: usize,
     seed: u64,
     shard: Option<&ee_rdf::storage::ShardSpec>,
 ) -> TripleStore {
-    let mut store = TripleStore::new();
     let mut rng = Rng::seed_from(seed);
+    let subject = |i: usize| Term::iri(format!("http://e/f{i}"));
+    let mut features = Vec::with_capacity(n);
+    for i in 0..n {
+        let p = Point::new(rng.range_f64(0.0, REGION), rng.range_f64(0.0, REGION));
+        if shard.is_some_and(|spec| !spec.accepts(&subject(i))) {
+            continue;
+        }
+        features.push((i, p));
+    }
+    let region = Envelope::new(0.0, 0.0, REGION, REGION);
+    // A 2^16 grid has 2^32 cells: the index fits a u32, which halves the
+    // sorted (key, index) pairs.
+    let key = |p: Point| u32::try_from(hilbert_key(&region, HILBERT_ORDER, p));
+    features.sort_by_cached_key(|(_, p)| key(*p).expect("a 2^16 grid has 2^32 cells"));
+    let mut store = TripleStore::new();
     let geom = Term::iri("http://e/hasGeometry");
     let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
     let feature = Term::iri("http://e/Feature");
-    let mut triples = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        let s = Term::iri(format!("http://e/f{i}"));
-        let x = rng.range_f64(0.0, REGION);
-        let y = rng.range_f64(0.0, REGION);
-        if shard.is_some_and(|spec| !spec.accepts(&s)) {
-            continue;
-        }
+    let mut triples = Vec::with_capacity(2 * features.len());
+    for (i, p) in features {
         let dict = &mut store.dict;
-        let (si, ki, fi) = (dict.intern(&s), dict.intern(&kind), dict.intern(&feature));
-        let (gi, wi) = (
-            dict.intern(&geom),
-            dict.intern_geometry(Point::new(x, y).into()),
+        let (si, ki, fi) = (
+            dict.intern(&subject(i)),
+            dict.intern(&kind),
+            dict.intern(&feature),
         );
+        let (gi, wi) = (dict.intern(&geom), dict.intern_geometry(p.into()));
         triples.push((si, ki, fi));
         triples.push((si, gi, wi));
     }
@@ -820,6 +888,10 @@ pub fn point_store_sharded(
     store.pack();
     store
 }
+
+/// Grid order of the Hilbert curve [`point_store_sharded`] sorts by:
+/// `2^16` cells a side, about 0.0015 units over [`REGION`].
+const HILBERT_ORDER: u32 = 16;
 
 /// The generated point set of `config` (its shard's part, when sharded).
 fn generated_points(config: &DataConfig) -> TripleStore {
@@ -1016,9 +1088,11 @@ mod tests {
     /// [`built`] compares, plus every dictionary entry of the point store
     /// and of the semantic store and the semantic store's id triples.
     /// `Debug` of an `f64` round-trips, so a value or coordinate that
-    /// moves by one bit moves the hash. Recorded before the start-up
-    /// build was reworked; any change to what the build produces, or to
-    /// the ids it assigns, moves it.
+    /// moves by one bit moves the hash. Any change to what the build
+    /// produces, or to the ids it assigns, moves it. Last recorded when
+    /// the point store began interning in Hilbert order, which moved ids
+    /// only ([`answers_do_not_depend_on_the_id_layout`] shows the rest
+    /// held).
     #[test]
     fn tiny_build_matches_its_golden_fingerprint() {
         let state = AppState::build(DataConfig::tiny());
@@ -1027,7 +1101,103 @@ mod tests {
         fingerprint_store(&mut h, state.semantic.store());
         h.update(format!("{:?}", built(&state)).as_bytes());
         let got = h.finish();
-        assert_eq!(got, 0x61d1_032d_a6d9_52f9, "tiny build fingerprint {got:#018x}");
+        assert_eq!(
+            got, 0x0aa5_c205_8ae4_33cd,
+            "tiny build fingerprint {got:#018x}"
+        );
+    }
+
+    /// The generated point set interned in generation order — feature
+    /// `f0` first — as [`point_store`] did before it sorted the features
+    /// along the Hilbert curve: the same triples under other ids.
+    fn generation_order_store(n: usize, seed: u64) -> TripleStore {
+        let mut store = TripleStore::new();
+        let mut rng = Rng::seed_from(seed);
+        let geom = Term::iri("http://e/hasGeometry");
+        let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+        let feature = Term::iri("http://e/Feature");
+        let mut triples = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            let s = Term::iri(format!("http://e/f{i}"));
+            let p = Point::new(rng.range_f64(0.0, REGION), rng.range_f64(0.0, REGION));
+            let dict = &mut store.dict;
+            let (si, ki, fi) = (dict.intern(&s), dict.intern(&kind), dict.intern(&feature));
+            let (gi, wi) = (dict.intern(&geom), dict.intern_geometry(p.into()));
+            triples.push((si, ki, fi));
+            triples.push((si, gi, wi));
+        }
+        store.load_ids(triples);
+        store.pack();
+        store
+    }
+
+    /// The Hilbert order moves ids, nothing else: over 64 seeded windows
+    /// the COUNTs at side 10 and the row multisets at side 5 equal a
+    /// generation-order store's, and so do the answer to a triangle window
+    /// and the two stores' term-level triples.
+    #[test]
+    fn answers_do_not_depend_on_the_id_layout() {
+        let (n, seed) = (DataConfig::default().points, 2019);
+        let (hilbert, generation) = (point_store(n, seed), generation_order_store(n, seed));
+        let rows = |store: &TripleStore, sparql: &str| {
+            let sols = ee_rdf::exec::query(store, sparql).expect("query");
+            let mut rows: Vec<String> = sols.rows.iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
+        let window = |x0: f64, y0: f64, side: f64| {
+            let (x1, y1) = (x0 + side, y0 + side);
+            format!("POLYGON (({x0} {y0}, {x1} {y0}, {x1} {y1}, {x0} {y1}, {x0} {y0}))")
+        };
+        let within = |wkt: &str| {
+            format!(
+                "PREFIX e: <http://e/> SELECT ?s ?g WHERE {{ ?s e:hasGeometry ?g . \
+                 FILTER(geof:sfWithin(?g, \"{wkt}\"^^geo:wktLiteral)) }}"
+            )
+        };
+        let count = |store: &TripleStore, sparql: &str| match ee_rdf::exec::query(store, sparql)
+            .expect("count")
+            .scalar()
+        {
+            Some(Term::Literal { lexical, .. }) => lexical.parse::<usize>().expect("a count"),
+            other => panic!("expected a count, got {other:?}"),
+        };
+        let mut rng = Rng::seed_from(64);
+        let (mut counted, mut listed) = (0, 0);
+        for _ in 0..64 {
+            let (x0, y0) = (
+                rng.range_f64(0.0, REGION - 10.0),
+                rng.range_f64(0.0, REGION - 10.0),
+            );
+            let sparql = selection_sparql(x0, y0, 10.0);
+            let n = count(&hilbert, &sparql);
+            assert_eq!(n, count(&generation, &sparql), "{sparql}");
+            counted += n;
+            let listing = within(&window(x0, y0, 5.0));
+            let (a, b) = (rows(&hilbert, &listing), rows(&generation, &listing));
+            assert_eq!(a, b, "{listing}");
+            listed += a.len();
+        }
+        assert!(
+            counted > 64 * 100 && listed > 64 * 20,
+            "{counted} counted, {listed} rows"
+        );
+        let triangle = within("POLYGON ((20 20, 70 30, 40 75, 20 20))");
+        let answer = rows(&hilbert, &triangle);
+        assert!(answer.len() > 100, "{} rows in the triangle", answer.len());
+        assert_eq!(answer, rows(&generation, &triangle));
+        let terms = |store: &TripleStore| {
+            let line = |(s, p, o): (TermRef, TermRef, TermRef)| {
+                format!("{} {} {}", s.ntriples(), p.ntriples(), o.ntriples())
+            };
+            let mut lines: Vec<String> = store.triples().map(line).collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(terms(&hilbert), terms(&generation));
+        // And the ids did move.
+        let first = |store: &TripleStore| store.dict.term(0).ntriples();
+        assert_ne!(first(&hilbert), first(&generation));
     }
 
     /// Drain a pinned read into owned rows.

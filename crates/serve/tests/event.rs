@@ -2,9 +2,10 @@
 //! sockets: idle-connection reaping, slow-loris partial heads, refused
 //! request framings, per-route quotas, the max-connections cap,
 //! mid-stream client disconnects under the event loop, cache hits
-//! answered on the shard past a saturated worker pool — plus wire
-//! responses checked against the router's own answers and an open-loop
-//! fleet smoke.
+//! answered on the shard past a saturated worker pool, a deferred read
+//! that leaves its shard free, panics contained to their own request —
+//! plus wire responses checked against the router's own answers and an
+//! open-loop fleet smoke.
 
 use ee_serve::http::{read_response, ClientResponse, RequestParser};
 use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};
@@ -529,5 +530,143 @@ fn open_loop_fleet_holds_idle_connections_through_the_event_server() {
         .open_peak
         .load(std::sync::atomic::Ordering::Relaxed);
     assert!(peak >= 64, "gauge saw the fleet (peak {peak})");
+    server.shutdown();
+}
+
+/// `target` with its SPARQL percent-encoded.
+fn sparql_target(sparql: &str) -> String {
+    let enc: String = sparql
+        .bytes()
+        .map(|b| match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' => (b as char).to_string(),
+            _ => format!("%{b:02X}"),
+        })
+        .collect();
+    format!("/query?sparql={enc}")
+}
+
+/// One event-loop shard: while a read the inline gate defers (a
+/// cross-product COUNT) runs on the worker, a cache hit on another
+/// connection is answered first. Forcing every `/query` inline makes the
+/// shard run the cross product itself, and the hit waits behind it.
+#[test]
+fn a_deferred_read_leaves_its_shard_free_for_hits() {
+    let mut config = event_config();
+    config.event_shards = 1;
+    config.workers = 1;
+    config.deadline = Duration::from_secs(120);
+    config.idle_timeout = Duration::from_secs(120);
+    let server = start(config, state()).expect("start");
+    let metrics = server.metrics();
+    let (mut h, mut hr) = connect(server.addr);
+    assert_eq!(
+        send(&mut h, &mut hr, "/tiles/0/0/0", true).header("x-cache"),
+        Some("MISS")
+    );
+
+    let kind = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Feature>";
+    let cross = format!("SELECT (COUNT(?a) AS ?n) WHERE {{ ?a {kind} . ?b {kind} }}");
+    let (mut q, mut qr) = connect(server.addr);
+    write!(
+        q,
+        "GET {} HTTP/1.1\r\nhost: t\r\n\r\n",
+        sparql_target(&cross)
+    )
+    .unwrap();
+    // Sent to the pool at once; run inline, counted only once it is
+    // done, hence the long wait.
+    let t0 = Instant::now();
+    let dispatched = || {
+        let inline = metrics.query_inline.load(Ordering::SeqCst);
+        inline + metrics.query_deferred.load(Ordering::SeqCst) == 1
+    };
+    while !dispatched() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(120),
+            "the cross product never ran"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let hit = send(&mut h, &mut hr, "/tiles/0/0/0", true);
+    assert_eq!(hit.header("x-cache"), Some("HIT"));
+    q.set_nonblocking(true).unwrap();
+    let pending = q.peek(&mut [0u8; 1]);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the cross product was answered before the hit: {pending:?}"
+    );
+    q.set_nonblocking(false).unwrap();
+    let counted = read_response(&mut qr).expect("the cross product's answer");
+    assert_eq!(counted.status, 200);
+    let points = DataConfig::tiny().points;
+    let body = String::from_utf8(counted.body).unwrap();
+    let rows = format!("\"rows\":[[\"{}\"]]", points * points);
+    assert!(
+        body.contains(&rows) && body.ends_with("\"count\":1}"),
+        "{body}"
+    );
+    assert_eq!(metrics.query_inline.load(Ordering::SeqCst), 0);
+    server.shutdown();
+}
+
+/// N+1 requests that panic in their handler on an N-worker server each
+/// get a 500, and the server keeps answering.
+#[test]
+fn panicking_handlers_answer_500_and_keep_every_worker() {
+    let config = event_config();
+    let workers = config.workers;
+    let server = start(config, state()).expect("start");
+    for i in 0..=workers {
+        let (mut s, mut r) = connect(server.addr);
+        let resp = send(&mut s, &mut r, "/debug/panic", true);
+        assert_eq!(resp.status, 500, "panic {i}");
+        assert!(
+            resp.keep_alive,
+            "the framing is intact, so the connection stays"
+        );
+    }
+    let (mut s, mut r) = connect(server.addr);
+    assert_eq!(send(&mut s, &mut r, "/healthz", true).status, 200);
+    let n = (workers + 1) as u64;
+    assert_eq!(server.metrics().panics.load(Ordering::SeqCst), n);
+    let text = String::from_utf8(send(&mut s, &mut r, "/metrics", false).body).unwrap();
+    assert!(
+        text.lines()
+            .any(|l| l == format!("ee_serve_panics_total {n}")),
+        "{text}"
+    );
+    server.shutdown();
+}
+
+/// A panic after the head went out ends that body truncated (no chunk
+/// terminator) and closes its connection; other connections are served.
+#[test]
+fn a_panic_mid_stream_truncates_its_body_and_spares_other_connections() {
+    let server = start(event_config(), state()).expect("start");
+    let (mut s, _) = connect(server.addr);
+    s.write_all(b"GET /debug/panic?after=2 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let mut wire = Vec::new();
+    s.read_to_end(&mut wire)
+        .expect("the server closes the connection");
+    assert!(
+        wire.starts_with(b"HTTP/1.1 200 OK\r\n"),
+        "{:?}",
+        String::from_utf8_lossy(&wire[..64.min(wire.len())])
+    );
+    assert!(
+        wire.len() > 2 * 64 * 1024,
+        "both chunks went out: {} bytes",
+        wire.len()
+    );
+    assert!(
+        !wire.ends_with(b"0\r\n\r\n"),
+        "a truncated body has no terminator"
+    );
+    let (mut s, mut r) = connect(server.addr);
+    assert_eq!(send(&mut s, &mut r, "/healthz", true).status, 200);
+    let window = send(&mut s, &mut r, "/query?x0=10&y0=10&side=10", true);
+    assert_eq!(window.status, 200);
+    assert_eq!(server.metrics().panics.load(Ordering::SeqCst), 1);
     server.shutdown();
 }

@@ -16,7 +16,12 @@
 # metric, each side's median and quartiles, the change's wins over the
 # pairs (ties count for neither; which way is better comes from
 # BENCHMARK.json, default lower), whether the median gap exceeds the
-# base's interquartile range, and the correct/failed totals. Then one
+# base's interquartile range, the median of the per-seed differences
+# (change minus base; also as a share of the base median) with how many
+# of those differences are negative and positive, and the correct/failed
+# totals. The paired differences are for reading only: a host whose
+# speed drifts during the set moves both sides' medians, and a per-seed
+# difference cancels that drift; no verdict or claim uses them. Then one
 # verdict per `end_to_end` metric of BENCHMARK.json, against its `bound`
 # (a fraction of the base median):
 #   regressed   the change's median is worse than the base's by more
@@ -124,7 +129,8 @@ def value(r, name):
 names = sorted({n for side in runs.values() for r in side.values() if r for n in r["metrics"]})
 seeds = sorted(set(runs["base"]) & set(runs["change"]), key=int)
 print()
-print(f"{'metric':<34} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} {'delta':>8} {'wins':>7}  gap>IQR")
+print(f"{'metric':<34} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} {'delta':>8} {'wins':>7}  gap>IQR"
+      f"  {'paired delta':>22} {'-/+':>7}")
 for name in names:
     b = [value(runs["base"][s], name) for s in seeds]
     c = [value(runs["change"][s], name) for s in seeds]
@@ -137,8 +143,13 @@ for name in names:
     cq1, cmed, cq3 = quartiles([y for _, y in pairs])
     delta = f"{100 * (cmed - bmed) / bmed:+.1f}%" if bmed else "n/a"
     gap = "yes" if abs(cmed - bmed) > bq3 - bq1 else "no"
+    diffs = [y - x for x, y in pairs]
+    dmed = statistics.median(diffs)
+    paired = f"{dmed:+.4g}" + (f" ({100 * dmed / bmed:+.1f}%)" if bmed else "")
+    signs = f"{sum(d < 0 for d in diffs)}/{sum(d > 0 for d in diffs)}"
     print(f"{name:<34} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<30} "
-          f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} {delta:>8} {f'{wins}/{len(pairs)}':>7}  {gap}")
+          f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} {delta:>8} {f'{wins}/{len(pairs)}':>7}  {gap:<7}"
+          f"  {paired:>22} {signs:>7}")
 
 print()
 for m in spec.get("end_to_end", []):
