@@ -287,12 +287,6 @@ impl Bm25Index {
         self.n_live == 0
     }
 
-    /// Number of distinct terms in the dictionary (including terms only
-    /// dead documents used — the dictionary never shrinks).
-    pub fn vocabulary(&self) -> usize {
-        self.dict.len()
-    }
-
     /// The k best documents for `query`, best first (score descending,
     /// doc id ascending on score ties). Only documents matching at least
     /// one query term appear; fewer than k hits means fewer matches.

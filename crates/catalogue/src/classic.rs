@@ -131,11 +131,6 @@ impl ClassicCatalogue {
         hits.sort_by_key(|p| (p.sensing_year, p.sensing_doy, p.id.clone()));
         Ok(hits)
     }
-
-    /// Total archive volume in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.products.iter().map(|p| p.size_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -218,6 +213,5 @@ mod tests {
         let mut g = ProductGenerator::new(Envelope::new(0.0, 0.0, 10.0, 10.0), 2017, 99);
         cat.insert(g.next_product());
         assert_eq!(cat.len(), before + 1);
-        assert!(cat.total_bytes() > 0);
     }
 }

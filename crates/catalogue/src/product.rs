@@ -128,6 +128,7 @@ impl Product {
     }
 
     /// Parse a product back from the JSON shape produced by [`Self::to_json`].
+    #[cfg(test)]
     pub fn from_json(v: &Json) -> Result<Product, String> {
         let str_field = |key: &str| -> Result<String, String> {
             v.get(key)

@@ -106,11 +106,6 @@ impl<E> EventQueue<E> {
         self.processed += 1;
         Some((s.at, s.event))
     }
-
-    /// Peek at the next event time without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +138,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimDuration::from_secs(5.0), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5.0)));
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(5.0));
         assert_eq!(q.now(), t);

@@ -36,13 +36,6 @@ pub struct Transfer {
     pub end: SimTime,
 }
 
-impl Transfer {
-    /// End-to-end duration.
-    pub fn duration(&self) -> SimDuration {
-        self.end.since(self.start)
-    }
-}
-
 impl Network {
     /// A quiet network over a cluster.
     pub fn new(spec: ClusterSpec) -> Self {
@@ -91,19 +84,6 @@ impl Network {
         self.transfers += 1;
         Transfer { start, end }
     }
-
-    /// The duration `bytes` would take on an idle path — the analytic
-    /// lower bound, useful for tests and back-of-envelope checks.
-    pub fn ideal_duration(&self, src: NodeId, dst: NodeId, bytes: u64) -> SimDuration {
-        let bw = self.spec.bandwidth(src, dst);
-        SimDuration::from_secs(bytes as f64 / bw + self.spec.latency(src, dst))
-    }
-
-    /// Reset NIC availability (a new independent experiment phase).
-    pub fn reset(&mut self) {
-        self.egress_free.fill(SimTime::ZERO);
-        self.ingress_free.fill(SimTime::ZERO);
-    }
 }
 
 #[cfg(test)]
@@ -119,11 +99,7 @@ mod tests {
         let mut n = net(2);
         let t = n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_250_000_000);
         // 1.25 GB at 1.25 GB/s = 1 s + 50 us latency.
-        assert!((t.duration().as_secs() - 1.00005).abs() < 1e-9);
-        assert_eq!(
-            t.duration(),
-            n.ideal_duration(NodeId(0), NodeId(1), 1_250_000_000)
-        );
+        assert!((t.end.since(t.start).as_secs() - 1.00005).abs() < 1e-9);
     }
 
     #[test]
@@ -153,7 +129,7 @@ mod tests {
         let bytes = 625_000_000; // 0.5 s each
         let t1 = n.send(SimTime::ZERO, NodeId(0), NodeId(1), bytes);
         let t2 = n.send(SimTime::ZERO, NodeId(0), NodeId(2), bytes);
-        assert!((t1.duration().as_secs() - 0.50005).abs() < 1e-9);
+        assert!((t1.end.since(t1.start).as_secs() - 0.50005).abs() < 1e-9);
         assert!(t2.start >= SimTime::from_secs(0.5));
     }
 
@@ -201,15 +177,15 @@ mod tests {
         n.send(SimTime::ZERO, NodeId(1), NodeId(0), 200);
         assert_eq!(n.bytes_moved(), 300);
         assert_eq!(n.transfers(), 2);
-        n.reset();
-        let t = n.send(SimTime::ZERO, NodeId(0), NodeId(1), 100);
-        assert_eq!(t.start, SimTime::ZERO, "reset clears NIC queues");
     }
 
     #[test]
     fn loopback_is_fast() {
         let mut n = net(2);
         let t = n.send(SimTime::ZERO, NodeId(0), NodeId(0), 1_250_000_000);
-        assert!(t.duration().as_secs() < 0.02, "loopback ~100x NIC speed");
+        assert!(
+            t.end.since(t.start).as_secs() < 0.02,
+            "loopback ~100x NIC speed"
+        );
     }
 }

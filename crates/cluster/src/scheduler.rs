@@ -59,11 +59,6 @@ impl JobReport {
     pub fn wait(&self) -> SimDuration {
         self.started.since(self.submitted)
     }
-
-    /// End-to-end time.
-    pub fn turnaround(&self) -> SimDuration {
-        self.finished.since(self.submitted)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -301,7 +296,6 @@ mod tests {
         let r = s.run();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].wait(), SimDuration::ZERO);
-        assert_eq!(r[0].turnaround(), SimDuration::from_secs(10.0));
         assert_eq!(r[0].placements.len(), 2);
     }
 

@@ -70,6 +70,7 @@ impl ClusterSpec {
     }
 
     /// A multi-rack cluster.
+    #[cfg(test)]
     pub fn racked(racks: usize, nodes_per_rack: usize) -> Self {
         assert!(racks > 0 && nodes_per_rack > 0);
         Self {
@@ -127,11 +128,6 @@ impl ClusterSpec {
     pub fn total_gpus(&self) -> u32 {
         self.num_nodes() as u32 * self.node.gpu_slots
     }
-
-    /// Aggregate CPU slot count.
-    pub fn total_cpus(&self) -> u32 {
-        self.num_nodes() as u32 * self.node.cpu_slots
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +141,6 @@ mod tests {
         assert_eq!(c.nodes().count(), 8);
         assert!(c.same_rack(NodeId(0), NodeId(7)));
         assert_eq!(c.total_gpus(), 8);
-        assert_eq!(c.total_cpus(), 128);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use ee_datasets::{LandClass, Landscape};
 use ee_hopsfs::{FileSystem, FsConfig};
 use ee_raster::{codec, Scene};
 use ee_rdf::term::Term;
-use ee_util::bytes::ByteSize;
 
 /// Platform-level errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,23 +83,11 @@ pub struct ExtractionReport {
     pub knowledge_bytes: u64,
 }
 
-impl ExtractionReport {
-    /// Knowledge-to-data volume ratio (the paper's 450 TB / 1 PB ≈ 0.45,
-    /// at the information level rather than the byte level).
-    pub fn knowledge_ratio(&self) -> f64 {
-        if self.input_bytes == 0 {
-            return 0.0;
-        }
-        self.knowledge_bytes as f64 / self.input_bytes as f64
-    }
-}
-
 /// The platform.
 pub struct Platform {
     fs: FileSystem,
     catalogue: SemanticCatalogue,
     cluster: ClusterSpec,
-    archived_bytes: u64,
 }
 
 impl Platform {
@@ -112,7 +99,6 @@ impl Platform {
             fs,
             catalogue: SemanticCatalogue::new(),
             cluster: config.cluster,
-            archived_bytes: 0,
         })
     }
 
@@ -157,7 +143,6 @@ impl Platform {
                 .create(&format!("{base}/{}.eert", band.name()), &encoded)?;
             files += 1;
         }
-        self.archived_bytes += total;
         Ok(StoredScene {
             path: base,
             bytes: total,
@@ -300,11 +285,6 @@ impl Platform {
         // the generic path below.
         self.catalogue.insert_raw(s, p, o);
     }
-
-    /// Total bytes archived through this platform instance.
-    pub fn archive_volume(&self) -> ByteSize {
-        ByteSize(self.archived_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -348,7 +328,6 @@ mod tests {
         // Re-archiving under another project is independent.
         p.archive_scene("polar", &s).unwrap();
         assert_eq!(p.list_scenes("polar").unwrap().len(), 1);
-        assert_eq!(p.archive_volume().as_u64(), stored.bytes * 2);
     }
 
     #[test]
@@ -366,7 +345,7 @@ mod tests {
         assert_eq!(report.knowledge_triples, w.parcels.len() * 3 + w.parcels.len() * 3 * 2);
         assert!(report.knowledge_bytes > 0);
         // Knowledge is far smaller than pixels, but non-trivial.
-        let ratio = report.knowledge_ratio();
+        let ratio = report.knowledge_bytes as f64 / report.input_bytes as f64;
         assert!(ratio > 0.0 && ratio < 1.0, "ratio {ratio}");
         // The knowledge is queryable.
         let sol = p

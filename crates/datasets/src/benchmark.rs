@@ -2,8 +2,6 @@
 //!
 //! * [`patches_from_scene`] — cut a labelled scene into EuroSat-style
 //!   patches (13 bands × p × p, labelled by majority ground truth);
-//! * [`temporal_patches`] — the same with the time axis stacked into
-//!   channels (the temporal-CNN input of Challenge C1);
 //! * [`pixels_from_scene`] — per-pixel spectra for the shallow baselines;
 //! * [`weak_label_raster`] — labels derived from "cartographic products"
 //!   (the OSM-like parcel layer) with controllable annotation noise and
@@ -16,7 +14,6 @@ use crate::landclass::LandClass;
 use crate::landscape::Landscape;
 use crate::DataGenError;
 use ee_dl::Dataset;
-use ee_raster::stack::TimeStack;
 use ee_raster::{Band, Raster, Scene};
 use ee_tensor::Tensor;
 use ee_util::Rng;
@@ -62,46 +59,6 @@ pub fn patches_from_scene(
                 for r in r0..r0 + patch {
                     for c in c0..c0 + patch {
                         data.push(raster.at(c, r));
-                    }
-                }
-            }
-            labels.push(majority_label(truth, c0, r0, patch) as usize);
-        }
-    }
-    let x = Tensor::from_vec(&[n, nb, patch, patch], data)
-        .map_err(|e| DataGenError::Config(e.to_string()))?;
-    Dataset::new(x, labels).map_err(|e| DataGenError::Config(e.to_string()))
-}
-
-/// Temporal patches: the scenes' bands are stacked along the channel axis
-/// (`[N, scenes*bands, p, p]`). All scenes must share the grid.
-pub fn temporal_patches(
-    stack: &TimeStack,
-    truth: &Raster<u8>,
-    patch: usize,
-    bands: &[Band],
-) -> Result<Dataset, DataGenError> {
-    let scenes = stack.scenes();
-    if scenes.is_empty() {
-        return Err(DataGenError::Config("empty time stack".into()));
-    }
-    let (cols, rows) = truth.shape();
-    let px = cols / patch;
-    let py = rows / patch;
-    let n = px * py;
-    let nb = bands.len() * scenes.len();
-    let mut data = Vec::with_capacity(n * nb * patch * patch);
-    let mut labels = Vec::with_capacity(n);
-    for ty in 0..py {
-        for tx in 0..px {
-            let (c0, r0) = (tx * patch, ty * patch);
-            for scene in scenes {
-                for &band in bands {
-                    let raster = scene.band(band)?;
-                    for r in r0..r0 + patch {
-                        for c in c0..c0 + patch {
-                            data.push(raster.at(c, r));
-                        }
                     }
                 }
             }
@@ -293,19 +250,6 @@ mod tests {
         // Labels reflect the world's class mix.
         let distinct: std::collections::HashSet<usize> = d.labels.iter().copied().collect();
         assert!(distinct.len() >= 3);
-    }
-
-    #[test]
-    fn temporal_patch_channels_stack() {
-        let w = world();
-        let dates = [
-            Date::new(2017, 4, 1).unwrap(),
-            Date::new(2017, 6, 1).unwrap(),
-            Date::new(2017, 8, 1).unwrap(),
-        ];
-        let stack = crate::optics::simulate_season(&w, &dates, clear(), 2).unwrap();
-        let d = temporal_patches(&stack, &w.truth, 8, &[Band::B04, Band::B08]).unwrap();
-        assert_eq!(d.x.shape(), &[64, 6, 8, 8], "3 dates x 2 bands");
     }
 
     #[test]

@@ -180,22 +180,6 @@ pub fn simulate_season(
     Ok(stack)
 }
 
-/// The standard acquisition calendar: one scene every `every` days across
-/// a year (Sentinel-2's 5-day revisit would be `every = 5`).
-pub fn acquisition_dates(year: i32, every: u16) -> Vec<Date> {
-    assert!(every > 0);
-    let mut out = Vec::new();
-    let mut doy = 1u16;
-    while let Some(d) = Date::from_ordinal(year, doy) {
-        out.push(d);
-        doy += every;
-        if doy > 365 {
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +250,7 @@ mod tests {
             for band in Band::S2_ALL {
                 let one =
                     simulate_s2_bands(&w, date, OpticsConfig::default(), 13, &[band]).unwrap();
-                assert_eq!(one.num_bands(), 1);
+                assert_eq!(one.bands().count(), 1);
                 let bits = |s: &Scene| -> Vec<u32> {
                     s.band(band)
                         .unwrap()
@@ -290,7 +274,8 @@ mod tests {
         assert_eq!(
             simulate_s2_bands(&w, date, clear(), 3, &[])
                 .unwrap()
-                .num_bands(),
+                .bands()
+                .count(),
             0
         );
         assert!(simulate_s2_bands(&w, date, clear(), 3, &[Band::VV]).is_err());
@@ -300,7 +285,7 @@ mod tests {
     fn scene_has_13_bands_and_matches_grid() {
         let w = world();
         let s = simulate_s2(&w, Date::new(2017, 6, 15).unwrap(), clear(), 1).unwrap();
-        assert_eq!(s.num_bands(), 13);
+        assert_eq!(s.bands().count(), 13);
         assert_eq!(s.shape(), (64, 64));
         assert_eq!(s.footprint(), w.truth.envelope());
         assert_eq!(s.mission, Mission::Sentinel2);
@@ -391,20 +376,13 @@ mod tests {
     #[test]
     fn season_stack_orders_dates() {
         let w = world();
-        let dates = acquisition_dates(2017, 30);
-        assert_eq!(dates.len(), 13);
-        let stack = simulate_season(&w, &dates[..4], clear(), 2).unwrap();
+        let dates: Vec<Date> = (0..4)
+            .map(|i| Date::from_ordinal(2017, 1 + 30 * i).unwrap())
+            .collect();
+        let stack = simulate_season(&w, &dates, clear(), 2).unwrap();
         assert_eq!(stack.len(), 4);
         let ds = stack.dates();
         assert!(ds.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn acquisition_calendar() {
-        let d5 = acquisition_dates(2017, 5);
-        assert_eq!(d5.len(), 73);
-        assert_eq!(d5[0], Date::new(2017, 1, 1).unwrap());
-        assert_eq!(d5[1].ordinal(), 6);
     }
 
     #[test]

@@ -102,7 +102,7 @@ mod tests {
     fn scene_structure() {
         let w = world();
         let s = simulate_s1(&w, Date::new(2017, 6, 1).unwrap(), SarConfig::default(), 1).unwrap();
-        assert_eq!(s.num_bands(), 2);
+        assert_eq!(s.bands().count(), 2);
         assert!(s.has_band(Band::VV) && s.has_band(Band::VH));
         assert_eq!(s.mission, Mission::Sentinel1);
     }

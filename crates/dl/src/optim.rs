@@ -82,11 +82,6 @@ impl Sgd {
         }
     }
 
-    /// Steps taken so far.
-    pub fn step_count(&self) -> usize {
-        self.step
-    }
-
     /// Apply the model's current gradients to its parameters.
     pub fn step(&mut self, model: &mut Sequential) -> Result<(), DlError> {
         let grads = model.flat_grads();
@@ -248,7 +243,6 @@ mod tests {
         }
         let last = m.compute_gradients(&x, &y).unwrap();
         assert!(last < first * 0.3, "{first} → {last}");
-        assert_eq!(opt.step_count(), 40);
     }
 
     #[test]

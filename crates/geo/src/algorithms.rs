@@ -4,7 +4,7 @@
 //! (`sfIntersects`, `sfContains`, `sfWithin`, `geof:distance`) and the
 //! rasterisation / field-boundary code in the applications.
 
-use crate::geometry::{Envelope, Geometry, LineString, Point, Polygon};
+use crate::geometry::{Geometry, LineString, Point, Polygon};
 
 /// Twice the signed area of the triangle (a, b, c); positive when the turn
 /// a→b→c is counter-clockwise.
@@ -64,47 +64,6 @@ pub fn polygon_centroid(poly: &Polygon) -> Point {
         cy += (w[0].y + w[1].y) * f;
     }
     Point::new(cx / (6.0 * a), cy / (6.0 * a))
-}
-
-/// Centroid of any geometry.
-pub fn centroid(geom: &Geometry) -> Point {
-    match geom {
-        Geometry::Point(p) => *p,
-        Geometry::LineString(l) => {
-            // Length-weighted midpoint.
-            let total = l.length();
-            if total < f64::EPSILON {
-                return l.points[0];
-            }
-            let (mut cx, mut cy) = (0.0, 0.0);
-            for (a, b) in l.segments() {
-                let len = a.distance(b);
-                cx += (a.x + b.x) / 2.0 * len;
-                cy += (a.y + b.y) / 2.0 * len;
-            }
-            Point::new(cx / total, cy / total)
-        }
-        Geometry::Polygon(p) => polygon_centroid(p),
-        Geometry::MultiPolygon(m) => {
-            // Area-weighted combination of member centroids.
-            let total: f64 = m.polygons.iter().map(polygon_area).sum();
-            if total < f64::EPSILON || m.polygons.is_empty() {
-                return m
-                    .polygons
-                    .first()
-                    .map(polygon_centroid)
-                    .unwrap_or_default();
-            }
-            let (mut cx, mut cy) = (0.0, 0.0);
-            for p in &m.polygons {
-                let a = polygon_area(p);
-                let c = polygon_centroid(p);
-                cx += c.x * a;
-                cy += c.y * a;
-            }
-            Point::new(cx / total, cy / total)
-        }
-    }
 }
 
 /// Is `p` inside the ring (boundary counts as inside)? Ray-casting with
@@ -387,152 +346,6 @@ fn all_vertices(geom: &Geometry) -> Vec<Point> {
     }
 }
 
-/// Convex hull by Andrew's monotone chain. Returns the hull as a closed
-/// ring (CCW). Inputs with fewer than 3 distinct points yield `None`.
-pub fn convex_hull(points: &[Point]) -> Option<LineString> {
-    let mut pts: Vec<Point> = points.to_vec();
-    pts.sort_by(|a, b| {
-        a.x.partial_cmp(&b.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    pts.dedup_by(|a, b| a.distance(b) < 1e-12);
-    if pts.len() < 3 {
-        return None;
-    }
-    let hull = monotone_chain(&pts);
-    if hull.len() < 3 {
-        return None;
-    }
-    let mut ring = hull;
-    ring.push(ring[0]);
-    Some(LineString { points: ring })
-}
-
-fn monotone_chain(pts: &[Point]) -> Vec<Point> {
-    let n = pts.len();
-    let mut lower: Vec<Point> = Vec::with_capacity(n);
-    for p in pts {
-        while lower.len() >= 2 && cross(&lower[lower.len() - 2], &lower[lower.len() - 1], p) <= 0.0
-        {
-            lower.pop();
-        }
-        lower.push(*p);
-    }
-    let mut upper: Vec<Point> = Vec::with_capacity(n);
-    for p in pts.iter().rev() {
-        while upper.len() >= 2 && cross(&upper[upper.len() - 2], &upper[upper.len() - 1], p) <= 0.0
-        {
-            upper.pop();
-        }
-        upper.push(*p);
-    }
-    lower.pop();
-    upper.pop();
-    lower.extend(upper);
-    lower
-}
-
-/// Douglas–Peucker polyline simplification with tolerance `epsilon`.
-/// Always keeps the endpoints. Rings keep their closure.
-pub fn simplify(line: &LineString, epsilon: f64) -> LineString {
-    let pts = &line.points;
-    if pts.len() <= 2 {
-        return line.clone();
-    }
-    let mut keep = vec![false; pts.len()];
-    keep[0] = true;
-    keep[pts.len() - 1] = true;
-    let mut stack = vec![(0usize, pts.len() - 1)];
-    while let Some((lo, hi)) = stack.pop() {
-        if hi <= lo + 1 {
-            continue;
-        }
-        let (mut max_d, mut max_i) = (0.0, lo);
-        for i in lo + 1..hi {
-            let d = point_segment_distance(&pts[i], &pts[lo], &pts[hi]);
-            if d > max_d {
-                max_d = d;
-                max_i = i;
-            }
-        }
-        if max_d > epsilon {
-            keep[max_i] = true;
-            stack.push((lo, max_i));
-            stack.push((max_i, hi));
-        }
-    }
-    let kept: Vec<Point> = pts
-        .iter()
-        .zip(&keep)
-        .filter_map(|(p, &k)| k.then_some(*p))
-        .collect();
-    LineString { points: kept }
-}
-
-/// Clip a polygon's exterior to an axis-aligned rectangle
-/// (Sutherland–Hodgman). Holes are dropped; returns `None` when the result
-/// is empty. Used for tiling footprints in the catalogue.
-pub fn clip_to_envelope(poly: &Polygon, env: &Envelope) -> Option<Polygon> {
-    #[derive(Clone, Copy)]
-    enum Edge {
-        Left(f64),
-        Right(f64),
-        Bottom(f64),
-        Top(f64),
-    }
-    fn inside(p: &Point, e: Edge) -> bool {
-        match e {
-            Edge::Left(x) => p.x >= x,
-            Edge::Right(x) => p.x <= x,
-            Edge::Bottom(y) => p.y >= y,
-            Edge::Top(y) => p.y <= y,
-        }
-    }
-    fn intersect(a: &Point, b: &Point, e: Edge) -> Point {
-        match e {
-            Edge::Left(x) | Edge::Right(x) => {
-                let t = (x - a.x) / (b.x - a.x);
-                Point::new(x, a.y + t * (b.y - a.y))
-            }
-            Edge::Bottom(y) | Edge::Top(y) => {
-                let t = (y - a.y) / (b.y - a.y);
-                Point::new(a.x + t * (b.x - a.x), y)
-            }
-        }
-    }
-    let mut output: Vec<Point> = poly.exterior.points[..poly.exterior.points.len() - 1].to_vec();
-    for edge in [
-        Edge::Left(env.min_x),
-        Edge::Right(env.max_x),
-        Edge::Bottom(env.min_y),
-        Edge::Top(env.max_y),
-    ] {
-        if output.is_empty() {
-            return None;
-        }
-        let input = std::mem::take(&mut output);
-        for i in 0..input.len() {
-            let cur = input[i];
-            let prev = input[(i + input.len() - 1) % input.len()];
-            let cur_in = inside(&cur, edge);
-            let prev_in = inside(&prev, edge);
-            if cur_in {
-                if !prev_in {
-                    output.push(intersect(&prev, &cur, edge));
-                }
-                output.push(cur);
-            } else if prev_in {
-                output.push(intersect(&prev, &cur, edge));
-            }
-        }
-    }
-    if output.len() < 3 {
-        return None;
-    }
-    Polygon::from_exterior(output).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,79 +522,5 @@ mod tests {
         assert!((distance(&a, &p) - 4.0).abs() < 1e-12);
         let q: Geometry = Point::new(4.0, 5.0).into();
         assert!((distance(&p, &q) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn convex_hull_square_cloud() {
-        let mut pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(4.0, 0.0),
-            Point::new(4.0, 4.0),
-            Point::new(0.0, 4.0),
-        ];
-        // Interior points must not appear on the hull.
-        pts.push(Point::new(2.0, 2.0));
-        pts.push(Point::new(1.0, 3.0));
-        let hull = convex_hull(&pts).unwrap();
-        assert!(hull.is_ring());
-        assert_eq!(hull.points.len(), 5, "4 corners + closure");
-        let poly = Polygon::new(hull, vec![]).unwrap();
-        assert_eq!(polygon_area(&poly), 16.0);
-    }
-
-    #[test]
-    fn convex_hull_degenerate() {
-        assert!(convex_hull(&[Point::new(0.0, 0.0)]).is_none());
-        assert!(convex_hull(&[Point::new(0.0, 0.0), Point::new(1.0, 1.0)]).is_none());
-        // Collinear points have no 2-D hull.
-        assert!(convex_hull(&[
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 2.0)
-        ])
-        .is_none());
-    }
-
-    #[test]
-    fn simplify_keeps_shape() {
-        // A noisy straight line collapses to its endpoints.
-        let pts: Vec<Point> = (0..100)
-            .map(|i| Point::new(i as f64, if i % 2 == 0 { 0.001 } else { -0.001 }))
-            .collect();
-        let line = LineString::new(pts).unwrap();
-        let simple = simplify(&line, 0.01);
-        assert_eq!(simple.points.len(), 2);
-        // A right angle keeps its corner.
-        let corner = LineString::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(5.0, 5.0),
-        ])
-        .unwrap();
-        let s = simplify(&corner, 0.01);
-        assert_eq!(s.points.len(), 3);
-    }
-
-    #[test]
-    fn clip_polygon_to_rectangle() {
-        let tri = Polygon::from_exterior(vec![
-            Point::new(-5.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(0.0, 10.0),
-        ])
-        .unwrap();
-        let env = Envelope::new(-1.0, -1.0, 1.0, 1.0);
-        let clipped = clip_to_envelope(&tri, &env).unwrap();
-        let a = polygon_area(&clipped);
-        // The clip window's upper half intersects the triangle fully; lower
-        // half is cut by y=0. Area = width 2 * height 1 = 2.
-        assert!((a - 2.0).abs() < 1e-9, "area {a}");
-        // Disjoint clip yields None.
-        let far = Envelope::new(100.0, 100.0, 101.0, 101.0);
-        assert!(clip_to_envelope(&tri, &far).is_none());
-        // Fully-inside polygon is unchanged in area.
-        let env_big = Envelope::new(-10.0, -10.0, 10.0, 20.0);
-        let same = clip_to_envelope(&tri, &env_big).unwrap();
-        assert!((polygon_area(&same) - polygon_area(&tri)).abs() < 1e-9);
     }
 }

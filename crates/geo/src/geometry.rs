@@ -91,11 +91,6 @@ impl Envelope {
         self.width() * self.height()
     }
 
-    /// Half-perimeter, the R-tree node cost metric.
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Centre point.
     pub fn center(&self) -> Point {
         Point::new((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)

@@ -5,7 +5,7 @@
 //! layers in `ee-datasets`, and for the spatial histograms of
 //! `ee-federation`'s source selector.
 
-use crate::geometry::{Envelope, Point};
+use crate::geometry::Envelope;
 
 /// A `cols x rows` grid of equal cells covering an envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +28,7 @@ impl Grid {
 
     /// Construct with a target cell size; the cell count is rounded up so
     /// cells are never larger than requested.
+    #[cfg(test)]
     pub fn with_cell_size(extent: Envelope, cell_w: f64, cell_h: f64) -> Self {
         assert!(cell_w > 0.0 && cell_h > 0.0);
         let cols = (extent.width() / cell_w).ceil().max(1.0) as usize;
@@ -50,30 +51,10 @@ impl Grid {
         self.cols * self.rows
     }
 
-    /// The (col, row) of the cell containing `p`, or `None` if outside.
-    /// Points on the max edges map to the last cell.
-    pub fn locate(&self, p: &Point) -> Option<(usize, usize)> {
-        if !self.extent.contains_point(p) {
-            return None;
-        }
-        let col = (((p.x - self.extent.min_x) / self.cell_width()) as usize).min(self.cols - 1);
-        let row = (((p.y - self.extent.min_y) / self.cell_height()) as usize).min(self.rows - 1);
-        Some((col, row))
-    }
-
     /// Flattened index of a (col, row) pair (row-major).
     pub fn index(&self, col: usize, row: usize) -> usize {
         debug_assert!(col < self.cols && row < self.rows);
         row * self.cols + col
-    }
-
-    /// Envelope of a cell.
-    pub fn cell_envelope(&self, col: usize, row: usize) -> Envelope {
-        let w = self.cell_width();
-        let h = self.cell_height();
-        let x0 = self.extent.min_x + col as f64 * w;
-        let y0 = self.extent.min_y + row as f64 * h;
-        Envelope::new(x0, y0, x0 + w, y0 + h)
     }
 
     /// Inclusive (col, row) ranges of the cells intersecting an envelope,
@@ -126,18 +107,6 @@ mod tests {
         assert_eq!(g.cell_width(), 1.0);
         assert_eq!(g.cell_height(), 1.0);
         assert_eq!(g.num_cells(), 50);
-        assert_eq!(g.cell_envelope(0, 0), Envelope::new(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(g.cell_envelope(9, 4), Envelope::new(9.0, 4.0, 10.0, 5.0));
-    }
-
-    #[test]
-    fn locate_points() {
-        let g = grid();
-        assert_eq!(g.locate(&Point::new(0.5, 0.5)), Some((0, 0)));
-        assert_eq!(g.locate(&Point::new(9.9, 4.9)), Some((9, 4)));
-        assert_eq!(g.locate(&Point::new(10.0, 5.0)), Some((9, 4)), "max edge maps inward");
-        assert_eq!(g.locate(&Point::new(-0.1, 0.0)), None);
-        assert_eq!(g.locate(&Point::new(0.0, 5.1)), None);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`wkt`] — OGC Well-Known-Text parsing and serialisation, the geometry
 //!   literal format of GeoSPARQL;
 //! * [`algorithms`] — area, centroid, point-in-polygon, segment
-//!   intersection, distance, convex hull, Douglas–Peucker simplification
-//!   and rectangle clipping;
+//!   intersection and distance;
 //! * [`rtree`] — an R-tree (STR bulk load + quadratic-split inserts) used
 //!   for spatial-selection pushdown;
 //! * [`grid`] — regular lon/lat grids used for rasterisation and blocking;

@@ -7,12 +7,11 @@
 //! * [`RTree::insert`] — classic Guttman insertion with quadratic split,
 //!   used for incremental updates (streaming product ingest in E9).
 //!
-//! Queries: envelope intersection search and k-nearest-neighbour by
-//! best-first traversal. The tree stores `(Envelope, T)` pairs; `T` is the
+//! Queries: envelope intersection search. The tree stores `(Envelope, T)` pairs; `T` is the
 //! caller's identifier (a dictionary id in `ee-rdf`, a product id in the
 //! catalogue).
 
-use crate::geometry::{Envelope, Point};
+use crate::geometry::Envelope;
 
 const MAX_ENTRIES: usize = 16;
 const MIN_ENTRIES: usize = MAX_ENTRIES / 4;
@@ -211,79 +210,6 @@ impl<T> RTree<T> {
         self.visit(query, &mut |_| n += 1);
         n
     }
-
-    /// The `k` items nearest to `point` (by envelope distance), closest
-    /// first. Ties are broken arbitrarily but deterministically.
-    pub fn nearest(&self, point: &Point, k: usize) -> Vec<(f64, &T)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        struct Cand<'a, T> {
-            dist: f64,
-            node: Option<&'a Node<T>>,
-            item: Option<&'a T>,
-        }
-        impl<T> Eq for Cand<'_, T> {}
-        impl<T> PartialOrd for Cand<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for Cand<'_, T> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist
-                    .partial_cmp(&other.dist)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            }
-        }
-        impl<T> PartialEq for Cand<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist
-            }
-        }
-
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        let pe = point.envelope();
-        let mut heap: BinaryHeap<Reverse<Cand<T>>> = BinaryHeap::new();
-        heap.push(Reverse(Cand {
-            dist: self.root.envelope().distance(&pe),
-            node: Some(&self.root),
-            item: None,
-        }));
-        let mut out = Vec::with_capacity(k);
-        while let Some(Reverse(c)) = heap.pop() {
-            if let Some(item) = c.item {
-                out.push((c.dist, item));
-                if out.len() == k {
-                    break;
-                }
-                continue;
-            }
-            match c.node.expect("candidate is node or item") {
-                Node::Leaf { entries } => {
-                    for (e, item) in entries {
-                        heap.push(Reverse(Cand {
-                            dist: e.distance(&pe),
-                            node: None,
-                            item: Some(item),
-                        }));
-                    }
-                }
-                Node::Inner { children } => {
-                    for (e, child) in children {
-                        heap.push(Reverse(Cand {
-                            dist: e.distance(&pe),
-                            node: Some(child),
-                            item: None,
-                        }));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Recursive insert; returns the two halves if the node split.
@@ -438,7 +364,6 @@ mod tests {
         let t: RTree<u32> = RTree::new();
         assert!(t.is_empty());
         assert!(t.search(&Envelope::new(0.0, 0.0, 1.0, 1.0)).is_empty());
-        assert!(t.nearest(&Point::new(0.0, 0.0), 3).is_empty());
         let t2: RTree<u32> = RTree::bulk_load(vec![]);
         assert!(t2.is_empty());
     }
@@ -495,28 +420,6 @@ mod tests {
         let tree = RTree::bulk_load(random_envelopes(10_000, 1));
         // 10k items, fanout 16 → height around ceil(log16(10000/16))+1 = 4.
         assert!(tree.height() <= 5, "height {}", tree.height());
-    }
-
-    #[test]
-    fn nearest_neighbours_match_brute_force() {
-        let items = random_envelopes(800, 21);
-        let tree = RTree::bulk_load(items.clone());
-        let mut rng = Rng::seed_from(77);
-        for _ in 0..20 {
-            let p = Point::new(rng.range_f64(0.0, 1000.0), rng.range_f64(0.0, 1000.0));
-            let got = tree.nearest(&p, 5);
-            assert_eq!(got.len(), 5);
-            // Distances must be non-decreasing.
-            for w in got.windows(2) {
-                assert!(w[0].0 <= w[1].0);
-            }
-            // First result must equal brute-force minimum distance.
-            let best = items
-                .iter()
-                .map(|(e, _)| e.distance(&p.envelope()))
-                .fold(f64::INFINITY, f64::min);
-            assert!((got[0].0 - best).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! so the workspace builds offline). Failures print the case index so a
 //! failing draw can be replayed exactly.
 
-use ee_geo::{algorithms, wkt, Envelope, Geometry, LineString, Point, Polygon};
+use ee_geo::{algorithms, wkt, Envelope, Geometry, Point, Polygon};
 use ee_util::Rng;
 
 const CASES: usize = 128;
@@ -96,42 +96,6 @@ fn contains_implies_intersects_and_envelope_containment() {
                 "case {case}"
             );
         }
-    }
-}
-
-#[test]
-fn convex_hull_contains_every_input_point() {
-    let mut rng = Rng::seed_from(0xEE05);
-    for case in 0..CASES {
-        let n = rng.range(3, 60);
-        let pts: Vec<Point> = (0..n).map(|_| random_point(&mut rng)).collect();
-        if let Some(hull) = algorithms::convex_hull(&pts) {
-            let poly = Polygon::new(hull, vec![]).expect("hull ring");
-            for p in &pts {
-                assert!(
-                    algorithms::point_in_polygon(p, &poly),
-                    "case {case}: hull must contain {p:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn simplify_keeps_endpoints_and_never_grows() {
-    let mut rng = Rng::seed_from(0xEE06);
-    for case in 0..CASES {
-        let n = rng.range(2, 40);
-        let pts: Vec<Point> = (0..n).map(|_| random_point(&mut rng)).collect();
-        let eps = rng.range_f64(0.0, 10.0);
-        let line = LineString::new(pts).expect(">= 2 points");
-        let s = algorithms::simplify(&line, eps);
-        assert!(s.points.len() <= line.points.len(), "case {case}");
-        assert_eq!(s.points.first(), line.points.first(), "case {case}");
-        assert_eq!(s.points.last(), line.points.last(), "case {case}");
-        // Zero tolerance keeps everything.
-        let exact = algorithms::simplify(&line, 0.0);
-        assert!(exact.points.len() >= s.points.len(), "case {case}");
     }
 }
 

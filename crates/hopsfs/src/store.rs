@@ -200,14 +200,6 @@ impl<K: Ord + Clone, V: Clone> ShardedStore<K, V> {
             self.conflicts.load(Ordering::Relaxed),
         )
     }
-
-    /// Total live (non-tombstone) keys; O(total), for tests and reports.
-    pub fn live_keys(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard mutex poisoned").data.values().filter(|(_, v)| v.is_some()).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +220,6 @@ mod tests {
         assert_eq!(s.read(&1), Some("a".into()));
         assert_eq!(s.read(&2), Some("b".into()));
         assert_eq!(s.read(&3), None);
-        assert_eq!(s.live_keys(), 2);
     }
 
     #[test]

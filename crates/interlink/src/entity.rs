@@ -56,6 +56,7 @@ impl SpatialEntity {
     }
 
     /// Attach a validity interval.
+    #[cfg(test)]
     pub fn with_interval(mut self, interval: Interval) -> Self {
         self.interval = Some(interval);
         self

@@ -1,8 +1,6 @@
 //! Spectral indices — the band arithmetic the application pipelines use.
 //!
-//! NDVI drives the crop-phenology features (A1), NDWI the water-availability
-//! masks, NDSI the snow detection in the PROMET-lite model, and the VH/VV
-//! ratio the sea-ice type discrimination (A2).
+//! NDVI drives the crop-phenology features (A1).
 
 use crate::raster::Raster;
 use crate::scene::{Band, Scene};
@@ -27,24 +25,6 @@ pub fn normalized_difference(
 /// NDVI = (NIR − Red) / (NIR + Red) = (B08 − B04) / (B08 + B04).
 pub fn ndvi(scene: &Scene) -> Result<Raster<f32>, RasterError> {
     normalized_difference(scene.band(Band::B08)?, scene.band(Band::B04)?)
-}
-
-/// NDWI (McFeeters) = (Green − NIR) / (Green + NIR) = (B03 − B08) / (B03 + B08).
-pub fn ndwi(scene: &Scene) -> Result<Raster<f32>, RasterError> {
-    normalized_difference(scene.band(Band::B03)?, scene.band(Band::B08)?)
-}
-
-/// NDSI = (Green − SWIR) / (Green + SWIR) = (B03 − B11) / (B03 + B11).
-pub fn ndsi(scene: &Scene) -> Result<Raster<f32>, RasterError> {
-    normalized_difference(scene.band(Band::B03)?, scene.band(Band::B11)?)
-}
-
-/// SAR cross-pol ratio VH − VV (bands are in dB, so the ratio is a
-/// difference). Discriminates ice types by surface roughness.
-pub fn sar_ratio(scene: &Scene) -> Result<Raster<f32>, RasterError> {
-    scene
-        .band(Band::VH)?
-        .zip_map(scene.band(Band::VV)?, |vh, vv| vh - vv)
 }
 
 #[cfg(test)]
@@ -88,31 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn ndwi_of_water_is_positive() {
-        let s = scene(&[(Band::B03, 0.1), (Band::B08, 0.02)]);
-        assert!(ndwi(&s).unwrap().at(1, 1) > 0.5);
-    }
-
-    #[test]
-    fn ndsi_of_snow_is_positive() {
-        // Snow: bright green band, dark SWIR.
-        let s = scene(&[(Band::B03, 0.8), (Band::B11, 0.1)]);
-        assert!(ndsi(&s).unwrap().at(0, 0) > 0.7);
-    }
-
-    #[test]
     fn missing_band_is_reported() {
         let s = scene(&[(Band::B08, 0.5)]);
         assert!(matches!(ndvi(&s), Err(RasterError::MissingBand(_))));
-    }
-
-    #[test]
-    fn sar_ratio_is_db_difference() {
-        let mut s = Scene::new("S1", Mission::Sentinel1, Date::new(2017, 2, 1).unwrap());
-        s.add_band(Band::VV, Raster::filled(2, 2, gt(), -10.0)).unwrap();
-        s.add_band(Band::VH, Raster::filled(2, 2, gt(), -18.0)).unwrap();
-        let r = sar_ratio(&s).unwrap();
-        assert_eq!(r.at(0, 0), -8.0);
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! * [`scene`] — a multi-band acquisition (Sentinel-2-like optical with the
 //!   13 MSI bands, Sentinel-1-like SAR with VV/VH), with sensing date and
 //!   footprint;
-//! * [`indices`] — band arithmetic (NDVI, NDWI, NDSI, ratio);
+//! * [`indices`] — band arithmetic (NDVI);
 //! * [`tile`] — fixed-size tiling and overview pyramids, the storage layout
 //!   of the Copernicus archive analogue;
 //! * [`resample`] — nearest / bilinear resampling between resolutions;
-//! * [`stack`] — per-pixel time series over a sequence of scenes, and
-//!   temporal composites;
+//! * [`stack`] — per-pixel time series over a sequence of scenes;
 //! * [`codec`] — a compact binary encoding used by `ee-hopsfs` file
 //!   payloads and the PCDSS product encoder.
 

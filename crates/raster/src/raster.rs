@@ -273,6 +273,7 @@ impl<T: Pixel> Raster<T> {
     }
 
     /// Pixel value at a world point, or `None` outside the raster.
+    #[cfg(test)]
     pub fn sample_world(&self, p: &Point) -> Option<T> {
         let (c, r) = self.transform.world_to_pixel(p);
         if c < 0 || r < 0 || c as usize >= self.cols || r as usize >= self.rows {

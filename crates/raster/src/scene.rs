@@ -71,26 +71,6 @@ impl Band {
             Band::VH => "VH",
         }
     }
-
-    /// Centre wavelength in nanometres (0 for SAR bands).
-    pub fn wavelength_nm(self) -> f64 {
-        match self {
-            Band::B01 => 443.0,
-            Band::B02 => 490.0,
-            Band::B03 => 560.0,
-            Band::B04 => 665.0,
-            Band::B05 => 705.0,
-            Band::B06 => 740.0,
-            Band::B07 => 783.0,
-            Band::B08 => 842.0,
-            Band::B8A => 865.0,
-            Band::B09 => 945.0,
-            Band::B10 => 1375.0,
-            Band::B11 => 1610.0,
-            Band::B12 => 2190.0,
-            Band::VV | Band::VH => 0.0,
-        }
-    }
 }
 
 /// The observing mission.
@@ -191,11 +171,6 @@ impl Scene {
         self.bands.iter().map(|(b, r)| (*b, r))
     }
 
-    /// Number of bands.
-    pub fn num_bands(&self) -> usize {
-        self.bands.len()
-    }
-
     /// (cols, rows) of the scene's grid. Zero for an empty shell.
     pub fn shape(&self) -> (usize, usize) {
         self.bands
@@ -210,21 +185,6 @@ impl Scene {
             .first()
             .map(|(_, r)| r.envelope())
             .unwrap_or_else(Envelope::empty)
-    }
-
-    /// Uncompressed size in bytes of the pixel payload.
-    pub fn payload_bytes(&self) -> u64 {
-        let (c, r) = self.shape();
-        (c * r * 4 * self.num_bands()) as u64
-    }
-
-    /// Extract the per-band pixel vector at (col, row), ordered as the
-    /// scene's bands. The feature vector fed to per-pixel classifiers.
-    pub fn pixel_spectrum(&self, col: usize, row: usize) -> Result<Vec<f32>, RasterError> {
-        self.bands
-            .iter()
-            .map(|(_, r)| r.get(col, row))
-            .collect()
     }
 }
 
@@ -250,15 +210,13 @@ mod tests {
     fn band_metadata() {
         assert_eq!(Band::S2_ALL.len(), 13, "the 13 MSI bands of EuroSat");
         assert_eq!(Band::B04.name(), "B04");
-        assert_eq!(Band::B08.wavelength_nm(), 842.0);
-        assert_eq!(Band::VV.wavelength_nm(), 0.0);
         assert_eq!(Mission::Sentinel1.name(), "S1");
     }
 
     #[test]
     fn add_and_get_bands() {
         let s = scene_with(&[Band::B04, Band::B08]);
-        assert_eq!(s.num_bands(), 2);
+        assert_eq!(s.bands().count(), 2);
         assert!(s.has_band(Band::B04));
         assert!(!s.has_band(Band::B02));
         assert!(s.band(Band::B08).is_ok());
@@ -296,21 +254,8 @@ mod tests {
     fn footprint_and_payload() {
         let s = scene_with(&[Band::B04, Band::B08, Band::B11]);
         assert_eq!(s.footprint(), Envelope::new(0.0, 0.0, 40.0, 40.0));
-        assert_eq!(s.payload_bytes(), (4 * 4 * 4 * 3) as u64);
         assert_eq!(s.shape(), (4, 4));
         let empty = Scene::new("X", Mission::Sentinel1, date());
         assert!(empty.footprint().is_empty());
-        assert_eq!(empty.payload_bytes(), 0);
-    }
-
-    #[test]
-    fn pixel_spectrum_order_matches_bands() {
-        let mut s = Scene::new("S", Mission::Sentinel2, date());
-        let gt = GeoTransform::new(0.0, 20.0, 10.0);
-        s.add_band(Band::B02, Raster::filled(2, 2, gt, 0.1)).unwrap();
-        s.add_band(Band::B03, Raster::filled(2, 2, gt, 0.2)).unwrap();
-        let v = s.pixel_spectrum(1, 1).unwrap();
-        assert_eq!(v, vec![0.1, 0.2]);
-        assert!(s.pixel_spectrum(2, 0).is_err());
     }
 }

@@ -1,13 +1,11 @@
-//! Time series of scenes and temporal composites.
+//! Time series of scenes and their per-pixel NDVI profiles.
 //!
 //! "The temporal dimension plays a very important role for the
 //! characterization of the information content of the image (e.g., land
 //! cover or sea ice) and its dynamics" (Challenge C1). The crop classifier
-//! consumes per-pixel NDVI *profiles* across a season; the sea-ice pipeline
-//! consumes backscatter series. [`TimeStack`] provides both.
+//! consumes per-pixel NDVI *profiles* across a season, which [`TimeStack`]
+//! provides.
 
-use crate::indices;
-use crate::raster::Raster;
 use crate::scene::{Band, Scene};
 use crate::RasterError;
 use ee_util::timeline::Date;
@@ -74,15 +72,6 @@ impl TimeStack {
         }
     }
 
-    /// Per-pixel values of one band across time: the temporal profile fed
-    /// to the temporal CNN. Errors if any scene lacks the band.
-    pub fn pixel_series(&self, band: Band, col: usize, row: usize) -> Result<Vec<f32>, RasterError> {
-        self.scenes
-            .iter()
-            .map(|s| s.band(band)?.get(col, row))
-            .collect()
-    }
-
     /// Per-pixel NDVI profile across time (optical scenes).
     pub fn ndvi_series(&self, col: usize, row: usize) -> Result<Vec<f32>, RasterError> {
         self.scenes
@@ -99,56 +88,12 @@ impl TimeStack {
             })
             .collect()
     }
-
-    /// Median composite of a band: the standard cloud-robust temporal
-    /// aggregation. Errors on an empty stack or missing band.
-    pub fn median_composite(&self, band: Band) -> Result<Raster<f32>, RasterError> {
-        let first = self
-            .scenes
-            .first()
-            .ok_or_else(|| RasterError::Codec("median of empty stack".into()))?;
-        let template = first.band(band)?;
-        let (cols, rows) = template.shape();
-        let mut values = Vec::with_capacity(self.scenes.len());
-        let mut out = Raster::zeros(cols, rows, template.transform());
-        for r in 0..rows {
-            for c in 0..cols {
-                values.clear();
-                for s in &self.scenes {
-                    values.push(s.band(band)?.at(c, r));
-                }
-                values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let m = if values.len() % 2 == 1 {
-                    values[values.len() / 2]
-                } else {
-                    (values[values.len() / 2 - 1] + values[values.len() / 2]) / 2.0
-                };
-                out.put(c, r, m);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Maximum-NDVI composite: for each pixel, the NDVI at its greenest
-    /// observation (the classic vegetation compositing rule).
-    pub fn max_ndvi_composite(&self) -> Result<Raster<f32>, RasterError> {
-        let first = self
-            .scenes
-            .first()
-            .ok_or_else(|| RasterError::Codec("composite of empty stack".into()))?;
-        let mut best = indices::ndvi(first)?;
-        for s in &self.scenes[1..] {
-            let n = indices::ndvi(s)?;
-            best = best.zip_map(&n, |a, b| a.max(b))?;
-        }
-        Ok(best)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raster::GeoTransform;
+    use crate::raster::{GeoTransform, Raster};
     use crate::scene::Mission;
 
     fn gt() -> GeoTransform {
@@ -169,6 +114,7 @@ mod tests {
     #[test]
     fn push_keeps_date_order() {
         let mut ts = TimeStack::new();
+        assert!(ts.is_empty());
         ts.push(optical("b", d(6, 1), 0.5, 0.1)).unwrap();
         ts.push(optical("a", d(4, 1), 0.2, 0.1)).unwrap();
         ts.push(optical("c", d(8, 1), 0.4, 0.1)).unwrap();
@@ -201,43 +147,7 @@ mod tests {
         let mut ts = TimeStack::new();
         ts.push(optical("a", d(4, 1), 0.1, 0.1)).unwrap();
         ts.push(optical("b", d(6, 1), 0.6, 0.1)).unwrap();
-        let series = ts.pixel_series(Band::B08, 0, 0).unwrap();
-        assert_eq!(series, vec![0.1, 0.6]);
         let ndvi = ts.ndvi_series(1, 1).unwrap();
         assert!(ndvi[0] < ndvi[1], "greener later in season");
-    }
-
-    #[test]
-    fn median_composite_is_robust_to_outlier() {
-        let mut ts = TimeStack::new();
-        ts.push(optical("a", d(4, 1), 0.30, 0.1)).unwrap();
-        ts.push(optical("b", d(5, 1), 0.32, 0.1)).unwrap();
-        ts.push(optical("cloudy", d(6, 1), 0.95, 0.1)).unwrap(); // outlier
-        let m = ts.median_composite(Band::B08).unwrap();
-        assert_eq!(m.at(0, 0), 0.32);
-        // Even-count median averages the middle pair.
-        let mut ts2 = TimeStack::new();
-        ts2.push(optical("a", d(4, 1), 0.2, 0.1)).unwrap();
-        ts2.push(optical("b", d(5, 1), 0.4, 0.1)).unwrap();
-        let m2 = ts2.median_composite(Band::B08).unwrap();
-        assert!((m2.at(0, 0) - 0.3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn max_ndvi_composite_picks_peak() {
-        let mut ts = TimeStack::new();
-        ts.push(optical("a", d(4, 1), 0.2, 0.2)).unwrap(); // ndvi 0
-        ts.push(optical("b", d(6, 1), 0.8, 0.1)).unwrap(); // ndvi high
-        ts.push(optical("c", d(9, 1), 0.3, 0.2)).unwrap();
-        let c = ts.max_ndvi_composite().unwrap();
-        assert!((c.at(0, 0) - (0.8 - 0.1) / (0.8 + 0.1)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_stack_errors() {
-        let ts = TimeStack::new();
-        assert!(ts.median_composite(Band::B08).is_err());
-        assert!(ts.max_ndvi_composite().is_err());
-        assert!(ts.is_empty());
     }
 }

@@ -46,6 +46,7 @@ pub fn tile<T: Pixel>(raster: &Raster<T>, tile_size: usize) -> Vec<Tile<T>> {
 
 /// Reassemble tiles produced by [`tile`] back into the parent raster.
 /// Tiles may be given in any order; the parent shape is inferred.
+#[cfg(test)]
 pub fn untile<T: Pixel>(tiles: &[Tile<T>], tile_size: usize) -> Option<Raster<T>> {
     if tiles.is_empty() {
         return None;

@@ -330,6 +330,7 @@ impl StreamCore {
     /// High-water mark of rows resident in the executor at once: the
     /// operators' buffers plus the pulled batch, and whatever a blocking
     /// step held (every input row for `Sort` and `Aggregate`).
+    #[cfg(test)]
     pub fn peak_resident_rows(&self) -> u64 {
         self.peak
     }
@@ -381,8 +382,8 @@ impl StreamCore {
     /// Drain every remaining batch into [`Solutions`], behind
     /// [`execute_plan_view`]. `store` is the store or view the stream was
     /// built from. Leaves the stream exhausted, with its instrumentation
-    /// ([`rows_touched`](StreamCore::rows_touched),
-    /// [`peak_resident_rows`](StreamCore::peak_resident_rows)) readable.
+    /// ([`rows_touched`](StreamCore::rows_touched) and, in tests,
+    /// `peak_resident_rows`) readable.
     pub fn collect<'s>(&mut self, store: impl Into<StoreView<'s>>) -> Solutions {
         let store = store.into();
         let mut rows = Vec::new();

@@ -19,7 +19,7 @@
 //! `sfContains`, `sfWithin`, `distance`) under any prefix.
 
 use crate::expr::{CmpOp, Expr, SpatialOp};
-use crate::term::{Term, XSD_DATE, XSD_DOUBLE, XSD_INTEGER};
+use crate::term::{Term, XSD_DOUBLE, XSD_INTEGER};
 use crate::RdfError;
 use std::collections::HashMap;
 
@@ -1091,14 +1091,6 @@ fn number_term(n: &str) -> Term {
     }
 }
 
-/// Convenience used by loaders/tests: a date literal.
-pub fn date_literal(iso: &str) -> Term {
-    Term::Literal {
-        lexical: iso.to_string(),
-        datatype: XSD_DATE.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,7 +1161,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             q.patterns[0].o,
-            PatternTerm::Const(date_literal("2017-03-01"))
+            PatternTerm::Const(Term::date(
+                ee_util::timeline::Date::new(2017, 3, 1).unwrap()
+            ))
         );
         assert_eq!(q.patterns[1].o, PatternTerm::Const(Term::double(2.5)));
     }

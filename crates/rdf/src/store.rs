@@ -741,6 +741,7 @@ impl<'a> StoreView<'a> {
 
     /// Every view triple as ids, sorted SPO — the canonical content
     /// comparison the as-of identity tests use.
+    #[cfg(test)]
     pub fn id_triples_sorted(&self) -> Vec<IdTriple> {
         let Some(n) = self.novelty else {
             return self.base.id_triples().collect();

@@ -105,11 +105,6 @@ impl Term {
         self.as_ref().lexical()
     }
 
-    /// True for IRIs.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
     /// N-Triples-ish display form.
     pub fn ntriples(&self) -> String {
         self.as_ref().ntriples()
@@ -284,7 +279,7 @@ mod tests {
 
     #[test]
     fn constructors_and_datatypes() {
-        assert!(Term::iri("http://ex.org/a").is_iri());
+        assert!(matches!(Term::iri("http://ex.org/a"), Term::Iri(_)));
         match Term::integer(42) {
             Term::Literal { lexical, datatype } => {
                 assert_eq!(lexical, "42");
@@ -292,7 +287,7 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert!(!Term::string("x").is_iri());
+        assert!(!matches!(Term::string("x"), Term::Iri(_)));
     }
 
     #[test]

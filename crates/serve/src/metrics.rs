@@ -69,6 +69,7 @@ impl Histogram {
 
     /// Approximate quantile `q` in `[0, 1]`, as the upper bound of the
     /// bucket where the cumulative count crosses `q·total`. 0 when empty.
+    #[cfg(test)]
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {

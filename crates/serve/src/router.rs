@@ -244,7 +244,6 @@ fn handle_update(state: &Arc<AppState>, req: &Request) -> Response {
 /// same store (equal commit ids mean byte-identical stores, via the hash
 /// chain).
 fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -> Response {
-    state.maybe_inject_slowdown();
     let param = match as_of_param(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -285,15 +284,13 @@ fn run_query(state: &Arc<AppState>, req: &Request, sparql: &str, limit: usize) -
 /// `None` leaves the request to [`dispatch`] (which parses it again):
 /// on a router tier, whose `/query` scatters over the network; for
 /// anything but `GET /query` without `asOf=` (a head read whose text the
-/// request-head limit bounds); while fault injection is armed (its sleep
-/// belongs on a worker); and whenever [`AppState::query_bounded`]
+/// request-head limit bounds); and whenever [`AppState::query_bounded`]
 /// declines — a contended store lock, a parse or plan error, or a plan
 /// that is not bounded.
 pub(crate) fn run_bounded(state: &AppState, req: &Request) -> Option<Response> {
     let head_read =
         req.method == "GET" && req.path.trim_matches('/') == "query" && req.param("asOf").is_none();
-    let injecting = state.slow_every != 0 && state.slow_ms != 0;
-    if state.router.is_some() || !head_read || injecting {
+    if state.router.is_some() || !head_read {
         return None;
     }
     let (sparql, limit) = crate::shard::query_of(req).ok()?;

@@ -748,8 +748,16 @@ fn worker_loop(shared: &Shared) {
             Job::NextChunk { shard, token, ctx } => {
                 // The head went out with the first batch: a panic here
                 // can only truncate the body, and the connection closes.
+                // The stream context unwinds with the panic (its cache
+                // tee too: a truncated body is never cached), so the
+                // request's latency is recorded here.
+                let (route, t0) = (ctx.route, ctx.t0);
                 let run = contain_panic(shared, || produce_chunks(shared, ctx));
-                (shard, token, run.unwrap_or((Vec::new(), StreamNext::Abort)))
+                let run = run.unwrap_or_else(|| {
+                    shared.metrics.record(route, elapsed_us(t0));
+                    (Vec::new(), StreamNext::Abort)
+                });
+                (shard, token, run)
             }
         };
         let mailbox = &shared.shards[shard];

@@ -212,16 +212,6 @@ pub struct AppState {
     /// `/query`, `/tiles` and `/ice` through it instead of the local
     /// engines.
     pub router: Option<crate::shard::RouterTier>,
-    /// Slow-shard fault injection: every `slow_every`-th `/query`
-    /// execution sleeps [`slow_ms`](AppState::slow_ms) milliseconds
-    /// (0 = off). Models a transient hiccup — most requests stay fast,
-    /// so a hedged retry lands on the fast path. Set directly by the
-    /// router's hedging test.
-    pub slow_every: u64,
-    /// Injected sleep in milliseconds.
-    pub slow_ms: u64,
-    /// Requests seen by the fault injector.
-    slow_counter: AtomicU64,
 }
 
 impl AppState {
@@ -309,9 +299,6 @@ impl AppState {
             invalidated_responses: AtomicU64::new(0),
             update_latency: Histogram::new(),
             router: None,
-            slow_every: 0,
-            slow_ms: 0,
-            slow_counter: AtomicU64::new(0),
         };
         // A reopened durable store may already hold committed
         // `eo:searchText` documents — fold them into the ranked index so
@@ -424,6 +411,7 @@ impl AppState {
     }
 
     /// Executions recorded for one route (a label of [`ROUTES`]).
+    #[cfg(test)]
     pub fn fastpath_count(&self, route: &str) -> u64 {
         let i = ROUTES.iter().position(|r| *r == route).expect("a label of ROUTES");
         self.fastpath[i].load(Ordering::Relaxed)
@@ -634,20 +622,6 @@ impl AppState {
             out.push_str(&router.render_prometheus_section());
         }
         out
-    }
-
-    /// Slow-shard fault injection hook, called once per `/query`
-    /// execution: sleeps [`slow_ms`](AppState::slow_ms) on every
-    /// [`slow_every`](AppState::slow_every)-th call. A no-op unless the
-    /// injector is armed.
-    pub fn maybe_inject_slowdown(&self) {
-        if self.slow_every == 0 || self.slow_ms == 0 {
-            return;
-        }
-        let n = self.slow_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.slow_every) {
-            std::thread::sleep(std::time::Duration::from_millis(self.slow_ms));
-        }
     }
 
     /// Plan `q` at one commit — `as_of`, or else the head read under the

@@ -639,10 +639,13 @@ fn panicking_handlers_answer_500_and_keep_every_worker() {
 }
 
 /// A panic after the head went out ends that body truncated (no chunk
-/// terminator) and closes its connection; other connections are served.
+/// terminator), closes its connection and still records the request's
+/// latency; other connections are served.
 #[test]
 fn a_panic_mid_stream_truncates_its_body_and_spares_other_connections() {
     let server = start(event_config(), state()).expect("start");
+    let debug_latency = || server.metrics().route_latency(Route::Debug).count();
+    let recorded = debug_latency();
     let (mut s, _) = connect(server.addr);
     s.write_all(b"GET /debug/panic?after=2 HTTP/1.1\r\nhost: t\r\n\r\n")
         .unwrap();
@@ -662,6 +665,11 @@ fn a_panic_mid_stream_truncates_its_body_and_spares_other_connections() {
     assert!(
         !wire.ends_with(b"0\r\n\r\n"),
         "a truncated body has no terminator"
+    );
+    assert_eq!(
+        debug_latency(),
+        recorded + 1,
+        "the truncated request's latency"
     );
     let (mut s, mut r) = connect(server.addr);
     assert_eq!(send(&mut s, &mut r, "/healthz", true).status, 200);

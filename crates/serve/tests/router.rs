@@ -9,8 +9,8 @@ use ee_federation::ScatterConfig;
 use ee_serve::http::read_response;
 use ee_serve::{start, AppState, DataConfig, RouterTier, ServerConfig};
 use ee_util::json::Json;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -226,30 +226,57 @@ fn dead_shard_yields_flagged_partial_result() {
     shard0.shutdown();
 }
 
+/// A TCP proxy in front of `upstream`: it holds back every reply on its
+/// first connection by `hold` and passes later connections straight
+/// through, so one request to the shard is slow and a duplicate on a new
+/// connection is not.
+fn slow_first_connection(upstream: SocketAddr, hold: Duration) -> SocketAddr {
+    fn pipe(mut from: TcpStream, mut to: TcpStream, hold: Duration) {
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 16 * 1024];
+            while let Ok(n @ 1..) = from.read(&mut buf) {
+                std::thread::sleep(hold);
+                if to.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+            }
+            let _ = to.shutdown(Shutdown::Write);
+        });
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for (i, client) in listener.incoming().enumerate() {
+            let (Ok(client), Ok(shard)) = (client, TcpStream::connect(upstream)) else {
+                return;
+            };
+            let hold = if i == 0 { hold } else { Duration::ZERO };
+            pipe(
+                client.try_clone().unwrap(),
+                shard.try_clone().unwrap(),
+                Duration::ZERO,
+            );
+            pipe(shard, client, hold);
+        }
+    });
+    addr
+}
+
 #[test]
 fn hedged_request_beats_a_slow_shard() {
-    // Shard 0 sleeps 2 s on every second query execution: the warm-up
-    // leaves its counter at 1, so the measured query's primary request
-    // (2nd execution) is slow and the hedged duplicate (3rd) is fast.
-    let mut slow_state = AppState::build(shard_config(0, 2));
-    slow_state.slow_every = 2;
-    slow_state.slow_ms = 2_000;
-    let shard0 = start(server_config(), Arc::new(slow_state)).expect("start shard 0");
+    // Shard 0 sits behind a proxy that holds back the replies on the
+    // router's first connection to it by 2 s: the primary request is
+    // slow, and the hedge, a duplicate on a new connection, is not.
+    let shard0 = start(server_config(), Arc::new(AppState::build(shard_config(0, 2))))
+        .expect("start shard 0");
     let shard1 = start(server_config(), Arc::new(AppState::build(shard_config(1, 2))))
         .expect("start shard 1");
+    let slow0 = slow_first_connection(shard0.addr, Duration::from_secs(2));
     let scatter = ScatterConfig {
         deadline: Duration::from_secs(8),
         hedge_after: Duration::from_millis(100),
     };
-    let (router, state) = start_router(&[shard0.addr, shard1.addr], scatter);
-
-    let count_target = format!(
-        "/query?sparql={}",
-        "PREFIX e: <http://e/> SELECT (COUNT(?s) AS ?n) WHERE { ?s e:hasGeometry ?g }"
-            .replace(' ', "%20")
-    );
-    let warmup = get(router.addr, &count_target);
-    assert_eq!(warmup.status, 200);
+    let (router, state) = start_router(&[slow0, shard1.addr], scatter);
 
     let t0 = Instant::now();
     let resp = get(router.addr, &rows_target());
@@ -272,7 +299,7 @@ fn hedged_request_beats_a_slow_shard() {
     assert_eq!(tier.partial_total(), 0);
     assert!(
         elapsed < Duration::from_millis(1_500),
-        "the hedge answered well before the 2 s sleep: {elapsed:?}"
+        "the hedge answered well before the 2 s hold: {elapsed:?}"
     );
 
     router.shutdown();

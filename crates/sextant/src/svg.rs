@@ -114,29 +114,6 @@ impl MapBuilder {
         self
     }
 
-    /// Add the geometry column of a GeoSPARQL result set (the Sextant
-    /// workflow: run a query, drop the bindings on the map).
-    pub fn query_results(
-        self,
-        name: impl Into<String>,
-        solutions: &ee_rdf::exec::Solutions,
-        var: &str,
-        style: Style,
-    ) -> Result<Self, RenderError> {
-        let col = solutions
-            .column(var)
-            .ok_or_else(|| RenderError::BadGeometry(format!("no ?{var} column")))?;
-        let mut geometries = Vec::new();
-        for row in &solutions.rows {
-            if let Some(ee_rdf::term::Term::Literal { lexical, .. }) = &row[col] {
-                let g = ee_geo::wkt::parse_wkt(lexical)
-                    .map_err(|e| RenderError::BadGeometry(e.to_string()))?;
-                geometries.push(g);
-            }
-        }
-        Ok(self.features(name, geometries, style))
-    }
-
     fn extent(&self) -> Envelope {
         let mut env = Envelope::empty();
         for layer in &self.layers {
@@ -416,31 +393,6 @@ mod tests {
         assert!(svg.contains(r#"cy="0.00""#), "north-up flip: {svg}");
         assert!(svg.contains("<polygon"));
         assert!(svg.contains(r#"fill-opacity="0.4""#));
-    }
-
-    #[test]
-    fn query_results_layer() {
-        use ee_rdf::term::Term;
-        use ee_rdf::TripleStore;
-        let mut st = TripleStore::new();
-        st.insert(
-            &Term::iri("http://e/a"),
-            &Term::iri("http://e/geo"),
-            &Term::wkt("POINT (5 5)"),
-        );
-        let sol = ee_rdf::exec::query(&st, "PREFIX e: <http://e/> SELECT ?g WHERE { ?s e:geo ?g }")
-            .unwrap();
-        let svg = MapBuilder::new()
-            .features("base", vec![Polygon::rectangle(0.0, 0.0, 10.0, 10.0).into()], Style::default())
-            .query_results("hits", &sol, "g", Style::default())
-            .unwrap()
-            .render()
-            .unwrap();
-        assert!(svg.contains("<circle"));
-        // Unknown variable errors.
-        assert!(MapBuilder::new()
-            .query_results("x", &sol, "nope", Style::default())
-            .is_err());
     }
 
     #[test]

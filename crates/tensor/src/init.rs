@@ -11,17 +11,6 @@ pub fn he_normal(shape: &[usize], fan_in: usize, rng: &mut Rng) -> Tensor {
         .expect("shape/product consistent by construction")
 }
 
-/// Xavier/Glorot uniform initialisation: `U(±sqrt(6/(fan_in+fan_out)))`.
-pub fn xavier_uniform(shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
-    let n: usize = shape.iter().product();
-    Tensor::from_vec(
-        shape,
-        (0..n).map(|_| rng.range_f64(-limit, limit) as f32).collect(),
-    )
-    .expect("shape/product consistent by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,17 +24,6 @@ mod tests {
             / t.len() as f32;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 0.02).abs() < 0.005, "var {var} expected 2/100");
-    }
-
-    #[test]
-    fn xavier_respects_limits() {
-        let mut rng = Rng::seed_from(5);
-        let t = xavier_uniform(&[50, 50], 50, 50, &mut rng);
-        let limit = (6.0f32 / 100.0).sqrt();
-        assert!(t.data().iter().all(|v| v.abs() <= limit));
-        // Spread should roughly fill the interval.
-        let max = t.data().iter().fold(0.0f32, |a, &b| a.max(b.abs()));
-        assert!(max > 0.8 * limit);
     }
 
     #[test]

@@ -280,30 +280,6 @@ pub fn matmul_into(
     });
 }
 
-/// `out = a · bᵀ` with both operands row-major: `a: [m,k]`, `b: [n,k]`,
-/// `out: [m,n]`. Each element is a dot product of two contiguous rows,
-/// accumulated in ascending `k` order — bit-identical to
-/// `matmul_serial_ref(a, transpose(b), ...)` without materialising the
-/// transpose. This is the conv2d weight-gradient shape
-/// (`dW = dOut · colsᵀ`).
-pub fn matmul_abt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,30 +338,6 @@ mod tests {
             assert!(
                 dense.iter().zip(&sparse).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "({m},{k},{n}) sparse variant diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn abt_matches_explicit_transpose_bitwise() {
-        let mut rng = Rng::seed_from(13);
-        for &(m, k, n) in SHAPES {
-            let a = random(m * k, &mut rng);
-            let bt = random(n * k, &mut rng); // b stored as [n, k]
-            // Materialise b = btᵀ as [k, n] for the reference.
-            let mut b = vec![0.0f32; k * n];
-            for j in 0..n {
-                for kk in 0..k {
-                    b[kk * n + j] = bt[j * k + kk];
-                }
-            }
-            let mut reference = vec![0.0f32; m * n];
-            matmul_serial_ref(&a, &b, &mut reference, m, k, n);
-            let mut out = vec![0.0f32; m * n];
-            matmul_abt_into(&a, &bt, &mut out, m, k, n);
-            assert!(
-                out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "({m},{k},{n}) abt kernel diverged"
             );
         }
     }

@@ -83,13 +83,6 @@ impl Tensor {
         })
     }
 
-    /// 2-D element access (rank-2 tensors).
-    #[inline]
-    pub fn at2(&self, i: usize, j: usize) -> f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        self.data[i * self.shape[1] + j]
-    }
-
     /// 4-D element access (`[n, c, h, w]` layout).
     #[inline]
     pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
@@ -137,34 +130,6 @@ impl Tensor {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Elementwise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_same_shape(other)?;
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        })
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_same_shape(other)?;
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
     }
 
     /// Scalar multiply.
@@ -285,11 +250,6 @@ impl Tensor {
         }
     }
 
-    /// Squared L2 norm.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|a| a * a).sum()
-    }
-
     /// Index of the maximum element of a 1-D view of row `i` of a rank-2
     /// tensor (classification argmax over logits).
     pub fn argmax_row(&self, i: usize) -> usize {
@@ -332,14 +292,14 @@ mod tests {
         assert_eq!(t.len(), 6);
         assert!(Tensor::from_vec(&[2, 2], vec![1.0; 3]).is_err());
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(t.at2(1, 0), 3.0);
+        assert_eq!(t.data()[2], 3.0);
     }
 
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()).unwrap();
         let r = t.reshape(&[3, 2]).unwrap();
-        assert_eq!(r.at2(2, 1), 5.0);
+        assert_eq!(r.data()[5], 5.0);
         assert!(t.reshape(&[4, 2]).is_err());
     }
 
@@ -348,8 +308,6 @@ mod tests {
         let a = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let b = Tensor::full(&[2, 2], 2.0);
         assert_eq!(a.add(&b).unwrap().data(), &[3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.sub(&b).unwrap().data(), &[-1.0, 0.0, 1.0, 2.0]);
-        assert_eq!(a.hadamard(&b).unwrap().data(), &[2.0, 4.0, 6.0, 8.0]);
         assert_eq!(a.scale(0.5).data(), &[0.5, 1.0, 1.5, 2.0]);
         let c = Tensor::zeros(&[2, 3]);
         assert!(a.add(&c).is_err());
@@ -386,7 +344,7 @@ mod tests {
         let a = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()).unwrap();
         let t = a.transpose().unwrap();
         assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.at2(2, 1), 5.0);
+        assert_eq!(t.data()[2 * 2 + 1], 5.0);
         assert_eq!(t.transpose().unwrap(), a);
     }
 
@@ -408,7 +366,6 @@ mod tests {
         let a = Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.norm_sq(), 30.0);
     }
 
     #[test]

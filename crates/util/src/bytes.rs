@@ -5,21 +5,6 @@
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
-    /// Kibibytes.
-    pub const fn kib(n: u64) -> Self {
-        Self(n * 1024)
-    }
-
-    /// Mebibytes.
-    pub const fn mib(n: u64) -> Self {
-        Self(n * 1024 * 1024)
-    }
-
-    /// Gibibytes.
-    pub const fn gib(n: u64) -> Self {
-        Self(n * 1024 * 1024 * 1024)
-    }
-
     /// Raw count.
     pub const fn as_u64(self) -> u64 {
         self.0
@@ -64,15 +49,15 @@ mod tests {
     fn formatting() {
         assert_eq!(ByteSize(0).to_string(), "0 B");
         assert_eq!(ByteSize(512).to_string(), "512 B");
-        assert_eq!(ByteSize::kib(1).to_string(), "1.00 KiB");
-        assert_eq!(ByteSize::mib(5).to_string(), "5.00 MiB");
-        assert_eq!(ByteSize::gib(3).to_string(), "3.00 GiB");
+        assert_eq!(ByteSize(1024).to_string(), "1.00 KiB");
+        assert_eq!(ByteSize(5 << 20).to_string(), "5.00 MiB");
+        assert_eq!(ByteSize(3 << 30).to_string(), "3.00 GiB");
         assert_eq!(ByteSize(1536).to_string(), "1.50 KiB");
     }
 
     #[test]
     fn arithmetic() {
-        assert_eq!(ByteSize::kib(1) + ByteSize(24), ByteSize(1048));
+        assert_eq!(ByteSize(1024) + ByteSize(24), ByteSize(1048));
         let total: ByteSize = [ByteSize(1), ByteSize(2), ByteSize(3)].into_iter().sum();
         assert_eq!(total, ByteSize(6));
     }

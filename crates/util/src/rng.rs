@@ -56,14 +56,6 @@ impl Rng {
         }
     }
 
-    /// Derive an independent child generator. Used to hand each simulated
-    /// node / worker / scene its own stream so that reordering work does not
-    /// perturb the results of unrelated components.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let a = self.next_u64();
-        Self::seed_from(a ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -191,29 +183,6 @@ impl Rng {
         -u.ln() / lambda
     }
 
-    /// Poisson deviate (Knuth's method; fine for the small means we use).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        debug_assert!(mean >= 0.0);
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 30.0 {
-            // Normal approximation for large means keeps this O(1).
-            let x = self.normal(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Sample an index from unnormalised non-negative `weights`.
     /// Returns `None` if the weights are empty or all zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
@@ -301,15 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_are_independent() {
-        let mut root = Rng::seed_from(7);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let matches = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(matches, 0);
-    }
-
-    #[test]
     fn f64_in_unit_interval() {
         let mut r = Rng::seed_from(3);
         for _ in 0..10_000 {
@@ -381,19 +341,6 @@ mod tests {
         }
         r.skip_gaussians(4);
         assert_eq!(state(&r), state(&drawn));
-    }
-
-    #[test]
-    fn poisson_mean_matches() {
-        let mut r = Rng::seed_from(6);
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| r.poisson(3.5)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
-        // Large-mean branch.
-        let total: u64 = (0..n).map(|_| r.poisson(100.0)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 100.0).abs() < 0.5, "mean {mean}");
     }
 
     #[test]

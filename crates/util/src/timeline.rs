@@ -21,11 +21,6 @@ impl SimTime {
     /// Simulation origin.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// From whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Self(ns)
-    }
-
     /// From seconds (fractional allowed; must be non-negative and finite).
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid SimTime seconds: {secs}");
@@ -61,11 +56,6 @@ impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// From whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Self(ns)
-    }
-
     /// From seconds (fractional allowed; must be non-negative and finite).
     pub fn from_secs(secs: f64) -> Self {
         assert!(
@@ -78,11 +68,6 @@ impl SimDuration {
     /// From milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms / 1e3)
-    }
-
-    /// From microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1e6)
     }
 
     /// As fractional seconds.
@@ -274,7 +259,7 @@ mod tests {
 
     #[test]
     fn duration_arithmetic() {
-        let d = SimDuration::from_micros(250.0) * 4;
+        let d = SimDuration::from_millis(0.25) * 4;
         assert_eq!(d.as_millis(), 1.0);
         let total: SimDuration = (0..10).map(|_| SimDuration::from_secs(0.1)).sum();
         assert!((total.as_secs() - 1.0).abs() < 1e-9);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and test the whole workspace with zero
 # network access, re-run the ee-rdf tests and the ee-serve state tests
-# in release mode, lint with clippy and rustdoc as errors, test and
-# smoke-run the ee-serve benchmark suite on both of its workloads, run
-# the federation example and check its two plans agree, then smoke-run
-# the distributed-training (E4), classification (E5) and
+# in release mode, lint with clippy and rustdoc as errors, fail on a
+# public function that only tests call (scripts/check-public-api.sh),
+# test and smoke-run the ee-serve benchmark suite on both of its
+# workloads, run the federation example and check its two plans agree,
+# then smoke-run the distributed-training (E4), classification (E5) and
 # kernel-throughput (E-k0) experiments, plus the E2 selection arms and
 # the E3 complexity and parallel-join sweeps at 4 threads (the harness
 # aborts non-zero if the E2/E3 pushdown, post-filter and naive arms
@@ -40,6 +41,11 @@ cargo clippy --offline --all-targets -- -D warnings
 
 echo "== lint: rustdoc (warnings are errors, e.g. dangling intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+echo "== lint: public surface (no pub fn that only tests name) =="
+# Fails on a `pub fn` that no non-test code names, unless the script's
+# allowlist says which tests or frozen suite keep it public.
+scripts/check-public-api.sh
 
 echo "== tier-1: benchmark suite's own tests =="
 # The suite is a package with its own empty [workspace], so the root
