@@ -12,6 +12,7 @@
 use crate::product::Product;
 use crate::CatalogueError;
 use ee_geo::{algorithms, Geometry, Point, Polygon};
+use ee_rdf::dict::Dictionary;
 use ee_rdf::exec::{query, Solutions};
 use ee_rdf::term::Term;
 use ee_rdf::TripleStore;
@@ -79,11 +80,13 @@ impl SemanticCatalogue {
     /// order — the ids per-triple inserts give — and each footprint from
     /// the polygon it came as
     /// ([`Dictionary::intern_geometry`](ee_rdf::dict::Dictionary::intern_geometry));
-    /// the triples then load from sorted runs in one
-    /// [`TripleStore::load_ids`].
+    /// the eight vocabulary terms are interned where they first occur and
+    /// their ids reused after. The triples then load as sorted runs in
+    /// one [`TripleStore::load_ids`].
     pub fn from_products(products: &[Product]) -> Self {
         let mut cat = Self::new();
-        let [rdf_type, class, mission, platform, product_type, sensing, cloud, footprint] = [
+        // Each vocabulary term with its id, once interned.
+        let vocabulary = [
             Term::iri(RDF_TYPE),
             eo("Product"),
             eo("mission"),
@@ -93,22 +96,35 @@ impl SemanticCatalogue {
             eo("cloudCover"),
             eo("footprint"),
         ];
+        let [
+            mut rdf_type,
+            mut class,
+            mut mission,
+            mut platform,
+            mut product_type,
+            mut sensing,
+            mut cloud,
+            mut footprint,
+        ] = vocabulary.map(|term| (term, None));
         let dict = &mut cat.store.dict;
+        let id = |dict: &mut Dictionary, (term, id): &mut (Term, Option<u64>)| {
+            *id.get_or_insert_with(|| dict.intern(&*term))
+        };
         let mut triples = Vec::with_capacity(7 * products.len());
         for p in products {
             let s = dict.intern(&Term::iri(format!("{EO}product/{}", p.id)));
             let rows = [
-                (dict.intern(&rdf_type), dict.intern(&class)),
-                (dict.intern(&mission), dict.intern(&Term::string(&p.mission))),
-                (dict.intern(&platform), dict.intern(&Term::string(&p.platform))),
+                (id(dict, &mut rdf_type), id(dict, &mut class)),
+                (id(dict, &mut mission), dict.intern(&Term::string(&p.mission))),
+                (id(dict, &mut platform), dict.intern(&Term::string(&p.platform))),
                 (
-                    dict.intern(&product_type),
+                    id(dict, &mut product_type),
                     dict.intern(&Term::string(&p.product_type)),
                 ),
-                (dict.intern(&sensing), dict.intern(&Term::date(p.sensing_date()))),
-                (dict.intern(&cloud), dict.intern(&Term::double(p.cloud_cover))),
+                (id(dict, &mut sensing), dict.intern(&Term::date(p.sensing_date()))),
+                (id(dict, &mut cloud), dict.intern(&Term::double(p.cloud_cover))),
                 (
-                    dict.intern(&footprint),
+                    id(dict, &mut footprint),
                     dict.intern_geometry(p.polygon().into()),
                 ),
             ];

@@ -7,7 +7,10 @@
 //! ([`PIPELINE_CHUNK_ROWS`] at a time) to its output. The `Scan` step is
 //! a `SeedScan` — a resumable index cursor or an incremental slice of
 //! the R-tree candidate set — so producing the first n result rows
-//! touches O(n) probe rows, not the whole result set. Build sides (hash
+//! touches O(n) probe rows, not the whole result set. A sorted
+//! candidate set is probed in order, each probe galloping forward
+//! through the index from the previous one
+//! ([`StoreView::match_objects`]). Build sides (hash
 //! tables) may still materialise; probe sides never do. Filters and
 //! OPTIONAL groups are row-local, so running them chunk-wise does not
 //! change results.
@@ -92,46 +95,59 @@ fn candidates_pay(store: StoreView<'_>, cands: &[u64], fixed: &[Option<u64>; 3])
 
 /// All index matches of `slots` under the bindings in `row`, taking the
 /// candidate-enumeration access path when spatial pushdown applies and
-/// is estimated cheaper than the direct scan.
+/// is estimated cheaper than the direct scan. The second field names the
+/// object variable whose candidate set the matches came from, if any:
+/// [`unify`] need not look its ids up in that set again.
 fn collect_matches(
     store: StoreView<'_>,
     plan: &Plan,
     slots: &[Slot; 3],
     row: &[u64],
-) -> Vec<IdTriple> {
+) -> (Vec<IdTriple>, Option<usize>) {
     let fixed = fixed_ids(slots, row);
     let mut matches = Vec::new();
     match object_candidates(plan, slots, row) {
         Some(cands) if candidates_pay(store, cands, &fixed) => {
-            for &id in cands {
-                store.match_pattern(fixed[0], fixed[1], Some(id), &mut |t| {
-                    matches.push(t);
-                    true
-                });
-            }
+            store.match_objects(fixed[0], fixed[1], cands, &mut |t| matches.push(t));
+            let Slot::Var(v) = slots[2] else {
+                unreachable!("object_candidates implies an object variable")
+            };
+            (matches, Some(v))
         }
         _ => {
             store.match_pattern(fixed[0], fixed[1], fixed[2], &mut |t| {
                 matches.push(t);
                 true
             });
+            (matches, None)
         }
     }
-    matches
 }
 
 /// Unify `triple` against `slots` into `work` (a copy of the input row).
 /// Returns false on a repeated-variable mismatch or a candidate-set miss;
-/// `work` is garbage after a false return and must be re-copied.
-fn unify(plan: &Plan, slots: &[Slot; 3], triple: IdTriple, work: &mut [u64]) -> bool {
+/// `work` is garbage after a false return and must be re-copied. `from_set`
+/// names a variable whose candidate set `triple`'s object came from: its
+/// id is a member, and binding it anywhere in the pattern either binds
+/// that same id or fails the repeated-variable check, so it is not looked
+/// up again.
+fn unify(
+    plan: &Plan,
+    slots: &[Slot; 3],
+    triple: IdTriple,
+    work: &mut [u64],
+    from_set: Option<usize>,
+) -> bool {
     let ids = [triple.0, triple.1, triple.2];
     for (slot, &id) in slots.iter().zip(&ids) {
         if let Slot::Var(v) = slot {
             let existing = work[*v];
             if existing == UNBOUND {
-                if let Some(cands) = plan.candidates.get(v) {
-                    if cands.binary_search(&id).is_err() {
-                        return false;
+                if Some(*v) != from_set {
+                    if let Some(cands) = plan.candidates.get(v) {
+                        if cands.binary_search(&id).is_err() {
+                            return false;
+                        }
                     }
                 }
                 work[*v] = id;
@@ -246,15 +262,12 @@ impl SeedScan {
                         par::map_chunks_guided(slice, threads, OVERSUBSCRIBE, |_, chunk| {
                             let mut rows: Vec<u64> = Vec::new();
                             let mut work = vec![0u64; width];
-                            for &id in chunk {
-                                store.match_pattern(fixed[0], fixed[1], Some(id), &mut |t| {
-                                    work.copy_from_slice(&seed);
-                                    if unify(plan, slots, t, &mut work) {
-                                        rows.extend_from_slice(&work);
-                                    }
-                                    true
-                                });
-                            }
+                            store.match_objects(fixed[0], fixed[1], chunk, &mut |t| {
+                                work.copy_from_slice(&seed);
+                                if unify(plan, slots, t, &mut work, Some(*v)) {
+                                    rows.extend_from_slice(&work);
+                                }
+                            });
                             rows
                         });
                     for rows in &parts {
@@ -279,7 +292,7 @@ impl SeedScan {
                 store.match_pattern_from(fixed[0], fixed[1], fixed[2], cursor, &mut |t| {
                     scanned += 1;
                     work.copy_from_slice(&seed);
-                    if unify(plan, slots, t, &mut work) {
+                    if unify(plan, slots, t, &mut work, None) {
                         out.push_row(&work);
                     }
                     out.len() < want
@@ -383,7 +396,7 @@ impl StepProbe {
                     if let Some(matches) = table.get(&key) {
                         for &t in matches {
                             work.copy_from_slice(&row);
-                            if unify(plan, slots, t, &mut work) {
+                            if unify(plan, slots, t, &mut work, None) {
                                 rows.extend_from_slice(&work);
                             }
                         }
@@ -398,9 +411,10 @@ impl StepProbe {
                 let mut work = vec![0u64; width];
                 for &r in idxs {
                     chunk.read_row(r, &mut row);
-                    for t in collect_matches(store, plan, slots, &row) {
+                    let (matches, from_set) = collect_matches(store, plan, slots, &row);
+                    for t in matches {
                         work.copy_from_slice(&row);
-                        if unify(plan, slots, t, &mut work) {
+                        if unify(plan, slots, t, &mut work, from_set) {
                             rows.extend_from_slice(&work);
                         }
                     }
@@ -449,11 +463,11 @@ fn join_group(
         return;
     };
     let slots = &plan.slots[pi];
-    let matches = collect_matches(store, plan, slots, work);
+    let (matches, from_set) = collect_matches(store, plan, slots, work);
     let snapshot = work.clone();
     for t in matches {
         work.copy_from_slice(&snapshot);
-        if unify(plan, slots, t, work) {
+        if unify(plan, slots, t, work, from_set) {
             join_group(store, plan, rest, work, out, found);
         }
     }

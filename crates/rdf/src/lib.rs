@@ -15,9 +15,9 @@
 //! * [`dict`] — dictionary encoding: every term interned to a `u64`, its
 //!   text in one byte arena, with decoded typed values (including parsed
 //!   geometries) kept alongside;
-//! * [`store`] — triples in three covering B-tree indexes (SPO/POS/OSP)
-//!   of 12-byte keys, per-predicate counts, plus an R-tree over geometry
-//!   literals — the one production layout;
+//! * [`store`] — triples in three covering indexes (SPO/POS/OSP), each
+//!   a sorted run of 12-byte keys plus a small write delta, and an R-tree
+//!   over geometry literals — the one production layout;
 //! * [`expr`] — filter expressions: comparisons, boolean algebra, and the
 //!   GeoSPARQL functions `geof:sfIntersects` / `sfContains` / `sfWithin`
 //!   / `geof:distance`, compiled at plan time over batch columns;

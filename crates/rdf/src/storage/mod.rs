@@ -248,9 +248,9 @@ impl Store {
                 st.dict.intern(t);
             }
             debug_assert_eq!(st.dict.len(), data.terms.len(), "ids must be positional");
-            // The indexes build from sorted runs instead of paying a
-            // tree walk per triple (snapshot segments are already
-            // strictly-ascending SPO, which the sort finds in one pass).
+            // The sorted triples become the indexes' runs as they are
+            // (snapshot segments are already strictly-ascending SPO,
+            // which the sort finds in one pass).
             st.load_ids(data.triples);
             (st, data.generation)
         } else {

@@ -1,33 +1,47 @@
-//! The triple store: dictionary-encoded triples in three covering B-tree
+//! The triple store: dictionary-encoded triples in three covering sorted
 //! indexes, plus an R-tree over geometry literals.
 //!
-//! The indexes hold 12-byte keys: the dictionary issues ids below
-//! `u32::MAX`, so each id narrows to a `u32` inside the store while
-//! [`IdTriple`] stays `u64` at the API. An id no dictionary can issue —
-//! `u64::MAX`, the planner's stand-in for a constant the store has never
-//! seen, or anything else past `u32::MAX` — matches nothing, never a
-//! truncated real id.
+//! Each index (a private `SortedIndex`) is an immutable sorted run of
+//! 12-byte keys at exact capacity, plus a small sorted write delta: keys
+//! added since the last fold and tombstones for run keys deleted since. The
+//! dictionary issues ids below `u32::MAX`, so each id narrows to a `u32`
+//! inside the store while [`IdTriple`] stays `u64` at the API. An id no
+//! dictionary can issue — `u64::MAX`, the planner's stand-in for a
+//! constant the store has never seen, or anything else past `u32::MAX` —
+//! matches nothing, never a truncated real id.
 //!
 //! Triples arrive one at a time ([`TripleStore::insert_ids`], the write
-//! path) or as one batch into an empty store ([`TripleStore::load_ids`],
-//! which snapshot opens and batch ingests take): the batch is sorted
-//! once and every index is built from sorted runs, with full nodes and
-//! no per-triple tree walk. [`TripleStore::pack`] then bulk-loads the
-//! spatial index.
+//! path, into the deltas) or as one batch into an empty store
+//! ([`TripleStore::load_ids`], which snapshot opens and batch ingests
+//! take): the batch is sorted once per index and the sorted vectors
+//! become the runs. [`TripleStore::pack`] folds the deltas into the runs
+//! and bulk-loads the spatial index.
 
 use crate::dict::Dictionary;
 use crate::term::TermRef;
 use ee_geo::{Envelope, RTree};
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
 
 /// A triple of dictionary ids.
 pub type IdTriple = (u64, u64, u64);
 
 /// Cardinality estimates are capped here: the planner only needs relative
-/// magnitude, and exact counts over huge ranges would make planning O(n)
-/// per join step. An estimate equal to the cap means "at least this many".
+/// magnitude, and a capped estimate keeps every join order what it was
+/// when estimates walked their index range. An estimate equal to the cap
+/// means "at least this many".
 pub const ESTIMATE_CAP: usize = 1024;
+
+/// An index folds its write delta into its run once the delta (adds
+/// plus tombstones) holds more than `1 / FOLD_DIVISOR` of the run's keys
+/// (and more than [`FOLD_MIN`]). A write into a run of n keys shifts
+/// about n / (4 · `FOLD_DIVISOR`) delta keys and a fold, amortised,
+/// `FOLD_DIVISOR` run keys: at 256 the two meet at runs of about 260k
+/// keys.
+const FOLD_DIVISOR: usize = 256;
+
+/// The delta size below which an index never folds on a write, so a
+/// store built by per-triple inserts does not rewrite a small run on
+/// every few writes.
+const FOLD_MIN: usize = 256;
 
 /// An index key: three ids in one index's component order, each narrowed
 /// to `u32`.
@@ -59,18 +73,11 @@ pub struct TripleStore {
     pub dict: Dictionary,
     /// The three covering indexes. `spo` is also the membership set and
     /// the SPO-order list.
-    spo: BTreeSet<Key>,
-    pos: BTreeSet<Key>,
-    osp: BTreeSet<Key>,
-    /// Triples per predicate — the length of each predicate's run in
-    /// `pos`, which answers the predicate-only
-    /// [`estimate`](TripleStore::estimate) without walking the run.
-    pred_counts: HashMap<u32, usize>,
+    spo: SortedIndex,
+    pos: SortedIndex,
+    osp: SortedIndex,
     rtree: RTree<u64>,
     pending_spatial: Vec<(Envelope, u64)>,
-    /// A per-triple insert landed since the indexes were last built from
-    /// sorted runs, so [`pack`](TripleStore::pack) has nodes to fill.
-    inserted_since_pack: bool,
 }
 
 impl Default for TripleStore {
@@ -84,13 +91,11 @@ impl TripleStore {
     pub fn new() -> Self {
         Self {
             dict: Dictionary::new(),
-            spo: BTreeSet::new(),
-            pos: BTreeSet::new(),
-            osp: BTreeSet::new(),
-            pred_counts: HashMap::new(),
+            spo: SortedIndex::default(),
+            pos: SortedIndex::default(),
+            osp: SortedIndex::default(),
             rtree: RTree::new(),
             pending_spatial: Vec::new(),
-            inserted_since_pack: false,
         }
     }
 
@@ -102,6 +107,13 @@ impl TripleStore {
     /// True when the store holds no triples.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes allocated for the three indexes — runs plus deltas, by
+    /// capacity. A packed store, or one just loaded by
+    /// [`load_ids`](Self::load_ids), holds 12 bytes a key: 36 a triple.
+    pub fn index_bytes(&self) -> usize {
+        [&self.spo, &self.pos, &self.osp].iter().map(|index| index.bytes()).sum()
     }
 
     /// Insert a triple of terms. Duplicate triples are ignored.
@@ -124,14 +136,12 @@ impl TripleStore {
     /// On an id of `u32::MAX` or more, which no dictionary issues.
     pub fn insert_ids(&mut self, s: u64, p: u64, o: u64) {
         let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
-        let (s32, p32, o32) = (key(s), key(p), key(o));
-        if !self.spo.insert((s32, p32, o32)) {
+        let spo = (key(s), key(p), key(o));
+        if !self.spo.insert(spo) {
             return;
         }
-        self.pos.insert((p32, o32, s32));
-        self.osp.insert((o32, s32, p32));
-        self.inserted_since_pack = true;
-        *self.pred_counts.entry(p32).or_default() += 1;
+        self.pos.insert(Order::Pos.key(spo));
+        self.osp.insert(Order::Osp.key(spo));
         if let Some(env) = self.dict.envelope_of(o) {
             // Buffer for bulk-load; ingests pay one STR pack.
             self.pending_spatial.push((env, o));
@@ -159,50 +169,44 @@ impl TripleStore {
 
     /// Remove a triple of pre-interned ids; `true` when it was present.
     ///
-    /// All three B-tree indexes are updated in place. The R-tree (and the
-    /// pending-spatial buffer) deliberately keeps any entry for the
-    /// object: spatial candidates are only ever a candidate *superset*,
-    /// and rows bind exclusively through B-tree pattern matches, so a
-    /// stale geometry id costs one rejected probe, never a wrong answer.
+    /// Each index drops the key from its delta, or tombstones it in its
+    /// run. The R-tree (and the pending-spatial buffer) deliberately
+    /// keeps any entry for the object: spatial candidates are only ever a
+    /// candidate *superset*, and rows bind exclusively through index
+    /// pattern matches, so a stale geometry id costs one rejected probe,
+    /// never a wrong answer.
     ///
-    /// Cursor invariant: an active [`PatternCursor`] resumes via an
-    /// `Excluded(last)` re-seek, so removing triples between batches is
-    /// safe — including the cursor's exact resume key, since the seek
-    /// then lands on the next greater key.
+    /// Cursor invariant: an active [`PatternCursor`] holds the last key it
+    /// delivered, never a position, and resumes by a binary search for
+    /// the first key after it. So removing triples between batches is
+    /// safe — including the cursor's exact resume key, and a removal or
+    /// insert that folds a delta into its run.
     pub fn remove_ids(&mut self, s: u64, p: u64, o: u64) -> bool {
         let (Some(s), Some(p), Some(o)) = (narrow(s), narrow(p), narrow(o)) else {
             return false;
         };
-        if !self.spo.remove(&(s, p, o)) {
+        let spo = (s, p, o);
+        if !self.spo.remove(&spo) {
             return false;
         }
-        self.pos.remove(&(p, o, s));
-        self.osp.remove(&(o, s, p));
-        let n = self.pred_counts.get_mut(&p).expect("a stored triple's predicate is counted");
-        *n -= 1;
-        if *n == 0 {
-            self.pred_counts.remove(&p);
-        }
+        self.pos.remove(&Order::Pos.key(spo));
+        self.osp.remove(&Order::Osp.key(spo));
         true
     }
 
-    /// Load `triples` into an **empty** store from sorted runs — the one
-    /// batch path, taken by snapshot opens and batch ingests. The input
-    /// may come in any order and repeat triples: it is sorted and
-    /// deduplicated here. Instead of 3n individual B-tree inserts (each
-    /// paying a root-to-leaf walk and node splits), the three indexes are
-    /// built through `FromIterator`, which packs nodes from sorted runs
-    /// in one linear pass, and the per-predicate counts are the run
-    /// lengths of `pos`. The result is the store that
+    /// Load `triples` into an **empty** store — the one batch path, taken
+    /// by snapshot opens and batch ingests. The input may come in any
+    /// order and repeat triples: it is sorted and deduplicated here, and
+    /// each index's sorted vector becomes its run as it is, at exact
+    /// capacity. The result is the store that
     /// [`TripleStore::insert_ids`] per triple and then
     /// [`pack`](TripleStore::pack) build, which the tests assert; call
     /// `pack` after it to index the geometries spatially.
     ///
     /// # Panics
     ///
-    /// When the store already holds triples (they would drop out of the
-    /// indexes while still counted per predicate), and on an id of
-    /// `u32::MAX` or more.
+    /// When the store already holds triples (a load replaces the runs
+    /// and would drop them), and on an id of `u32::MAX` or more.
     pub fn load_ids(&mut self, triples: Vec<IdTriple>) {
         assert!(self.is_empty(), "load_ids requires an empty store");
         let key = |id| narrow(id).expect("dictionary ids are below u32::MAX");
@@ -213,20 +217,23 @@ impl TripleStore {
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let mut pos: Vec<Key> = keys.iter().map(|&(s, p, o)| (p, o, s)).collect();
-        pos.sort_unstable();
-        for run in pos.chunk_by(|a, b| a.0 == b.0) {
-            self.pred_counts.insert(run[0].0, run.len());
-        }
-        self.pos = pos.into_iter().collect();
-        self.osp = keys.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        // Trim before the other two runs are allocated: the collect may
+        // have reused the input's 24-byte-a-triple buffer, and dedup
+        // leaves its tail spare too.
+        keys.shrink_to_fit();
+        let permuted = |order: Order| {
+            let mut run: Vec<Key> = keys.iter().map(|&k| order.key(k)).collect();
+            run.sort_unstable();
+            SortedIndex::from_sorted(run)
+        };
+        self.pos = permuted(Order::Pos);
+        self.osp = permuted(Order::Osp);
         for &(_, _, o) in &keys {
             if let Some(env) = self.dict.envelope_of(u64::from(o)) {
                 self.pending_spatial.push((env, u64::from(o)));
             }
         }
-        self.spo = keys.into_iter().collect();
-        self.inserted_since_pack = false;
+        self.spo = SortedIndex::from_sorted(keys);
     }
 
     /// Membership test on pre-interned ids.
@@ -240,10 +247,10 @@ impl TripleStore {
     /// Every triple as raw dictionary ids, in SPO order. The storage
     /// layer streams snapshots from this.
     pub fn id_triples(&self) -> impl Iterator<Item = IdTriple> + '_ {
-        self.spo.iter().map(widen)
+        self.spo.keys_from(Finger::default()).map(|k| widen(&k))
     }
 
-    /// Finish a batch ingest: pack everything per-triple inserts left
+    /// Finish a batch ingest: pack everything per-triple writes left
     /// loose. Call after batch inserts; answers never depend on it, only
     /// the cost of a read and the memory held do.
     ///
@@ -251,16 +258,11 @@ impl TripleStore {
     ///   inserted so far. Until then new geometries wait in a pending
     ///   list that [`visit_spatial`](Self::visit_spatial) scans linearly;
     ///   the list's buffer is freed, not kept for the next ingest.
-    /// - When per-triple inserts happened since the indexes were last
-    ///   built from sorted runs, `spo`, `pos` and `osp` are rebuilt from
-    ///   their own (sorted) contents: `FromIterator` packs full nodes,
-    ///   where inserts leave them part-empty.
+    /// - Each index folds its write delta into its run, in place, and
+    ///   frees the delta's buffers.
     pub fn pack(&mut self) {
-        if self.inserted_since_pack {
-            for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
-                *index = std::mem::take(index).into_iter().collect();
-            }
-            self.inserted_since_pack = false;
+        for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
+            index.fold();
         }
         self.pack_spatial();
     }
@@ -319,13 +321,23 @@ impl TripleStore {
         self.match_pattern_from(s, p, o, &mut cursor, f);
     }
 
+    /// The index that answers patterns enumerated in `order`.
+    fn index(&self, order: Order) -> &SortedIndex {
+        match order {
+            Order::Spo => &self.spo,
+            Order::Pos => &self.pos,
+            Order::Osp => &self.osp,
+        }
+    }
+
     /// Resumable form of [`Self::match_pattern`]: enumerates matches in the same
     /// order, but a callback returning `false` *pauses* the enumeration
     /// instead of abandoning it — the cursor remembers the pause point and
     /// the next call picks up strictly after the last delivered triple.
     /// Start from `PatternCursor::default()`; [`PatternCursor::is_done`]
-    /// reports exhaustion. Resuming a B-tree range is an O(log n) re-seek,
-    /// so pulling a total of k matches in batches costs O(k + batches ·
+    /// reports exhaustion. A resume is a binary search for the first key
+    /// after the last delivered one, in the run and in the delta, so
+    /// pulling a total of k matches in batches costs O(k + batches ·
     /// log n) — this is what lets the pipelined executor's index scans
     /// yield a batch at a time without rescanning from the start.
     ///
@@ -352,23 +364,19 @@ impl TripleStore {
             return;
         };
         let order = Order::of(s, p, o);
-        let index = match order {
-            Order::Spo => &self.spo,
-            Order::Pos => &self.pos,
-            Order::Osp => &self.osp,
-        };
-        let (a, b, c) = order.key((s, p, o));
-        // Resume exclusively after the last delivered triple, mapped into
+        let index = self.index(order);
+        let (lo, hi) = key_bounds(order.key((s, p, o)));
+        // Resume strictly after the last delivered triple, mapped into
         // this index's component order.
-        let lo = match cursor.last {
+        let at = match cursor.last {
             Some(t) => {
                 let key = |id| narrow(id).expect("a delivered triple's ids are narrow");
-                Bound::Excluded(order.key((key(t.0), key(t.1), key(t.2))))
+                let last = order.key((key(t.0), key(t.1), key(t.2)));
+                index.seek(|k| *k <= last)
             }
-            None => Bound::Included((a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0))),
+            None => index.seek(|k| *k < lo),
         };
-        let hi = (a.unwrap_or(u32::MAX), b.unwrap_or(u32::MAX), c.unwrap_or(u32::MAX));
-        for &k in index.range((lo, Bound::Included(hi))) {
+        for k in index.keys_from(at).take_while(|k| *k <= hi) {
             let t = order.triple(k);
             if o.is_none_or(|o| o == t.2) && !f(widen(&t)) {
                 cursor.last = Some(widen(&t));
@@ -378,28 +386,62 @@ impl TripleStore {
         cursor.done = true;
     }
 
+    /// The matches of `(s, p, object)` for each of `objects` in turn, each
+    /// object's in the order [`match_pattern`](Self::match_pattern) gives
+    /// them — the probe of a sorted R-tree candidate set. `objects` must
+    /// ascend (repeats allowed): every probe then starts at or after the
+    /// previous one in the same index, so it gallops forward from there
+    /// (O(log gap)) instead of searching the whole index.
+    pub fn match_objects(
+        &self,
+        s: Option<u64>,
+        p: Option<u64>,
+        objects: &[u64],
+        f: &mut impl FnMut(IdTriple),
+    ) {
+        debug_assert!(objects.is_sorted(), "objects ascend");
+        let (Some(s), Some(p)) = (narrow_bound(s), narrow_bound(p)) else {
+            return;
+        };
+        let order = Order::of(s, p, Some(0));
+        let index = self.index(order);
+        let mut at = Finger::default();
+        for &o in objects {
+            // Objects ascend: past the first id no dictionary issues, no
+            // object can match.
+            let Some(o) = narrow(o) else {
+                return;
+            };
+            let (lo, hi) = key_bounds(order.key((s, p, Some(o))));
+            at = index.gallop(at, |k| *k < lo);
+            for k in index.keys_from(at).take_while(|k| *k <= hi) {
+                let t = order.triple(k);
+                if t.2 == o {
+                    f(widen(&t));
+                }
+            }
+        }
+    }
+
     /// Estimated result count of a pattern (exact for indexed lookups,
     /// `len()` for the unbound pattern) — drives join ordering. Estimates
     /// are capped at [`ESTIMATE_CAP`]; a subject-bound pattern is
-    /// estimated from its subject (and predicate) alone. The
-    /// predicate-only shape reads the per-predicate count; the others walk
-    /// their index range up to the cap.
+    /// estimated from its subject (and predicate) alone. Every shape
+    /// counts its key range in the run and the delta by binary search.
     pub fn estimate(&self, s: Option<u64>, p: Option<u64>, o: Option<u64>) -> usize {
         // A component no dictionary issues narrows to `None`: no matches.
-        let range = |set: &BTreeSet<Key>, first: u64, second: Option<u64>| {
+        let count = |index: &SortedIndex, first: u64, second: Option<u64>| {
             let (Some(first), Some(second)) = (narrow(first), narrow_bound(second)) else {
                 return 0;
             };
-            prefix_range(set, first, second).take(ESTIMATE_CAP).count()
+            let (lo, hi) = key_bounds((Some(first), second, None));
+            index.count(&lo, &hi).min(ESTIMATE_CAP)
         };
         match (s, p, o) {
-            (None, None, None) => self.spo.len(),
-            (Some(s), pp, _) => range(&self.spo, s, pp),
-            (None, Some(p), None) => narrow(p)
-                .and_then(|p| self.pred_counts.get(&p))
-                .map_or(0, |&n| n.min(ESTIMATE_CAP)),
-            (None, Some(p), oo) => range(&self.pos, p, oo),
-            (None, None, Some(o)) => range(&self.osp, o, None),
+            (None, None, None) => self.len(),
+            (Some(s), pp, _) => count(&self.spo, s, pp),
+            (None, Some(p), oo) => count(&self.pos, p, oo),
+            (None, None, Some(o)) => count(&self.osp, o, None),
         }
     }
 
@@ -409,6 +451,14 @@ impl TripleStore {
         self.id_triples()
             .map(move |(s, p, o)| (self.dict.term(s), self.dict.term(p), self.dict.term(o)))
     }
+}
+
+/// The least and greatest keys with a pattern's bound components (in an
+/// index's component order): unbound components span `0..=u32::MAX`.
+fn key_bounds((a, b, c): (Option<u32>, Option<u32>, Option<u32>)) -> (Key, Key) {
+    let lo = (a.unwrap_or(0), b.unwrap_or(0), c.unwrap_or(0));
+    let hi = (a.unwrap_or(u32::MAX), b.unwrap_or(u32::MAX), c.unwrap_or(u32::MAX));
+    (lo, hi)
 }
 
 /// Pause/resume state for [`TripleStore::match_pattern_from`] and
@@ -475,18 +525,241 @@ impl Order {
     }
 }
 
-/// The keys of an index whose first component is `first` and, when
-/// given, whose second is `second`.
-fn prefix_range(
-    set: &BTreeSet<Key>,
-    first: u32,
-    second: Option<u32>,
-) -> impl Iterator<Item = &Key> {
-    let (lo, hi) = match second {
-        Some(s) => ((first, s, u32::MIN), (first, s, u32::MAX)),
-        None => ((first, u32::MIN, u32::MIN), (first, u32::MAX, u32::MAX)),
-    };
-    set.range(lo..=hi)
+/// One covering index: an immutable sorted run of keys, plus a small
+/// sorted write delta over it.
+///
+/// - `run` ascends without repeats and sits at exact capacity: 12 bytes
+///   a key.
+/// - `added` ascends and holds the keys inserted since the last fold,
+///   none of them in `run`.
+/// - `removed` ascends and holds tombstones: the run keys deleted since
+///   the last fold.
+///
+/// The index's keys are `run` minus `removed`, merged with `added`. A
+/// write that takes the delta past its share of the run
+/// ([`FOLD_DIVISOR`]) folds it in; so does [`TripleStore::pack`].
+#[derive(Debug, Default)]
+struct SortedIndex {
+    run: Vec<Key>,
+    added: Vec<Key>,
+    removed: Vec<Key>,
+}
+
+/// A position in a [`SortedIndex`]: one offset into each of its run,
+/// added keys and tombstones, all at the same key.
+#[derive(Debug, Clone, Copy, Default)]
+struct Finger {
+    run: usize,
+    added: usize,
+    removed: usize,
+}
+
+impl SortedIndex {
+    /// An index whose run is `keys`, which ascend without repeats.
+    fn from_sorted(mut keys: Vec<Key>) -> SortedIndex {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "a run ascends without repeats");
+        keys.shrink_to_fit();
+        SortedIndex {
+            run: keys,
+            ..SortedIndex::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() - self.removed.len() + self.added.len()
+    }
+
+    /// Bytes allocated for the run and the delta, by capacity.
+    fn bytes(&self) -> usize {
+        (self.run.capacity() + self.added.capacity() + self.removed.capacity())
+            * std::mem::size_of::<Key>()
+    }
+
+    fn contains(&self, key: &Key) -> bool {
+        if self.run.binary_search(key).is_ok() {
+            self.removed.binary_search(key).is_err()
+        } else {
+            self.added.binary_search(key).is_ok()
+        }
+    }
+
+    /// Add `key`; `false` when it was already present. Re-inserting a
+    /// tombstoned run key drops its tombstone.
+    fn insert(&mut self, key: Key) -> bool {
+        if self.run.binary_search(&key).is_ok() {
+            match self.removed.binary_search(&key) {
+                Ok(i) => {
+                    self.removed.remove(i);
+                    true
+                }
+                Err(_) => false,
+            }
+        } else {
+            match self.added.binary_search(&key) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.added.insert(i, key);
+                    self.fold_if_full();
+                    true
+                }
+            }
+        }
+    }
+
+    /// Delete `key`; `false` when it was absent. An added key leaves the
+    /// delta; a run key gets a tombstone.
+    fn remove(&mut self, key: &Key) -> bool {
+        if self.run.binary_search(key).is_ok() {
+            match self.removed.binary_search(key) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.removed.insert(i, *key);
+                    self.fold_if_full();
+                    true
+                }
+            }
+        } else {
+            match self.added.binary_search(key) {
+                Ok(i) => {
+                    self.added.remove(i);
+                    true
+                }
+                Err(_) => false,
+            }
+        }
+    }
+
+    fn fold_if_full(&mut self) {
+        let delta = self.added.len() + self.removed.len();
+        if delta > FOLD_MIN && delta > self.run.len() / FOLD_DIVISOR {
+            self.fold();
+        }
+    }
+
+    /// Fold the delta into the run, in place: drop the tombstoned keys,
+    /// grow the run by the added keys alone and merge them in from the
+    /// back, so no second copy of the run is ever made. The run ends at
+    /// exact capacity and the delta's buffers are freed.
+    fn fold(&mut self) {
+        if self.added.is_empty() && self.removed.is_empty() {
+            return;
+        }
+        let removed = std::mem::take(&mut self.removed);
+        if !removed.is_empty() {
+            // Tombstones are run keys, in run order.
+            let mut dead = removed.iter().peekable();
+            self.run.retain(|k| dead.next_if(|d| *d == k).is_none());
+        }
+        let added = std::mem::take(&mut self.added);
+        let kept = self.run.len();
+        self.run.reserve_exact(added.len());
+        self.run.resize(kept + added.len(), (0, 0, 0));
+        // Merge from the back: the slot written is `i + j - 1`, never
+        // below the next run key to read (`i - 1`), so no unread key is
+        // overwritten.
+        let (mut i, mut j) = (kept, added.len());
+        for slot in (0..self.run.len()).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && self.run[i - 1] > added[j - 1] {
+                self.run[slot] = self.run[i - 1];
+                i -= 1;
+            } else {
+                self.run[slot] = added[j - 1];
+                j -= 1;
+            }
+        }
+        self.run.shrink_to_fit();
+    }
+
+    /// The position of the first key for which `before` is false —
+    /// `before` holds on a prefix of the keys — by binary search.
+    fn seek(&self, before: impl Fn(&Key) -> bool) -> Finger {
+        Finger {
+            run: self.run.partition_point(&before),
+            added: self.added.partition_point(&before),
+            removed: self.removed.partition_point(&before),
+        }
+    }
+
+    /// [`seek`](Self::seek) from `from`, which must not lie past the
+    /// answer: gallops forward from it, so a probe just ahead of the
+    /// last one costs O(log gap), not O(log n).
+    fn gallop(&self, from: Finger, before: impl Fn(&Key) -> bool) -> Finger {
+        Finger {
+            run: gallop(&self.run, from.run, &before),
+            added: gallop(&self.added, from.added, &before),
+            removed: gallop(&self.removed, from.removed, &before),
+        }
+    }
+
+    /// The index's keys from `at` on, in order.
+    fn keys_from(&self, at: Finger) -> Keys<'_> {
+        Keys {
+            run: &self.run[at.run..],
+            added: &self.added[at.added..],
+            removed: &self.removed[at.removed..],
+        }
+    }
+
+    /// How many of the index's keys lie in `lo..=hi`, by binary search.
+    fn count(&self, lo: &Key, hi: &Key) -> usize {
+        let within =
+            |keys: &[Key]| keys.partition_point(|k| k <= hi) - keys.partition_point(|k| k < lo);
+        within(&self.run) - within(&self.removed) + within(&self.added)
+    }
+}
+
+/// The first offset at or after `from` in `keys` for which `before` is
+/// false, found by probing at strides that double from `from` on and
+/// then binary-searching the last stride. `before` must hold on
+/// `keys[..from]`.
+fn gallop(keys: &[Key], from: usize, before: &impl Fn(&Key) -> bool) -> usize {
+    let rest = &keys[from..];
+    // `rest[..lo]` all lie before; the answer is in `lo..=hi`.
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= rest.len() && before(&rest[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(rest.len());
+    from + lo + rest[lo..hi].partition_point(before)
+}
+
+/// The keys of a [`SortedIndex`] from a [`Finger`] on: run keys without
+/// a tombstone, merged with the added keys.
+struct Keys<'a> {
+    run: &'a [Key],
+    added: &'a [Key],
+    removed: &'a [Key],
+}
+
+impl Iterator for Keys<'_> {
+    type Item = Key;
+
+    fn next(&mut self) -> Option<Key> {
+        loop {
+            let from_run = match (self.run.first(), self.added.first()) {
+                (Some(r), Some(a)) => r < a,
+                (run, _) => run.is_some(),
+            };
+            if !from_run {
+                let (&a, rest) = self.added.split_first()?;
+                self.added = rest;
+                return Some(a);
+            }
+            let (&r, rest) = self.run.split_first()?;
+            self.run = rest;
+            // Tombstones are run keys and ascend with the run, so the
+            // next one is `r`'s or a later key's.
+            if let Some((_, rest)) = self.removed.split_first().filter(|(&d, _)| d == r) {
+                self.removed = rest;
+                continue;
+            }
+            return Some(r);
+        }
+    }
 }
 
 /// Convenience for tests and loaders: is the exact triple present?
@@ -686,6 +959,26 @@ impl<'a> StoreView<'a> {
         self.match_pattern_from(s, p, o, &mut cursor, f);
     }
 
+    /// [`TripleStore::match_objects`] through the view. With an overlay
+    /// each object is matched on its own, adds merged in.
+    pub fn match_objects(
+        &self,
+        s: Option<u64>,
+        p: Option<u64>,
+        objects: &[u64],
+        f: &mut impl FnMut(IdTriple),
+    ) {
+        if self.novelty.is_none() {
+            return self.base.match_objects(s, p, objects, f);
+        }
+        for &o in objects {
+            self.match_pattern(s, p, Some(o), &mut |t| {
+                f(t);
+                true
+            });
+        }
+    }
+
     /// Resumable form of [`StoreView::match_pattern`], mirroring
     /// [`TripleStore::match_pattern_from`]: a `false` return pauses, the
     /// cursor resumes strictly after the last delivered triple — on this
@@ -761,6 +1054,7 @@ impl<'a> StoreView<'a> {
 mod tests {
     use super::*;
     use crate::term::Term;
+    use std::collections::BTreeSet;
 
     fn t(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))
@@ -898,8 +1192,8 @@ mod tests {
     fn load_ids_matches_per_triple_inserts() {
         // Unsorted input with repeats through load_ids, against the same
         // triples inserted one at a time: both packed, a reader sees the
-        // same store — triples, matches, estimates, per-predicate counts
-        // and spatial candidates.
+        // same store — triples, matches, estimates (every predicate's
+        // included) and spatial candidates — held in the same bytes.
         let mut rng = ee_util::rng::Rng::seed_from(0x10ad);
         let pool: Vec<Term> = (0..30)
             .map(|i| t(&format!("n{i}")))
@@ -932,7 +1226,7 @@ mod tests {
         let distinct: BTreeSet<IdTriple> = triples.iter().copied().collect();
         assert_eq!(loaded.len(), distinct.len());
         assert!(loaded.len() < triples.len(), "the input repeats triples");
-        assert_eq!(loaded.pred_counts, inserted.pred_counts);
+        assert_eq!(loaded.index_bytes(), inserted.index_bytes());
         let probes: Vec<IdTriple> =
             triples.iter().copied().step_by(7).chain([(n, n, n)]).collect();
         let windows = [
@@ -1068,11 +1362,10 @@ mod tests {
         )
     }
 
-    /// What [`TripleStore::estimate`] answered by walking index ranges
-    /// before predicate-only patterns read the per-predicate counts: `len`
-    /// for the unbound pattern, else the matches of the bound components
-    /// it consults (a bound subject ignores the object), capped at
-    /// [`ESTIMATE_CAP`].
+    /// What [`TripleStore::estimate`] answered when it walked index
+    /// ranges: `len` for the unbound pattern, else the matches of the
+    /// bound components it consults (a bound subject ignores the object),
+    /// capped at [`ESTIMATE_CAP`].
     fn walked_estimate(
         model: &BTreeSet<IdTriple>,
         s: Option<u64>,
@@ -1095,8 +1388,10 @@ mod tests {
     fn store_agrees_with_model_under_random_churn() {
         let mut rng = ee_util::rng::Rng::seed_from(0x5ca7);
         // Interning the term pool first gives its terms ids `0..n`, so
-        // the model's id triples compare directly.
-        let pool: Vec<Term> = (0..6)
+        // the model's id triples compare directly. The pool is sized so
+        // the churn takes the deltas past the fold threshold again and
+        // again; every seventh round also packs.
+        let pool: Vec<Term> = (0..10)
             .map(|i| t(&format!("n{i}")))
             .chain((0..2).map(Term::integer))
             .chain((0..2).map(|i| Term::wkt(format!("POINT ({i} {i})"))))
@@ -1111,10 +1406,12 @@ mod tests {
             st.dict.intern(term);
         }
         st.load_ids(model.iter().copied().collect());
+        let mut folds = 0;
         for round in 0..60 {
             // Round 0 checks the bulk load as it stands.
             for _ in 0..if round == 0 { 0 } else { 40 } {
                 let (s, p, o) = random_triple(&mut rng);
+                let delta = st.delta_len();
                 if rng.chance(0.6) {
                     model.insert((s, p, o));
                     st.insert_ids(s, p, o);
@@ -1122,6 +1419,14 @@ mod tests {
                     let was = model.remove(&(s, p, o));
                     assert_eq!(st.remove_ids(s, p, o), was, "round {round}");
                 }
+                if delta >= FOLD_MIN && st.delta_len() == 0 {
+                    folds += 1;
+                    assert_eq!(st.index_bytes(), 36 * st.len(), "a fold leaves exact runs");
+                }
+            }
+            if round % 7 == 6 {
+                st.pack();
+                assert_eq!((st.delta_len(), st.index_bytes()), (0, 36 * st.len()));
             }
             // A re-insert of a present triple changes nothing.
             if let Some(&(s, p, o)) = model.iter().nth(round as usize % model.len().max(1)) {
@@ -1180,6 +1485,34 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, want, "shape {shape} chunk {chunk}");
             }
+            // Galloping object probes, against the model, for every
+            // subject/predicate shape and an ascending object list with
+            // repeats and an id no dictionary issues.
+            let mut objects: Vec<u64> =
+                (0..6).map(|_| rng.below(n + 1)).chain([u64::MAX]).collect();
+            objects.sort_unstable();
+            for shape in 0..4u8 {
+                let base = want_all[rng.below(want_all.len() as u64) as usize];
+                let (s, p, _) = shape_of(shape << 1, base);
+                let mut got = Vec::new();
+                st.match_objects(s, p, &objects, &mut |tr| got.push(tr));
+                let mut one_by_one = Vec::new();
+                for &o in &objects {
+                    st.match_pattern(s, p, Some(o), &mut |tr| {
+                        one_by_one.push(tr);
+                        true
+                    });
+                }
+                assert_eq!(got, one_by_one, "objects {objects:?} shape {shape}");
+                let mut want: Vec<IdTriple> = objects
+                    .iter()
+                    .flat_map(|&o| want_all.iter().filter(move |&&tr| pattern_matches(tr, s, p, Some(o))))
+                    .copied()
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "objects {objects:?} shape {shape}");
+            }
             // Removal between batches. Each pause deletes the cursor's
             // resume key and one random triple; the drain must deliver each
             // initial match once, except those deleted before delivery.
@@ -1223,6 +1556,7 @@ mod tests {
             let want: BTreeSet<IdTriple> = initial.difference(&deleted_unseen).copied().collect();
             assert_eq!(distinct, want, "shape {shape} round {round}");
         }
+        assert!(folds >= 2, "the churn crossed the fold threshold {folds} times");
     }
 
     /// Everything a reader can ask a store: every triple, each shape's
@@ -1330,7 +1664,7 @@ mod tests {
                 let first: Vec<IdTriple> = (0..300).map(|_| random_triple(&mut rng, n)).collect();
                 inserted.load_ids(first);
                 inserted.pack();
-                assert!(!inserted.inserted_since_pack);
+                assert_eq!(inserted.delta_len(), 0);
             }
             for _ in 0..1500 {
                 let (s, p, o) = random_triple(&mut rng, n - 6);
@@ -1340,7 +1674,7 @@ mod tests {
                     inserted.remove_ids(s, p, o);
                 }
             }
-            assert!(inserted.inserted_since_pack);
+            assert!(inserted.delta_len() > 0);
             let probes: Vec<IdTriple> = inserted
                 .id_triples()
                 .step_by(97)
@@ -1348,7 +1682,9 @@ mod tests {
                 .collect();
             let loose = observe(&inserted, &probes, &windows);
             inserted.pack();
-            assert!(!inserted.inserted_since_pack);
+            assert_eq!(inserted.delta_len(), 0);
+            let bytes = inserted.index_bytes();
+            assert_eq!(bytes, 36 * inserted.len(), "packed runs at exact capacity");
             assert_eq!(inserted.pending_spatial.capacity(), 0, "the pending buffer is freed");
             let packed = observe(&inserted, &probes, &windows);
 
@@ -1465,6 +1801,190 @@ mod tests {
         assert!(all
             .iter()
             .any(|(s, p, o)| *s == t("a") && *p == t("age") && *o == Term::integer(30)));
+    }
+
+    impl TripleStore {
+        /// Keys in the three indexes' write deltas, adds plus tombstones.
+        fn delta_len(&self) -> usize {
+            [&self.spo, &self.pos, &self.osp]
+                .iter()
+                .map(|index| index.added.len() + index.removed.len())
+                .sum()
+        }
+    }
+
+    /// Every key of `index`, in order.
+    fn keys(index: &SortedIndex) -> Vec<Key> {
+        index.keys_from(Finger::default()).collect()
+    }
+
+    /// A [`SortedIndex`] against a `BTreeSet` of the same keys under
+    /// random inserts, deletes, re-inserts of tombstoned keys and packs,
+    /// over a key space small enough to repeat keys and large enough to
+    /// fold: membership, length, order, every range count, and seeks
+    /// by binary search and by galloping from every earlier position.
+    #[test]
+    fn sorted_index_agrees_with_a_btree_set() {
+        let mut rng = ee_util::rng::Rng::seed_from(0x50e7);
+        let key = |rng: &mut ee_util::rng::Rng| {
+            let mut id = || rng.below(12) as u32;
+            (id(), id(), id())
+        };
+        let mut model: BTreeSet<Key> = (0..900).map(|_| key(&mut rng)).collect();
+        let mut index = SortedIndex::from_sorted(model.iter().copied().collect());
+        assert_eq!(index.bytes(), 12 * model.len());
+        let (mut folds, mut revived) = (0, 0);
+        for round in 0..40 {
+            for _ in 0..120 {
+                let k = key(&mut rng);
+                let delta = index.added.len() + index.removed.len();
+                if rng.chance(0.5) {
+                    revived += usize::from(index.removed.binary_search(&k).is_ok());
+                    assert_eq!(index.insert(k), model.insert(k), "insert {k:?}");
+                } else {
+                    assert_eq!(index.remove(&k), model.remove(&k), "remove {k:?}");
+                }
+                if delta >= FOLD_MIN && index.added.len() + index.removed.len() == 0 {
+                    folds += 1;
+                    let run = &index.run;
+                    assert_eq!(run.capacity(), run.len(), "a fold leaves the run exact");
+                }
+            }
+            if round % 9 == 8 {
+                index.fold();
+                assert_eq!(index.bytes(), 12 * model.len(), "round {round}");
+            }
+            let want: Vec<Key> = model.iter().copied().collect();
+            assert_eq!(index.len(), want.len(), "round {round}");
+            assert_eq!(keys(&index), want, "round {round}");
+            for _ in 0..30 {
+                let k = key(&mut rng);
+                assert_eq!(index.contains(&k), model.contains(&k), "round {round} {k:?}");
+                let (lo, hi) = (k, (k.0, k.1 + rng.below(3) as u32, u32::MAX));
+                let want = model.range(lo..=hi).count();
+                assert_eq!(index.count(&lo, &hi), want, "count {lo:?}..={hi:?}");
+                // A seek lands where the model's range starts, and
+                // galloping from any earlier finger lands there too.
+                let at = index.seek(|x| *x < k);
+                let from_there: Vec<Key> = index.keys_from(at).collect();
+                assert_eq!(from_there, model.range(k..).copied().collect::<Vec<_>>(), "seek {k:?}");
+                let earlier = index.seek(|x| x.0 < k.0);
+                let galloped = index.gallop(earlier, |x| *x < k);
+                let offsets = |f: Finger| (f.run, f.added, f.removed);
+                assert_eq!(offsets(galloped), offsets(at), "gallop to {k:?}");
+                let after = index.seek(|x| *x <= k);
+                let want: Vec<Key> = model.iter().copied().filter(|x| *x > k).collect();
+                assert_eq!(index.keys_from(after).collect::<Vec<_>>(), want, "after {k:?}");
+            }
+        }
+        assert!(folds >= 2, "{folds} folds");
+        assert!(revived > 0, "no tombstoned key was re-inserted");
+    }
+
+    /// The keys of a subject's range that lie in the run, in the added
+    /// keys and under tombstones interleave: a scan, a paused scan, an
+    /// estimate and an object probe across the range see the merged
+    /// order, and a re-inserted run key comes back once.
+    #[test]
+    fn ranges_straddle_run_and_delta() {
+        let mut st = TripleStore::new();
+        let ids: Vec<u64> = (0..8).map(|i| st.dict.intern(&t(&format!("x{i}")))).collect();
+        let (s, o) = (ids[0], ids[7]);
+        // The run holds p1, p3, p5; the delta adds p2, p4 and p6 and
+        // tombstones p3 and p5 — then p5 comes back.
+        st.load_ids([1, 3, 5].map(|p| (s, ids[p], o)).to_vec());
+        for p in [2, 4, 6] {
+            st.insert_ids(s, ids[p], o);
+        }
+        assert!(st.remove_ids(s, ids[3], o) && st.remove_ids(s, ids[5], o));
+        assert!(!st.remove_ids(s, ids[3], o), "a tombstoned key is absent");
+        st.insert_ids(s, ids[5], o);
+        st.insert_ids(s, ids[5], o);
+        let want: Vec<IdTriple> = [1, 2, 4, 5, 6].map(|p| (s, ids[p], o)).to_vec();
+        assert_eq!(st.spo.run.len(), 3, "nothing folded");
+        assert_eq!(st.len(), 5);
+        assert_eq!(st.id_triples().collect::<Vec<_>>(), want);
+        for subject in [Some(s), None] {
+            let mut cursor = PatternCursor::default();
+            let mut got = Vec::new();
+            while !cursor.is_done() {
+                st.match_pattern_from(subject, None, Some(o), &mut cursor, &mut |tr| {
+                    got.push(tr);
+                    false
+                });
+            }
+            assert_eq!(got, want, "subject {subject:?}");
+        }
+        assert_eq!(st.estimate(Some(s), None, None), 5);
+        assert_eq!(st.estimate(None, None, Some(o)), 5);
+        assert_eq!(st.estimate(None, Some(ids[3]), None), 0);
+        assert_eq!(st.estimate(None, Some(ids[5]), None), 1);
+        let mut probed = Vec::new();
+        st.match_objects(None, None, &[ids[6], o, o], &mut |tr| probed.push(tr));
+        assert_eq!(probed, [want.clone(), want.clone()].concat(), "a repeated object probes twice");
+        st.pack();
+        assert_eq!((st.spo.run.len(), st.delta_len()), (5, 0));
+        assert_eq!(st.id_triples().collect::<Vec<_>>(), want);
+    }
+
+    /// A cursor paused on a run key resumes after it when that key is
+    /// tombstoned, when it is re-inserted, and when writes between two
+    /// batches fold the deltas into new runs — each match delivered once.
+    #[test]
+    fn a_cursor_resumes_after_a_tombstone_and_a_fold() {
+        let mut st = TripleStore::new();
+        let p = st.dict.intern(&t("p"));
+        let o = st.dict.intern(&t("o"));
+        let subjects: Vec<u64> = (0..40).map(|i| st.dict.intern(&t(&format!("s{i:02}")))).collect();
+        st.load_ids(subjects.iter().map(|&s| (s, p, o)).collect());
+        let filler = st.dict.intern(&t("filler"));
+        let mut cursor = PatternCursor::default();
+        let mut delivered = Vec::new();
+        let batch = |st: &TripleStore, cursor: &mut PatternCursor, delivered: &mut Vec<IdTriple>| {
+            let before = delivered.len();
+            st.match_pattern_from(None, Some(p), None, cursor, &mut |tr| {
+                delivered.push(tr);
+                delivered.len() - before < 5
+            });
+        };
+        batch(&st, &mut cursor, &mut delivered);
+        // The resume key is tombstoned: the next batch starts after it.
+        let last = *delivered.last().unwrap();
+        assert!(st.remove_ids(last.0, last.1, last.2));
+        batch(&st, &mut cursor, &mut delivered);
+        // The new resume key is tombstoned and re-inserted, and a later
+        // key is removed: still resumed after it, the removed one skipped.
+        let last = *delivered.last().unwrap();
+        assert!(st.remove_ids(last.0, last.1, last.2));
+        st.insert_ids(last.0, last.1, last.2);
+        assert!(st.remove_ids(subjects[20], p, o));
+        batch(&st, &mut cursor, &mut delivered);
+        // Enough unrelated writes to fold every index between batches.
+        for i in 0..2 * FOLD_MIN as i64 {
+            let n = st.dict.intern(&Term::integer(i));
+            st.insert_ids(filler, filler, n);
+        }
+        assert!(st.spo.run.len() > subjects.len(), "the deltas folded");
+        while !cursor.is_done() {
+            batch(&st, &mut cursor, &mut delivered);
+        }
+        let want: Vec<IdTriple> =
+            subjects.iter().filter(|&&s| s != subjects[20]).map(|&s| (s, p, o)).collect();
+        assert_eq!(delivered, want);
+    }
+
+    #[test]
+    fn index_bytes_are_12_a_key_after_load_ids() {
+        let mut st = TripleStore::new();
+        let ids: Vec<u64> = (0..50).map(|i| st.dict.intern(&t(&format!("n{i}")))).collect();
+        // Repeats make `load_ids` deduplicate, which leaves a sorted
+        // vector longer than its keys unless the run is trimmed.
+        let triples: Vec<IdTriple> =
+            (0..3000).map(|i| (ids[i % 50], ids[i % 7], ids[i % 5])).collect();
+        st.load_ids(triples);
+        assert_eq!(st.len(), 350);
+        assert_eq!(st.index_bytes(), 3 * 12 * st.len());
+        assert_eq!(TripleStore::new().index_bytes(), 0);
     }
 
     /// A store plus a novelty that hides (a knows c) and adds back a

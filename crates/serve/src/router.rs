@@ -605,17 +605,20 @@ fn handle_ice(state: &AppState, req: &Request, region: &str) -> Response {
 
 /// `/healthz` — liveness, uptime, and the engine inventory. Never
 /// cached (no [`cache_key`]), so `points` and `generation` always
-/// reflect the live store even immediately after a commit.
-fn handle_healthz(state: &AppState) -> Response {
-    // Generation, commit and point count from one guard: one commit.
-    let store = state.store();
+/// reflect the live store even immediately after a commit. It reads the
+/// head record each commit publishes ([`AppState::health`]), never the
+/// store, so the event loop answers it without a worker
+/// ([`is_local_healthz`]).
+pub(crate) fn handle_healthz(state: &AppState) -> Response {
+    // Generation, commit and point count from one record: one commit.
+    let head = state.health();
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("uptime_s", Json::Num(state.started.elapsed().as_secs_f64())),
         ("writable", Json::Bool(state.writable)),
-        ("generation", Json::Num(store.generation() as f64)),
-        ("commit", Json::Str(format!("{:016x}", store.head_commit()))),
-        ("points", Json::Num(store.len() as f64)),
+        ("generation", Json::Num(head.generation as f64)),
+        ("commit", Json::Str(format!("{:016x}", head.commit))),
+        ("points", Json::Num(head.points as f64)),
         ("products", Json::Num(state.classic.len() as f64)),
         ("pyramid_levels", Json::Num(state.pyramid.len() as f64)),
         (
@@ -630,6 +633,14 @@ fn handle_healthz(state: &AppState) -> Response {
         ),
     ])
     .pipe_json()
+}
+
+/// Whether `req` is a `GET /healthz` that [`handle_healthz`] answers
+/// here, without the engines — so the event loop can. Not on a router,
+/// whose `/healthz` reports its backends.
+pub(crate) fn is_local_healthz(state: &AppState, req: &Request) -> bool {
+    let segments = req.path.split('/').filter(|s| !s.is_empty());
+    state.router.is_none() && req.method == "GET" && segments.eq(["healthz"])
 }
 
 /// `/debug/sleep?ms=N` — hold a worker for `ms` (at most 60,000),

@@ -399,10 +399,12 @@ fn shed_at_accept(shared: &Shared, mut stream: TcpStream, msg: &str) {
 
 /// Answer a request without the engines, if it can be: a replayed
 /// response-cache entry (200 marked `x-cache: HIT`, or a bodiless 304
-/// when `If-None-Match` names its ETag), or the 504 of a deadline that
-/// expired before handling (while queued, or while the previous
-/// exchange ran). Records the route latency when it answers; `None`
-/// means an uncacheable route or a cache miss, for [`resolve_miss`].
+/// when `If-None-Match` names its ETag), `/healthz` (from the head
+/// record, so liveness never waits on a worker or the store lock), or
+/// the 504 of a deadline that expired before handling (while queued, or
+/// while the previous exchange ran). Records the route latency when it
+/// answers; `None` means an uncacheable route or a cache miss, for
+/// [`resolve_miss`].
 ///
 /// The only place hit responses are made. It probes the cache at most
 /// once per request and shares the entry's body instead of copying it.
@@ -415,6 +417,8 @@ fn lookup(
 ) -> Option<Response> {
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
+    } else if route == Route::Healthz && crate::router::is_local_healthz(&shared.state, req) {
+        crate::router::handle_healthz(&shared.state)
     } else {
         // Head `/query` keys embed the head commit id and catalogue keys
         // the ranked-index generation, so entries cached before a commit

@@ -47,7 +47,7 @@ use ee_util::Rng;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// Side length of the square point-feature region served by `/query`
 /// (degree-like units, matching the E2 experiment).
@@ -160,6 +160,11 @@ pub struct AppState {
     /// history that produced it (hash chain), so equal ids guarantee
     /// byte-identical stores — which a bare generation counter cannot.
     head: AtomicU64,
+    /// The head as `/healthz` reports it, one commit's generation, id
+    /// and triple count together. The build publishes the first one and
+    /// every commit the next, under the store's write guard, so
+    /// `/healthz` reads it without the store lock or a worker.
+    health: Mutex<Health>,
     /// Generation of the ranked (BM25) search index, bumped on every
     /// reindex. Catalogue cache keys stamp this — not the head commit —
     /// so `/catalogue/search` responses go stale exactly when the index
@@ -212,6 +217,28 @@ pub struct AppState {
     /// `/query`, `/tiles` and `/ice` through it instead of the local
     /// engines.
     pub router: Option<crate::shard::RouterTier>,
+}
+
+/// What `/healthz` reports of the point store's head: its generation,
+/// commit id and triple count, taken from one commit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Health {
+    /// Effective commits since the store was created.
+    pub(crate) generation: u64,
+    /// The head commit id.
+    pub(crate) commit: u64,
+    /// Triples in the store.
+    pub(crate) points: usize,
+}
+
+impl Health {
+    fn of(store: &Store) -> Health {
+        Health {
+            generation: store.generation(),
+            commit: store.head_commit(),
+            points: store.len(),
+        }
+    }
 }
 
 impl AppState {
@@ -278,11 +305,13 @@ impl AppState {
         let store = store?;
         let tile_size = config.tile_size.max(1);
         let head = AtomicU64::new(store.head_commit());
+        let health = Mutex::new(Health::of(&store));
         let state = AppState {
             config,
             writable: false,
             store: RwLock::new(store),
             head,
+            health,
             search_generation: AtomicU64::new(0),
             store_reads: AtomicU64::new(0),
             classic,
@@ -347,6 +376,12 @@ impl AppState {
         self.head.load(Ordering::SeqCst)
     }
 
+    /// The head's generation, commit id and triple count, all of one
+    /// commit, read without the store lock.
+    pub(crate) fn health(&self) -> Health {
+        *self.health.lock().expect("health lock")
+    }
+
     /// Current ranked-index generation, lock-free (bumped on reindex).
     pub fn search_generation(&self) -> u64 {
         self.search_generation.load(Ordering::SeqCst)
@@ -384,6 +419,7 @@ impl AppState {
             .collect();
         let stats = store.commit_delta(delta)?;
         self.head.store(store.head_commit(), Ordering::SeqCst);
+        *self.health.lock().expect("health lock") = Health::of(&store);
         // A no-op commit changed no document: leave the index (and the
         // catalogue cache keys) as they are.
         if stats.inserted + stats.deleted > 0 && !touched.is_empty() {
@@ -579,9 +615,10 @@ impl AppState {
         }
         // Store gauges take the lock directly: `store()` would count this
         // scrape as a request read.
-        let (generation, triples, terms, dict_bytes) = {
+        let (generation, triples, terms, dict_bytes, index_bytes) = {
             let store = self.store.read().expect("store lock");
-            (store.generation(), store.len(), store.dict.len(), store.dict.heap_bytes())
+            let dict = &store.dict;
+            (store.generation(), store.len(), dict.len(), dict.heap_bytes(), store.index_bytes())
         };
         out.push_str(&format!(
             "# HELP ee_rdf_generation Point-store generation (bumps once per effective commit)\n\
@@ -598,7 +635,9 @@ impl AppState {
              # HELP ee_rdf_dictionary_terms Terms in the point store's dictionary (never reclaimed)\n\
              # TYPE ee_rdf_dictionary_terms gauge\nee_rdf_dictionary_terms {terms}\n\
              # HELP ee_rdf_dictionary_bytes Bytes allocated for the point store's dictionary: term arena, id table and decoded values, by capacity, parsed geometries excluded\n\
-             # TYPE ee_rdf_dictionary_bytes gauge\nee_rdf_dictionary_bytes {dict_bytes}\n",
+             # TYPE ee_rdf_dictionary_bytes gauge\nee_rdf_dictionary_bytes {dict_bytes}\n\
+             # HELP ee_rdf_index_bytes Bytes allocated for the point store's three triple indexes: sorted runs plus write deltas, by capacity (12 per key once packed)\n\
+             # TYPE ee_rdf_index_bytes gauge\nee_rdf_index_bytes {index_bytes}\n",
         ));
         out.push_str(&format!(
             "# HELP ee_serve_store_reads_total Times the point-store read guard was taken\n\
@@ -847,14 +886,15 @@ pub fn point_store_sharded(
     let kind = Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
     let feature = Term::iri("http://e/Feature");
     let mut triples = Vec::with_capacity(2 * features.len());
+    // The three constant terms are interned once, right after the first
+    // feature's subject: the ids interning them per feature gave.
+    let mut constants = None;
     for (i, p) in features {
         let dict = &mut store.dict;
-        let (si, ki, fi) = (
-            dict.intern(&subject(i)),
-            dict.intern(&kind),
-            dict.intern(&feature),
-        );
-        let (gi, wi) = (dict.intern(&geom), dict.intern_geometry(p.into()));
+        let si = dict.intern(&subject(i));
+        let &mut (ki, fi, gi) = constants
+            .get_or_insert_with(|| (dict.intern(&kind), dict.intern(&feature), dict.intern(&geom)));
+        let wi = dict.intern_geometry(p.into());
         triples.push((si, ki, fi));
         triples.push((si, gi, wi));
     }
@@ -1239,6 +1279,27 @@ mod tests {
             .unwrap();
         state.commit_update(&u).expect("commit");
         assert!(dictionary_bytes(&state.render_prometheus_section()) > before);
+    }
+
+    /// `ee_rdf_index_bytes` is 12 bytes a key — three keys a triple —
+    /// over the built store's runs; a commit's keys land in the deltas,
+    /// which the gauge counts by capacity too.
+    #[test]
+    fn index_bytes_gauge_counts_runs_and_deltas() {
+        let state = AppState::build(DataConfig::tiny());
+        let gauge = |state: &AppState| -> usize {
+            let section = state.render_prometheus_section();
+            assert!(section.contains("# TYPE ee_rdf_index_bytes gauge\n"));
+            let line = section.lines().find_map(|l| l.strip_prefix("ee_rdf_index_bytes "));
+            line.expect("the gauge renders").parse().expect("a byte count")
+        };
+        let triples = state.store().len();
+        assert_eq!(gauge(&state), 36 * triples);
+        let u = ee_rdf::parser::parse_update("INSERT DATA { <http://e/new> <http://e/p> \"v\" }")
+            .unwrap();
+        state.commit_update(&u).expect("commit");
+        assert!(gauge(&state) > 36 * triples, "the delta's keys are counted");
+        assert_eq!(gauge(&state), state.store().index_bytes());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end tests of the event-driven serve tier over real localhost
 //! sockets: idle-connection reaping, slow-loris partial heads, refused
 //! request framings, per-route quotas, the max-connections cap,
-//! mid-stream client disconnects under the event loop, cache hits
-//! answered on the shard past a saturated worker pool, a deferred read
+//! mid-stream client disconnects under the event loop, cache hits and
+//! `/healthz` answered on the shard past a saturated worker pool, a deferred read
 //! that leaves its shard free, panics contained to their own request —
 //! plus wire responses checked against the router's own answers and an
 //! open-loop fleet smoke.
@@ -458,7 +458,7 @@ fn cache_hits_skip_a_saturated_worker_pool() {
     );
 
     // Fill the queue to its watermark: a hit is still served, while a
-    // request bound for the workers is shed.
+    // request bound for the workers (a tile miss) is shed.
     let _queued = sleep();
     wait_until("second sleep queued", || {
         metrics.queue_depth.load(Ordering::SeqCst) == 1
@@ -467,11 +467,48 @@ fn cache_hits_skip_a_saturated_worker_pool() {
     assert_eq!(hit.status, 200);
     assert_eq!(hit.header("x-cache"), Some("HIT"));
     let (mut s2, mut r2) = connect(server.addr);
-    let shed = send(&mut s2, &mut r2, "/healthz", false);
+    let shed = send(&mut s2, &mut r2, "/tiles/1/0/0", false);
     assert_eq!(shed.status, 503);
     assert!(std::str::from_utf8(&shed.body)
         .unwrap()
         .contains("admission queue"));
+    server.shutdown();
+}
+
+/// `/healthz` is answered on the event loop from the head record, so it
+/// stays fast while every worker is held.
+#[test]
+fn healthz_answers_while_every_worker_is_held() {
+    let server = start(event_config(), state()).expect("start");
+    let metrics = server.metrics();
+    let hold = || {
+        let (mut s, r) = connect(server.addr);
+        s.write_all(b"GET /debug/sleep?ms=1500 HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        (s, r)
+    };
+    // Each sleep is queued and then taken off the queue by a worker.
+    let mut held = Vec::new();
+    for worker in 0..event_config().workers {
+        metrics.queue_peak.store(0, Ordering::SeqCst);
+        held.push(hold());
+        wait_until(&format!("worker {worker} takes a sleep"), || {
+            metrics.queue_peak.load(Ordering::SeqCst) == 1
+                && metrics.queue_depth.load(Ordering::SeqCst) == 0
+        });
+    }
+    let (mut s, mut r) = connect(server.addr);
+    for i in 0..3 {
+        let t0 = Instant::now();
+        let health = send(&mut s, &mut r, "/healthz", true);
+        let took = t0.elapsed();
+        assert_eq!(health.status, 200, "healthz {i}");
+        assert!(took < Duration::from_millis(100), "healthz {i} waited {took:?}");
+        assert!(std::str::from_utf8(&health.body).unwrap().contains("\"ok\":true"));
+    }
+    // The sleeps are still running: nothing above went through a worker.
+    assert_eq!(metrics.queue_depth.load(Ordering::SeqCst), 0);
+    drop(held);
     server.shutdown();
 }
 

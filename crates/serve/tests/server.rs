@@ -190,10 +190,10 @@ fn overload_sheds_with_503_and_retry_after() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // Queue is now at the watermark: fresh connections are rejected
-    // immediately with 503 + Retry-After.
+    // Queue is now at the watermark: fresh requests bound for the
+    // workers are rejected immediately with 503 + Retry-After.
     let (mut s, mut r) = connect(addr);
-    let resp = send(&mut s, &mut r, "/healthz", false);
+    let resp = send(&mut s, &mut r, "/debug/sleep?ms=1", false);
     assert_eq!(resp.status, 503, "watermark rejects new connections");
     assert_eq!(resp.header("retry-after"), Some("1"));
 
