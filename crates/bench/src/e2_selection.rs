@@ -37,12 +37,17 @@ pub fn point_triples(n: usize, seed: u64) -> Vec<(Term, Term, Term)> {
     triples
 }
 
-/// An indexed store holding `triples`, spatial index built.
+/// An indexed store holding `triples`, spatial index built: the terms
+/// are interned in triple order, then the id triples load as sorted runs
+/// in one batch.
 pub fn indexed_store(triples: &[(Term, Term, Term)]) -> TripleStore {
     let mut store = TripleStore::new();
-    for (s, p, o) in triples {
-        store.insert(s, p, o);
-    }
+    let dict = &mut store.dict;
+    let ids = triples
+        .iter()
+        .map(|(s, p, o)| (dict.intern(s), dict.intern(p), dict.intern(o)))
+        .collect();
+    store.load_ids(ids);
     store.pack();
     store
 }

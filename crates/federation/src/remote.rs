@@ -33,7 +33,7 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ee_rdf::parser::{parse_query, PatternTerm};
+use ee_rdf::parser::{PatternTerm, Query};
 use ee_rdf::storage::ShardSpec;
 use ee_util::http1::{ClientConn, Drive};
 use ee_util::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -99,14 +99,14 @@ pub struct ScatterReport {
     pub incomplete: bool,
 }
 
-/// Which shards a query must visit, given the subject-hash ring.
+/// Which shards the parsed query `q` must visit, given the subject-hash
+/// ring.
 ///
 /// The shard-level analogue of endpoint source selection: when every
 /// pattern subject is a constant term, only the owning shards can hold
 /// matching triples, so the scatter visits just those. Any variable
 /// subject fans out to all shards.
-pub fn select_shards(sparql: &str, shard_count: usize) -> Result<Vec<usize>, FedError> {
-    let q = parse_query(sparql).map_err(|e| FedError::Parse(e.to_string()))?;
+pub fn select_shards(q: &Query, shard_count: usize) -> Result<Vec<usize>, FedError> {
     let spec = ShardSpec::try_new(0, shard_count)
         .ok_or_else(|| FedError::Unsupported("shard count must be >= 1".into()))?;
     let mut owners = HashSet::new();
@@ -531,18 +531,16 @@ mod tests {
 
     #[test]
     fn constant_subjects_route_to_owner_shards_only() {
-        let all = select_shards("SELECT ?s WHERE { ?s ?p ?o }", 4).unwrap();
+        let parse = |sparql: &str| ee_rdf::parser::parse_query(sparql).expect("the query parses");
+        let any = parse("SELECT ?s WHERE { ?s ?p ?o }");
+        let all = select_shards(&any, 4).unwrap();
         assert_eq!(all, vec![0, 1, 2, 3]);
-        let one = select_shards(
-            "SELECT ?o WHERE { <http://e/f1> <http://e/p> ?o }",
-            4,
-        )
-        .unwrap();
+        let one = parse("SELECT ?o WHERE { <http://e/f1> <http://e/p> ?o }");
+        let one = select_shards(&one, 4).unwrap();
         assert_eq!(one.len(), 1);
         let spec = ShardSpec::new(0, 4);
         let owner = spec.owner(&ee_rdf::Term::iri("http://e/f1"));
         assert_eq!(one, vec![owner]);
-        assert!(select_shards("nonsense", 4).is_err());
-        assert!(select_shards("SELECT ?s WHERE { ?s ?p ?o }", 0).is_err());
+        assert!(select_shards(&any, 0).is_err());
     }
 }

@@ -36,7 +36,7 @@
 //! writer (streamed, collected, `?asOf=` and merged bodies alike) and
 //! [`QueryResult::parse`] reads it back.
 
-use crate::parser::{parse_query, AggFunc, PatternTerm, SelectItem};
+use crate::parser::{AggFunc, PatternTerm, Query, SelectItem};
 use crate::term::TermRef;
 use crate::RdfError;
 use ee_util::json::{emit_string, fmt_number, Json};
@@ -65,7 +65,7 @@ pub enum MergeStrategy {
 /// would diverge from the unsharded answer. Stripping the clause makes
 /// the merge the single place the cap is applied.
 ///
-/// Only call with text [`strategy_for`] accepted: the grammar puts
+/// Only call with text whose parsed query [`strategy_for`] accepted: the grammar puts
 /// `LIMIT` last, so the clause is the trailing keyword + digits (when
 /// absent the text is returned unchanged).
 pub fn scatter_text(sparql: &str) -> String {
@@ -85,14 +85,11 @@ pub fn scatter_text(sparql: &str) -> String {
     sparql.to_string()
 }
 
-/// Pick the merge strategy for `sparql`, or reject it as unshardable.
-///
-/// Errors are [`RdfError::Parse`] for text the engine cannot parse and
-/// [`RdfError::Eval`] for well-formed queries whose evaluation cannot
+/// Pick the merge strategy for the parsed query `q`, or reject it as
+/// unshardable: [`RdfError::Eval`] for a query whose evaluation cannot
 /// be distributed over subject-hash shards (cross-subject joins,
 /// `OPTIONAL`, `GROUP BY`, non-`COUNT` aggregates, `ORDER BY`).
-pub fn strategy_for(sparql: &str) -> Result<MergeStrategy, RdfError> {
-    let q = parse_query(sparql)?;
+pub fn strategy_for(q: &Query) -> Result<MergeStrategy, RdfError> {
     if q.as_of.is_some() {
         return Err(RdfError::Eval(
             "AS OF is not routable: commit ids are per-shard; query a shard directly".into(),
@@ -390,12 +387,18 @@ pub fn merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_query;
     use crate::term::Term;
+
+    /// [`strategy_for`] over `sparql`, which must parse.
+    fn strategy(sparql: &str) -> Result<MergeStrategy, RdfError> {
+        strategy_for(&parse_query(sparql).expect("the query parses"))
+    }
 
     #[test]
     fn count_queries_sum() {
         let q = "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }";
-        assert_eq!(strategy_for(q).unwrap(), MergeStrategy::SumCount);
+        assert_eq!(strategy(q).unwrap(), MergeStrategy::SumCount);
         let part = |n: u64| QueryResult {
             vars: vec!["n".into()],
             rows: vec![Json::Arr(vec![Json::Str(n.to_string())])],
@@ -409,7 +412,7 @@ mod tests {
     fn row_queries_concat_in_canonical_order() {
         let q = "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }";
         assert_eq!(
-            strategy_for(q).unwrap(),
+            strategy(q).unwrap(),
             MergeStrategy::ConcatRows {
                 distinct: false,
                 limit: None
@@ -480,7 +483,7 @@ mod tests {
     #[test]
     fn query_limit_is_applied_at_the_merge() {
         let q = "SELECT ?s WHERE { ?s <http://e/p> ?o } LIMIT 2";
-        let strategy = strategy_for(q).unwrap();
+        let strategy = strategy(q).unwrap();
         assert_eq!(
             strategy,
             MergeStrategy::ConcatRows {
@@ -561,10 +564,8 @@ mod tests {
             // AS OF: commit ids are per-shard, never fleet-wide.
             "SELECT ?s WHERE { ?s ?p ?o } AS OF <cbf29ce484222325>",
         ] {
-            assert!(matches!(strategy_for(q), Err(RdfError::Eval(_))), "{q}");
+            assert!(matches!(strategy(q), Err(RdfError::Eval(_))), "{q}");
         }
-        // Parse errors stay parse errors.
-        assert!(matches!(strategy_for("nonsense"), Err(RdfError::Parse(_))));
     }
 
     #[test]
@@ -574,7 +575,7 @@ mod tests {
             "SELECT ?o WHERE { <http://e/f1> <http://e/p> ?o . <http://e/f2> <http://e/p> ?o }",
             "SELECT DISTINCT ?o WHERE { ?s <http://e/p> ?o }",
         ] {
-            assert!(strategy_for(q).is_ok(), "{q}");
+            assert!(strategy(q).is_ok(), "{q}");
         }
     }
 

@@ -246,7 +246,8 @@ impl Metrics {
         Self::default()
     }
 
-    /// Record a completed request on `route` with its latency.
+    /// Record a completed request on `route` with its latency: from
+    /// dispatch to its last byte queued, or to its connection's close.
     pub fn record(&self, route: Route, latency_us: u64) {
         self.per_route_requests[route.index()].fetch_add(1, Ordering::Relaxed);
         self.per_route_latency[route.index()].record_us(latency_us);
@@ -263,8 +264,8 @@ impl Metrics {
         &self.per_route_latency[route.index()]
     }
 
-    /// Record time-to-first-byte for a request on `route` (measured from
-    /// request start to the first body chunk hitting the socket).
+    /// Record time-to-first-byte for a request on `route`: from dispatch
+    /// to its first response byte queued on the connection.
     pub fn record_ttfb(&self, route: Route, ttfb_us: u64) {
         self.per_route_ttfb[route.index()].record_us(ttfb_us);
     }
@@ -457,14 +458,16 @@ impl Metrics {
         render_histogram_family(
             &mut out,
             "ee_serve_latency_us",
-            "Request latency histogram (µs)",
+            "Request latency in µs, from dispatch (route quota slot taken) to the last \
+             response byte queued or the connection's close",
             "route",
             ROUTES.iter().map(|&r| (r.label(), self.route_latency(r))),
         );
         render_histogram_family(
             &mut out,
             "ee_serve_ttfb_us",
-            "Time to first body byte histogram (µs)",
+            "Time to first byte in µs, from dispatch (route quota slot taken) to the first \
+             response byte queued",
             "route",
             ROUTES.iter().map(|&r| (r.label(), self.route_ttfb(r))),
         );

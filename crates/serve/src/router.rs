@@ -90,10 +90,11 @@ pub fn classify(path: &str) -> Route {
 /// present, else the head `commit`: an entry cached at head H can never
 /// be served once a commit moves the head, because every later lookup
 /// uses a different key, while an `asOf` key never changes (its id
-/// names an immutable history). `/catalogue/search` keys embed the
-/// ranked-index `search_generation`, so a committed `searchText`
-/// document can never be shadowed by a stale cached ranking. Tile and
-/// ice keys carry no stamp: those engines never change after start-up.
+/// names an immutable history). `/catalogue/search?mode=ranked` keys
+/// embed the ranked-index `search_generation`, so a committed
+/// `searchText` document can never be shadowed by a stale cached
+/// ranking. Tile, ice and classic and semantic catalogue keys carry no
+/// stamp: those engines never change after start-up.
 pub fn cache_key(req: &Request, commit: u64, search_generation: u64) -> Option<String> {
     if req.method != "GET" {
         return None;
@@ -103,8 +104,8 @@ pub fn cache_key(req: &Request, commit: u64, search_generation: u64) -> Option<S
             let id = as_of_param(req).ok().flatten().unwrap_or(commit);
             format!("|c{id:016x}")
         }
-        Route::Catalogue => format!("|s{search_generation}"),
-        Route::Tiles | Route::Ice => String::new(),
+        Route::Catalogue if is_ranked(req) => format!("|s{search_generation}"),
+        Route::Catalogue | Route::Tiles | Route::Ice => String::new(),
         _ => return None,
     };
     let mut params = req.query.clone();
@@ -128,16 +129,24 @@ pub(crate) fn as_of_param(req: &Request) -> Result<Option<u64>, Response> {
     }
 }
 
-/// Whether this request's cache key names no moving state: tiles and
-/// ice bundles (built once at start-up) and `/query?asOf=` reads (an
-/// immutable commit). The server caches such responses **pinned**: they
-/// never go stale, so no TTL, and they survive the post-commit sweep.
+/// Whether this request's cache key names no moving state: tiles, ice
+/// bundles and classic and semantic catalogue searches (engines built
+/// once at start-up) and `/query?asOf=` reads (an immutable commit). The
+/// server caches such responses **pinned**: they never go stale, so no
+/// TTL, and they survive the post-commit sweep (the LRU may still evict
+/// them).
 pub fn immutable_read(req: &Request) -> bool {
     match classify(&req.path) {
         Route::Tiles | Route::Ice => true,
+        Route::Catalogue => !is_ranked(req),
         Route::Query => matches!(as_of_param(req), Ok(Some(_))),
         _ => false,
     }
+}
+
+/// A `/catalogue/search` that reads the live ranked index.
+fn is_ranked(req: &Request) -> bool {
+    req.param("mode") == Some("ranked")
 }
 
 /// Dispatch a request to its handler. Takes the shared `Arc` so streamed
@@ -810,10 +819,10 @@ mod tests {
             cache_key(&get(target), 8, 0).unwrap(),
             "{target} must be commit-stamped"
         );
-        // …catalogue keys follow the ranked-index generation (not the
-        // store commit — a searchText commit must never be shadowed by a
-        // stale cached ranking)…
-        let cat = "/catalogue/search?minx=1";
+        // …ranked catalogue keys follow the ranked-index generation (not
+        // the store commit — a searchText commit must never be shadowed
+        // by a stale cached ranking)…
+        let cat = "/catalogue/search?mode=ranked&q=radar";
         assert_eq!(
             cache_key(&get(cat), 7, 3).unwrap(),
             cache_key(&get(cat), 8, 3).unwrap(),
@@ -822,13 +831,22 @@ mod tests {
         assert_ne!(
             cache_key(&get(cat), 7, 3).unwrap(),
             cache_key(&get(cat), 7, 4).unwrap(),
-            "catalogue keys follow the search generation"
+            "ranked keys follow the search generation"
         );
-        // …and tiles and ice, built once at start-up, carry no stamp.
-        for target in ["/tiles/0/0/0", "/ice/fram-strait"] {
+        // …and tiles, ice and the classic and semantic catalogues, built
+        // once at start-up, carry no stamp.
+        for (target, want) in [
+            ("/tiles/0/0/0", "GET|/tiles/0/0/0|"),
+            ("/ice/fram-strait", "GET|/ice/fram-strait|"),
+            ("/catalogue/search?minx=1", "GET|/catalogue/search|minx=1"),
+            (
+                "/catalogue/search?mode=semantic&minx=1",
+                "GET|/catalogue/search|minx=1&mode=semantic",
+            ),
+        ] {
             let key = cache_key(&get(target), 7, 3).unwrap();
             assert_eq!(key, cache_key(&get(target), 8, 4).unwrap(), "{target}");
-            assert_eq!(key, format!("GET|{target}|"));
+            assert_eq!(key, want);
         }
     }
 
@@ -841,13 +859,21 @@ mod tests {
         let k7 = cache_key(&get(target), 7, 0).unwrap();
         assert_eq!(k7, cache_key(&get(target), 8, 0).unwrap(), "the key must not follow the head");
         assert!(k7.ends_with("|c00000000000000ab"), "got {k7}");
-        // Immutable reads: `asOf` queries, and every tile and ice bundle
-        // (where `asOf` is an ordinary unknown parameter).
-        for target in [target, "/tiles/0/0/0", "/tiles/0/0/0?asOf=ab", "/ice/fram-strait"] {
+        // Immutable reads: `asOf` queries, and every tile, ice bundle and
+        // classic or semantic search (where `asOf` is an ordinary
+        // unknown parameter).
+        for target in [
+            target,
+            "/tiles/0/0/0",
+            "/tiles/0/0/0?asOf=ab",
+            "/ice/fram-strait",
+            "/catalogue/search?asOf=ab",
+            "/catalogue/search?mode=semantic",
+        ] {
             assert!(immutable_read(&get(target)), "{target}");
         }
         assert!(!immutable_read(&get("/query?x0=1")));
-        assert!(!immutable_read(&get("/catalogue/search?asOf=ab")));
+        assert!(!immutable_read(&get("/catalogue/search?mode=ranked&q=radar")));
         // Malformed hex: not an immutable read (the handler 400s).
         assert!(!immutable_read(&get("/query?asOf=zzz")));
     }

@@ -40,7 +40,9 @@
 //! then completion mailbox + wake pipe). Every exchange — hit, refusal,
 //! inline read or worker response — ends in one place,
 //! `EventConn::end_exchange`, and every refusal (400/413/408, the 503
-//! sheds) is written by one helper. Every handler and body producer runs
+//! sheds) is written by one helper. An admitted request's latency and
+//! TTFB are taken once, by its `Exchange` record on the connection;
+//! workers keep no clocks. Every handler and body producer runs
 //! inside one panic boundary (`contain_panic`): a panic answers 500, or
 //! truncates a body already under way, and no thread dies.
 //! Heavy route work (plan/execute, tile encode) runs on workers;
@@ -145,24 +147,13 @@ const CACHE_TTL: Duration = Duration::from_secs(60);
 /// that died (and whose slot was reused) is recognised as stale.
 type Token = (usize, u64);
 
-/// A streamed response in flight: the pull-based body plus everything
-/// the chunk producer needs. Travels shard → worker → shard; while the
-/// socket is backed up it parks in the shard, holding O(batch) state.
+/// A streamed response in flight: the pull-based body, its cache tee and
+/// its deadline. Travels shard → worker → shard; while the socket is
+/// backed up it parks in the shard, holding O(batch) state.
 struct StreamCtx {
     body: Box<dyn BodyStream>,
     tee: Option<CacheFill>,
     deadline: Instant,
-    route: Route,
-    t0: Instant,
-    first_chunk: bool,
-}
-
-impl StreamCtx {
-    /// Record the request's latency once its stream is over: finished,
-    /// aborted (deadline or error), or dropped with its connection.
-    fn record_latency(&self, metrics: &Metrics) {
-        metrics.record(self.route, elapsed_us(self.t0));
-    }
 }
 
 /// Work for the worker pool.
@@ -173,7 +164,6 @@ enum Job {
         shard: usize,
         token: Token,
         req: Box<Request>,
-        route: Route,
         deadline: Instant,
         keep_alive: bool,
     },
@@ -402,28 +392,22 @@ fn shed_at_accept(shared: &Shared, mut stream: TcpStream, msg: &str) {
 /// when `If-None-Match` names its ETag), `/healthz` (from the head
 /// record, so liveness never waits on a worker or the store lock), or
 /// the 504 of a deadline that expired before handling (while queued, or
-/// while the previous exchange ran). Records the route latency when it
-/// answers; `None` means an uncacheable route or a cache miss, for
-/// [`resolve_miss`].
+/// while the previous exchange ran). `None` means an uncacheable route
+/// or a cache miss, for [`resolve_miss`].
 ///
 /// The only place hit responses are made. It probes the cache at most
 /// once per request and shares the entry's body instead of copying it.
-fn lookup(
-    shared: &Shared,
-    req: &Request,
-    route: Route,
-    deadline: Instant,
-    t0: Instant,
-) -> Option<Response> {
+fn lookup(shared: &Shared, req: &Request, deadline: Instant) -> Option<Response> {
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
-    } else if route == Route::Healthz && crate::router::is_local_healthz(&shared.state, req) {
+    } else if crate::router::is_local_healthz(&shared.state, req) {
         crate::router::handle_healthz(&shared.state)
     } else {
-        // Head `/query` keys embed the head commit id and catalogue keys
-        // the ranked-index generation, so entries cached before a commit
-        // or reindex are unreachable after it. Tile, ice and `asOf` keys
-        // name no moving state.
+        // Head `/query` keys embed the head commit id and ranked
+        // catalogue keys the ranked-index generation, so entries cached
+        // before a commit or reindex are unreachable after it. Tile, ice,
+        // classic and semantic catalogue and `asOf` keys name no moving
+        // state.
         let key = cache_key(
             req,
             shared.state.head_commit(),
@@ -440,29 +424,28 @@ fn lookup(
         }
     };
     elide_if_not_modified(shared, req, &mut response);
-    shared.metrics.record(route, elapsed_us(t0));
     Some(response)
 }
 
 /// Answer a request [`lookup`] did not: deadline re-check (queue wait
 /// counts), `/metrics`, engine dispatch with a cache insert (full
-/// bodies) or tee (streamed), the post-commit cache sweep, `If-None-Match`
-/// elision, and per-route latency accounting. It never probes the cache:
-/// the insert key is computed here, at execution time, and a response
-/// whose `x-commit` is not the commit the key is stamped with is not
-/// inserted, so an entry always names the commit its body was read at.
+/// bodies) or tee (streamed), the post-commit cache sweep and
+/// `If-None-Match` elision. It never probes the cache: the insert key is
+/// stamped with the head commit and search generation read here, before
+/// the handler runs, and [`file_miss`] files a response only if its
+/// stamps still name what it read.
 fn resolve_miss(
     shared: &Shared,
     req: &Request,
-    route: Route,
     deadline: Instant,
-    t0: Instant,
 ) -> (Response, Option<CacheFill>) {
+    let route = classify(&req.path);
     // When a cacheable miss returns a *streamed* body there is nothing
     // to store up front; the chunk producer tees the chunks into this
     // fill and the entry is inserted only after the body completes.
     let mut stream_tee: Option<CacheFill> = None;
     let head = shared.state.head_commit();
+    let search = shared.state.search_generation();
 
     let mut response = if Instant::now() >= deadline {
         deadline_exceeded(shared, "deadline exceeded before handling")
@@ -480,7 +463,7 @@ fn resolve_miss(
         match dispatch(&shared.state, req, deadline, shared.config.debug_routes) {
             Outcome::DeadlineExceeded => deadline_exceeded(shared, "deadline exceeded in handler"),
             Outcome::Ready(resp) => {
-                let (resp, tee) = file_miss(shared, req, head, resp);
+                let (resp, tee) = file_miss(shared, req, (head, search), resp);
                 stream_tee = tee;
                 resp
             }
@@ -502,32 +485,29 @@ fn resolve_miss(
         // body under the resource's key.
         stream_tee = None;
     }
-    // A streamed body's latency is recorded when the stream is over
-    // (`StreamCtx::record_latency`), not before its first chunk.
-    if response.body.as_full().is_some() {
-        shared.metrics.record(route, elapsed_us(t0));
-    }
-
     (response, stream_tee)
 }
 
 /// File a handler's response to a cache miss: a cacheable 200 is
 /// inserted (sized body) or returned as the tee its streamed body fills,
-/// and a cacheable response is marked `x-cache: MISS`. `head` is the
-/// head commit read before the handler ran: the insert key is stamped
-/// with it, and a read whose `x-commit` names another commit (one landed
-/// before the read was planned) is not filed under it, so an entry
-/// always names the commit its body was read at.
+/// and a cacheable response is marked `x-cache: MISS`. `(head, search)`
+/// are the head commit and ranked-index generation read before the
+/// handler ran, and the insert key is stamped with them. So that an
+/// entry always names the state its body was read at, a read whose
+/// `x-commit` names another commit (one landed before the read was
+/// planned) is not filed, nor is a ranked search that a reindex
+/// overtook (it may have scored the old index).
 fn file_miss(
     shared: &Shared,
     req: &Request,
-    head: u64,
+    (head, search): (u64, u64),
     mut resp: Response,
 ) -> (Response, Option<CacheFill>) {
-    let key = cache_key(req, head, shared.state.search_generation());
+    let key = cache_key(req, head, search);
     let cacheable = key.is_some();
-    // Tile, ice and `asOf` responses are immutable: pin them so the
-    // update sweep and TTL expiry leave them alone.
+    // Tile, ice, classic and semantic catalogue and `asOf` responses are
+    // immutable: pin them so the update sweep and TTL expiry leave them
+    // alone.
     let pinned = cacheable && crate::router::immutable_read(req);
     let as_of = crate::router::as_of_param(req).ok().flatten();
     let stamp = format!("{:016x}", as_of.unwrap_or(head));
@@ -535,8 +515,10 @@ fn file_miss(
         .headers
         .iter()
         .all(|(n, v)| n != "x-commit" || *v == stamp);
+    let now = shared.state.search_generation();
+    let names_search = now == search || key == cache_key(req, head, now);
     let mut tee = None;
-    if let Some(k) = key.filter(|_| resp.status == 200 && names_stamp) {
+    if let Some(k) = key.filter(|_| resp.status == 200 && names_stamp && names_search) {
         // Full bodies can be cached before the write; streamed ones are
         // teed as produced (headers snapshotted *before* the x-cache
         // marker so replays re-mark).
@@ -735,33 +717,19 @@ fn worker_loop(shared: &Shared) {
                 shard,
                 token,
                 req,
-                route,
                 deadline,
                 keep_alive,
             } => {
-                let t0 = Instant::now();
-                let run = contain_panic(shared, || {
-                    run_miss(shared, &req, route, deadline, keep_alive)
-                });
-                (
-                    shard,
-                    token,
-                    run.unwrap_or_else(|| panicked(shared, route, t0, keep_alive)),
-                )
+                let run = contain_panic(shared, || run_miss(shared, &req, deadline, keep_alive));
+                (shard, token, run.unwrap_or_else(|| panicked(keep_alive)))
             }
             Job::NextChunk { shard, token, ctx } => {
                 // The head went out with the first batch: a panic here
                 // can only truncate the body, and the connection closes.
                 // The stream context unwinds with the panic (its cache
-                // tee too: a truncated body is never cached), so the
-                // request's latency is recorded here.
-                let (route, t0) = (ctx.route, ctx.t0);
+                // tee too: a truncated body is never cached).
                 let run = contain_panic(shared, || produce_chunks(shared, ctx));
-                let run = run.unwrap_or_else(|| {
-                    shared.metrics.record(route, elapsed_us(t0));
-                    (Vec::new(), StreamNext::Abort)
-                });
-                (shard, token, run)
+                (shard, token, run.unwrap_or((Vec::new(), StreamNext::Abort)))
             }
         };
         let mailbox = &shared.shards[shard];
@@ -790,9 +758,8 @@ fn contain_panic<T>(shared: &Shared, work: impl FnOnce() -> T) -> Option<T> {
 }
 
 /// The answer to a request whose handler panicked before any of its
-/// response was produced: a 500, with its latency recorded.
-fn panicked(shared: &Shared, route: Route, t0: Instant, keep_alive: bool) -> (Vec<u8>, StreamNext) {
-    shared.metrics.record(route, elapsed_us(t0));
+/// response was produced: a 500.
+fn panicked(keep_alive: bool) -> (Vec<u8>, StreamNext) {
     (
         serialize_error(500, "internal error", keep_alive),
         StreamNext::Finished,
@@ -803,15 +770,11 @@ fn panicked(shared: &Shared, route: Route, t0: Instant, keep_alive: bool) -> (Ve
 fn run_miss(
     shared: &Shared,
     req: &Request,
-    route: Route,
     deadline: Instant,
     keep_alive: bool,
 ) -> (Vec<u8>, StreamNext) {
-    let t0 = Instant::now();
-    let (response, stream_tee) = resolve_miss(shared, req, route, deadline, t0);
-    serialize(
-        shared, response, stream_tee, route, deadline, t0, keep_alive,
-    )
+    let (response, stream_tee) = resolve_miss(shared, req, deadline);
+    serialize(shared, response, stream_tee, deadline, keep_alive)
 }
 
 /// A bounded head `/query` read run to completion on the event-loop shard
@@ -822,20 +785,16 @@ fn run_miss(
 fn run_inline(
     shared: &Shared,
     req: &Request,
-    route: Route,
     deadline: Instant,
     keep_alive: bool,
 ) -> Option<(Vec<u8>, StreamNext)> {
-    let t0 = Instant::now();
-    let head = shared.state.head_commit();
+    let stamps = (shared.state.head_commit(), shared.state.search_generation());
     let resp = crate::router::run_bounded(&shared.state, req)?;
-    let (mut response, mut stream_tee) = file_miss(shared, req, head, resp);
+    let (mut response, mut stream_tee) = file_miss(shared, req, stamps, resp);
     if elide_if_not_modified(shared, req, &mut response) {
         stream_tee = None;
     }
-    let (mut bytes, mut next) = serialize(
-        shared, response, stream_tee, route, deadline, t0, keep_alive,
-    );
+    let (mut bytes, mut next) = serialize(shared, response, stream_tee, deadline, keep_alive);
     // The body is in memory: frame the rest of it now rather than park
     // it for a worker.
     while let StreamNext::More(ctx) = next {
@@ -853,9 +812,7 @@ fn serialize(
     shared: &Shared,
     response: Response,
     stream_tee: Option<CacheFill>,
-    route: Route,
     deadline: Instant,
-    t0: Instant,
     keep_alive: bool,
 ) -> (Vec<u8>, StreamNext) {
     let mut bytes = response.head_bytes(keep_alive);
@@ -865,9 +822,6 @@ fn serialize(
                 body,
                 tee: stream_tee,
                 deadline,
-                route,
-                t0,
-                first_chunk: true,
             };
             let (chunks, next) = produce_chunks(shared, ctx);
             bytes.extend_from_slice(&chunks);
@@ -875,7 +829,6 @@ fn serialize(
         }
         sized => {
             let b = sized.as_full().expect("non-streamed bodies are sized");
-            shared.metrics.record_ttfb(route, elapsed_us(t0));
             shared.metrics.add_bytes_sent(b.len() as u64);
             bytes.extend_from_slice(b);
             (bytes, StreamNext::Finished)
@@ -884,10 +837,9 @@ fn serialize(
 }
 
 /// Pull body chunks until the batch budget fills, the stream ends, or
-/// the deadline expires. Records TTFB, bytes sent and (once the stream
-/// is over) latency, tees cacheable bodies, and aborts between chunks
-/// once the deadline passes (the peer sees a truncated chunked body,
-/// never a stalled worker).
+/// the deadline expires. Counts bytes sent, tees cacheable bodies, and
+/// aborts between chunks once the deadline passes (the peer sees a
+/// truncated chunked body, never a stalled worker).
 fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) {
     let mut out = Vec::new();
     let max_tee = shared.cache.max_entry_bytes();
@@ -912,10 +864,6 @@ fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) 
                 if chunk.is_empty() {
                     continue; // an empty chunk would mean "end of body"
                 }
-                if ctx.first_chunk {
-                    ctx.first_chunk = false;
-                    shared.metrics.record_ttfb(ctx.route, elapsed_us(ctx.t0));
-                }
                 shared.metrics.add_bytes_sent(chunk.len() as u64);
                 if let Some(tee) = ctx.tee.as_mut() {
                     tee.absorb(chunk, max_tee, &shared.metrics);
@@ -927,7 +875,6 @@ fn produce_chunks(shared: &Shared, mut ctx: StreamCtx) -> (Vec<u8>, StreamNext) 
             }
         }
     };
-    ctx.record_latency(&shared.metrics);
     (out, end)
 }
 
@@ -943,6 +890,19 @@ enum Phase {
     StreamWait(StreamCtx),
 }
 
+/// One admitted request's time, kept on its connection: it opens when
+/// [`Shard::try_dispatch`] takes the route's quota slot, takes the TTFB
+/// when its first bytes are queued ([`EventConn::queue`]) and the
+/// latency when it ends ([`EventConn::end_exchange`], which
+/// [`Shard::close`] runs when the connection dies first). So a sample
+/// spans dispatch, queue wait included, wherever the request is answered;
+/// refusals take none.
+struct Exchange {
+    route: Route,
+    t0: Instant,
+    ttfb_taken: bool,
+}
+
 /// One nonblocking connection owned by an event-loop shard.
 struct EventConn {
     stream: TcpStream,
@@ -950,8 +910,8 @@ struct EventConn {
     parser: RequestParser,
     send: SendBuf,
     phase: Phase,
-    /// Route holding one of this connection's in-flight quota slots.
-    inflight_route: Option<Route>,
+    /// The request in flight; holds one of its route's quota slots.
+    exchange: Option<Exchange>,
     last_activity: Instant,
     /// Set while a partial request sits in the parser: the slow-loris
     /// budget. Cleared on dispatch or when the parser drains.
@@ -969,13 +929,24 @@ struct EventConn {
 }
 
 impl EventConn {
-    /// End the exchange in flight — a hit or refusal answered on the
-    /// shard, or a worker's last bytes: release its quota slot and go
-    /// back to `Idle`, where [`Shard::flush`] closes the connection if
-    /// it was told to, or dispatches the next request.
+    /// Queue response bytes; an exchange's first bytes take its TTFB.
+    fn queue(&mut self, metrics: &Metrics, push: impl FnOnce(&mut SendBuf)) {
+        push(&mut self.send);
+        if let Some(x) = self.exchange.as_mut().filter(|x| !x.ttfb_taken) {
+            x.ttfb_taken = true;
+            metrics.record_ttfb(x.route, elapsed_us(x.t0));
+        }
+    }
+
+    /// End the exchange in flight — a hit, refusal or inline read
+    /// answered on the shard, a worker's last bytes queued, or its
+    /// connection's close: record its latency, release its quota slot
+    /// and go back to `Idle`, where [`Shard::flush`] closes the
+    /// connection if it was told to, or dispatches the next request.
     fn end_exchange(&mut self, shared: &Shared) {
-        if let Some(route) = self.inflight_route.take() {
-            shared.release_route(route);
+        if let Some(x) = self.exchange.take() {
+            shared.metrics.record(x.route, elapsed_us(x.t0));
+            shared.release_route(x.route);
         }
         self.phase = Phase::Idle;
         self.last_activity = Instant::now();
@@ -1096,7 +1067,7 @@ impl<'a> Shard<'a> {
                 parser: RequestParser::new(),
                 send: SendBuf::new(),
                 phase: Phase::Idle,
-                inflight_route: None,
+                exchange: None,
                 last_activity: now,
                 read_deadline: None,
                 served: 0,
@@ -1127,16 +1098,13 @@ impl<'a> Shard<'a> {
         let Completion { token, bytes, next } = completion;
         let (slot, seq) = token;
         let Some(conn) = self.conns[slot].as_mut().filter(|c| c.seq == seq) else {
-            // The connection died while the job ran; dropping the
-            // completion drops any stream context (and its engine
-            // cursors) with it. The quota slot was released at close.
-            if let StreamNext::More(ctx) = &next {
-                ctx.record_latency(&self.shared.metrics);
-            }
+            // The connection died while the job ran, and its exchange
+            // ended at close; dropping the completion drops any stream
+            // context (and its engine cursors) with it.
             return;
         };
         conn.last_activity = Instant::now();
-        conn.send.push(&bytes);
+        conn.queue(&self.shared.metrics, |send| send.push(&bytes));
         match next {
             StreamNext::More(ctx) => conn.phase = Phase::StreamWait(ctx),
             StreamNext::Finished => conn.end_exchange(self.shared),
@@ -1331,28 +1299,30 @@ impl<'a> Shard<'a> {
                 self.refuse(slot, 503, "route quota exhausted", keep_alive);
                 return;
             }
-            conn.inflight_route = Some(route);
+            conn.exchange = Some(Exchange {
+                route,
+                t0: Instant::now(),
+                ttfb_taken: false,
+            });
 
             // Cache hits (and requests already past their deadline) are
             // answered here, and so are bounded head `/query` reads: no
             // job queue, no worker, no completion mailbox or wake pipe.
             let shared = self.shared;
-            let t0 = Instant::now();
-            let answered = if let Some(response) = lookup(shared, &req, route, deadline, t0) {
-                conn.send.push_response(&response, keep_alive);
+            let answered = if let Some(response) = lookup(shared, &req, deadline) {
+                conn.queue(&shared.metrics, |send| send.push_response(&response, keep_alive));
                 let body_len = response.body.as_full().map_or(0, <[u8]>::len);
-                shared.metrics.record_ttfb(route, elapsed_us(t0));
                 shared.metrics.add_bytes_sent(body_len as u64);
                 true
             } else if route == Route::Query {
                 let inline = contain_panic(shared, || {
-                    run_inline(shared, &req, route, deadline, keep_alive)
+                    run_inline(shared, &req, deadline, keep_alive)
                 })
-                .unwrap_or_else(|| Some(panicked(shared, route, t0, keep_alive)));
+                .unwrap_or_else(|| Some(panicked(keep_alive)));
                 match inline {
                     Some((bytes, next)) => {
                         shared.metrics.query_inline.fetch_add(1, Ordering::Relaxed);
-                        conn.send.push(&bytes);
+                        conn.queue(&shared.metrics, |send| send.push(&bytes));
                         // A truncated body (deadline) closes the connection.
                         conn.close_after_flush |= matches!(next, StreamNext::Abort);
                         true
@@ -1384,7 +1354,6 @@ impl<'a> Shard<'a> {
                 shard: self.id,
                 token: (slot, conn.seq),
                 req: Box::new(req),
-                route,
                 deadline,
                 keep_alive,
             };
@@ -1405,13 +1374,18 @@ impl<'a> Shard<'a> {
     }
 
     /// The one refusal path: answer the request at hand with an error
-    /// (503s advertise `Retry-After`) and end its exchange. Unless
-    /// `keep_alive`, the connection closes once the error is flushed;
-    /// otherwise the next pipelined request is dispatched.
+    /// (503s advertise `Retry-After`). A refusal is no exchange: a quota
+    /// slot it holds (a request shed at the queue watermark) goes back
+    /// with no sample. Unless `keep_alive`, the connection closes once
+    /// the error is flushed; otherwise the next pipelined request is
+    /// dispatched.
     fn refuse(&mut self, slot: usize, status: u16, msg: &str, keep_alive: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
+        if let Some(x) = conn.exchange.take() {
+            self.shared.release_route(x.route);
+        }
         conn.send.push(&serialize_error(status, msg, keep_alive));
         conn.close_after_flush |= !keep_alive;
         conn.end_exchange(self.shared);
@@ -1455,16 +1429,13 @@ impl<'a> Shard<'a> {
     }
 
     fn close(&mut self, slot: usize) {
-        if let Some(conn) = self.conns[slot].take() {
-            if let Some(route) = conn.inflight_route {
-                self.shared.release_route(route);
-            }
-            if let Phase::StreamWait(ctx) = &conn.phase {
-                ctx.record_latency(&self.shared.metrics);
-            }
+        if let Some(mut conn) = self.conns[slot].take() {
+            // An exchange still open (a worker holds its job, or its
+            // stream waits for the socket) ends with its connection.
+            conn.end_exchange(self.shared);
             self.shared.metrics.conn_closed();
             self.free.push(slot);
-            // conn (stream, parser buffers, parked stream ctx) drops here.
+            // conn (stream, parser buffers) drops here.
         }
     }
 }
@@ -1566,6 +1537,44 @@ mod tests {
         get(&mut q, "/query?x0=20&y0=20&side=10");
         assert_eq!(read_response(&mut qr).unwrap().status, 200);
         assert_eq!(metrics.query_inline.load(Ordering::SeqCst), 1);
+        server.shutdown();
+    }
+
+    /// A ranked search that a `searchText` commit overtakes between its
+    /// run and its filing may have scored the old index: it is not filed
+    /// under the new generation's key, where the next search would find
+    /// it.
+    #[test]
+    fn a_ranked_search_overtaken_by_a_reindex_is_not_cached() {
+        use crate::http::RequestParser;
+        use crate::state::DataConfig;
+        let mut state = AppState::build(DataConfig::tiny());
+        state.writable = true;
+        let state = Arc::new(state);
+        let server = start(ServerConfig::default(), Arc::clone(&state)).expect("start");
+        let mut parser = RequestParser::new();
+        parser.feed(b"GET /catalogue/search?mode=ranked&q=moraine HTTP/1.1\r\n\r\n");
+        let req = parser.poll_request().unwrap().expect("a complete request");
+        // The search runs at the stamps read before it…
+        let stamps = (state.head_commit(), state.search_generation());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let Outcome::Ready(stale) = dispatch(&state, &req, deadline, false) else {
+            panic!("no deadline to miss");
+        };
+        // …and the commit's reindex lands before it is filed.
+        let insert = "INSERT DATA { <http://e/doc3> \
+                      <http://extremeearth.eu/ont/eo#searchText> \"moraine survey\" }";
+        state
+            .commit_update(&ee_rdf::parser::parse_update(insert).unwrap())
+            .expect("commit");
+        assert_ne!(state.search_generation(), stamps.1);
+        let (filed, _) = file_miss(&server.shared, &req, stamps, stale);
+        assert_eq!(filed.status, 200);
+        let key = cache_key(&req, state.head_commit(), state.search_generation()).unwrap();
+        assert!(
+            server.shared.cache.get(&key).is_none(),
+            "the old ranking is filed under the new generation"
+        );
         server.shutdown();
     }
 

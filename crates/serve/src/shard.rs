@@ -4,8 +4,8 @@
 //!
 //! Request handling per route:
 //!
-//! * `/query` — **scatter-gather**: the query's merge strategy is chosen
-//!   from its shape ([`ee_rdf::merge::strategy_for`]), the shard set
+//! * `/query` — **scatter-gather**: the query is parsed once; its merge
+//!   strategy is chosen from its shape ([`ee_rdf::merge::strategy_for`]), the shard set
 //!   from its subjects ([`ee_federation::select_shards`] — constant
 //!   subjects visit only their ring owners), then the same request goes
 //!   to every target shard through the [`ShardPool`]'s poll-driven
@@ -200,11 +200,14 @@ fn scatter_query(tier: &RouterTier, req: &Request) -> Response {
             "versioned reads (asOf / AS OF) are not routable; query a shard endpoint directly",
         );
     }
-    let strategy = match merge::strategy_for(&sparql) {
-        Ok(s) => s,
+    // Parsed once: the merge strategy and the shard set both read it.
+    let parsed =
+        ee_rdf::parser::parse_query(&sparql).and_then(|q| Ok((merge::strategy_for(&q)?, q)));
+    let (strategy, q) = match parsed {
+        Ok(v) => v,
         Err(e) => return Response::error(400, &format!("query failed: {e}")),
     };
-    let targets = match ee_federation::select_shards(&sparql, tier.shard_count()) {
+    let targets = match ee_federation::select_shards(&q, tier.shard_count()) {
         Ok(t) => t,
         Err(e) => return Response::error(400, &format!("query failed: {e}")),
     };
@@ -338,4 +341,33 @@ fn router_healthz(state: &Arc<AppState>, tier: &RouterTier) -> Response {
             ),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::RequestParser;
+
+    /// Text the engine cannot parse and shapes the shards cannot answer
+    /// are refused with the engine's own 400 message before any shard is
+    /// contacted (the one backend here listens nowhere).
+    #[test]
+    fn unroutable_queries_are_refused_before_the_scatter() {
+        let tier = RouterTier::new(&["127.0.0.1:9".parse().unwrap()], ScatterConfig::default());
+        let cross = "SELECT ?a ?b WHERE { ?a <http://e/p> ?x . ?b <http://e/q> ?x }";
+        for sparql in ["NONSENSE", cross] {
+            let raw = format!(
+                "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{sparql}",
+                sparql.len()
+            );
+            let mut parser = RequestParser::new();
+            parser.feed(raw.as_bytes());
+            let req = parser.poll_request().unwrap().expect("a complete request");
+            let why = ee_rdf::parser::parse_query(sparql).and_then(|q| merge::strategy_for(&q));
+            let want = Response::error(400, &format!("query failed: {}", why.unwrap_err()));
+            let got = scatter_query(&tier, &req);
+            assert_eq!(got.status, 400, "{sparql}");
+            assert_eq!(got.body.as_full(), want.body.as_full(), "{sparql}");
+        }
+    }
 }

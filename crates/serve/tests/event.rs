@@ -11,7 +11,7 @@ use ee_serve::http::{read_response, ClientResponse, RequestParser};
 use ee_serve::loadgen::{self, Arrivals, ConnMode, LoadPlan};
 use ee_serve::metrics::Route;
 use ee_serve::router::{cache_key, dispatch, Outcome};
-use ee_serve::{start, AppState, DataConfig, ServerConfig};
+use ee_serve::{start, AppState, DataConfig, ServerConfig, ServerHandle};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
@@ -713,5 +713,213 @@ fn a_panic_mid_stream_truncates_its_body_and_spares_other_connections() {
     let window = send(&mut s, &mut r, "/query?x0=10&y0=10&side=10", true);
     assert_eq!(window.status, 200);
     assert_eq!(server.metrics().panics.load(Ordering::SeqCst), 1);
+    server.shutdown();
+}
+
+/// Latency and TTFB samples recorded on `route` so far.
+fn samples(server: &ServerHandle, route: Route) -> (u64, u64) {
+    let m = server.metrics();
+    (m.route_latency(route).count(), m.route_ttfb(route).count())
+}
+
+/// Every answer path takes one latency sample and one TTFB sample for
+/// its request: a hit, an inline read, a worker's sized and streamed
+/// responses, a panic before the head and one mid-stream.
+#[test]
+fn every_answer_path_records_one_latency_and_one_ttfb() {
+    let server = start(event_config(), state()).expect("start");
+    let metrics = server.metrics();
+    let (mut s, mut r) = connect(server.addr);
+    let mut one = |route: Route, target: &str, want: (u16, Option<&str>)| {
+        let before = samples(&server, route);
+        let resp = send(&mut s, &mut r, target, true);
+        assert_eq!((resp.status, resp.header("x-cache")), want, "{target}");
+        assert_eq!(samples(&server, route), (before.0 + 1, before.1 + 1), "{target}");
+        resp
+    };
+    let search = "/catalogue/search?minx=1&miny=1&maxx=9&maxy=9";
+    one(Route::Catalogue, search, (200, Some("MISS")));
+    one(Route::Catalogue, search, (200, Some("HIT")));
+    let window = "/query?x0=10&y0=10&side=10";
+    let inline = metrics.query_inline.load(Ordering::SeqCst);
+    let read = one(Route::Query, window, (200, Some("MISS")));
+    assert_eq!(metrics.query_inline.load(Ordering::SeqCst), inline + 1);
+    let commit = read.header("x-commit").expect("head reads name their commit");
+    let as_of = one(Route::Query, &format!("{window}&asOf={commit}"), (200, Some("MISS")));
+    assert_eq!(as_of.header("transfer-encoding"), Some("chunked"));
+    assert_eq!(metrics.query_deferred.load(Ordering::SeqCst), 1);
+    one(Route::Debug, "/debug/panic", (500, None));
+
+    let before = samples(&server, Route::Debug);
+    let (mut p, _) = connect(server.addr);
+    p.write_all(b"GET /debug/panic?after=2 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    p.read_to_end(&mut Vec::new())
+        .expect("the server closes the connection");
+    assert_eq!(samples(&server, Route::Debug), (before.0 + 1, before.1 + 1));
+    server.shutdown();
+}
+
+/// A request whose deadline passes while it waits for the lone worker
+/// is answered 504 with one sample of each, and its latency counts the
+/// wait.
+#[test]
+fn a_504_before_handling_records_its_queue_wait() {
+    let mut config = event_config();
+    config.workers = 1;
+    config.deadline = Duration::from_millis(300);
+    let server = start(config, state()).expect("start");
+    let metrics = server.metrics();
+    // One 600 ms chunk holds the worker past its own deadline.
+    metrics.queue_peak.store(0, Ordering::SeqCst);
+    let (mut h, _hr) = connect(server.addr);
+    h.write_all(b"GET /debug/stream?chunks=1&bytes=64&ms=600 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    wait_until("worker takes the stream", || {
+        metrics.queue_peak.load(Ordering::SeqCst) == 1
+            && metrics.queue_depth.load(Ordering::SeqCst) == 0
+    });
+    let (mut s, mut r) = connect(server.addr);
+    let late = send(&mut s, &mut r, "/tiles/1/0/0", true);
+    assert_eq!(late.status, 504);
+    assert!(std::str::from_utf8(&late.body).unwrap().contains("before handling"));
+    assert_eq!(samples(&server, Route::Tiles), (1, 1));
+    let waited = metrics.route_latency(Route::Tiles).sum_us();
+    assert!(waited >= 250_000, "the 504's latency spans its wait: {waited} µs");
+    server.shutdown();
+}
+
+/// A tile miss queued behind a 300 ms sleep on the lone worker: its
+/// latency runs from dispatch, so the time it waited for the worker is
+/// in it.
+#[test]
+fn a_queued_miss_records_its_wait_for_a_worker() {
+    let mut config = event_config();
+    config.workers = 1;
+    let server = start(config, state()).expect("start");
+    let metrics = server.metrics();
+    metrics.queue_peak.store(0, Ordering::SeqCst);
+    let (mut h, mut hr) = connect(server.addr);
+    h.write_all(b"GET /debug/sleep?ms=300 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    wait_until("worker takes the sleep", || {
+        metrics.queue_peak.load(Ordering::SeqCst) == 1
+            && metrics.queue_depth.load(Ordering::SeqCst) == 0
+    });
+    let (mut s, mut r) = connect(server.addr);
+    let miss = send(&mut s, &mut r, "/tiles/1/0/0", true);
+    assert_eq!((miss.status, miss.header("x-cache")), (200, Some("MISS")));
+    assert_eq!(read_response(&mut hr).expect("the sleep's answer").status, 200);
+    assert_eq!(samples(&server, Route::Tiles), (1, 1));
+    let waited = metrics.route_latency(Route::Tiles).sum_us();
+    assert!(waited >= 250_000, "the queued miss waited for the sleep: {waited} µs");
+    server.shutdown();
+}
+
+/// A client that leaves mid-exchange still leaves one latency sample
+/// and at most one TTFB sample: gone while a worker holds its job, and
+/// gone while its stream waits for the socket to drain.
+#[test]
+fn a_client_gone_mid_exchange_leaves_one_sample() {
+    let server = start(event_config(), state()).expect("start");
+    let metrics = server.metrics();
+    let debug = || samples(&server, Route::Debug);
+    let settled = |before: (u64, u64), what: &str| {
+        wait_until(what, || debug().0 > before.0);
+        std::thread::sleep(Duration::from_millis(400));
+        let (latency, ttfb) = debug();
+        assert_eq!(latency, before.0 + 1, "{what}: one latency sample");
+        assert!(ttfb <= before.1 + 1, "{what}: at most one TTFB sample");
+        ttfb - before.1
+    };
+
+    let before = debug();
+    metrics.queue_peak.store(0, Ordering::SeqCst);
+    let (mut s, _) = connect(server.addr);
+    s.write_all(b"GET /debug/sleep?ms=200 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    wait_until("a worker takes the sleep", || {
+        metrics.queue_peak.load(Ordering::SeqCst) == 1
+            && metrics.queue_depth.load(Ordering::SeqCst) == 0
+    });
+    drop(s);
+    settled(before, "gone while the worker sleeps");
+
+    // 64 MiB, pulled only as the socket drains: the client reads the
+    // head, then stops reading and leaves.
+    let before = debug();
+    let (mut s, _) = connect(server.addr);
+    s.write_all(b"GET /debug/stream?chunks=1024&bytes=65536 HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let mut head = [0u8; 12];
+    s.read_exact(&mut head).unwrap();
+    assert_eq!(&head, b"HTTP/1.1 200");
+    std::thread::sleep(Duration::from_millis(100));
+    drop(s);
+    let ttfb = settled(before, "gone while the stream waits");
+    assert_eq!(ttfb, 1, "the head was queued, so its TTFB was taken");
+    server.shutdown();
+}
+
+/// Refusals are no exchanges: a 400, a 413, a 408 and the 503 sheds
+/// (pipelining cap, route quota, queue watermark) take no sample.
+#[test]
+fn refusals_record_no_samples() {
+    let mut config = event_config();
+    config.workers = 1;
+    config.event_shards = 1;
+    config.queue_watermark = 1;
+    config.route_quota = 2;
+    config.max_pipeline_depth = 0;
+    config.deadline = Duration::from_millis(300);
+    let server = start(config, state()).expect("start");
+    let metrics = server.metrics();
+    let totals = || {
+        let routes = ee_serve::metrics::ROUTES;
+        let latency: u64 = routes.iter().map(|&r| samples(&server, r).0).sum();
+        let ttfb: u64 = routes.iter().map(|&r| samples(&server, r).1).sum();
+        (latency, ttfb)
+    };
+    // Two /debug requests hold the lone worker (one 2.5 s chunk) and
+    // the one queue place: the route is at its quota, the queue at its
+    // watermark.
+    let hold = || {
+        let (mut s, r) = connect(server.addr);
+        s.write_all(b"GET /debug/stream?chunks=1&bytes=64&ms=2500 HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap();
+        (s, r)
+    };
+    metrics.queue_peak.store(0, Ordering::SeqCst);
+    let _held = hold();
+    wait_until("worker takes the first hold", || {
+        metrics.queue_peak.load(Ordering::SeqCst) == 1
+            && metrics.queue_depth.load(Ordering::SeqCst) == 0
+    });
+    let _queued = hold();
+    wait_until("second hold queued", || {
+        metrics.queue_depth.load(Ordering::SeqCst) == 1
+    });
+    let before = totals();
+
+    let raw = |bytes: &[u8]| {
+        let (mut s, mut r) = connect(server.addr);
+        s.write_all(bytes).unwrap();
+        read_response(&mut r).expect("a refusal").status
+    };
+    assert_eq!(raw(b"NONSENSE\r\n\r\n"), 400);
+    assert_eq!(
+        raw(b"POST /query HTTP/1.1\r\nhost: t\r\ncontent-length: 999999999\r\n\r\n"),
+        413
+    );
+    assert_eq!(raw(b"GET /healthz HTTP/1.1\r\n"), 408);
+    assert_eq!(
+        raw(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\nGET /healthz HTTP/1.1\r\nhost: t\r\n\r\n"),
+        503,
+        "pipelined past a depth of 0"
+    );
+    assert_eq!(raw(b"GET /debug/sleep?ms=1 HTTP/1.1\r\nhost: t\r\n\r\n"), 503);
+    assert_eq!(metrics.route_shed(Route::Debug), 1);
+    assert_eq!(raw(b"GET /tiles/1/0/0 HTTP/1.1\r\nhost: t\r\n\r\n"), 503);
+    assert_eq!(totals(), before, "refusals take no sample");
     server.shutdown();
 }

@@ -375,6 +375,43 @@ fn ranked_catalogue_never_serves_stale_hits_after_a_write() {
     server.shutdown();
 }
 
+/// Classic and semantic searches read catalogues built once at
+/// start-up, so a `searchText` commit leaves their cached answers
+/// reachable: they stay hits, while a ranked search misses.
+#[test]
+fn classic_and_semantic_searches_stay_cached_across_a_search_text_commit() {
+    let server = start(test_config(), writable_state()).expect("start");
+    let (mut s, mut r) = connect(server.addr);
+    let aoi = "minx=1&miny=1&maxx=9&maxy=9";
+    let targets = [
+        format!("/catalogue/search?{aoi}"),
+        format!("/catalogue/search?mode=semantic&{aoi}"),
+        "/catalogue/search?mode=ranked&q=radar".to_string(),
+    ];
+    let mut bodies = Vec::new();
+    for target in &targets {
+        let miss = get(&mut s, &mut r, target);
+        assert_eq!((miss.status, miss.header("x-cache")), (200, Some("MISS")), "{target}");
+        bodies.push(miss.body);
+    }
+    let upd = post_update(
+        &mut s,
+        &mut r,
+        "INSERT DATA { <http://e/doc4> \
+         <http://extremeearth.eu/ont/eo#searchText> \
+         \"radar moraine survey\" }",
+    );
+    assert_eq!(upd.status, 200);
+    for (target, body) in targets[..2].iter().zip(&bodies) {
+        let hit = get(&mut s, &mut r, target);
+        assert_eq!(hit.header("x-cache"), Some("HIT"), "{target}");
+        assert_eq!(&hit.body, body, "{target}");
+    }
+    let ranked = get(&mut s, &mut r, &targets[2]);
+    assert_eq!(ranked.header("x-cache"), Some("MISS"), "the ranked key follows the reindex");
+    server.shutdown();
+}
+
 #[test]
 fn versioned_reads_survive_commits_and_revalidate_as_304() {
     let state = writable_state();
